@@ -24,8 +24,8 @@ from .extreal import format_ext
 from .gauges import Regime, gauge_from_json
 from .graphs import (asymmetry_index, distance_matrix, graph_from_json,
                      graph_gauge)
-from .luxemburg import (NonmonotoneGaugeError, luxemburg_distance,
-                        symmetrized_luxemburg)
+from .luxemburg import (DEFAULT_LAMBDA_MAX, NonmonotoneGaugeError,
+                        luxemburg_distance)
 from .orlicz import (DiscreteMeasureSpace, OneSidedPair, modular,
                      luxemburg_norm, one_sided_gauges, orlicz_from_json,
                      parse_function, quasi_metric_from_gauges,
@@ -36,8 +36,6 @@ from .profiles import ScaleGrid
 from .topology import critical_thresholds, verify_join_equality
 
 log = logging.getLogger("quasimod.cli")
-
-DEFAULT_SEED = 0
 
 
 class InputError(Exception):
@@ -67,8 +65,11 @@ def _emit(report: dict, output: str | None, matrix=None) -> None:
     else:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -160,23 +161,17 @@ def cmd_luxemburg(args) -> int:
     g = _gauge_from_doc(_load_json(args.input), args)
     if g.regime is not Regime.ADDITIVE:
         raise InputError("luxemburg distances need an additive-regime gauge")
-    values, sym = {}, {}
-    rows = []
     try:
-        for x in g.points:
-            row = []
-            for y in g.points:
-                v = luxemburg_distance(g, x, y, tol=args.tol).value
-                values[f"{x}|{y}"] = format_ext(v)
-                row.append(v)
-            rows.append(row)
-        for x in g.points:
-            for y in g.points:
-                sym[f"{x}|{y}"] = format_ext(
-                    symmetrized_luxemburg(g, x, y, tol=args.tol))
+        rows = [[luxemburg_distance(g, x, y, tol=args.tol).value
+                 for y in g.points] for x in g.points]
     except NonmonotoneGaugeError as exc:
         _emit({"command": "luxemburg", "error": str(exc)}, args.output)
         return 1
+    values, sym = {}, {}
+    for i, x in enumerate(g.points):
+        for j, y in enumerate(g.points):
+            values[f"{x}|{y}"] = format_ext(rows[i][j])
+            sym[f"{x}|{y}"] = format_ext(max(rows[i][j], rows[j][i]))
     doc = {"command": "luxemburg", "tol": args.tol,
            "distances": values, "symmetrized": sym}
     _emit(doc, args.output, matrix=(g.points, rows))
@@ -296,13 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="report file (.json or .csv)")
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="bisection tolerance (default 1e-9)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed echoed into reports (default 0)")
     parser.add_argument("--grid", help="comma-separated scales, e.g. 0.5,1,2")
     parser.add_argument("--conorm", choices=["max", "prob_sum", "bounded_sum"],
                         help="override the gauge's conorm")
-    parser.add_argument("--side", choices=["forward", "backward", "sym"],
-                        default="forward", help="ball side where applicable")
     return parser
 
 
@@ -315,9 +306,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.tol <= 0:
+    if not args.tol > 0:
         parser.print_usage(sys.stderr)
         sys.stderr.write("quasimod: error: --tol must be positive\n")
+        return 2
+    if args.tol >= DEFAULT_LAMBDA_MAX:
+        parser.print_usage(sys.stderr)
+        sys.stderr.write(f"quasimod: error: --tol must be below the largest "
+                         f"searched scale {DEFAULT_LAMBDA_MAX:g}\n")
         return 2
     try:
         return _COMMANDS[args.command](args)

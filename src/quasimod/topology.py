@@ -1,9 +1,9 @@
 """Balls, entourages, and the three finite topologies of an asymmetric gauge.
 
-Point sets are finite and small; subsets and relations are bitmasks, and
-topologies are extensional families of subsets, so every statement here is
-decided exactly.  The subset family of an n-point space can reach 2**n
-members, which is why generation is guarded at n <= 16.
+Point sets are finite and small, and subsets and relations are bitmasks, so
+every statement here is decided exactly.  A finite topology is stored as the
+smallest open set around each point, one bitmask per point; its open sets,
+up to 2**n of them, are listed only on request, and only for n <= 16.
 """
 
 from __future__ import annotations
@@ -130,19 +130,11 @@ def entourage(g: GaugeSpec, r: float, t: float, side: str = "forward",
 
 def ball(g: GaugeSpec, x, r: float, t: float, side: str = "forward",
          points=None) -> tuple:
-    """Strict ball {y : w(x, y, t) < r}, one-sided or two-sided."""
-    side = _normalize_side(side)
-    _check_radius(g, r)
-    points = tuple(points) if points is not None else g.points
-    out = []
-    for y in points:
-        fwd = g.value(x, y, t) < r
-        bwd = g.value(y, x, t) < r
-        keep = fwd if side == "forward" else bwd if side == "backward" \
-            else fwd and bwd
-        if keep:
-            out.append(y)
-    return tuple(out)
+    """Strict ball {y : w(x, y, t) < r}, one-sided or two-sided: row x of
+    the entourage on the same side."""
+    rel = entourage(g, r, t, side, points)
+    row = rel.rows[rel.points.index(x)]
+    return tuple(p for j, p in enumerate(rel.points) if row & (1 << j))
 
 
 @dataclass(frozen=True)
@@ -184,19 +176,24 @@ def critical_thresholds(g: GaugeSpec, points=None,
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """Extensional topology: the full family of open sets, as bitmasks."""
+    """Topology on a finite point set, stored as its smallest open
+    neighbourhoods: hoods[i] is the least open set containing points[i]."""
 
     points: tuple
-    opens: frozenset[int]
+    hoods: tuple[int, ...]
+
+    @property
+    def opens(self) -> frozenset[int]:
+        """Every open set, as bitmasks: the unions of the neighbourhoods."""
+        opens = {0}
+        for hood in self.hoods:
+            opens |= {o | hood for o in opens}
+        return frozenset(opens)
 
     def is_open(self, subset) -> bool:
-        return self._mask(subset) in self.opens
-
-    def _mask(self, subset) -> int:
-        mask = 0
-        for p in subset:
-            mask |= 1 << self.points.index(p)
-        return mask
+        mask = _mask(self.points, subset)
+        return all(h | mask == mask for i, h in enumerate(self.hoods)
+                   if mask & (1 << i))
 
     def open_sets(self) -> list[tuple]:
         families = [tuple(self.points[i] for i in range(len(self.points))
@@ -208,40 +205,42 @@ class FiniteTopology:
         return [list(s) for s in self.open_sets()]
 
 
-def generate_topology(base, points) -> FiniteTopology:
-    """All unions of the base sets, together with the empty set and the
-    whole space."""
-    points = tuple(points)
+def _mask(points: tuple, subset) -> int:
+    mask = 0
+    for p in subset:
+        if p not in points:
+            raise ValueError(f"point {p!r} outside the point set")
+        mask |= 1 << points.index(p)
+    return mask
+
+
+def _from_subbase(points: tuple, masks) -> FiniteTopology:
+    """Topology with subbase `masks`: a point's smallest open set is the
+    intersection of the subbase sets that contain it."""
     if len(points) > MAX_TOPOLOGY_POINTS:
         raise ValueError(
             f"topology generation is exponential in the point count; "
             f"{len(points)} points exceeds the {MAX_TOPOLOGY_POINTS}-point cap")
-    full = (1 << len(points)) - 1
-    index = {p: i for i, p in enumerate(points)}
-    opens = {0, full}
-    for subset in base:
-        mask = 0
-        for p in subset:
-            if p not in index:
-                raise ValueError(f"base point {p!r} outside the point set")
-            mask |= 1 << index[p]
-        opens |= {o | mask for o in opens}
-    return FiniteTopology(points, frozenset(opens))
+    hoods = [(1 << len(points)) - 1] * len(points)
+    for mask in masks:
+        hoods = [h & mask if mask & (1 << i) else h for i, h in enumerate(hoods)]
+    return FiniteTopology(points, tuple(hoods))
+
+
+def generate_topology(base, points) -> FiniteTopology:
+    """Least topology in which every base set is open: the unions of finite
+    intersections of base sets, with the empty set and the whole space."""
+    points = tuple(points)
+    return _from_subbase(points, [_mask(points, subset) for subset in base])
 
 
 def join_topologies(t1: FiniteTopology, t2: FiniteTopology) -> FiniteTopology:
-    """Least topology refining both: generated by pairwise intersections."""
+    """Least topology refining both: each point's smallest open set is the
+    intersection of its two smallest open sets."""
     if t1.points != t2.points:
         raise ValueError("topologies live on different point sets")
-    points = t1.points
-    base = [[points[i] for i in range(len(points)) if (u & v) & (1 << i)]
-            for u in t1.opens for v in t2.opens]
-    return generate_topology(base, points)
-
-
-def _ball_base(g: GaugeSpec, points, thresholds: ThresholdSet, side: str):
-    return [ball(g, x, r, t, side, points)
-            for x in points for r, t in thresholds.pairs()]
+    return FiniteTopology(t1.points,
+                          tuple(a & b for a, b in zip(t1.hoods, t2.hoods)))
 
 
 @dataclass(frozen=True)
@@ -263,23 +262,23 @@ class JoinReport:
 def verify_join_equality(g: GaugeSpec, points=None,
                          grid: ScaleGrid | None = None) -> JoinReport:
     """Forward and backward ball topologies, their join, and the topology of
-    the symmetrized gauge, compared as families of sets."""
+    the symmetrized gauge, compared by their smallest open neighbourhoods."""
     points = tuple(points) if points is not None else g.points
     grid = grid or g.grid
     if grid is None:
         raise ValueError("verify_join_equality needs a scale grid")
-    thresholds = critical_thresholds(g, points, grid)
-    tau_plus = generate_topology(_ball_base(g, points, thresholds, "forward"),
-                                 points)
-    tau_minus = generate_topology(_ball_base(g, points, thresholds, "backward"),
-                                  points)
+    fwd = [entourage(g, r, t, "forward", points)
+           for r, t in critical_thresholds(g, points, grid).pairs()]
+    tau_plus = _from_subbase(points, [row for e in fwd for row in e.rows])
+    tau_minus = _from_subbase(points,
+                              [row for e in fwd for row in e.transpose().rows])
     joined = join_topologies(tau_plus, tau_minus)
     sym = symmetrize_conorm(g) if g.regime is Regime.CONORM else symmetrize_max(g)
-    sym_thresholds = critical_thresholds(sym, points, grid)
-    tau_sym = generate_topology(
-        _ball_base(sym, points, sym_thresholds, "two_sided"), points)
+    tau_sym = _from_subbase(points, [
+        row for r, t in critical_thresholds(sym, points, grid).pairs()
+        for row in entourage(sym, r, t, "two_sided", points).rows])
     return JoinReport(tau_plus, tau_minus, joined, tau_sym,
-                      joined.opens == tau_sym.opens)
+                      joined.hoods == tau_sym.hoods)
 
 
 def small_composite_check(g: GaugeSpec, points=None,

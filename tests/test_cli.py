@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from quasimod import TConorm, gauge_to_json
 from quasimod.cli import main
 
@@ -222,6 +224,20 @@ def test_usage_and_input_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "malformed JSON" in err and "line 1" in err
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "nan"], "--tol must be positive"),
+    (["--tol", "1e13"], "--tol must be below"),
+    (["--output", "{tmp}/missing/report.json"], "cannot write"),
+])
+def test_hostile_flags_exit_2_without_a_traceback(tmp_path, capsys, flags,
+                                                  message):
+    src = write_doc(tmp_path, "g.json", ADDITIVE_DOC)
+    flags = [f.format(tmp=tmp_path) for f in flags]
+    assert main(["luxemburg", "--input", src] + flags) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_reports_are_deterministic(tmp_path):

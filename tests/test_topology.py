@@ -16,10 +16,32 @@ from quasimod import (
     join_topologies,
     quasi_uniformity_report,
     small_composite_check,
+    symmetrize_conorm,
+    symmetrize_max,
     verify_join_equality,
 )
 
-from conftest import random_conorm_gauge, rng_for
+from conftest import ADDITIVE_BUILDERS, random_conorm_gauge, rng_for
+
+
+def closure_oracle(n, masks):
+    """Brute-force generated topology: close the masks, the empty set and
+    the whole space under pairwise intersection and union."""
+    family = {0, (1 << n) - 1} | set(masks)
+    while True:
+        grown = family | {a & b for a in family for b in family} \
+            | {a | b for a in family for b in family}
+        if grown == family:
+            return family
+        family = grown
+
+
+def random_subbase(rng, n):
+    return [rng.randrange(0, 1 << n) for _ in range(rng.randrange(0, 2 * n))]
+
+
+def members(points, mask):
+    return [p for i, p in enumerate(points) if mask & (1 << i)]
 
 
 def random_relation(rng, points):
@@ -125,6 +147,67 @@ def test_generate_topology_closure_properties():
         generate_topology([("z",)], pts)
     with pytest.raises(ValueError, match="cap"):
         generate_topology([], tuple(range(17)))
+
+
+def test_generate_topology_closes_a_subbase_under_intersection():
+    # {a, b} and {b, c} are open, so {b} must be too: unions alone miss it
+    pts = ("a", "b", "c")
+    topo = generate_topology([("a", "b"), ("b", "c")], pts)
+    assert topo.opens == {0b000, 0b010, 0b011, 0b110, 0b111}
+    assert topo.is_open(("b",)) and not topo.is_open(("a",))
+    assert topo.to_json() == [[], ["b"], ["a", "b"], ["b", "c"],
+                              ["a", "b", "c"]]
+
+
+def test_generate_and_join_match_the_closure_oracle():
+    for seed in range(60):
+        rng = rng_for(seed)
+        n = rng.randrange(2, 6)
+        pts = tuple(range(n))
+        base1, base2 = random_subbase(rng, n), random_subbase(rng, n)
+        t1 = generate_topology([members(pts, m) for m in base1], pts)
+        t2 = generate_topology([members(pts, m) for m in base2], pts)
+        assert t1.opens == closure_oracle(n, base1), (seed, base1)
+        assert t2.opens == closure_oracle(n, base2), (seed, base2)
+        assert join_topologies(t1, t2).opens == closure_oracle(
+            n, closure_oracle(n, base1) | closure_oracle(n, base2)), seed
+        for mask in range(1 << n):
+            assert t1.is_open(members(pts, mask)) == (mask in t1.opens)
+
+
+def test_join_report_matches_the_closure_oracle_on_corpora():
+    gauges = []
+    for seed in range(4):
+        rng = rng_for(seed)
+        gauges += [random_conorm_gauge(rng, rng.randrange(2, 6), conorm)
+                   for conorm in TConorm]
+        gauges += [build(rng, rng.randrange(2, 6))
+                   for build in ADDITIVE_BUILDERS]
+    for g in gauges:
+        pts, n = g.points, len(g.points)
+        combine = g.conorm.apply if g.regime is Regime.CONORM else max
+        sym = symmetrize_conorm(g) if g.regime is Regime.CONORM \
+            else symmetrize_max(g)
+
+        def w_sym(x, y, t):
+            return combine(g.value(x, y, t), g.value(y, x, t))
+
+        def mask(keep):
+            return sum(1 << j for j, y in enumerate(pts) if keep(y))
+
+        pairs = critical_thresholds(g).pairs()
+        plus = [mask(lambda y: g.value(x, y, t) < r)
+                for x in pts for r, t in pairs]
+        minus = [mask(lambda y: g.value(y, x, t) < r)
+                 for x in pts for r, t in pairs]
+        two_sided = [mask(lambda y: w_sym(x, y, t) < r and w_sym(y, x, t) < r)
+                     for x in pts for r, t in critical_thresholds(sym).pairs()]
+        report = verify_join_equality(g)
+        assert report.tau_plus.opens == closure_oracle(n, plus), g.name
+        assert report.tau_minus.opens == closure_oracle(n, minus), g.name
+        assert report.join.opens == closure_oracle(n, plus + minus), g.name
+        assert report.tau_sym.opens == closure_oracle(n, two_sided), g.name
+        assert report.equal == (report.join.opens == report.tau_sym.opens)
 
 
 def test_ball_topologies_are_intersection_stable():
