@@ -21,17 +21,16 @@ from .completeness import (CauchyClassification, CellInclusionError,
 from .conorms import TConorm, conorm_from_name
 from .envelopes import PartialFunction, lower_envelope, upper_envelope
 from .extreal import INF, ensure_ext, ext_mul, format_ext, is_ext, parse_ext
-from .gauges import (GaugeSpec, Regime, evaluate, gauge_from_json,
-                     gauge_to_json, make_classical_modular, make_min_cap,
+from .gauges import (GaugeSpec, Regime, gauge_from_json, gauge_to_json,
+                     make_classical_modular, make_min_cap,
                      make_one_sided_integral, make_ratio, make_scaled_metric,
                      make_sublinear, opposite, quasi_pseudometric_violations,
                      symmetrize_conorm, symmetrize_max)
 from .graphs import (DirectedGraph, DynamicCostSchedule, Edge,
-                     EdgeOrliczFamily, asymmetry_index, backward_distance,
-                     backward_energy, distance_matrix, dynamic_distance,
-                     energy_luxemburg, forward_distance, forward_energy,
-                     graph_from_json, graph_gauge, graph_to_json,
-                     schedule_from_json, schedule_to_json)
+                     EdgeOrliczFamily, asymmetry_index, distance_matrix,
+                     dynamic_distance, energy_luxemburg, forward_distance,
+                     forward_energy, graph_from_json, graph_gauge,
+                     graph_to_json, schedule_from_json, schedule_to_json)
 from .luxemburg import (LuxemburgResult, NonmonotoneGaugeError,
                         luxemburg_distance, luxemburg_infimum,
                         quasi_pseudometric_check, symmetrized_luxemburg)

@@ -47,8 +47,10 @@ class AxiomReport:
 
 
 def _materialize(g: GaugeSpec, points, grid: ScaleGrid):
-    return {(x, y): [g.value(x, y, t) for t in grid]
-            for x in points for y in points}
+    idx = [(x, g.index(x)) for x in points]
+    columns = [g.matrix(t) for t in grid]
+    return {(x, y): [col[i][j] for col in columns]
+            for x, i in idx for y, j in idx}
 
 
 def _projection_table(grid: ScaleGrid):

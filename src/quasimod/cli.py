@@ -26,20 +26,24 @@ from .graphs import (asymmetry_index, distance_matrix, graph_from_json,
                      graph_gauge)
 from .luxemburg import (DEFAULT_LAMBDA_MAX, NonmonotoneGaugeError,
                         luxemburg_distance)
-from .orlicz import (DiscreteMeasureSpace, OneSidedPair, modular,
-                     luxemburg_norm, one_sided_gauges, orlicz_from_json,
-                     parse_function, quasi_metric_from_gauges,
-                     unit_ball_check)
+from .orlicz import (DiscreteMeasureSpace, OneSidedPair, one_sided_gauges,
+                     orlicz_from_json, parse_function,
+                     quasi_metric_from_gauges, unit_ball_check)
 from .envelopes import PartialFunction, lower_envelope, upper_envelope
 from .luxemburg import quasi_pseudometric_check
 from .profiles import ScaleGrid
-from .topology import critical_thresholds, verify_join_equality
+from .topology import (MAX_TOPOLOGY_POINTS, critical_thresholds,
+                       verify_join_equality)
 
 log = logging.getLogger("quasimod.cli")
 
 
 class InputError(Exception):
     """Bad input file or document; maps to exit code 2."""
+
+
+# what reading a document of the wrong shape raises
+_DOC_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
 def _load_json(path: str) -> object:
@@ -88,7 +92,7 @@ def _gauge_from_doc(doc, args) -> object:
         raise InputError("gauge document must be a JSON object")
     try:
         g = gauge_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _DOC_ERRORS as exc:
         raise InputError(f"bad gauge document: {exc}") from None
     grid = _parse_grid(args.grid)
     if grid is not None:
@@ -128,6 +132,9 @@ def cmd_check_axioms(args) -> int:
 
 def cmd_topology(args) -> int:
     g = _gauge_from_doc(_load_json(args.input), args)
+    if len(g.points) > MAX_TOPOLOGY_POINTS:
+        raise InputError(f"topology handles at most {MAX_TOPOLOGY_POINTS} "
+                         f"points, got {len(g.points)}")
     report = verify_join_equality(g)
     doc = {"command": "topology"} | report.to_json()
     _emit(doc, args.output)
@@ -138,7 +145,10 @@ def cmd_cover(args) -> int:
     raw = _load_json(args.input)
     if isinstance(raw, dict) and "space" in raw:
         g = _gauge_from_doc(raw["space"], args)
-        sequence = _resolve_points(raw.get("sequence", []), g.points)
+        try:
+            sequence = _resolve_points(raw.get("sequence", []), g.points)
+        except _DOC_ERRORS as exc:
+            raise InputError(f"bad cover sequence: {exc}") from None
     else:
         g = _gauge_from_doc(raw, args)
         sequence = []
@@ -181,16 +191,15 @@ def cmd_luxemburg(args) -> int:
 def cmd_graph(args) -> int:
     try:
         g = graph_from_json(_load_json(args.input))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _DOC_ERRORS as exc:
         raise InputError(f"bad graph document: {exc}") from None
     fwd = distance_matrix(g)
-    bwd = distance_matrix(g, backward=True)
     doc = {"command": "graph",
            "forward": {f"{x}|{y}": format_ext(fwd[(x, y)])
                        for x in g.vertices for y in g.vertices},
-           "backward": {f"{x}|{y}": format_ext(bwd[(x, y)])
+           "backward": {f"{x}|{y}": format_ext(fwd[(y, x)])
                         for x in g.vertices for y in g.vertices},
-           "asymmetry_index": asymmetry_index(g)}
+           "asymmetry_index": asymmetry_index(fwd, g.vertices)}
     ok = True
     grid = _parse_grid(args.grid)
     if grid is not None:
@@ -208,7 +217,7 @@ def cmd_orlicz(args) -> int:
         space = DiscreteMeasureSpace.from_json(raw["space"])
         functions = {fid: parse_function(doc, space)
                      for fid, doc in raw.get("functions", {}).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except _DOC_ERRORS as exc:
         raise InputError(f"bad orlicz document: {exc}") from None
     doc = {"command": "orlicz", "tol": args.tol}
     ok = True
@@ -219,8 +228,7 @@ def cmd_orlicz(args) -> int:
             for fid in sorted(functions, key=str):
                 f = functions[fid]
                 ub = unit_ball_check(space, phi, f, args.tol)
-                out[str(fid)] = {"modular": modular(space, phi, f),
-                                 "norm": luxemburg_norm(space, phi, f, args.tol),
+                out[str(fid)] = {"modular": ub.modular_value, "norm": ub.norm,
                                  "unit_ball": ub.to_json()}
                 ok = ok and ub.ok
             doc["phi"] = out
@@ -240,7 +248,7 @@ def cmd_orlicz(args) -> int:
                         space, pair, functions[fa], functions[fb], args.tol)
                     dists[f"{fa}|{fb}"] = {"plus": dp, "minus": dm}
             doc["one_sided"] = {"norms": sides, "distances": dists}
-    except (KeyError, TypeError, ValueError) as exc:
+    except _DOC_ERRORS + (OverflowError,) as exc:
         raise InputError(f"bad orlicz document: {exc}") from None
     _emit(doc, args.output)
     return 0 if ok else 1
@@ -260,7 +268,7 @@ def cmd_envelope(args) -> int:
         domain = _resolve_points(raw["domain"], points)
         values = {a: float(raw["values"][str(a)]) for a in domain}
         f = PartialFunction(tuple(domain), values, float(raw["lipschitz"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _DOC_ERRORS as exc:
         raise InputError(f"bad envelope document: {exc}") from None
     metric_report = quasi_pseudometric_check(d, points)
     doc = {"command": "envelope",

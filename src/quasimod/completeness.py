@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .gauges import GaugeSpec, Regime
 from .profiles import ScaleGrid
-from .topology import ThresholdSet, _normalize_side, critical_thresholds
+from .topology import (ThresholdSet, _normalize_side, _relation,
+                       critical_thresholds)
 
 
 @dataclass(frozen=True)
@@ -37,19 +38,14 @@ class CauchyClassification:
     backward_i0: int | None
 
 
-def _minimal_tail_start(seq: SampledSequence, value) -> int | None:
-    """Least 1-based i0 such that value(i, j) < holds for all i0 <= i <= j.
-
-    value(i, j) returns True when the (i, j) pair is good.  A pair (i, j)
-    blocks every i0 <= i, so the answer is one past the largest bad i.
-    """
-    n = seq.horizon
-    worst = 0
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if not value(i, j):
-                worst = max(worst, i)
-    return None if worst == n else worst + 1
+def _minimal_tail_start(rows) -> int | None:
+    """Least 1-based i0 such that row i holds every j >= i, for all
+    i >= i0.  A missing pair (i, j) blocks every i0 <= i, so the answer is
+    one past the largest such i."""
+    full = (1 << len(rows)) - 1  # full >> i << i: positions i and up
+    worst = max((i + 1 for i, row in enumerate(rows) if full >> i << i & ~row),
+                default=0)
+    return None if worst == len(rows) else worst + 1
 
 
 def classify_cauchy(seq: SampledSequence, g: GaugeSpec, r: float,
@@ -59,16 +55,9 @@ def classify_cauchy(seq: SampledSequence, g: GaugeSpec, r: float,
     each direction that holds."""
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r!r}")
-    pts = seq.points
-
-    def fwd(i, j):
-        return g.value(pts[i - 1], pts[j - 1], t) < r
-
-    def bwd(i, j):
-        return g.value(pts[j - 1], pts[i - 1], t) < r
-
-    f_i0 = _minimal_tail_start(seq, fwd)
-    b_i0 = _minimal_tail_start(seq, bwd)
+    fwd = _relation(g, r, t, "forward", seq.points)
+    f_i0 = _minimal_tail_start(fwd.rows)
+    b_i0 = _minimal_tail_start(fwd.transpose().rows)
     if f_i0 and b_i0:
         return CauchyClassification("bi", max(f_i0, b_i0), f_i0, b_i0)
     if f_i0:
@@ -78,25 +67,15 @@ def classify_cauchy(seq: SampledSequence, g: GaugeSpec, r: float,
     return CauchyClassification("neither", None, None, None)
 
 
-def _in_ball(g: GaugeSpec, center, y, r: float, t: float, side: str) -> bool:
-    fwd = g.value(center, y, t) < r
-    bwd = g.value(y, center, t) < r
-    if side == "forward":
-        return fwd
-    if side == "backward":
-        return bwd
-    return fwd and bwd
-
-
 def converges_to(seq: SampledSequence, g: GaugeSpec, x, r: float, t: float,
                  side: str = "forward") -> bool:
-    """True when some tail of the sequence stays inside B^side(x; r, t)."""
+    """True when some tail of the sequence stays inside B^side(x; r, t).
+    The one-point tail is a candidate, so this is membership of the last
+    point."""
     side = _normalize_side(side)
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r!r}")
-    return _in_ball(g, x, seq.points[-1], r, t, side) and any(
-        all(_in_ball(g, x, y, r, t, side) for y in seq.points[i0:])
-        for i0 in range(seq.horizon))
+    return bool(_relation(g, r, t, side, (x, seq.points[-1])).rows[0] & 2)
 
 
 @dataclass(frozen=True)
@@ -122,18 +101,28 @@ def greedy_net(points, g: GaugeSpec, r: float, t: float,
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r!r}")
     sample = tuple(points)
+    balls = _relation(g, r, t, side, sample).rows
     centers: list = []
-    covered = [False] * len(sample)
-    for i, p in enumerate(sample):
-        if covered[i]:
-            continue
-        centers.append(p)
-        for j, q in enumerate(sample):
-            if not covered[j] and _in_ball(g, p, q, r, t, side):
-                covered[j] = True
-    verified = all(any(_in_ball(g, c, q, r, t, side) for c in centers)
-                   for q in sample)
-    return CoverResult(tuple(centers), r, t, side, sample, verified)
+    covered = 0
+    for i in range(len(sample)):
+        if not covered >> i & 1:
+            centers.append(i)
+            covered |= balls[i]
+    verified = _covers(balls, centers, len(sample))
+    return CoverResult(tuple(sample[i] for i in centers), r, t, side, sample,
+                       verified)
+
+
+def _covers(balls, centers, n: int) -> bool:
+    union = 0
+    for i in centers:
+        union |= balls[i]
+    return union == (1 << n) - 1
+
+
+def _first(mask: int) -> int:
+    """Position of the lowest set bit."""
+    return (mask & -mask).bit_length() - 1
 
 
 class CellInclusionError(Exception):
@@ -180,24 +169,25 @@ def two_sided_cover_from_onesided(g: GaugeSpec, forward: CoverResult,
         raise ValueError(f"split radius fails: {s} split with itself is "
                          f"{_split_bound(g, s)}, not below {r}")
     sample = forward.sample
-    centers: list = []
+    near = _relation(g, s, t_half, "forward", sample)
+    far = near.transpose()
+    two = _relation(g, r, t, "two_sided", sample)
+    centers: list[int] = []
     for x_i in forward.centers:
         for y_j in backward.centers:
-            cell = tuple(u for u in sample
-                         if g.value(x_i, u, t_half) < s
-                         and g.value(u, y_j, t_half) < s)
+            cell = near.rows[sample.index(x_i)] & far.rows[sample.index(y_j)]
             if not cell:
                 continue
-            z = cell[0]
-            for u in cell:
-                out, back = g.value(z, u, t), g.value(u, z, t)
-                if not (out < r and back < r):
-                    raise CellInclusionError((x_i, y_j), z, u, out, back, r)
+            z = _first(cell)
+            escaped = cell & ~two.rows[z]
+            if escaped:
+                zp, u = sample[z], sample[_first(escaped)]
+                raise CellInclusionError((x_i, y_j), zp, u, g.value(zp, u, t),
+                                         g.value(u, zp, t), r)
             if z not in centers:
                 centers.append(z)
-    verified = all(any(g.value(c, u, t) < r and g.value(u, c, t) < r
-                       for c in centers) for u in sample)
-    return CoverResult(tuple(centers), r, t, "two_sided", sample, verified)
+    return CoverResult(tuple(sample[z] for z in centers), r, t, "two_sided",
+                       sample, _covers(two.rows, centers, len(sample)))
 
 
 @dataclass(frozen=True)

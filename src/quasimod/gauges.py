@@ -8,7 +8,8 @@ Two regimes are supported:
 
 Gauges are immutable.  They are either closed-form (a function of x, y, t)
 or tabulated (one value per ordered pair per grid scale, read with the
-right-continuous ceil convention of Profile).
+right-continuous ceil convention of Profile).  Sweeps read `matrix(t)`, every
+value at one scale as rows in point order (one prebuilt per grid column).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class GaugeSpec:
         if len(set(points)) != len(points):
             raise ValueError("gauge points must be distinct")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_point_set", frozenset(points))
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
         if self.regime is Regime.CONORM and self.conorm is None:
             raise ValueError("conorm-regime gauge needs a TConorm")
         if (self.fn is None) == (self.table is None):
@@ -76,18 +77,34 @@ class GaugeSpec:
                                          f"[0, 1], got {max(row)!r} for ({x!r}, {y!r})")
                     table[(x, y)] = row
             object.__setattr__(self, "table", table)
+            object.__setattr__(self, "_columns", tuple(
+                tuple(tuple(table[(x, y)][k] for y in points) for x in points)
+                for k in range(m)))
+
+    def index(self, x) -> int:
+        """Position of x in `points`."""
+        try:
+            return self._index[x]
+        except KeyError:
+            raise ValueError(f"unknown point {x!r}") from None
+
+    def matrix(self, t: float) -> tuple[tuple[float, ...], ...]:
+        """Entry [i][j] is w(points[i], points[j], t), read like `value`:
+        the ceil grid column of a table, or the closed form at t itself."""
+        if not t > 0:
+            raise ValueError(f"scale must be positive, got {t!r}")
+        if self.table is not None:
+            k = self.grid.ceil_index(t)
+            return self._columns[-1 if k is None else k]
+        return tuple(tuple(float(self.fn(x, y, t)) for y in self.points)
+                     for x in self.points)
 
     def value(self, x, y, t: float) -> float:
         if not t > 0:
             raise ValueError(f"scale must be positive, got {t!r}")
-        if x not in self._point_set:
-            raise ValueError(f"unknown point {x!r}")
-        if y not in self._point_set:
-            raise ValueError(f"unknown point {y!r}")
+        i, j = self.index(x), self.index(y)
         if self.table is not None:
-            row = self.table[(x, y)]
-            i = self.grid.ceil_index(t)
-            return row[-1] if i is None else row[i]
+            return self.matrix(t)[i][j]
         return float(self.fn(x, y, t))
 
     def profile(self, x, y, grid: ScaleGrid | None = None) -> Profile:
@@ -103,16 +120,14 @@ class GaugeSpec:
             raise ValueError("no grid to tabulate on")
         if self.table is not None and grid == self.grid:
             return self
-        table = {(x, y): tuple(self.value(x, y, t) for t in grid)
-                 for x in self.points for y in self.points}
+        columns = [self.matrix(t) for t in grid]
+        table = {(x, y): tuple(c[i][j] for c in columns)
+                 for i, x in enumerate(self.points)
+                 for j, y in enumerate(self.points)}
         return GaugeSpec(regime=self.regime, points=self.points, conorm=self.conorm,
                          grid=grid, claims_symmetric=self.claims_symmetric,
                          claims_convex=self.claims_convex, name=self.name,
                          warnings=self.warnings, table=table)
-
-
-def evaluate(g: GaugeSpec, x, y, t: float) -> float:
-    return g.value(x, y, t)
 
 
 def quasi_pseudometric_violations(d: Mapping, points) -> list[tuple]:

@@ -1,8 +1,9 @@
 """Directed graphs: path quasi-distances, capped gauges, and edge energies.
 
 Shortest paths use a heap-based label-setting method over nonnegative costs.
-Both difference operators on an edge u -> v have the same magnitude, so the
-forward and backward energies of one edge family coincide; direction
+Backward distances are forward distances on the transpose: d(y, x) read
+from the forward matrix.  Both difference operators on an edge u -> v have
+the same magnitude, so one energy serves both directions; direction
 dependence enters through per-edge functions, measures, or cost schedules.
 """
 
@@ -66,12 +67,9 @@ class DirectedGraph:
         object.__setattr__(self, "measure", measure)
         object.__setattr__(self, "_index", index)
         fwd = [[] for _ in vertices]
-        bwd = [[] for _ in vertices]
         for k, e in enumerate(edges):
             fwd[index[e.u]].append((index[e.v], k))
-            bwd[index[e.v]].append((index[e.u], k))
         object.__setattr__(self, "_fwd", tuple(map(tuple, fwd)))
-        object.__setattr__(self, "_bwd", tuple(map(tuple, bwd)))
 
     def index_of(self, v) -> int:
         try:
@@ -100,7 +98,7 @@ def _edge_costs(g: DirectedGraph, costs) -> tuple[float, ...]:
     return costs
 
 
-def _dijkstra(g: DirectedGraph, src: int, costs, adjacency) -> list[float]:
+def _dijkstra(g: DirectedGraph, src: int, costs) -> list[float]:
     dist = [INF] * len(g.vertices)
     dist[src] = 0.0
     heap = [(0.0, src)]
@@ -108,7 +106,7 @@ def _dijkstra(g: DirectedGraph, src: int, costs, adjacency) -> list[float]:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for v, k in adjacency[u]:
+        for v, k in g._fwd[u]:
             nd = d + costs[k]
             if nd < dist[v]:
                 dist[v] = nd
@@ -119,22 +117,14 @@ def _dijkstra(g: DirectedGraph, src: int, costs, adjacency) -> list[float]:
 def forward_distance(g: DirectedGraph, x, y, costs=None) -> float:
     """Least total cost over directed paths x to y; +inf when unreachable."""
     costs = _edge_costs(g, costs)
-    return _dijkstra(g, g.index_of(x), costs, g._fwd)[g.index_of(y)]
+    return _dijkstra(g, g.index_of(x), costs)[g.index_of(y)]
 
 
-def backward_distance(g: DirectedGraph, x, y, costs=None) -> float:
-    """forward_distance with every edge reversed."""
+def distance_matrix(g: DirectedGraph, costs=None) -> dict:
     costs = _edge_costs(g, costs)
-    return _dijkstra(g, g.index_of(x), costs, g._bwd)[g.index_of(y)]
-
-
-def distance_matrix(g: DirectedGraph, costs=None,
-                    backward: bool = False) -> dict:
-    costs = _edge_costs(g, costs)
-    adjacency = g._bwd if backward else g._fwd
     out = {}
     for i, x in enumerate(g.vertices):
-        row = _dijkstra(g, i, costs, adjacency)
+        row = _dijkstra(g, i, costs)
         for j, y in enumerate(g.vertices):
             out[(x, y)] = row[j]
     return out
@@ -185,25 +175,14 @@ class EdgeOrliczFamily:
         return t ** self.p + self.a[edge_index] * t ** self.q
 
 
-def _gradient_energy(g: DirectedGraph, f: Mapping,
-                     phi: EdgeOrliczFamily) -> float:
+def forward_energy(g: DirectedGraph, f: Mapping,
+                   phi: EdgeOrliczFamily) -> float:
+    """Sum over edges of mu(e) * phi(e, |f(head) - f(tail)|)."""
     missing = [v for v in g.vertices if v not in f]
     if missing:
         raise ValueError(f"function misses vertices {missing!r}")
     return sum(e.mu * phi.value(k, abs(f[e.v] - f[e.u]))
                for k, e in enumerate(g.edges))
-
-
-def forward_energy(g: DirectedGraph, f: Mapping,
-                   phi: EdgeOrliczFamily) -> float:
-    """Sum over edges of mu(e) * phi(e, |f(head) - f(tail)|)."""
-    return _gradient_energy(g, f, phi)
-
-
-def backward_energy(g: DirectedGraph, f: Mapping,
-                    phi: EdgeOrliczFamily) -> float:
-    """Same magnitudes as forward_energy: |f(u) - f(v)| = |f(v) - f(u)|."""
-    return _gradient_energy(g, f, phi)
 
 
 def energy_luxemburg(g: DirectedGraph, f: Mapping, phi: EdgeOrliczFamily,
@@ -213,7 +192,7 @@ def energy_luxemburg(g: DirectedGraph, f: Mapping, phi: EdgeOrliczFamily,
 
     def at(lam: float) -> float:
         scaled = {v: f[v] / lam for v in g.vertices}
-        return _gradient_energy(g, scaled, phi)
+        return forward_energy(g, scaled, phi)
 
     return luxemburg_infimum(at, c, tol, lambda_max).value
 
@@ -268,10 +247,9 @@ def dynamic_distance(g: DirectedGraph, schedule: DynamicCostSchedule,
     return forward_distance(g, x, y, costs)
 
 
-def asymmetry_index(g: DirectedGraph, costs=None) -> float:
+def asymmetry_index(d: Mapping, points) -> float:
     """Fraction of ordered pairs x != y with d(x, y) != d(y, x)."""
-    d = distance_matrix(g, costs)
-    pairs = [(x, y) for x in g.vertices for y in g.vertices if x != y]
+    pairs = [(x, y) for x in points for y in points if x != y]
     if not pairs:
         return 0.0
     return sum(1 for x, y in pairs if d[(x, y)] != d[(y, x)]) / len(pairs)

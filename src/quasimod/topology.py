@@ -104,14 +104,9 @@ def _check_radius(g: GaugeSpec, r: float) -> None:
 
 
 def _forward_rows(g: GaugeSpec, points, r: float, t: float) -> tuple[int, ...]:
-    rows = []
-    for x in points:
-        mask = 0
-        for j, y in enumerate(points):
-            if g.value(x, y, t) < r:
-                mask |= 1 << j
-        rows.append(mask)
-    return tuple(rows)
+    mat, idx = g.matrix(t), [g.index(p) for p in points]
+    return tuple(sum(1 << bit for bit, j in enumerate(idx) if mat[i][j] < r)
+                 for i in idx)
 
 
 def entourage(g: GaugeSpec, r: float, t: float, side: str = "forward",
@@ -120,6 +115,13 @@ def entourage(g: GaugeSpec, r: float, t: float, side: str = "forward",
     side = _normalize_side(side)
     _check_radius(g, r)
     points = tuple(points) if points is not None else g.points
+    return _relation(g, r, t, side, points)
+
+
+def _relation(g: GaugeSpec, r: float, t: float, side: str,
+              points: tuple) -> Relation:
+    """The entourage without its radius checks: the ball predicate that
+    every cover and Cauchy scan reads its rows from."""
     fwd = Relation(points, _forward_rows(g, points, r, t))
     if side == "forward":
         return fwd
@@ -162,8 +164,9 @@ def critical_thresholds(g: GaugeSpec, points=None,
     # symmetrization) is outside every admissible ball, so it contributes
     # no radius, and the above-the-top radius below separates it
     cap = 1.0 if g.regime is Regime.CONORM else INF
-    values = sorted({v for x in points for y in points for t in grid
-                     for v in [g.value(x, y, t)] if 0 < v < cap})
+    idx, mats = [g.index(p) for p in points], [g.matrix(t) for t in grid]
+    values = sorted({v for m in mats for i in idx for j in idx
+                     for v in [m[i][j]] if 0 < v < cap})
     if not values:
         fallback = 0.5 if g.regime is Regime.CONORM else 1.0
         return ThresholdSet((fallback,), grid)
@@ -273,7 +276,8 @@ def verify_join_equality(g: GaugeSpec, points=None,
     tau_minus = _from_subbase(points,
                               [row for e in fwd for row in e.transpose().rows])
     joined = join_topologies(tau_plus, tau_minus)
-    sym = symmetrize_conorm(g) if g.regime is Regime.CONORM else symmetrize_max(g)
+    sym = (symmetrize_conorm(g) if g.regime is Regime.CONORM
+           else symmetrize_max(g)).tabulated(grid)
     tau_sym = _from_subbase(points, [
         row for r, t in critical_thresholds(sym, points, grid).pairs()
         for row in entourage(sym, r, t, "two_sided", points).rows])

@@ -1,15 +1,25 @@
 """Command-line interface: exit codes, report shapes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from quasimod import TConorm, gauge_to_json
+from quasimod import TConorm, gauge_to_json, graph_to_json
 from quasimod.cli import main
 
-from conftest import random_conorm_gauge, rng_for
+from conftest import (points_named, random_conorm_gauge, random_measure_space,
+                      random_min_cap_gauge, random_orlicz_family,
+                      random_quasi_pseudometric,
+                      random_strongly_connected_graph, random_total_function,
+                      rng_for)
 
 ADDITIVE_DOC = {
     "regime": "additive",
@@ -260,3 +270,134 @@ def test_console_entry_point_round_trip(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["axioms"]["violations"] == []
+
+
+SEVENTEEN_POINTS = [f"p{i}" for i in range(17)]
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("check-axioms", dict(ADDITIVE_DOC, table=[]), "bad gauge document"),
+    ("envelope", dict(ENVELOPE_DOC, distance=[]), "bad envelope document"),
+    ("cover", {"space": ADDITIVE_DOC, "sequence": 3}, "bad cover sequence"),
+    ("orlicz", {"space": {"points": ["a"], "mu": {"a": 1.0}},
+                "functions": {"f": {"a": 2.0}},
+                "phi": {"kind": "variable_exponent", "p": {"a": 1e308}}},
+     "bad orlicz document"),
+    ("topology", {"regime": "additive", "points": SEVENTEEN_POINTS,
+                  "grid": [1.0],
+                  "table": {f"{x}|{y}": [0.0 if x == y else 1.0]
+                            for x in SEVENTEEN_POINTS
+                            for y in SEVENTEEN_POINTS}},
+     "at most 16 points"),
+], ids=["gauge-table-list", "envelope-distance-list", "cover-sequence-number",
+        "orlicz-exponent-overflow", "topology-17-points"])
+def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys,
+                                                        command, doc,
+                                                        message):
+    src = write_doc(tmp_path, "in.json", doc)
+    assert main([command, "--input", src]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: valid seeded documents, then keys dropped, values swapped for
+# hostile ones, and the file cut short
+
+
+def _valid_documents():
+    rng = rng_for(900)
+    conorm = gauge_to_json(random_conorm_gauge(rng, 3, TConorm.MAX))
+    additive = gauge_to_json(random_min_cap_gauge(rng, 3))
+    space = random_measure_space(rng, 3)
+    functions = {f"f{i}": {str(p): v for p, v in
+                           random_total_function(rng, space).items()}
+                 for i in range(2)}
+    points = points_named(3)
+    rho = random_quasi_pseudometric(rng, points)
+    return {
+        "check-axioms": conorm,
+        "topology": conorm,
+        "cover": {"space": additive, "sequence": list(additive["points"]) * 2},
+        "luxemburg": additive,
+        "graph": graph_to_json(random_strongly_connected_graph(rng, 4)),
+        "orlicz": {"space": space.to_json(), "functions": functions,
+                   "phi": random_orlicz_family(rng, space).to_json(),
+                   "psi1": random_orlicz_family(rng, space).to_json(),
+                   "psi2": random_orlicz_family(rng, space).to_json()},
+        "envelope": {"points": list(points),
+                     "distance": {f"{x}|{y}": v for (x, y), v in rho.items()},
+                     "domain": list(points[:2]),
+                     "values": {points[0]: 0.0, points[1]: 0.5},
+                     "lipschitz": 1.0},
+    }
+
+
+VALID_DOCUMENTS = _valid_documents()
+HOSTILE_VALUES = (None, [], {}, "x", math.nan, math.inf, 1e308)
+
+
+def _paths(doc, prefix=()):
+    """Every node's path, children first and the root last."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, prefix + (i,))
+    yield prefix
+
+
+@st.composite
+def mutated_documents(draw, command):
+    """One to three mutations of a valid document, then maybe a cut through
+    the serialized text.  A mutation's node is drawn either uniformly or at
+    a uniformly drawn depth, so that the few top-level keys come up about as
+    often as the many table entries."""
+    doc = [copy.deepcopy(VALID_DOCUMENTS[command])]
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc[0]))
+        if len(paths) > 1 and draw(st.booleans()):
+            depth = draw(st.sampled_from(sorted({len(p) for p in paths} - {0})))
+            paths = [p for p in paths if len(p) == depth]
+        path = (0,) + draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(HOSTILE_VALUES))
+    text = json.dumps(doc[0])
+    if draw(st.integers(0, 5)) == 0:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+# Examples per command.  On code without the exit-2 mapping these find each
+# malformed-document crash pinned above (all but the 17-point topology one);
+# the overflow needs a 1e308 exponent, and orlicz documents have few.
+FUZZ_EXAMPLES = {"check-axioms": 100, "cover": 150, "envelope": 100,
+                 "graph": 100, "luxemburg": 100, "orlicz": 250,
+                 "topology": 100}
+
+
+@pytest.mark.parametrize("command", sorted(VALID_DOCUMENTS))
+def test_fuzzed_documents_never_end_in_a_traceback(tmp_path, command):
+    src = tmp_path / "in.json"
+    flags = ["--grid", "8,16"] if command == "graph" else []
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=FUZZ_EXAMPLES[command],
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=mutated_documents(command))
+    def run(text):
+        src.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--input", str(src), *flags])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    run()
