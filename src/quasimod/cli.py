@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from .axioms import check_axioms, convexity_check
 from .completeness import (SampledSequence, classify_cauchy,
@@ -98,11 +99,7 @@ def _gauge_from_doc(doc, args) -> object:
     if grid is not None:
         g = g.tabulated(grid)
     if getattr(args, "conorm", None) and g.regime is Regime.CONORM:
-        g = type(g)(regime=g.regime, points=g.points,
-                    conorm=conorm_from_name(args.conorm), grid=g.grid,
-                    claims_symmetric=g.claims_symmetric,
-                    claims_convex=g.claims_convex, name=g.name,
-                    warnings=g.warnings, table=g.table)
+        g = replace(g, conorm=conorm_from_name(args.conorm))
     return g
 
 

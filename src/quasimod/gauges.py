@@ -15,7 +15,7 @@ value at one scale as rows in point order (one prebuilt per grid column).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 from .conorms import TConorm, conorm_from_name
@@ -124,10 +124,7 @@ class GaugeSpec:
         table = {(x, y): tuple(c[i][j] for c in columns)
                  for i, x in enumerate(self.points)
                  for j, y in enumerate(self.points)}
-        return GaugeSpec(regime=self.regime, points=self.points, conorm=self.conorm,
-                         grid=grid, claims_symmetric=self.claims_symmetric,
-                         claims_convex=self.claims_convex, name=self.name,
-                         warnings=self.warnings, table=table)
+        return replace(self, grid=grid, fn=None, table=table)
 
 
 def quasi_pseudometric_violations(d: Mapping, points) -> list[tuple]:
@@ -326,26 +323,20 @@ def make_one_sided_integral(masses, Phi: Callable[[float], float], functions,
 
 def opposite(g: GaugeSpec) -> GaugeSpec:
     """Swap the argument order: (x, y, t) -> w(y, x, t)."""
+    name = f"opposite({g.name})"
     if g.table is not None:
         table = {(x, y): g.table[(y, x)] for x in g.points for y in g.points}
-        return GaugeSpec(regime=g.regime, points=g.points, conorm=g.conorm,
-                         grid=g.grid, claims_symmetric=g.claims_symmetric,
-                         claims_convex=g.claims_convex, name=f"opposite({g.name})",
-                         warnings=g.warnings, table=table)
-    return GaugeSpec(regime=g.regime, points=g.points, conorm=g.conorm,
-                     grid=g.grid, claims_symmetric=g.claims_symmetric,
-                     claims_convex=g.claims_convex, name=f"opposite({g.name})",
-                     warnings=g.warnings, fn=lambda x, y, t: g.value(y, x, t))
+        return replace(g, name=name, table=table)
+    return replace(g, name=name, fn=lambda x, y, t: g.value(y, x, t))
 
 
 def symmetrize_max(g: GaugeSpec) -> GaugeSpec:
     """Pointwise max of the gauge and its opposite (additive regime)."""
     if g.regime is not Regime.ADDITIVE:
         raise ValueError("symmetrize_max applies to additive-regime gauges")
-    return GaugeSpec(regime=g.regime, points=g.points, grid=g.grid,
-                     claims_symmetric=True, claims_convex=g.claims_convex,
-                     name=f"sym_max({g.name})", warnings=g.warnings,
-                     fn=lambda x, y, t: max(g.value(x, y, t), g.value(y, x, t)))
+    return replace(g, conorm=None, claims_symmetric=True,
+                   name=f"sym_max({g.name})", table=None,
+                   fn=lambda x, y, t: max(g.value(x, y, t), g.value(y, x, t)))
 
 
 def symmetrize_conorm(g: GaugeSpec) -> GaugeSpec:
@@ -353,10 +344,8 @@ def symmetrize_conorm(g: GaugeSpec) -> GaugeSpec:
     if g.regime is not Regime.CONORM:
         raise ValueError("symmetrize_conorm applies to conorm-regime gauges")
     c = g.conorm
-    return GaugeSpec(regime=g.regime, points=g.points, conorm=c, grid=g.grid,
-                     claims_symmetric=True, claims_convex=g.claims_convex,
-                     name=f"sym({g.name})", warnings=g.warnings,
-                     fn=lambda x, y, t: c.apply(g.value(x, y, t), g.value(y, x, t)))
+    return replace(g, claims_symmetric=True, name=f"sym({g.name})", table=None,
+                   fn=lambda x, y, t: c.apply(g.value(x, y, t), g.value(y, x, t)))
 
 
 def gauge_to_json(g: GaugeSpec, grid: ScaleGrid | None = None) -> dict:
@@ -395,9 +384,8 @@ def gauge_from_json(doc: Mapping, name: str = "gauge") -> GaugeSpec:
         table[(by_str[sx], by_str[sy])] = parsed
     g = GaugeSpec(regime=regime, points=points, conorm=conorm, grid=grid,
                   name=name, table=table)
-    sym = all(g.table[(x, y)] == g.table[(y, x)] for x in points for y in points)
-    return GaugeSpec(regime=regime, points=points, conorm=conorm, grid=grid,
-                     claims_symmetric=sym, name=name, table=g.table)
+    return replace(g, claims_symmetric=all(
+        g.table[(x, y)] == g.table[(y, x)] for x in points for y in points))
 
 
 def _infer_points(d: Mapping) -> tuple:

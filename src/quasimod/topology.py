@@ -8,6 +8,7 @@ up to 2**n of them, are listed only on request, and only for n <= 16.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .axioms import AxiomReport, Violation
@@ -173,7 +174,9 @@ def critical_thresholds(g: GaugeSpec, points=None,
     radii = set(values)
     radii.update((a + b) / 2.0 for a, b in zip(values, values[1:]))
     top = values[-1]
-    radii.add((top + 1.0) / 2.0 if g.regime is Regime.CONORM else top + 1.0)
+    # above the top value even where top + 1.0 rounds back to top (2**53 on)
+    radii.add((top + 1.0) / 2.0 if g.regime is Regime.CONORM
+              else max(top + 1.0, math.nextafter(top, INF)))
     return ThresholdSet(tuple(sorted(radii)), grid)
 
 
@@ -262,25 +265,34 @@ class JoinReport:
                 "join_equals_sym": self.equal}
 
 
+def _balls(mats, idx) -> set[int]:
+    """Every nonempty strict ball {y : w(x, y, t) < r}, r > 0, of the rows
+    at `idx`: a ball holding y holds each y' with w(x, y', t) <= w(x, y, t),
+    so the balls are the row's sublevel sets at its values.  The one at a
+    value no radius exceeds (inf, or 1 for a conorm) is the whole space,
+    which is open anyway."""
+    return {sum(1 << bit for bit, j in enumerate(idx) if m[i][j] <= v)
+            for m in mats for i in idx for v in {m[i][j] for j in idx}}
+
+
 def verify_join_equality(g: GaugeSpec, points=None,
                          grid: ScaleGrid | None = None) -> JoinReport:
     """Forward and backward ball topologies, their join, and the topology of
-    the symmetrized gauge, compared by their smallest open neighbourhoods."""
+    the symmetrized gauge, compared by their smallest open neighbourhoods.
+    Backward balls are rows of the transposes; the symmetrized gauge is
+    symmetric, so its two-sided balls are its forward ones."""
     points = tuple(points) if points is not None else g.points
     grid = grid or g.grid
     if grid is None:
         raise ValueError("verify_join_equality needs a scale grid")
-    fwd = [entourage(g, r, t, "forward", points)
-           for r, t in critical_thresholds(g, points, grid).pairs()]
-    tau_plus = _from_subbase(points, [row for e in fwd for row in e.rows])
-    tau_minus = _from_subbase(points,
-                              [row for e in fwd for row in e.transpose().rows])
-    joined = join_topologies(tau_plus, tau_minus)
+    idx = [g.index(p) for p in points]
     sym = (symmetrize_conorm(g) if g.regime is Regime.CONORM
-           else symmetrize_max(g)).tabulated(grid)
-    tau_sym = _from_subbase(points, [
-        row for r, t in critical_thresholds(sym, points, grid).pairs()
-        for row in entourage(sym, r, t, "two_sided", points).rows])
+           else symmetrize_max(g))
+    mats = [g.matrix(t) for t in grid]
+    tau_plus, tau_minus, tau_sym = (
+        _from_subbase(points, _balls(ms, idx)) for ms in
+        (mats, [tuple(zip(*m)) for m in mats], [sym.matrix(t) for t in grid]))
+    joined = join_topologies(tau_plus, tau_minus)
     return JoinReport(tau_plus, tau_minus, joined, tau_sym,
                       joined.hoods == tau_sym.hoods)
 

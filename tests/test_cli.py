@@ -83,6 +83,17 @@ def test_conorm_override_changes_the_verdict(tmp_path):
     assert "triangle" in axioms
 
 
+def test_topology_with_a_conorm_value_just_below_one(tmp_path, capsys):
+    # (top + 1) / 2 rounds to 1.0 here, a radius the threshold route rejected
+    doc = {"regime": "conorm", "conorm": "max", "points": ["a", "b"],
+           "grid": [1.0],
+           "table": {"a|a": [0], "a|b": [0.9999999999999999],
+                     "b|a": [0.5], "b|b": [0]}}
+    code, report = run(tmp_path, "topology", doc)
+    assert code == 0 and report["join_equals_sym"] is True
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_topology_and_cover_on_a_generated_gauge(tmp_path):
     g = random_conorm_gauge(rng_for(31), 3, TConorm.PROBABILISTIC_SUM, symmetric=True)
     code, doc = run(tmp_path, "topology", gauge_to_json(g))

@@ -3,6 +3,7 @@
 import pytest
 
 from quasimod import (
+    INF,
     GaugeSpec,
     Regime,
     Relation,
@@ -132,6 +133,15 @@ def test_critical_thresholds_fallback_for_degenerate_gauges():
     assert critical_thresholds(c).radii == (0.5,)
 
 
+def test_critical_thresholds_top_radius_exceeds_huge_values():
+    # from 2**53 on, top + 1.0 == top, and a ball at that radius would miss
+    # the top value
+    table = {("a", "b"): (1e17,), ("b", "a"): (1.0,)}
+    g = GaugeSpec(regime=Regime.ADDITIVE, points=("a", "b"),
+                  grid=ScaleGrid((1.0,)), table=table)
+    assert ball(g, "a", max(critical_thresholds(g).radii), 1.0) == ("a", "b")
+
+
 def test_generate_topology_closure_properties():
     pts = ("a", "b", "c")
     topo = generate_topology([("a",), ("a", "b")], pts)
@@ -175,7 +185,25 @@ def test_generate_and_join_match_the_closure_oracle():
             assert t1.is_open(members(pts, mask)) == (mask in t1.opens)
 
 
+def random_raw_table(rng, n, conorm=None):
+    """Table under no axiom: each value drawn per pair and scale from a few
+    levels with zero and the top (inf, or 1 for a conorm), so that balls
+    and smallest open sets differ across points and scales."""
+    levels = (0.0, 0.0, 0.0, 0.5, 1.0) if conorm else (0.0, 0.0, 0.0, 1.0, INF)
+    pts = tuple(f"p{i}" for i in range(n))
+    grid = ScaleGrid((0.5, 1.0, 2.0))
+    table = {(x, y): tuple(rng.choice(levels) for _ in grid)
+             for x in pts for y in pts}
+    return GaugeSpec(regime=Regime.CONORM if conorm else Regime.ADDITIVE,
+                     points=pts, conorm=conorm, grid=grid, table=table,
+                     name=f"raw_{conorm.wire_name if conorm else 'additive'}")
+
+
 def test_join_report_matches_the_closure_oracle_on_corpora():
+    # the oracle is the threshold definition: strict balls at every critical
+    # radius, decided one pair at a time through g.value; each gauge is also
+    # read on a proper subset of its points and on a grid with one scale
+    # between two of its own and one past its top
     gauges = []
     for seed in range(4):
         rng = rng_for(seed)
@@ -183,31 +211,59 @@ def test_join_report_matches_the_closure_oracle_on_corpora():
                    for conorm in TConorm]
         gauges += [build(rng, rng.randrange(2, 6))
                    for build in ADDITIVE_BUILDERS]
+        gauges += [random_raw_table(rng, rng.randrange(2, 6), conorm)
+                   for conorm in (None, *TConorm)]
     for g in gauges:
-        pts, n = g.points, len(g.points)
         combine = g.conorm.apply if g.regime is Regime.CONORM else max
         sym = symmetrize_conorm(g) if g.regime is Regime.CONORM \
             else symmetrize_max(g)
+        s = g.grid.scales
+        subset = tuple(p for k, p in enumerate(g.points)
+                       if k != len(g.points) // 2)
+        wide = ScaleGrid(((s[0] + s[1]) / 2, 2 * s[-1]))
 
         def w_sym(x, y, t):
             return combine(g.value(x, y, t), g.value(y, x, t))
 
-        def mask(keep):
-            return sum(1 << j for j, y in enumerate(pts) if keep(y))
+        for pts, grid in ((g.points, g.grid), (subset, wide)):
+            n = len(pts)
 
-        pairs = critical_thresholds(g).pairs()
-        plus = [mask(lambda y: g.value(x, y, t) < r)
-                for x in pts for r, t in pairs]
-        minus = [mask(lambda y: g.value(y, x, t) < r)
-                 for x in pts for r, t in pairs]
-        two_sided = [mask(lambda y: w_sym(x, y, t) < r and w_sym(y, x, t) < r)
-                     for x in pts for r, t in critical_thresholds(sym).pairs()]
-        report = verify_join_equality(g)
-        assert report.tau_plus.opens == closure_oracle(n, plus), g.name
-        assert report.tau_minus.opens == closure_oracle(n, minus), g.name
-        assert report.join.opens == closure_oracle(n, plus + minus), g.name
-        assert report.tau_sym.opens == closure_oracle(n, two_sided), g.name
-        assert report.equal == (report.join.opens == report.tau_sym.opens)
+            def mask(keep):
+                return sum(1 << j for j, y in enumerate(pts) if keep(y))
+
+            pairs = critical_thresholds(g, pts, grid).pairs()
+            plus = [mask(lambda y: g.value(x, y, t) < r)
+                    for x in pts for r, t in pairs]
+            minus = [mask(lambda y: g.value(y, x, t) < r)
+                     for x in pts for r, t in pairs]
+            two_sided = [
+                mask(lambda y: w_sym(x, y, t) < r and w_sym(y, x, t) < r)
+                for x in pts
+                for r, t in critical_thresholds(sym, pts, grid).pairs()]
+            report = verify_join_equality(g, pts, grid)
+            where = (g.name, pts, grid.scales)
+            assert report.tau_plus.opens == closure_oracle(n, plus), where
+            assert report.tau_minus.opens == closure_oracle(n, minus), where
+            assert report.join.opens == closure_oracle(n, plus + minus), where
+            assert report.tau_sym.opens == closure_oracle(n, two_sided), where
+            assert report.equal == (report.join.opens == report.tau_sym.opens)
+
+
+def test_ball_topologies_depend_only_on_the_order_of_values():
+    # only the order of the values matters; from 2**53 on top + 1.0 == top,
+    # so a top radius of top + 1.0 would miss the ball {a, b} at w(a, b)
+    def gauge(v):
+        table = {("a", "b"): (v,), ("a", "c"): (INF,), ("b", "a"): (0.0,),
+                 ("b", "c"): (0.0,), ("c", "a"): (INF,), ("c", "b"): (INF,)}
+        return GaugeSpec(regime=Regime.ADDITIVE, points=("a", "b", "c"),
+                         grid=ScaleGrid((1.0,)), table=table)
+
+    small = verify_join_equality(gauge(1e3))
+    huge = verify_join_equality(gauge(1e17))
+    assert small.tau_plus.hoods == (0b001, 0b011, 0b100)
+    assert huge.tau_plus.hoods == small.tau_plus.hoods
+    assert huge.tau_minus.hoods == small.tau_minus.hoods
+    assert huge.tau_sym.hoods == small.tau_sym.hoods
 
 
 def test_ball_topologies_are_intersection_stable():
