@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .extreal import ext_mul, format_ext
-from .gauges import GaugeSpec, Regime
+from .gauges import GaugeSpec, Regime, triangle_violations
 from .profiles import Profile, ScaleGrid, profile_convolve
 
 
@@ -120,16 +120,27 @@ def check_axioms(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> Ax
         if scale_constant:
             i0, j0 = checkable[0]
             u0 = grid[proj[i0][j0]]
-            for x in points:
-                for z in points:
-                    lhs = rows[(x, z)][0]
-                    for y in points:
-                        a, b = rows[(x, y)][0], rows[(y, z)][0]
-                        rhs = conorm.apply(a, b) if conorm else a + b
-                        if lhs > rhs:
-                            violations.append(Violation(
-                                "triangle", (x, y, z, grid[i0], grid[j0], u0),
-                                lhs, rhs))
+            if conorm is None:
+                # witnesses are listed in x, z, y order
+                hits = triangle_violations(
+                    [[rows[(x, y)][0] for y in points] for x in points])
+                hits.sort(key=lambda h: (h[0], h[2], h[1]))
+                violations.extend(
+                    Violation("triangle",
+                              (points[i], points[j], points[k], grid[i0],
+                               grid[j0], u0), lhs, rhs)
+                    for i, j, k, lhs, rhs in hits)
+            else:
+                for x in points:
+                    for z in points:
+                        lhs = rows[(x, z)][0]
+                        for y in points:
+                            rhs = conorm.apply(rows[(x, y)][0], rows[(y, z)][0])
+                            if lhs > rhs:
+                                violations.append(Violation(
+                                    "triangle",
+                                    (x, y, z, grid[i0], grid[j0], u0),
+                                    lhs, rhs))
         else:
             for x in points:
                 for z in points:

@@ -10,21 +10,23 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
 import os
 import sys
 from dataclasses import replace
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .axioms import check_axioms, convexity_check
 from .completeness import (SampledSequence, classify_cauchy,
                            heine_borel_report)
 from .conorms import conorm_from_name
 from .extreal import format_ext
-from .gauges import Regime, gauge_from_json
-from .graphs import (asymmetry_index, distance_matrix, graph_from_json,
-                     graph_gauge)
+from .gauges import Regime, gauge_from_json, make_min_cap
+from .graphs import asymmetry_index, distance_matrix, graph_from_json
 from .luxemburg import (DEFAULT_LAMBDA_MAX, NonmonotoneGaugeError,
                         luxemburg_distance)
 from .orlicz import (DiscreteMeasureSpace, OneSidedPair, one_sided_gauges,
@@ -58,6 +60,53 @@ def _load_json(path: str) -> object:
                          f"column {exc.colno}: {exc.msg}") from None
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """json's C encoder for a container at nesting depth `depth` whose items
+    are all scalars: one call writes the items with the separators that
+    indent=2 puts between them."""
+    return c_make_encoder(None, json.JSONEncoder().default,
+                          encode_basestring_ascii, None, ": ",
+                          ",\n" + "  " * (depth + 1), True, False, True)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_json_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2): containers
+    that hold containers are laid out here, and every other value goes to
+    json's C encoder in one call."""
+    if c_make_encoder is None:
+        return json.dumps(obj, sort_keys=True, indent=2)
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))):
+        return "".join(_flat_encoder(0)(obj, 0))
+    if not obj:
+        return "{}" if is_dict else "[]"
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    values = obj.values() if is_dict else obj
+    if not any(map(isinstance, values, repeat(_CONTAINERS))):
+        text = "".join(_flat_encoder(depth)(obj, 0))
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if is_dict:
+        parts = [_key_text(k) + ": " + _json_text(v, depth + 1)
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    parts = [_json_text(v, depth + 1) for v in obj]
+    return "[" + inner + ("," + inner).join(parts) + outer + "]"
+
+
 def _emit(report: dict, output: str | None, matrix=None) -> None:
     if output and output.endswith(".csv") and matrix is not None:
         buf = io.StringIO()
@@ -68,7 +117,7 @@ def _emit(report: dict, output: str | None, matrix=None) -> None:
             writer.writerow([str(p)] + [format_ext(v) for v in row])
         text = buf.getvalue()
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _json_text(report) + "\n"
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
@@ -103,15 +152,23 @@ def _gauge_from_doc(doc, args) -> object:
     return g
 
 
-def _resolve_points(ids, points):
+def _point_resolver(points):
+    """Map an id to its point: an exact match first, then a match on str(id).
+    Unknown ids raise InputError; an unhashable point raises TypeError."""
+    exact = set(points)
     by_str = {str(p): p for p in points}
-    out = []
-    for i in ids:
-        key = i if i in points else by_str.get(str(i))
+
+    def resolve(i):
+        try:
+            hit = i in exact
+        except TypeError:
+            hit = False  # an unhashable id equals no point
+        key = i if hit else by_str.get(str(i))
         if key is None:
             raise InputError(f"unknown point id {i!r}")
-        out.append(key)
-    return out
+        return key
+
+    return resolve
 
 
 def cmd_check_axioms(args) -> int:
@@ -143,7 +200,8 @@ def cmd_cover(args) -> int:
     if isinstance(raw, dict) and "space" in raw:
         g = _gauge_from_doc(raw["space"], args)
         try:
-            sequence = _resolve_points(raw.get("sequence", []), g.points)
+            resolve = _point_resolver(g.points)
+            sequence = [resolve(i) for i in raw.get("sequence", [])]
         except _DOC_ERRORS as exc:
             raise InputError(f"bad cover sequence: {exc}") from None
     else:
@@ -200,7 +258,9 @@ def cmd_graph(args) -> int:
     ok = True
     grid = _parse_grid(args.grid)
     if grid is not None:
-        report = check_axioms(graph_gauge(g, grid=grid))
+        # the gauge graph_gauge builds, from the matrix already in hand
+        report = check_axioms(make_min_cap(fwd, g.vertices, grid,
+                                           name="graph_gauge"))
         doc["axioms"] = report.to_json()
         ok = report.ok
     rows = [[fwd[(x, y)] for y in g.vertices] for x in g.vertices]
@@ -255,14 +315,15 @@ def cmd_envelope(args) -> int:
     raw = _load_json(args.input)
     try:
         points = list(raw["points"])
+        resolve = _point_resolver(points)
         d = {}
         for key, v in raw["distance"].items():
             sx, sep, sy = key.partition("|")
             if not sep:
                 raise ValueError(f"bad distance key {key!r}")
-            pair = tuple(_resolve_points([sx, sy], points))
+            pair = resolve(sx), resolve(sy)
             d[pair] = float(v)
-        domain = _resolve_points(raw["domain"], points)
+        domain = [resolve(a) for a in raw["domain"]]
         values = {a: float(raw["values"][str(a)]) for a in domain}
         f = PartialFunction(tuple(domain), values, float(raw["lipschitz"]))
     except _DOC_ERRORS as exc:

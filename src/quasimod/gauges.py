@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
+from operator import add, eq, gt
 from typing import Callable, Mapping
 
 from .conorms import TConorm, conorm_from_name
@@ -127,6 +129,47 @@ class GaugeSpec:
         return replace(self, grid=grid, fn=None, table=table)
 
 
+def triangle_violations(rows) -> list[tuple]:
+    """Index triples (i, j, k) with rows[i][k] > rows[i][j] + rows[j][k],
+    in ascending (i, j, k) order, each as (i, j, k, lhs, rhs).
+
+    rows is a square list of row lists; values may be +inf.  Each (i, j)
+    is decided by one C-level pass over row i and row j, and k is scanned
+    only where that pass finds a violation.
+    """
+    out = []
+    for i, row_i in enumerate(rows):
+        for j, (d_ij, row_j) in enumerate(zip(row_i, rows)):
+            if any(map(gt, row_i, map(add, repeat(d_ij), row_j))):
+                for k, (lhs, d_jk) in enumerate(zip(row_i, row_j)):
+                    rhs = d_ij + d_jk
+                    if lhs > rhs:
+                        out.append((i, j, k, lhs, rhs))
+    return out
+
+
+def _table_rows(d: Mapping, points: tuple) -> list[list[float]]:
+    """Row lists of a distance table over points; a missing entry is 0 on
+    the diagonal and +inf elsewhere."""
+    get = d.get
+    return [[float(get((x, y), 0.0 if x == y else INF)) for y in points]
+            for x in points]
+
+
+def _rows_symmetric(rows) -> bool:
+    # operator.eq, not list ==, which would call a nan equal to itself
+    return all(map(eq, chain.from_iterable(rows),
+                   chain.from_iterable(zip(*rows))))
+
+
+def _row_violations(rows, points: tuple) -> list[tuple]:
+    out = [("zero-self", (x,), rows[i][i], 0.0)
+           for i, x in enumerate(points) if rows[i][i] != 0.0]
+    out.extend(("triangle", (points[i], points[j], points[k]), lhs, rhs)
+               for i, j, k, lhs, rhs in triangle_violations(rows))
+    return out
+
+
 def quasi_pseudometric_violations(d: Mapping, points) -> list[tuple]:
     """Zero-self and triangle failures of a distance table.
 
@@ -134,37 +177,26 @@ def quasi_pseudometric_violations(d: Mapping, points) -> list[tuple]:
     count as 0.  Values may be +inf.
     """
     points = tuple(points)
-    out = []
-    get = lambda a, b: float(d.get((a, b), 0.0 if a == b else INF))
-    for x in points:
-        v = get(x, x)
-        if v != 0.0:
-            out.append(("zero-self", (x,), v, 0.0))
-    for x in points:
-        for y in points:
-            dxy = get(x, y)
-            for z in points:
-                lhs = get(x, z)
-                rhs = dxy + get(y, z)
-                if lhs > rhs:
-                    out.append(("triangle", (x, y, z), lhs, rhs))
-    return out
+    return _row_violations(_table_rows(d, points), points)
 
 
-def _require_quasi_pseudometric(d: Mapping, points, what: str):
-    bad = quasi_pseudometric_violations(d, points)
+def _require_quasi_pseudometric(d: Mapping, points: tuple,
+                                what: str) -> list[list[float]]:
+    """The table's rows; raises with the first violation's witness."""
+    rows = _table_rows(d, points)
+    bad = _row_violations(rows, points)
     if bad:
         axiom, witness, lhs, rhs = bad[0]
         raise ValueError(f"{what} violates the {axiom} axiom at {witness}: "
                          f"{lhs} > {rhs}" if axiom == "triangle" else
                          f"{what} violates the {axiom} axiom at {witness}: "
                          f"got {lhs}, expected {rhs}")
+    return rows
 
 
-def _is_symmetric_table(d: Mapping, points) -> bool:
-    return all(d.get((x, y), 0.0 if x == y else INF)
-               == d.get((y, x), 0.0 if x == y else INF)
-               for x in points for y in points)
+def _pair_values(rows, points: tuple) -> dict:
+    return {(x, y): v for x, row in zip(points, rows)
+            for y, v in zip(points, row)}
 
 
 def make_min_cap(rho: Mapping, points=None, grid: ScaleGrid | None = None,
@@ -176,12 +208,11 @@ def make_min_cap(rho: Mapping, points=None, grid: ScaleGrid | None = None,
     binds for that pair.
     """
     points = tuple(points) if points is not None else _infer_points(rho)
-    _require_quasi_pseudometric(rho, points, "rho")
-    vals = {(x, y): float(rho.get((x, y), 0.0 if x == y else INF))
-            for x in points for y in points}
+    rows = _require_quasi_pseudometric(rho, points, "rho")
+    vals = _pair_values(rows, points)
     return GaugeSpec(
         regime=Regime.ADDITIVE, points=points, grid=grid, name=name,
-        claims_symmetric=_is_symmetric_table(vals, points),
+        claims_symmetric=_rows_symmetric(rows),
         fn=lambda x, y, t: min(vals[(x, y)], t))
 
 
@@ -192,9 +223,8 @@ def make_ratio(p: Mapping, points=None, name: str = "ratio") -> GaugeSpec:
     excluded value 1 and are clamped just below it, with a recorded warning.
     """
     points = tuple(points) if points is not None else _infer_points(p)
-    _require_quasi_pseudometric(p, points, "p")
-    vals = {(x, y): float(p.get((x, y), 0.0 if x == y else INF))
-            for x in points for y in points}
+    rows = _require_quasi_pseudometric(p, points, "p")
+    vals = _pair_values(rows, points)
     warnings = ()
     if any(v == INF for v in vals.values()):
         warnings = ("infinite distances clamp to 1 - 2**-52",)
@@ -205,7 +235,7 @@ def make_ratio(p: Mapping, points=None, name: str = "ratio") -> GaugeSpec:
 
     return GaugeSpec(
         regime=Regime.CONORM, points=points, conorm=TConorm.MAX, name=name,
-        claims_symmetric=_is_symmetric_table(vals, points),
+        claims_symmetric=_rows_symmetric(rows),
         warnings=warnings, fn=fn)
 
 
@@ -222,17 +252,15 @@ def make_scaled_metric(d: Mapping, g: Profile, points=None,
         raise ValueError(f"profile must be nonincreasing: g({t0}) = {v0} "
                          f"< g({t1}) = {v1}")
     points = tuple(points) if points is not None else _infer_points(d)
-    _require_quasi_pseudometric(d, points, "d")
-    warnings = ()
-    if not _is_symmetric_table(d, points):
-        warnings = ("distance table is asymmetric",)
-    vals = {(x, y): float(d.get((x, y), 0.0 if x == y else INF))
-            for x in points for y in points}
+    rows = _require_quasi_pseudometric(d, points, "d")
+    symmetric = _rows_symmetric(rows)
+    warnings = () if symmetric else ("distance table is asymmetric",)
+    vals = _pair_values(rows, points)
     scaled = [ext_mul(t, g.value_at(t)) for t in g.grid]
     convex = all(a >= b for a, b in zip(scaled, scaled[1:]))
     return GaugeSpec(
         regime=Regime.ADDITIVE, points=points, grid=g.grid, name=name,
-        claims_symmetric=_is_symmetric_table(vals, points), claims_convex=convex,
+        claims_symmetric=symmetric, claims_convex=convex,
         warnings=warnings, fn=lambda x, y, t: ext_mul(g.value_at(t), vals[(x, y)]))
 
 

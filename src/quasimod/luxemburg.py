@@ -15,7 +15,8 @@ from typing import Callable, Mapping
 
 from .axioms import AxiomReport, Violation
 from .extreal import INF
-from .gauges import GaugeSpec, Regime, quasi_pseudometric_violations, _is_symmetric_table
+from .gauges import (GaugeSpec, Regime, _row_violations, _rows_symmetric,
+                     _table_rows)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_LAMBDA_MAX = 1e12
@@ -37,6 +38,19 @@ def _slack(v: float) -> float:
     return max(1e-12, 1e-9 * abs(v)) if v != INF else 0.0
 
 
+def _raise_first_increase(probes, lam: float, v: float) -> None:
+    """Raise for the earliest probe that the probe (lam, v) contradicts."""
+    for lam0, v0 in probes:
+        if lam0 < lam and v > v0 + _slack(v0):
+            raise NonmonotoneGaugeError(
+                f"value increases with the scale: {v0} at {lam0} "
+                f"but {v} at {lam}")
+        if lam0 > lam and v0 > v + _slack(v):
+            raise NonmonotoneGaugeError(
+                f"value increases with the scale: {v} at {lam} "
+                f"but {v0} at {lam0}")
+
+
 def luxemburg_infimum(value_at: Callable[[float], float], c: float = 1.0,
                       tol: float = DEFAULT_TOL,
                       lambda_max: float = DEFAULT_LAMBDA_MAX) -> LuxemburgResult:
@@ -49,19 +63,26 @@ def luxemburg_infimum(value_at: Callable[[float], float], c: float = 1.0,
         raise ValueError("lambda_max must exceed the tolerance")
 
     probes: list[tuple[float, float]] = []
+    # Every probe lands strictly between the probes at or below lo and those
+    # at or above hi, so two running bounds decide the guard: the least
+    # v0 + slack(v0) to the left and the greatest v0 to the right.  The last
+    # probe joins a side once the next one shows where it lies.
+    left, right, last_bound = INF, -INF, INF
 
     def ev(lam: float) -> float:
+        nonlocal left, right, last_bound
+        if probes:
+            lam0, v0 = probes[-1]
+            if lam0 < lam:
+                left = min(left, last_bound)
+            else:
+                right = max(right, v0)
         v = float(value_at(lam))
-        for lam0, v0 in probes:
-            if lam0 < lam and v > v0 + _slack(v0):
-                raise NonmonotoneGaugeError(
-                    f"value increases with the scale: {v0} at {lam0} "
-                    f"but {v} at {lam}")
-            if lam0 > lam and v0 > v + _slack(v):
-                raise NonmonotoneGaugeError(
-                    f"value increases with the scale: {v} at {lam} "
-                    f"but {v0} at {lam0}")
+        bound = v + _slack(v)
+        if v > left or right > bound:
+            _raise_first_increase(probes, lam, v)
         probes.append((lam, v))
+        last_bound = bound
         return v
 
     if ev(tol) <= c:
@@ -113,9 +134,10 @@ def quasi_pseudometric_check(d: Mapping, points) -> AxiomReport:
     Symmetry is reported as a note, never as a violation.
     """
     points = tuple(points)
+    rows = _table_rows(d, points)
     violations = tuple(Violation(axiom, witness, lhs, rhs)
                        for axiom, witness, lhs, rhs
-                       in quasi_pseudometric_violations(d, points))
-    note = "table is symmetric" if _is_symmetric_table(d, points) \
+                       in _row_violations(rows, points))
+    note = "table is symmetric" if _rows_symmetric(rows) \
         else "table is asymmetric"
     return AxiomReport(("zero-self", "triangle"), violations, (note,))

@@ -234,16 +234,20 @@ class OneSidedPair:
     psi2: MusielakOrlicz
 
 
+def _positive_part_modular(space: DiscreteMeasureSpace, psi: MusielakOrlicz,
+                           f: Mapping, sign: float) -> float:
+    """Sum over points of psi_p(max(sign * f(p), 0)) * mu(p)."""
+    return sum(psi.value(p, max(sign * f[p], 0.0)) * space.mu[p]
+               for p in space.points)
+
+
 def one_sided_modulars(space: DiscreteMeasureSpace, pair: OneSidedPair,
                        f: Mapping) -> tuple[float, float]:
     """rho_plus feeds positive parts to psi1; rho_minus feeds negative parts
     to psi2."""
     _require_total(space, f)
-    rho_plus = sum(pair.psi1.value(p, max(f[p], 0.0)) * space.mu[p]
-                   for p in space.points)
-    rho_minus = sum(pair.psi2.value(p, max(-f[p], 0.0)) * space.mu[p]
-                    for p in space.points)
-    return rho_plus, rho_minus
+    return (_positive_part_modular(space, pair.psi1, f, 1.0),
+            _positive_part_modular(space, pair.psi2, f, -1.0))
 
 
 def one_sided_gauges(space: DiscreteMeasureSpace, pair: OneSidedPair,
@@ -252,16 +256,14 @@ def one_sided_gauges(space: DiscreteMeasureSpace, pair: OneSidedPair,
     """(norm_plus, norm_minus, norm_sym) with norm_sym the max of the two."""
     _require_total(space, f)
 
-    def plus_at(lam):
-        return one_sided_modulars(space, pair,
-                                  {p: f[p] / lam for p in space.points})[0]
+    def norm(psi, sign):
+        return luxemburg_infimum(
+            lambda lam: _positive_part_modular(
+                space, psi, {p: f[p] / lam for p in space.points}, sign),
+            1.0, tol).value
 
-    def minus_at(lam):
-        return one_sided_modulars(space, pair,
-                                  {p: f[p] / lam for p in space.points})[1]
-
-    norm_plus = luxemburg_infimum(plus_at, 1.0, tol).value
-    norm_minus = luxemburg_infimum(minus_at, 1.0, tol).value
+    norm_plus = norm(pair.psi1, 1.0)
+    norm_minus = norm(pair.psi2, -1.0)
     return norm_plus, norm_minus, max(norm_plus, norm_minus)
 
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quasimod import TConorm, gauge_to_json, graph_to_json
-from quasimod.cli import main
+from quasimod.cli import InputError, _point_resolver, main
 
 from conftest import (points_named, random_conorm_gauge, random_measure_space,
                       random_min_cap_gauge, random_orlicz_family,
@@ -231,6 +231,39 @@ def test_envelope_command_pins_the_closed_form(tmp_path):
     assert main(["envelope", "--input", src]) == 2
 
 
+def test_point_ids_resolve_like_the_per_id_scan():
+    """The lookup built once per document resolves like the scan it
+    replaced: the id itself on an exact match, else the point whose str is
+    str(id), else "unknown point id"."""
+
+    def scan(ids, points):
+        by_str = {str(p): p for p in points}
+        out = []
+        for i in ids:
+            key = i if i in points else by_str.get(str(i))
+            if key is None:
+                raise InputError(f"unknown point id {i!r}")
+            out.append(key)
+        return out
+
+    points = [1, "1", 2.5, "b", "[3]", None, (1,)]
+    ids = [1, "1", True, 1.0, "2.5", 2.5, "b", [3], "[3]", {"k": 1}, "x",
+           [4], None, "None", 7, (1,), "(1,)", [1]]
+    resolve = _point_resolver(points)
+    for i in ids:
+        try:
+            want = ("ok", repr(scan([i], points)[0]))
+        except InputError as exc:
+            want = ("error", str(exc))
+        try:
+            got = ("ok", repr(resolve(i)))
+        except InputError as exc:
+            got = ("error", str(exc))
+        assert got == want, i
+    with pytest.raises(TypeError, match="unhashable"):
+        _point_resolver(["a", [1]])
+
+
 def test_usage_and_input_errors(tmp_path, capsys):
     src = write_doc(tmp_path, "g.json", ADDITIVE_DOC)
     assert main(["no-such-command", "--input", src]) == 2
@@ -289,6 +322,8 @@ SEVENTEEN_POINTS = [f"p{i}" for i in range(17)]
 @pytest.mark.parametrize("command, doc, message", [
     ("check-axioms", dict(ADDITIVE_DOC, table=[]), "bad gauge document"),
     ("envelope", dict(ENVELOPE_DOC, distance=[]), "bad envelope document"),
+    ("envelope", dict(ENVELOPE_DOC, points=["a", "x", [1]]),
+     "bad envelope document: unhashable type"),
     ("cover", {"space": ADDITIVE_DOC, "sequence": 3}, "bad cover sequence"),
     ("orlicz", {"space": {"points": ["a"], "mu": {"a": 1.0}},
                 "functions": {"f": {"a": 2.0}},
@@ -300,7 +335,8 @@ SEVENTEEN_POINTS = [f"p{i}" for i in range(17)]
                             for x in SEVENTEEN_POINTS
                             for y in SEVENTEEN_POINTS}},
      "at most 16 points"),
-], ids=["gauge-table-list", "envelope-distance-list", "cover-sequence-number",
+], ids=["gauge-table-list", "envelope-distance-list",
+        "envelope-unhashable-point", "cover-sequence-number",
         "orlicz-exponent-overflow", "topology-17-points"])
 def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys,
                                                         command, doc,

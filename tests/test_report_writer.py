@@ -1,0 +1,232 @@
+"""Differential tests for the report writer.
+
+`quasimod.cli._json_text` must give exactly the text of
+`json.dumps(obj, sort_keys=True, indent=2)`.  It is checked on every report
+the CLI writes for documents built from the conftest corpora, on hand-built
+shapes and on seeded random trees.
+
+The module needs neither pytest nor hypothesis, so it also runs as a plain
+script on any interpreter the package supports:
+
+    PYTHONPATH=src python tests/test_report_writer.py
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import random
+import tempfile
+
+from quasimod import (TConorm, gauge_to_json, graph_to_json,
+                      quasi_pseudometric_violations)
+from quasimod import cli
+
+from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
+                      random_conorm_gauge, random_digraph,
+                      random_measure_space, random_orlicz_family,
+                      random_quasi_pseudometric,
+                      random_strongly_connected_graph, random_total_function,
+                      rng_for)
+
+
+def reference(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def same_as_reference(obj):
+    """Both texts, or both exceptions by type and message."""
+    try:
+        want = reference(obj)
+    except (TypeError, ValueError) as exc:
+        want = (type(exc), str(exc))
+    try:
+        got = cli._json_text(obj)
+    except (TypeError, ValueError) as exc:
+        got = (type(exc), str(exc))
+    return got == want
+
+
+# ---------------------------------------------------------------------------
+# every report the CLI writes for the conftest corpora
+
+
+def corpus_documents():
+    """(command, document, flags) for every command, from the conftest
+    builders: clean and corrupted gauges of both regimes, graphs with
+    unreachable pairs and with grids below their distances, orlicz spaces,
+    and envelopes with and without triangle failures."""
+    rng = rng_for(4100)
+    for builder in ADDITIVE_BUILDERS:
+        for n in (2, 4):
+            g = builder(rng, n)
+            doc = gauge_to_json(g)
+            yield "check-axioms", doc, []
+            yield "topology", doc, []
+            yield "cover", {"space": doc,
+                            "sequence": [rng.choice(doc["points"])
+                                         for _ in range(5)]}, []
+            yield "luxemburg", doc, []
+            yield "luxemburg", doc, ["--grid", "0.5,1,2"]
+            yield "check-axioms", gauge_to_json(corrupt_one_entry(g, rng)[0]), []
+    for conorm in TConorm:
+        g = random_conorm_gauge(rng, 4, conorm)
+        doc = gauge_to_json(g)
+        yield "check-axioms", doc, []
+        yield "topology", doc, []
+        yield "cover", doc, []
+        yield "check-axioms", gauge_to_json(corrupt_one_entry(g, rng)[0]), []
+    rising = {"regime": "additive", "points": ["a", "b"], "grid": [1.0, 2.0],
+              "table": {"a|b": [1.0, 3.0], "b|a": [2.0, 2.0]}}
+    yield "luxemburg", rising, []
+    for graph in (random_strongly_connected_graph(rng, 6),
+                  random_digraph(rng, 6)):
+        doc = graph_to_json(graph)
+        yield "graph", doc, []
+        yield "graph", doc, ["--grid", "0.5,1,2"]
+        yield "graph", doc, ["--grid", "64,128"]
+    space = random_measure_space(rng, 4)
+    functions = {f"f{i}": {str(p): v for p, v in
+                           random_total_function(rng, space).items()}
+                 for i in range(3)}
+    yield "orlicz", {"space": space.to_json(), "functions": functions,
+                     "phi": random_orlicz_family(rng, space).to_json(),
+                     "psi1": random_orlicz_family(rng, space).to_json(),
+                     "psi2": random_orlicz_family(rng, space).to_json()}, []
+    for ids in (points_named(5), (3, 1, 4, 15, 9)):
+        rho = random_quasi_pseudometric(rng, ids)
+        rho[(ids[0], ids[2])] = 9.0
+        assert quasi_pseudometric_violations(rho, ids)
+        yield "envelope", {"points": list(ids),
+                           "distance": {f"{x}|{y}": v
+                                        for (x, y), v in rho.items()},
+                           "domain": list(ids[:2]),
+                           "values": {str(ids[0]): 0.0, str(ids[1]): 0.5},
+                           "lipschitz": 1.0}, []
+
+
+def cli_reports():
+    """Run every corpus document through the CLI and return, per command,
+    the report object handed to the writer and the bytes written."""
+    handed = []
+    real = cli._emit
+
+    def spy(report, output, matrix=None):
+        handed.append(report)
+        return real(report, output, matrix)
+
+    cli._emit = spy
+    out = []
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            src, dst = os.path.join(tmp, "in.json"), os.path.join(tmp, "out.json")
+            for command, doc, flags in corpus_documents():
+                with open(src, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main([command, "--input", src, "--output", dst,
+                                     *flags])
+                assert code in (0, 1), (command, doc, flags)
+                with open(dst, encoding="utf-8") as fh:
+                    out.append((command, handed.pop(), fh.read()))
+    finally:
+        cli._emit = real
+    return out
+
+
+def test_cli_reports_match_json_dumps():
+    reports = cli_reports()
+    assert {command for command, _, _ in reports} == set(cli._COMMANDS)
+    for command, report, text in reports:
+        assert text == reference(report) + "\n", command
+
+
+# ---------------------------------------------------------------------------
+# hand-built shapes
+
+
+SHAPES = [
+    {}, [], (), {"a": []}, {"a": {}}, [[]], [{}], [[], {}, ()],
+    {"a": [[], [[]], {"b": {}}]},
+    [1, 2.5, -0.0, math.inf, -math.inf, math.nan, True, False, None],
+    {"inf": math.inf, "nan": math.nan, "neg": -math.inf},
+    ["é", "snowman ☃", "emoji \U0001F600", "quote \" back \\ tab \t nl \n"],
+    {"ключ": "значение", "b": ["ü", {"ß": 1}]},
+    (1, (2, (3, [4, {"t": (5,)}]))),
+    {"x": 10 ** 30, "y": -7, "z": [0, 1e-300, 1e300, 2.0 ** 53]},
+    # non-str keys are converted as json converts them, after sorting by
+    # the original keys
+    {1: "a", 10: "b", 2: "c"},
+    {2.5: [1], 1.0: {"n": None}},
+    {True: [1], False: 2}, {None: [1]}, {None: 1},
+    {"outer": {3: [1], 20: {"k": 1}}},
+    {math.inf: 1, -math.inf: [2], math.nan: 3},
+    # mixed key types cannot be sorted, by either writer
+    {1: "a", "b": 2},
+    {"nested": {1: [1], "b": [2]}},
+    # keys json rejects
+    {(1, 2): "tuple key"},
+    {"deep": {(1,): [1]}},
+    # values json cannot encode
+    {"set": {1, 2}},
+    [[object()]],
+]
+
+
+def test_hand_built_shapes_match_json_dumps():
+    for obj in SHAPES:
+        assert same_as_reference(obj), obj
+
+
+def test_the_fallback_without_the_c_encoder():
+    real = cli.c_make_encoder
+    cli.c_make_encoder = None
+    try:
+        for obj in SHAPES[:12]:
+            assert same_as_reference(obj), obj
+    finally:
+        cli.c_make_encoder = real
+
+
+# ---------------------------------------------------------------------------
+# seeded random trees
+
+
+SCALARS = (0, 1, -3, 2 ** 70, 0.5, -0.0, 1e-7, math.inf, -math.inf, math.nan,
+           True, False, None, "", "a", "ä", "☃", "line\nbreak")
+
+
+def random_tree(rng, depth=0):
+    r = rng.random()
+    if depth >= 4 or r < 0.35:
+        return rng.choice(SCALARS)
+    n = rng.choice((0, 1, 2, 3, 5))
+    if r < 0.6:
+        items = [random_tree(rng, depth + 1) for _ in range(n)]
+        return tuple(items) if rng.random() < 0.2 else items
+    keys = rng.choice((("a", "b", "c", "Z", "é", "aa", "10", "9"),
+                       (1, 2, 10, -1, 3),
+                       (0.5, 1.5, -2.0),
+                       (True, None)))
+    return {k: random_tree(rng, depth + 1)
+            for k in rng.sample(keys, min(n, len(keys)))}
+
+
+def test_seeded_random_trees_match_json_dumps():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        obj = random_tree(rng)
+        assert same_as_reference(obj), obj
+
+
+if __name__ == "__main__":
+    import sys
+
+    tests = [(name, fn) for name, fn in sorted(globals().items())
+             if name.startswith("test_") and callable(fn)]
+    for name, fn in tests:
+        fn()
+        print(f"PASS {name}")
+    print(f"{len(tests)} writer checks passed on Python "
+          f"{sys.version.split()[0]}")
