@@ -21,7 +21,7 @@ from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .axioms import check_axioms, convexity_check
-from .completeness import (SampledSequence, classify_cauchy,
+from .completeness import (SampledSequence, classify_cauchy_thresholds,
                            heine_borel_report)
 from .conorms import conorm_from_name
 from .extreal import format_ext
@@ -207,17 +207,16 @@ def cmd_cover(args) -> int:
     else:
         g = _gauge_from_doc(raw, args)
         sequence = []
-    hb = heine_borel_report(g)
+    thresholds = critical_thresholds(g)
+    hb = heine_borel_report(g, thresholds=thresholds)
     doc = {"command": "cover", "heine_borel": hb.to_json()}
     if sequence:
         seq = SampledSequence(tuple(sequence))
-        rows = []
-        for r, t in critical_thresholds(g).pairs():
-            c = classify_cauchy(seq, g, r, t)
-            rows.append({"radius": r, "scale": t, "kind": c.kind,
-                         "i0": c.i0, "forward_i0": c.forward_i0,
-                         "backward_i0": c.backward_i0})
-        doc["cauchy"] = rows
+        doc["cauchy"] = [{"radius": r, "scale": t, "kind": c.kind, "i0": c.i0,
+                          "forward_i0": c.forward_i0,
+                          "backward_i0": c.backward_i0}
+                         for r, t, c in classify_cauchy_thresholds(seq, g,
+                                                                   thresholds)]
     _emit(doc, args.output)
     return 0 if hb.all_composed_ok else 1
 

@@ -9,10 +9,11 @@ sequence families are truncations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_
 
 from .gauges import GaugeSpec, Regime
 from .profiles import ScaleGrid
-from .topology import (ThresholdSet, _normalize_side, _relation,
+from .topology import (ThresholdSet, _BallRows, _normalize_side, _relation,
                        critical_thresholds)
 
 
@@ -48,16 +49,37 @@ def _minimal_tail_start(rows) -> int | None:
     return None if worst == len(rows) else worst + 1
 
 
+def _check_positive(r: float) -> None:
+    if not r > 0:
+        raise ValueError(f"radius must be positive, got {r!r}")
+
+
 def classify_cauchy(seq: SampledSequence, g: GaugeSpec, r: float,
                     t: float) -> CauchyClassification:
     """Forward: w(x_i, x_j, t) < r for all i0 <= i <= j up to the horizon;
     backward swaps the pair to w(x_j, x_i, t).  Reports the minimal i0 for
     each direction that holds."""
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r!r}")
-    fwd = _relation(g, r, t, "forward", seq.points)
-    f_i0 = _minimal_tail_start(fwd.rows)
-    b_i0 = _minimal_tail_start(fwd.transpose().rows)
+    _check_positive(r)
+    _, fwd, bwd = _BallRows(g, seq.points).rows(r, t)
+    return _classify(fwd, bwd)
+
+
+def classify_cauchy_thresholds(seq: SampledSequence, g: GaugeSpec,
+                               thresholds: ThresholdSet) -> list[tuple]:
+    """(r, t, classify_cauchy(seq, g, r, t)) for every threshold pair, each
+    distinct ball relation on the sequence classified once."""
+    balls, memo, out = _BallRows(g, seq.points), {}, []
+    for r, t in thresholds.pairs():
+        _check_positive(r)
+        key, fwd, bwd = balls.rows(r, t)
+        if key not in memo:
+            memo[key] = _classify(fwd, bwd)
+        out.append((r, t, memo[key]))
+    return out
+
+
+def _classify(fwd, bwd) -> CauchyClassification:
+    f_i0, b_i0 = _minimal_tail_start(fwd), _minimal_tail_start(bwd)
     if f_i0 and b_i0:
         return CauchyClassification("bi", max(f_i0, b_i0), f_i0, b_i0)
     if f_i0:
@@ -73,8 +95,7 @@ def converges_to(seq: SampledSequence, g: GaugeSpec, x, r: float, t: float,
     The one-point tail is a candidate, so this is membership of the last
     point."""
     side = _normalize_side(side)
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r!r}")
+    _check_positive(r)
     return bool(_relation(g, r, t, side, (x, seq.points[-1])).rows[0] & 2)
 
 
@@ -98,26 +119,21 @@ def greedy_net(points, g: GaugeSpec, r: float, t: float,
     """First-uncovered greedy cover: scan the sample in input order, promote
     each uncovered point to a center, and re-verify membership at the end."""
     side = _normalize_side(side)
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r!r}")
+    _check_positive(r)
     sample = tuple(points)
-    balls = _relation(g, r, t, side, sample).rows
-    centers: list = []
-    covered = 0
-    for i in range(len(sample)):
-        if not covered >> i & 1:
-            centers.append(i)
-            covered |= balls[i]
-    verified = _covers(balls, centers, len(sample))
+    centers, verified = _greedy(_relation(g, r, t, side, sample).rows)
     return CoverResult(tuple(sample[i] for i in centers), r, t, side, sample,
                        verified)
 
 
-def _covers(balls, centers, n: int) -> bool:
-    union = 0
-    for i in centers:
-        union |= balls[i]
-    return union == (1 << n) - 1
+def _greedy(balls) -> tuple[list[int], bool]:
+    """Greedy centre indices over ball rows, and whether they cover."""
+    centers, covered = [], 0
+    for i, ball in enumerate(balls):
+        if not covered >> i & 1:
+            centers.append(i)
+            covered |= ball
+    return centers, covered == (1 << len(balls)) - 1
 
 
 def _first(mask: int) -> int:
@@ -126,8 +142,11 @@ def _first(mask: int) -> int:
 
 
 class CellInclusionError(Exception):
-    """A cell of the two-sided cover construction escapes its target ball,
-    which certifies a triangle or monotonicity defect in the gauge."""
+    """A cell of the two-sided cover construction escapes its target ball:
+    u lies within s of both cell centres at scale t/2, yet w(z, u, t) or
+    w(u, z, t) is not below r for the cell's representative z.  Two
+    different centres bound neither of those values, so an axiom-valid
+    asymmetric gauge can escape too."""
 
     def __init__(self, cell, z, u, lhs_out: float, lhs_back: float, r: float):
         self.cell = cell
@@ -141,10 +160,11 @@ class CellInclusionError(Exception):
             f"w(z,u)={lhs_out}, w(u,z)={lhs_back}, r={r}")
 
 
-def _split_bound(g: GaugeSpec, s: float) -> float:
-    if g.regime is Regime.CONORM:
-        return g.conorm.apply(s, s)
-    return s + s
+def _check_split(g: GaugeSpec, s: float, r: float) -> None:
+    bound = g.conorm.apply(s, s) if g.regime is Regime.CONORM else s + s
+    if not bound < r:
+        raise ValueError(f"split radius fails: {s} split with itself is "
+                         f"{bound}, not below {r}")
 
 
 def two_sided_cover_from_onesided(g: GaugeSpec, forward: CoverResult,
@@ -165,29 +185,46 @@ def two_sided_cover_from_onesided(g: GaugeSpec, forward: CoverResult,
     t_half = t / 2.0
     if forward.scale_t != t_half or backward.scale_t != t_half:
         raise ValueError(f"one-sided covers must live at scale t/2 = {t_half}")
-    if not _split_bound(g, s) < r:
-        raise ValueError(f"split radius fails: {s} split with itself is "
-                         f"{_split_bound(g, s)}, not below {r}")
+    _check_split(g, s, r)
     sample = forward.sample
-    near = _relation(g, s, t_half, "forward", sample)
-    far = near.transpose()
-    two = _relation(g, r, t, "two_sided", sample)
-    centers: list[int] = []
-    for x_i in forward.centers:
-        for y_j in backward.centers:
-            cell = near.rows[sample.index(x_i)] & far.rows[sample.index(y_j)]
+    balls = _BallRows(g, sample)
+    _, near, far = balls.rows(s, t_half)
+    two = tuple(map(and_, *balls.rows(r, t)[1:]))
+    centers, verified, escape = _compose(
+        near, far, two, [sample.index(x) for x in forward.centers],
+        [sample.index(y) for y in backward.centers])
+    if escape:
+        raise _escape_error(g, sample, escape, r, t)
+    return CoverResult(tuple(sample[z] for z in centers), r, t, "two_sided",
+                       sample, verified)
+
+
+def _compose(near, far, two, fwd_centers, bwd_centers):
+    """One cell near[i] & far[j] per centre pair, represented by its first
+    point z.  Returns the representatives and whether their two-sided balls
+    cover, or the first escape (i, j, z, u): u in the cell, outside z's
+    two-sided ball."""
+    centers, union = [], 0
+    for i in fwd_centers:
+        for j in bwd_centers:
+            cell = near[i] & far[j]
             if not cell:
                 continue
             z = _first(cell)
-            escaped = cell & ~two.rows[z]
+            escaped = cell & ~two[z]
             if escaped:
-                zp, u = sample[z], sample[_first(escaped)]
-                raise CellInclusionError((x_i, y_j), zp, u, g.value(zp, u, t),
-                                         g.value(u, zp, t), r)
+                return None, False, (i, j, z, _first(escaped))
             if z not in centers:
                 centers.append(z)
-    return CoverResult(tuple(sample[z] for z in centers), r, t, "two_sided",
-                       sample, _covers(two.rows, centers, len(sample)))
+                union |= two[z]
+    return centers, union == (1 << len(two)) - 1, None
+
+
+def _escape_error(g: GaugeSpec, sample, escape, r: float,
+                  t: float) -> CellInclusionError:
+    x_i, y_j, z, u = (sample[k] for k in escape)
+    return CellInclusionError((x_i, y_j), z, u, g.value(z, u, t),
+                              g.value(u, z, t), r)
 
 
 @dataclass(frozen=True)
@@ -400,20 +437,33 @@ def heine_borel_report(g: GaugeSpec, points=None,
     if grid is None:
         raise ValueError("heine_borel_report needs a scale grid")
     thresholds = thresholds or critical_thresholds(g, points, grid)
-    rows = []
+    balls, outcomes, rows = _BallRows(g, points), {}, []
     for r, t in thresholds.pairs():
         s = _shrink_radius(g, r)
-        fwd = greedy_net(points, g, s, t / 2.0, "forward")
-        bwd = greedy_net(points, g, s, t / 2.0, "backward")
-        direct = greedy_net(points, g, r, t, "two_sided")
-        composed_size, ok, witness = None, fwd.verified and bwd.verified, None
-        if ok:
-            try:
-                composed = two_sided_cover_from_onesided(g, fwd, bwd, r, t)
-                composed_size, ok = len(composed.centers), composed.verified
-            except CellInclusionError as exc:
-                ok, witness = False, str(exc)
-        rows.append(HeineBorelRow(r, t, s, len(fwd.centers), len(bwd.centers),
-                                  len(direct.centers), composed_size, ok,
-                                  witness))
+        _check_positive(s)
+        near_key, near, far = balls.rows(s, t / 2.0)
+        _check_positive(r)
+        key, fwd, bwd = balls.rows(r, t)
+        out = outcomes.get((near_key, key))
+        if out is None:
+            out = outcomes[near_key, key] = _heine_borel_outcome(
+                near, far, tuple(map(and_, fwd, bwd)))
+        sizes, nets_ok, composed_size, ok, escape = out
+        if nets_ok:
+            _check_split(g, s, r)
+        witness = escape and str(_escape_error(g, points, escape, r, t))
+        rows.append(HeineBorelRow(r, t, s, *sizes, composed_size, ok, witness))
     return HeineBorelReport(tuple(rows))
+
+
+def _heine_borel_outcome(near, far, two) -> tuple:
+    """Net sizes (forward, backward, direct), whether both one-sided nets
+    cover, and the composed cover's size, verdict and escape."""
+    (fwd, fwd_ok), (bwd, bwd_ok) = _greedy(near), _greedy(far)
+    sizes = (len(fwd), len(bwd), len(_greedy(two)[0]))
+    if not (fwd_ok and bwd_ok):
+        return sizes, False, None, False, None
+    centers, verified, escape = _compose(near, far, two, fwd, bwd)
+    if escape:
+        return sizes, True, None, False, escape
+    return sizes, True, len(centers), verified, None

@@ -9,7 +9,9 @@ up to 2**n of them, are listed only on request, and only for n <= 16.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import and_
 
 from .axioms import AxiomReport, Violation
 from .extreal import INF
@@ -104,12 +106,6 @@ def _check_radius(g: GaugeSpec, r: float) -> None:
         raise ValueError(f"conorm-regime radius must lie in (0, 1), got {r!r}")
 
 
-def _forward_rows(g: GaugeSpec, points, r: float, t: float) -> tuple[int, ...]:
-    mat, idx = g.matrix(t), [g.index(p) for p in points]
-    return tuple(sum(1 << bit for bit, j in enumerate(idx) if mat[i][j] < r)
-                 for i in idx)
-
-
 def entourage(g: GaugeSpec, r: float, t: float, side: str = "forward",
               points=None) -> Relation:
     """Pairs (x, y) with w(x, y, t) < r; backward swaps the arguments."""
@@ -121,14 +117,46 @@ def entourage(g: GaugeSpec, r: float, t: float, side: str = "forward",
 
 def _relation(g: GaugeSpec, r: float, t: float, side: str,
               points: tuple) -> Relation:
-    """The entourage without its radius checks: the ball predicate that
-    every cover and Cauchy scan reads its rows from."""
-    fwd = Relation(points, _forward_rows(g, points, r, t))
-    if side == "forward":
-        return fwd
-    if side == "backward":
-        return fwd.transpose()
-    return fwd.intersect(fwd.transpose())
+    """The entourage without its radius checks, from a one-off `_BallRows`."""
+    _, fwd, bwd = _BallRows(g, points).rows(r, t)
+    if side == "two_sided":
+        return Relation(points, tuple(map(and_, fwd, bwd)))
+    return Relation(points, fwd if side == "forward" else bwd)
+
+
+def _below(mat, idx: list[int], r: float) -> tuple[int, ...]:
+    """The one ball predicate: row i of {(i, j) : mat[i][j] < r} over `idx`
+    as a bitmask.  A NaN entry is below no radius."""
+    return tuple(sum(1 << bit for bit, j in enumerate(idx) if row[j] < r)
+                 for row in (mat[i] for i in idx))
+
+
+class _BallRows:
+    """Strict ball rows over one point list for one call, each relation
+    built once.  {(x, y) : w(x, y, t) < r} depends only on the matrix
+    `g.matrix(t)` returns and on the rank of r among its distinct values
+    over the points (NaN left out), so (id of the matrix, rank) keys it;
+    the instance holds each matrix, so the ids stay valid."""
+
+    def __init__(self, g: GaugeSpec, points: tuple):
+        self.g, self.idx = g, [g.index(p) for p in points]
+        self._scales = {}  # t -> (matrix, its columns, sorted values)
+        self._built = {}   # key -> (forward rows, backward rows)
+
+    def rows(self, r: float, t: float):
+        """(key, forward rows, backward rows) at (r, t); backward row i
+        holds the y with w(y, x_i, t) < r, read from the columns."""
+        at = self._scales.get(t)
+        if at is None:
+            mat, idx = self.g.matrix(t), self.idx
+            at = self._scales[t] = (mat, tuple(zip(*mat)), sorted(
+                {v for i in idx for j in idx for v in [mat[i][j]] if v == v}))
+        mat, cols, values = at
+        key = (id(mat), bisect_left(values, r))
+        if key not in self._built:
+            self._built[key] = (_below(mat, self.idx, r),
+                                _below(cols, self.idx, r))
+        return (key, *self._built[key])
 
 
 def ball(g: GaugeSpec, x, r: float, t: float, side: str = "forward",

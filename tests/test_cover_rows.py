@@ -1,0 +1,262 @@
+"""Differential tests for the memoized cover steps.
+
+`heine_borel_report` and `classify_cauchy_thresholds` read their ball rows
+from one source per call, which builds each relation once per (grid
+column, radius rank), and reuse a row's outcome wherever its relations
+repeat.  The oracles are the loops those two replaced: the report loop of
+three greedy nets and one composition per threshold pair, and the cover
+command's loop of one `classify_cauchy` per pair.  Each loop runs on the
+per-pair oracles of test_dense, which read table rows rather than
+`matrix`, and again on the public one-shot functions.
+"""
+
+import dataclasses
+import math
+from bisect import bisect_left
+
+import pytest
+
+from quasimod import (CauchyClassification, CellInclusionError, GaugeSpec,
+                      HeineBorelReport, Regime, SampledSequence, ScaleGrid,
+                      TConorm, classify_cauchy, classify_cauchy_thresholds,
+                      critical_thresholds, greedy_net, heine_borel_report,
+                      two_sided_cover_from_onesided)
+from quasimod import topology
+from quasimod.completeness import HeineBorelRow
+
+from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
+                      random_conorm_gauge, random_quasi_pseudometric, rng_for)
+from test_dense import (CORPORA, oracle_cauchy, oracle_greedy_net,
+                        oracle_two_sided, split_radius)
+from test_topology import random_raw_table
+
+CONORMS = (TConorm.MAX, TConorm.PROBABILISTIC_SUM, TConorm.BOUNDED_SUM)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the replaced loops, over per-pair or public steps
+
+
+def loop_report(g, points, thresholds, net, compose):
+    rows = []
+    for r, t in thresholds.pairs():
+        s = split_radius(g, r)
+        fwd = net(points, g, s, t / 2.0, "forward")
+        bwd = net(points, g, s, t / 2.0, "backward")
+        direct = net(points, g, r, t, "two_sided")
+        composed_size, ok, witness = None, fwd.verified and bwd.verified, None
+        if ok:
+            try:
+                composed = compose(g, fwd, bwd, r, t)
+                composed_size, ok = len(composed.centers), composed.verified
+            except CellInclusionError as exc:
+                ok, witness = False, str(exc)
+        rows.append(HeineBorelRow(r, t, s, len(fwd.centers), len(bwd.centers),
+                                  len(direct.centers), composed_size, ok,
+                                  witness))
+    return HeineBorelReport(tuple(rows))
+
+
+def loop_cauchy(seq, g, thresholds, classify):
+    rows = []
+    for r, t in thresholds.pairs():
+        c = classify(seq, g, r, t)
+        rows.append({"radius": r, "scale": t, "kind": c.kind,
+                     "i0": c.i0, "forward_i0": c.forward_i0,
+                     "backward_i0": c.backward_i0})
+    return rows
+
+
+def pair_compose(g, fwd, bwd, r, t):
+    out = oracle_two_sided(g, fwd, bwd, r, t)
+    if isinstance(out, tuple):
+        raise CellInclusionError(*out)
+    return out
+
+
+def pair_classify(seq, g, r, t):
+    f, b = oracle_cauchy(seq.points, g, r, t)
+    if f and b:
+        return CauchyClassification("bi", max(f, b), f, b)
+    if f:
+        return CauchyClassification("forward", f, f, None)
+    if b:
+        return CauchyClassification("backward", b, None, b)
+    return CauchyClassification("neither", None, None, None)
+
+
+ORACLES = {"per_pair": (oracle_greedy_net, pair_compose, pair_classify),
+           "public": (greedy_net, two_sided_cover_from_onesided,
+                      classify_cauchy)}
+
+
+def scan_rows(seq, g, thresholds):
+    return [{"radius": r, "scale": t, "kind": c.kind, "i0": c.i0,
+             "forward_i0": c.forward_i0, "backward_i0": c.backward_i0}
+            for r, t, c in classify_cauchy_thresholds(seq, g, thresholds)]
+
+
+# ---------------------------------------------------------------------------
+# gauges
+
+
+def skew_gauge():
+    # w(a, b) = 0 puts b in a's forward cell, but the way back costs 9
+    return GaugeSpec(regime=Regime.ADDITIVE, points=("a", "b", "c"),
+                     grid=ScaleGrid((1.0, 2.0)),
+                     table={("a", "b"): (0.0, 0.0), ("b", "a"): (9.0, 9.0),
+                            ("a", "c"): (5.0, 5.0), ("c", "a"): (5.0, 5.0),
+                            ("b", "c"): (5.0, 5.0), ("c", "b"): (5.0, 5.0)})
+
+
+def corrupted_gauges():
+    for k in range(8):
+        rng = rng_for(900 + k)
+        yield corrupt_one_entry(ADDITIVE_BUILDERS[k % 4](
+            rng, rng.randrange(3, 6)), rng, bump=8.0)[0]
+    for k in range(3):
+        rng = rng_for(920 + k)
+        yield corrupt_one_entry(random_conorm_gauge(
+            rng, rng.randrange(3, 6), TConorm.MAX), rng)[0]
+    yield skew_gauge()
+
+
+def raw_gauges():
+    """Tables under no axiom, on their own grid and on one where t/2 of
+    the middle scale falls between grid scales."""
+    for k, conorm in enumerate((None, *CONORMS, None)):
+        rng = rng_for(940 + k)
+        g = random_raw_table(rng, rng.randrange(2, 7), conorm)
+        yield g
+        yield dataclasses.replace(g, grid=ScaleGrid((1.0, 3.0, 4.0)))
+
+
+def nan_gauges():
+    """Closed forms with NaN for one pair, then for several: below no
+    radius, and left out of the thresholds and of the ranked values.  Each
+    NaN is a fresh object, so a set keeps every one of them."""
+    for k in range(8):
+        rng = rng_for(960 + k)
+        points = points_named(rng.randrange(3, 7))
+        d = random_quasi_pseudometric(rng, points)
+        pairs = [(x, y) for x in points for y in points if x != y]
+        bad = set(rng.sample(pairs, 1 if k < 4 else len(pairs) // 3))
+
+        def fn(x, y, t, d=d, bad=bad):
+            return float("nan") if (x, y) in bad else d[(x, y)] * 2.0 / t
+
+        yield GaugeSpec(regime=Regime.ADDITIVE, points=points,
+                        grid=ScaleGrid((0.5, 1.0, 3.0)), fn=fn,
+                        name=f"nan_{k}")
+
+
+GAUGES = {**CORPORA, "raw": raw_gauges, "corrupted": corrupted_gauges,
+          "nan": nan_gauges}
+
+
+def samples(g):
+    """The gauge's points, a proper subset, and a reversed order with a
+    repeat."""
+    subset = tuple(p for k, p in enumerate(g.points)
+                   if k != len(g.points) // 2)
+    return (g.points, subset, g.points[::-1] + g.points[:1])
+
+
+def sequences(g, seed):
+    rng = rng_for(seed)
+    seqs = [tuple(rng.choice(g.points) for _ in range(rng.randrange(1, 9)))
+            for _ in range(3)]
+    return seqs + [g.points * 2]
+
+
+# ---------------------------------------------------------------------------
+# differential tests
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+@pytest.mark.parametrize("name", sorted(GAUGES))
+def test_report_matches_the_replaced_loop(name, oracle):
+    net, compose, _ = ORACLES[oracle]
+    for g in GAUGES[name]():
+        for points in samples(g):
+            thresholds = critical_thresholds(g, points, g.grid)
+            got = heine_borel_report(g, points, thresholds=thresholds)
+            want = loop_report(g, points, thresholds, net, compose)
+            assert got.to_json() == want.to_json(), (g.name, points)
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+@pytest.mark.parametrize("name", sorted(GAUGES))
+def test_cauchy_scan_matches_the_replaced_loop(name, oracle):
+    classify = ORACLES[oracle][2]
+    for k, g in enumerate(GAUGES[name]()):
+        thresholds = critical_thresholds(g)
+        for pts in sequences(g, 980 + k):
+            seq = SampledSequence(pts)
+            assert scan_rows(seq, g, thresholds) == \
+                loop_cauchy(seq, g, thresholds, classify), (g.name, pts)
+
+
+def test_corpora_exercise_escapes_off_grid_halves_and_nan():
+    # the comparisons above are only as strong as the rows they meet
+    escapes = off_grid = 0
+    for g in corrupted_gauges():
+        report = heine_borel_report(g)
+        escapes += sum(row.witness is not None for row in report.rows)
+    for g in raw_gauges():
+        off_grid += any(t / 2.0 not in g.grid.scales and t / 2.0 > g.grid[0]
+                        for t in g.grid)
+    assert escapes > 0 and off_grid > 0
+    for g in nan_gauges():
+        assert any(math.isnan(v) for t in g.grid for row in g.matrix(t)
+                   for v in row)
+
+
+# ---------------------------------------------------------------------------
+# work: one build per (grid column, radius rank)
+
+
+def column_keys(g, points, pairs):
+    """Distinct (grid column, rank of r among its finite-or-inf values over
+    `points`) keys of the (r, t) pairs of a table gauge."""
+    keys = set()
+    for r, t in pairs:
+        k = g.grid.ceil_index(t)
+        k = len(g.grid) - 1 if k is None else k
+        values = sorted({g.table[(x, y)][k] for x in points for y in points})
+        keys.add((k, bisect_left(values, r)))
+    return keys
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count row builds: a build reads forward and backward rows, two
+    calls of the ball predicate."""
+    calls = []
+    below = topology._below
+
+    def counted(mat, idx, r):
+        calls.append(r)
+        return below(mat, idx, r)
+
+    monkeypatch.setattr(topology, "_below", counted)
+    return lambda: len(calls) // 2
+
+
+def test_row_builds_stay_within_the_distinct_keys(builds):
+    gauges = [g for name in ("additive", "conorm", "raw", "corrupted")
+              for g in GAUGES[name]()]
+    for g in gauges:
+        for points in samples(g):
+            thresholds = critical_thresholds(g, points, g.grid)
+            pairs = thresholds.pairs()
+            before = builds()
+            heine_borel_report(g, points, thresholds=thresholds)
+            keys = column_keys(g, points, pairs + [
+                (split_radius(g, r), t / 2.0) for r, t in pairs])
+            assert builds() - before <= len(keys), (g.name, points)
+        seq = SampledSequence(g.points[::-1] + g.points)
+        before = builds()
+        classify_cauchy_thresholds(seq, g, critical_thresholds(g))
+        assert builds() - before <= len(column_keys(
+            g, seq.points, critical_thresholds(g).pairs()))
