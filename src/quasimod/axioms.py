@@ -8,7 +8,7 @@ left side and manufacture violations that say nothing about the gauge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .extreal import ext_mul, format_ext
 from .gauges import GaugeSpec, Regime, triangle_violations
@@ -113,49 +113,22 @@ def check_axioms(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> Ax
                         row[k + 1], row[k]))
 
     proj = _projection_table(grid)
-    checkable = [(i, j) for i in range(m) for j in range(m)
-                 if proj[i][j] is not None]
-    scale_constant = all(len(set(row)) == 1 for row in rows.values())
-    if checkable:
-        if scale_constant:
-            i0, j0 = checkable[0]
-            u0 = grid[proj[i0][j0]]
-            if conorm is None:
-                # witnesses are listed in x, z, y order
-                hits = triangle_violations(
-                    [[rows[(x, y)][0] for y in points] for x in points])
-                hits.sort(key=lambda h: (h[0], h[2], h[1]))
-                violations.extend(
-                    Violation("triangle",
-                              (points[i], points[j], points[k], grid[i0],
-                               grid[j0], u0), lhs, rhs)
-                    for i, j, k, lhs, rhs in hits)
-            else:
-                for x in points:
-                    for z in points:
-                        lhs = rows[(x, z)][0]
-                        for y in points:
-                            rhs = conorm.apply(rows[(x, y)][0], rows[(y, z)][0])
-                            if lhs > rhs:
-                                violations.append(Violation(
-                                    "triangle",
-                                    (x, y, z, grid[i0], grid[j0], u0),
-                                    lhs, rhs))
-        else:
-            for x in points:
-                for z in points:
-                    row_xz = rows[(x, z)]
-                    for y in points:
-                        row_xy, row_yz = rows[(x, y)], rows[(y, z)]
-                        for i, j in checkable:
-                            lhs = row_xz[proj[i][j]]
-                            a, b = row_xy[i], row_yz[j]
-                            rhs = conorm.apply(a, b) if conorm else a + b
-                            if lhs > rhs:
-                                violations.append(Violation(
-                                    "triangle",
-                                    (x, y, z, grid[i], grid[j], grid[proj[i][j]]),
-                                    lhs, rhs))
+    splits = [(i, j, proj[i][j]) for i in range(m) for j in range(m)
+              if proj[i][j] is not None]
+    if splits:
+        if all(len(set(row)) == 1 for row in rows.values()):
+            splits = splits[:1]  # every split reads the same values
+        cols = {k: [[rows[(x, y)][k] for y in points] for x in points]
+                for k in set().union(*splits)}
+        # witnesses are listed in x, z, y, split order
+        hits = sorted((x, z, y, n, lhs, rhs)
+                      for n, (i, j, u) in enumerate(splits)
+                      for x, y, z, lhs, rhs in triangle_violations(
+                          cols[u], cols[i], cols[j], g.oplus))
+        violations.extend(
+            Violation("triangle", (points[x], points[y], points[z],
+                                   *(grid[k] for k in splits[n])), lhs, rhs)
+            for x, z, y, n, lhs, rhs in hits)
     else:
         notes.append("no grid pair sums land on the grid; triangle not checkable")
 

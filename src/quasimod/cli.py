@@ -208,6 +208,13 @@ def cmd_cover(args) -> int:
         g = _gauge_from_doc(raw, args)
         sequence = []
     thresholds = critical_thresholds(g)
+    # a radius no positive float splits (values near 5e-324) leaves the
+    # cover undefined: an input error, not a violation
+    for r in thresholds.radii:
+        try:
+            g.split_radius(r)
+        except ValueError as exc:
+            raise InputError(f"cover cannot shrink its radii: {exc}") from None
     hb = heine_borel_report(g, thresholds=thresholds)
     doc = {"command": "cover", "heine_borel": hb.to_json()}
     if sequence:

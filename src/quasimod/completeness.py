@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import and_
 
-from .gauges import GaugeSpec, Regime
+from .gauges import GaugeSpec
 from .profiles import ScaleGrid
 from .topology import (ThresholdSet, _BallRows, _normalize_side, _relation,
                        critical_thresholds)
@@ -160,13 +160,6 @@ class CellInclusionError(Exception):
             f"w(z,u)={lhs_out}, w(u,z)={lhs_back}, r={r}")
 
 
-def _check_split(g: GaugeSpec, s: float, r: float) -> None:
-    bound = g.conorm.apply(s, s) if g.regime is Regime.CONORM else s + s
-    if not bound < r:
-        raise ValueError(f"split radius fails: {s} split with itself is "
-                         f"{bound}, not below {r}")
-
-
 def two_sided_cover_from_onesided(g: GaugeSpec, forward: CoverResult,
                                   backward: CoverResult, r: float,
                                   t: float) -> CoverResult:
@@ -185,7 +178,10 @@ def two_sided_cover_from_onesided(g: GaugeSpec, forward: CoverResult,
     t_half = t / 2.0
     if forward.scale_t != t_half or backward.scale_t != t_half:
         raise ValueError(f"one-sided covers must live at scale t/2 = {t_half}")
-    _check_split(g, s, r)
+    bound = g.oplus(s, s)
+    if not bound < r:
+        raise ValueError(f"split radius fails: {s} split with itself is "
+                         f"{bound}, not below {r}")
     sample = forward.sample
     balls = _BallRows(g, sample)
     _, near, far = balls.rows(s, t_half)
@@ -419,18 +415,12 @@ class HeineBorelReport:
                 "all_composed_ok": self.all_composed_ok}
 
 
-def _shrink_radius(g: GaugeSpec, r: float) -> float:
-    if g.regime is Regime.CONORM:
-        return g.conorm.half_radius(r)
-    return r / 4.0
-
-
 def heine_borel_report(g: GaugeSpec, points=None,
                        grid: ScaleGrid | None = None,
                        thresholds: ThresholdSet | None = None) -> HeineBorelReport:
     """For each critical (r, t): build one-sided nets at (s, t/2) with
-    s split-below r, compose them into a two-sided cover, and build a direct
-    two-sided net for comparison.  Composition failures are reported per row
+    s = `g.split_radius(r)`, compose them into a two-sided cover, and build
+    a direct two-sided net for comparison.  Composition failures are reported per row
     rather than raised, since they diagnose the gauge, not the caller."""
     points = tuple(points) if points is not None else g.points
     grid = grid or g.grid
@@ -439,31 +429,27 @@ def heine_borel_report(g: GaugeSpec, points=None,
     thresholds = thresholds or critical_thresholds(g, points, grid)
     balls, outcomes, rows = _BallRows(g, points), {}, []
     for r, t in thresholds.pairs():
-        s = _shrink_radius(g, r)
-        _check_positive(s)
+        s = g.split_radius(r)
         near_key, near, far = balls.rows(s, t / 2.0)
-        _check_positive(r)
         key, fwd, bwd = balls.rows(r, t)
         out = outcomes.get((near_key, key))
         if out is None:
             out = outcomes[near_key, key] = _heine_borel_outcome(
                 near, far, tuple(map(and_, fwd, bwd)))
-        sizes, nets_ok, composed_size, ok, escape = out
-        if nets_ok:
-            _check_split(g, s, r)
+        sizes, composed_size, ok, escape = out
         witness = escape and str(_escape_error(g, points, escape, r, t))
         rows.append(HeineBorelRow(r, t, s, *sizes, composed_size, ok, witness))
     return HeineBorelReport(tuple(rows))
 
 
 def _heine_borel_outcome(near, far, two) -> tuple:
-    """Net sizes (forward, backward, direct), whether both one-sided nets
-    cover, and the composed cover's size, verdict and escape."""
+    """Net sizes (forward, backward, direct) and the composed cover's size,
+    verdict and escape; no composition unless both one-sided nets cover."""
     (fwd, fwd_ok), (bwd, bwd_ok) = _greedy(near), _greedy(far)
     sizes = (len(fwd), len(bwd), len(_greedy(two)[0]))
     if not (fwd_ok and bwd_ok):
-        return sizes, False, None, False, None
+        return sizes, None, False, None
     centers, verified, escape = _compose(near, far, two, fwd, bwd)
     if escape:
-        return sizes, True, None, False, escape
-    return sizes, True, len(centers), verified, None
+        return sizes, None, False, escape
+    return sizes, len(centers), verified, None

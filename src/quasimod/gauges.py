@@ -6,6 +6,9 @@ Two regimes are supported:
 * additive: values in [0, inf], triangle combined with +;
 * conorm: values in [0, 1), triangle combined with a t-conorm.
 
+`GaugeSpec.oplus` is that combination and `split_radius` the radius step
+built on it; no other module decides between the two regimes' laws.
+
 Gauges are immutable.  They are either closed-form (a function of x, y, t)
 or tabulated (one value per ordered pair per grid scale, read with the
 right-continuous ceil convention of Profile).  Sweeps read `matrix(t)`, every
@@ -109,6 +112,23 @@ class GaugeSpec:
             return self.matrix(t)[i][j]
         return float(self.fn(x, y, t))
 
+    @property
+    def oplus(self) -> Callable[[float, float], float]:
+        """The regime's triangle law: + for an additive gauge, the conorm's
+        `apply` otherwise."""
+        return add if self.regime is Regime.ADDITIVE else self.conorm.apply
+
+    def split_radius(self, r: float) -> float:
+        """The radius s that a cover or composite shrinks r to, with
+        0 < s and s (+) s < r: `half_radius(r)` under a conorm, r/4 under +.
+        Raises ValueError where floats hold no such s."""
+        s = r / 4.0 if self.regime is Regime.ADDITIVE \
+            else self.conorm.half_radius(r)
+        if not (s > 0 and self.oplus(s, s) < r):
+            raise ValueError(f"radius {r!r} has no split s > 0 with "
+                             f"s (+) s < r (tried s = {s!r})")
+        return s
+
     def profile(self, x, y, grid: ScaleGrid | None = None) -> Profile:
         grid = grid or self.grid
         if grid is None:
@@ -129,22 +149,25 @@ class GaugeSpec:
         return replace(self, grid=grid, fn=None, table=table)
 
 
-def triangle_violations(rows) -> list[tuple]:
-    """Index triples (i, j, k) with rows[i][k] > rows[i][j] + rows[j][k],
-    in ascending (i, j, k) order, each as (i, j, k, lhs, rhs).
+def triangle_violations(lhs, left=None, right=None, oplus=add) -> list[tuple]:
+    """Index triples (i, j, k) with lhs[i][k] > oplus(left[i][j],
+    right[j][k]), in ascending (i, j, k) order, each as (i, j, k, lhs, rhs).
 
-    rows is a square list of row lists; values may be +inf.  Each (i, j)
-    is decided by one C-level pass over row i and row j, and k is scanned
-    only where that pass finds a violation.
+    The three are square lists of row lists over one point order; left and
+    right default to lhs, and values may be +inf.  Each (i, j) is decided by
+    one C-level pass over lhs row i and right row j, and k is scanned only
+    where that pass finds a violation.
     """
+    left = lhs if left is None else left
+    right = lhs if right is None else right
     out = []
-    for i, row_i in enumerate(rows):
-        for j, (d_ij, row_j) in enumerate(zip(row_i, rows)):
-            if any(map(gt, row_i, map(add, repeat(d_ij), row_j))):
-                for k, (lhs, d_jk) in enumerate(zip(row_i, row_j)):
-                    rhs = d_ij + d_jk
-                    if lhs > rhs:
-                        out.append((i, j, k, lhs, rhs))
+    for i, (row_i, left_i) in enumerate(zip(lhs, left)):
+        for j, (d_ij, row_j) in enumerate(zip(left_i, right)):
+            if any(map(gt, row_i, map(oplus, repeat(d_ij), row_j))):
+                for k, (v, d_jk) in enumerate(zip(row_i, row_j)):
+                    rhs = oplus(d_ij, d_jk)
+                    if v > rhs:
+                        out.append((i, j, k, v, rhs))
     return out
 
 
@@ -410,10 +433,12 @@ def gauge_from_json(doc: Mapping, name: str = "gauge") -> GaugeSpec:
         if regime is Regime.CONORM and any(v > 1.0 for v in parsed):
             raise ValueError(f"conorm-regime value out of [0, 1] in table[{key}]")
         table[(by_str[sx], by_str[sy])] = parsed
-    g = GaugeSpec(regime=regime, points=points, conorm=conorm, grid=grid,
-                  name=name, table=table)
-    return replace(g, claims_symmetric=all(
-        g.table[(x, y)] == g.table[(y, x)] for x in points for y in points))
+    # a missing diagonal row is zeros on both sides; a missing pair raises
+    # in GaugeSpec
+    symmetric = all(table.get((x, y)) == table.get((y, x))
+                    for x in points for y in points)
+    return GaugeSpec(regime=regime, points=points, conorm=conorm, grid=grid,
+                     claims_symmetric=symmetric, name=name, table=table)
 
 
 def _infer_points(d: Mapping) -> tuple:

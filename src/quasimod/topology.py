@@ -182,9 +182,10 @@ class ThresholdSet:
 def critical_thresholds(g: GaugeSpec, points=None,
                         grid: ScaleGrid | None = None) -> ThresholdSet:
     """Distinct finite gauge values, midpoints between consecutive ones, and
-    one radius above the maximum.  Any strict ball at any radius coincides
-    with a ball at one of these radii, because the gauge takes finitely many
-    values on the sampled points and scales."""
+    one radius above the maximum if a float below the cap (1 for a conorm
+    gauge, inf for an additive one) lies above it.  Any strict ball at any
+    radius coincides with a ball at one of these radii, because the gauge
+    takes finitely many values on the sampled points and scales."""
     points = tuple(points) if points is not None else g.points
     grid = grid or g.grid
     if grid is None:
@@ -202,9 +203,13 @@ def critical_thresholds(g: GaugeSpec, points=None,
     radii = set(values)
     radii.update((a + b) / 2.0 for a, b in zip(values, values[1:]))
     top = values[-1]
-    # above the top value even where top + 1.0 rounds back to top (2**53 on)
-    radii.add((top + 1.0) / 2.0 if g.regime is Regime.CONORM
-              else max(top + 1.0, math.nextafter(top, INF)))
+    # above the top value even where top + 1.0 rounds back to top (2**53
+    # on), and only below the cap: from top = 1 - 2**-53 on, (top + 1) / 2
+    # rounds to 1 and no conorm radius lies above top
+    above = ((top + 1.0) / 2.0 if g.regime is Regime.CONORM
+             else max(top + 1.0, math.nextafter(top, INF)))
+    if above < cap:
+        radii.add(above)
     return ThresholdSet(tuple(sorted(radii)), grid)
 
 
@@ -327,8 +332,9 @@ def verify_join_equality(g: GaugeSpec, points=None,
 
 def small_composite_check(g: GaugeSpec, points=None,
                           grid: ScaleGrid | None = None) -> AxiomReport:
-    """For each threshold (r, t), shrink the radius to r' with r' (+) r' < r
-    and verify E(r', t) o E(r', t) <= E(r, t) on both sides."""
+    """For each threshold (r, t), shrink the radius to r' =
+    `g.split_radius(r)`, so r' (+) r' < r, and verify
+    E(r', t) o E(r', t) <= E(r, t) on both sides."""
     if g.regime is not Regime.CONORM:
         raise ValueError("small_composite_check applies to conorm-regime gauges")
     points = tuple(points) if points is not None else g.points
@@ -338,9 +344,7 @@ def small_composite_check(g: GaugeSpec, points=None,
     thresholds = critical_thresholds(g, points, grid)
     violations: list[Violation] = []
     for r, t in thresholds.pairs():
-        rp = g.conorm.half_radius(r)
-        if not g.conorm.apply(rp, rp) < r:
-            raise ValueError(f"shrunk radius {rp} fails {rp} (+) {rp} < {r}")
+        rp = g.split_radius(r)
         fwd = entourage(g, rp, t, "forward", points)
         big = entourage(g, r, t, "forward", points)
         for small, target, side in ((fwd, big, "forward"),

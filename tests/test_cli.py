@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quasimod import TConorm, gauge_to_json, graph_to_json
+from quasimod import (TConorm, conorm_from_name, gauge_from_json,
+                      gauge_to_json, graph_to_json, quasi_uniformity_report)
 from quasimod.cli import InputError, _point_resolver, main
 
 from conftest import (points_named, random_conorm_gauge, random_measure_space,
@@ -92,6 +93,30 @@ def test_topology_with_a_conorm_value_just_below_one(tmp_path, capsys):
     code, report = run(tmp_path, "topology", doc)
     assert code == 0 and report["join_equals_sym"] is True
     assert "Traceback" not in capsys.readouterr().err
+
+
+PROB_SUM_TINY_DOC = {"regime": "conorm", "conorm": "prob_sum",
+                     "points": ["a", "b"], "grid": [1.0, 2.0],
+                     "table": {"a|a": [0, 0], "b|b": [0, 0],
+                               "a|b": [1e-17, 1e-17], "b|a": [1e-17, 1e-17]}}
+MAX_NEAR_ONE_DOC = {"regime": "conorm", "conorm": "max", "points": ["a", "b"],
+                    "grid": [1.0],
+                    "table": {"a|a": [0], "a|b": [0.9999999999999999],
+                              "b|a": [0.5], "b|b": [0]}}
+
+
+@pytest.mark.parametrize("doc", [PROB_SUM_TINY_DOC, MAX_NEAR_ONE_DOC],
+                         ids=["prob-sum-1e-17", "max-below-one"])
+def test_cover_radii_and_splits_stay_admissible(tmp_path, capsys, doc):
+    # r/2 (+) r/2 rounds back to r = 1e-17 under prob_sum, and
+    # (top + 1) / 2 rounds to 1.0 for top = 1 - 2**-53
+    code, report = run(tmp_path, "cover", doc)
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    law = conorm_from_name(doc["conorm"]).apply
+    for row in report["heine_borel"]["rows"]:
+        r, s = row["radius"], row["split"]
+        assert 0.0 < r < 1.0 and 0.0 < s and law(s, s) < r
+    assert quasi_uniformity_report(gauge_from_json(doc)).ok
 
 
 def test_topology_and_cover_on_a_generated_gauge(tmp_path):
@@ -329,6 +354,10 @@ SEVENTEEN_POINTS = [f"p{i}" for i in range(17)]
                 "functions": {"f": {"a": 2.0}},
                 "phi": {"kind": "variable_exponent", "p": {"a": 1e308}}},
      "bad orlicz document"),
+    ("cover", dict(ADDITIVE_DOC, grid=[1.0, 2.0],
+                   table={"a|a": [0, 0], "b|b": [0, 0], "a|b": [5e-324] * 2,
+                          "b|a": [1.0, 1.0]}),
+     "radius 5e-324 has no split"),
     ("topology", {"regime": "additive", "points": SEVENTEEN_POINTS,
                   "grid": [1.0],
                   "table": {f"{x}|{y}": [0.0 if x == y else 1.0]
@@ -337,7 +366,8 @@ SEVENTEEN_POINTS = [f"p{i}" for i in range(17)]
      "at most 16 points"),
 ], ids=["gauge-table-list", "envelope-distance-list",
         "envelope-unhashable-point", "cover-sequence-number",
-        "orlicz-exponent-overflow", "topology-17-points"])
+        "orlicz-exponent-overflow", "cover-unsplittable-radius",
+        "topology-17-points"])
 def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys,
                                                         command, doc,
                                                         message):

@@ -1,10 +1,15 @@
 """The three t-conorms and their shared algebra."""
 
+import math
+import sys
+from fractions import Fraction
+from operator import add
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quasimod import TConorm, conorm_from_name
+from quasimod import GaugeSpec, Regime, ScaleGrid, TConorm, conorm_from_name
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 conorms = st.sampled_from(list(TConorm))
@@ -29,9 +34,20 @@ def test_dominates_max(c, a, b):
 
 
 @given(conorms, unit, unit, unit)
+# a + b - a*b rounded step by step gave 1.0 here for b and less for b2
+@example(TConorm.PROBABILISTIC_SUM, 0.9999999999999999, 0.5, 0.9067356965570263)
 def test_monotone_in_each_argument(c, a, b, b2):
     lo, hi = min(b, b2), max(b, b2)
     assert c.apply(a, lo) <= c.apply(a, hi)
+
+
+@given(unit, unit)
+@example(0.9999999999999999, 0.5)
+@example(1e-300, 6.755056992018944e-301)  # a*b underflows to 0
+@example(2.0 ** -485, 2.0 ** -485)
+def test_prob_sum_is_the_exact_value_rounded_once(a, b):
+    exact = Fraction(a) + Fraction(b) - Fraction(a) * Fraction(b)
+    assert TConorm.PROBABILISTIC_SUM.apply(a, b) == float(exact)
 
 
 # dyadic arguments keep prob_sum exact, so associativity is an equality
@@ -70,6 +86,53 @@ def test_half_radius_table():
         TConorm.MAX.half_radius(0.0)
     with pytest.raises(ValueError):
         TConorm.MAX.half_radius(1.2)
+
+
+def one_point_gauge(conorm):
+    return GaugeSpec(regime=Regime.CONORM if conorm else Regime.ADDITIVE,
+                     points=("a",), conorm=conorm, grid=ScaleGrid((1.0,)),
+                     table={})
+
+
+def old_split(conorm, r):
+    """The split before the one rule: r/4 for + and the bounded sum, r/2
+    for max and the probabilistic sum."""
+    return r / 4.0 if conorm in (None, TConorm.BOUNDED_SUM) else r / 2.0
+
+
+def radii_down_to_the_smallest_normal():
+    for e in range(0, -1023, -1):
+        for mantissa in (1.0, 1.25, 1.5, 1.9999999999999998):
+            r = math.ldexp(mantissa, e)
+            if sys.float_info.min <= r <= 1.0:
+                yield r
+    yield from (0.8, 0.3, 1e-16, 1e-17, math.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("conorm", [None, *TConorm])
+def test_split_radius_is_one_law_per_regime(conorm):
+    g = one_point_gauge(conorm)
+    assert g.oplus is add if conorm is None else g.oplus == conorm.apply
+    kept, changed = 0, []
+    for r in radii_down_to_the_smallest_normal():
+        s = g.split_radius(r)
+        assert 0.0 < s and g.oplus(s, s) < r, r
+        old = old_split(conorm, r)
+        if old > 0 and g.oplus(old, old) < r:
+            assert s == old, r
+            kept += 1
+        else:
+            changed.append(r)
+    assert kept >= 200
+    # the old rule failed only for the probabilistic sum below about 1e-16
+    assert bool(changed) == (conorm is TConorm.PROBABILISTIC_SUM)
+    assert max(changed, default=0.0) < 1e-15
+    for r in (5e-324, 1e-323):
+        if conorm is TConorm.MAX and r == 1e-323:
+            assert g.split_radius(r) == 5e-324  # max(h, h) = h < r
+            continue
+        with pytest.raises(ValueError, match=f"radius {r!r} has no split"):
+            g.split_radius(r)
 
 
 def test_names_round_trip():
