@@ -24,8 +24,8 @@ from .axioms import check_axioms, convexity_check
 from .completeness import (SampledSequence, classify_cauchy_thresholds,
                            heine_borel_report)
 from .conorms import conorm_from_name
-from .extreal import format_ext
-from .gauges import Regime, gauge_from_json, make_min_cap
+from .extreal import INF, format_ext
+from .gauges import Regime, _min_cap_rows, gauge_from_json
 from .graphs import asymmetry_index, distance_matrix, graph_from_json
 from .luxemburg import (DEFAULT_LAMBDA_MAX, NonmonotoneGaugeError,
                         luxemburg_distance)
@@ -249,27 +249,36 @@ def cmd_luxemburg(args) -> int:
     return 0
 
 
+def _pair_map(keys, rows) -> dict:
+    """{"x|y": value} from one key row and one value row per x; only a row
+    that holds +inf goes through format_ext."""
+    out = {}
+    for key_row, row in zip(keys, rows):
+        out.update(zip(key_row, map(format_ext, row) if INF in row else row))
+    return out
+
+
 def cmd_graph(args) -> int:
     try:
         g = graph_from_json(_load_json(args.input))
     except _DOC_ERRORS as exc:
         raise InputError(f"bad graph document: {exc}") from None
-    fwd = distance_matrix(g)
+    rows = distance_matrix(g)
+    names = [f"{y}" for y in g.vertices]
+    keys = [list(map(f"{x}|".__add__, names)) for x in g.vertices]
     doc = {"command": "graph",
-           "forward": {f"{x}|{y}": format_ext(fwd[(x, y)])
-                       for x in g.vertices for y in g.vertices},
-           "backward": {f"{x}|{y}": format_ext(fwd[(y, x)])
-                        for x in g.vertices for y in g.vertices},
-           "asymmetry_index": asymmetry_index(fwd, g.vertices)}
+           "forward": _pair_map(keys, rows),
+           "backward": _pair_map(keys, zip(*rows)),
+           "asymmetry_index": asymmetry_index(rows)}
     ok = True
     grid = _parse_grid(args.grid)
     if grid is not None:
-        # the gauge graph_gauge builds, from the matrix already in hand
-        report = check_axioms(make_min_cap(fwd, g.vertices, grid,
-                                           name="graph_gauge"))
+        # the gauge graph_gauge builds, from the rows already in hand; its
+        # axiom sweep is the only triangle check
+        report = check_axioms(_min_cap_rows(rows, g.vertices, grid,
+                                            "graph_gauge"))
         doc["axioms"] = report.to_json()
         ok = report.ok
-    rows = [[fwd[(x, y)] for y in g.vertices] for x in g.vertices]
     _emit(doc, args.output, matrix=(g.vertices, rows))
     return 0 if ok else 1
 

@@ -232,6 +232,12 @@ def make_min_cap(rho: Mapping, points=None, grid: ScaleGrid | None = None,
     """
     points = tuple(points) if points is not None else _infer_points(rho)
     rows = _require_quasi_pseudometric(rho, points, "rho")
+    return _min_cap_rows(rows, points, grid, name)
+
+
+def _min_cap_rows(rows, points: tuple, grid: ScaleGrid | None,
+                  name: str) -> GaugeSpec:
+    """`make_min_cap` on row lists in point order, with no validation."""
     vals = _pair_values(rows, points)
     return GaugeSpec(
         regime=Regime.ADDITIVE, points=points, grid=grid, name=name,

@@ -12,10 +12,12 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass
+from itertools import chain
+from operator import ne
 from typing import Mapping
 
 from .extreal import INF, ensure_ext, format_ext, parse_ext
-from .gauges import GaugeSpec, make_min_cap
+from .gauges import GaugeSpec, _min_cap_rows
 from .luxemburg import DEFAULT_LAMBDA_MAX, DEFAULT_TOL, luxemburg_infimum
 from .profiles import ScaleGrid
 
@@ -98,42 +100,51 @@ def _edge_costs(g: DirectedGraph, costs) -> tuple[float, ...]:
     return costs
 
 
-def _dijkstra(g: DirectedGraph, src: int, costs) -> list[float]:
-    dist = [INF] * len(g.vertices)
+def _adjacency(g: DirectedGraph, costs) -> list[list[tuple[int, float]]]:
+    """Out-edges of each vertex as (head index, cost) pairs, in edge order."""
+    costs = _edge_costs(g, costs)
+    return [[(v, costs[k]) for v, k in out] for out in g._fwd]
+
+
+def _dijkstra(adj, src: int) -> list[float]:
+    dist = [INF] * len(adj)
     dist[src] = 0.0
     heap = [(0.0, src)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if d > dist[u]:
             continue
-        for v, k in g._fwd[u]:
-            nd = d + costs[k]
+        for v, c in adj[u]:
+            nd = d + c
             if nd < dist[v]:
                 dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+                push(heap, (nd, v))
     return dist
 
 
 def forward_distance(g: DirectedGraph, x, y, costs=None) -> float:
     """Least total cost over directed paths x to y; +inf when unreachable."""
-    costs = _edge_costs(g, costs)
-    return _dijkstra(g, g.index_of(x), costs)[g.index_of(y)]
+    adj = _adjacency(g, costs)
+    return _dijkstra(adj, g.index_of(x))[g.index_of(y)]
 
 
-def distance_matrix(g: DirectedGraph, costs=None) -> dict:
-    costs = _edge_costs(g, costs)
-    out = {}
-    for i, x in enumerate(g.vertices):
-        row = _dijkstra(g, i, costs)
-        for j, y in enumerate(g.vertices):
-            out[(x, y)] = row[j]
-    return out
+def distance_matrix(g: DirectedGraph, costs=None) -> list[list[float]]:
+    """All-pairs path distances as row lists in vertex order: entry [i][j]
+    is d(vertices[i], vertices[j]), +inf when unreachable.  Backward
+    distances are the columns."""
+    adj = _adjacency(g, costs)
+    return [_dijkstra(adj, i) for i in range(len(adj))]
 
 
 def graph_gauge(g: DirectedGraph, costs=None, grid: ScaleGrid | None = None,
                 name: str = "graph_gauge") -> GaugeSpec:
-    """Additive gauge w(x, y, t) = min(path distance, t) over the vertices."""
-    return make_min_cap(distance_matrix(g, costs), g.vertices, grid, name=name)
+    """Additive gauge w(x, y, t) = min(path distance, t) over the vertices.
+
+    The distances are not re-validated: a path sum that rounds above the
+    sum of its legs breaks the triangle by an ulp, and `check_axioms`
+    reports it with the witness."""
+    return _min_cap_rows(distance_matrix(g, costs), g.vertices, grid, name)
 
 
 @dataclass(frozen=True)
@@ -247,12 +258,15 @@ def dynamic_distance(g: DirectedGraph, schedule: DynamicCostSchedule,
     return forward_distance(g, x, y, costs)
 
 
-def asymmetry_index(d: Mapping, points) -> float:
-    """Fraction of ordered pairs x != y with d(x, y) != d(y, x)."""
-    pairs = [(x, y) for x in points for y in points if x != y]
-    if not pairs:
+def asymmetry_index(rows) -> float:
+    """Fraction of ordered pairs x != y with d(x, y) != d(y, x), for a
+    square distance matrix given as row lists."""
+    n = len(rows)
+    if n < 2:
         return 0.0
-    return sum(1 for x, y in pairs if d[(x, y)] != d[(y, x)]) / len(pairs)
+    # a diagonal entry compares with itself, so only x != y can count
+    return sum(map(ne, chain.from_iterable(rows),
+                   chain.from_iterable(zip(*rows)))) / (n * n - n)
 
 
 def graph_to_json(g: DirectedGraph) -> dict:

@@ -15,7 +15,7 @@ from operator import and_
 
 from .axioms import AxiomReport, Violation
 from .extreal import INF
-from .gauges import GaugeSpec, Regime, symmetrize_conorm, symmetrize_max
+from .gauges import GaugeSpec, Regime
 from .profiles import ScaleGrid
 
 MAX_TOPOLOGY_POINTS = 16
@@ -319,12 +319,15 @@ def verify_join_equality(g: GaugeSpec, points=None,
     if grid is None:
         raise ValueError("verify_join_equality needs a scale grid")
     idx = [g.index(p) for p in points]
-    sym = (symmetrize_conorm(g) if g.regime is Regime.CONORM
-           else symmetrize_max(g))
     mats = [g.matrix(t) for t in grid]
+    opps = [tuple(zip(*m)) for m in mats]
+    # the symmetrized gauge's matrices: what symmetrize_conorm or
+    # symmetrize_max evaluates, entry by entry
+    combine = g.conorm.apply if g.regime is Regime.CONORM else max
+    syms = [[list(map(combine, row, col)) for row, col in zip(m, opp)]
+            for m, opp in zip(mats, opps)]
     tau_plus, tau_minus, tau_sym = (
-        _from_subbase(points, _balls(ms, idx)) for ms in
-        (mats, [tuple(zip(*m)) for m in mats], [sym.matrix(t) for t in grid]))
+        _from_subbase(points, _balls(ms, idx)) for ms in (mats, opps, syms))
     joined = join_topologies(tau_plus, tau_minus)
     return JoinReport(tau_plus, tau_minus, joined, tau_sym,
                       joined.hoods == tau_sym.hoods)

@@ -206,6 +206,23 @@ def test_graph_gauge_with_unreachable_pairs_fails_the_axioms(tmp_path):
     assert "inf" in csv_out.read_text(encoding="utf-8")
 
 
+def test_graph_grid_reports_a_rounded_path_sum_as_a_triangle_witness(
+        tmp_path, capsys):
+    # Dijkstra sums the path x -> z as (0.1 + 0.2) + 0.3, one ulp above
+    # 0.1 + (0.2 + 0.3); the axiom sweep lists that, with no traceback
+    doc = {"vertices": ["x", "y", "w", "z"],
+           "edges": [{"from": "x", "to": "y", "cost": 0.1},
+                     {"from": "y", "to": "w", "cost": 0.2},
+                     {"from": "w", "to": "z", "cost": 0.3}]}
+    code, report = run(tmp_path, "graph", doc, "--grid", "1,2,4")
+    assert code == 1
+    assert report["forward"]["x|z"] == 0.6000000000000001
+    assert {"axiom": "triangle", "witness": ["x", "y", "z", 1.0, 1.0, 2.0],
+            "lhs": 0.6000000000000001, "rhs": 0.6} \
+        in report["axioms"]["violations"]
+    assert capsys.readouterr().err == ""
+
+
 ORLICZ_DOC = {
     "space": {"points": ["a", "b"], "mu": {"a": 1.0, "b": 1.0}},
     "functions": {"f": {"a": 3.0, "b": 4.0}, "g": {"a": 0.0, "b": 0.0}},
