@@ -9,6 +9,7 @@ left side and manufacture violations that say nothing about the gauge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 
 from .extreal import ext_mul, format_ext
 from .gauges import GaugeSpec, Regime, triangle_violations
@@ -46,17 +47,11 @@ class AxiomReport:
                 "notes": list(self.notes)}
 
 
-def _materialize(g: GaugeSpec, points, grid: ScaleGrid):
-    idx = [(x, g.index(x)) for x in points]
-    columns = [g.matrix(t) for t in grid]
-    return {(x, y): [col[i][j] for col in columns]
-            for x, i in idx for y, j in idx}
-
-
-def _projection_table(grid: ScaleGrid):
-    m = len(grid)
-    return [[grid.ceil_index(grid[i] + grid[j]) for j in range(m)]
-            for i in range(m)]
+def _pair_series(points: tuple, stack):
+    """((x, y), the values of w(x, y, .) along the grid) for every ordered
+    pair in row-major order, zipped from a `GaugeSpec.sample` stack."""
+    return zip(product(points, repeat=2),
+               zip(*(chain.from_iterable(s) for s in stack)))
 
 
 def check_axioms(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> AxiomReport:
@@ -68,29 +63,23 @@ def check_axioms(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> Ax
     Symmetry is only compared against the claims_symmetric flag and reported
     as a note, never as a violation.
     """
-    points = tuple(points) if points is not None else g.points
-    grid = grid or g.grid
-    if grid is None:
-        raise ValueError("check_axioms needs a scale grid")
+    points, grid, stack = g.sample(points, grid)
     conorm = g.conorm if g.regime is Regime.CONORM else None
-    rows = _materialize(g, points, grid)
     m = len(grid)
     violations: list[Violation] = []
     notes: list[str] = []
 
-    for x in points:
-        row = rows[(x, x)]
-        for k in range(m):
-            if row[k] != 0.0:
-                violations.append(Violation("zero-self", (x, grid[k]), row[k], 0.0))
+    for i, x in enumerate(points):
+        for k, v in enumerate(s[i][i] for s in stack):
+            if v != 0.0:
+                violations.append(Violation("zero-self", (x, grid[k]), v, 0.0))
 
     if conorm is not None:
         clamped = False
-        for x in points:
-            for y in points:
-                row = rows[(x, y)]
-                for k in range(m):
-                    v = row[k]
+        for i, x in enumerate(points):
+            for j, y in enumerate(points):
+                for k, row in enumerate(s[i] for s in stack):
+                    v = row[j]
                     if x != y and v == 0.0:
                         violations.append(
                             Violation("separation", (x, y, grid[k]), 0.0, 0.0))
@@ -98,33 +87,30 @@ def check_axioms(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> Ax
                         violations.append(
                             Violation("bounded", (x, y, grid[k]), v, 1.0))
                         if v > 1.0:
-                            row[k] = 1.0
+                            row[j] = 1.0
                             clamped = True
         if clamped:
             notes.append("values above 1 were clamped to 1 for the triangle sweep")
 
-    for x in points:
-        for y in points:
-            row = rows[(x, y)]
-            for k in range(m - 1):
-                if row[k] < row[k + 1]:
-                    violations.append(Violation(
-                        "scale-monotone", (x, y, grid[k], grid[k + 1]),
-                        row[k + 1], row[k]))
+    for (x, y), row in _pair_series(points, stack):
+        for k in range(m - 1):
+            if row[k] < row[k + 1]:
+                violations.append(Violation(
+                    "scale-monotone", (x, y, grid[k], grid[k + 1]),
+                    row[k + 1], row[k]))
 
-    proj = _projection_table(grid)
-    splits = [(i, j, proj[i][j]) for i in range(m) for j in range(m)
-              if proj[i][j] is not None]
+    # (i, j, u) with grid[u] the least grid scale >= grid[i] + grid[j]
+    splits = [(i, j, u) for i in range(m) for j in range(m)
+              for u in [grid.ceil_index(grid[i] + grid[j])] if u is not None]
     if splits:
-        if all(len(set(row)) == 1 for row in rows.values()):
+        # list == compares by identity first, as the per-pair rows did
+        if all(s == stack[0] for s in stack):
             splits = splits[:1]  # every split reads the same values
-        cols = {k: [[rows[(x, y)][k] for y in points] for x in points]
-                for k in set().union(*splits)}
         # witnesses are listed in x, z, y, split order
         hits = sorted((x, z, y, n, lhs, rhs)
                       for n, (i, j, u) in enumerate(splits)
                       for x, y, z, lhs, rhs in triangle_violations(
-                          cols[u], cols[i], cols[j], g.oplus))
+                          stack[u], stack[i], stack[j], g.oplus))
         violations.extend(
             Violation("triangle", (points[x], points[y], points[z],
                                    *(grid[k] for k in splits[n])), lhs, rhs)
@@ -132,7 +118,8 @@ def check_axioms(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> Ax
     else:
         notes.append("no grid pair sums land on the grid; triangle not checkable")
 
-    symmetric = all(rows[(x, y)] == rows[(y, x)] for x in points for y in points)
+    # list == again, so one nan object equals itself (not `_rows_symmetric`)
+    symmetric = all(list(map(list, zip(*s))) == s for s in stack)
     if symmetric != g.claims_symmetric:
         notes.append(f"claims_symmetric={g.claims_symmetric} refuted: table is "
                      f"{'symmetric' if symmetric else 'asymmetric'}")
@@ -149,6 +136,11 @@ def check_axioms(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> Ax
 _REL_SLACK = 1e-12
 
 
+def _exceeds(v: float, bound: float) -> bool:
+    """v > bound by more than the slack; nothing exceeds an infinite bound."""
+    return v > bound + _REL_SLACK * max(1.0, abs(bound))
+
+
 def convexity_check(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> AxiomReport:
     """Convexity laws for additive gauges on the grid.
 
@@ -157,33 +149,23 @@ def convexity_check(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) ->
     """
     if g.regime is not Regime.ADDITIVE:
         raise ValueError("convexity_check applies to additive-regime gauges")
-    points = tuple(points) if points is not None else g.points
-    grid = grid or g.grid
-    if grid is None:
-        raise ValueError("convexity_check needs a scale grid")
-    rows = _materialize(g, points, grid)
+    points, grid, stack = g.sample(points, grid)
     m = len(grid)
     violations: list[Violation] = []
-    for x in points:
-        for y in points:
-            row = rows[(x, y)]
-            scaled = [ext_mul(grid[k], row[k]) for k in range(m)]
-            for k in range(m - 1):
-                slack = _REL_SLACK * max(1.0, abs(scaled[k])) \
-                    if scaled[k] != float("inf") else 0.0
-                if scaled[k + 1] > scaled[k] + slack:
+    for (x, y), row in _pair_series(points, stack):
+        scaled = [ext_mul(grid[k], row[k]) for k in range(m)]
+        for k in range(m - 1):
+            if _exceeds(scaled[k + 1], scaled[k]):
+                violations.append(Violation(
+                    "scaled-value-monotone", (x, y, grid[k], grid[k + 1]),
+                    scaled[k + 1], scaled[k]))
+        for a in range(m):
+            for b in range(a + 1, m):
+                bound = ext_mul(grid[b] / grid[a], row[a])
+                if _exceeds(row[b], bound):
                     violations.append(Violation(
-                        "scaled-value-monotone", (x, y, grid[k], grid[k + 1]),
-                        scaled[k + 1], scaled[k]))
-            for a in range(m):
-                for b in range(a + 1, m):
-                    bound = ext_mul(grid[b] / grid[a], row[a])
-                    slack = _REL_SLACK * max(1.0, abs(bound)) \
-                        if bound != float("inf") else 0.0
-                    if row[b] > bound + slack:
-                        violations.append(Violation(
-                            "scale-ratio", (x, y, grid[a], grid[b]),
-                            row[b], bound))
+                        "scale-ratio", (x, y, grid[a], grid[b]),
+                        row[b], bound))
     return AxiomReport(("scaled-value-monotone", "scale-ratio"),
                        tuple(violations))
 
@@ -199,24 +181,17 @@ def enriched_triangle_check(g: GaugeSpec, points=None,
     """
     if g.regime is not Regime.CONORM:
         raise ValueError("enriched_triangle_check applies to conorm-regime gauges")
-    points = tuple(points) if points is not None else g.points
-    grid = grid or g.grid
-    if grid is None:
-        raise ValueError("enriched_triangle_check needs a scale grid")
-    rows = _materialize(g, points, grid)
-    profiles = {pair: Profile(grid, tuple(row)) for pair, row in rows.items()}
+    points, grid, stack = g.sample(points, grid)
+    n = len(points)
+    profiles = [Profile(grid, row) for _, row in _pair_series(points, stack)]
     threshold = 2.0 * grid[0]
     violations: list[Violation] = []
-    for x in points:
-        for y in points:
-            for z in points:
-                conv = profile_convolve(profiles[(x, y)], profiles[(y, z)], g.conorm)
-                for k, u in enumerate(grid):
-                    if u < threshold:
-                        continue
-                    lhs = rows[(x, z)][k]
-                    if lhs > conv.values[k]:
-                        violations.append(Violation(
-                            "convolution-triangle", (x, y, z, u),
-                            lhs, conv.values[k]))
+    for (a, x), (b, y), (c, z) in product(enumerate(points), repeat=3):
+        conv = profile_convolve(profiles[a * n + b], profiles[b * n + c],
+                                g.conorm).values
+        lhs = profiles[a * n + c].values
+        for k, u in enumerate(grid):
+            if u >= threshold and lhs[k] > conv[k]:
+                violations.append(Violation(
+                    "convolution-triangle", (x, y, z, u), lhs[k], conv[k]))
     return AxiomReport(("convolution-triangle",), tuple(violations))

@@ -45,8 +45,9 @@ class InputError(Exception):
     """Bad input file or document; maps to exit code 2."""
 
 
-# what reading a document of the wrong shape raises
-_DOC_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+# what reading a document of the wrong shape raises; OverflowError is an
+# integer too large for a float
+_DOC_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 def _load_json(path: str) -> object:
@@ -55,9 +56,14 @@ def _load_json(path: str) -> object:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, too many digits, or too deep nesting
+        raise InputError(f"cannot parse {path}: {exc}") from None
 
 
 _CONTAINERS = (list, tuple, dict)
@@ -320,7 +326,7 @@ def cmd_orlicz(args) -> int:
                         space, pair, functions[fa], functions[fb], args.tol)
                     dists[f"{fa}|{fb}"] = {"plus": dp, "minus": dm}
             doc["one_sided"] = {"norms": sides, "distances": dists}
-    except _DOC_ERRORS + (OverflowError,) as exc:
+    except _DOC_ERRORS as exc:
         raise InputError(f"bad orlicz document: {exc}") from None
     _emit(doc, args.output)
     return 0 if ok else 1

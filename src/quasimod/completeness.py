@@ -422,10 +422,7 @@ def heine_borel_report(g: GaugeSpec, points=None,
     s = `g.split_radius(r)`, compose them into a two-sided cover, and build
     a direct two-sided net for comparison.  Composition failures are reported per row
     rather than raised, since they diagnose the gauge, not the caller."""
-    points = tuple(points) if points is not None else g.points
-    grid = grid or g.grid
-    if grid is None:
-        raise ValueError("heine_borel_report needs a scale grid")
+    points, grid, _ = g.sample(points, grid)
     thresholds = thresholds or critical_thresholds(g, points, grid)
     balls, outcomes, rows = _BallRows(g, points), {}, []
     for r, t in thresholds.pairs():

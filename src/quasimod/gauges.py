@@ -11,8 +11,9 @@ built on it; no other module decides between the two regimes' laws.
 
 Gauges are immutable.  They are either closed-form (a function of x, y, t)
 or tabulated (one value per ordered pair per grid scale, read with the
-right-continuous ceil convention of Profile).  Sweeps read `matrix(t)`, every
-value at one scale as rows in point order (one prebuilt per grid column).
+right-continuous ceil convention of Profile).  `matrix(t)` holds every
+value at one scale as rows in point order (one prebuilt per grid column);
+grid sweeps read `sample`, those matrices stacked along a grid.
 """
 
 from __future__ import annotations
@@ -103,6 +104,22 @@ class GaugeSpec:
             return self._columns[-1 if k is None else k]
         return tuple(tuple(float(self.fn(x, y, t)) for y in self.points)
                      for x in self.points)
+
+    def sample(self, points=None, grid: ScaleGrid | None = None):
+        """(points, grid, stack) with stack[k][i][j] = w(points[i],
+        points[j], grid[k]), read from `matrix(grid[k])`: the block every
+        grid sweep reads.  Points default to the gauge's own and the grid
+        to its grid; every row is a fresh list, so a sweep may write to it."""
+        points = self.points if points is None else tuple(points)
+        grid = grid or self.grid
+        if grid is None:
+            raise ValueError("no grid to sample on")
+        if points == self.points:  # whole rows, copied at C speed
+            return points, grid, [list(map(list, mat))
+                                  for mat in map(self.matrix, grid)]
+        idx = [self.index(x) for x in points]
+        return points, grid, [[list(map(mat[i].__getitem__, idx)) for i in idx]
+                              for mat in map(self.matrix, grid)]
 
     def value(self, x, y, t: float) -> float:
         if not t > 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
 from operator import and_
 
 from .axioms import AxiomReport, Violation
@@ -186,17 +187,13 @@ def critical_thresholds(g: GaugeSpec, points=None,
     gauge, inf for an additive one) lies above it.  Any strict ball at any
     radius coincides with a ball at one of these radii, because the gauge
     takes finitely many values on the sampled points and scales."""
-    points = tuple(points) if points is not None else g.points
-    grid = grid or g.grid
-    if grid is None:
-        raise ValueError("critical_thresholds needs a scale grid")
+    _, grid, stack = g.sample(points, grid)
     # conorm radii live in (0, 1): a saturated value of 1 (possible after
     # symmetrization) is outside every admissible ball, so it contributes
     # no radius, and the above-the-top radius below separates it
     cap = 1.0 if g.regime is Regime.CONORM else INF
-    idx, mats = [g.index(p) for p in points], [g.matrix(t) for t in grid]
-    values = sorted({v for m in mats for i in idx for j in idx
-                     for v in [m[i][j]] if 0 < v < cap})
+    values = sorted({v for m in stack for row in m for v in row
+                     if 0 < v < cap})
     if not values:
         fallback = 0.5 if g.regime is Regime.CONORM else 1.0
         return ThresholdSet((fallback,), grid)
@@ -298,14 +295,14 @@ class JoinReport:
                 "join_equals_sym": self.equal}
 
 
-def _balls(mats, idx) -> set[int]:
+def _balls(stack) -> set[int]:
     """Every nonempty strict ball {y : w(x, y, t) < r}, r > 0, of the rows
-    at `idx`: a ball holding y holds each y' with w(x, y', t) <= w(x, y, t),
-    so the balls are the row's sublevel sets at its values.  The one at a
-    value no radius exceeds (inf, or 1 for a conorm) is the whole space,
-    which is open anyway."""
-    return {sum(1 << bit for bit, j in enumerate(idx) if m[i][j] <= v)
-            for m in mats for i in idx for v in {m[i][j] for j in idx}}
+    of the matrices in `stack`: a ball holding y holds each y' with
+    w(x, y', t) <= w(x, y, t), so the balls are the row's sublevel sets at
+    its values.  The one at a value no radius exceeds (inf, or 1 for a
+    conorm) is the whole space, which is open anyway."""
+    return {sum(1 << j for j, w in enumerate(row) if w <= v)
+            for m in stack for row in m for v in set(row)}
 
 
 def verify_join_equality(g: GaugeSpec, points=None,
@@ -314,12 +311,7 @@ def verify_join_equality(g: GaugeSpec, points=None,
     the symmetrized gauge, compared by their smallest open neighbourhoods.
     Backward balls are rows of the transposes; the symmetrized gauge is
     symmetric, so its two-sided balls are its forward ones."""
-    points = tuple(points) if points is not None else g.points
-    grid = grid or g.grid
-    if grid is None:
-        raise ValueError("verify_join_equality needs a scale grid")
-    idx = [g.index(p) for p in points]
-    mats = [g.matrix(t) for t in grid]
+    points, _, mats = g.sample(points, grid)
     opps = [tuple(zip(*m)) for m in mats]
     # the symmetrized gauge's matrices: what symmetrize_conorm or
     # symmetrize_max evaluates, entry by entry
@@ -327,7 +319,7 @@ def verify_join_equality(g: GaugeSpec, points=None,
     syms = [[list(map(combine, row, col)) for row, col in zip(m, opp)]
             for m, opp in zip(mats, opps)]
     tau_plus, tau_minus, tau_sym = (
-        _from_subbase(points, _balls(ms, idx)) for ms in (mats, opps, syms))
+        _from_subbase(points, _balls(ms)) for ms in (mats, opps, syms))
     joined = join_topologies(tau_plus, tau_minus)
     return JoinReport(tau_plus, tau_minus, joined, tau_sym,
                       joined.hoods == tau_sym.hoods)
@@ -340,10 +332,7 @@ def small_composite_check(g: GaugeSpec, points=None,
     E(r', t) o E(r', t) <= E(r, t) on both sides."""
     if g.regime is not Regime.CONORM:
         raise ValueError("small_composite_check applies to conorm-regime gauges")
-    points = tuple(points) if points is not None else g.points
-    grid = grid or g.grid
-    if grid is None:
-        raise ValueError("small_composite_check needs a scale grid")
+    points, grid, _ = g.sample(points, grid)
     thresholds = critical_thresholds(g, points, grid)
     violations: list[Violation] = []
     for r, t in thresholds.pairs():
@@ -375,33 +364,23 @@ def quasi_uniformity_report(g: GaugeSpec, points=None,
     """
     if g.regime is not Regime.CONORM:
         raise ValueError("quasi_uniformity_report applies to conorm-regime gauges")
-    points = tuple(points) if points is not None else g.points
-    grid = grid or g.grid
-    if grid is None:
-        raise ValueError("quasi_uniformity_report needs a scale grid")
+    points, grid, stack = g.sample(points, grid)
     thresholds = critical_thresholds(g, points, grid)
     violations: list[Violation] = []
-    for r, t in thresholds.pairs():
-        rel = entourage(g, r, t, "forward", points)
-        if not rel.has_diagonal():
-            for i, x in enumerate(points):
-                if not rel.rows[i] & (1 << i):
-                    violations.append(Violation("diagonal", (x, r, t),
-                                                g.value(x, x, t), r))
-    # refinement in the radius is immediate from r <= r'; only the scale
-    # direction can fail, and only through a monotonicity defect
-    scales = list(grid)
     for r in thresholds.radii:
-        for t_small, t_big in zip(scales, scales[1:]):
-            small = entourage(g, r, t_small, "forward", points)
-            big = entourage(g, r, t_big, "forward", points)
-            if big.contains(small):
-                continue
-            for x, y in small.pairs():
-                if not big.related(x, y):
-                    violations.append(Violation(
-                        "refinement", (x, y, r, t_small, t_big),
-                        g.value(x, y, t_big), r))
+        violations.extend(Violation("diagonal", (x, r, t), mat[i][i], r)
+                          for t, mat in zip(grid, stack)
+                          for i, x in enumerate(points) if not mat[i][i] < r)
+    # refinement in the radius is immediate from r <= r'; only the scale
+    # direction can fail, and only through a monotonicity defect: a pair in
+    # the entourage at one grid scale and outside it at the next
+    for r in thresholds.radii:
+        for k, (small, big) in enumerate(zip(stack, stack[1:])):
+            violations.extend(
+                Violation("refinement", (x, y, r, grid[k], grid[k + 1]),
+                          big[i][j], r)
+                for (i, x), (j, y) in product(enumerate(points), repeat=2)
+                if small[i][j] < r and not big[i][j] < r)
     composite = small_composite_check(g, points, grid)
     violations.extend(composite.violations)
     return AxiomReport(("diagonal", "refinement", "small-composite"),

@@ -394,6 +394,64 @@ def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys,
     assert message in err and "Traceback" not in err
 
 
+def _single_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("quasimod: error: ")
+
+
+@pytest.mark.parametrize("command", ["check-axioms", "graph"])
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    (b"\xff\xfe{}", "cannot parse"),
+    pytest.param(b"1" + b"0" * 4999, "cannot parse", marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this Python parses integers of any length")),
+    (b"[" * 100000 + b"]" * 100000, "cannot parse"),
+], ids=["directory", "utf16-bom", "5000-digit-integer", "deep-nesting"])
+def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys,
+                                                      command, content,
+                                                      message):
+    src = tmp_path / "in.json"
+    if content is None:
+        src.mkdir()
+    else:
+        src.write_bytes(content)
+    assert main([command, "--input", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and message in err
+
+
+# a JSON integer that no float holds
+HUGE = 10 ** 400
+HUGE_GRAPH = {"vertices": ["u", "v"], "edges": [{"from": "u", "to": "v"}]}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("check-axioms", dict(ADDITIVE_DOC, table=dict(ADDITIVE_DOC["table"],
+                                                   **{"a|b": [HUGE, 2, 1]})),
+     "bad gauge document"),
+    ("topology", dict(ADDITIVE_DOC, grid=[1.0, 2.0, HUGE]),
+     "bad gauge document"),
+    ("graph", dict(HUGE_GRAPH, edges=[{"from": "u", "to": "v", "cost": HUGE}]),
+     "bad graph document"),
+    ("graph", dict(HUGE_GRAPH, edges=[{"from": "u", "to": "v", "mu": HUGE}]),
+     "bad graph document"),
+    ("envelope", dict(ENVELOPE_DOC, distance=dict(ENVELOPE_DOC["distance"],
+                                                  **{"x|a": HUGE})),
+     "bad envelope document"),
+    ("orlicz", dict(ORLICZ_DOC, space={"points": ["a", "b"],
+                                       "mu": {"a": 1.0, "b": HUGE}}),
+     "bad orlicz document"),
+], ids=["gauge-value", "grid-scale", "graph-cost", "graph-mu",
+        "envelope-distance", "orlicz-mass"])
+def test_oversize_integers_exit_2_with_one_error_line(tmp_path, capsys,
+                                                      command, doc, message):
+    src = write_doc(tmp_path, "in.json", doc)
+    assert main([command, "--input", src]) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and message in err and "too large" in err
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: valid seeded documents, then keys dropped, values swapped for
 # hostile ones, and the file cut short
@@ -428,7 +486,7 @@ def _valid_documents():
 
 
 VALID_DOCUMENTS = _valid_documents()
-HOSTILE_VALUES = (None, [], {}, "x", math.nan, math.inf, 1e308)
+HOSTILE_VALUES = (None, [], {}, "x", math.nan, math.inf, 1e308, HUGE)
 
 
 def _paths(doc, prefix=()):

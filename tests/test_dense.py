@@ -1,19 +1,28 @@
 """Differential tests for the dense evaluation layer.
 
-The sweeps read whole rows from `GaugeSpec.matrix(t)` and take their balls
-from entourage rows.  The oracle below decides everything one ordered pair
-at a time, with a ball predicate per pair.  Its value lookup reads the
-table row itself rather than `matrix`, so a wrong column in the dense layer
-cannot hide on both sides of a comparison.
+The sweeps read whole rows from `GaugeSpec.matrix(t)`, grid sweeps read
+them stacked by `GaugeSpec.sample`, and balls come from entourage rows.
+The oracle below decides everything one ordered pair at a time, with a
+ball predicate per pair.  Its value lookup reads the table row itself
+rather than `matrix`, so a wrong column in the dense layer cannot hide on
+both sides of a comparison.  `convexity_check` and
+`enriched_triangle_check` are compared against the per-pair loops they
+ran before `sample`, over the per-pair rows of `_materialize`, and
+`quasi_uniformity_report` against its entourage loops.
 """
 
 import pytest
 
-from quasimod import (CellInclusionError, GaugeSpec, Regime, SampledSequence,
-                      ScaleGrid, TConorm, classify_cauchy, converges_to,
-                      critical_thresholds, entourage, greedy_net, make_ratio,
-                      two_sided_cover_from_onesided)
+from quasimod import (INF, CellInclusionError, GaugeSpec, Profile, Regime,
+                      SampledSequence, ScaleGrid, TConorm, check_axioms,
+                      classify_cauchy, convexity_check, converges_to,
+                      critical_thresholds, enriched_triangle_check, entourage,
+                      greedy_net, make_ratio, make_scaled_metric,
+                      profile_convolve, quasi_uniformity_report,
+                      small_composite_check, two_sided_cover_from_onesided)
+from quasimod.axioms import AxiomReport, Violation
 from quasimod.completeness import CoverResult
+from quasimod.extreal import ext_mul
 
 from conftest import (ADDITIVE_BUILDERS, CONORM_GRID, corrupt_one_entry,
                       random_conorm_gauge, random_quasi_pseudometric,
@@ -296,3 +305,281 @@ def test_greedy_net_takes_conorm_radii_above_one():
             assert net.verified
             assert net.centers == g.points[:1]
             assert net == oracle_greedy_net(g.points, g, 1.5, 1.0, side)
+
+
+# ---------------------------------------------------------------------------
+# GaugeSpec.sample: the block every grid sweep reads
+
+
+def oracle_stack(g, points, grid):
+    return [[[value(g, x, y, t) for y in points] for x in points]
+            for t in grid]
+
+
+def sample_cases(g):
+    """Own points and grid, a proper subset in reversed order, a repeated
+    point, and a grid with one scale between the gauge's first two and one
+    past its top."""
+    subset = g.points[1:][::-1] if len(g.points) > 2 else g.points[::-1]
+    repeated = g.points + g.points[:1]
+    between = (g.grid[0] + g.grid[1]) / 2.0 if len(g.grid) > 1 \
+        else g.grid[0] / 2.0
+    foreign = ScaleGrid((between, 2.0 * g.grid[-1]))
+    return [(g.points, g.grid), (subset, g.grid), (repeated, g.grid),
+            (subset, foreign), (repeated, foreign)]
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_sample_matches_the_per_pair_oracle(name):
+    for g in corpus(name):
+        assert g.sample() == (g.points, g.grid,
+                              oracle_stack(g, g.points, g.grid))
+        for points, grid in sample_cases(g):
+            got_points, got_grid, stack = g.sample(list(points), grid)
+            assert got_points == points and got_grid is grid
+            assert stack == oracle_stack(g, points, grid), (g.name, points)
+
+
+def test_sample_rows_are_fresh_lists():
+    for g in corpus("additive") + corpus("conorm") + corpus("closed_form"):
+        before = [g.matrix(t) for t in g.grid]
+        _, _, stack = g.sample()
+        _, _, again = g.sample()
+        for k, mat in enumerate(stack):
+            for i, row in enumerate(mat):
+                assert type(row) is list and row is not again[k][i]
+                row[:] = [7.0] * len(row)
+        assert [g.matrix(t) for t in g.grid] == before
+        assert again == oracle_stack(g, g.points, g.grid)
+
+
+def test_sample_errors():
+    g = make_ratio({("a", "b"): 1.0, ("b", "a"): 2.0})
+    assert g.grid is None
+    with pytest.raises(ValueError, match="^no grid to sample on$"):
+        g.sample()
+    assert g.sample(grid=ScaleGrid((1.0,)))[2] == [[[0.0, 0.5], [2 / 3, 0.0]]]
+    with pytest.raises(ValueError, match="unknown point 'zz'"):
+        g.sample(("a", "zz"), ScaleGrid((1.0,)))
+
+
+# ---------------------------------------------------------------------------
+# convexity_check and enriched_triangle_check against their per-pair loops
+
+
+def _materialize(g, points, grid):
+    """One row of values along the grid per distinct ordered pair, as the
+    sweeps read them before `GaugeSpec.sample`."""
+    idx = [(x, g.index(x)) for x in points]
+    columns = [g.matrix(t) for t in grid]
+    return {(x, y): [col[i][j] for col in columns]
+            for x, i in idx for y, j in idx}
+
+
+_REL_SLACK = 1e-12
+
+
+def oracle_convexity_check(g, points=None, grid=None):
+    if g.regime is not Regime.ADDITIVE:
+        raise ValueError("convexity_check applies to additive-regime gauges")
+    points = tuple(points) if points is not None else g.points
+    grid = grid or g.grid
+    if grid is None:
+        raise ValueError("convexity_check needs a scale grid")
+    rows = _materialize(g, points, grid)
+    m = len(grid)
+    violations = []
+    for x in points:
+        for y in points:
+            row = rows[(x, y)]
+            scaled = [ext_mul(grid[k], row[k]) for k in range(m)]
+            for k in range(m - 1):
+                slack = _REL_SLACK * max(1.0, abs(scaled[k])) \
+                    if scaled[k] != float("inf") else 0.0
+                if scaled[k + 1] > scaled[k] + slack:
+                    violations.append(Violation(
+                        "scaled-value-monotone", (x, y, grid[k], grid[k + 1]),
+                        scaled[k + 1], scaled[k]))
+            for a in range(m):
+                for b in range(a + 1, m):
+                    bound = ext_mul(grid[b] / grid[a], row[a])
+                    slack = _REL_SLACK * max(1.0, abs(bound)) \
+                        if bound != float("inf") else 0.0
+                    if row[b] > bound + slack:
+                        violations.append(Violation(
+                            "scale-ratio", (x, y, grid[a], grid[b]),
+                            row[b], bound))
+    return AxiomReport(("scaled-value-monotone", "scale-ratio"),
+                       tuple(violations))
+
+
+def oracle_enriched_triangle_check(g, points=None, grid=None):
+    if g.regime is not Regime.CONORM:
+        raise ValueError("enriched_triangle_check applies to conorm-regime gauges")
+    points = tuple(points) if points is not None else g.points
+    grid = grid or g.grid
+    if grid is None:
+        raise ValueError("enriched_triangle_check needs a scale grid")
+    rows = _materialize(g, points, grid)
+    profiles = {pair: Profile(grid, tuple(row)) for pair, row in rows.items()}
+    threshold = 2.0 * grid[0]
+    violations = []
+    for x in points:
+        for y in points:
+            for z in points:
+                conv = profile_convolve(profiles[(x, y)], profiles[(y, z)], g.conorm)
+                for k, u in enumerate(grid):
+                    if u < threshold:
+                        continue
+                    lhs = rows[(x, z)][k]
+                    if lhs > conv.values[k]:
+                        violations.append(Violation(
+                            "convolution-triangle", (x, y, z, u),
+                            lhs, conv.values[k]))
+    return AxiomReport(("convolution-triangle",), tuple(violations))
+
+
+def convex_gauges():
+    """Additive corpora, scale-constant or capped, clean and corrupted, and
+    scaled metrics rho * g(t) with a g that is and one that is not convex."""
+    grid = ScaleGrid((0.5, 1.0, 2.0, 4.0))
+    for seed in range(4):
+        rng = rng_for(840 + seed)
+        for builder in ADDITIVE_BUILDERS:
+            g = builder(rng, rng.randrange(2, 6))
+            yield g
+            yield corrupt_one_entry(g, rng, bump=2.0)[0]
+        rho = random_quasi_pseudometric(rng, points_named(rng.randrange(2, 6)))
+        yield make_scaled_metric(rho, Profile(grid, (2.0, 1.0, 0.5, 0.25)))
+        yield make_scaled_metric(rho, Profile(grid, (2.0, 1.5, 0.5, 0.5)))
+    # an unreachable pair: inf values, and 0 * inf = 0 where g reaches 0
+    for profile in ((2.0, 1.0, 0.5, 0.0), (2.0, 1.5, 1.5, 0.25)):
+        yield make_scaled_metric({("a", "b"): INF, ("b", "a"): 1.0},
+                                 Profile(grid, profile))
+    yield from (g for g in closed_form_corpus() if g.regime is Regime.ADDITIVE)
+
+
+def conorm_gauges():
+    for seed in range(4):
+        rng = rng_for(860 + seed)
+        for c in CONORMS:
+            g = random_conorm_gauge(rng, rng.randrange(2, 6), c)
+            yield g
+            if c is not TConorm.BOUNDED_SUM:  # its sums saturate at 1
+                yield corrupt_one_entry(g, rng)[0]
+    yield from (g for g in closed_form_corpus() if g.regime is Regime.CONORM)
+
+
+def sweep_cases(gauges, foreign):
+    for g in gauges:
+        for points, grid in sample_cases(g):
+            yield g, points, grid
+        yield g, g.points, foreign
+
+
+def test_convexity_check_matches_the_per_pair_loops():
+    found = 0
+    for g, points, grid in sweep_cases(convex_gauges(),
+                                       ScaleGrid((0.25, 0.75, 3.0))):
+        want = oracle_convexity_check(g, points, grid)
+        assert convexity_check(g, points, grid).to_json() == want.to_json(), \
+            (g.name, points, grid)
+        found += len(want.violations)
+    assert found > 0
+
+
+def test_enriched_triangle_check_matches_the_per_pair_loops():
+    found = 0
+    for g, points, grid in sweep_cases(conorm_gauges(),
+                                       ScaleGrid((0.25, 0.5, 1.5, 3.0))):
+        want = oracle_enriched_triangle_check(g, points, grid)
+        assert enriched_triangle_check(g, points, grid).to_json() == \
+            want.to_json(), (g.name, points, grid)
+        found += len(want.violations)
+    assert found > 0
+
+
+def oracle_quasi_uniformity_report(g, points=None, grid=None):
+    """quasi_uniformity_report deciding diagonal and refinement through
+    entourage relations."""
+    if g.regime is not Regime.CONORM:
+        raise ValueError("quasi_uniformity_report applies to conorm-regime gauges")
+    points = tuple(points) if points is not None else g.points
+    grid = grid or g.grid
+    if grid is None:
+        raise ValueError("quasi_uniformity_report needs a scale grid")
+    thresholds = critical_thresholds(g, points, grid)
+    violations = []
+    for r, t in thresholds.pairs():
+        rel = entourage(g, r, t, "forward", points)
+        if not rel.has_diagonal():
+            for i, x in enumerate(points):
+                if not rel.rows[i] & (1 << i):
+                    violations.append(Violation("diagonal", (x, r, t),
+                                                g.value(x, x, t), r))
+    scales = list(grid)
+    for r in thresholds.radii:
+        for t_small, t_big in zip(scales, scales[1:]):
+            small = entourage(g, r, t_small, "forward", points)
+            big = entourage(g, r, t_big, "forward", points)
+            if big.contains(small):
+                continue
+            for x, y in small.pairs():
+                if not big.related(x, y):
+                    violations.append(Violation(
+                        "refinement", (x, y, r, t_small, t_big),
+                        g.value(x, y, t_big), r))
+    composite = small_composite_check(g, points, grid)
+    violations.extend(composite.violations)
+    return AxiomReport(("diagonal", "refinement", "small-composite"),
+                       tuple(violations),
+                       ("upward closure holds by representation",))
+
+
+def test_quasi_uniformity_report_matches_the_entourage_loops():
+    from test_topology import random_raw_table
+
+    def gauges():
+        yield from conorm_gauges()
+        for seed in range(4):
+            rng = rng_for(880 + seed)
+            for c in CONORMS:
+                yield random_raw_table(rng, rng.randrange(2, 6), c)
+
+    seen = set()
+    for g, points, grid in sweep_cases(gauges(),
+                                       ScaleGrid((0.25, 0.5, 1.5, 3.0))):
+        want = oracle_quasi_uniformity_report(g, points, grid)
+        assert quasi_uniformity_report(g, points, grid).to_json() == \
+            want.to_json(), (g.name, points, grid)
+        seen.update(v.axiom for v in want.violations)
+    assert {"diagonal", "refinement"} <= seen
+
+
+def test_a_repeated_point_reports_every_cell_of_the_gauge():
+    # the per-pair rows shared one list per distinct pair, so a conorm value
+    # above 1, clamped on its first visit, read 1.0 on the repeat; the
+    # stack reports the gauge's own value at every cell
+    from test_triangle_kernel import oracle_check_axioms
+
+    g = GaugeSpec(regime=Regime.CONORM, points=("a", "b"),
+                  conorm=TConorm.MAX, grid=ScaleGrid((1.0,)),
+                  fn=lambda x, y, t: 0.0 if x == y else 1.5)
+    points = ("a", "b", "a")
+
+    def bounded(report):
+        return [(v.witness[:2], v.lhs) for v in report.by_axiom("bounded")]
+
+    assert bounded(check_axioms(g, points)) == [
+        (("a", "b"), 1.5), (("b", "a"), 1.5),
+        (("b", "a"), 1.5), (("a", "b"), 1.5)]
+    assert bounded(oracle_check_axioms(g, points)) == [
+        (("a", "b"), 1.5), (("b", "a"), 1.5),
+        (("b", "a"), 1.0), (("a", "b"), 1.0)]
+    # apart from those lhs values the two reports agree
+    got, want = check_axioms(g, points).to_json(), \
+        oracle_check_axioms(g, points).to_json()
+    for report in (got, want):
+        for v in report["violations"]:
+            v.pop("lhs")
+    assert got == want

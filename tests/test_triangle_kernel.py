@@ -15,13 +15,12 @@ import math
 from quasimod import (INF, GaugeSpec, Regime, ScaleGrid, TConorm,
                       check_axioms, make_min_cap, quasi_pseudometric_check,
                       quasi_pseudometric_violations)
-from quasimod.axioms import (AxiomReport, Violation, _materialize,
-                             _projection_table)
+from quasimod.axioms import AxiomReport, Violation
 from quasimod.gauges import triangle_violations
 
 from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
                       random_conorm_gauge, random_quasi_pseudometric, rng_for)
-from test_dense import closed_form_corpus
+from test_dense import _materialize, closed_form_corpus
 from test_topology import random_raw_table
 
 
@@ -241,6 +240,12 @@ def test_kernel_takes_three_matrices_and_a_law():
 # check_axioms: one kernel call per checkable grid split
 
 
+def _projection_table(grid):
+    m = len(grid)
+    return [[grid.ceil_index(grid[i] + grid[j]) for j in range(m)]
+            for i in range(m)]
+
+
 def oracle_check_axioms(g, points=None, grid=None):
     """check_axioms with the two triple loops the kernel calls replaced,
     each combining with + or the gauge's conorm."""
@@ -399,3 +404,20 @@ def test_check_axioms_matches_the_replaced_loops():
     # both loops found several witnesses in both regimes
     assert {(r, c, True, True) for r in Regime for c in (True, False)} <= seen
     assert "uncheckable" in seen
+
+
+def test_a_nan_diagonal_keeps_list_equality_semantics():
+    # a closed form that returns one nan object on the diagonal: list ==
+    # finds it equal to itself by identity, so the gauge still reads as
+    # constant in the scale (one split checked) and as symmetric
+    nan = math.nan
+    off = {("a", "b"): 0.5, ("b", "a"): 0.5, ("b", "c"): 0.5,
+           ("c", "b"): 0.5, ("a", "c"): 1.5, ("c", "a"): 1.5}
+    g = GaugeSpec(regime=Regime.ADDITIVE, points=("a", "b", "c"),
+                  grid=ScaleGrid((1.0, 2.0, 4.0)), claims_symmetric=True,
+                  fn=lambda x, y, t: nan if x == y else off[(x, y)])
+    report = check_axioms(g)
+    assert report.to_json() == oracle_check_axioms(g).to_json()
+    assert "claims_symmetric=True confirmed" in report.notes
+    assert [v.witness for v in report.by_axiom("triangle")] == [
+        ("a", "b", "c", 1.0, 1.0, 2.0), ("c", "b", "a", 1.0, 1.0, 2.0)]
