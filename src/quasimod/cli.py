@@ -61,9 +61,12 @@ def _load_json(path: str) -> object:
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:
-        # bytes that are not UTF-8, too many digits, or too deep nesting
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # bytes that are not UTF-8, or too deep nesting
         raise InputError(f"cannot parse {path}: {exc}") from None
+    except ValueError:  # what is left: an integer past Python's digit limit
+        raise InputError(f"cannot parse {path}: integer literal too long "
+                         f"(over {sys.get_int_max_str_digits()} digits)") from None
 
 
 _CONTAINERS = (list, tuple, dict)

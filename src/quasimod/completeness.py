@@ -421,10 +421,10 @@ def heine_borel_report(g: GaugeSpec, points=None,
     """For each critical (r, t): build one-sided nets at (s, t/2) with
     s = `g.split_radius(r)`, compose them into a two-sided cover, and build
     a direct two-sided net for comparison.  Composition failures are reported per row
-    rather than raised, since they diagnose the gauge, not the caller."""
-    points, grid, _ = g.sample(points, grid)
-    thresholds = thresholds or critical_thresholds(g, points, grid)
+    rather than raised, since they diagnose the gauge, not the caller;
+    `thresholds` defaults to the critical ones."""
     balls, outcomes, rows = _BallRows(g, points), {}, []
+    thresholds = thresholds or critical_thresholds(g, balls.points, grid)
     for r, t in thresholds.pairs():
         s = g.split_radius(r)
         near_key, near, far = balls.rows(s, t / 2.0)
@@ -434,7 +434,7 @@ def heine_borel_report(g: GaugeSpec, points=None,
             out = outcomes[near_key, key] = _heine_borel_outcome(
                 near, far, tuple(map(and_, fwd, bwd)))
         sizes, composed_size, ok, escape = out
-        witness = escape and str(_escape_error(g, points, escape, r, t))
+        witness = escape and str(_escape_error(g, balls.points, escape, r, t))
         rows.append(HeineBorelRow(r, t, s, *sizes, composed_size, ok, witness))
     return HeineBorelReport(tuple(rows))
 

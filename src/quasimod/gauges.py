@@ -114,9 +114,6 @@ class GaugeSpec:
         grid = grid or self.grid
         if grid is None:
             raise ValueError("no grid to sample on")
-        if points == self.points:  # whole rows, copied at C speed
-            return points, grid, [list(map(list, mat))
-                                  for mat in map(self.matrix, grid)]
         idx = [self.index(x) for x in points]
         return points, grid, [[list(map(mat[i].__getitem__, idx)) for i in idx]
                               for mat in map(self.matrix, grid)]

@@ -112,17 +112,17 @@ def entourage(g: GaugeSpec, r: float, t: float, side: str = "forward",
     """Pairs (x, y) with w(x, y, t) < r; backward swaps the arguments."""
     side = _normalize_side(side)
     _check_radius(g, r)
-    points = tuple(points) if points is not None else g.points
     return _relation(g, r, t, side, points)
 
 
 def _relation(g: GaugeSpec, r: float, t: float, side: str,
-              points: tuple) -> Relation:
+              points=None) -> Relation:
     """The entourage without its radius checks, from a one-off `_BallRows`."""
-    _, fwd, bwd = _BallRows(g, points).rows(r, t)
+    balls = _BallRows(g, points)
+    _, fwd, bwd = balls.rows(r, t)
     if side == "two_sided":
-        return Relation(points, tuple(map(and_, fwd, bwd)))
-    return Relation(points, fwd if side == "forward" else bwd)
+        return Relation(balls.points, tuple(map(and_, fwd, bwd)))
+    return Relation(balls.points, fwd if side == "forward" else bwd)
 
 
 def _below(mat, idx: list[int], r: float) -> tuple[int, ...]:
@@ -133,14 +133,15 @@ def _below(mat, idx: list[int], r: float) -> tuple[int, ...]:
 
 
 class _BallRows:
-    """Strict ball rows over one point list for one call, each relation
-    built once.  {(x, y) : w(x, y, t) < r} depends only on the matrix
-    `g.matrix(t)` returns and on the rank of r among its distinct values
-    over the points (NaN left out), so (id of the matrix, rank) keys it;
-    the instance holds each matrix, so the ids stay valid."""
+    """Strict ball rows over one point list (the gauge's own by default),
+    each relation built once.  {(x, y) : w(x, y, t) < r} depends only on
+    the matrix `g.matrix(t)` returns and on the rank of r among its distinct
+    values over the points (NaN left out), so (id of the matrix, rank) keys
+    it; the instance holds each matrix, so the ids stay valid."""
 
-    def __init__(self, g: GaugeSpec, points: tuple):
-        self.g, self.idx = g, [g.index(p) for p in points]
+    def __init__(self, g: GaugeSpec, points=None):
+        self.points = g.points if points is None else tuple(points)
+        self.g, self.idx = g, [g.index(p) for p in self.points]
         self._scales = {}  # t -> (matrix, its columns, sorted values)
         self._built = {}   # key -> (forward rows, backward rows)
 
@@ -326,22 +327,22 @@ def verify_join_equality(g: GaugeSpec, points=None,
 
 
 def small_composite_check(g: GaugeSpec, points=None,
-                          grid: ScaleGrid | None = None) -> AxiomReport:
+                          grid: ScaleGrid | None = None,
+                          thresholds: ThresholdSet | None = None) -> AxiomReport:
     """For each threshold (r, t), shrink the radius to r' =
     `g.split_radius(r)`, so r' (+) r' < r, and verify
-    E(r', t) o E(r', t) <= E(r, t) on both sides."""
+    E(r', t) o E(r', t) <= E(r, t) on both sides; `thresholds` defaults
+    to the critical ones."""
     if g.regime is not Regime.CONORM:
         raise ValueError("small_composite_check applies to conorm-regime gauges")
-    points, grid, _ = g.sample(points, grid)
-    thresholds = critical_thresholds(g, points, grid)
-    violations: list[Violation] = []
+    balls, violations = _BallRows(g, points), []
+    thresholds = thresholds or critical_thresholds(g, balls.points, grid)
     for r, t in thresholds.pairs():
         rp = g.split_radius(r)
-        fwd = entourage(g, rp, t, "forward", points)
-        big = entourage(g, r, t, "forward", points)
-        for small, target, side in ((fwd, big, "forward"),
-                                    (fwd.transpose(), big.transpose(), "backward")):
-            comp = compose(small, small)
+        (_, *small), (_, *big) = balls.rows(rp, t), balls.rows(r, t)
+        for side, rows, target_rows in zip(("forward", "backward"), small, big):
+            comp = compose(*[Relation(balls.points, rows)] * 2)
+            target = Relation(balls.points, target_rows)
             if target.contains(comp):
                 continue
             for x, z in comp.pairs():
@@ -351,7 +352,7 @@ def small_composite_check(g: GaugeSpec, points=None,
                     violations.append(Violation(
                         "small-composite", (side, x, z, r, rp, t), lhs, r))
     return AxiomReport(("small-composite",), tuple(violations),
-                       (f"{len(thresholds.radii) * len(grid)} thresholds checked",))
+                       (f"{len(thresholds.pairs())} thresholds checked",))
 
 
 def quasi_uniformity_report(g: GaugeSpec, points=None,
@@ -381,7 +382,7 @@ def quasi_uniformity_report(g: GaugeSpec, points=None,
                           big[i][j], r)
                 for (i, x), (j, y) in product(enumerate(points), repeat=2)
                 if small[i][j] < r and not big[i][j] < r)
-    composite = small_composite_check(g, points, grid)
+    composite = small_composite_check(g, points, thresholds=thresholds)
     violations.extend(composite.violations)
     return AxiomReport(("diagonal", "refinement", "small-composite"),
                        tuple(violations),

@@ -8,16 +8,18 @@ rather than `matrix`, so a wrong column in the dense layer cannot hide on
 both sides of a comparison.  `convexity_check` and
 `enriched_triangle_check` are compared against the per-pair loops they
 ran before `sample`, over the per-pair rows of `_materialize`, and
-`quasi_uniformity_report` against its entourage loops.
+`quasi_uniformity_report` and `small_composite_check` against their
+entourage loops.
 """
 
 import pytest
 
 from quasimod import (INF, CellInclusionError, GaugeSpec, Profile, Regime,
-                      SampledSequence, ScaleGrid, TConorm, check_axioms,
-                      classify_cauchy, convexity_check, converges_to,
-                      critical_thresholds, enriched_triangle_check, entourage,
-                      greedy_net, make_ratio, make_scaled_metric,
+                      SampledSequence, ScaleGrid, TConorm, ThresholdSet,
+                      check_axioms, classify_cauchy, compose,
+                      convexity_check, converges_to, critical_thresholds,
+                      enriched_triangle_check, entourage, greedy_net,
+                      heine_borel_report, make_ratio, make_scaled_metric,
                       profile_convolve, quasi_uniformity_report,
                       small_composite_check, two_sided_cover_from_onesided)
 from quasimod.axioms import AxiomReport, Violation
@@ -529,25 +531,94 @@ def oracle_quasi_uniformity_report(g, points=None, grid=None):
                     violations.append(Violation(
                         "refinement", (x, y, r, t_small, t_big),
                         g.value(x, y, t_big), r))
-    composite = small_composite_check(g, points, grid)
+    composite = oracle_small_composite_check(g, points, grid)
     violations.extend(composite.violations)
     return AxiomReport(("diagonal", "refinement", "small-composite"),
                        tuple(violations),
                        ("upward closure holds by representation",))
 
 
-def test_quasi_uniformity_report_matches_the_entourage_loops():
+def oracle_small_composite_check(g, points=None, grid=None):
+    """small_composite_check building two entourages per threshold and
+    transposing them for the backward side."""
+    if g.regime is not Regime.CONORM:
+        raise ValueError("small_composite_check applies to conorm-regime gauges")
+    points = tuple(points) if points is not None else g.points
+    grid = grid or g.grid
+    if grid is None:
+        raise ValueError("small_composite_check needs a scale grid")
+    thresholds = critical_thresholds(g, points, grid)
+    violations = []
+    for r, t in thresholds.pairs():
+        rp = g.split_radius(r)
+        fwd = entourage(g, rp, t, "forward", points)
+        big = entourage(g, r, t, "forward", points)
+        for small, target, side in ((fwd, big, "forward"),
+                                    (fwd.transpose(), big.transpose(), "backward")):
+            comp = compose(small, small)
+            if target.contains(comp):
+                continue
+            for x, z in comp.pairs():
+                if not target.related(x, z):
+                    lhs = g.value(x, z, t) if side == "forward" \
+                        else g.value(z, x, t)
+                    violations.append(Violation(
+                        "small-composite", (side, x, z, r, rp, t), lhs, r))
+    return AxiomReport(("small-composite",), tuple(violations),
+                       (f"{len(thresholds.radii) * len(grid)} thresholds checked",))
+
+
+def uniformity_gauges():
+    """The conorm corpora and raw conorm tables, which break monotonicity
+    and the composite law."""
     from test_topology import random_raw_table
 
-    def gauges():
-        yield from conorm_gauges()
-        for seed in range(4):
-            rng = rng_for(880 + seed)
-            for c in CONORMS:
-                yield random_raw_table(rng, rng.randrange(2, 6), c)
+    yield from conorm_gauges()
+    for seed in range(4):
+        rng = rng_for(880 + seed)
+        for c in CONORMS:
+            yield random_raw_table(rng, rng.randrange(2, 6), c)
 
+
+def test_small_composite_check_matches_the_entourage_loops():
+    found = 0
+    for g, points, grid in sweep_cases(uniformity_gauges(),
+                                       ScaleGrid((0.25, 0.5, 1.5, 3.0))):
+        want = oracle_small_composite_check(g, points, grid)
+        assert small_composite_check(g, points, grid).to_json() == \
+            want.to_json(), (g.name, points, grid)
+        # handed the thresholds it would compute, it reports the same
+        thresholds = critical_thresholds(g, points, grid)
+        assert small_composite_check(g, iter(points), thresholds=thresholds) \
+            .to_json() == want.to_json(), (g.name, points, grid)
+        found += len(want.violations)
+    assert found > 0
+
+
+def test_threshold_readers_sample_nothing_when_handed_thresholds(monkeypatch):
+    # the grid comes from the thresholds, so a gauge without one works too,
+    # and quasi_uniformity_report hands its thresholds down
+    g = next(g for g in closed_form_corpus() if g.regime is Regime.CONORM)
+    thresholds = ThresholdSet((0.25, 0.5), ScaleGrid((0.5, 1.0)))
+    want_hb = heine_borel_report(g, thresholds=thresholds).to_json()
+    want_sc = small_composite_check(g, thresholds=thresholds).to_json()
+    calls = []
+    sample = GaugeSpec.sample
+    monkeypatch.setattr(GaugeSpec, "sample",
+                        lambda self, *a: calls.append(a) or sample(self, *a))
+    bare = GaugeSpec(regime=g.regime, points=g.points, conorm=g.conorm,
+                     fn=g.fn)
+    assert heine_borel_report(bare, thresholds=thresholds).to_json() == want_hb
+    assert small_composite_check(bare, thresholds=thresholds).to_json() == \
+        want_sc
+    assert calls == []
+    quasi_uniformity_report(g)
+    assert len(calls) == 2  # its own block and its critical thresholds
+
+
+def test_quasi_uniformity_report_matches_the_entourage_loops():
     seen = set()
-    for g, points, grid in sweep_cases(gauges(),
+    for g, points, grid in sweep_cases(uniformity_gauges(),
                                        ScaleGrid((0.25, 0.5, 1.5, 3.0))):
         want = oracle_quasi_uniformity_report(g, points, grid)
         assert quasi_uniformity_report(g, points, grid).to_json() == \
