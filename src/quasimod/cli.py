@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .axioms import check_axioms, convexity_check
@@ -82,6 +82,20 @@ def _flat_encoder(depth: int):
                           ",\n" + "  " * (depth + 1), True, False, True)
 
 
+def _row_brackets(rows) -> str | None:
+    """"{}" when `rows` holds only nonempty dicts with scalar values, "[]"
+    when it holds only nonempty lists or tuples of scalars, else None."""
+    if not all(rows):
+        return None
+    for kind, items, brackets in ((dict, dict.values, "{}"),
+                                  ((list, tuple), iter, "[]")):
+        if all(map(isinstance, rows, repeat(kind))):
+            cells = chain.from_iterable(map(items, rows))
+            return None if any(map(isinstance, cells, repeat(_CONTAINERS))) \
+                else brackets
+    return None
+
+
 def _key_text(key) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
@@ -108,6 +122,19 @@ def _json_text(obj, depth: int = 0) -> str:
     if not any(map(isinstance, values, repeat(_CONTAINERS))):
         text = "".join(_flat_encoder(depth)(obj, 0))
         return text[0] + inner + text[1:-1] + outer + text[-1]
+    brackets = None if is_dict else _row_brackets(obj)
+    if brackets:
+        # one call writes every row, with each row's item separator between
+        # the rows too; only a row boundary reads close + separator + open,
+        # since no encoded scalar begins or ends with a bracket and no
+        # encoded string holds a raw newline
+        start, end = brackets
+        row_inner = inner + "  "
+        text = "".join(_flat_encoder(depth + 1)(obj, 0))[2:-2].replace(
+            end + "," + row_inner + start,
+            inner + end + "," + inner + start + row_inner)
+        return ("[" + inner + start + row_inner + text + inner + end + outer
+                + "]")
     if is_dict:
         parts = [_key_text(k) + ": " + _json_text(v, depth + 1)
                  for k, v in sorted(obj.items())]

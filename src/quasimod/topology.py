@@ -125,40 +125,65 @@ def _relation(g: GaugeSpec, r: float, t: float, side: str,
     return Relation(balls.points, fwd if side == "forward" else bwd)
 
 
-def _below(mat, idx: list[int], r: float) -> tuple[int, ...]:
-    """The one ball predicate: row i of {(i, j) : mat[i][j] < r} over `idx`
-    as a bitmask.  A NaN entry is below no radius."""
-    return tuple(sum(1 << bit for bit, j in enumerate(idx) if row[j] < r)
-                 for row in (mat[i] for i in idx))
+class _Sweep:
+    """One matrix's entries over a point list, sorted once by value: the
+    relation {(i, j) : mat[i][j] < r} is the first `bisect_left(values, r)`
+    of them, whatever r.  A NaN entry is below no radius, so it is left
+    out.  Rows are built per cut on demand, each from the nearest cut built
+    below it."""
+
+    def __init__(self, mat, idx: list[int]):
+        flat = [row[j] for row in map(mat.__getitem__, idx) for j in idx]
+        self.mat, self.n = mat, len(idx)  # holding mat keeps its id valid
+        self.order = sorted((p for p, v in enumerate(flat) if v == v),
+                            key=flat.__getitem__)
+        self.values = list(map(flat.__getitem__, self.order))
+        self.cuts = [0]  # the cuts built, ascending
+        self.built = {0: ((0,) * self.n, (0,) * self.n)}
+
+    def build(self, cut: int):
+        """(forward rows, backward rows) of the first `cut` entries, from
+        the nearest cut built below it; `built` holds them from then on."""
+        k = bisect_left(self.cuts, cut)
+        below = self.cuts[k - 1]
+        fwd, bwd = map(list, self.built[below])
+        n = self.n
+        for p in self.order[below:cut]:
+            i, j = divmod(p, n)
+            fwd[i] |= 1 << j
+            bwd[j] |= 1 << i
+        self.cuts.insert(k, cut)
+        rows = self.built[cut] = (tuple(fwd), tuple(bwd))
+        return rows
 
 
 class _BallRows:
-    """Strict ball rows over one point list (the gauge's own by default),
-    each relation built once.  {(x, y) : w(x, y, t) < r} depends only on
-    the matrix `g.matrix(t)` returns and on the rank of r among its distinct
-    values over the points (NaN left out), so (id of the matrix, rank) keys
-    it; the instance holds each matrix, so the ids stay valid."""
+    """Strict ball rows over one point list (the gauge's own by default):
+    the one ball predicate.  {(x, y) : w(x, y, t) < r} depends only on the
+    matrix `g.matrix(t)` returns and on how many of its entries over the
+    points lie below r, so (id of the matrix, that count) keys it; each
+    distinct matrix is sorted once, in one `_Sweep`, which holds it, so the
+    ids stay valid."""
 
     def __init__(self, g: GaugeSpec, points=None):
         self.points = g.points if points is None else tuple(points)
         self.g, self.idx = g, [g.index(p) for p in self.points]
-        self._scales = {}  # t -> (matrix, its columns, sorted values)
-        self._built = {}   # key -> (forward rows, backward rows)
+        self._scales = {}  # t -> the sweep of g.matrix(t)
+        self._sweeps = {}  # id of a matrix -> its sweep
 
     def rows(self, r: float, t: float):
         """(key, forward rows, backward rows) at (r, t); backward row i
-        holds the y with w(y, x_i, t) < r, read from the columns."""
-        at = self._scales.get(t)
-        if at is None:
-            mat, idx = self.g.matrix(t), self.idx
-            at = self._scales[t] = (mat, tuple(zip(*mat)), sorted(
-                {v for i in idx for j in idx for v in [mat[i][j]] if v == v}))
-        mat, cols, values = at
-        key = (id(mat), bisect_left(values, r))
-        if key not in self._built:
-            self._built[key] = (_below(mat, self.idx, r),
-                                _below(cols, self.idx, r))
-        return (key, *self._built[key])
+        holds the y with w(y, x_i, t) < r."""
+        sweep = self._scales.get(t)
+        if sweep is None:
+            mat = self.g.matrix(t)
+            sweep = self._sweeps.get(id(mat))
+            if sweep is None:
+                sweep = self._sweeps[id(mat)] = _Sweep(mat, self.idx)
+            self._scales[t] = sweep
+        cut = bisect_left(sweep.values, r)
+        fwd, bwd = sweep.built.get(cut) or sweep.build(cut)
+        return (id(sweep.mat), cut), fwd, bwd
 
 
 def ball(g: GaugeSpec, x, r: float, t: float, side: str = "forward",

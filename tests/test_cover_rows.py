@@ -7,7 +7,9 @@ repeat.  The oracles are the loops those two replaced: the report loop of
 three greedy nets and one composition per threshold pair, and the cover
 command's loop of one `classify_cauchy` per pair.  Each loop runs on the
 per-pair oracles of test_dense, which read table rows rather than
-`matrix`, and again on the public one-shot functions.
+`matrix`, and again on the public one-shot functions.  The ball rows
+themselves are compared with brute force `mat[i][j] < r`, and their work
+is counted: one sort per distinct matrix, one snapshot per rank read.
 """
 
 import dataclasses
@@ -19,7 +21,8 @@ import pytest
 from quasimod import (CauchyClassification, CellInclusionError, GaugeSpec,
                       HeineBorelReport, Regime, SampledSequence, ScaleGrid,
                       TConorm, classify_cauchy, classify_cauchy_thresholds,
-                      critical_thresholds, greedy_net, heine_borel_report,
+                      critical_thresholds, entourage, greedy_net,
+                      heine_borel_report,
                       two_sided_cover_from_onesided)
 from quasimod import topology
 from quasimod.completeness import HeineBorelRow
@@ -210,10 +213,105 @@ def test_corpora_exercise_escapes_off_grid_halves_and_nan():
     for g in nan_gauges():
         assert any(math.isnan(v) for t in g.grid for row in g.matrix(t)
                    for v in row)
+    # and the ball rows below meet repeated points and a scale whose half
+    # reads its own column
+    assert all(len(set(samples(g)[2])) < len(samples(g)[2])
+               for g in raw_gauges())
+    assert any(g.matrix(3.0) is g.matrix(1.5) for g in raw_gauges())
 
 
 # ---------------------------------------------------------------------------
-# work: one build per (grid column, radius rank)
+# the ball rows against brute force
+
+
+def brute_rows(g, points, r, t):
+    """Forward and backward rows of {(i, j) : mat[i][j] < r} over
+    `points`, one pair at a time."""
+    mat, idx = g.matrix(t), [g.index(p) for p in points]
+    fwd = tuple(sum(1 << b for b, j in enumerate(idx) if mat[i][j] < r)
+                for i in idx)
+    bwd = tuple(sum(1 << b for b, j in enumerate(idx) if mat[j][i] < r)
+                for i in idx)
+    return fwd, bwd
+
+
+def probe_radii(g, points, t):
+    """Each value over the points, the floats just below and above it, a
+    radius below the least value and one above the top, and inf."""
+    mat, idx = g.matrix(t), [g.index(p) for p in points]
+    values = {mat[i][j] for i in idx for j in idx if mat[i][j] == mat[i][j]}
+    radii = {5e-324, math.inf, 2.0 * max(values - {math.inf}, default=1.0)}
+    for v in values:
+        radii |= {v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)}
+    radii |= {min(values) / 2.0, math.nextafter(min(values), -math.inf)}
+    return sorted(radii)
+
+
+def probe_scales(g):
+    """Grid scales, their halves, and one past the top."""
+    return sorted({s for t in g.grid for s in (t, t / 2.0)}
+                  | {2.0 * g.grid[-1]})
+
+
+@pytest.mark.parametrize("name", sorted(GAUGES))
+def test_ball_rows_match_brute_force(name):
+    for k, g in enumerate(GAUGES[name]()):
+        point_lists = (*samples(g), *sequences(g, 1000 + k))
+        for points in point_lists:
+            queries = [(r, t) for t in probe_scales(g)
+                       for r in probe_radii(g, points, t)]
+            rng = rng_for(1100 + k)
+            shuffled = rng.sample(queries, len(queries))
+            for order in (queries, queries[::-1], shuffled):
+                balls = topology._BallRows(g, points)
+                for r, t in order:
+                    key, fwd, bwd = balls.rows(r, t)
+                    assert (fwd, bwd) == brute_rows(g, points, r, t), \
+                        (g.name, points, r, t)
+                    # the key counts the pairs below r
+                    assert key[1] == sum(map(int.bit_count, fwd)), \
+                        (g.name, points, r, t)
+
+
+def test_a_scale_and_its_off_grid_half_share_one_sweep():
+    # on the grid (1, 3, 4), t = 3 and t/2 = 1.5 both read column 3
+    for g in raw_gauges():
+        if g.grid.scales != (1.0, 3.0, 4.0):
+            continue
+        balls = topology._BallRows(g, samples(g)[2])
+        for r in probe_radii(g, balls.points, 3.0):
+            for t in (3.0, 1.5):
+                assert balls.rows(r, t)[1:] == brute_rows(g, balls.points,
+                                                          r, t)
+            assert balls.rows(r, 3.0)[0] == balls.rows(r, 1.5)[0]
+        assert len(balls._sweeps) == 1
+
+
+# ---------------------------------------------------------------------------
+# work: one sort per distinct matrix, one snapshot per (grid column, rank)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Count sorts (one per sweep built) and rank snapshots."""
+    counts = {"sorts": 0, "snapshots": 0}
+
+    class Counted(topology._Sweep):
+        def __init__(self, mat, idx):
+            counts["sorts"] += 1
+            super().__init__(mat, idx)
+
+        def build(self, cut):
+            counts["snapshots"] += 1
+            return super().build(cut)
+
+    monkeypatch.setattr(topology, "_Sweep", Counted)
+    return counts
+
+
+def column_of(g, t):
+    k = g.grid.ceil_index(t)
+    return len(g.grid) - 1 if k is None else k
 
 
 def column_keys(g, points, pairs):
@@ -221,42 +319,51 @@ def column_keys(g, points, pairs):
     `points`) keys of the (r, t) pairs of a table gauge."""
     keys = set()
     for r, t in pairs:
-        k = g.grid.ceil_index(t)
-        k = len(g.grid) - 1 if k is None else k
+        k = column_of(g, t)
         values = sorted({g.table[(x, y)][k] for x in points for y in points})
         keys.add((k, bisect_left(values, r)))
     return keys
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """Count row builds: a build reads forward and backward rows, two
-    calls of the ball predicate."""
-    calls = []
-    below = topology._below
-
-    def counted(mat, idx, r):
-        calls.append(r)
-        return below(mat, idx, r)
-
-    monkeypatch.setattr(topology, "_below", counted)
-    return lambda: len(calls) // 2
-
-
-def test_row_builds_stay_within_the_distinct_keys(builds):
+def test_row_builds_stay_within_the_distinct_keys(sweeps):
     gauges = [g for name in ("additive", "conorm", "raw", "corrupted")
               for g in GAUGES[name]()]
+    totals = dict.fromkeys(sweeps, 0)
+
+    def run(call, g, pairs, scales):
+        before = dict(sweeps)
+        call()
+        sorts = sweeps["sorts"] - before["sorts"]
+        snapshots = sweeps["snapshots"] - before["snapshots"]
+        # one sort per distinct column the scales read, and no snapshot
+        # beyond the distinct keys
+        assert sorts == len({column_of(g, t) for t in scales}), g.name
+        assert snapshots <= len(column_keys(g, points, pairs)), g.name
+        for name, n in (("sorts", sorts), ("snapshots", snapshots)):
+            totals[name] += n
+
     for g in gauges:
         for points in samples(g):
             thresholds = critical_thresholds(g, points, g.grid)
             pairs = thresholds.pairs()
-            before = builds()
-            heine_borel_report(g, points, thresholds=thresholds)
-            keys = column_keys(g, points, pairs + [
-                (split_radius(g, r), t / 2.0) for r, t in pairs])
-            assert builds() - before <= len(keys), (g.name, points)
+            halves = [(split_radius(g, r), t / 2.0) for r, t in pairs]
+            run(lambda: heine_borel_report(g, points, thresholds=thresholds),
+                g, pairs + halves, [t for _, t in pairs + halves])
         seq = SampledSequence(g.points[::-1] + g.points)
-        before = builds()
-        classify_cauchy_thresholds(seq, g, critical_thresholds(g))
-        assert builds() - before <= len(column_keys(
-            g, seq.points, critical_thresholds(g).pairs()))
+        points, thresholds = seq.points, critical_thresholds(g)
+        run(lambda: classify_cauchy_thresholds(seq, g, thresholds),
+            g, thresholds.pairs(), thresholds.scales)
+    assert totals["sorts"] > 0 and totals["snapshots"] > 0
+
+
+def test_a_one_off_entourage_builds_only_the_rank_it_reads(sweeps):
+    rng = rng_for(1200)
+    points = points_named(64)
+    table = {(x, y): (v, v / 2.0) for x in points for y in points if x != y
+             for v in [rng.randrange(1, 64) / 8.0]}
+    g = GaugeSpec(regime=Regime.ADDITIVE, points=points,
+                  grid=ScaleGrid((1.0, 2.0)), table=table)
+    rel = entourage(g, 3.0, 1.0, "two_sided")
+    assert sweeps == {"sorts": 1, "snapshots": 1}
+    assert rel.rows == tuple(map(int.__and__, *brute_rows(g, points, 3.0,
+                                                          1.0)))

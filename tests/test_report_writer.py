@@ -179,11 +179,76 @@ def test_hand_built_shapes_match_json_dumps():
         assert same_as_reference(obj), obj
 
 
+# Lists of flat rows are written in one encoder call and split at the row
+# boundaries, close + item separator + open.  Only a boundary reads that
+# way: no encoded scalar begins or ends with a bracket, and no encoded
+# string holds a raw newline.
+BOUNDARY = '"},\n    {"'
+ROWS = [
+    [{"a": "}", "b": "]"}, {"a": "{", "b": "["}],
+    [["}", "]"], ["{", "["], ["[", "]"]],
+    [{"s": BOUNDARY}, {"s": BOUNDARY + "]"}],
+    [[BOUNDARY, "},\n    {"], ["],\n    ["]],
+    [{"}": 1, "{": 2}, {"]": 3, "[": 4}],
+    {"rows": [{"a": BOUNDARY}, {"a": 1}], "more": [[BOUNDARY], [2]]},
+    # non-str keys, converted after sorting by the original keys
+    [{1: "a", 10: "b", 2: "c"}, {2.5: 1, -1.0: 2}, {True: 0, False: 1},
+     {None: 3}, {math.inf: 4, -math.inf: 5, math.nan: 6}],
+    # an empty dict first, in the middle or last
+    [{}, {"a": 1}], [{"a": 1}, {}, {"b": 2}], [{"a": 1}, {}],
+    [[], [1]], [[1], [], [2]], [[1], ()],
+    # tuples, alone and beside lists
+    [(1, 2), (3,)], ((1, 2), (3, 4)), [(1, 2), [3, 4], ("a",)],
+    # dicts beside lists
+    [{"a": 1}, [1, 2]], [[1], {"a": 1}], [{"a": 1}, [1], {"b": 2}],
+    # rows of rows
+    [[[{"a": 1}, {"b": 2}], [[1, 2], [3]]], [[{"c": 3}]]],
+    {"x": [[[{"a": 1}]], [[[1], [2]]]]},
+    # a row that holds a container is not flat
+    [{"a": 1}, {"b": [2]}], [[1], [[2]]],
+]
+BAD_ROWS = [
+    [{"a": 1}, {"b": {1, 2}}], [{"a": object()}], [[1], [object()]],
+    [(1,), ({1},)],
+    # keys json rejects, and keys that cannot be sorted
+    [{"a": 1}, {(1, 2): 2}], [{1: "a"}, {None: 1, True: 2}],
+]
+
+
+def test_row_lists_match_json_dumps():
+    for obj in ROWS:
+        assert same_as_reference(obj), obj
+
+
+def test_bad_rows_raise_what_json_dumps_raises():
+    for obj in BAD_ROWS:
+        try:
+            reference(obj)
+        except TypeError as exc:
+            want = str(exc)
+        else:
+            raise AssertionError(f"json.dumps accepted {obj!r}")
+        try:
+            cli._json_text(obj)
+        except TypeError as exc:
+            assert str(exc) == want, obj
+        else:
+            raise AssertionError(f"the writer accepted {obj!r}")
+
+
+def test_only_homogeneous_flat_rows_take_the_one_call_path():
+    assert cli._row_brackets([{"a": 1}, {"b": "}"}]) == "{}"
+    assert cli._row_brackets([[1], ("x", None)]) == "[]"
+    for rows in ([{}, {"a": 1}], [[1], []], [{"a": 1}, [1]], [[1], {"a": 1}],
+                 [{"a": [1]}], [[(1,)]], [1, [2]], [0]):
+        assert cli._row_brackets(rows) is None, rows
+
+
 def test_the_fallback_without_the_c_encoder():
     real = cli.c_make_encoder
     cli.c_make_encoder = None
     try:
-        for obj in SHAPES[:12]:
+        for obj in SHAPES[:12] + ROWS[:6]:
             assert same_as_reference(obj), obj
     finally:
         cli.c_make_encoder = real
@@ -194,7 +259,8 @@ def test_the_fallback_without_the_c_encoder():
 
 
 SCALARS = (0, 1, -3, 2 ** 70, 0.5, -0.0, 1e-7, math.inf, -math.inf, math.nan,
-           True, False, None, "", "a", "ä", "☃", "line\nbreak")
+           True, False, None, "", "a", "ä", "☃", "line\nbreak", "}", "]", "{",
+           "[", BOUNDARY)
 
 
 def random_tree(rng, depth=0):
