@@ -83,10 +83,8 @@ def _flat_encoder(depth: int):
 
 
 def _row_brackets(rows) -> str | None:
-    """"{}" when `rows` holds only nonempty dicts with scalar values, "[]"
-    when it holds only nonempty lists or tuples of scalars, else None."""
-    if not all(rows):
-        return None
+    """"{}" when `rows` holds only dicts with scalar values, "[]" when it
+    holds only lists or tuples of scalars, else None."""
     for kind, items, brackets in ((dict, dict.values, "{}"),
                                   ((list, tuple), iter, "[]")):
         if all(map(isinstance, rows, repeat(kind))):
@@ -94,6 +92,14 @@ def _row_brackets(rows) -> str | None:
             return None if any(map(isinstance, cells, repeat(_CONTAINERS))) \
                 else brackets
     return None
+
+
+class _PairMap(dict):
+    """A graph report's {"x|y": distance} map, built in sorted key order,
+    holding the text json.dumps(..., sort_keys=True, indent=2) gives it one
+    level deep; it is not changed after it is built."""
+
+    __slots__ = ("text",)
 
 
 def _key_text(key) -> str:
@@ -107,10 +113,13 @@ def _key_text(key) -> str:
 
 def _json_text(obj, depth: int = 0) -> str:
     """The text of json.dumps(obj, sort_keys=True, indent=2): containers
-    that hold containers are laid out here, and every other value goes to
-    json's C encoder in one call."""
+    that hold containers are laid out here, a pair map one level deep
+    brings its own text, and every other value goes to json's C encoder in
+    one call."""
     if c_make_encoder is None:
         return json.dumps(obj, sort_keys=True, indent=2)
+    if depth == 1 and isinstance(obj, _PairMap):
+        return obj.text
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))):
         return "".join(_flat_encoder(0)(obj, 0))
@@ -133,8 +142,12 @@ def _json_text(obj, depth: int = 0) -> str:
         text = "".join(_flat_encoder(depth + 1)(obj, 0))[2:-2].replace(
             end + "," + row_inner + start,
             inner + end + "," + inner + start + row_inner)
-        return ("[" + inner + start + row_inner + text + inner + end + outer
-                + "]")
+        text = "[" + inner + start + row_inner + text + inner + end + outer + "]"
+        # that lays an empty row out as open, two line breaks with only
+        # spaces between them, close: no other text reads so, since no
+        # encoded scalar is empty or holds a raw newline
+        return text if all(obj) else text.replace(
+            start + row_inner + inner + end, start + end)
     if is_dict:
         parts = [_key_text(k) + ": " + _json_text(v, depth + 1)
                  for k, v in sorted(obj.items())]
@@ -285,13 +298,46 @@ def cmd_luxemburg(args) -> int:
     return 0
 
 
-def _pair_map(keys, rows) -> dict:
-    """{"x|y": value} from one key row and one value row per x; only a row
-    that holds +inf goes through format_ext."""
-    out = {}
-    for key_row, row in zip(keys, rows):
-        out.update(zip(key_row, map(format_ext, row) if INF in row else row))
-    return out
+def _pair_maps(vertices, rows) -> tuple[_PairMap, _PairMap]:
+    """The maps {"x|y": d(x, y)} and {"x|y": d(y, x)} of the distance rows,
+    +inf written "inf", on one sorted key list and one text per distance.
+    Where two pairs write one key (a name holding "|"), the last pair in
+    row-major order wins, as successive dict updates would have it."""
+    names = [f"{v}" for v in vertices]
+    vals = [list(map(format_ext, row)) if INF in row else row for row in rows]
+    if any("|" in name for name in names):
+        at = {f"{x}|{y}": (i, j) for i, x in enumerate(names)
+              for j, y in enumerate(names)}
+        keys = sorted(at)
+        pairs = list(map(at.__getitem__, keys))
+        forward = [vals[i][j] for i, j in pairs]
+        backward = [vals[j][i] for i, j in pairs]
+    else:
+        # with no "|" in a name, "x|y" sorts as the pair (x + "|", y)
+        heads = [name + "|" for name in names]
+        xs = sorted(range(len(names)), key=heads.__getitem__)
+        ys = sorted(range(len(names)), key=names.__getitem__)
+        keys = [heads[i] + names[j] for i in xs for j in ys]
+        cols = list(zip(*vals))
+        forward = list(chain.from_iterable(map(vals[i].__getitem__, ys)
+                                           for i in xs))
+        backward = list(chain.from_iterable(map(cols[i].__getitem__, ys)
+                                            for i in xs))
+    # one text per distinct distance: path sums start at +0.0, so no entry
+    # is -0.0 and equal entries have equal reprs
+    text = {v: repr(v) for v in set(chain.from_iterable(vals))}
+    text["inf"] = '"inf"'
+    # each prefix holds the separator before its key, the first the brace
+    prefixes = [f",\n    {k}: " for k in map(encode_basestring_ascii, keys)]
+    prefixes[0] = "{" + prefixes[0][1:]
+
+    def laid_out(values):
+        m = _PairMap(zip(keys, values))
+        m.text = "".join(chain(chain.from_iterable(
+            zip(prefixes, map(text.__getitem__, values))), ("\n  }",)))
+        return m
+
+    return laid_out(forward), laid_out(backward)
 
 
 def cmd_graph(args) -> int:
@@ -300,11 +346,8 @@ def cmd_graph(args) -> int:
     except _DOC_ERRORS as exc:
         raise InputError(f"bad graph document: {exc}") from None
     rows = distance_matrix(g)
-    names = [f"{y}" for y in g.vertices]
-    keys = [list(map(f"{x}|".__add__, names)) for x in g.vertices]
-    doc = {"command": "graph",
-           "forward": _pair_map(keys, rows),
-           "backward": _pair_map(keys, zip(*rows)),
+    forward, backward = _pair_maps(g.vertices, rows)
+    doc = {"command": "graph", "forward": forward, "backward": backward,
            "asymmetry_index": asymmetry_index(rows)}
     ok = True
     grid = _parse_grid(args.grid)

@@ -204,6 +204,29 @@ def test_graph_report_matches_the_dict_pipeline(tmp_path, corpus, grid_kind,
         assert run_command(tmp_path, doc, grid, suffix) == expected
 
 
+# Benchmark-size graphs: names such as v1, v10 and v2 stop sorting in
+# vertex order, and every map has up to 8,100 keys.  An unreachable
+# 90-vertex graph is not run with --grid: min(inf, t) breaks the triangle
+# so often that its report holds over 100 MB of witnesses.
+BIG = {"strongly_connected": lambda rng, n: to_doc(
+           random_strongly_connected_graph(rng, n)),
+       "unreachable": lambda rng, n: to_doc(
+           random_digraph(rng, n, p=2.5 / n))}
+BIG_CASES = [(corpus, n, grid_kind) for corpus in sorted(BIG)
+             for n in (12, 40, 90) for grid_kind in ("none", "above")
+             if (corpus, n, grid_kind) != ("unreachable", 90, "above")]
+
+
+@pytest.mark.parametrize("corpus, n, grid_kind", BIG_CASES)
+def test_benchmark_size_graph_reports_match_the_dict_pipeline(
+        tmp_path, corpus, n, grid_kind):
+    doc = BIG[corpus](rng_for(960 + n), n)
+    grid = GRIDS[grid_kind] and GRIDS[grid_kind](doc)
+    for suffix in (".json", ".csv"):
+        expected = oracle_graph(doc, grid, suffix == ".csv")
+        assert run_command(tmp_path, doc, grid, suffix) == expected
+
+
 def test_shared_keys_corpus_really_shares_a_key():
     doc = shared_keys(rng_for(900))
     g = graph_from_json(doc)

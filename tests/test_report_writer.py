@@ -3,7 +3,9 @@
 `quasimod.cli._json_text` must give exactly the text of
 `json.dumps(obj, sort_keys=True, indent=2)`.  It is checked on every report
 the CLI writes for documents built from the conftest corpora, on hand-built
-shapes and on seeded random trees.
+shapes, on lists of rows some of which are empty, on seeded random trees,
+and on the graph report's pair maps, laid out from the distance rows, for
+hostile vertex ids.
 
 The module needs neither pytest nor hypothesis, so it also runs as a plain
 script on any interpreter the package supports:
@@ -19,7 +21,8 @@ import os
 import random
 import tempfile
 
-from quasimod import (TConorm, gauge_to_json, graph_to_json,
+from quasimod import (INF, TConorm, distance_matrix, format_ext,
+                      gauge_to_json, graph_from_json, graph_to_json,
                       quasi_pseudometric_violations)
 from quasimod import cli
 
@@ -239,9 +242,28 @@ def test_bad_rows_raise_what_json_dumps_raises():
 def test_only_homogeneous_flat_rows_take_the_one_call_path():
     assert cli._row_brackets([{"a": 1}, {"b": "}"}]) == "{}"
     assert cli._row_brackets([[1], ("x", None)]) == "[]"
-    for rows in ([{}, {"a": 1}], [[1], []], [{"a": 1}, [1]], [[1], {"a": 1}],
+    assert cli._row_brackets([{}, {"a": 1}]) == "{}"
+    assert cli._row_brackets([[1], []]) == "[]"
+    for rows in ([{"a": 1}, [1]], [[1], {"a": 1}], [{}, []], [[], {}],
                  [{"a": [1]}], [[(1,)]], [1, [2]], [0]):
         assert cli._row_brackets(rows) is None, rows
+
+
+# An empty row is written inline, as json.dumps writes it, also when it
+# comes first, last or alone, and beside rows that hold brackets.
+EMPTY_ROWS = [
+    [[]], [[], [1]], [[1], [], [2]], [{}, {"a": 1}], [[1], []],
+    [[], []], [{}], [{}, {}], [(), [1], ()], [[], ["[]", "]"], []],
+    [{"a": "{}"}, {}, {"b": "}\n{"}],
+]
+
+
+def test_empty_rows_are_written_inline_on_the_one_call_path():
+    for rows in EMPTY_ROWS:
+        assert cli._row_brackets(rows) is not None, rows
+        # at depths 0, 1 and 2
+        for obj in (rows, {"rows": rows, "more": [rows]}, [[rows], [1]]):
+            assert same_as_reference(obj), obj
 
 
 def test_the_fallback_without_the_c_encoder():
@@ -252,6 +274,69 @@ def test_the_fallback_without_the_c_encoder():
             assert same_as_reference(obj), obj
     finally:
         cli.c_make_encoder = real
+
+
+# ---------------------------------------------------------------------------
+# the graph report's pair maps on hostile vertex ids
+
+
+def oracle_pair_map(keys, rows):
+    """The map writer the graph command used before its maps were laid out
+    from one key order: one dict update per row."""
+    out = {}
+    for key_row, row in zip(keys, rows):
+        out.update(zip(key_row, map(format_ext, row) if INF in row else row))
+    return out
+
+
+def oracle_pair_maps(vertices, rows):
+    names = [f"{y}" for y in vertices]
+    keys = [list(map(f"{x}|".__add__, names)) for x in vertices]
+    return oracle_pair_map(keys, rows), oracle_pair_map(keys, zip(*rows))
+
+
+VERTEX_IDS = [
+    # pairs that share a key: ("a|b", "c") and ("a", "b|c"), and three
+    # pairs on "|||"
+    ["a|b", "c", "a", "b|c", "|"], ["", "|", "||", "x"],
+    # a name extended by a character below or above "|": "a{|a" sorts
+    # before "a|a{" although "a" sorts before "a{"
+    ["a", "a{", "a}", "a~", "a!", "ab", "a{{"],
+    ["v1", "v10", "v2", "v9", "v11", "v100"],
+    ["é", "ä", "☃", "\U0001F600", "quo\"te", "back\\slash", "nul\x00",
+     "line\nbreak", "tab\t", "\x7f", "z"],
+    ["", 0, 1.5, -2, 10, 1e100, "x"],
+    ["solo"], [""], [7],
+]
+COSTS = (0.0, -0.0, 0.5, 1.0, 0.1, 0.2, 3.0, 1e300)
+
+
+def hostile_graphs():
+    rng = random.Random(1207)
+    for ids in VERTEX_IDS:
+        for p in (0.0, 0.3, 0.7):
+            edges = [{"from": u, "to": v, "cost": rng.choice(COSTS)}
+                     for u in ids for v in ids if rng.random() < p]
+            if p == 0.7:  # a cycle through every vertex: no +inf
+                edges += [{"from": u, "to": v, "cost": rng.choice(COSTS)}
+                          for u, v in zip(ids, ids[1:] + ids[:1])]
+            yield {"vertices": ids, "edges": edges}
+
+
+def test_pair_maps_match_json_dumps_of_the_row_updates():
+    for doc in hostile_graphs():
+        g = graph_from_json(doc)
+        rows = distance_matrix(g)
+        # no path sum is -0.0 (the sums start at +0.0), so one text per
+        # distance value is the text of every entry that holds it
+        assert all(math.copysign(1.0, v) == 1.0 for row in rows for v in row)
+        forward, backward = cli._pair_maps(g.vertices, rows)
+        want = oracle_pair_maps(g.vertices, rows)
+        for got, old in zip((forward, backward), want):
+            assert got == old and list(got) == sorted(old), doc
+        report = {"forward": forward, "backward": backward}
+        assert cli._json_text(report) == reference(dict(zip(report, want)))
+        assert reference(report) == cli._json_text(report)
 
 
 # ---------------------------------------------------------------------------
