@@ -96,10 +96,10 @@ def _row_brackets(rows) -> str | None:
 
 class _PairMap(dict):
     """A graph report's {"x|y": distance} map, built in sorted key order,
-    holding the text json.dumps(..., sort_keys=True, indent=2) gives it one
-    level deep; it is not changed after it is built."""
+    holding each entry's encoded key with its ": " and its value's JSON
+    text, in that order; it is not changed after it is built."""
 
-    __slots__ = ("text",)
+    __slots__ = ("heads", "texts")
 
 
 def _key_text(key) -> str:
@@ -113,13 +113,10 @@ def _key_text(key) -> str:
 
 def _json_text(obj, depth: int = 0) -> str:
     """The text of json.dumps(obj, sort_keys=True, indent=2): containers
-    that hold containers are laid out here, a pair map one level deep
-    brings its own text, and every other value goes to json's C encoder in
-    one call."""
+    that hold containers are laid out here, a pair map from the texts it
+    holds, and every other value goes to json's C encoder in one call."""
     if c_make_encoder is None:
         return json.dumps(obj, sort_keys=True, indent=2)
-    if depth == 1 and isinstance(obj, _PairMap):
-        return obj.text
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))):
         return "".join(_flat_encoder(0)(obj, 0))
@@ -127,6 +124,11 @@ def _json_text(obj, depth: int = 0) -> str:
         return "{}" if is_dict else "[]"
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth
+    if isinstance(obj, _PairMap):
+        sep = "," + inner
+        text = "".join(chain.from_iterable(zip(repeat(sep), obj.heads,
+                                               obj.texts)))
+        return "{" + inner + text[len(sep):] + outer + "}"
     values = obj.values() if is_dict else obj
     if not any(map(isinstance, values, repeat(_CONTAINERS))):
         text = "".join(_flat_encoder(depth)(obj, 0))
@@ -313,7 +315,8 @@ def _pair_maps(vertices, rows) -> tuple[_PairMap, _PairMap]:
         forward = [vals[i][j] for i, j in pairs]
         backward = [vals[j][i] for i, j in pairs]
     else:
-        # with no "|" in a name, "x|y" sorts as the pair (x + "|", y)
+        # with no "|" in a name, "x|y" sorts as the pair (x + "|", y); two
+        # sorts of n names instead of one of n^2 keys (BENCH_12.json)
         heads = [name + "|" for name in names]
         xs = sorted(range(len(names)), key=heads.__getitem__)
         ys = sorted(range(len(names)), key=names.__getitem__)
@@ -327,14 +330,11 @@ def _pair_maps(vertices, rows) -> tuple[_PairMap, _PairMap]:
     # is -0.0 and equal entries have equal reprs
     text = {v: repr(v) for v in set(chain.from_iterable(vals))}
     text["inf"] = '"inf"'
-    # each prefix holds the separator before its key, the first the brace
-    prefixes = [f",\n    {k}: " for k in map(encode_basestring_ascii, keys)]
-    prefixes[0] = "{" + prefixes[0][1:]
+    key_texts = [k + ": " for k in map(encode_basestring_ascii, keys)]
 
     def laid_out(values):
         m = _PairMap(zip(keys, values))
-        m.text = "".join(chain(chain.from_iterable(
-            zip(prefixes, map(text.__getitem__, values))), ("\n  }",)))
+        m.heads, m.texts = key_texts, list(map(text.__getitem__, values))
         return m
 
     return laid_out(forward), laid_out(backward)

@@ -337,6 +337,9 @@ def test_pair_maps_match_json_dumps_of_the_row_updates():
         report = {"forward": forward, "backward": backward}
         assert cli._json_text(report) == reference(dict(zip(report, want)))
         assert reference(report) == cli._json_text(report)
+        # a pair map is laid out at whatever depth it sits
+        for nested in (forward, [report], {"a": [{"b": backward}]}):
+            assert cli._json_text(nested) == reference(nested), doc
 
 
 # ---------------------------------------------------------------------------
