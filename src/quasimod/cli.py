@@ -95,7 +95,7 @@ def _row_brackets(rows) -> str | None:
 
 
 class _PairMap(dict):
-    """A graph report's {"x|y": distance} map, built in sorted key order,
+    """A report's {"x|y": distance} map, built in sorted key order,
     holding each entry's encoded key with its ": " and its value's JSON
     text, in that order; it is not changed after it is built."""
 
@@ -259,13 +259,16 @@ def cmd_cover(args) -> int:
         g = _gauge_from_doc(raw, args)
         sequence = []
     thresholds = critical_thresholds(g)
-    # a radius no positive float splits (values near 5e-324) leaves the
-    # cover undefined: an input error, not a violation
+    # a radius no positive float splits or a least scale that halves to 0
+    # (near 5e-324) leaves the cover undefined: an input error, not a violation
     for r in thresholds.radii:
         try:
             g.split_radius(r)
         except ValueError as exc:
             raise InputError(f"cover cannot shrink its radii: {exc}") from None
+    if not thresholds.scales[0] / 2.0 > 0:
+        raise InputError(f"cover cannot halve its scales: scale "
+                         f"{thresholds.scales[0]!r} halves to 0.0")
     hb = heine_borel_report(g, thresholds=thresholds)
     doc = {"command": "cover", "heine_borel": hb.to_json()}
     if sequence:
@@ -289,13 +292,10 @@ def cmd_luxemburg(args) -> int:
     except NonmonotoneGaugeError as exc:
         _emit({"command": "luxemburg", "error": str(exc)}, args.output)
         return 1
-    values, sym = {}, {}
-    for i, x in enumerate(g.points):
-        for j, y in enumerate(g.points):
-            values[f"{x}|{y}"] = format_ext(rows[i][j])
-            sym[f"{x}|{y}"] = format_ext(max(rows[i][j], rows[j][i]))
+    sym = [list(map(max, row, col)) for row, col in zip(rows, zip(*rows))]
     doc = {"command": "luxemburg", "tol": args.tol,
-           "distances": values, "symmetrized": sym}
+           "distances": _pair_maps(g.points, rows)[0],
+           "symmetrized": _pair_maps(g.points, sym)[0]}
     _emit(doc, args.output, matrix=(g.points, rows))
     return 0
 
@@ -326,8 +326,9 @@ def _pair_maps(vertices, rows) -> tuple[_PairMap, _PairMap]:
                                            for i in xs))
         backward = list(chain.from_iterable(map(cols[i].__getitem__, ys)
                                             for i in xs))
-    # one text per distinct distance: path sums start at +0.0, so no entry
-    # is -0.0 and equal entries have equal reprs
+    # one text per distinct distance: no entry is -0.0 (path sums start at
+    # +0.0; Luxemburg infima are 0.0, above tol, or inf), so equal entries
+    # have equal reprs
     text = {v: repr(v) for v in set(chain.from_iterable(vals))}
     text["inf"] = '"inf"'
     key_texts = [k + ": " for k in map(encode_basestring_ascii, keys)]

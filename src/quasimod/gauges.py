@@ -143,12 +143,6 @@ class GaugeSpec:
                              f"s (+) s < r (tried s = {s!r})")
         return s
 
-    def profile(self, x, y, grid: ScaleGrid | None = None) -> Profile:
-        grid = grid or self.grid
-        if grid is None:
-            raise ValueError("no grid to sample the profile on")
-        return Profile(grid, tuple(self.value(x, y, t) for t in grid))
-
     def tabulated(self, grid: ScaleGrid | None = None) -> "GaugeSpec":
         """Materialize the gauge as a table on the given (or own) grid."""
         grid = grid or self.grid

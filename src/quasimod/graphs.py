@@ -186,26 +186,27 @@ class EdgeOrliczFamily:
         return t ** self.p + self.a[edge_index] * t ** self.q
 
 
-def forward_energy(g: DirectedGraph, f: Mapping,
-                   phi: EdgeOrliczFamily) -> float:
-    """Sum over edges of mu(e) * phi(e, |f(head) - f(tail)|)."""
+def _energy_at(g: DirectedGraph, f: Mapping, phi: EdgeOrliczFamily):
+    """The map lam -> energy(f / lam), once f is checked to be total."""
     missing = [v for v in g.vertices if v not in f]
     if missing:
         raise ValueError(f"function misses vertices {missing!r}")
-    return sum(e.mu * phi.value(k, abs(f[e.v] - f[e.u]))
-               for k, e in enumerate(g.edges))
+    return lambda lam: sum(
+        e.mu * phi.value(k, abs(f[e.v] / lam - f[e.u] / lam))
+        for k, e in enumerate(g.edges))
+
+
+def forward_energy(g: DirectedGraph, f: Mapping,
+                   phi: EdgeOrliczFamily) -> float:
+    """Sum over edges of mu(e) * phi(e, |f(head) - f(tail)|)."""
+    return _energy_at(g, f, phi)(1.0)
 
 
 def energy_luxemburg(g: DirectedGraph, f: Mapping, phi: EdgeOrliczFamily,
                      tol: float = DEFAULT_TOL, c: float = 1.0,
                      lambda_max: float = DEFAULT_LAMBDA_MAX) -> float:
     """inf{lambda > 0 : energy(f / lambda) <= c} by bracketed bisection."""
-
-    def at(lam: float) -> float:
-        scaled = {v: f[v] / lam for v in g.vertices}
-        return forward_energy(g, scaled, phi)
-
-    return luxemburg_infimum(at, c, tol, lambda_max).value
+    return luxemburg_infimum(_energy_at(g, f, phi), c, tol, lambda_max).value
 
 
 @dataclass(frozen=True)

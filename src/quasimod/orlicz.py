@@ -166,9 +166,7 @@ def parse_function(doc: Mapping, space: DiscreteMeasureSpace) -> dict:
         if not math.isfinite(v):
             raise ValueError(f"function value at {k!r} must be finite")
         f[by_str[k]] = v
-    missing = [p for p in space.points if p not in f]
-    if missing:
-        raise ValueError(f"function misses points {missing!r}")
+    _require_total(space, f)
     return f
 
 
@@ -178,11 +176,34 @@ def _require_total(space: DiscreteMeasureSpace, f: Mapping) -> None:
         raise ValueError(f"function misses points {missing!r}")
 
 
+def _positive(v: float) -> float:
+    return max(v, 0.0)
+
+
+def _negative(v: float) -> float:
+    return max(-v, 0.0)
+
+
+def _modular(space: DiscreteMeasureSpace, phi: MusielakOrlicz, f: Mapping,
+             lam: float = 1.0, part=abs) -> float:
+    """Sum over points of phi_p(part(f(p) / lam)) * mu(p); f is total."""
+    return sum(phi.value(p, part(f[p] / lam)) * space.mu[p]
+               for p in space.points)
+
+
+def _norm(space: DiscreteMeasureSpace, phi: MusielakOrlicz, f: Mapping,
+          tol: float, lambda_max: float = DEFAULT_LAMBDA_MAX,
+          part=abs) -> float:
+    """inf{lambda > 0 : _modular(f, lambda, part) <= 1}; f is total."""
+    return luxemburg_infimum(lambda lam: _modular(space, phi, f, lam, part),
+                             1.0, tol, lambda_max).value
+
+
 def modular(space: DiscreteMeasureSpace, phi: MusielakOrlicz,
             f: Mapping) -> float:
     """Sum over points of phi_p(|f(p)|) * mu(p)."""
     _require_total(space, f)
-    return sum(phi.value(p, abs(f[p])) * space.mu[p] for p in space.points)
+    return _modular(space, phi, f)
 
 
 def luxemburg_norm(space: DiscreteMeasureSpace, phi: MusielakOrlicz,
@@ -190,9 +211,7 @@ def luxemburg_norm(space: DiscreteMeasureSpace, phi: MusielakOrlicz,
                    lambda_max: float = DEFAULT_LAMBDA_MAX) -> float:
     """inf{lambda > 0 : modular(f / lambda) <= 1}."""
     _require_total(space, f)
-    return luxemburg_infimum(
-        lambda lam: modular(space, phi, {p: f[p] / lam for p in space.points}),
-        1.0, tol, lambda_max).value
+    return _norm(space, phi, f, tol, lambda_max)
 
 
 @dataclass(frozen=True)
@@ -234,20 +253,13 @@ class OneSidedPair:
     psi2: MusielakOrlicz
 
 
-def _positive_part_modular(space: DiscreteMeasureSpace, psi: MusielakOrlicz,
-                           f: Mapping, sign: float) -> float:
-    """Sum over points of psi_p(max(sign * f(p), 0)) * mu(p)."""
-    return sum(psi.value(p, max(sign * f[p], 0.0)) * space.mu[p]
-               for p in space.points)
-
-
 def one_sided_modulars(space: DiscreteMeasureSpace, pair: OneSidedPair,
                        f: Mapping) -> tuple[float, float]:
     """rho_plus feeds positive parts to psi1; rho_minus feeds negative parts
     to psi2."""
     _require_total(space, f)
-    return (_positive_part_modular(space, pair.psi1, f, 1.0),
-            _positive_part_modular(space, pair.psi2, f, -1.0))
+    return (_modular(space, pair.psi1, f, part=_positive),
+            _modular(space, pair.psi2, f, part=_negative))
 
 
 def one_sided_gauges(space: DiscreteMeasureSpace, pair: OneSidedPair,
@@ -255,15 +267,8 @@ def one_sided_gauges(space: DiscreteMeasureSpace, pair: OneSidedPair,
                      ) -> tuple[float, float, float]:
     """(norm_plus, norm_minus, norm_sym) with norm_sym the max of the two."""
     _require_total(space, f)
-
-    def norm(psi, sign):
-        return luxemburg_infimum(
-            lambda lam: _positive_part_modular(
-                space, psi, {p: f[p] / lam for p in space.points}, sign),
-            1.0, tol).value
-
-    norm_plus = norm(pair.psi1, 1.0)
-    norm_minus = norm(pair.psi2, -1.0)
+    norm_plus = _norm(space, pair.psi1, f, tol, part=_positive)
+    norm_minus = _norm(space, pair.psi2, f, tol, part=_negative)
     return norm_plus, norm_minus, max(norm_plus, norm_minus)
 
 
@@ -293,10 +298,8 @@ def one_sided_modular_gauge(space: DiscreteMeasureSpace, psi1: MusielakOrlicz,
     ids = tuple(functions)
 
     def fn(a, b, t):
-        diff = {p: (functions[a][p] - functions[b][p]) / t
-                for p in space.points}
-        return sum(psi1.value(p, max(diff[p], 0.0)) * space.mu[p]
-                   for p in space.points)
+        diff = {p: functions[a][p] - functions[b][p] for p in space.points}
+        return _modular(space, psi1, diff, t, _positive)
 
     return GaugeSpec(regime=Regime.ADDITIVE, points=ids, grid=grid,
                      name=name, fn=fn)

@@ -375,6 +375,10 @@ SEVENTEEN_POINTS = [f"p{i}" for i in range(17)]
                    table={"a|a": [0, 0], "b|b": [0, 0], "a|b": [5e-324] * 2,
                           "b|a": [1.0, 1.0]}),
      "radius 5e-324 has no split"),
+    ("cover", dict(ADDITIVE_DOC, grid=[5e-324, 1.0],
+                   table={"a|a": [0, 0], "b|b": [0, 0], "a|b": [4.0, 1.0],
+                          "b|a": [3.0, 0.75]}),
+     "scale 5e-324 halves to 0.0"),
     ("topology", {"regime": "additive", "points": SEVENTEEN_POINTS,
                   "grid": [1.0],
                   "table": {f"{x}|{y}": [0.0 if x == y else 1.0]
@@ -384,7 +388,7 @@ SEVENTEEN_POINTS = [f"p{i}" for i in range(17)]
 ], ids=["gauge-table-list", "envelope-distance-list",
         "envelope-unhashable-point", "cover-sequence-number",
         "orlicz-exponent-overflow", "cover-unsplittable-radius",
-        "topology-17-points"])
+        "cover-scale-halving-to-zero", "topology-17-points"])
 def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys,
                                                         command, doc,
                                                         message):

@@ -202,6 +202,13 @@ def test_energy_luxemburg_double_phase_pinned():
     assert forward_energy(g, tighter, phi) > 1.0
 
 
+def test_energy_luxemburg_rejects_a_function_missing_a_vertex():
+    g = DirectedGraph(("a", "b"), (Edge("a", "b", 1.0, 1.0),))
+    phi = EdgeOrliczFamily.power(2.0)
+    with pytest.raises(ValueError, match=r"misses vertices \['b'\]"):
+        energy_luxemburg(g, {"a": 1.0}, phi)
+
+
 def test_energy_luxemburg_of_a_constant_function_is_zero():
     g = DirectedGraph(("a", "b"), (Edge("a", "b", 1.0, 1.0),))
     phi = EdgeOrliczFamily.power(2.0)

@@ -226,3 +226,64 @@ def test_parse_function_validation():
         parse_function({"a": math.inf, "b": 0.0}, space)
     with pytest.raises(ValueError, match="misses points"):
         parse_function({"a": 1.0}, space)
+
+
+# the one-sided layer is the modular and norm of f+ under psi1 and of f-
+# under psi2; these identities hold float-exactly on the dyadic corpora
+
+
+def _parts(f):
+    return ({p: max(v, 0.0) for p, v in f.items()},
+            {p: max(-v, 0.0) for p, v in f.items()})
+
+
+def _one_sided_corpus(seed, same_psi=False):
+    rng = rng_for(seed)
+    space = random_measure_space(rng, rng.randrange(1, 6))
+    psi1 = random_orlicz_family(rng, space)
+    psi2 = psi1 if same_psi else random_orlicz_family(rng, space)
+    return rng, space, OneSidedPair(psi1, psi2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_sided_modulars_are_the_modulars_of_the_parts(seed):
+    rng, space, pair = _one_sided_corpus(700 + seed)
+    f = random_total_function(rng, space)
+    plus, minus = _parts(f)
+    assert one_sided_modulars(space, pair, f) == (
+        modular(space, pair.psi1, plus), modular(space, pair.psi2, minus))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_sided_norms_are_the_norms_of_the_parts(seed):
+    rng, space, pair = _one_sided_corpus(720 + seed)
+    f = random_total_function(rng, space)
+    plus, minus = _parts(f)
+    assert one_sided_gauges(space, pair, f)[:2] == (
+        luxemburg_norm(space, pair.psi1, plus),
+        luxemburg_norm(space, pair.psi2, minus))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_negating_f_swaps_the_one_sided_norms_under_one_psi(seed):
+    rng, space, pair = _one_sided_corpus(740 + seed, same_psi=True)
+    f = random_total_function(rng, space)
+    plus, minus, sym = one_sided_gauges(space, pair, f)
+    neg = {p: -v for p, v in f.items()}
+    assert one_sided_gauges(space, pair, neg) == (minus, plus, sym)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_one_sided_gauge_is_the_modular_of_the_scaled_positive_part(seed):
+    rng, space, pair = _one_sided_corpus(760 + seed)
+    functions = {f"f{i}": random_total_function(rng, space)
+                 for i in range(rng.randrange(2, 5))}
+    w = one_sided_modular_gauge(space, pair.psi1, functions,
+                                grid=ScaleGrid((0.5, 1.0, 2.0, 4.0)))
+    for a in functions:
+        for b in functions:
+            for t in (0.25, 0.5, 0.75, 1.0, 3.0, 4.0):
+                scaled = {p: (functions[a][p] - functions[b][p]) / t
+                          for p in space.points}
+                assert w.value(a, b, t) == modular(space, pair.psi1,
+                                                   _parts(scaled)[0])
