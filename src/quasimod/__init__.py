@@ -41,8 +41,8 @@ from .orlicz import (DiscreteMeasureSpace, MusielakOrlicz, OneSidedPair,
                      one_sided_modulars, orlicz_from_json, parse_function,
                      quasi_metric_from_gauges, unit_ball_check)
 from .profiles import Profile, ScaleGrid, profile_convolve, right_regularize
-from .topology import (FiniteTopology, JoinReport, Relation, ThresholdSet,
-                       ball, compose, critical_thresholds, entourage,
+from .topology import (FiniteTopology, JoinReport, ThresholdSet, ball,
+                       compose, critical_thresholds, entourage,
                        generate_topology, join_topologies,
                        quasi_uniformity_report, small_composite_check,
                        verify_join_equality)

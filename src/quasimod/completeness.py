@@ -13,7 +13,7 @@ from operator import and_
 
 from .gauges import GaugeSpec
 from .profiles import ScaleGrid
-from .topology import (ThresholdSet, _BallRows, _normalize_side, _relation,
+from .topology import (ThresholdSet, _BallRows, _normalize_side, _side_rows,
                        critical_thresholds)
 
 
@@ -96,7 +96,8 @@ def converges_to(seq: SampledSequence, g: GaugeSpec, x, r: float, t: float,
     point."""
     side = _normalize_side(side)
     _check_positive(r)
-    return bool(_relation(g, r, t, side, (x, seq.points[-1])).rows[0] & 2)
+    rows = _side_rows(_BallRows(g, (x, seq.points[-1])), r, t, side)
+    return bool(rows[0] & 2)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def greedy_net(points, g: GaugeSpec, r: float, t: float,
     side = _normalize_side(side)
     _check_positive(r)
     sample = tuple(points)
-    centers, verified = _greedy(_relation(g, r, t, side, sample).rows)
+    centers, verified = _greedy(_side_rows(_BallRows(g, sample), r, t, side))
     return CoverResult(tuple(sample[i] for i in centers), r, t, side, sample,
                        verified)
 

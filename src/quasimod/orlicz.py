@@ -27,9 +27,10 @@ class DiscreteMeasureSpace:
         if len(set(points)) != len(points):
             raise ValueError("points must be distinct")
         object.__setattr__(self, "points", points)
-        mu = {p: float(dict(self.mu)[p]) for p in points} if self.mu else None
-        if mu is None:
+        if not self.mu:
             raise ValueError("measure space needs masses")
+        masses = dict(self.mu)
+        mu = {p: float(masses[p]) for p in points}
         for p, m in mu.items():
             if not (m > 0 and math.isfinite(m)):
                 raise ValueError(f"mass at {p!r} must be positive and finite, "

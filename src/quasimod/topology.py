@@ -32,72 +32,21 @@ def _normalize_side(side: str) -> str:
     return side
 
 
-@dataclass(frozen=True)
-class Relation:
-    """Boolean relation on an ordered point set, one bitmask row per source."""
-
-    points: tuple
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != len(self.points):
-            raise ValueError("one row per point required")
-        full = (1 << len(self.points)) - 1
-        if any(row & ~full for row in self.rows):
-            raise ValueError("row bits outside the point set")
-
-    @classmethod
-    def identity(cls, points) -> "Relation":
-        points = tuple(points)
-        return cls(points, tuple(1 << i for i in range(len(points))))
-
-    def related(self, x, y) -> bool:
-        return bool(self.rows[self.points.index(x)]
-                    & (1 << self.points.index(y)))
-
-    def transpose(self) -> "Relation":
-        n = len(self.points)
-        cols = [0] * n
-        for i, row in enumerate(self.rows):
-            for j in range(n):
-                if row & (1 << j):
-                    cols[j] |= 1 << i
-        return Relation(self.points, tuple(cols))
-
-    def intersect(self, other: "Relation") -> "Relation":
-        _require_same_points(self, other)
-        return Relation(self.points, tuple(a & b
-                                           for a, b in zip(self.rows, other.rows)))
-
-    def contains(self, other: "Relation") -> bool:
-        _require_same_points(self, other)
-        return all(b & ~a == 0 for a, b in zip(self.rows, other.rows))
-
-    def has_diagonal(self) -> bool:
-        return all(row & (1 << i) for i, row in enumerate(self.rows))
-
-    def pairs(self) -> list[tuple]:
-        return [(x, self.points[j]) for x, row in zip(self.points, self.rows)
-                for j in range(len(self.points)) if row & (1 << j)]
-
-
-def _require_same_points(a: Relation, b: Relation) -> None:
-    if a.points != b.points:
-        raise ValueError("relations live on different point sets")
-
-
-def compose(a: Relation, b: Relation) -> Relation:
-    """(x, z) related iff some y has a(x, y) and b(y, z)."""
-    _require_same_points(a, b)
-    n = len(a.points)
+def compose(a: tuple, b: tuple) -> tuple[int, ...]:
+    """Rows of the composite relation: (x, z) related iff some y has
+    a(x, y) and b(y, z)."""
+    n = len(a)
+    if len(b) != n:
+        raise ValueError(f"relations on different point sets: {n} rows "
+                         f"and {len(b)} rows")
     out = []
-    for row in a.rows:
+    for row in a:
         acc = 0
         for j in range(n):
             if row & (1 << j):
-                acc |= b.rows[j]
+                acc |= b[j]
         out.append(acc)
-    return Relation(a.points, tuple(out))
+    return tuple(out)
 
 
 def _check_radius(g: GaugeSpec, r: float) -> None:
@@ -108,21 +57,13 @@ def _check_radius(g: GaugeSpec, r: float) -> None:
 
 
 def entourage(g: GaugeSpec, r: float, t: float, side: str = "forward",
-              points=None) -> Relation:
-    """Pairs (x, y) with w(x, y, t) < r; backward swaps the arguments."""
+              points=None) -> tuple[int, ...]:
+    """Rows of {(x, y) : w(x, y, t) < r} over the points (the gauge's own by
+    default): bit j of row i holds (points[i], points[j]).  Backward swaps
+    the arguments; two-sided keeps the pairs of both."""
     side = _normalize_side(side)
     _check_radius(g, r)
-    return _relation(g, r, t, side, points)
-
-
-def _relation(g: GaugeSpec, r: float, t: float, side: str,
-              points=None) -> Relation:
-    """The entourage without its radius checks, from a one-off `_BallRows`."""
-    balls = _BallRows(g, points)
-    _, fwd, bwd = balls.rows(r, t)
-    if side == "two_sided":
-        return Relation(balls.points, tuple(map(and_, fwd, bwd)))
-    return Relation(balls.points, fwd if side == "forward" else bwd)
+    return _side_rows(_BallRows(g, points), r, t, side)
 
 
 class _Sweep:
@@ -186,13 +127,21 @@ class _BallRows:
         return (id(sweep.mat), cut), fwd, bwd
 
 
+def _side_rows(balls: _BallRows, r: float, t: float, side: str):
+    """The entourage rows of one normalized side at (r, t), unchecked."""
+    _, fwd, bwd = balls.rows(r, t)
+    if side == "two_sided":
+        return tuple(map(and_, fwd, bwd))
+    return fwd if side == "forward" else bwd
+
+
 def ball(g: GaugeSpec, x, r: float, t: float, side: str = "forward",
          points=None) -> tuple:
     """Strict ball {y : w(x, y, t) < r}, one-sided or two-sided: row x of
     the entourage on the same side."""
-    rel = entourage(g, r, t, side, points)
-    row = rel.rows[rel.points.index(x)]
-    return tuple(p for j, p in enumerate(rel.points) if row & (1 << j))
+    points = g.points if points is None else tuple(points)
+    row = entourage(g, r, t, side, points)[points.index(x)]
+    return tuple(p for j, p in enumerate(points) if row & (1 << j))
 
 
 @dataclass(frozen=True)
@@ -365,13 +314,12 @@ def small_composite_check(g: GaugeSpec, points=None,
     for r, t in thresholds.pairs():
         rp = g.split_radius(r)
         (_, *small), (_, *big) = balls.rows(rp, t), balls.rows(r, t)
-        for side, rows, target_rows in zip(("forward", "backward"), small, big):
-            comp = compose(*[Relation(balls.points, rows)] * 2)
-            target = Relation(balls.points, target_rows)
-            if target.contains(comp):
-                continue
-            for x, z in comp.pairs():
-                if not target.related(x, z):
+        for side, rows, target in zip(("forward", "backward"), small, big):
+            for x, comp, goal in zip(balls.points, compose(rows, rows), target):
+                escaped = comp & ~goal
+                while escaped:  # its bits in ascending order
+                    z = balls.points[(escaped & -escaped).bit_length() - 1]
+                    escaped &= escaped - 1
                     lhs = g.value(x, z, t) if side == "forward" \
                         else g.value(z, x, t)
                     violations.append(Violation(

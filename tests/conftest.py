@@ -35,6 +35,13 @@ def rng_for(seed):
     return random.Random(seed)
 
 
+def transpose(rows):
+    """The relation with every pair reversed: bit i of row j for each bit j
+    of row i."""
+    return tuple(sum(1 << i for i, row in enumerate(rows) if row & (1 << j))
+                 for j in range(len(rows)))
+
+
 # ---------------------------------------------------------------------------
 # additive-regime tables: min-plus closure makes the triangle exact
 

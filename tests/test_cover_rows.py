@@ -365,5 +365,4 @@ def test_a_one_off_entourage_builds_only_the_rank_it_reads(sweeps):
                   grid=ScaleGrid((1.0, 2.0)), table=table)
     rel = entourage(g, 3.0, 1.0, "two_sided")
     assert sweeps == {"sorts": 1, "snapshots": 1}
-    assert rel.rows == tuple(map(int.__and__, *brute_rows(g, points, 3.0,
-                                                          1.0)))
+    assert rel == tuple(map(int.__and__, *brute_rows(g, points, 3.0, 1.0)))

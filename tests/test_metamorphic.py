@@ -1,0 +1,93 @@
+"""Metamorphic identities of the quasi-uniformity.
+
+Each test compares the code with itself under a transformation whose
+effect the paper fixes, so no copy of an older implementation is needed:
+
+- swapping the gauge's arguments (`opposite`) turns every forward
+  entourage, ball, net and convergence test into the backward one, keeps
+  the two-sided entourage and swaps the sides of the small-composite
+  witnesses;
+- composition reverses under transposition: (R o S)^T = S^T o R^T.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from quasimod import (Regime, SampledSequence, TConorm, ball, compose,
+                      converges_to, critical_thresholds, entourage,
+                      greedy_net, opposite, small_composite_check)
+
+from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry,
+                      random_conorm_gauge, rng_for, transpose)
+
+CONORMS = (TConorm.MAX, TConorm.PROBABILISTIC_SUM, TConorm.BOUNDED_SUM)
+
+
+def gauges(seed):
+    """One gauge of every additive builder and every conorm, with a
+    corrupted copy of each conorm gauge whose composite can break."""
+    rng = rng_for(1400 + seed)
+    for build in ADDITIVE_BUILDERS:
+        yield build(rng, rng.randrange(2, 6))
+    for conorm in CONORMS:
+        g = random_conorm_gauge(rng, rng.randrange(2, 6), conorm)
+        yield g
+        try:
+            yield corrupt_one_entry(g, rng)[0]
+        except ValueError:  # a composite too close to 1 to corrupt
+            pass
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_opposite_gauge_swaps_forward_and_backward(seed):
+    for g in gauges(seed):
+        opp, points = opposite(g), g.points
+        seq = SampledSequence(points[::-1])
+        for r, t in critical_thresholds(g).pairs():
+            assert entourage(opp, r, t, "forward") == \
+                entourage(g, r, t, "backward"), (g.name, r, t)
+            assert entourage(opp, r, t, "backward") == \
+                entourage(g, r, t, "forward"), (g.name, r, t)
+            assert entourage(opp, r, t, "two_sided") == \
+                entourage(g, r, t, "two_sided"), (g.name, r, t)
+            for x in points:
+                assert ball(opp, x, r, t, "forward") == \
+                    ball(g, x, r, t, "backward"), (g.name, x, r, t)
+                assert converges_to(seq, opp, x, r, t, "forward") == \
+                    converges_to(seq, g, x, r, t, "backward"), \
+                    (g.name, x, r, t)
+            net = greedy_net(points, opp, r, t, "forward")
+            want = greedy_net(points, g, r, t, "backward")
+            assert (net.centers, net.verified) == \
+                (want.centers, want.verified), (g.name, r, t)
+
+
+def test_the_opposite_gauge_swaps_the_small_composite_witnesses():
+    swap = {"forward": "backward", "backward": "forward"}
+    found = 0
+    for seed in range(8):
+        for g in gauges(seed):
+            if g.regime is not Regime.CONORM:
+                continue
+            mine = small_composite_check(g)
+            theirs = small_composite_check(opposite(g))
+            assert theirs.notes == mine.notes
+            for side in swap:
+                assert [v for v in theirs.violations if v.witness[0] == side] \
+                    == [replace(v, witness=(side, *v.witness[1:]))
+                        for v in mine.violations
+                        if v.witness[0] == swap[side]], g.name
+            found += len(mine.violations)
+    assert found > 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_composition_reverses_under_transposition(seed):
+    for g in gauges(seed):
+        pairs = critical_thresholds(g).pairs()
+        rows = [entourage(g, r, t, side) for r, t in pairs[::3]
+                for side in ("forward", "backward")]
+        for a, b in zip(rows, rows[1:] + rows[:1]):
+            assert transpose(compose(a, b)) == \
+                compose(transpose(b), transpose(a)), g.name

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections.abc import Mapping
 
 import pytest
 
@@ -28,6 +29,37 @@ def test_measure_space_validation():
         DiscreteMeasureSpace(("a",), {"a": 0.0})
     with pytest.raises(ValueError, match="positive and finite"):
         DiscreteMeasureSpace(("a",), {"a": math.inf})
+
+
+class CountingMasses(Mapping):
+    """A mass mapping that counts how often it is walked and read."""
+
+    def __init__(self, masses):
+        self.masses, self.walks, self.reads = masses, 0, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.masses[key]
+
+    def __iter__(self):
+        self.walks += 1
+        return iter(self.masses)
+
+    def __len__(self):
+        return len(self.masses)
+
+
+def test_measure_space_reads_its_masses_once():
+    # copying the mapping once per point made construction quadratic
+    points = tuple(range(50))
+    masses = CountingMasses({p: 1.0 + p for p in points})
+    space = DiscreteMeasureSpace(points, masses)
+    assert (masses.walks, masses.reads) == (1, len(points))
+    assert space.mu == {p: 1.0 + p for p in points}
+    with pytest.raises(KeyError, match="'b'"):
+        DiscreteMeasureSpace(("a", "b"), CountingMasses({"a": 1.0}))
+    with pytest.raises(ValueError, match="needs masses"):
+        DiscreteMeasureSpace(("a",), CountingMasses({}))
 
 
 def test_measure_space_json_round_trip():
