@@ -25,7 +25,7 @@ from .completeness import (SampledSequence, classify_cauchy_thresholds,
                            heine_borel_report)
 from .conorms import conorm_from_name
 from .extreal import INF, format_ext
-from .gauges import Regime, _min_cap_rows, gauge_from_json
+from .gauges import Regime, _decode_ids, _min_cap_rows, gauge_from_json
 from .graphs import asymmetry_index, distance_matrix, graph_from_json
 from .luxemburg import (DEFAULT_LAMBDA_MAX, NonmonotoneGaugeError,
                         luxemburg_distance)
@@ -251,8 +251,12 @@ def cmd_cover(args) -> int:
     if isinstance(raw, dict) and "space" in raw:
         g = _gauge_from_doc(raw["space"], args)
         try:
+            ids = raw.get("sequence", [])
+            if not isinstance(ids, list):
+                raise TypeError(f"expected a JSON list, not "
+                                f"{type(ids).__name__}")
             resolve = _point_resolver(g.points)
-            sequence = [resolve(i) for i in raw.get("sequence", [])]
+            sequence = list(map(resolve, ids))
         except _DOC_ERRORS as exc:
             raise InputError(f"bad cover sequence: {exc}") from None
     else:
@@ -303,29 +307,20 @@ def cmd_luxemburg(args) -> int:
 def _pair_maps(vertices, rows) -> tuple[_PairMap, _PairMap]:
     """The maps {"x|y": d(x, y)} and {"x|y": d(y, x)} of the distance rows,
     +inf written "inf", on one sorted key list and one text per distance.
-    Where two pairs write one key (a name holding "|"), the last pair in
-    row-major order wins, as successive dict updates would have it."""
+    The readers refuse a name holding "|", so "x|y" sorts as the pair
+    (x + "|", y): two sorts of n names instead of one of n^2 keys
+    (BENCH_12.json)."""
     names = [f"{v}" for v in vertices]
     vals = [list(map(format_ext, row)) if INF in row else row for row in rows]
-    if any("|" in name for name in names):
-        at = {f"{x}|{y}": (i, j) for i, x in enumerate(names)
-              for j, y in enumerate(names)}
-        keys = sorted(at)
-        pairs = list(map(at.__getitem__, keys))
-        forward = [vals[i][j] for i, j in pairs]
-        backward = [vals[j][i] for i, j in pairs]
-    else:
-        # with no "|" in a name, "x|y" sorts as the pair (x + "|", y); two
-        # sorts of n names instead of one of n^2 keys (BENCH_12.json)
-        heads = [name + "|" for name in names]
-        xs = sorted(range(len(names)), key=heads.__getitem__)
-        ys = sorted(range(len(names)), key=names.__getitem__)
-        keys = [heads[i] + names[j] for i in xs for j in ys]
-        cols = list(zip(*vals))
-        forward = list(chain.from_iterable(map(vals[i].__getitem__, ys)
-                                           for i in xs))
-        backward = list(chain.from_iterable(map(cols[i].__getitem__, ys)
-                                            for i in xs))
+    heads = [name + "|" for name in names]
+    xs = sorted(range(len(names)), key=heads.__getitem__)
+    ys = sorted(range(len(names)), key=names.__getitem__)
+    keys = [heads[i] + names[j] for i in xs for j in ys]
+    cols = list(zip(*vals))
+    forward = list(chain.from_iterable(map(vals[i].__getitem__, ys)
+                                       for i in xs))
+    backward = list(chain.from_iterable(map(cols[i].__getitem__, ys)
+                                        for i in xs))
     # one text per distinct distance: no entry is -0.0 (path sums start at
     # +0.0; Luxemburg infima are 0.0, above tol, or inf), so equal entries
     # have equal reprs
@@ -369,6 +364,7 @@ def cmd_orlicz(args) -> int:
         space = DiscreteMeasureSpace.from_json(raw["space"])
         functions = {fid: parse_function(doc, space)
                      for fid, doc in raw.get("functions", {}).items()}
+        _decode_ids(functions, "function")
     except _DOC_ERRORS as exc:
         raise InputError(f"bad orlicz document: {exc}") from None
     doc = {"command": "orlicz", "tol": args.tol}
@@ -377,23 +373,22 @@ def cmd_orlicz(args) -> int:
         if "phi" in raw:
             phi = orlicz_from_json(raw["phi"], space)
             out = {}
-            for fid in sorted(functions, key=str):
-                f = functions[fid]
-                ub = unit_ball_check(space, phi, f, args.tol)
-                out[str(fid)] = {"modular": ub.modular_value, "norm": ub.norm,
-                                 "unit_ball": ub.to_json()}
+            for fid in sorted(functions):
+                ub = unit_ball_check(space, phi, functions[fid], args.tol)
+                out[fid] = {"modular": ub.modular_value, "norm": ub.norm,
+                            "unit_ball": ub.to_json()}
                 ok = ok and ub.ok
             doc["phi"] = out
         if "psi1" in raw and "psi2" in raw:
             pair = OneSidedPair(orlicz_from_json(raw["psi1"], space),
                                 orlicz_from_json(raw["psi2"], space))
             sides, dists = {}, {}
-            for fid in sorted(functions, key=str):
+            for fid in sorted(functions):
                 np_, nm, ns = one_sided_gauges(space, pair, functions[fid],
                                                args.tol)
-                sides[str(fid)] = {"plus": np_, "minus": nm, "sym": ns}
-            for fa in sorted(functions, key=str):
-                for fb in sorted(functions, key=str):
+                sides[fid] = {"plus": np_, "minus": nm, "sym": ns}
+            for fa in sorted(functions):
+                for fb in sorted(functions):
                     if fa == fb:
                         continue
                     dp, dm = quasi_metric_from_gauges(
@@ -410,6 +405,7 @@ def cmd_envelope(args) -> int:
     raw = _load_json(args.input)
     try:
         points = list(raw["points"])
+        _decode_ids(points, "point")
         resolve = _point_resolver(points)
         d = {}
         for key, v in raw["distance"].items():

@@ -247,27 +247,23 @@ def transport_total_boundedness(source_points, image_points, source_metric,
     if not (eps > 0 and delta > 0):
         raise ValueError("eps and delta must be positive")
     n = len(source)
+    balls = []  # bit k of row i: image[k] lies within delta of image[i]
     for i in range(n):
+        row = 0
         for k in range(n):
-            if i != k and image_metric(image[i], image[k]) < delta \
-                    and not source_metric(source[i], source[k]) < eps:
-                raise ValueError(
-                    f"modulus condition fails on pair ({source[i]!r}, "
-                    f"{source[k]!r}): image distance "
-                    f"{image_metric(image[i], image[k])} < {delta} but "
-                    f"source distance {source_metric(source[i], source[k])} "
-                    f">= {eps}")
-    centers_idx: list[int] = []
-    covered = [False] * n
-    for i in range(n):
-        if covered[i]:
-            continue
-        centers_idx.append(i)
-        for j in range(n):
-            if not covered[j] and image_metric(image[i], image[j]) < delta:
-                covered[j] = True
-    src_centers = tuple(source[i] for i in centers_idx)
-    img_centers = tuple(image[i] for i in centers_idx)
+            d_image = image_metric(image[i], image[k])
+            if d_image < delta:
+                d_source = source_metric(source[i], source[k])
+                if i != k and not d_source < eps:
+                    raise ValueError(
+                        f"modulus condition fails on pair ({source[i]!r}, "
+                        f"{source[k]!r}): image distance {d_image} < {delta} "
+                        f"but source distance {d_source} >= {eps}")
+                row |= 1 << k
+        balls.append(row)
+    centers = _greedy(balls)[0]
+    src_centers = tuple(source[i] for i in centers)
+    img_centers = tuple(image[i] for i in centers)
     verified = all(any(source_metric(c, x) < eps for c in src_centers)
                    for x in source)
     return TransportResult(verified, src_centers, img_centers)
@@ -426,8 +422,9 @@ def heine_borel_report(g: GaugeSpec, points=None,
     `thresholds` defaults to the critical ones."""
     balls, outcomes, rows = _BallRows(g, points), {}, []
     thresholds = thresholds or critical_thresholds(g, balls.points, grid)
+    splits = {r: g.split_radius(r) for r in thresholds.radii}
     for r, t in thresholds.pairs():
-        s = g.split_radius(r)
+        s = splits[r]
         near_key, near, far = balls.rows(s, t / 2.0)
         key, fwd, bwd = balls.rows(r, t)
         out = outcomes.get((near_key, key))

@@ -25,7 +25,7 @@ from operator import add, eq, gt
 from typing import Callable, Mapping
 
 from .conorms import TConorm, conorm_from_name
-from .extreal import INF, ensure_ext, ext_mul, format_ext, parse_ext
+from .extreal import INF, ensure_ext, ext_mul, format_ext, is_ext, parse_ext
 from .profiles import Profile, ScaleGrid
 
 EPS_BELOW_ONE = 1.0 - 2.0 ** -52
@@ -73,8 +73,10 @@ class GaugeSpec:
                         if x != y:
                             raise ValueError(f"table is missing the pair ({x!r}, {y!r})")
                         row = (0.0,) * m
-                    row = tuple(ensure_ext(v, f"table value for ({x!r}, {y!r})")
-                                for v in row)
+                    if not all(map(is_ext, row)):  # name the pair on failure only
+                        for v in row:
+                            ensure_ext(v, f"table value for ({x!r}, {y!r})")
+                    row = tuple(map(float, row))
                     if len(row) != m:
                         raise ValueError(f"table row for ({x!r}, {y!r}) needs "
                                          f"{m} values, got {len(row)}")
@@ -199,16 +201,6 @@ def _row_violations(rows, points: tuple) -> list[tuple]:
     out.extend(("triangle", (points[i], points[j], points[k]), lhs, rhs)
                for i, j, k, lhs, rhs in triangle_violations(rows))
     return out
-
-
-def quasi_pseudometric_violations(d: Mapping, points) -> list[tuple]:
-    """Zero-self and triangle failures of a distance table.
-
-    Returns (axiom id, witness, lhs, rhs) tuples; missing diagonal entries
-    count as 0.  Values may be +inf.
-    """
-    points = tuple(points)
-    return _row_violations(_table_rows(d, points), points)
 
 
 def _require_quasi_pseudometric(d: Mapping, points: tuple,
@@ -413,12 +405,20 @@ def symmetrize_conorm(g: GaugeSpec) -> GaugeSpec:
                    fn=lambda x, y, t: c.apply(g.value(x, y, t), g.value(y, x, t)))
 
 
+def _decode_ids(ids, what: str) -> dict:
+    """{str(id): id} for ids that name the sides of "x|y" pair keys; raises
+    ValueError unless the strings are unique and none holds "|", so that
+    every key names exactly one ordered pair."""
+    by_str = {str(i): i for i in ids}
+    if len(by_str) != len(ids) or any("|" in s for s in by_str):
+        raise ValueError(f"{what} ids must stringify uniquely and avoid '|'")
+    return by_str
+
+
 def gauge_to_json(g: GaugeSpec, grid: ScaleGrid | None = None) -> dict:
     """Wire form of a (tabulated) gauge; closed forms are tabulated first."""
     tg = g.tabulated(grid)
-    strs = [str(x) for x in tg.points]
-    if len(set(strs)) != len(strs) or any("|" in s for s in strs):
-        raise ValueError("point ids must stringify uniquely and avoid '|'")
+    _decode_ids(tg.points, "point")
     doc = {"regime": tg.regime.value, "points": list(tg.points),
            "grid": list(tg.grid.scales),
            "table": {f"{x}|{y}": [format_ext(v) for v in tg.table[(x, y)]]
@@ -434,9 +434,7 @@ def gauge_from_json(doc: Mapping, name: str = "gauge") -> GaugeSpec:
     if regime is Regime.CONORM:
         conorm = conorm_from_name(doc.get("conorm", "max"))
     points = tuple(doc["points"])
-    by_str = {str(x): x for x in points}
-    if len(by_str) != len(points):
-        raise ValueError("point ids must stringify uniquely")
+    by_str = _decode_ids(points, "point")
     grid = ScaleGrid(tuple(doc["grid"]))
     table = {}
     for key, row in doc["table"].items():

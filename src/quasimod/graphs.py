@@ -17,7 +17,7 @@ from operator import ne
 from typing import Mapping
 
 from .extreal import INF, ensure_ext, format_ext, parse_ext
-from .gauges import GaugeSpec, _min_cap_rows
+from .gauges import GaugeSpec, _decode_ids, _min_cap_rows
 from .luxemburg import DEFAULT_LAMBDA_MAX, DEFAULT_TOL, luxemburg_infimum
 from .profiles import ScaleGrid
 
@@ -271,9 +271,7 @@ def asymmetry_index(rows) -> float:
 
 
 def graph_to_json(g: DirectedGraph) -> dict:
-    strs = [str(v) for v in g.vertices]
-    if len(set(strs)) != len(strs):
-        raise ValueError("vertex ids must stringify uniquely")
+    _decode_ids(g.vertices, "vertex")
     return {"vertices": list(g.vertices),
             "edges": [{"from": e.u, "to": e.v, "mu": e.mu, "cost": e.cost}
                       for e in g.edges],
@@ -282,9 +280,7 @@ def graph_to_json(g: DirectedGraph) -> dict:
 
 def graph_from_json(doc: Mapping) -> DirectedGraph:
     vertices = tuple(doc["vertices"])
-    by_str = {str(v): v for v in vertices}
-    if len(by_str) != len(vertices):
-        raise ValueError("vertex ids must stringify uniquely")
+    by_str = _decode_ids(vertices, "vertex")
     edges = []
     for e in doc["edges"]:
         edges.append(Edge(e["from"], e["to"], float(e.get("mu", 1.0)),

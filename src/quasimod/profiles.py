@@ -46,11 +46,6 @@ class ScaleGrid:
         i = bisect.bisect_left(self.scales, t)
         return i if i < len(self.scales) else None
 
-    def project_sum(self, t: float, s: float) -> float | None:
-        """Smallest grid scale >= t + s, or None if the sum leaves the grid."""
-        i = self.ceil_index(t + s)
-        return None if i is None else self.scales[i]
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -75,9 +70,6 @@ class Profile:
                 out.append((self.grid[i], self.grid[i + 1],
                             self.values[i], self.values[i + 1]))
         return out
-
-    def is_nonincreasing(self) -> bool:
-        return not self.nonincreasing_violations()
 
 
 def right_regularize(p: Profile) -> Profile:

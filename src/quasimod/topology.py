@@ -311,8 +311,9 @@ def small_composite_check(g: GaugeSpec, points=None,
         raise ValueError("small_composite_check applies to conorm-regime gauges")
     balls, violations = _BallRows(g, points), []
     thresholds = thresholds or critical_thresholds(g, balls.points, grid)
+    splits = {r: g.split_radius(r) for r in thresholds.radii}
     for r, t in thresholds.pairs():
-        rp = g.split_radius(r)
+        rp = splits[r]
         (_, *small), (_, *big) = balls.rows(rp, t), balls.rows(r, t)
         for side, rows, target in zip(("forward", "backward"), small, big):
             for x, comp, goal in zip(balls.points, compose(rows, rows), target):

@@ -264,9 +264,9 @@ def corrupt_one_entry(g, rng, bump=0.75):
     tab = g.tabulated()
     grid = tab.grid
     t1 = grid[0]
-    u = grid.project_sum(t1, t1)
-    assert u is not None, "corpus grids always contain the t1 + t1 projection"
-    k = grid.ceil_index(u)
+    k = grid.ceil_index(t1 + t1)
+    assert k is not None, "corpus grids always contain the t1 + t1 projection"
+    u = grid[k]
     x, z = rng.sample(list(tab.points), 2)
     y = rng.choice(list(tab.points))
     a, b = tab.value(x, y, t1), tab.value(y, z, t1)

@@ -457,6 +457,43 @@ def test_oversize_integers_exit_2_with_one_error_line(tmp_path, capsys,
     assert _single_error_line(err) and message in err and "too large" in err
 
 
+# ids that end up in "x|y" keys must stringify uniquely and hold no "|":
+# ("a|b", "c") and ("a", "b|c") would share the key "a|b|c"
+BARRED = ["a|b", "c", "a", "b|c"]
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("graph", {"vertices": BARRED, "edges": [{"from": "a|b", "to": "c"},
+                                             {"from": "c", "to": "a"},
+                                             {"from": "a", "to": "b|c"}]},
+     "bad graph document: vertex ids must stringify uniquely and avoid '|'"),
+    ("orlicz", dict(ORLICZ_DOC, functions={f: {"a": float(i), "b": 1.0}
+                                           for i, f in enumerate(BARRED)}),
+     "bad orlicz document: function ids must stringify uniquely and avoid"),
+    ("envelope", dict(ENVELOPE_DOC, points=[1, "1", "b"],
+                      distance={"1|b": 1.0, "b|1": 1.0}, domain=[1],
+                      values={"1": 0.0}),
+     "bad envelope document: point ids must stringify uniquely and avoid"),
+    ("envelope", dict(ENVELOPE_DOC, points=["a", "a", "x"]),
+     "bad envelope document: point ids must stringify uniquely and avoid"),
+    ("check-axioms", {"regime": "additive", "points": ["a|b"],
+                      "grid": [1.0], "table": {}},
+     "bad gauge document: point ids must stringify uniquely and avoid"),
+    ("cover", {"space": ADDITIVE_DOC, "sequence": "abba"},
+     "bad cover sequence: expected a JSON list, not str"),
+    ("cover", {"space": ADDITIVE_DOC, "sequence": {"a": 1}},
+     "bad cover sequence: expected a JSON list, not dict"),
+], ids=["graph-vertices", "orlicz-function-ids", "envelope-str-collision",
+        "envelope-duplicate-points", "gauge-point", "cover-sequence-string",
+        "cover-sequence-object"])
+def test_ambiguous_ids_and_non_list_sequences_exit_2(tmp_path, capsys,
+                                                     command, doc, message):
+    src = write_doc(tmp_path, "in.json", doc)
+    assert main([command, "--input", src]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and _single_error_line(err) and message in err
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: valid seeded documents, then keys dropped, values swapped for
 # hostile ones, and the file cut short
@@ -558,3 +595,37 @@ def test_fuzzed_documents_never_end_in_a_traceback(tmp_path, command):
         assert "Traceback" not in err.getvalue()
 
     run()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the flags: hostile --grid, --tol and --conorm values on every
+# command's seeded document
+
+HOSTILE_GRIDS = ("0", "-1", "nan", "inf", "1,1", "2,1", "", ",", "1e400",
+                 "5e-324", "1e308,1.7e308")
+HOSTILE_TOLS = ("5e-324", "inf", "-0", "1e11")
+HOSTILE_FLAGS = ([["--grid", v] for v in HOSTILE_GRIDS]
+                 + [["--tol", v] for v in HOSTILE_TOLS]
+                 + [["--conorm", c] for c in ("max", "prob_sum",
+                                              "bounded_sum")])
+# the --conorm runs read an additive gauge: the override leaves it be
+ADDITIVE_INPUT = {"check-axioms": "luxemburg", "topology": "luxemburg"}
+
+
+@pytest.mark.parametrize("command", sorted(VALID_DOCUMENTS))
+def test_hostile_flags_exit_0_1_or_2_with_at_most_one_error_line(
+        tmp_path, command):
+    for flags in HOSTILE_FLAGS:
+        source = ADDITIVE_INPUT.get(command, command) \
+            if flags[0] == "--conorm" else command
+        src = write_doc(tmp_path, "in.json", VALID_DOCUMENTS[source])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--input", src, *flags])
+        text = err.getvalue()
+        errors = [line for line in text.splitlines()
+                  if line.startswith("quasimod: error: ")]
+        assert code in (0, 1, 2), (flags, code)
+        assert "Traceback" not in text, flags
+        assert len(errors) == (code == 2), (flags, text)

@@ -9,6 +9,7 @@ from quasimod import (
     Regime,
     ScaleGrid,
     TConorm,
+    Violation,
     gauge_from_json,
     gauge_to_json,
     make_classical_modular,
@@ -18,7 +19,7 @@ from quasimod import (
     make_scaled_metric,
     make_sublinear,
     opposite,
-    quasi_pseudometric_violations,
+    quasi_pseudometric_check,
     symmetrize_conorm,
     symmetrize_max,
 )
@@ -101,12 +102,12 @@ def test_quasi_pseudometric_violations_witnesses():
     pts = ("a", "b", "c")
     clean = {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 2.0,
              ("b", "a"): 1.0, ("c", "b"): 1.0, ("c", "a"): 2.0}
-    assert quasi_pseudometric_violations(clean, pts) == []
-    assert quasi_pseudometric_violations({("a", "a"): 0.5}, ("a",)) == \
-        [("zero-self", ("a",), 0.5, 0.0)]
+    assert quasi_pseudometric_check(clean, pts).violations == ()
+    assert quasi_pseudometric_check({("a", "a"): 0.5}, ("a",)).violations \
+        == (Violation("zero-self", ("a",), 0.5, 0.0),)
     broken = {**clean, ("a", "c"): 9.0, ("c", "a"): 9.0}
-    bad = quasi_pseudometric_violations(broken, pts)
-    assert ("triangle", ("a", "b", "c"), 9.0, 2.0) in bad
+    bad = quasi_pseudometric_check(broken, pts).violations
+    assert Violation("triangle", ("a", "b", "c"), 9.0, 2.0) in bad
 
 
 def test_quasi_pseudometric_clean_on_closed_corpora():
@@ -114,7 +115,7 @@ def test_quasi_pseudometric_clean_on_closed_corpora():
         rng = rng_for(seed)
         pts = points_named(rng.randrange(2, 7))
         rho = random_quasi_pseudometric(rng, pts)
-        assert quasi_pseudometric_violations(rho, pts) == []
+        assert quasi_pseudometric_check(rho, pts).violations == ()
 
 
 def test_min_cap_caps_at_the_scale():

@@ -7,19 +7,28 @@ effect the paper fixes, so no copy of an older implementation is needed:
   entourage, ball, net and convergence test into the backward one, keeps
   the two-sided entourage and swaps the sides of the small-composite
   witnesses;
-- composition reverses under transposition: (R o S)^T = S^T o R^T.
+- composition reverses under transposition: (R o S)^T = S^T o R^T;
+- the opposite gauge's Luxemburg distance d(x, y) is the gauge's d(y, x);
+- `graph` on the transposed graph swaps the forward and backward maps and
+  keeps the asymmetry index.
 """
 
+import contextlib
+import io
+import json
 from dataclasses import replace
 
 import pytest
 
-from quasimod import (Regime, SampledSequence, TConorm, ball, compose,
-                      converges_to, critical_thresholds, entourage,
-                      greedy_net, opposite, small_composite_check)
+from quasimod import (NonmonotoneGaugeError, Regime, SampledSequence, TConorm,
+                      ball, compose, converges_to, critical_thresholds,
+                      entourage, graph_to_json, greedy_net,
+                      luxemburg_distance, opposite, small_composite_check)
+from quasimod.cli import main
 
 from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry,
-                      random_conorm_gauge, rng_for, transpose)
+                      random_conorm_gauge, random_digraph,
+                      random_strongly_connected_graph, rng_for, transpose)
 
 CONORMS = (TConorm.MAX, TConorm.PROBABILISTIC_SUM, TConorm.BOUNDED_SUM)
 
@@ -91,3 +100,50 @@ def test_composition_reverses_under_transposition(seed):
         for a, b in zip(rows, rows[1:] + rows[:1]):
             assert transpose(compose(a, b)) == \
                 compose(transpose(b), transpose(a)), g.name
+
+
+def luxemburg_outcome(g, x, y):
+    try:
+        return luxemburg_distance(g, x, y)
+    except NonmonotoneGaugeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_opposite_gauge_reverses_luxemburg_distances(seed):
+    rng = rng_for(1500 + seed)
+    for build in ADDITIVE_BUILDERS:
+        g = build(rng, rng.randrange(2, 6)).tabulated()
+        opp = opposite(g)
+        for x in g.points:
+            for y in g.points:
+                # the same probes on the same values: equal bit for bit
+                assert luxemburg_outcome(opp, x, y) == \
+                    luxemburg_outcome(g, y, x), (g.name, x, y)
+
+
+def graph_report(tmp_path, doc):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["graph", "--input", str(src)])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_transposed_graph_swaps_forward_and_backward(tmp_path, seed):
+    rng = rng_for(1600 + seed)
+    n = rng.randrange(2, 9)
+    g = random_digraph(rng, n) if seed % 2 else \
+        random_strongly_connected_graph(rng, n)
+    doc = graph_to_json(g)
+    flipped = dict(doc, edges=[dict(e, **{"from": e["to"], "to": e["from"]})
+                               for e in doc["edges"]])
+    code, mine = graph_report(tmp_path, doc)
+    code_t, theirs = graph_report(tmp_path, flipped)
+    assert code == code_t == 0
+    assert mine["forward"] != mine["backward"]  # the identity has teeth
+    assert theirs["forward"] == mine["backward"]
+    assert theirs["backward"] == mine["forward"]
+    assert theirs["asymmetry_index"] == mine["asymmetry_index"]

@@ -5,7 +5,7 @@
 the CLI writes for documents built from the conftest corpora, on hand-built
 shapes, on lists of rows some of which are empty, on seeded random trees,
 and on the graph report's pair maps, laid out from the distance rows, for
-hostile vertex ids.
+hostile vertex ids; ids that would give two pairs one "x|y" key exit 2.
 
 The module needs neither pytest nor hypothesis, so it also runs as a plain
 script on any interpreter the package supports:
@@ -23,7 +23,7 @@ import tempfile
 
 from quasimod import (INF, TConorm, distance_matrix, format_ext,
                       gauge_to_json, graph_from_json, graph_to_json,
-                      quasi_pseudometric_violations)
+                      quasi_pseudometric_check)
 from quasimod import cli
 
 from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
@@ -100,7 +100,7 @@ def corpus_documents():
     for ids in (points_named(5), (3, 1, 4, 15, 9)):
         rho = random_quasi_pseudometric(rng, ids)
         rho[(ids[0], ids[2])] = 9.0
-        assert quasi_pseudometric_violations(rho, ids)
+        assert quasi_pseudometric_check(rho, ids).violations
         yield "envelope", {"points": list(ids),
                            "distance": {f"{x}|{y}": v
                                         for (x, y), v in rho.items()},
@@ -296,9 +296,6 @@ def oracle_pair_maps(vertices, rows):
 
 
 VERTEX_IDS = [
-    # pairs that share a key: ("a|b", "c") and ("a", "b|c"), and three
-    # pairs on "|||"
-    ["a|b", "c", "a", "b|c", "|"], ["", "|", "||", "x"],
     # a name extended by a character below or above "|": "a{|a" sorts
     # before "a|a{" although "a" sorts before "a{"
     ["a", "a{", "a}", "a~", "a!", "ab", "a{{"],
@@ -309,11 +306,14 @@ VERTEX_IDS = [
     ["solo"], [""], [7],
 ]
 COSTS = (0.0, -0.0, 0.5, 1.0, 0.1, 0.2, 3.0, 1e300)
+# ids that would give two pairs one key: ("a|b", "c") and ("a", "b|c"), and
+# three pairs on "|||"; the graph reader refuses them
+BARRED_IDS = [["a|b", "c", "a", "b|c", "|"], ["", "|", "||", "x"]]
 
 
-def hostile_graphs():
+def hostile_graphs(vertex_ids=VERTEX_IDS):
     rng = random.Random(1207)
-    for ids in VERTEX_IDS:
+    for ids in vertex_ids:
         for p in (0.0, 0.3, 0.7):
             edges = [{"from": u, "to": v, "cost": rng.choice(COSTS)}
                      for u in ids for v in ids if rng.random() < p]
@@ -340,6 +340,22 @@ def test_pair_maps_match_json_dumps_of_the_row_updates():
         # a pair map is laid out at whatever depth it sits
         for nested in (forward, [report], {"a": [{"b": backward}]}):
             assert cli._json_text(nested) == reference(nested), doc
+
+
+def test_vertex_ids_that_share_a_pair_key_exit_2():
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "in.json")
+        for doc in hostile_graphs(BARRED_IDS):
+            with open(src, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.main(["graph", "--input", src])
+            assert (code, out.getvalue()) == (2, ""), doc
+            assert err.getvalue() == ("quasimod: error: bad graph document: "
+                                      "vertex ids must stringify uniquely "
+                                      "and avoid '|'\n"), doc
 
 
 # ---------------------------------------------------------------------------
