@@ -25,8 +25,7 @@ from .extreal import INF, ensure_ext, ext_mul, format_ext, is_ext, parse_ext
 from .gauges import (GaugeSpec, Regime, gauge_from_json, gauge_to_json,
                      make_classical_modular, make_min_cap,
                      make_one_sided_integral, make_ratio, make_scaled_metric,
-                     make_sublinear, opposite, symmetrize_conorm,
-                     symmetrize_max)
+                     make_sublinear, opposite, symmetrize)
 from .graphs import (DirectedGraph, DynamicCostSchedule, Edge,
                      EdgeOrliczFamily, asymmetry_index, distance_matrix,
                      dynamic_distance, energy_luxemburg, forward_distance,

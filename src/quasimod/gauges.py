@@ -6,8 +6,8 @@ Two regimes are supported:
 * additive: values in [0, inf], triangle combined with +;
 * conorm: values in [0, 1), triangle combined with a t-conorm.
 
-`GaugeSpec.oplus` is that combination and `split_radius` the radius step
-built on it; no other module decides between the two regimes' laws.
+`GaugeSpec.oplus` is that combination; it, `split_radius` and `sym_law` are
+the regimes' laws, and no other module decides between them.
 
 Gauges are immutable.  They are either closed-form (a function of x, y, t)
 or tabulated (one value per ordered pair per grid scale, read with the
@@ -133,6 +133,12 @@ class GaugeSpec:
         """The regime's triangle law: + for an additive gauge, the conorm's
         `apply` otherwise."""
         return add if self.regime is Regime.ADDITIVE else self.conorm.apply
+
+    @property
+    def sym_law(self) -> Callable[[float, float], float]:
+        """How w(x, y, t) and w(y, x, t) make the symmetrized gauge's value:
+        max under +, the conorm's `apply` otherwise."""
+        return max if self.regime is Regime.ADDITIVE else self.conorm.apply
 
     def split_radius(self, r: float) -> float:
         """The radius s that a cover or composite shrinks r to, with
@@ -387,22 +393,12 @@ def opposite(g: GaugeSpec) -> GaugeSpec:
     return replace(g, name=name, fn=lambda x, y, t: g.value(y, x, t))
 
 
-def symmetrize_max(g: GaugeSpec) -> GaugeSpec:
-    """Pointwise max of the gauge and its opposite (additive regime)."""
-    if g.regime is not Regime.ADDITIVE:
-        raise ValueError("symmetrize_max applies to additive-regime gauges")
-    return replace(g, conorm=None, claims_symmetric=True,
-                   name=f"sym_max({g.name})", table=None,
-                   fn=lambda x, y, t: max(g.value(x, y, t), g.value(y, x, t)))
-
-
-def symmetrize_conorm(g: GaugeSpec) -> GaugeSpec:
-    """Conorm combination of the gauge and its opposite (conorm regime)."""
-    if g.regime is not Regime.CONORM:
-        raise ValueError("symmetrize_conorm applies to conorm-regime gauges")
-    c = g.conorm
+def symmetrize(g: GaugeSpec) -> GaugeSpec:
+    """(x, y, t) -> `g.sym_law`(w(x, y, t), w(y, x, t)): the symmetrized
+    gauge of either regime."""
+    law = g.sym_law
     return replace(g, claims_symmetric=True, name=f"sym({g.name})", table=None,
-                   fn=lambda x, y, t: c.apply(g.value(x, y, t), g.value(y, x, t)))
+                   fn=lambda x, y, t: law(g.value(x, y, t), g.value(y, x, t)))
 
 
 def _decode_ids(ids, what: str) -> dict:

@@ -124,6 +124,10 @@ def luxemburg_distance(g: GaugeSpec, x, y, c: float = 1.0,
 def symmetrized_luxemburg(g: GaugeSpec, x, y, c: float = 1.0,
                           tol: float = DEFAULT_TOL,
                           lambda_max: float = DEFAULT_LAMBDA_MAX) -> float:
+    """The larger of the distances x to y and y to x: the additive law.
+    Wherever both directions are nonincreasing in the scale it equals
+    `luxemburg_distance(symmetrize(g), x, y).value`, since bisection reads
+    only the predicate, and max(a, b) <= c holds iff a <= c and b <= c."""
     return max(luxemburg_distance(g, x, y, c, tol, lambda_max).value,
                luxemburg_distance(g, y, x, c, tol, lambda_max).value)
 

@@ -288,10 +288,8 @@ def verify_join_equality(g: GaugeSpec, points=None,
     symmetric, so its two-sided balls are its forward ones."""
     points, _, mats = g.sample(points, grid)
     opps = [tuple(zip(*m)) for m in mats]
-    # the symmetrized gauge's matrices: what symmetrize_conorm or
-    # symmetrize_max evaluates, entry by entry
-    combine = g.conorm.apply if g.regime is Regime.CONORM else max
-    syms = [[list(map(combine, row, col)) for row, col in zip(m, opp)]
+    # the symmetrized gauge's matrices: what `symmetrize` evaluates
+    syms = [[list(map(g.sym_law, row, col)) for row, col in zip(m, opp)]
             for m, opp in zip(mats, opps)]
     tau_plus, tau_minus, tau_sym = (
         _from_subbase(points, _balls(ms)) for ms in (mats, opps, syms))

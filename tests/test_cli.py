@@ -494,6 +494,36 @@ def test_ambiguous_ids_and_non_list_sequences_exit_2(tmp_path, capsys,
     assert out == "" and _single_error_line(err) and message in err
 
 
+# json.load alone keeps the last of repeated keys, so each document below
+# would be read on its second value: the gauge would pass check-axioms on
+# a|b = [4, 2, 1] alone, with exit 0
+@pytest.mark.parametrize("command, doc, key, first", [
+    ("check-axioms", ADDITIVE_DOC, "a|b", [9.0, 9.0, 9.0]),
+    ("cover", {"space": ADDITIVE_DOC, "sequence": ["a", "b"]}, "sequence",
+     ["b"]),
+    ("graph", dict(HUGE_GRAPH, edges=[{"from": "u", "to": "v", "cost": 1.0}]),
+     "cost", 9.0),
+    ("orlicz", ORLICZ_DOC, "f", {"a": 0.0, "b": 0.0}),
+    ("envelope", ENVELOPE_DOC, "x|a", 9.0),
+], ids=["gauge-table", "cover-sequence", "graph-edge", "orlicz-function-ids",
+        "envelope-distance"])
+def test_repeated_object_keys_exit_2(tmp_path, capsys, command, doc, key,
+                                     first):
+    text = json.dumps(doc)
+    head = json.dumps(key) + ": "
+    assert text.count(head) == 1
+    src = tmp_path / "in.json"
+    src.write_text(text.replace(head, head + json.dumps(first) + ", " + head),
+                   encoding="utf-8")
+    assert main([command, "--input", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and _single_error_line(err)
+    assert f"repeated JSON object key {key!r} in {src}" in err
+    # the same document without the repeat is read as before
+    assert main([command, "--input", write_doc(tmp_path, "ok.json", doc)]) \
+        in (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: valid seeded documents, then keys dropped, values swapped for
 # hostile ones, and the file cut short
@@ -608,16 +638,17 @@ HOSTILE_FLAGS = ([["--grid", v] for v in HOSTILE_GRIDS]
                  + [["--tol", v] for v in HOSTILE_TOLS]
                  + [["--conorm", c] for c in ("max", "prob_sum",
                                               "bounded_sum")])
+# two hostile values at once, from two different flags
+HOSTILE_FLAG_PAIRS = [a + b for i, a in enumerate(HOSTILE_FLAGS)
+                      for b in HOSTILE_FLAGS[i + 1:] if a[0] != b[0]]
 # the --conorm runs read an additive gauge: the override leaves it be
 ADDITIVE_INPUT = {"check-axioms": "luxemburg", "topology": "luxemburg"}
 
 
-@pytest.mark.parametrize("command", sorted(VALID_DOCUMENTS))
-def test_hostile_flags_exit_0_1_or_2_with_at_most_one_error_line(
-        tmp_path, command):
-    for flags in HOSTILE_FLAGS:
+def run_hostile_flags(tmp_path, command, flag_lists):
+    for flags in flag_lists:
         source = ADDITIVE_INPUT.get(command, command) \
-            if flags[0] == "--conorm" else command
+            if "--conorm" in flags else command
         src = write_doc(tmp_path, "in.json", VALID_DOCUMENTS[source])
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
@@ -629,3 +660,16 @@ def test_hostile_flags_exit_0_1_or_2_with_at_most_one_error_line(
         assert code in (0, 1, 2), (flags, code)
         assert "Traceback" not in text, flags
         assert len(errors) == (code == 2), (flags, text)
+
+
+@pytest.mark.parametrize("command", sorted(VALID_DOCUMENTS))
+def test_hostile_flags_exit_0_1_or_2_with_at_most_one_error_line(
+        tmp_path, command):
+    run_hostile_flags(tmp_path, command, HOSTILE_FLAGS)
+
+
+@pytest.mark.parametrize("command", sorted(VALID_DOCUMENTS))
+def test_hostile_flag_pairs_exit_0_1_or_2_with_at_most_one_error_line(
+        tmp_path, command):
+    assert len(HOSTILE_FLAG_PAIRS) == 11 * 4 + 11 * 3 + 4 * 3
+    run_hostile_flags(tmp_path, command, HOSTILE_FLAG_PAIRS)

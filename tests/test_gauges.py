@@ -20,8 +20,7 @@ from quasimod import (
     make_sublinear,
     opposite,
     quasi_pseudometric_check,
-    symmetrize_conorm,
-    symmetrize_max,
+    symmetrize,
 )
 
 from conftest import (
@@ -210,17 +209,17 @@ def test_opposite_and_symmetrizations():
     op = opposite(g)
     assert op.value("a", "b", 1.0) == g.value("b", "a", 1.0)
     assert op.table[("a", "b")] == g.table[("b", "a")]
-    sym = symmetrize_max(g)
+    # one symmetrize for both regimes: max under +, the conorm otherwise
+    sym = symmetrize(g)
     assert sym.value("a", "b", 1.0) == sym.value("b", "a", 1.0) == 0.75
-    assert sym.claims_symmetric
-    with pytest.raises(ValueError):
-        symmetrize_conorm(g)
+    assert sym.claims_symmetric and sym.name == "sym(gauge)"
+    assert sym.regime is Regime.ADDITIVE
     c = random_conorm_gauge(rng_for(3), 3, TConorm.PROBABILISTIC_SUM)
-    cs = symmetrize_conorm(c)
+    cs = symmetrize(c)
     a, b = c.value("p0", "p1", 1.0), c.value("p1", "p0", 1.0)
     assert cs.value("p0", "p1", 1.0) == TConorm.PROBABILISTIC_SUM.apply(a, b)
-    with pytest.raises(ValueError):
-        symmetrize_max(c)
+    assert cs.value("p1", "p0", 1.0) == cs.value("p0", "p1", 1.0)
+    assert (cs.regime, cs.conorm) == (Regime.CONORM, c.conorm)
 
 
 def test_json_round_trip_preserves_values():

@@ -10,7 +10,12 @@ effect the paper fixes, so no copy of an older implementation is needed:
 - composition reverses under transposition: (R o S)^T = S^T o R^T;
 - the opposite gauge's Luxemburg distance d(x, y) is the gauge's d(y, x);
 - `graph` on the transposed graph swaps the forward and backward maps and
-  keeps the asymmetry index.
+  keeps the asymmetry index;
+- symmetrizing the gauge first leaves the symmetrized topology alone: the
+  forward, backward, join and symmetrized topologies of `symmetrize(g)` are
+  all the symmetrized topology of g;
+- the Luxemburg distance of `symmetrize(g)` is `symmetrized_luxemburg(g)`,
+  the larger of the two one-sided distances.
 """
 
 import contextlib
@@ -20,14 +25,17 @@ from dataclasses import replace
 
 import pytest
 
-from quasimod import (NonmonotoneGaugeError, Regime, SampledSequence, TConorm,
-                      ball, compose, converges_to, critical_thresholds,
-                      entourage, graph_to_json, greedy_net,
-                      luxemburg_distance, opposite, small_composite_check)
+from quasimod import (NonmonotoneGaugeError, Profile, Regime, SampledSequence,
+                      ScaleGrid, TConorm, ball, compose, converges_to,
+                      critical_thresholds, entourage, graph_to_json,
+                      greedy_net, luxemburg_distance, make_scaled_metric,
+                      opposite, small_composite_check, symmetrize,
+                      symmetrized_luxemburg, verify_join_equality)
 from quasimod.cli import main
 
-from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry,
+from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
                       random_conorm_gauge, random_digraph,
+                      random_quasi_pseudometric,
                       random_strongly_connected_graph, rng_for, transpose)
 
 CONORMS = (TConorm.MAX, TConorm.PROBABILISTIC_SUM, TConorm.BOUNDED_SUM)
@@ -147,3 +155,55 @@ def test_the_transposed_graph_swaps_forward_and_backward(tmp_path, seed):
     assert theirs["forward"] == mine["backward"]
     assert theirs["backward"] == mine["forward"]
     assert theirs["asymmetry_index"] == mine["asymmetry_index"]
+
+
+def test_the_symmetrized_gauge_has_one_topology_the_symmetrized_one():
+    cases = asymmetric = 0
+    for seed in range(40):
+        rng = rng_for(1700 + seed)
+        corpus = [build(rng, rng.randrange(2, 7))
+                  for build in ADDITIVE_BUILDERS]
+        corpus += [random_conorm_gauge(rng, rng.randrange(2, 7), conorm)
+                   for conorm in CONORMS]
+        for g in corpus:
+            mine = verify_join_equality(g)
+            theirs = verify_join_equality(symmetrize(g))
+            for tau in (theirs.tau_plus, theirs.tau_minus, theirs.join,
+                        theirs.tau_sym):
+                assert tau.hoods == mine.tau_sym.hoods, (seed, g.name)
+            cases += 1
+            asymmetric += mine.tau_plus.hoods != mine.tau_minus.hoods
+    assert cases == 280
+    assert asymmetric > 20  # the identity has teeth
+
+
+def scaled_metric_gauges(seed):
+    """w = g(t) * d on dyadic data: d from `random_quasi_pseudometric` and
+    g a nonincreasing profile, so no pair raises NonmonotoneGaugeError and
+    many pairs have different distances in the two directions."""
+    rng = rng_for(1800 + seed)
+    for _ in range(3):
+        points = points_named(rng.randrange(2, 6))
+        exponents = sorted(rng.sample(range(-3, 5), rng.randrange(2, 6)))
+        values = sorted((rng.randrange(0, 33) / 8 for _ in exponents),
+                        reverse=True)
+        profile = Profile(ScaleGrid(tuple(2.0 ** k for k in exponents)),
+                          tuple(values))
+        yield make_scaled_metric(random_quasi_pseudometric(rng, points),
+                                 profile, points)
+
+
+def test_the_symmetrized_gauge_has_the_symmetrized_luxemburg_distance():
+    pairs = asymmetric = 0
+    for seed in range(20):
+        for g in scaled_metric_gauges(seed):
+            sym = symmetrize(g)
+            for x in g.points:
+                for y in g.points:
+                    # the same probes on the larger direction's predicate
+                    assert luxemburg_distance(sym, x, y).value == \
+                        symmetrized_luxemburg(g, x, y), (seed, g.name, x, y)
+                    pairs += 1
+                    asymmetric += luxemburg_distance(g, x, y).value != \
+                        luxemburg_distance(g, y, x).value
+    assert pairs > 400 and asymmetric > 100  # the identity has teeth

@@ -16,8 +16,7 @@ from quasimod import (
     join_topologies,
     quasi_uniformity_report,
     small_composite_check,
-    symmetrize_conorm,
-    symmetrize_max,
+    symmetrize,
     verify_join_equality,
 )
 
@@ -202,8 +201,7 @@ def test_join_report_matches_the_closure_oracle_on_corpora():
                    for conorm in (None, *TConorm)]
     for g in gauges:
         combine = g.conorm.apply if g.regime is Regime.CONORM else max
-        sym = symmetrize_conorm(g) if g.regime is Regime.CONORM \
-            else symmetrize_max(g)
+        sym = symmetrize(g)
         s = g.grid.scales
         subset = tuple(p for k, p in enumerate(g.points)
                        if k != len(g.points) // 2)
