@@ -324,8 +324,8 @@ def _pair_maps(vertices, rows) -> tuple[_PairMap, _PairMap]:
     backward = list(chain.from_iterable(map(cols[i].__getitem__, ys)
                                         for i in xs))
     # one text per distinct distance: no entry is -0.0 (path sums start at
-    # +0.0; Luxemburg infima are 0.0, above tol, or inf), so equal entries
-    # have equal reprs
+    # +0.0; Luxemburg infima are 0.0, a positive scale, or inf), so equal
+    # entries have equal reprs
     text = {v: repr(v) for v in set(chain.from_iterable(vals))}
     text["inf"] = '"inf"'
     key_texts = [k + ": " for k in map(encode_basestring_ascii, keys)]
@@ -449,7 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", required=True, help="input JSON file")
     parser.add_argument("--output", help="report file (.json or .csv)")
     parser.add_argument("--tol", type=float, default=1e-9,
-                        help="bisection tolerance (default 1e-9)")
+                        help="tolerance of searched scale infima "
+                             "(default 1e-9)")
     parser.add_argument("--grid", help="comma-separated scales, e.g. 0.5,1,2")
     parser.add_argument("--conorm", choices=["max", "prob_sum", "bounded_sum"],
                         help="override the gauge's conorm")

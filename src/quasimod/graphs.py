@@ -205,7 +205,8 @@ def forward_energy(g: DirectedGraph, f: Mapping,
 def energy_luxemburg(g: DirectedGraph, f: Mapping, phi: EdgeOrliczFamily,
                      tol: float = DEFAULT_TOL, c: float = 1.0,
                      lambda_max: float = DEFAULT_LAMBDA_MAX) -> float:
-    """inf{lambda > 0 : energy(f / lambda) <= c} by bracketed bisection."""
+    """inf{lambda > 0 : energy(f / lambda) <= c}, searched by
+    `luxemburg_infimum`."""
     return luxemburg_infimum(_energy_at(g, f, phi), c, tol, lambda_max).value
 
 

@@ -1,7 +1,9 @@
 """Discrete weighted Musielak-Orlicz modulars, norms, and one-sided variants.
 
 Measure spaces are finite weighted point sets, so modulars are finite sums
-and every norm is a bracketed bisection on a nonincreasing scale map.
+and every norm is the Luxemburg infimum of one, found by the safeguarded
+secant search of `luxemburg_infimum` on the nonincreasing map
+lambda -> modular(f / lambda).
 """
 
 from __future__ import annotations

@@ -179,6 +179,30 @@ def test_luxemburg_rejects_nonmonotone_and_conorm_gauges(tmp_path):
     assert main(["luxemburg", "--input", src]) == 2
 
 
+def test_luxemburg_exits_1_on_a_row_that_rises_past_its_infimum(tmp_path):
+    # rows are checked whole: the rise from 0.5 to 0.75 lies past the
+    # column the infimum of a|b sits in, which a search never probed
+    doc = {"regime": "additive", "points": ["a", "b"],
+           "grid": [1.0, 2.0, 4.0, 8.0],
+           "table": {"a|a": [0] * 4, "b|b": [0] * 4,
+                     "a|b": [2.0, 0.5, 0.75, 0.25], "b|a": [1.0] * 4}}
+    code, report = run(tmp_path, "luxemburg", doc)
+    assert code == 1
+    assert report["error"] == ("value increases with the scale: 0.5 at 2.0 "
+                               "but 0.75 at 4.0")
+
+
+def test_orlicz_overflow_keeps_its_error_line(tmp_path, capsys):
+    doc = {"space": {"points": ["a"], "mu": {"a": 1.0}},
+           "functions": {"f": {"a": 2.0}},
+           "phi": {"kind": "variable_exponent", "p": {"a": 1e308}}}
+    src = write_doc(tmp_path, "in.json", doc)
+    assert main(["orlicz", "--input", src]) == 2
+    assert capsys.readouterr().err == (
+        "quasimod: error: bad orlicz document: (34, 'Numerical result out "
+        "of range')\n")
+
+
 def test_graph_command_reports_both_directions(tmp_path):
     doc = {"vertices": ["a", "b"],
            "edges": [{"from": "a", "to": "b", "cost": 1.0},

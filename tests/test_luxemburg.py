@@ -127,3 +127,52 @@ def test_triple_check_wraps_table_audits():
     report = quasi_pseudometric_check({("a", "a"): 3.0}, ("a",))
     assert not report.ok
     assert report.violations[0].axiom == "zero-self"
+
+
+def table_gauge(row, grid=(1.0, 2.0, 4.0, 8.0)):
+    """A two-point table whose (a, b) row is `row` and (b, a) row is 0."""
+    zeros = [0.0] * len(grid)
+    return GaugeSpec(regime=Regime.ADDITIVE, points=("a", "b"),
+                     grid=ScaleGrid(grid),
+                     table={("a", "b"): row, ("b", "a"): zeros})
+
+
+def test_table_rows_are_read_exactly():
+    # the ceil convention holds a column's value on (previous scale, scale]
+    for row, want in (([4.0, 2.0, 1.0, 0.5], 2.0), ([0.5] * 4, 0.0),
+                      ([3.0, 1.0, 1.0, 0.0], 1.0), ([3.0, 2.0, 2.0, 2.0], INF),
+                      ([INF, INF, 1.0, 1.0], 2.0), ([INF] * 4, INF)):
+        g = table_gauge(row)
+        res = luxemburg_distance(g, "a", "b")
+        assert (res.value, res.iterations) == (want, 0), row
+        # the bracket certifies the infimum as a search's does
+        lo, hi = res.bracket
+        assert lo == (want if want < INF else 1e12), row
+        assert lo == 0.0 or g.value("a", "b", lo) > 1.0, row
+        assert hi == INF or g.value("a", "b", hi) <= 1.0, row
+    assert luxemburg_distance(table_gauge([4.0, 2.0, 1.0, 0.5]), "a", "b",
+                              c=2.0).value == 1.0
+    # columns past the one read at lambda_max are not searched
+    assert luxemburg_distance(table_gauge([4.0, 2.0, 1.0, 0.5]), "a", "b",
+                              lambda_max=3.0).value == 2.0
+    assert luxemburg_distance(table_gauge([4.0, 2.0, 2.0, 0.5]), "a", "b",
+                              lambda_max=3.0).value == INF
+
+
+def test_table_rows_are_checked_whole():
+    # a rise past the column the infimum sits in still raises, with the
+    # two grid scales as the witness
+    with pytest.raises(NonmonotoneGaugeError,
+                       match=r"^value increases with the scale: 0.5 at 2.0 "
+                             r"but 0.75 at 4.0$"):
+        luxemburg_distance(table_gauge([2.0, 0.5, 0.75, 0.25]), "a", "b")
+    # a rise within the slack is no rise, but a predicate that then fails
+    # at the top is not an upper set
+    with pytest.raises(NonmonotoneGaugeError, match="not an upper set"):
+        luxemburg_distance(table_gauge([2.0, 1.0, 1.0 + 5e-10, 1.0 + 5e-10]),
+                           "a", "b")
+    g = table_gauge([2.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="unknown point 'z'"):
+        luxemburg_distance(g, "a", "z")
+    with pytest.raises(ValueError, match="threshold"):
+        luxemburg_distance(g, "a", "b", c=0.0)

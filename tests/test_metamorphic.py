@@ -14,8 +14,11 @@ effect the paper fixes, so no copy of an older implementation is needed:
 - symmetrizing the gauge first leaves the symmetrized topology alone: the
   forward, backward, join and symmetrized topologies of `symmetrize(g)` are
   all the symmetrized topology of g;
-- the Luxemburg distance of `symmetrize(g)` is `symmetrized_luxemburg(g)`,
-  the larger of the two one-sided distances.
+- the Luxemburg distance of `symmetrize(g)` and `symmetrized_luxemburg(g)`,
+  the larger of the two one-sided distances, both lie within tol above the
+  infimum read from the gauge's dyadic profile, and equal it at 0 and inf;
+  on the tabulated gauge the one-sided distances and
+  `symmetrized_luxemburg` are that infimum exactly.
 """
 
 import contextlib
@@ -25,7 +28,7 @@ from dataclasses import replace
 
 import pytest
 
-from quasimod import (NonmonotoneGaugeError, Profile, Regime, SampledSequence,
+from quasimod import (INF, NonmonotoneGaugeError, Profile, Regime, SampledSequence,
                       ScaleGrid, TConorm, ball, compose, converges_to,
                       critical_thresholds, entourage, graph_to_json,
                       greedy_net, luxemburg_distance, make_scaled_metric,
@@ -193,17 +196,36 @@ def scaled_metric_gauges(seed):
                                  profile, points)
 
 
+def exact_infimum(g, x, y):
+    """inf{t > 0 : w(x, y, t) <= 1} for a gauge that is a step function of
+    the scale on its grid (ceil convention): 0.0, a grid scale or inf."""
+    grid = g.grid.scales
+    k = next((k for k, t in enumerate(grid) if g.value(x, y, t) <= 1.0),
+             None)
+    return INF if k is None else 0.0 if k == 0 else grid[k - 1]
+
+
 def test_the_symmetrized_gauge_has_the_symmetrized_luxemburg_distance():
     pairs = asymmetric = 0
     for seed in range(20):
         for g in scaled_metric_gauges(seed):
-            sym = symmetrize(g)
+            sym, table = symmetrize(g), g.tabulated()
             for x in g.points:
                 for y in g.points:
-                    # the same probes on the larger direction's predicate
-                    assert luxemburg_distance(sym, x, y).value == \
-                        symmetrized_luxemburg(g, x, y), (seed, g.name, x, y)
+                    one, other = exact_infimum(g, x, y), exact_infimum(g, y, x)
+                    exact = max(one, other)
+                    got = (luxemburg_distance(sym, x, y).value,
+                           symmetrized_luxemburg(g, x, y),
+                           luxemburg_distance(symmetrize(table), x, y).value)
+                    case = (seed, g.name, x, y, exact, got)
+                    if exact in (0.0, INF):
+                        assert got == (exact,) * 3, case
+                    else:
+                        assert all(exact <= v <= exact + 1e-9 for v in got), \
+                            case
+                    # a table's row is read exactly
+                    assert luxemburg_distance(table, x, y).value == one, case
+                    assert symmetrized_luxemburg(table, x, y) == exact, case
                     pairs += 1
-                    asymmetric += luxemburg_distance(g, x, y).value != \
-                        luxemburg_distance(g, y, x).value
+                    asymmetric += one != other
     assert pairs > 400 and asymmetric > 100  # the identity has teeth
