@@ -16,9 +16,12 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import replace
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import add
+from typing import NamedTuple
 
 from .axioms import check_axioms
 from .completeness import (SampledSequence, classify_cauchy_thresholds,
@@ -102,12 +105,16 @@ def _row_brackets(rows) -> str | None:
     return None
 
 
-class _PairMap(dict):
-    """A report's {"x|y": distance} map, built in sorted key order,
-    holding each entry's encoded key with its ": " and its value's JSON
-    text, in that order; it is not changed after it is built."""
+class _PairMap(NamedTuple):
+    """A report's {"x|y": distance} map, never empty, laid out by rows in
+    sorted key order: entry (a, b) is the encoded key start pre[a] '"x|',
+    the encoded key end post[b] 'y": ' and the value's text rows[a][b].
+    A tuple, so the writer's container checks hold it without a fourth
+    type to test each scalar against."""
 
-    __slots__ = ("heads", "texts")
+    pre: list
+    post: list
+    rows: list
 
 
 def _key_text(key) -> str:
@@ -120,28 +127,29 @@ def _key_text(key) -> str:
 
 
 def _json_text(obj, depth: int = 0) -> str:
-    """The text of json.dumps(obj, sort_keys=True, indent=2): containers
-    that hold containers are laid out here, a pair map from the texts it
-    holds, and every other value goes to json's C encoder in one call."""
-    if c_make_encoder is None:
-        return json.dumps(obj, sort_keys=True, indent=2)
+    """The text of json.dumps(obj, sort_keys=True, indent=2), a pair map
+    read as its dict: containers that hold containers, and pair maps, are
+    laid out here, and every other value goes to json's C encoder in one
+    call (without that encoder, each scalar to json.dumps)."""
+    c_encoder = c_make_encoder is not None
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))):
-        return "".join(_flat_encoder(0)(obj, 0))
+        return "".join(_flat_encoder(0)(obj, 0)) if c_encoder \
+            else json.dumps(obj)
     if not obj:
         return "{}" if is_dict else "[]"
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth
     if isinstance(obj, _PairMap):
         sep = "," + inner
-        text = "".join(chain.from_iterable(zip(repeat(sep), obj.heads,
-                                               obj.texts)))
-        return "{" + inner + text[len(sep):] + outer + "}"
+        text = sep.join([pre + (sep + pre).join(map(add, obj.post, row))
+                         for pre, row in zip(obj.pre, obj.rows)])
+        return "{" + inner + text + outer + "}"
     values = obj.values() if is_dict else obj
-    if not any(map(isinstance, values, repeat(_CONTAINERS))):
+    if c_encoder and not any(map(isinstance, values, repeat(_CONTAINERS))):
         text = "".join(_flat_encoder(depth)(obj, 0))
         return text[0] + inner + text[1:-1] + outer + text[-1]
-    brackets = None if is_dict else _row_brackets(obj)
+    brackets = None if is_dict or not c_encoder else _row_brackets(obj)
     if brackets:
         # one call writes every row, with each row's item separator between
         # the rows too; only a row boundary reads close + separator + open,
@@ -308,45 +316,51 @@ def cmd_luxemburg(args) -> int:
 
 def _pair_maps(vertices, rows) -> tuple[_PairMap, _PairMap]:
     """The maps {"x|y": d(x, y)} and {"x|y": d(y, x)} of the distance rows,
-    +inf written "inf", on one sorted key list and one text per distance.
-    The readers refuse a name holding "|", so "x|y" sorts as the pair
-    (x + "|", y): two sorts of n names instead of one of n^2 keys
-    (BENCH_12.json)."""
+    +inf written "inf", laid out by rows from one table of value texts and
+    its transpose.  The readers refuse a name holding "|", so "x|y" sorts
+    as the pair (x + "|", y): rows sort by name + "|" and columns by name
+    (BENCH_12.json).  json escapes one character at a time, so each key's
+    text is its row's encoded start '"x|' and its column's encoded end
+    'y": ': 2n pieces, and no key is built whole."""
     names = [f"{v}" for v in vertices]
-    vals = [list(map(format_ext, row)) if INF in row else row for row in rows]
     heads = [name + "|" for name in names]
     xs = sorted(range(len(names)), key=heads.__getitem__)
     ys = sorted(range(len(names)), key=names.__getitem__)
-    keys = [heads[i] + names[j] for i in xs for j in ys]
-    cols = list(zip(*vals))
-    forward = list(chain.from_iterable(map(vals[i].__getitem__, ys)
-                                       for i in xs))
-    backward = list(chain.from_iterable(map(cols[i].__getitem__, ys)
-                                        for i in xs))
+    pre = [encode_basestring_ascii(heads[i])[:-1] for i in xs]
+    post = [encode_basestring_ascii(names[j])[1:] + ": " for j in ys]
     # one text per distinct distance: no entry is -0.0 (path sums start at
     # +0.0; Luxemburg infima are 0.0, a positive scale, or inf), so equal
     # entries have equal reprs
-    text = {v: repr(v) for v in set(chain.from_iterable(vals))}
-    text["inf"] = '"inf"'
-    key_texts = [k + ": " for k in map(encode_basestring_ascii, keys)]
+    text = {v: repr(v) for v in set(chain.from_iterable(rows))}
+    text[INF] = '"inf"'
+    table = [list(map(text.__getitem__, row)) for row in rows]
+    return tuple(_PairMap(pre, post, [list(map(t[i].__getitem__, ys))
+                                      for i in xs])
+                 for t in (table, list(zip(*table))))
 
-    def laid_out(values):
-        m = _PairMap(zip(keys, values))
-        m.heads, m.texts = key_texts, list(map(text.__getitem__, values))
-        return m
 
-    return laid_out(forward), laid_out(backward)
+def _phase_done(phase: str, start: float, n: int) -> float:
+    """Log a DEBUG line with the seconds `graph` spent in `phase` on n
+    vertices since `start`, and return the time now."""
+    now = time.perf_counter()
+    log.debug("graph %s: %.6f s, n=%d", phase, now - start, n)
+    return now
 
 
 def cmd_graph(args) -> int:
+    t = time.perf_counter()
     try:
         g = graph_from_json(_load_json(args.input))
     except _DOC_ERRORS as exc:
         raise InputError(f"bad graph document: {exc}") from None
+    n = len(g.vertices)
+    t = _phase_done("read", t, n)
     rows = distance_matrix(g)
+    t = _phase_done("all-pairs", t, n)
     forward, backward = _pair_maps(g.vertices, rows)
     doc = {"command": "graph", "forward": forward, "backward": backward,
            "asymmetry_index": asymmetry_index(rows)}
+    t = _phase_done("layout", t, n)
     ok = True
     grid = _parse_grid(args.grid)
     if grid is not None:
@@ -356,7 +370,9 @@ def cmd_graph(args) -> int:
                                             "graph_gauge"))
         doc["axioms"] = report.to_json()
         ok = report.ok
+        t = _phase_done("axioms", t, n)
     _emit(doc, args.output, matrix=(g.vertices, rows))
+    _phase_done("write", t, n)
     return 0 if ok else 1
 
 

@@ -1,10 +1,12 @@
-"""Command-line interface: exit codes, report shapes, determinism."""
+"""Command-line interface: exit codes, report shapes, determinism, logging."""
 
 import contextlib
 import copy
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 
@@ -380,6 +382,38 @@ def test_console_entry_point_round_trip(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["axioms"]["violations"] == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--grid", "1,2"]])
+def test_graph_debug_logging_goes_to_stderr_only(tmp_path, flags):
+    # b is unreachable from a, so --grid also makes the command exit 1
+    doc = {"vertices": ["a", "b", "c"],
+           "edges": [{"from": "a", "to": "c", "cost": 1.0},
+                     {"from": "b", "to": "a", "cost": 2.0},
+                     {"from": "c", "to": "a", "cost": 0.5}]}
+    src = write_doc(tmp_path, "g.json", doc)
+    quiet = {k: v for k, v in os.environ.items() if k != "QUASIMOD_LOG"}
+    phases = ["read", "all-pairs", "layout", *(["axioms"] if flags else []),
+              "write"]
+    for output in (None, "r.json", "r.csv"):
+        runs = []
+        for env in (quiet, dict(quiet, QUASIMOD_LOG="DEBUG")):
+            argv = [sys.executable, "-m", "quasimod.cli", "graph",
+                    "--input", src, *flags]
+            if output:
+                argv += ["--output", str(tmp_path / output)]
+            proc = subprocess.run(argv, capture_output=True, env=env)
+            written = (tmp_path / output).read_bytes() if output else None
+            runs.append((proc, written))
+        (plain, plain_out), (logged, logged_out) = runs
+        assert logged.returncode == plain.returncode == (1 if flags else 0)
+        assert (logged.stdout, logged_out) == (plain.stdout, plain_out)
+        assert (plain.stdout == b"") == bool(output)
+        assert plain.stderr == b""
+        lines = logged.stderr.decode().splitlines()
+        assert [re.fullmatch(r"DEBUG:quasimod\.cli:graph ([a-z-]+): "
+                             r"[0-9]+\.[0-9]{6} s, n=3", line).group(1)
+                for line in lines] == phases, lines
 
 
 SEVENTEEN_POINTS = [f"p{i}" for i in range(17)]

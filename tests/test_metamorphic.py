@@ -11,6 +11,9 @@ effect the paper fixes, so no copy of an older implementation is needed:
 - the opposite gauge's Luxemburg distance d(x, y) is the gauge's d(y, x);
 - `graph` on the transposed graph swaps the forward and backward maps and
   keeps the asymmetry index;
+- renaming every point in an order-preserving way, here by a common
+  prefix, renames the keys of every `graph` and `luxemburg` report and
+  changes nothing else, key order included;
 - symmetrizing the gauge first leaves the symmetrized topology alone: the
   forward, backward, join and symmetrized topologies of `symmetrize(g)` are
   all the symmetrized topology of g;
@@ -30,7 +33,8 @@ import pytest
 
 from quasimod import (INF, NonmonotoneGaugeError, Profile, Regime, SampledSequence,
                       ScaleGrid, TConorm, ball, compose, converges_to,
-                      critical_thresholds, entourage, graph_to_json,
+                      critical_thresholds, distance_matrix, entourage,
+                      format_ext, graph_from_json, graph_to_json,
                       greedy_net, luxemburg_distance, make_scaled_metric,
                       opposite, small_composite_check, symmetrize,
                       symmetrized_luxemburg, verify_join_equality)
@@ -40,6 +44,7 @@ from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
                       random_conorm_gauge, random_digraph,
                       random_quasi_pseudometric,
                       random_strongly_connected_graph, rng_for, transpose)
+from test_graph_report import BIG, relabel
 
 CONORMS = (TConorm.MAX, TConorm.PROBABILISTIC_SUM, TConorm.BOUNDED_SUM)
 
@@ -133,12 +138,12 @@ def test_the_opposite_gauge_reverses_luxemburg_distances(seed):
                     luxemburg_outcome(g, y, x), (g.name, x, y)
 
 
-def graph_report(tmp_path, doc):
+def cli_report(tmp_path, command, doc):
     src = tmp_path / "in.json"
     src.write_text(json.dumps(doc), encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["graph", "--input", str(src)])
+        code = main([command, "--input", str(src)])
     return code, json.loads(out.getvalue())
 
 
@@ -151,13 +156,47 @@ def test_the_transposed_graph_swaps_forward_and_backward(tmp_path, seed):
     doc = graph_to_json(g)
     flipped = dict(doc, edges=[dict(e, **{"from": e["to"], "to": e["from"]})
                                for e in doc["edges"]])
-    code, mine = graph_report(tmp_path, doc)
-    code_t, theirs = graph_report(tmp_path, flipped)
+    code, mine = cli_report(tmp_path, "graph", doc)
+    code_t, theirs = cli_report(tmp_path, "graph", flipped)
     assert code == code_t == 0
     assert mine["forward"] != mine["backward"]  # the identity has teeth
     assert theirs["forward"] == mine["backward"]
     assert theirs["backward"] == mine["forward"]
     assert theirs["asymmetry_index"] == mine["asymmetry_index"]
+
+
+def path_gauge_doc(graph_doc):
+    """w(x, y, t) = d(x, y) / t for the graph's path distances d, tabulated
+    on dyadic scales: +inf where y is unreachable from x."""
+    g = graph_from_json(graph_doc)
+    grid = [1.0, 2.0, 4.0, 8.0]
+    return {"regime": "additive", "points": list(g.vertices), "grid": grid,
+            "table": {f"{x}|{y}": [format_ext(d / t) for t in grid]
+                      for x, row in zip(g.vertices, distance_matrix(g))
+                      for y, d in zip(g.vertices, row)}}
+
+
+# the seeded benchmark-size graphs of test_graph_report, whose names v1,
+# v10, v2 sort differently as rows ("v10|" < "v1|") and as columns
+@pytest.mark.parametrize("corpus, n", [(corpus, n) for corpus in sorted(BIG)
+                                       for n in (12, 40, 90)])
+def test_renaming_points_in_order_renames_graph_and_luxemburg_keys(
+        tmp_path, corpus, n):
+    doc = BIG[corpus](rng_for(960 + n), n)
+    renamed = relabel(doc, [f"p{v}" for v in doc["vertices"]])
+    for command, maps, build in (
+            ("graph", ("forward", "backward"), dict),
+            ("luxemburg", ("distances", "symmetrized"), path_gauge_doc)):
+        code, mine = cli_report(tmp_path, command, build(doc))
+        code_r, theirs = cli_report(tmp_path, command, build(renamed))
+        assert code == code_r == 0
+        # unreachable pairs, where the corpus has them
+        assert ("inf" in mine[maps[0]].values()) == (corpus == "unreachable")
+        for key in maps:
+            assert list(theirs[key].items()) == \
+                [("p" + k.replace("|", "|p"), v) for k, v in mine[key].items()]
+            del mine[key], theirs[key]
+        assert theirs == mine, command
 
 
 def test_the_symmetrized_gauge_has_one_topology_the_symmetrized_one():

@@ -1,11 +1,13 @@
 """Differential tests for the report writer.
 
 `quasimod.cli._json_text` must give exactly the text of
-`json.dumps(obj, sort_keys=True, indent=2)`.  It is checked on every report
-the CLI writes for documents built from the conftest corpora, on hand-built
-shapes, on lists of rows some of which are empty, on seeded random trees,
-and on the graph report's pair maps, laid out from the distance rows, for
-hostile vertex ids; ids that would give two pairs one "x|y" key exit 2.
+`json.dumps(obj, sort_keys=True, indent=2)`, a pair map written as the
+dict that `oracle_pair_maps` builds from the same distance rows.  It is
+checked on every report the CLI writes for documents built from the
+conftest corpora, on hand-built shapes, on lists of rows some of which are
+empty, on seeded random trees, and on the graph report's pair maps, laid
+out from the distance rows, for hostile vertex ids, also without json's C
+encoder; ids that would give two pairs one "x|y" key exit 2.
 
 The module needs neither pytest nor hypothesis, so it also runs as a plain
 script on any interpreter the package supports:
@@ -109,14 +111,15 @@ def corpus_documents():
                            "lipschitz": 1.0}, []
 
 
-def cli_reports():
-    """Run every corpus document through the CLI and return, per command,
-    the report object handed to the writer and the bytes written."""
+def cli_reports(documents):
+    """Run each (command, document, flags) through the CLI and return, per
+    command, the report object and the matrix handed to the writer and
+    the bytes written."""
     handed = []
     real = cli._emit
 
     def spy(report, output, matrix=None):
-        handed.append(report)
+        handed.append((report, matrix))
         return real(report, output, matrix)
 
     cli._emit = spy
@@ -124,7 +127,7 @@ def cli_reports():
     try:
         with tempfile.TemporaryDirectory() as tmp:
             src, dst = os.path.join(tmp, "in.json"), os.path.join(tmp, "out.json")
-            for command, doc, flags in corpus_documents():
+            for command, doc, flags in documents:
                 with open(src, "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
                 with contextlib.redirect_stderr(io.StringIO()):
@@ -132,17 +135,32 @@ def cli_reports():
                                      *flags])
                 assert code in (0, 1), (command, doc, flags)
                 with open(dst, encoding="utf-8") as fh:
-                    out.append((command, handed.pop(), fh.read()))
+                    out.append((command, *handed.pop(), fh.read()))
     finally:
         cli._emit = real
     return out
 
 
+def expanded(command, report, matrix):
+    """The report with each pair map replaced by the dict `oracle_pair_maps`
+    builds from the distance rows handed to the writer beside it."""
+    if command == "graph":
+        forward, backward = oracle_pair_maps(*matrix)
+        return dict(report, forward=forward, backward=backward)
+    if command == "luxemburg" and "distances" in report:
+        points, rows = matrix
+        sym = [list(map(max, row, col)) for row, col in zip(rows, zip(*rows))]
+        return dict(report, distances=oracle_pair_maps(points, rows)[0],
+                    symmetrized=oracle_pair_maps(points, sym)[0])
+    return report
+
+
 def test_cli_reports_match_json_dumps():
-    reports = cli_reports()
-    assert {command for command, _, _ in reports} == set(cli._COMMANDS)
-    for command, report, text in reports:
-        assert text == reference(report) + "\n", command
+    reports = cli_reports(corpus_documents())
+    assert {command for command, _, _, _ in reports} == set(cli._COMMANDS)
+    for command, report, matrix, text in reports:
+        assert text == reference(expanded(command, report, matrix)) + "\n", \
+            command
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +285,25 @@ def test_empty_rows_are_written_inline_on_the_one_call_path():
 
 
 def test_the_fallback_without_the_c_encoder():
+    # graph reports on hostile ids, +inf entries included, and luxemburg
+    # reports, one of them the error report
+    documents = [("graph", doc, []) for doc in hostile_graphs()] + \
+        [doc for doc in corpus_documents() if doc[0] == "luxemburg"]
     real = cli.c_make_encoder
     cli.c_make_encoder = None
+    calls = cli._flat_encoder.cache_info()
     try:
         for obj in SHAPES[:12] + ROWS[:6]:
             assert same_as_reference(obj), obj
+        reports = cli_reports(documents)
     finally:
         cli.c_make_encoder = real
+    hits, misses = cli._flat_encoder.cache_info()[:2]
+    assert (hits, misses) == (calls.hits, calls.misses)  # no C encoder call
+    assert any('"inf"' in text for _, _, _, text in reports)
+    for command, report, matrix, text in reports:
+        assert text == reference(expanded(command, report, matrix)) + "\n", \
+            command
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +363,17 @@ def test_pair_maps_match_json_dumps_of_the_row_updates():
         forward, backward = cli._pair_maps(g.vertices, rows)
         want = oracle_pair_maps(g.vertices, rows)
         for got, old in zip((forward, backward), want):
-            assert got == old and list(got) == sorted(old), doc
+            text = cli._json_text(got)
+            assert text == reference(old), doc
+            assert list(json.loads(text)) == sorted(old), doc
         report = {"forward": forward, "backward": backward}
-        assert cli._json_text(report) == reference(dict(zip(report, want)))
-        assert reference(report) == cli._json_text(report)
+        old = dict(zip(report, want))
+        assert cli._json_text(report) == reference(old)
         # a pair map is laid out at whatever depth it sits
-        for nested in (forward, [report], {"a": [{"b": backward}]}):
-            assert cli._json_text(nested) == reference(nested), doc
+        for nested, old_nested in ((forward, want[0]), ([report], [old]),
+                                   ({"a": [{"b": backward}]},
+                                    {"a": [{"b": want[1]}]})):
+            assert cli._json_text(nested) == reference(old_nested), doc
 
 
 def test_vertex_ids_that_share_a_pair_key_exit_2():
