@@ -27,10 +27,10 @@ from .gauges import (GaugeSpec, Regime, gauge_from_json, gauge_to_json,
                      make_one_sided_integral, make_ratio, make_scaled_metric,
                      make_sublinear, opposite, symmetrize)
 from .graphs import (DirectedGraph, DynamicCostSchedule, Edge,
-                     EdgeOrliczFamily, asymmetry_index, distance_matrix,
-                     dynamic_distance, energy_luxemburg, forward_distance,
-                     forward_energy, graph_from_json, graph_gauge,
-                     graph_to_json, schedule_from_json, schedule_to_json)
+                     asymmetry_index, distance_matrix, dynamic_distance,
+                     energy_luxemburg, forward_distance, forward_energy,
+                     graph_from_json, graph_gauge, graph_to_json,
+                     schedule_from_json, schedule_to_json)
 from .luxemburg import (LuxemburgResult, NonmonotoneGaugeError,
                         luxemburg_distance, luxemburg_infimum,
                         quasi_pseudometric_check, symmetrized_luxemburg)

@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from .axioms import check_axioms
 from .completeness import (SampledSequence, classify_cauchy_thresholds,
                            heine_borel_report)
 from .conorms import conorm_from_name
-from .extreal import INF, format_ext
+from .extreal import INF, format_ext, parse_ext
 from .gauges import Regime, _decode_ids, _min_cap_rows, gauge_from_json
 from .graphs import asymmetry_index, distance_matrix, graph_from_json
 from .luxemburg import (DEFAULT_LAMBDA_MAX, NonmonotoneGaugeError,
@@ -307,36 +308,39 @@ def cmd_luxemburg(args) -> int:
         _emit({"command": "luxemburg", "error": str(exc)}, args.output)
         return 1
     sym = [list(map(max, row, col)) for row, col in zip(rows, zip(*rows))]
+    distances, symmetrized = _pair_maps(g.points, *_value_texts(rows, sym))
     doc = {"command": "luxemburg", "tol": args.tol,
-           "distances": _pair_maps(g.points, rows)[0],
-           "symmetrized": _pair_maps(g.points, sym)[0]}
+           "distances": distances, "symmetrized": symmetrized}
     _emit(doc, args.output, matrix=(g.points, rows))
     return 0
 
 
-def _pair_maps(vertices, rows) -> tuple[_PairMap, _PairMap]:
-    """The maps {"x|y": d(x, y)} and {"x|y": d(y, x)} of the distance rows,
-    +inf written "inf", laid out by rows from one table of value texts and
-    its transpose.  The readers refuse a name holding "|", so "x|y" sorts
-    as the pair (x + "|", y): rows sort by name + "|" and columns by name
-    (BENCH_12.json).  json escapes one character at a time, so each key's
-    text is its row's encoded start '"x|' and its column's encoded end
-    'y": ': 2n pieces, and no key is built whole."""
+def _value_texts(*tables) -> list[list[list[str]]]:
+    """Each distance table, given as rows in vertex order, as rows of value
+    texts: one text per distinct distance, its repr, or "inf" for +inf."""
+    # no entry is -0.0 (path sums start at +0.0; Luxemburg infima are 0.0,
+    # a positive scale, or inf), so equal entries have equal reprs
+    text = {v: repr(v) for t in tables for v in set(chain.from_iterable(t))}
+    text[INF] = '"inf"'
+    return [[list(map(text.__getitem__, row)) for row in t] for t in tables]
+
+
+def _pair_maps(vertices, *tables) -> list[_PairMap]:
+    """The map {"x|y": t[x][y]} of each table t of value texts, given as
+    rows in vertex order, laid out by rows.  The readers refuse a name
+    holding "|", so "x|y" sorts as the pair (x + "|", y): rows sort by
+    name + "|" and columns by name (BENCH_12.json).  json escapes one
+    character at a time, so each key's text is its row's encoded start
+    '"x|' and its column's encoded end 'y": ': 2n pieces, and no key is
+    built whole."""
     names = [f"{v}" for v in vertices]
     heads = [name + "|" for name in names]
     xs = sorted(range(len(names)), key=heads.__getitem__)
     ys = sorted(range(len(names)), key=names.__getitem__)
     pre = [encode_basestring_ascii(heads[i])[:-1] for i in xs]
     post = [encode_basestring_ascii(names[j])[1:] + ": " for j in ys]
-    # one text per distinct distance: no entry is -0.0 (path sums start at
-    # +0.0; Luxemburg infima are 0.0, a positive scale, or inf), so equal
-    # entries have equal reprs
-    text = {v: repr(v) for v in set(chain.from_iterable(rows))}
-    text[INF] = '"inf"'
-    table = [list(map(text.__getitem__, row)) for row in rows]
-    return tuple(_PairMap(pre, post, [list(map(t[i].__getitem__, ys))
-                                      for i in xs])
-                 for t in (table, list(zip(*table))))
+    return [_PairMap(pre, post, [list(map(t[i].__getitem__, ys)) for i in xs])
+            for t in tables]
 
 
 def _phase_done(phase: str, start: float, n: int) -> float:
@@ -357,7 +361,8 @@ def cmd_graph(args) -> int:
     t = _phase_done("read", t, n)
     rows = distance_matrix(g)
     t = _phase_done("all-pairs", t, n)
-    forward, backward = _pair_maps(g.vertices, rows)
+    table, = _value_texts(rows)
+    forward, backward = _pair_maps(g.vertices, table, list(zip(*table)))
     doc = {"command": "graph", "forward": forward, "backward": backward,
            "asymmetry_index": asymmetry_index(rows)}
     t = _phase_done("layout", t, n)
@@ -393,7 +398,8 @@ def cmd_orlicz(args) -> int:
             out = {}
             for fid in sorted(functions):
                 ub = unit_ball_check(space, phi, functions[fid], args.tol)
-                out[fid] = {"modular": ub.modular_value, "norm": ub.norm,
+                out[fid] = {"modular": format_ext(ub.modular_value),
+                            "norm": format_ext(ub.norm),
                             "unit_ball": ub.to_json()}
                 ok = ok and ub.ok
             doc["phi"] = out
@@ -404,14 +410,16 @@ def cmd_orlicz(args) -> int:
             for fid in sorted(functions):
                 np_, nm, ns = one_sided_gauges(space, pair, functions[fid],
                                                args.tol)
-                sides[fid] = {"plus": np_, "minus": nm, "sym": ns}
+                sides[fid] = {"plus": format_ext(np_), "minus": format_ext(nm),
+                              "sym": format_ext(ns)}
             for fa in sorted(functions):
                 for fb in sorted(functions):
                     if fa == fb:
                         continue
                     dp, dm = quasi_metric_from_gauges(
                         space, pair, functions[fa], functions[fb], args.tol)
-                    dists[f"{fa}|{fb}"] = {"plus": dp, "minus": dm}
+                    dists[f"{fa}|{fb}"] = {"plus": format_ext(dp),
+                                           "minus": format_ext(dm)}
             doc["one_sided"] = {"norms": sides, "distances": dists}
     except _DOC_ERRORS as exc:
         raise InputError(f"bad orlicz document: {exc}") from None
@@ -423,25 +431,28 @@ def cmd_envelope(args) -> int:
     raw = _load_json(args.input)
     try:
         points = list(raw["points"])
-        _decode_ids(points, "point")
-        resolve = _point_resolver(points)
+        by_str = _decode_ids(points, "point")
         d = {}
         for key, v in raw["distance"].items():
             sx, sep, sy = key.partition("|")
-            if not sep:
+            if not (sep and sx in by_str and sy in by_str):
                 raise ValueError(f"bad distance key {key!r}")
-            pair = resolve(sx), resolve(sy)
-            d[pair] = float(v)
-        domain = [resolve(a) for a in raw["domain"]]
+            d[by_str[sx], by_str[sy]] = parse_ext(v, f"distance[{key}]")
+        domain = list(map(_point_resolver(points), raw["domain"]))
         values = {a: float(raw["values"][str(a)]) for a in domain}
+        for a, v in values.items():
+            if not math.isfinite(v):
+                raise ValueError(f"value at {a!r} must be finite, got {v!r}")
         f = PartialFunction(tuple(domain), values, float(raw["lipschitz"]))
     except _DOC_ERRORS as exc:
         raise InputError(f"bad envelope document: {exc}") from None
     metric_report = quasi_pseudometric_check(d, points)
     doc = {"command": "envelope",
            "distance_check": metric_report.to_json(),
-           "upper": {str(x): v for x, v in upper_envelope(f, d, points).items()},
-           "lower": {str(x): v for x, v in lower_envelope(f, d, points).items()}}
+           "upper": {str(x): format_ext(v)
+                     for x, v in upper_envelope(f, d, points).items()},
+           "lower": {str(x): format_ext(v)
+                     for x, v in lower_envelope(f, d, points).items()}}
     _emit(doc, args.output)
     return 0 if metric_report.ok else 1
 
@@ -476,7 +487,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("QUASIMOD_LOG")
     if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
+        # the level goes on the package logger, which a root logger that
+        # already has handlers leaves alone; the stderr handler is added
+        # only where the root logger has none
+        logging.basicConfig()
+        logging.getLogger("quasimod").setLevel(
+            getattr(logging, level.upper(), logging.INFO))
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -45,5 +45,6 @@ def parse_ext(raw: object, what: str = "value") -> float:
 
 
 def format_ext(value: float) -> object:
-    """Inverse of parse_ext: infinity becomes the string "inf"."""
-    return "inf" if value == INF else value
+    """Inverse of parse_ext: +inf becomes the string "inf", and -inf, which
+    a lower envelope reaches at a point no datum reaches, "-inf"."""
+    return "inf" if value == INF else "-inf" if value == -INF else value

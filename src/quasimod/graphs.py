@@ -2,9 +2,13 @@
 
 Shortest paths use a heap-based label-setting method over nonnegative costs.
 Backward distances are forward distances on the transpose: d(y, x) read
-from the forward matrix.  Both difference operators on an edge u -> v have
-the same magnitude, so one energy serves both directions; direction
-dependence enters through per-edge functions, measures, or cost schedules.
+from the forward matrix.  An edge energy is the Musielak-Orlicz modular,
+and its Luxemburg norm the norm, of the gradient f(head) - f(tail) on the
+edge measure space: edge k at position k with mass mu(e), under any
+`MusielakOrlicz` indexed by edge position (per-edge exponents, double phase,
+weighted growth).  Both difference operators on an edge u -> v have the
+same magnitude, so one energy serves both directions; direction dependence
+enters through per-edge functions, measures, or cost schedules.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import Mapping
 
 from .extreal import INF, ensure_ext, format_ext, parse_ext
 from .gauges import GaugeSpec, _decode_ids, _min_cap_rows
-from .luxemburg import DEFAULT_LAMBDA_MAX, DEFAULT_TOL, luxemburg_infimum
+from .luxemburg import DEFAULT_TOL
+from .orlicz import DiscreteMeasureSpace, MusielakOrlicz, _modular, _norm
 from .profiles import ScaleGrid
 
 log = logging.getLogger("quasimod.graphs")
@@ -34,9 +39,12 @@ class Edge:
     def __post_init__(self):
         if not self.mu > 0:
             raise ValueError(f"edge measure must be positive, got {self.mu!r}")
-        ensure_ext(self.cost, "edge cost")
-        if self.cost == INF:
+        # the one check of a cost, whether read from JSON or passed in; the
+        # float it returns is stored, so an integer cost prints as a float
+        cost = parse_ext(self.cost, "edge cost")
+        if cost == INF:
             raise ValueError("edge costs must be finite")
+        object.__setattr__(self, "cost", cost)
 
 
 @dataclass(frozen=True)
@@ -147,67 +155,33 @@ def graph_gauge(g: DirectedGraph, costs=None, grid: ScaleGrid | None = None,
     return _min_cap_rows(distance_matrix(g, costs), g.vertices, grid, name)
 
 
-@dataclass(frozen=True)
-class EdgeOrliczFamily:
-    """Per-edge growth functions phi(e, t'), convex with phi(e, 0) = 0."""
-
-    kind: str
-    p: float
-    q: float | None = None
-    a: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("power", "double_phase"):
-            raise ValueError(f"unknown edge family kind {self.kind!r}")
-        if not self.p >= 1:
-            raise ValueError(f"exponent p must be >= 1, got {self.p!r}")
-        if self.kind == "double_phase":
-            if self.q is None or not self.q > self.p:
-                raise ValueError(f"double phase needs q > p, got q={self.q!r}")
-            if self.a is None or any(not c >= 0 for c in self.a):
-                raise ValueError("double phase needs nonnegative coefficients")
-            object.__setattr__(self, "a", tuple(float(c) for c in self.a))
-
-    @classmethod
-    def power(cls, p: float) -> "EdgeOrliczFamily":
-        return cls("power", p)
-
-    @classmethod
-    def double_phase(cls, p: float, q: float, a) -> "EdgeOrliczFamily":
-        return cls("double_phase", p, q, tuple(a))
-
-    def value(self, edge_index: int, t: float) -> float:
-        if not t >= 0:
-            raise ValueError(f"argument must be nonnegative, got {t!r}")
-        if self.kind == "power":
-            return t ** self.p
-        if edge_index >= len(self.a):
-            raise ValueError(f"no coefficient for edge {edge_index}")
-        return t ** self.p + self.a[edge_index] * t ** self.q
-
-
-def _energy_at(g: DirectedGraph, f: Mapping, phi: EdgeOrliczFamily):
-    """The map lam -> energy(f / lam), once f is checked to be total."""
+def _edge_gradient(g: DirectedGraph, f: Mapping) -> tuple:
+    """The edge measure space (edge k at position k, mass mu(e)) and the
+    gradient k -> f(head) - f(tail) on it, once f is checked to be total;
+    (None, {}) for an edgeless graph, whose energy and norm are 0.0."""
     missing = [v for v in g.vertices if v not in f]
     if missing:
         raise ValueError(f"function misses vertices {missing!r}")
-    return lambda lam: sum(
-        e.mu * phi.value(k, abs(f[e.v] / lam - f[e.u] / lam))
-        for k, e in enumerate(g.edges))
+    if not g.edges:
+        return None, {}
+    space = DiscreteMeasureSpace(range(len(g.edges)),
+                                 {k: e.mu for k, e in enumerate(g.edges)})
+    return space, {k: f[e.v] - f[e.u] for k, e in enumerate(g.edges)}
 
 
-def forward_energy(g: DirectedGraph, f: Mapping,
-                   phi: EdgeOrliczFamily) -> float:
-    """Sum over edges of mu(e) * phi(e, |f(head) - f(tail)|)."""
-    return _energy_at(g, f, phi)(1.0)
+def forward_energy(g: DirectedGraph, f: Mapping, phi: MusielakOrlicz) -> float:
+    """Sum over edges k of phi(k, |f(head) - f(tail)|) * mu(e): the modular
+    of the gradient, with phi indexed by edge position."""
+    space, grad = _edge_gradient(g, f)
+    return _modular(space, phi, grad) if grad else 0.0
 
 
-def energy_luxemburg(g: DirectedGraph, f: Mapping, phi: EdgeOrliczFamily,
-                     tol: float = DEFAULT_TOL, c: float = 1.0,
-                     lambda_max: float = DEFAULT_LAMBDA_MAX) -> float:
-    """inf{lambda > 0 : energy(f / lambda) <= c}, searched by
-    `luxemburg_infimum`."""
-    return luxemburg_infimum(_energy_at(g, f, phi), c, tol, lambda_max).value
+def energy_luxemburg(g: DirectedGraph, f: Mapping, phi: MusielakOrlicz,
+                     tol: float = DEFAULT_TOL) -> float:
+    """inf{lambda > 0 : energy(f / lambda) <= 1}: the Luxemburg norm of the
+    gradient, with phi indexed by edge position."""
+    space, grad = _edge_gradient(g, f)
+    return _norm(space, phi, grad, tol) if grad else 0.0
 
 
 @dataclass(frozen=True)
@@ -285,7 +259,7 @@ def graph_from_json(doc: Mapping) -> DirectedGraph:
     edges = []
     for e in doc["edges"]:
         edges.append(Edge(e["from"], e["to"], float(e.get("mu", 1.0)),
-                          parse_ext(e.get("cost", 1.0), "edge cost")))
+                          e.get("cost", 1.0)))
     measure = None
     if "measure" in doc:
         measure = {}

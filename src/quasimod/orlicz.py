@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from .extreal import format_ext
 from .gauges import GaugeSpec, Regime
 from .luxemburg import DEFAULT_LAMBDA_MAX, DEFAULT_TOL, luxemburg_infimum
 from .profiles import ScaleGrid
@@ -230,7 +231,8 @@ class UnitBallReport:
         return self.equivalence_ok and self.lower_ok and self.upper_ok
 
     def to_json(self) -> dict:
-        return {"norm": self.norm, "modular": self.modular_value,
+        return {"norm": format_ext(self.norm),
+                "modular": format_ext(self.modular_value),
                 "equivalence_ok": self.equivalence_ok,
                 "lower_ok": self.lower_ok, "upper_ok": self.upper_ok,
                 "ok": self.ok}

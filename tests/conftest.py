@@ -253,6 +253,14 @@ def random_digraph(rng, n, p=0.45):
     return DirectedGraph(vertices, tuple(edges))
 
 
+def edge_power(g, p):
+    """phi(k, t) = t^p at every edge position k of g.  A variable exponent
+    needs at least one point, so an edgeless graph, whose energy never reads
+    its family, gets an exponent at position 0."""
+    return MusielakOrlicz.variable_exponent(
+        {k: p for k in range(max(len(g.edges), 1))})
+
+
 # ---------------------------------------------------------------------------
 # corruption: break exactly one tabulated triangle
 

@@ -12,7 +12,6 @@ import time
 from quasimod import (
     INF,
     DiscreteMeasureSpace,
-    EdgeOrliczFamily,
     GaugeSpec,
     MusielakOrlicz,
     OneSidedPair,
@@ -50,6 +49,7 @@ from conftest import (
     brute_force_distance,
     convolve_oracle,
     corrupt_one_entry,
+    edge_power,
     points_named,
     random_conorm_gauge,
     random_digraph,
@@ -328,7 +328,7 @@ def test_08_graph_distances_match_exhaustive_search_and_power_energies(capsys):
         rng = rng_for(12500 + seed)
         g = random_digraph(rng, rng.randrange(2, 7))
         p = rng.choice((1.0, 1.5, 2.0, 3.0))
-        fam = EdgeOrliczFamily.power(p)
+        fam = edge_power(g, p)
         f = {v: rng.randrange(-8, 9) / 4 for v in g.vertices}
         energy = forward_energy(g, f, fam)
         lam = energy_luxemburg(g, f, fam, tol=1e-12)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from quasimod import (TConorm, conorm_from_name, gauge_from_json,
                       gauge_to_json, graph_to_json, quasi_uniformity_report)
+from quasimod import cli
 from quasimod.cli import InputError, _point_resolver, main
 
 from conftest import (points_named, random_conorm_gauge, random_measure_space,
@@ -46,6 +48,15 @@ PROBSUM_ONLY_DOC = {
 }
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+def strict_json(text):
+    """The report parsed as JSON proper: NaN, Infinity and -Infinity raise."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def write_doc(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -54,7 +65,7 @@ def write_doc(tmp_path, name, doc):
 
 def read_report(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return strict_json(fh.read())
 
 
 def run(tmp_path, command, doc, *extra):
@@ -299,6 +310,67 @@ def test_envelope_command_pins_the_closed_form(tmp_path):
     assert main(["envelope", "--input", src]) == 2
 
 
+@pytest.mark.parametrize("distance", [-1.0, math.nan, "-inf"],
+                         ids=["negative", "nan", "minus-inf-string"])
+def test_envelope_distances_outside_the_extended_ray_exit_2(tmp_path, capsys,
+                                                            distance):
+    doc = json.loads(json.dumps(ENVELOPE_DOC))
+    doc["distance"]["x|a"] = distance
+    assert main(["envelope", "--input", write_doc(tmp_path, "in.json", doc)]) \
+        == 2
+    out, err = capsys.readouterr()
+    assert out == "" and _single_error_line(err)
+    assert "bad envelope document: distance[x|a] must be" in err
+
+
+@pytest.mark.parametrize("key, value", [("x|z", 1.0), ("x|a|x", 1.0)])
+def test_envelope_distance_keys_name_two_points(tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps(ENVELOPE_DOC))
+    doc["distance"][key] = value
+    assert main(["envelope", "--input", write_doc(tmp_path, "in.json", doc)]) \
+        == 2
+    assert f"bad distance key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, "inf"],
+                         ids=["nan", "inf", "inf-string"])
+def test_envelope_values_must_be_finite(tmp_path, capsys, value):
+    doc = dict(ENVELOPE_DOC, values={"a": value})
+    assert main(["envelope", "--input", write_doc(tmp_path, "in.json", doc)]) \
+        == 2
+    assert "bad envelope document: value at 'a' must be finite" in \
+        capsys.readouterr().err
+
+
+def test_envelope_writes_unreachable_bounds_as_strings(tmp_path):
+    # x reaches a by no listed distance and a reaches x by none: the upper
+    # bound at x is +inf, the lower -inf
+    doc = dict(ENVELOPE_DOC, distance={"a|a": 0.0, "x|x": 0.0})
+    code, report = run(tmp_path, "envelope", doc)
+    assert code == 0
+    assert report["upper"] == {"a": 1.0, "x": "inf"}
+    assert report["lower"] == {"a": 1.0, "x": "-inf"}
+
+
+def test_orlicz_writes_an_infinite_norm_as_a_string(tmp_path):
+    # 1e13 / lambda_max = 10 leaves the modular at 100 > 1 at the top of
+    # the searched scales, so every norm of f is +inf
+    doc = dict(ORLICZ_DOC, space={"points": ["a"], "mu": {"a": 1.0}},
+               functions={"f": {"a": 1e13}, "g": {"a": 0.0}},
+               phi={"kind": "variable_exponent", "p": {"a": 2.0}},
+               psi1={"kind": "variable_exponent", "p": {"a": 2.0}},
+               psi2={"kind": "variable_exponent", "p": {"a": 2.0}})
+    code, report = run(tmp_path, "orlicz", doc)
+    assert code == 1
+    assert report["phi"]["f"]["norm"] == "inf"
+    assert report["phi"]["f"]["unit_ball"]["norm"] == "inf"
+    assert report["one_sided"]["norms"]["f"] == {"minus": 0.0, "plus": "inf",
+                                                 "sym": "inf"}
+    assert report["one_sided"]["distances"] == {
+        "f|g": {"minus": 0.0, "plus": "inf"},
+        "g|f": {"minus": "inf", "plus": 0.0}}
+
+
 def test_point_ids_resolve_like_the_per_id_scan():
     """The lookup built once per document resolves like the scan it
     replaced: the id itself on an exact match, else the point whose str is
@@ -416,6 +488,67 @@ def test_graph_debug_logging_goes_to_stderr_only(tmp_path, flags):
                 for line in lines] == phases, lines
 
 
+@pytest.mark.parametrize("flags", [[], ["--grid", "1,2"]])
+def test_graph_debug_logging_reaches_a_configured_root_logger(
+        tmp_path, monkeypatch, flags):
+    # a root handler makes logging.basicConfig a no-op, so the level must
+    # reach the package logger on its own; repeated calls add no handler
+    doc = {"vertices": ["a", "b", "c"],
+           "edges": [{"from": "a", "to": "c", "cost": 1.0},
+                     {"from": "b", "to": "a", "cost": 2.0},
+                     {"from": "c", "to": "a", "cost": 0.5}]}
+    src = write_doc(tmp_path, "g.json", doc)
+    phases = ["read", "all-pairs", "layout", *(["axioms"] if flags else []),
+              "write"]
+    root = logging.getLogger()
+    seen = io.StringIO()
+    handler = logging.StreamHandler(seen)
+    root.addHandler(handler)
+    package = logging.getLogger("quasimod")
+    try:
+        runs = []
+        for level in (None, "DEBUG", "DEBUG"):
+            if level:
+                monkeypatch.setenv("QUASIMOD_LOG", level)
+            else:
+                monkeypatch.delenv("QUASIMOD_LOG", raising=False)
+            handlers = list(root.handlers)
+            for output in (None, tmp_path / "r.json"):
+                out = io.StringIO()
+                argv = ["graph", "--input", src, *flags]
+                argv += ["--output", str(output)] if output else []
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                written = output.read_bytes() if output else None
+                runs.append((code, out.getvalue(), written))
+            assert root.handlers == handlers
+        assert len(set(runs[0::2])) == len(set(runs[1::2])) == 1, runs
+        lines = seen.getvalue().splitlines()
+        assert [re.fullmatch(r"graph ([a-z-]+): [0-9]+\.[0-9]{6} s, n=3",
+                             line).group(1) for line in lines] == phases * 4
+    finally:
+        root.removeHandler(handler)
+        package.setLevel(logging.NOTSET)
+
+
+def test_luxemburg_and_graph_lay_out_only_the_maps_they_write(tmp_path,
+                                                              monkeypatch):
+    built = []
+    real = cli._pair_maps
+
+    def counting(vertices, *tables):
+        maps = real(vertices, *tables)
+        built.append(len(maps))
+        return maps
+
+    monkeypatch.setattr(cli, "_pair_maps", counting)
+    assert run(tmp_path, "luxemburg", ADDITIVE_DOC)[0] == 0
+    graph = {"vertices": ["a", "b"],
+             "edges": [{"from": "a", "to": "b", "cost": 1.0}]}
+    assert run(tmp_path, "graph", graph)[0] == 0
+    assert built == [2, 2]
+
+
 SEVENTEEN_POINTS = [f"p{i}" for i in range(17)]
 
 
@@ -513,6 +646,16 @@ def test_oversize_integers_exit_2_with_one_error_line(tmp_path, capsys,
     assert main([command, "--input", src]) == 2
     err = capsys.readouterr().err
     assert _single_error_line(err) and message in err and "too large" in err
+
+
+@pytest.mark.parametrize("cost", [-1, -0.5, "x", "inf", "nan", True, None,
+                                  [], math.nan, math.inf])
+def test_every_bad_edge_cost_exits_2(tmp_path, capsys, cost):
+    doc = dict(HUGE_GRAPH, edges=[{"from": "u", "to": "v", "cost": cost}])
+    assert main(["graph", "--input", write_doc(tmp_path, "in.json", doc)]) \
+        == 2
+    out, err = capsys.readouterr()
+    assert out == "" and _single_error_line(err) and "edge cost" in err
 
 
 # ids that end up in "x|y" keys must stringify uniquely and hold no "|":
@@ -675,12 +818,13 @@ def test_fuzzed_documents_never_end_in_a_traceback(tmp_path, command):
     @given(text=mutated_documents(command))
     def run(text):
         src.write_text(text, encoding="utf-8")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
             code = main([command, "--input", str(src), *flags])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        if code != 2:
+            strict_json(out.getvalue())
 
     run()
 

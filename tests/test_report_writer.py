@@ -360,7 +360,9 @@ def test_pair_maps_match_json_dumps_of_the_row_updates():
         # no path sum is -0.0 (the sums start at +0.0), so one text per
         # distance value is the text of every entry that holds it
         assert all(math.copysign(1.0, v) == 1.0 for row in rows for v in row)
-        forward, backward = cli._pair_maps(g.vertices, rows)
+        table, = cli._value_texts(rows)
+        forward, backward = cli._pair_maps(g.vertices, table,
+                                           list(zip(*table)))
         want = oracle_pair_maps(g.vertices, rows)
         for got, old in zip((forward, backward), want):
             text = cli._json_text(got)
