@@ -12,11 +12,10 @@ from .axioms import (AxiomReport, Violation, check_axioms, convexity_check,
                      enriched_triangle_check)
 from .completeness import (CauchyClassification, CellInclusionError,
                            CoverResult, HeineBorelReport, LpNet, LpTailReport,
-                           SampledSequence, TransportResult,
-                           TruncatedSequenceFamily, classify_cauchy,
-                           classify_cauchy_thresholds, converges_to,
-                           greedy_net, heine_borel_report, lp_distance,
-                           lp_family_net, lp_tail_criterion,
+                           TransportResult, TruncatedSequenceFamily,
+                           classify_cauchy, classify_cauchy_thresholds,
+                           converges_to, greedy_net, heine_borel_report,
+                           lp_distance, lp_family_net, lp_tail_criterion,
                            transport_total_boundedness,
                            two_sided_cover_from_onesided)
 from .conorms import TConorm, conorm_from_name

@@ -25,8 +25,7 @@ from operator import add
 from typing import NamedTuple
 
 from .axioms import check_axioms
-from .completeness import (SampledSequence, classify_cauchy_thresholds,
-                           heine_borel_report)
+from .completeness import classify_cauchy_thresholds, heine_borel_report
 from .conorms import conorm_from_name
 from .extreal import INF, format_ext, parse_ext
 from .gauges import Regime, _decode_ids, _min_cap_rows, gauge_from_json
@@ -287,12 +286,11 @@ def cmd_cover(args) -> int:
     hb = heine_borel_report(g, thresholds=thresholds)
     doc = {"command": "cover", "heine_borel": hb.to_json()}
     if sequence:
-        seq = SampledSequence(tuple(sequence))
         doc["cauchy"] = [{"radius": r, "scale": t, "kind": c.kind, "i0": c.i0,
                           "forward_i0": c.forward_i0,
                           "backward_i0": c.backward_i0}
-                         for r, t, c in classify_cauchy_thresholds(seq, g,
-                                                                   thresholds)]
+                         for r, t, c in classify_cauchy_thresholds(
+                             sequence, g, thresholds)]
     _emit(doc, args.output)
     return 0 if hb.all_composed_ok else 1
 

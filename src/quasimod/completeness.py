@@ -2,8 +2,8 @@
 
 Everything here works on finite samples, so each statement is the finite
 shadow of its limit-space counterpart: Cauchy conditions are checked for
-indices up to the horizon, covers are verified by exhaustive membership, and
-sequence families are truncations.
+indices up to the sample's length, covers are verified by exhaustive
+membership, and sequence families are truncations.
 """
 
 from __future__ import annotations
@@ -15,20 +15,6 @@ from .gauges import GaugeSpec
 from .profiles import ScaleGrid
 from .topology import (ThresholdSet, _BallRows, _normalize_side, _side_rows,
                        critical_thresholds)
-
-
-@dataclass(frozen=True)
-class SampledSequence:
-    points: tuple
-
-    def __post_init__(self):
-        if len(self.points) < 1:
-            raise ValueError("a sampled sequence needs at least one point")
-        object.__setattr__(self, "points", tuple(self.points))
-
-    @property
-    def horizon(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -54,21 +40,30 @@ def _check_positive(r: float) -> None:
         raise ValueError(f"radius must be positive, got {r!r}")
 
 
-def classify_cauchy(seq: SampledSequence, g: GaugeSpec, r: float,
+def _sequence(points) -> tuple:
+    """The sampled points as a tuple, refused when empty."""
+    seq = tuple(points)
+    if not seq:
+        raise ValueError("a sampled sequence needs at least one point")
+    return seq
+
+
+def classify_cauchy(points, g: GaugeSpec, r: float,
                     t: float) -> CauchyClassification:
-    """Forward: w(x_i, x_j, t) < r for all i0 <= i <= j up to the horizon;
-    backward swaps the pair to w(x_j, x_i, t).  Reports the minimal i0 for
-    each direction that holds."""
+    """Forward: w(x_i, x_j, t) < r for all i0 <= i <= j over the sampled
+    points; backward swaps the pair to w(x_j, x_i, t).  Reports the minimal
+    i0 for each direction that holds."""
+    seq = _sequence(points)
     _check_positive(r)
-    _, fwd, bwd = _BallRows(g, seq.points).rows(r, t)
+    _, fwd, bwd = _BallRows(g, seq).rows(r, t)
     return _classify(fwd, bwd)
 
 
-def classify_cauchy_thresholds(seq: SampledSequence, g: GaugeSpec,
+def classify_cauchy_thresholds(points, g: GaugeSpec,
                                thresholds: ThresholdSet) -> list[tuple]:
-    """(r, t, classify_cauchy(seq, g, r, t)) for every threshold pair, each
-    distinct ball relation on the sequence classified once."""
-    balls, memo, out = _BallRows(g, seq.points), {}, []
+    """(r, t, classify_cauchy(points, g, r, t)) for every threshold pair,
+    each distinct ball relation on the sequence classified once."""
+    balls, memo, out = _BallRows(g, _sequence(points)), {}, []
     for r, t in thresholds.pairs():
         _check_positive(r)
         key, fwd, bwd = balls.rows(r, t)
@@ -89,14 +84,15 @@ def _classify(fwd, bwd) -> CauchyClassification:
     return CauchyClassification("neither", None, None, None)
 
 
-def converges_to(seq: SampledSequence, g: GaugeSpec, x, r: float, t: float,
+def converges_to(points, g: GaugeSpec, x, r: float, t: float,
                  side: str = "forward") -> bool:
     """True when some tail of the sequence stays inside B^side(x; r, t).
     The one-point tail is a candidate, so this is membership of the last
     point."""
+    last = _sequence(points)[-1]
     side = _normalize_side(side)
     _check_positive(r)
-    rows = _side_rows(_BallRows(g, (x, seq.points[-1])), r, t, side)
+    rows = _side_rows(_BallRows(g, (x, last)), r, t, side)
     return bool(rows[0] & 2)
 
 

@@ -195,7 +195,13 @@ class FiniteTopology:
 
     @property
     def opens(self) -> frozenset[int]:
-        """Every open set, as bitmasks: the unions of the neighbourhoods."""
+        """Every open set, as bitmasks: the unions of the neighbourhoods.
+        There can be 2**n of them, so only up to the point cap."""
+        if len(self.points) > MAX_TOPOLOGY_POINTS:
+            raise ValueError(
+                f"listing open sets is exponential in the point count; "
+                f"{len(self.points)} points exceeds the "
+                f"{MAX_TOPOLOGY_POINTS}-point cap")
         opens = {0}
         for hood in self.hoods:
             opens |= {o | hood for o in opens}
@@ -207,10 +213,12 @@ class FiniteTopology:
                    if mask & (1 << i))
 
     def open_sets(self) -> list[tuple]:
-        families = [tuple(self.points[i] for i in range(len(self.points))
-                          if mask & (1 << i)) for mask in self.opens]
-        return sorted(families, key=lambda s: (len(s),
-                                               tuple(self.points.index(p) for p in s)))
+        """Every open set as points, by size, then by point positions."""
+        span = range(len(self.points))
+        sets = sorted(([i for i in span if mask >> i & 1]
+                       for mask in self.opens),
+                      key=lambda bits: (len(bits), bits))
+        return [tuple(map(self.points.__getitem__, bits)) for bits in sets]
 
     def to_json(self) -> list[list]:
         return [list(s) for s in self.open_sets()]
@@ -228,10 +236,6 @@ def _mask(points: tuple, subset) -> int:
 def _from_subbase(points: tuple, masks) -> FiniteTopology:
     """Topology with subbase `masks`: a point's smallest open set is the
     intersection of the subbase sets that contain it."""
-    if len(points) > MAX_TOPOLOGY_POINTS:
-        raise ValueError(
-            f"topology generation is exponential in the point count; "
-            f"{len(points)} points exceeds the {MAX_TOPOLOGY_POINTS}-point cap")
     hoods = [(1 << len(points)) - 1] * len(points)
     for mask in masks:
         hoods = [h & mask if mask & (1 << i) else h for i, h in enumerate(hoods)]

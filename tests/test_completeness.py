@@ -1,30 +1,40 @@
 """Cauchy classification, greedy nets, two-sided covers, and lp tails."""
 
+import dataclasses
 import itertools
+import json
 
 import pytest
 
 from quasimod import (
+    CauchyClassification,
     CellInclusionError,
     GaugeSpec,
     Regime,
-    SampledSequence,
     ScaleGrid,
     TConorm,
     TruncatedSequenceFamily,
     ball,
     classify_cauchy,
+    classify_cauchy_thresholds,
     converges_to,
+    critical_thresholds,
+    entourage,
+    gauge_to_json,
+    generate_topology,
     greedy_net,
     heine_borel_report,
+    join_topologies,
     lp_distance,
     lp_family_net,
     lp_tail_criterion,
     transport_total_boundedness,
     two_sided_cover_from_onesided,
 )
+from quasimod.cli import main
 
-from conftest import random_conorm_gauge, random_min_cap_gauge, rng_for
+from conftest import (ADDITIVE_BUILDERS, random_conorm_gauge,
+                      random_min_cap_gauge, rng_for)
 
 GRID1 = ScaleGrid((1.0,))
 
@@ -37,7 +47,7 @@ def skew_gauge(near=0.5, far=2.0):
 
 def test_classify_alternating_sequence():
     g = skew_gauge()
-    seq = SampledSequence(("a", "b") * 4)
+    seq = ("a", "b") * 4
     res = classify_cauchy(seq, g, r=1.0, t=1.0)
     # the b->a hops at 2.0 block both directions until the tail runs out of
     # them: forward settles at the last a, backward only at the last point
@@ -49,7 +59,7 @@ def test_classify_alternating_sequence():
 
 def test_classify_block_sequence_shows_the_asymmetry_as_an_i0_gap():
     g = skew_gauge()
-    seq = SampledSequence(("a",) * 4 + ("b",) * 4)
+    seq = ("a",) * 4 + ("b",) * 4
     res = classify_cauchy(seq, g, r=1.0, t=1.0)
     assert res.kind == "bi"
     assert res.forward_i0 == 1   # a-to-later pairs are always cheap
@@ -58,7 +68,7 @@ def test_classify_block_sequence_shows_the_asymmetry_as_an_i0_gap():
 
 
 def test_classify_constant_sequence():
-    res = classify_cauchy(SampledSequence(("a",) * 5), skew_gauge(), 0.1, 1.0)
+    res = classify_cauchy(("a",) * 5, skew_gauge(), 0.1, 1.0)
     assert res == type(res)("bi", 1, 1, 1)
 
 
@@ -68,22 +78,74 @@ def test_classify_neither_needs_a_degenerate_tail():
     g = GaugeSpec(regime=Regime.ADDITIVE, points=("a", "c"), grid=GRID1,
                   table={("a", "c"): (0.1,), ("c", "a"): (0.1,),
                          ("c", "c"): (5.0,)})
-    res = classify_cauchy(SampledSequence(("a", "c")), g, r=1.0, t=1.0)
+    res = classify_cauchy(("a", "c"), g, r=1.0, t=1.0)
     assert res == type(res)("neither", None, None, None)
     with pytest.raises(ValueError, match="radius"):
-        classify_cauchy(SampledSequence(("a",)), g, r=0.0, t=1.0)
+        classify_cauchy(("a",), g, r=0.0, t=1.0)
+
+
+# a before b: forward tails start at once, and looking back across the
+# b -> a hop at 2.0 waits for the b block; b before a is the mirror image
+ONE_SIDED_TAILS = {"forward": (("a",) * 4 + ("b",) * 4, 1, 5),
+                   "backward": (("b",) * 4 + ("a",) * 4, 5, 1)}
+
+
+@pytest.mark.parametrize("lead", sorted(ONE_SIDED_TAILS))
+def test_one_sided_tails_agree_across_the_three_paths(tmp_path, lead):
+    # the kind stays "bi": both directions hold on the one-point tail
+    # (x_N, x_N), so a finite sample tells one-sided Cauchy notions apart
+    # only by where their tails start
+    seq, forward_i0, backward_i0 = ONE_SIDED_TAILS[lead]
+    g = skew_gauge()
+    want = CauchyClassification("bi", 5, forward_i0, backward_i0)
+    assert classify_cauchy(seq, g, r=1.0, t=1.0) == want
+    thresholds = critical_thresholds(g)
+    scanned = classify_cauchy_thresholds(seq, g, thresholds)
+    assert (1.25, 1.0, want) in scanned
+    assert [c for _, _, c in scanned] == \
+        [classify_cauchy(seq, g, r, t) for r, t in thresholds.pairs()]
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps({"space": gauge_to_json(g),
+                               "sequence": list(seq)}), encoding="utf-8")
+    assert main(["cover", "--input", str(src), "--output", str(out)]) == 0
+    rows = json.loads(out.read_text(encoding="utf-8"))["cauchy"]
+    assert rows == [{"radius": r, "scale": t, "kind": c.kind, "i0": c.i0,
+                     "forward_i0": c.forward_i0,
+                     "backward_i0": c.backward_i0} for r, t, c in scanned]
+
+
+def random_raw_gauge(rng, n):
+    """A table under no axiom, diagonal included, so "neither" occurs."""
+    pts = tuple(f"p{i}" for i in range(n))
+    return GaugeSpec(regime=Regime.ADDITIVE, points=pts, grid=GRID1,
+                     table={(x, y): (rng.choice((0.0, 1.0, 3.0)),)
+                            for x in pts for y in pts})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_finite_samples_classify_both_directions_or_neither(seed):
+    # row N of either direction holds only the diagonal pair (x_N, x_N), one
+    # entry for both, so the "forward" and "backward" kinds never occur
+    rng = rng_for(1900 + seed)
+    g = rng.choice((*ADDITIVE_BUILDERS, random_raw_gauge))(rng, 4)
+    seq = tuple(rng.choice(g.points) for _ in range(rng.randrange(1, 9)))
+    kinds = set()
+    for _, _, c in classify_cauchy_thresholds(seq, g, critical_thresholds(g)):
+        assert (c.forward_i0 is None) == (c.backward_i0 is None), (seed, c)
+        kinds.add(c.kind)
+    assert kinds <= {"bi", "neither"}
 
 
 def test_converges_to_needs_a_full_tail():
     g = skew_gauge(near=0.5, far=2.0)
-    inward = SampledSequence(("b", "a", "a"))
+    inward = ("b", "a", "a")
     assert converges_to(inward, g, "a", r=1.0, t=1.0)
     # forward from a reaches b cheaply, so b-tails converge to a forward
-    assert converges_to(SampledSequence(("b", "b")), g, "a", 1.0, 1.0)
-    assert not converges_to(SampledSequence(("b", "b")), g, "a", 1.0, 1.0,
+    assert converges_to(("b", "b"), g, "a", 1.0, 1.0)
+    assert not converges_to(("b", "b"), g, "a", 1.0, 1.0,
                             side="backward")
     # a visit is not a tail
-    outward = SampledSequence(("a", "b"))
+    outward = ("a", "b")
     assert not converges_to(outward, g, "a", 1.0, 1.0, side="backward")
 
 
@@ -149,6 +211,46 @@ def test_two_sided_cover_validates_its_inputs():
         wide_f = greedy_net(("a", "b"), g, 0.6, 1.0, "forward")
         wide_b = greedy_net(("a", "b"), g, 0.6, 1.0, "backward")
         two_sided_cover_from_onesided(g, wide_f, wide_b, 1.0, 2.0)
+
+
+EMPTY = "a sampled sequence needs at least one point"
+
+
+def _error_cases():
+    g = skew_gauge()
+    fwd = greedy_net(("a", "b"), g, 0.2, 1.0, "forward")
+    bwd = greedy_net(("a", "b"), g, 0.2, 1.0, "backward")
+    one = generate_topology([], ("a",))
+    return {
+        "unverified-cover": (lambda: two_sided_cover_from_onesided(
+            g, dataclasses.replace(fwd, verified=False), bwd, 1.0, 2.0),
+            "both one-sided covers must be verified"),
+        "different-samples": (lambda: two_sided_cover_from_onesided(
+            g, fwd, greedy_net(("a",), g, 0.2, 1.0, "backward"), 1.0, 2.0),
+            "must cover the same sample"),
+        "table-value": (lambda: GaugeSpec(
+            regime=Regime.ADDITIVE, points=("a", "b"), grid=GRID1,
+            table={("a", "b"): (-1.0,), ("b", "a"): (1.0,)}),
+            r"table value for \('a', 'b'\)"),
+        "join-points": (lambda: join_topologies(
+            one, generate_topology([], ("b",))), "different point sets"),
+        "entourage-radius": (lambda: entourage(g, 0.0, 1.0),
+                             "radius must be positive"),
+        "ball-radius": (lambda: ball(g, "a", -1.0, 1.0),
+                        "radius must be positive"),
+        "empty-classify": (lambda: classify_cauchy((), g, 1.0, 1.0), EMPTY),
+        "empty-scan": (lambda: classify_cauchy_thresholds(
+            [], g, critical_thresholds(g)), EMPTY),
+        "empty-converges": (lambda: converges_to((), g, "a", 1.0, 1.0),
+                            EMPTY),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_error_cases()))
+def test_refusals_name_their_cause(case):
+    call, message = _error_cases()[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_cell_escape_raises_with_the_witness():

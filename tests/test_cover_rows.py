@@ -19,7 +19,7 @@ from bisect import bisect_left
 import pytest
 
 from quasimod import (CauchyClassification, CellInclusionError, GaugeSpec,
-                      HeineBorelReport, Regime, SampledSequence, ScaleGrid,
+                      HeineBorelReport, Regime, ScaleGrid,
                       TConorm, classify_cauchy, classify_cauchy_thresholds,
                       critical_thresholds, entourage, greedy_net,
                       heine_borel_report,
@@ -78,7 +78,7 @@ def pair_compose(g, fwd, bwd, r, t):
 
 
 def pair_classify(seq, g, r, t):
-    f, b = oracle_cauchy(seq.points, g, r, t)
+    f, b = oracle_cauchy(seq, g, r, t)
     if f and b:
         return CauchyClassification("bi", max(f, b), f, b)
     if f:
@@ -195,9 +195,8 @@ def test_cauchy_scan_matches_the_replaced_loop(name, oracle):
     for k, g in enumerate(GAUGES[name]()):
         thresholds = critical_thresholds(g)
         for pts in sequences(g, 980 + k):
-            seq = SampledSequence(pts)
-            assert scan_rows(seq, g, thresholds) == \
-                loop_cauchy(seq, g, thresholds, classify), (g.name, pts)
+            assert scan_rows(pts, g, thresholds) == \
+                loop_cauchy(pts, g, thresholds, classify), (g.name, pts)
 
 
 def test_corpora_exercise_escapes_off_grid_halves_and_nan():
@@ -349,9 +348,8 @@ def test_row_builds_stay_within_the_distinct_keys(sweeps):
             halves = [(split_radius(g, r), t / 2.0) for r, t in pairs]
             run(lambda: heine_borel_report(g, points, thresholds=thresholds),
                 g, pairs + halves, [t for _, t in pairs + halves])
-        seq = SampledSequence(g.points[::-1] + g.points)
-        points, thresholds = seq.points, critical_thresholds(g)
-        run(lambda: classify_cauchy_thresholds(seq, g, thresholds),
+        points, thresholds = g.points[::-1] + g.points, critical_thresholds(g)
+        run(lambda: classify_cauchy_thresholds(points, g, thresholds),
             g, thresholds.pairs(), thresholds.scales)
     assert totals["sorts"] > 0 and totals["snapshots"] > 0
 

@@ -17,7 +17,7 @@ from itertools import product
 import pytest
 
 from quasimod import (INF, CellInclusionError, GaugeSpec, Profile, Regime,
-                      SampledSequence, ScaleGrid, TConorm, ThresholdSet,
+                      ScaleGrid, TConorm, ThresholdSet,
                       check_axioms, classify_cauchy, compose,
                       convexity_check, converges_to, critical_thresholds,
                       enriched_triangle_check, entourage, greedy_net,
@@ -280,7 +280,7 @@ def test_classify_cauchy_matches_the_oracle_on_repeating_sequences(name):
         seqs.append(g.points * 2)
         for r, t in critical_thresholds(g).pairs():
             for pts in seqs:
-                res = classify_cauchy(SampledSequence(pts), g, r, t)
+                res = classify_cauchy(pts, g, r, t)
                 assert (res.forward_i0, res.backward_i0) == \
                     oracle_cauchy(pts, g, r, t)
 
@@ -290,11 +290,10 @@ def test_converges_to_matches_the_oracle(name):
     for k, g in enumerate(corpus(name)):
         rng = rng_for(820 + k)
         pts = tuple(rng.choice(g.points) for _ in range(rng.randrange(1, 7)))
-        seq = SampledSequence(pts)
         for r, t in critical_thresholds(g).pairs():
             for x in g.points[:2]:
                 for side in ("forward", "backward", "two_sided"):
-                    assert converges_to(seq, g, x, r, t, side) == \
+                    assert converges_to(pts, g, x, r, t, side) == \
                         oracle_converges_to(pts, g, x, r, t, side)
 
 

@@ -31,7 +31,7 @@ from dataclasses import replace
 
 import pytest
 
-from quasimod import (INF, NonmonotoneGaugeError, Profile, Regime, SampledSequence,
+from quasimod import (INF, NonmonotoneGaugeError, Profile, Regime,
                       ScaleGrid, TConorm, ball, compose, converges_to,
                       critical_thresholds, distance_matrix, entourage,
                       format_ext, graph_from_json, graph_to_json,
@@ -68,7 +68,7 @@ def gauges(seed):
 def test_the_opposite_gauge_swaps_forward_and_backward(seed):
     for g in gauges(seed):
         opp, points = opposite(g), g.points
-        seq = SampledSequence(points[::-1])
+        seq = points[::-1]
         for r, t in critical_thresholds(g).pairs():
             assert entourage(opp, r, t, "forward") == \
                 entourage(g, r, t, "backward"), (g.name, r, t)

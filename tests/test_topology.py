@@ -1,5 +1,7 @@
 """Entourages, finite ball topologies, and the quasi-uniformity laws."""
 
+import time
+
 import pytest
 
 from quasimod import (
@@ -20,8 +22,8 @@ from quasimod import (
     verify_join_equality,
 )
 
-from conftest import (ADDITIVE_BUILDERS, random_conorm_gauge, rng_for,
-                      transpose)
+from conftest import (ADDITIVE_BUILDERS, random_conorm_gauge,
+                      random_graph_gauge, rng_for, transpose)
 
 
 def closure_oracle(n, masks):
@@ -141,8 +143,10 @@ def test_generate_topology_closure_properties():
     assert topo.open_sets()[0] == ()
     with pytest.raises(ValueError, match="outside the point set"):
         generate_topology([("z",)], pts)
+    # generating is polynomial at any size; only listing the opens is capped
+    big = generate_topology([], tuple(range(17)))
     with pytest.raises(ValueError, match="cap"):
-        generate_topology([], tuple(range(17)))
+        big.opens
 
 
 def test_generate_topology_closes_a_subbase_under_intersection():
@@ -232,6 +236,59 @@ def test_join_report_matches_the_closure_oracle_on_corpora():
             assert report.join.opens == closure_oracle(n, plus + minus), where
             assert report.tau_sym.opens == closure_oracle(n, two_sided), where
             assert report.equal == (report.join.opens == report.tau_sym.opens)
+
+
+def hoods_oracle(n, rows):
+    """Smallest open set around each point of the topology whose subbase
+    is `rows`: the AND of the rows that hold the point."""
+    hoods = [(1 << n) - 1] * n
+    for row in set(rows):
+        for i in range(n):
+            if row >> i & 1:
+                hoods[i] &= row
+    return tuple(hoods)
+
+
+def oracle_rows(g, side):
+    """The entourage rows on one side at every critical threshold, read
+    from the gauge tabulated on its grid, so closed forms run once."""
+    tab = g.tabulated()
+    return [row for r, t in critical_thresholds(tab).pairs()
+            for row in entourage(tab, r, t, side)]
+
+
+def corpus_builders():
+    """One builder per family of the corpora: additive, conorm and raw."""
+    yield from ADDITIVE_BUILDERS
+    for conorm in TConorm:
+        yield lambda rng, n, c=conorm: random_conorm_gauge(rng, n, c)
+    for conorm in (None, *TConorm):
+        yield lambda rng, n, c=conorm: random_raw_table(rng, n, c)
+
+
+def test_topologies_above_the_listing_cap_match_the_entourage_oracle():
+    # past 16 points the hoods are decided as below it; the oracle reads
+    # each side's entourage rows at every critical threshold
+    for k, build in enumerate(corpus_builders()):
+        rng = rng_for(1700 + k)
+        g = build(rng, 17 + k % 8)
+        n, sym = len(g.points), symmetrize(g)
+        plus, minus = oracle_rows(g, "forward"), oracle_rows(g, "backward")
+        report = verify_join_equality(g)
+        assert report.tau_plus.hoods == hoods_oracle(n, plus), g.name
+        assert report.tau_minus.hoods == hoods_oracle(n, minus), g.name
+        assert report.join.hoods == hoods_oracle(n, plus + minus), g.name
+        assert report.tau_sym.hoods == \
+            hoods_oracle(n, oracle_rows(sym, "forward")), g.name
+        assert report.equal == (report.join.hoods == report.tau_sym.hoods)
+        for listing in (lambda: report.join.opens, report.join.open_sets,
+                        report.to_json):
+            with pytest.raises(ValueError, match="16-point cap"):
+                listing()
+    g = random_graph_gauge(rng_for(1764), 64)
+    start = time.perf_counter()
+    verify_join_equality(g)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ball_topologies_depend_only_on_the_order_of_values():
