@@ -14,12 +14,11 @@ import functools
 import io
 import json
 import logging
-import math
 import os
 import sys
 import time
 from dataclasses import replace
-from itertools import chain, repeat
+from itertools import chain, permutations, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import add
 from typing import NamedTuple
@@ -27,16 +26,15 @@ from typing import NamedTuple
 from .axioms import check_axioms
 from .completeness import classify_cauchy_thresholds, heine_borel_report
 from .conorms import conorm_from_name
-from .extreal import INF, format_ext, parse_ext
-from .gauges import Regime, _decode_ids, _min_cap_rows, gauge_from_json
+from .extreal import INF, decode_ids, format_ext, point_resolver
+from .gauges import Regime, _min_cap_rows, gauge_from_json
 from .graphs import asymmetry_index, distance_matrix, graph_from_json
 from .luxemburg import (DEFAULT_LAMBDA_MAX, NonmonotoneGaugeError,
-                        luxemburg_distance)
+                        luxemburg_distance, quasi_pseudometric_check)
 from .orlicz import (DiscreteMeasureSpace, OneSidedPair, one_sided_gauges,
                      orlicz_from_json, parse_function,
                      quasi_metric_from_gauges, unit_ball_check)
-from .envelopes import PartialFunction, lower_envelope, upper_envelope
-from .luxemburg import quasi_pseudometric_check
+from .envelopes import envelope_from_json, lower_envelope, upper_envelope
 from .profiles import ScaleGrid
 from .topology import (MAX_TOPOLOGY_POINTS, critical_thresholds,
                        verify_join_equality)
@@ -51,6 +49,14 @@ class InputError(Exception):
 # what reading a document of the wrong shape raises; OverflowError is an
 # integer too large for a float
 _DOC_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def _read(what: str, fn, *args):
+    """fn(*args), with a document of the wrong shape reported as bad `what`."""
+    try:
+        return fn(*args)
+    except _DOC_ERRORS as exc:
+        raise InputError(f"bad {what}: {exc}") from None
 
 
 def _load_json(path: str) -> object:
@@ -205,37 +211,13 @@ def _parse_grid(raw: str | None) -> ScaleGrid | None:
 
 
 def _gauge_from_doc(doc, args) -> object:
-    if not isinstance(doc, dict):
-        raise InputError("gauge document must be a JSON object")
-    try:
-        g = gauge_from_json(doc)
-    except _DOC_ERRORS as exc:
-        raise InputError(f"bad gauge document: {exc}") from None
+    g = _read("gauge document", gauge_from_json, doc)
     grid = _parse_grid(args.grid)
     if grid is not None:
         g = g.tabulated(grid)
     if getattr(args, "conorm", None) and g.regime is Regime.CONORM:
         g = replace(g, conorm=conorm_from_name(args.conorm))
     return g
-
-
-def _point_resolver(points):
-    """Map an id to its point: an exact match first, then a match on str(id).
-    Unknown ids raise InputError; an unhashable point raises TypeError."""
-    exact = set(points)
-    by_str = {str(p): p for p in points}
-
-    def resolve(i):
-        try:
-            hit = i in exact
-        except TypeError:
-            hit = False  # an unhashable id equals no point
-        key = i if hit else by_str.get(str(i))
-        if key is None:
-            raise InputError(f"unknown point id {i!r}")
-        return key
-
-    return resolve
 
 
 def cmd_check_axioms(args) -> int:
@@ -260,15 +242,12 @@ def cmd_cover(args) -> int:
     raw = _load_json(args.input)
     if isinstance(raw, dict) and "space" in raw:
         g = _gauge_from_doc(raw["space"], args)
-        try:
-            ids = raw.get("sequence", [])
-            if not isinstance(ids, list):
-                raise TypeError(f"expected a JSON list, not "
-                                f"{type(ids).__name__}")
-            resolve = _point_resolver(g.points)
-            sequence = list(map(resolve, ids))
-        except _DOC_ERRORS as exc:
-            raise InputError(f"bad cover sequence: {exc}") from None
+        ids = raw.get("sequence", [])
+        if not isinstance(ids, list):
+            raise InputError(f"bad cover sequence: expected a JSON list, not "
+                             f"{type(ids).__name__}")
+        sequence = _read("cover sequence", list,
+                         map(point_resolver(g.points), ids))
     else:
         g = _gauge_from_doc(raw, args)
         sequence = []
@@ -351,10 +330,7 @@ def _phase_done(phase: str, start: float, n: int) -> float:
 
 def cmd_graph(args) -> int:
     t = time.perf_counter()
-    try:
-        g = graph_from_json(_load_json(args.input))
-    except _DOC_ERRORS as exc:
-        raise InputError(f"bad graph document: {exc}") from None
+    g = _read("graph document", graph_from_json, _load_json(args.input))
     n = len(g.vertices)
     t = _phase_done("read", t, n)
     rows = distance_matrix(g)
@@ -379,25 +355,32 @@ def cmd_graph(args) -> int:
     return 0 if ok else 1
 
 
+def _bracketed(norm: float, what: str) -> None:
+    """Every norm on a finite space is finite, so +inf only says the search
+    gave up at its cutoff: an input limit (exit 2), not a violation."""
+    if norm == INF:
+        raise InputError(f"{what} lies past the largest searched scale "
+                         f"{DEFAULT_LAMBDA_MAX:g}")
+
+
 def cmd_orlicz(args) -> int:
     raw = _load_json(args.input)
-    try:
-        space = DiscreteMeasureSpace.from_json(raw["space"])
-        functions = {fid: parse_function(doc, space)
-                     for fid, doc in raw.get("functions", {}).items()}
-        _decode_ids(functions, "function")
-    except _DOC_ERRORS as exc:
-        raise InputError(f"bad orlicz document: {exc}") from None
     doc = {"command": "orlicz", "tol": args.tol}
     ok = True
+    # reading and computing share one block: a phi can overflow (exit 2)
     try:
+        space = DiscreteMeasureSpace.from_json(raw["space"])
+        functions = {fid: parse_function(values, space)
+                     for fid, values in raw.get("functions", {}).items()}
+        decode_ids(functions, "function")
         if "phi" in raw:
             phi = orlicz_from_json(raw["phi"], space)
             out = {}
             for fid in sorted(functions):
                 ub = unit_ball_check(space, phi, functions[fid], args.tol)
+                _bracketed(ub.norm, f"phi norm of function {fid!r}")
                 out[fid] = {"modular": format_ext(ub.modular_value),
-                            "norm": format_ext(ub.norm),
+                            "norm": ub.norm,
                             "unit_ball": ub.to_json()}
                 ok = ok and ub.ok
             doc["phi"] = out
@@ -408,16 +391,14 @@ def cmd_orlicz(args) -> int:
             for fid in sorted(functions):
                 np_, nm, ns = one_sided_gauges(space, pair, functions[fid],
                                                args.tol)
-                sides[fid] = {"plus": format_ext(np_), "minus": format_ext(nm),
-                              "sym": format_ext(ns)}
-            for fa in sorted(functions):
-                for fb in sorted(functions):
-                    if fa == fb:
-                        continue
-                    dp, dm = quasi_metric_from_gauges(
-                        space, pair, functions[fa], functions[fb], args.tol)
-                    dists[f"{fa}|{fb}"] = {"plus": format_ext(dp),
-                                           "minus": format_ext(dm)}
+                _bracketed(ns, f"one-sided norm of function {fid!r}")
+                sides[fid] = {"plus": np_, "minus": nm, "sym": ns}
+            for fa, fb in permutations(sorted(functions), 2):
+                dp, dm = quasi_metric_from_gauges(
+                    space, pair, functions[fa], functions[fb], args.tol)
+                _bracketed(max(dp, dm), f"one-sided distance from "
+                           f"function {fa!r} to {fb!r}")
+                dists[f"{fa}|{fb}"] = {"plus": dp, "minus": dm}
             doc["one_sided"] = {"norms": sides, "distances": dists}
     except _DOC_ERRORS as exc:
         raise InputError(f"bad orlicz document: {exc}") from None
@@ -426,24 +407,8 @@ def cmd_orlicz(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    raw = _load_json(args.input)
-    try:
-        points = list(raw["points"])
-        by_str = _decode_ids(points, "point")
-        d = {}
-        for key, v in raw["distance"].items():
-            sx, sep, sy = key.partition("|")
-            if not (sep and sx in by_str and sy in by_str):
-                raise ValueError(f"bad distance key {key!r}")
-            d[by_str[sx], by_str[sy]] = parse_ext(v, f"distance[{key}]")
-        domain = list(map(_point_resolver(points), raw["domain"]))
-        values = {a: float(raw["values"][str(a)]) for a in domain}
-        for a, v in values.items():
-            if not math.isfinite(v):
-                raise ValueError(f"value at {a!r} must be finite, got {v!r}")
-        f = PartialFunction(tuple(domain), values, float(raw["lipschitz"]))
-    except _DOC_ERRORS as exc:
-        raise InputError(f"bad envelope document: {exc}") from None
+    points, d, f = _read("envelope document", envelope_from_json,
+                         _load_json(args.input))
     metric_report = quasi_pseudometric_check(d, points)
     doc = {"command": "envelope",
            "distance_check": metric_report.to_json(),

@@ -19,7 +19,7 @@ from .topology import (ThresholdSet, _BallRows, _normalize_side, _side_rows,
 
 @dataclass(frozen=True)
 class CauchyClassification:
-    kind: str  # forward | backward | bi | neither
+    kind: str  # bi | neither
     i0: int | None
     forward_i0: int | None
     backward_i0: int | None
@@ -52,7 +52,9 @@ def classify_cauchy(points, g: GaugeSpec, r: float,
                     t: float) -> CauchyClassification:
     """Forward: w(x_i, x_j, t) < r for all i0 <= i <= j over the sampled
     points; backward swaps the pair to w(x_j, x_i, t).  Reports the minimal
-    i0 for each direction that holds."""
+    i0 for each direction that holds.  On a finite sample the one-point
+    tail always qualifies when either does, so the kind is "bi" or
+    "neither"; asymmetry shows in `forward_i0` and `backward_i0`."""
     seq = _sequence(points)
     _check_positive(r)
     _, fwd, bwd = _BallRows(g, seq).rows(r, t)
@@ -77,10 +79,6 @@ def _classify(fwd, bwd) -> CauchyClassification:
     f_i0, b_i0 = _minimal_tail_start(fwd), _minimal_tail_start(bwd)
     if f_i0 and b_i0:
         return CauchyClassification("bi", max(f_i0, b_i0), f_i0, b_i0)
-    if f_i0:
-        return CauchyClassification("forward", f_i0, f_i0, None)
-    if b_i0:
-        return CauchyClassification("backward", b_i0, None, b_i0)
     return CauchyClassification("neither", None, None, None)
 
 

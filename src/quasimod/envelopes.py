@@ -8,10 +8,11 @@ data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .extreal import INF, ext_mul
+from .extreal import INF, ext_mul, number, pair_map, parse_ext, point_resolver
 
 
 @dataclass(frozen=True)
@@ -51,3 +52,18 @@ def lower_envelope(f: PartialFunction, d: Mapping, points) -> dict:
     return {x: max(f.values[a] - ext_mul(f.lipschitz_L, _dist(d, a, x))
                    for a in f.domain)
             for x in points}
+
+
+def envelope_from_json(doc: Mapping) -> tuple[list, dict, PartialFunction]:
+    """(points, distance, data) of an envelope document: "x|y" distance
+    keys over the points, and finite values on the domain."""
+    points = list(doc["points"])
+    d = pair_map(doc["distance"], points, "distance", parse_ext)
+    domain = list(map(point_resolver(points), doc["domain"]))
+    values = {a: number(doc["values"][str(a)], f"value at {a!r}")
+              for a in domain}
+    for a, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"value at {a!r} must be finite, got {v!r}")
+    return points, d, PartialFunction(
+        tuple(domain), values, number(doc["lipschitz"], "lipschitz"))

@@ -1,10 +1,11 @@
-"""Helpers for nonnegative extended-real values ([0, +inf]).
+"""Helpers for nonnegative extended-real values ([0, +inf]), and the wire.
 
 Plain Python floats already model the extended ray: ``float("inf")`` absorbs
 addition and compares correctly under ``min``/``max``.  What the rest of the
 package needs on top of that is validation (no negatives, no NaN), the
 measure-theoretic product convention ``0 * inf == 0``, and a JSON spelling
-for infinity.
+for infinity.  Every document reader reads numbers, ids and keyed maps with
+the functions below; range checks stay with the models.
 """
 
 from __future__ import annotations
@@ -35,16 +36,76 @@ def ext_mul(a: float, b: float) -> float:
     return a * b
 
 
-def parse_ext(raw: object, what: str = "value") -> float:
-    """Parse a JSON scalar, accepting the string "inf" for infinity."""
+def number(raw: object, what: str = "value") -> float:
+    """A JSON number, or "inf"; booleans and every other string are refused."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        return float(raw)
     if raw == "inf":
         return INF
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return ensure_ext(float(raw), what)
     raise ValueError(f"{what} must be a number or \"inf\", got {raw!r}")
+
+
+def parse_ext(raw: object, what: str = "value") -> float:
+    """A number of the extended ray [0, +inf]."""
+    return ensure_ext(number(raw, what), what)
 
 
 def format_ext(value: float) -> object:
     """Inverse of parse_ext: +inf becomes the string "inf", and -inf, which
     a lower envelope reaches at a point no datum reaches, "-inf"."""
     return "inf" if value == INF else "-inf" if value == -INF else value
+
+
+def decode_ids(ids, what: str) -> dict:
+    """{str(id): id} for ids that name the sides of "x|y" pair keys; raises
+    ValueError unless the strings are unique and none holds "|", so that
+    every key names exactly one ordered pair."""
+    by_str = {str(i): i for i in ids}
+    if len(by_str) != len(ids) or any("|" in s for s in by_str):
+        raise ValueError(f"{what} ids must stringify uniquely and avoid '|'")
+    return by_str
+
+
+def point_resolver(points):
+    """Map an id to its point: an exact match first, then a match on str(id).
+    Unknown ids raise ValueError; an unhashable point raises TypeError."""
+    exact = set(points)
+    by_str = {str(p): p for p in points}
+
+    def resolve(i):
+        try:
+            hit = i in exact
+        except TypeError:
+            hit = False  # an unhashable id equals no point
+        key = i if hit else by_str.get(str(i))
+        if key is None:
+            raise ValueError(f"unknown point id {i!r}")
+        return key
+
+    return resolve
+
+
+def keyed_numbers(raw, ids, what: str, noun: str = "point") -> dict:
+    """{id: number} from a JSON object keyed by the ids' strings, which must
+    be unique; unlike `decode_ids`, an id here may hold "|"."""
+    by_str = {str(i): i for i in ids}
+    if len(by_str) != len(ids):
+        raise ValueError(f"{noun} ids must stringify uniquely")
+    out = {}
+    for key, v in raw.items():
+        if key not in by_str:
+            raise ValueError(f"{what} for unknown {noun} {key!r}")
+        out[by_str[key]] = number(v, f"{what} at {key!r}")
+    return out
+
+
+def pair_map(raw, points, what: str, read) -> dict:
+    """{(x, y): read(v, what[key])} for each "x|y" key naming two points."""
+    by_str = decode_ids(points, "point")
+    out = {}
+    for key, v in raw.items():
+        sx, sep, sy = key.partition("|")
+        if not (sep and sx in by_str and sy in by_str):
+            raise ValueError(f"bad {what} key {key!r}")
+        out[by_str[sx], by_str[sy]] = read(v, f"{what}[{key}]")
+    return out

@@ -25,7 +25,8 @@ from operator import add, eq, gt
 from typing import Callable, Mapping
 
 from .conorms import TConorm, conorm_from_name
-from .extreal import INF, ensure_ext, ext_mul, format_ext, is_ext, parse_ext
+from .extreal import (INF, decode_ids, ensure_ext, ext_mul, format_ext, is_ext,
+                      number, pair_map, parse_ext)
 from .profiles import Profile, ScaleGrid
 
 EPS_BELOW_ONE = 1.0 - 2.0 ** -52
@@ -401,20 +402,10 @@ def symmetrize(g: GaugeSpec) -> GaugeSpec:
                    fn=lambda x, y, t: law(g.value(x, y, t), g.value(y, x, t)))
 
 
-def _decode_ids(ids, what: str) -> dict:
-    """{str(id): id} for ids that name the sides of "x|y" pair keys; raises
-    ValueError unless the strings are unique and none holds "|", so that
-    every key names exactly one ordered pair."""
-    by_str = {str(i): i for i in ids}
-    if len(by_str) != len(ids) or any("|" in s for s in by_str):
-        raise ValueError(f"{what} ids must stringify uniquely and avoid '|'")
-    return by_str
-
-
 def gauge_to_json(g: GaugeSpec, grid: ScaleGrid | None = None) -> dict:
     """Wire form of a (tabulated) gauge; closed forms are tabulated first."""
     tg = g.tabulated(grid)
-    _decode_ids(tg.points, "point")
+    decode_ids(tg.points, "point")
     doc = {"regime": tg.regime.value, "points": list(tg.points),
            "grid": list(tg.grid.scales),
            "table": {f"{x}|{y}": [format_ext(v) for v in tg.table[(x, y)]]
@@ -430,17 +421,9 @@ def gauge_from_json(doc: Mapping, name: str = "gauge") -> GaugeSpec:
     if regime is Regime.CONORM:
         conorm = conorm_from_name(doc.get("conorm", "max"))
     points = tuple(doc["points"])
-    by_str = _decode_ids(points, "point")
-    grid = ScaleGrid(tuple(doc["grid"]))
-    table = {}
-    for key, row in doc["table"].items():
-        sx, sep, sy = key.partition("|")
-        if not sep or sx not in by_str or sy not in by_str:
-            raise ValueError(f"bad table key {key!r}")
-        parsed = tuple(parse_ext(v, f"table[{key}]") for v in row)
-        if regime is Regime.CONORM and any(v > 1.0 for v in parsed):
-            raise ValueError(f"conorm-regime value out of [0, 1] in table[{key}]")
-        table[(by_str[sx], by_str[sy])] = parsed
+    grid = ScaleGrid(tuple(number(t, "grid") for t in doc["grid"]))
+    table = pair_map(doc["table"], points, "table",
+                     lambda row, what: tuple(parse_ext(v, what) for v in row))
     # a missing diagonal row is zeros on both sides; a missing pair raises
     # in GaugeSpec
     symmetric = all(table.get((x, y)) == table.get((y, x))

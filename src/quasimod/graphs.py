@@ -20,8 +20,9 @@ from itertools import chain
 from operator import ne
 from typing import Mapping
 
-from .extreal import INF, ensure_ext, format_ext, parse_ext
-from .gauges import GaugeSpec, _decode_ids, _min_cap_rows
+from .extreal import (INF, decode_ids, format_ext, keyed_numbers, number,
+                      parse_ext)
+from .gauges import GaugeSpec, _min_cap_rows
 from .luxemburg import DEFAULT_TOL
 from .orlicz import DiscreteMeasureSpace, MusielakOrlicz, _modular, _norm
 from .profiles import ScaleGrid
@@ -97,15 +98,12 @@ class DirectedGraph:
 def _edge_costs(g: DirectedGraph, costs) -> tuple[float, ...]:
     if costs is None:
         return tuple(e.cost for e in g.edges)
-    costs = tuple(float(c) for c in costs)
+    costs = tuple(costs)
     if len(costs) != len(g.edges):
         raise ValueError(f"need one cost per edge ({len(g.edges)}), "
                          f"got {len(costs)}")
-    for c in costs:
-        ensure_ext(c, "edge cost")
-        if c == INF:
-            raise ValueError("edge costs must be finite")
-    return costs
+    # an Edge holds the one check of a cost
+    return tuple(Edge(e.u, e.v, e.mu, c).cost for e, c in zip(g.edges, costs))
 
 
 def _adjacency(g: DirectedGraph, costs) -> list[list[tuple[int, float]]]:
@@ -246,7 +244,7 @@ def asymmetry_index(rows) -> float:
 
 
 def graph_to_json(g: DirectedGraph) -> dict:
-    _decode_ids(g.vertices, "vertex")
+    decode_ids(g.vertices, "vertex")
     return {"vertices": list(g.vertices),
             "edges": [{"from": e.u, "to": e.v, "mu": e.mu, "cost": e.cost}
                       for e in g.edges],
@@ -255,19 +253,13 @@ def graph_to_json(g: DirectedGraph) -> dict:
 
 def graph_from_json(doc: Mapping) -> DirectedGraph:
     vertices = tuple(doc["vertices"])
-    by_str = _decode_ids(vertices, "vertex")
-    edges = []
-    for e in doc["edges"]:
-        edges.append(Edge(e["from"], e["to"], float(e.get("mu", 1.0)),
-                          e.get("cost", 1.0)))
+    decode_ids(vertices, "vertex")
+    edges = tuple(Edge(e["from"], e["to"], number(e.get("mu", 1.0), "edge mu"),
+                       e.get("cost", 1.0)) for e in doc["edges"])
     measure = None
     if "measure" in doc:
-        measure = {}
-        for key, m in doc["measure"].items():
-            if key not in by_str:
-                raise ValueError(f"measure for unknown vertex {key!r}")
-            measure[by_str[key]] = float(m)
-    return DirectedGraph(vertices, tuple(edges), measure)
+        measure = keyed_numbers(doc["measure"], vertices, "measure", "vertex")
+    return DirectedGraph(vertices, edges, measure)
 
 
 def schedule_to_json(s: DynamicCostSchedule) -> dict:
@@ -277,7 +269,7 @@ def schedule_to_json(s: DynamicCostSchedule) -> dict:
 
 
 def schedule_from_json(doc: Mapping) -> DynamicCostSchedule:
-    times = tuple(float(t) for t in doc["times"])
+    times = tuple(number(t, "times") for t in doc["times"])
     costs = {}
     for key, c in doc["costs"].items():
         st, sep, sk = key.partition("|")

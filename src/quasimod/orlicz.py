@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .extreal import format_ext
+from .extreal import format_ext, keyed_numbers, number
 from .gauges import GaugeSpec, Regime
 from .luxemburg import DEFAULT_LAMBDA_MAX, DEFAULT_TOL, luxemburg_infimum
 from .profiles import ScaleGrid
@@ -47,11 +47,7 @@ class DiscreteMeasureSpace:
     @classmethod
     def from_json(cls, doc: Mapping) -> "DiscreteMeasureSpace":
         points = tuple(doc["points"])
-        by_str = {str(p): p for p in points}
-        if len(by_str) != len(points):
-            raise ValueError("point ids must stringify uniquely")
-        return cls(points, {by_str[k]: float(m)
-                            for k, m in doc["mu"].items()})
+        return cls(points, keyed_numbers(doc["mu"], points, "mu"))
 
 
 @dataclass(frozen=True)
@@ -137,39 +133,27 @@ class MusielakOrlicz:
 
 
 def orlicz_from_json(doc: Mapping, space: DiscreteMeasureSpace) -> MusielakOrlicz:
-    by_str = {str(p): p for p in space.points}
-
-    def keyed(field):
-        out = {}
-        for k, v in doc[field].items():
-            if k not in by_str:
-                raise ValueError(f"{field}[{k!r}] names an unknown point")
-            out[by_str[k]] = float(v)
-        return out
-
     kind = doc.get("kind")
     if kind == "variable_exponent":
-        return MusielakOrlicz.variable_exponent(keyed("p"))
+        return MusielakOrlicz.variable_exponent(
+            keyed_numbers(doc["p"], space.points, "p"))
     if kind == "double_phase":
-        return MusielakOrlicz.double_phase(float(doc["p"]), float(doc["q"]),
-                                           keyed("a"))
+        return MusielakOrlicz.double_phase(
+            number(doc["p"], "p"), number(doc["q"], "q"),
+            keyed_numbers(doc["a"], space.points, "a"))
     if kind == "weighted":
-        return MusielakOrlicz.weighted(orlicz_from_json(doc["base"], space),
-                                       keyed("w"))
+        return MusielakOrlicz.weighted(
+            orlicz_from_json(doc["base"], space),
+            keyed_numbers(doc["w"], space.points, "w"))
     raise ValueError(f"unknown Musielak-Orlicz kind {kind!r}")
 
 
 def parse_function(doc: Mapping, space: DiscreteMeasureSpace) -> dict:
     """Real function from JSON {point id: value}; every point must appear."""
-    by_str = {str(p): p for p in space.points}
-    f = {}
-    for k, v in doc.items():
-        if k not in by_str:
-            raise ValueError(f"function value for unknown point {k!r}")
-        v = float(v)
+    f = keyed_numbers(doc, space.points, "function value")
+    for p, v in f.items():
         if not math.isfinite(v):
-            raise ValueError(f"function value at {k!r} must be finite")
-        f[by_str[k]] = v
+            raise ValueError(f"function value at {str(p)!r} must be finite")
     _require_total(space, f)
     return f
 

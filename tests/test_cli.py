@@ -16,9 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quasimod import (TConorm, conorm_from_name, gauge_from_json,
-                      gauge_to_json, graph_to_json, quasi_uniformity_report)
+                      gauge_to_json, graph_to_json, quasi_uniformity_report,
+                      schedule_from_json)
 from quasimod import cli
-from quasimod.cli import InputError, _point_resolver, main
+from quasimod.cli import main
+from quasimod.extreal import point_resolver
 
 from conftest import (points_named, random_conorm_gauge, random_measure_space,
                       random_min_cap_gauge, random_orlicz_family,
@@ -352,23 +354,32 @@ def test_envelope_writes_unreachable_bounds_as_strings(tmp_path):
     assert report["lower"] == {"a": 1.0, "x": "-inf"}
 
 
-def test_orlicz_writes_an_infinite_norm_as_a_string(tmp_path):
-    # 1e13 / lambda_max = 10 leaves the modular at 100 > 1 at the top of
-    # the searched scales, so every norm of f is +inf
-    doc = dict(ORLICZ_DOC, space={"points": ["a"], "mu": {"a": 1.0}},
-               functions={"f": {"a": 1e13}, "g": {"a": 0.0}},
-               phi={"kind": "variable_exponent", "p": {"a": 2.0}},
-               psi1={"kind": "variable_exponent", "p": {"a": 2.0}},
-               psi2={"kind": "variable_exponent", "p": {"a": 2.0}})
+def test_orlicz_norm_past_the_search_cutoff_exits_2(tmp_path, capsys):
+    # on a finite space a finite function has a finite norm, so a norm the
+    # search cannot bracket below its 1e12 cutoff is an input limit, not a
+    # unit-ball violation: 1e13 / lambda_max = 10 leaves the modular at
+    # 100 > 1 at the top of the searched scales; f and g each stay under
+    # the cutoff, but f - g = 1.8e12 does not
+    space = {"points": ["a"], "mu": {"a": 1.0}}
+    square = {"kind": "variable_exponent", "p": {"a": 2.0}}
+    huge = {"f": {"a": 1e13}, "g": {"a": 0.0}}
+    apart = {"f": {"a": 9e11}, "g": {"a": -9e11}}
+    cases = [({"phi": square}, huge, "phi norm of function 'f'"),
+             ({"psi1": square, "psi2": square}, huge,
+              "one-sided norm of function 'f'"),
+             ({"psi1": square, "psi2": square}, apart,
+              "one-sided distance from function 'f' to 'g'")]
+    for families, functions, message in cases:
+        doc = dict(families, space=space, functions=functions)
+        src = write_doc(tmp_path, "in.json", doc)
+        assert main(["orlicz", "--input", src]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and _single_error_line(err)
+        assert f"{message} lies past the largest searched scale 1e+12" in err
+    # just under the cutoff the norm is read, and the unit ball holds
+    doc = dict(space=space, functions={"f": {"a": 9e11}}, phi=square)
     code, report = run(tmp_path, "orlicz", doc)
-    assert code == 1
-    assert report["phi"]["f"]["norm"] == "inf"
-    assert report["phi"]["f"]["unit_ball"]["norm"] == "inf"
-    assert report["one_sided"]["norms"]["f"] == {"minus": 0.0, "plus": "inf",
-                                                 "sym": "inf"}
-    assert report["one_sided"]["distances"] == {
-        "f|g": {"minus": 0.0, "plus": "inf"},
-        "g|f": {"minus": "inf", "plus": 0.0}}
+    assert code == 0 and report["phi"]["f"]["norm"] == pytest.approx(9e11)
 
 
 def test_point_ids_resolve_like_the_per_id_scan():
@@ -382,26 +393,26 @@ def test_point_ids_resolve_like_the_per_id_scan():
         for i in ids:
             key = i if i in points else by_str.get(str(i))
             if key is None:
-                raise InputError(f"unknown point id {i!r}")
+                raise ValueError(f"unknown point id {i!r}")
             out.append(key)
         return out
 
     points = [1, "1", 2.5, "b", "[3]", None, (1,)]
     ids = [1, "1", True, 1.0, "2.5", 2.5, "b", [3], "[3]", {"k": 1}, "x",
            [4], None, "None", 7, (1,), "(1,)", [1]]
-    resolve = _point_resolver(points)
+    resolve = point_resolver(points)
     for i in ids:
         try:
             want = ("ok", repr(scan([i], points)[0]))
-        except InputError as exc:
+        except ValueError as exc:
             want = ("error", str(exc))
         try:
             got = ("ok", repr(resolve(i)))
-        except InputError as exc:
+        except ValueError as exc:
             got = ("error", str(exc))
         assert got == want, i
     with pytest.raises(TypeError, match="unhashable"):
-        _point_resolver(["a", [1]])
+        point_resolver(["a", [1]])
 
 
 def test_usage_and_input_errors(tmp_path, capsys):
@@ -656,6 +667,79 @@ def test_every_bad_edge_cost_exits_2(tmp_path, capsys, cost):
         == 2
     out, err = capsys.readouterr()
     assert out == "" and _single_error_line(err) and "edge cost" in err
+
+
+# one number rule for every numeric field of every document: a JSON number
+# or "inf".  Each row is (command, document, path to the field, the name
+# the error gives it); bare float() once read several of these fields and
+# took true as 1.0 and "2" as 2.0
+WIRE_GRAPH = {"vertices": ["u", "v"],
+              "edges": [{"from": "u", "to": "v", "mu": 1.0, "cost": 1.0}],
+              "measure": {"u": 1.0, "v": 2.0}}
+SQUARES = {"kind": "variable_exponent", "p": {"a": 2.0, "b": 2.0}}
+DOUBLE_PHASE = dict(ORLICZ_DOC, phi={"kind": "double_phase", "p": 2.0,
+                                     "q": 3.0, "a": {"a": 1.0, "b": 0.5}})
+WEIGHTED = dict(ORLICZ_DOC, phi={"kind": "weighted", "base": SQUARES,
+                                 "w": {"a": 1.0, "b": 2.0}})
+NUMERIC_FIELDS = {
+    "gauge-grid": ("check-axioms", ADDITIVE_DOC, ("grid", 1), "grid"),
+    "gauge-table": ("check-axioms", ADDITIVE_DOC, ("table", "a|b", 0),
+                    "table[a|b]"),
+    "graph-mu": ("graph", WIRE_GRAPH, ("edges", 0, "mu"), "edge mu"),
+    "graph-cost": ("graph", WIRE_GRAPH, ("edges", 0, "cost"), "edge cost"),
+    "graph-measure": ("graph", WIRE_GRAPH, ("measure", "u"),
+                      "measure at 'u'"),
+    "orlicz-mu": ("orlicz", ORLICZ_DOC, ("space", "mu", "a"), "mu at 'a'"),
+    "orlicz-exponent": ("orlicz", ORLICZ_DOC, ("phi", "p", "a"), "p at 'a'"),
+    "orlicz-p": ("orlicz", DOUBLE_PHASE, ("phi", "p"), "p"),
+    "orlicz-q": ("orlicz", DOUBLE_PHASE, ("phi", "q"), "q"),
+    "orlicz-a": ("orlicz", DOUBLE_PHASE, ("phi", "a", "a"), "a at 'a'"),
+    "orlicz-w": ("orlicz", WEIGHTED, ("phi", "w", "a"), "w at 'a'"),
+    "orlicz-function": ("orlicz", ORLICZ_DOC, ("functions", "f", "a"),
+                        "function value at 'a'"),
+    "envelope-distance": ("envelope", ENVELOPE_DOC, ("distance", "x|a"),
+                          "distance[x|a]"),
+    "envelope-value": ("envelope", ENVELOPE_DOC, ("values", "a"),
+                       "value at 'a'"),
+    "envelope-lipschitz": ("envelope", ENVELOPE_DOC, ("lipschitz",),
+                           "lipschitz"),
+}
+NON_NUMBERS = {"true": True, "false": False, "string": "2", "null": None,
+                  "list": [1]}
+
+
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_number_table_documents_pass_as_written(tmp_path, field):
+    command, doc, _, _ = NUMERIC_FIELDS[field]
+    assert main([command, "--input", write_doc(tmp_path, "in.json", doc)]) \
+        == 0
+
+
+@pytest.mark.parametrize("value", NON_NUMBERS)
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_every_numeric_field_refuses_non_numbers(tmp_path, capsys, field,
+                                                 value):
+    command, doc, path, name = NUMERIC_FIELDS[field]
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = NON_NUMBERS[value]
+    assert main([command, "--input", write_doc(tmp_path, "in.json", doc)]) \
+        == 2
+    out, err = capsys.readouterr()
+    assert out == "" and _single_error_line(err)
+    assert f'{name} must be a number or "inf", got ' \
+        f'{NON_NUMBERS[value]!r}' in err
+
+
+@pytest.mark.parametrize("value", NON_NUMBERS)
+def test_schedule_times_refuse_non_numbers(value):
+    with pytest.raises(ValueError, match=re.escape(
+            f'times must be a number or "inf", got {NON_NUMBERS[value]!r}')):
+        schedule_from_json({"times": [0.0, NON_NUMBERS[value]],
+                            "costs": {}})
 
 
 # ids that end up in "x|y" keys must stringify uniquely and hold no "|":

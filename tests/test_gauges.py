@@ -256,7 +256,7 @@ def test_json_rejects_malformed_documents():
     bad_key = dict(base, table=dict(base["table"], **{"a|zz": [1.0]}))
     with pytest.raises(ValueError, match="bad table key"):
         gauge_from_json(bad_key)
-    with pytest.raises(ValueError, match=r"out of \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"within \[0, 1\], got 1.5"):
         gauge_from_json({"regime": "conorm", "conorm": "max",
                          "points": ["a", "b"], "grid": [1.0],
                          "table": {"a|b": [1.5], "b|a": [0.5]}})

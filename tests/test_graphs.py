@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from quasimod import extreal, graphs
+from quasimod import extreal
 from quasimod import (INF, DirectedGraph, DynamicCostSchedule, Edge,
                       MusielakOrlicz, ScaleGrid, asymmetry_index,
                       check_axioms, distance_matrix, dynamic_distance,
@@ -36,7 +36,6 @@ def test_each_edge_cost_is_checked_once_and_stored_as_a_float(monkeypatch):
         return real(value, what)
 
     monkeypatch.setattr(extreal, "ensure_ext", counting)
-    monkeypatch.setattr(graphs, "ensure_ext", counting)
     doc = {"vertices": ["a", "b", "c"],
            "edges": [{"from": "a", "to": "b", "cost": 3},
                      {"from": "b", "to": "c", "cost": 0.5},
