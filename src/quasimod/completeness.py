@@ -185,7 +185,7 @@ def two_sided_cover_from_onesided(g: GaugeSpec, forward: CoverResult,
         near, far, two, [sample.index(x) for x in forward.centers],
         [sample.index(y) for y in backward.centers])
     if escape:
-        raise _escape_error(g, sample, escape, r, t)
+        raise _escape_error(balls, escape, r, t)
     return CoverResult(tuple(sample[z] for z in centers), r, t, "two_sided",
                        sample, verified)
 
@@ -211,11 +211,11 @@ def _compose(near, far, two, fwd_centers, bwd_centers):
     return centers, union == (1 << len(two)) - 1, None
 
 
-def _escape_error(g: GaugeSpec, sample, escape, r: float,
-                  t: float) -> CellInclusionError:
-    x_i, y_j, z, u = (sample[k] for k in escape)
-    return CellInclusionError((x_i, y_j), z, u, g.value(z, u, t),
-                              g.value(u, z, t), r)
+def _escape_error(balls: _BallRows, escape, r, t) -> CellInclusionError:
+    x_i, y_j, z, u = (balls.points[k] for k in escape)
+    _, _, iz, iu = escape
+    return CellInclusionError((x_i, y_j), z, u, balls.value(iz, iu, t),
+                              balls.value(iu, iz, t), r)
 
 
 @dataclass(frozen=True)
@@ -426,7 +426,7 @@ def heine_borel_report(g: GaugeSpec, points=None,
             out = outcomes[near_key, key] = _heine_borel_outcome(
                 near, far, tuple(map(and_, fwd, bwd)))
         sizes, composed_size, ok, escape = out
-        witness = escape and str(_escape_error(g, balls.points, escape, r, t))
+        witness = escape and str(_escape_error(balls, escape, r, t))
         rows.append(HeineBorelRow(r, t, s, *sizes, composed_size, ok, witness))
     return HeineBorelReport(tuple(rows))
 

@@ -37,9 +37,14 @@ def ext_mul(a: float, b: float) -> float:
 
 
 def number(raw: object, what: str = "value") -> float:
-    """A JSON number, or "inf"; booleans and every other string are refused."""
+    """A JSON number, or "inf"; booleans, every other string and integers
+    past the float range are refused."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
+        try:
+            return float(raw)
+        except OverflowError:
+            raise ValueError(f"{what} is too large for a float: an integer "
+                             f"of {raw.bit_length()} bits") from None
     if raw == "inf":
         return INF
     raise ValueError(f"{what} must be a number or \"inf\", got {raw!r}")

@@ -277,10 +277,10 @@ def make_ratio(p: Mapping, points=None, name: str = "ratio") -> GaugeSpec:
 
 def make_scaled_metric(d: Mapping, g: Profile, points=None,
                        name: str = "scaled_metric") -> GaugeSpec:
-    """Separable gauge w(x, y, t) = g(t) * d(x, y) for a nonincreasing g.
-
-    Raises with a witness scale pair if g increases anywhere on its grid.
-    The convexity claim is set iff t * g(t) is nonincreasing on the grid.
+    """Separable gauge w(x, y, t) = g(t) * d(x, y) for a nonincreasing g,
+    as a table on g's grid, whose ceil read is g's read at every t.
+    Raises with a witness scale pair if g increases anywhere on its grid,
+    and claims convexity iff t * g(t) is nonincreasing on the grid.
     """
     bad = g.nonincreasing_violations()
     if bad:
@@ -291,13 +291,13 @@ def make_scaled_metric(d: Mapping, g: Profile, points=None,
     rows = _require_quasi_pseudometric(d, points, "d")
     symmetric = _rows_symmetric(rows)
     warnings = () if symmetric else ("distance table is asymmetric",)
-    vals = _pair_values(rows, points)
     scaled = [ext_mul(t, g.value_at(t)) for t in g.grid]
     convex = all(a >= b for a, b in zip(scaled, scaled[1:]))
     return GaugeSpec(
         regime=Regime.ADDITIVE, points=points, grid=g.grid, name=name,
-        claims_symmetric=symmetric, claims_convex=convex,
-        warnings=warnings, fn=lambda x, y, t: ext_mul(g.value_at(t), vals[(x, y)]))
+        claims_symmetric=symmetric, claims_convex=convex, warnings=warnings,
+        table={(x, y): tuple(ext_mul(v, d_xy) for v in g.values)
+               for x, row in zip(points, rows) for y, d_xy in zip(points, row)})
 
 
 def make_classical_modular(rho: Callable[[object], float], points,
@@ -396,9 +396,13 @@ def opposite(g: GaugeSpec) -> GaugeSpec:
 
 def symmetrize(g: GaugeSpec) -> GaugeSpec:
     """(x, y, t) -> `g.sym_law`(w(x, y, t), w(y, x, t)): the symmetrized
-    gauge of either regime."""
-    law = g.sym_law
-    return replace(g, claims_symmetric=True, name=f"sym({g.name})", table=None,
+    gauge of either regime; a table gives a table, the law taken entrywise."""
+    law, name = g.sym_law, f"sym({g.name})"
+    if g.table is not None:
+        table = {(x, y): tuple(map(law, g.table[(x, y)], g.table[(y, x)]))
+                 for x in g.points for y in g.points}
+        return replace(g, claims_symmetric=True, name=name, table=table)
+    return replace(g, claims_symmetric=True, name=name,
                    fn=lambda x, y, t: law(g.value(x, y, t), g.value(y, x, t)))
 
 

@@ -14,7 +14,9 @@ enters through per-edge functions, measures, or cost schedules.
 from __future__ import annotations
 
 import heapq
+import json
 import logging
+import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import ne
@@ -268,12 +270,21 @@ def schedule_to_json(s: DynamicCostSchedule) -> dict:
                       for (t, k), c in sorted(s.costs.items())}}
 
 
+# a cost key "time|edge": the time spelled as a JSON number or "inf", the
+# spellings `number` reads, and the edge as a JSON non-negative integer
+_SCHEDULE_KEY = re.compile(r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+                           r"|inf)\|(0|[1-9][0-9]*)")
+
+
 def schedule_from_json(doc: Mapping) -> DynamicCostSchedule:
     times = tuple(number(t, "times") for t in doc["times"])
     costs = {}
     for key, c in doc["costs"].items():
-        st, sep, sk = key.partition("|")
-        if not sep:
-            raise ValueError(f"bad schedule key {key!r}; expected 'time|edge'")
-        costs[(float(st), int(sk))] = parse_ext(c, f"costs[{key}]")
+        match = _SCHEDULE_KEY.fullmatch(key)
+        if not match:
+            raise ValueError(f"bad schedule key {key!r}; expected 'time|edge' "
+                             f"with a JSON number and a non-negative integer")
+        st, sk = match.groups()
+        t = number(st if st == "inf" else json.loads(st), f"time of {key!r}")
+        costs[(t, int(sk))] = parse_ext(c, f"costs[{key}]")
     return DynamicCostSchedule(times, costs)

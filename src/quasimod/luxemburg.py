@@ -2,14 +2,12 @@
 
 The infimum is taken under the convention that the predicate set
 {lambda : value(lambda) <= c} is an upper set, which holds exactly when the
-scale map is nonincreasing.  A tabulated gauge is a step function under the
-ceil convention, so its infimum is read from the row: 0.0, a grid scale, or
-inf.  Every other scale map is searched by one safeguarded bracketing root
-finder, an Anderson-Bjorck secant on log(value / c) against log(lambda)
-that falls back to a bisection step when interpolation stalls.  Probed or
-tabulated values that increase with the scale, or a predicate that holds
-low in the scale range but fails at the top, raise NonmonotoneGaugeError
-instead of returning a number that the definition does not support.
+scale map is nonincreasing.  A table (step data included) is a step
+function under the ceil convention, read exactly from its row: 0.0, a grid
+scale, or inf.  Every other scale map is searched by an Anderson-Bjorck
+secant on log(value / c) against log(lambda), safeguarded by bisection
+steps.  Values that rise with the scale, or a predicate that holds low in
+the range but fails at the top, raise NonmonotoneGaugeError.
 """
 
 from __future__ import annotations
@@ -211,12 +209,11 @@ def luxemburg_distance(g: GaugeSpec, x, y, c: float = 1.0,
 def symmetrized_luxemburg(g: GaugeSpec, x, y, c: float = 1.0,
                           tol: float = DEFAULT_TOL,
                           lambda_max: float = DEFAULT_LAMBDA_MAX) -> float:
-    """The larger of the distances x to y and y to x: the additive law.
-    Since max(a, b) <= c holds iff a <= c and b <= c, both it and
-    `luxemburg_distance(symmetrize(g), x, y).value` lie within tol above
-    the infimum of the symmetrized gauge wherever both directions are
-    nonincreasing in the scale, and equal it at 0 and inf; on a tabulated
-    gauge this one reads both rows exactly."""
+    """The larger of the distances x to y and y to x: the additive law,
+    since max(a, b) <= c iff a <= c and b <= c.  On a table it and
+    `luxemburg_distance(symmetrize(g), x, y).value` are both the exact
+    infimum of the symmetrized gauge; on a closed form nonincreasing in
+    both directions both lie within tol above it, and equal it at 0, inf."""
     return max(luxemburg_distance(g, x, y, c, tol, lambda_max).value,
                luxemburg_distance(g, y, x, c, tol, lambda_max).value)
 

@@ -75,21 +75,25 @@ class MusielakOrlicz:
             object.__setattr__(self, "exponents",
                                {pt: float(p) for pt, p in exponents.items()})
         elif self.kind == "double_phase":
-            if self.p is None or self.q is None or not 1.0 <= self.p < self.q:
-                raise ValueError(f"double phase needs 1 <= p < q, got "
+            if self.p is None or self.q is None \
+                    or not 1.0 <= self.p < self.q < math.inf:
+                raise ValueError(f"double phase needs 1 <= p < q < inf, got "
                                  f"p={self.p!r}, q={self.q!r}")
-            a = dict(self.a or {})
-            if any(not float(c) >= 0 for c in a.values()):
-                raise ValueError("double-phase coefficients must be >= 0")
-            object.__setattr__(self, "a", {pt: float(c) for pt, c in a.items()})
+            a = {pt: float(c) for pt, c in (self.a or {}).items()}
+            for pt, c in a.items():
+                if not 0.0 <= c < math.inf:
+                    raise ValueError(f"double-phase coefficient a at {pt!r} "
+                                     f"must be >= 0 and finite, got {c!r}")
+            object.__setattr__(self, "a", a)
         elif self.kind == "weighted":
             if self.base is None:
                 raise ValueError("weighted family needs a base family")
-            weights = dict(self.weights or {})
-            if any(not float(w) > 0 for w in weights.values()):
-                raise ValueError("weights must be positive")
-            object.__setattr__(self, "weights",
-                               {pt: float(w) for pt, w in weights.items()})
+            weights = {pt: float(w) for pt, w in (self.weights or {}).items()}
+            for pt, w in weights.items():
+                if not 0.0 < w < math.inf:
+                    raise ValueError(f"weights must be positive and finite: "
+                                     f"w at {pt!r} is {w!r}")
+            object.__setattr__(self, "weights", weights)
         else:
             raise ValueError(f"unknown Musielak-Orlicz kind {self.kind!r}")
 

@@ -126,6 +126,10 @@ class _BallRows:
         fwd, bwd = sweep.built.get(cut) or sweep.build(cut)
         return (id(sweep.mat), cut), fwd, bwd
 
+    def value(self, i: int, j: int, t: float) -> float:
+        """w(points[i], points[j], t), from the matrix `rows` read at t."""
+        return self._scales[t].mat[self.idx[i]][self.idx[j]]
+
 
 def _side_rows(balls: _BallRows, r: float, t: float, side: str):
     """The entourage rows of one normalized side at (r, t), unchecked."""
@@ -318,15 +322,15 @@ def small_composite_check(g: GaugeSpec, points=None,
         rp = splits[r]
         (_, *small), (_, *big) = balls.rows(rp, t), balls.rows(r, t)
         for side, rows, target in zip(("forward", "backward"), small, big):
-            for x, comp, goal in zip(balls.points, compose(rows, rows), target):
+            for i, (comp, goal) in enumerate(zip(compose(rows, rows), target)):
                 escaped = comp & ~goal
                 while escaped:  # its bits in ascending order
-                    z = balls.points[(escaped & -escaped).bit_length() - 1]
+                    k = (escaped & -escaped).bit_length() - 1
                     escaped &= escaped - 1
-                    lhs = g.value(x, z, t) if side == "forward" \
-                        else g.value(z, x, t)
-                    violations.append(Violation(
-                        "small-composite", (side, x, z, r, rp, t), lhs, r))
+                    lhs = balls.value(i, k, t) if side == "forward" \
+                        else balls.value(k, i, t)
+                    violations.append(Violation("small-composite", (
+                        side, balls.points[i], balls.points[k], r, rp, t), lhs, r))
     return AxiomReport(("small-composite",), tuple(violations),
                        (f"{len(thresholds.pairs())} thresholds checked",))
 

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quasimod import (TConorm, conorm_from_name, gauge_from_json,
-                      gauge_to_json, graph_to_json, quasi_uniformity_report,
-                      schedule_from_json)
+from quasimod import (DynamicCostSchedule, TConorm, conorm_from_name,
+                      gauge_from_json, gauge_to_json, graph_to_json,
+                      quasi_uniformity_report, schedule_from_json,
+                      schedule_to_json)
 from quasimod import cli
 from quasimod.cli import main
 from quasimod.extreal import point_resolver
@@ -715,17 +716,23 @@ def test_number_table_documents_pass_as_written(tmp_path, field):
         == 0
 
 
-@pytest.mark.parametrize("value", NON_NUMBERS)
-@pytest.mark.parametrize("field", NUMERIC_FIELDS)
-def test_every_numeric_field_refuses_non_numbers(tmp_path, capsys, field,
-                                                 value):
+def _set_field(field, value):
+    """The field's document with the field set to value, and its name."""
     command, doc, path, name = NUMERIC_FIELDS[field]
     doc = copy.deepcopy(doc)
     *parents, last = path
     node = doc
     for key in parents:
         node = node[key]
-    node[last] = NON_NUMBERS[value]
+    node[last] = value
+    return command, doc, name
+
+
+@pytest.mark.parametrize("value", NON_NUMBERS)
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_every_numeric_field_refuses_non_numbers(tmp_path, capsys, field,
+                                                 value):
+    command, doc, name = _set_field(field, NON_NUMBERS[value])
     assert main([command, "--input", write_doc(tmp_path, "in.json", doc)]) \
         == 2
     out, err = capsys.readouterr()
@@ -734,12 +741,71 @@ def test_every_numeric_field_refuses_non_numbers(tmp_path, capsys, field,
         f'{NON_NUMBERS[value]!r}' in err
 
 
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_every_numeric_field_names_itself_past_the_float_range(
+        tmp_path, capsys, field):
+    command, doc, name = _set_field(field, 10 ** 400)
+    assert main([command, "--input", write_doc(tmp_path, "in.json", doc)]) \
+        == 2
+    out, err = capsys.readouterr()
+    assert out == "" and _single_error_line(err)
+    assert f"{name} is too large for a float: an integer of 1329 bits" in err
+
+
+# the Orlicz coefficients read by the number rule, which admits "inf", and
+# refused as infinite by the model, each with the line that names it
+INFINITE_COEFFICIENTS = {
+    "orlicz-q": "double phase needs 1 <= p < q < inf, got p=2.0, q=inf",
+    "orlicz-a": "double-phase coefficient a at 'a' must be >= 0 and finite, "
+                "got inf",
+    "orlicz-w": "weights must be positive and finite: w at 'a' is inf",
+}
+
+
+@pytest.mark.parametrize("field", INFINITE_COEFFICIENTS)
+def test_infinite_orlicz_coefficients_exit_2_naming_the_coefficient(
+        tmp_path, capsys, field):
+    command, doc, _ = _set_field(field, "inf")
+    assert main([command, "--input", write_doc(tmp_path, "in.json", doc)]) \
+        == 2
+    out, err = capsys.readouterr()
+    assert out == "" and _single_error_line(err)
+    assert f"bad orlicz document: {INFINITE_COEFFICIENTS[field]}" in err
+
+
 @pytest.mark.parametrize("value", NON_NUMBERS)
 def test_schedule_times_refuse_non_numbers(value):
     with pytest.raises(ValueError, match=re.escape(
             f'times must be a number or "inf", got {NON_NUMBERS[value]!r}')):
         schedule_from_json({"times": [0.0, NON_NUMBERS[value]],
                             "costs": {}})
+
+
+# float() and int() alone read each of these as a time and an edge
+@pytest.mark.parametrize("key", ["1_0|0", " 1 |+0", "1|01", "1.|0", ".5|0",
+                                 "1|-0", "1|0.0", "nan|0", "Infinity|0",
+                                 "\u0661|0", "1|\u0660", "1|0|0"])
+def test_schedule_keys_are_a_json_number_and_a_json_index(key):
+    with pytest.raises(ValueError, match=re.escape(
+            f"bad schedule key {key!r}; expected 'time|edge' with a JSON "
+            f"number and a non-negative integer")):
+        schedule_from_json({"times": [1.0, 10.0], "costs": {key: 1.0}})
+
+
+def test_schedule_key_times_take_the_number_rule():
+    huge = f"{10 ** 400}|0"
+    with pytest.raises(ValueError, match=re.escape(
+            f"time of {huge!r} is too large for a float")):
+        schedule_from_json({"times": [1.0], "costs": {huge: 1.0}})
+
+
+def test_schedule_keys_round_trip():
+    times = (-2.5, 0.0, 1e-05, 0.1, 3.0, 1e+16, math.inf)
+    s = DynamicCostSchedule(times, {(t, k): 1.0 + k for t in times
+                                    for k in (0, 1, 12)})
+    doc = json.loads(json.dumps(schedule_to_json(s)))
+    assert {"1e-05|12", "1e+16|0", "inf|1", "-2.5|0"} <= set(doc["costs"])
+    assert schedule_from_json(doc) == s
 
 
 # ids that end up in "x|y" keys must stringify uniquely and hold no "|":

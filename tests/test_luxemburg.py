@@ -5,6 +5,7 @@ import pytest
 from quasimod import (
     INF,
     GaugeSpec,
+    LuxemburgResult,
     NonmonotoneGaugeError,
     Regime,
     ScaleGrid,
@@ -107,8 +108,8 @@ def test_symmetrized_takes_the_larger_direction():
 
 
 def test_luxemburg_of_scaled_metric_matches_closed_form():
-    # w = d/t on the grid, read right-continuously; the infimum at c = 1
-    # lands within tol of d even though probes see a step function
+    # w = d/t on the grid, read right-continuously: a table, so the
+    # infimum at c = 1 is read from the row with no probe
     grid = ScaleGrid(tuple((k + 1) / 8 for k in range(64)))
     recip = Profile(grid, tuple(1.0 / t for t in grid))
     d = {("a", "b"): 2.0, ("b", "a"): 0.5}
@@ -116,7 +117,7 @@ def test_luxemburg_of_scaled_metric_matches_closed_form():
     res = luxemburg_distance(g, "a", "b", tol=1e-6)
     # right-continuous steps: the predicate already holds just past the
     # grid scale below 2.0, so the infimum is that left edge, 15/8
-    assert abs(res.value - 1.875) <= 1e-3
+    assert res == LuxemburgResult(1.875, (1.875, 2.0), 0)
 
 
 def test_triple_check_wraps_table_audits():
