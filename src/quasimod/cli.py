@@ -20,11 +20,13 @@ import time
 from dataclasses import replace
 from itertools import chain, permutations, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import add
+from math import copysign
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .axioms import check_axioms
-from .completeness import classify_cauchy_thresholds, heine_borel_report
+from .completeness import (_HB_KEYS, classify_cauchy_thresholds,
+                           heine_borel_report)
 from .conorms import conorm_from_name
 from .extreal import INF, decode_ids, format_ext, point_resolver
 from .gauges import Regime, _min_cap_rows, gauge_from_json
@@ -99,16 +101,10 @@ def _flat_encoder(depth: int):
                           ",\n" + "  " * (depth + 1), True, False, True)
 
 
-def _row_brackets(rows) -> str | None:
-    """"{}" when `rows` holds only dicts with scalar values, "[]" when it
-    holds only lists or tuples of scalars, else None."""
-    for kind, items, brackets in ((dict, dict.values, "{}"),
-                                  ((list, tuple), iter, "[]")):
-        if all(map(isinstance, rows, repeat(kind))):
-            cells = chain.from_iterable(map(items, rows))
-            return None if any(map(isinstance, cells, repeat(_CONTAINERS))) \
-                else brackets
-    return None
+def _flat_rows(rows) -> bool:
+    """True when `rows` holds only lists or tuples of scalars."""
+    return all(map(isinstance, rows, repeat((list, tuple)))) and not any(
+        map(isinstance, chain.from_iterable(rows), repeat(_CONTAINERS)))
 
 
 class _PairMap(NamedTuple):
@@ -123,6 +119,30 @@ class _PairMap(NamedTuple):
     rows: list
 
 
+class _RowTable(NamedTuple):
+    """A list of flat dicts as a key per field and rows of scalar tuples."""
+
+    keys: tuple
+    rows: list
+
+
+def _column_texts(column, head: str) -> list[str]:
+    """head + each value's text, one per distinct value: values that compare
+    equal but print apart (True, 1 and 1.0; -0.0 and 0.0) get keys apart."""
+    numbers = [c for c in set(map(type, column))
+               if issubclass(c, (int, float))]
+    keys, memo = column, dict(zip(column, column))
+    if len(numbers) > 1 or float in numbers and 0.0 in memo:
+        keys = [(c, v, copysign(1.0, v)) if c is float else (c, v)
+                for c, v in zip(map(type, column), column)]
+        memo = dict(zip(keys, column))
+    # one encoder call, split at its item separator: no text holds a newline
+    texts = map(json.dumps, memo.values()) if c_make_encoder is None else \
+        "".join(_flat_encoder(0)(list(memo.values()), 0))[1:-1].split(",\n  ")
+    memo = dict(zip(memo, map(head.__add__, texts)))
+    return list(map(memo.__getitem__, keys))
+
+
 def _key_text(key) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
@@ -134,9 +154,10 @@ def _key_text(key) -> str:
 
 def _json_text(obj, depth: int = 0) -> str:
     """The text of json.dumps(obj, sort_keys=True, indent=2), a pair map
-    read as its dict: containers that hold containers, and pair maps, are
-    laid out here, and every other value goes to json's C encoder in one
-    call (without that encoder, each scalar to json.dumps)."""
+    read as its dict and a row table as its list of dicts: containers that
+    hold containers, pair maps and row tables are laid out here, and every
+    other value goes to json's C encoder in one call (without that
+    encoder, each scalar to json.dumps)."""
     c_encoder = c_make_encoder is not None
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))):
@@ -151,27 +172,33 @@ def _json_text(obj, depth: int = 0) -> str:
         text = sep.join([pre + (sep + pre).join(map(add, obj.post, row))
                          for pre, row in zip(obj.pre, obj.rows)])
         return "{" + inner + text + outer + "}"
+    if isinstance(obj, _RowTable):
+        if not (obj.keys and obj.rows):
+            return _json_text([{} for _ in obj.rows], depth)
+        row_inner = inner + "  "
+        cells = [_column_texts(column, _key_text(key) + ": ") for key, column
+                 in sorted(zip(obj.keys, zip(*obj.rows)), key=itemgetter(0))]
+        text = (inner + "}," + inner + "{" + row_inner).join(
+            map(("," + row_inner).join, zip(*cells)))
+        return "[" + inner + "{" + row_inner + text + inner + "}" + outer + "]"
     values = obj.values() if is_dict else obj
     if c_encoder and not any(map(isinstance, values, repeat(_CONTAINERS))):
         text = "".join(_flat_encoder(depth)(obj, 0))
         return text[0] + inner + text[1:-1] + outer + text[-1]
-    brackets = None if is_dict or not c_encoder else _row_brackets(obj)
-    if brackets:
+    if not is_dict and c_encoder and _flat_rows(obj):
         # one call writes every row, with each row's item separator between
-        # the rows too; only a row boundary reads close + separator + open,
+        # the rows too; only a row boundary reads "]," + separator + "[",
         # since no encoded scalar begins or ends with a bracket and no
         # encoded string holds a raw newline
-        start, end = brackets
         row_inner = inner + "  "
         text = "".join(_flat_encoder(depth + 1)(obj, 0))[2:-2].replace(
-            end + "," + row_inner + start,
-            inner + end + "," + inner + start + row_inner)
-        text = "[" + inner + start + row_inner + text + inner + end + outer + "]"
-        # that lays an empty row out as open, two line breaks with only
-        # spaces between them, close: no other text reads so, since no
+            "]," + row_inner + "[", inner + "]," + inner + "[" + row_inner)
+        text = "[" + inner + "[" + row_inner + text + inner + "]" + outer + "]"
+        # that lays an empty row out as "[", two line breaks with only
+        # spaces between them, "]": no other text reads so, since no
         # encoded scalar is empty or holds a raw newline
         return text if all(obj) else text.replace(
-            start + row_inner + inner + end, start + end)
+            "[" + row_inner + inner + "]", "[]")
     if is_dict:
         parts = [_key_text(k) + ": " + _json_text(v, depth + 1)
                  for k, v in sorted(obj.items())]
@@ -239,6 +266,7 @@ def cmd_topology(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    now = time.perf_counter()
     raw = _load_json(args.input)
     if isinstance(raw, dict) and "space" in raw:
         g = _gauge_from_doc(raw["space"], args)
@@ -251,6 +279,8 @@ def cmd_cover(args) -> int:
     else:
         g = _gauge_from_doc(raw, args)
         sequence = []
+    n = len(g.points)
+    now = _phase_done("cover", "read", now, n)
     thresholds = critical_thresholds(g)
     # a radius no positive float splits or a least scale that halves to 0
     # (near 5e-324) leaves the cover undefined: an input error, not a violation
@@ -262,15 +292,20 @@ def cmd_cover(args) -> int:
     if not thresholds.scales[0] / 2.0 > 0:
         raise InputError(f"cover cannot halve its scales: scale "
                          f"{thresholds.scales[0]!r} halves to 0.0")
+    now = _phase_done("cover", "thresholds", now, n)
     hb = heine_borel_report(g, thresholds=thresholds)
-    doc = {"command": "cover", "heine_borel": hb.to_json()}
+    doc = {"command": "cover",
+           "heine_borel": {"rows": _RowTable(_HB_KEYS, hb.rows),
+                           "all_composed_ok": hb.all_composed_ok}}
+    now = _phase_done("cover", "heine-borel", now, n)
     if sequence:
-        doc["cauchy"] = [{"radius": r, "scale": t, "kind": c.kind, "i0": c.i0,
-                          "forward_i0": c.forward_i0,
-                          "backward_i0": c.backward_i0}
-                         for r, t, c in classify_cauchy_thresholds(
-                             sequence, g, thresholds)]
+        doc["cauchy"] = _RowTable(
+            ("radius", "scale", "kind", "i0", "forward_i0", "backward_i0"),
+            [(r, t, c.kind, c.i0, c.forward_i0, c.backward_i0) for r, t, c
+             in classify_cauchy_thresholds(sequence, g, thresholds)])
+    now = _phase_done("cover", "cauchy", now, n)
     _emit(doc, args.output)
+    _phase_done("cover", "write", now, n)
     return 0 if hb.all_composed_ok else 1
 
 
@@ -320,11 +355,11 @@ def _pair_maps(vertices, *tables) -> list[_PairMap]:
             for t in tables]
 
 
-def _phase_done(phase: str, start: float, n: int) -> float:
-    """Log a DEBUG line with the seconds `graph` spent in `phase` on n
-    vertices since `start`, and return the time now."""
+def _phase_done(command: str, phase: str, start: float, n: int) -> float:
+    """Log a DEBUG line with the seconds `command` spent in `phase` on n
+    points since `start`, and return the time now."""
     now = time.perf_counter()
-    log.debug("graph %s: %.6f s, n=%d", phase, now - start, n)
+    log.debug("%s %s: %.6f s, n=%d", command, phase, now - start, n)
     return now
 
 
@@ -332,14 +367,14 @@ def cmd_graph(args) -> int:
     t = time.perf_counter()
     g = _read("graph document", graph_from_json, _load_json(args.input))
     n = len(g.vertices)
-    t = _phase_done("read", t, n)
+    t = _phase_done("graph", "read", t, n)
     rows = distance_matrix(g)
-    t = _phase_done("all-pairs", t, n)
+    t = _phase_done("graph", "all-pairs", t, n)
     table, = _value_texts(rows)
     forward, backward = _pair_maps(g.vertices, table, list(zip(*table)))
     doc = {"command": "graph", "forward": forward, "backward": backward,
            "asymmetry_index": asymmetry_index(rows)}
-    t = _phase_done("layout", t, n)
+    t = _phase_done("graph", "layout", t, n)
     ok = True
     grid = _parse_grid(args.grid)
     if grid is not None:
@@ -349,9 +384,9 @@ def cmd_graph(args) -> int:
                                             "graph_gauge"))
         doc["axioms"] = report.to_json()
         ok = report.ok
-        t = _phase_done("axioms", t, n)
+        t = _phase_done("graph", "axioms", t, n)
     _emit(doc, args.output, matrix=(g.vertices, rows))
-    _phase_done("write", t, n)
+    _phase_done("graph", "write", t, n)
     return 0 if ok else 1
 
 

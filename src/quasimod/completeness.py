@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import and_
+from typing import NamedTuple
 
 from .gauges import GaugeSpec
 from .profiles import ScaleGrid
@@ -372,8 +373,12 @@ def lp_family_net(fam: TruncatedSequenceFamily, eps: float,
     return LpNet(tuple(centers), 2.0 * eps, worst, worst < 2.0 * eps)
 
 
-@dataclass(frozen=True)
-class HeineBorelRow:
+# the report key of each HeineBorelRow field, in field order
+_HB_KEYS = ("radius", "scale", "split", "forward_size", "backward_size",
+            "direct_size", "composed_size", "composed_ok", "witness")
+
+
+class HeineBorelRow(NamedTuple):
     radius_r: float
     scale_t: float
     split_s: float
@@ -385,12 +390,7 @@ class HeineBorelRow:
     witness: str | None
 
     def to_json(self) -> dict:
-        return {"radius": self.radius_r, "scale": self.scale_t,
-                "split": self.split_s, "forward_size": self.forward_size,
-                "backward_size": self.backward_size,
-                "direct_size": self.direct_size,
-                "composed_size": self.composed_size,
-                "composed_ok": self.composed_ok, "witness": self.witness}
+        return dict(zip(_HB_KEYS, self))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import add, eq, gt
 from typing import Callable, Mapping
 
@@ -212,7 +212,8 @@ def _row_violations(rows, points: tuple) -> list[tuple]:
 
 def _require_quasi_pseudometric(d: Mapping, points: tuple,
                                 what: str) -> list[list[float]]:
-    """The table's rows; raises with the first violation's witness."""
+    """The table's rows; raises with the first violation's witness, else on
+    a negative or NaN entry (off the diagonal one passes both axioms)."""
     rows = _table_rows(d, points)
     bad = _row_violations(rows, points)
     if bad:
@@ -221,6 +222,10 @@ def _require_quasi_pseudometric(d: Mapping, points: tuple,
                          f"{lhs} > {rhs}" if axiom == "triangle" else
                          f"{what} violates the {axiom} axiom at {witness}: "
                          f"got {lhs}, expected {rhs}")
+    for (x, y), v in zip(product(points, points), chain.from_iterable(rows)):
+        if not v >= 0.0:
+            raise ValueError(f"{what} entry at ({x!r}, {y!r}) must be a "
+                             f"nonnegative real or +inf, got {v!r}")
     return rows
 
 

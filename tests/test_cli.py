@@ -500,6 +500,39 @@ def test_graph_debug_logging_goes_to_stderr_only(tmp_path, flags):
                 for line in lines] == phases, lines
 
 
+@pytest.mark.parametrize("sequence", [None, ["a", "b", "a"]])
+def test_cover_debug_logging_goes_to_stderr_only(tmp_path, sequence):
+    # w(a, b) = 0 and w(b, a) = 9 escape a cell, so the command exits 1
+    gauge = {"regime": "additive", "points": ["a", "b", "c"],
+             "grid": [1.0, 2.0],
+             "table": {"a|b": [0, 0], "b|a": [9.0, 9.0], "a|c": [1, 1],
+                       "c|a": [1, 1], "b|c": [9.0, 9.0], "c|b": [1, 1]}}
+    doc = gauge if sequence is None else {"space": gauge, "sequence": sequence}
+    src = write_doc(tmp_path, "g.json", doc)
+    quiet = {k: v for k, v in os.environ.items() if k != "QUASIMOD_LOG"}
+    for output in (None, "r.json"):
+        runs = []
+        for env in (quiet, dict(quiet, QUASIMOD_LOG="DEBUG")):
+            argv = [sys.executable, "-m", "quasimod.cli", "cover",
+                    "--input", src]
+            if output:
+                argv += ["--output", str(tmp_path / output)]
+            proc = subprocess.run(argv, capture_output=True, env=env)
+            written = (tmp_path / output).read_bytes() if output else None
+            runs.append((proc, written))
+        (plain, plain_out), (logged, logged_out) = runs
+        assert logged.returncode == plain.returncode == 1
+        assert (logged.stdout, logged_out) == (plain.stdout, plain_out)
+        report = json.loads(plain_out or plain.stdout)
+        assert ("cauchy" in report) == bool(sequence)
+        assert plain.stderr == b""
+        lines = logged.stderr.decode().splitlines()
+        assert [re.fullmatch(r"DEBUG:quasimod\.cli:cover ([a-z-]+): "
+                             r"[0-9]+\.[0-9]{6} s, n=3", line).group(1)
+                for line in lines] == ["read", "thresholds", "heine-borel",
+                                       "cauchy", "write"], lines
+
+
 @pytest.mark.parametrize("flags", [[], ["--grid", "1,2"]])
 def test_graph_debug_logging_reaches_a_configured_root_logger(
         tmp_path, monkeypatch, flags):

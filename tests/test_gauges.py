@@ -138,6 +138,28 @@ def test_min_cap_rejects_broken_tables():
                       ("b", "a"): 1.0, ("c", "b"): 1.0, ("c", "a"): 1.0}, pts)
 
 
+# a negative or NaN entry passes zero-self and the triangle (NaN compares
+# false both ways, -1 + 1 = 0), so each constructor refuses it by itself
+BAD_ENTRIES = [({("a", "b"): -1.0, ("b", "a"): 1.0}, "('a', 'b')", "-1.0"),
+               ({("a", "b"): 1.0, ("b", "a"): float("nan")}, "('b', 'a')",
+                "nan"),
+               ({("a", "b"): 2.0, ("b", "a"): -0.5}, "('b', 'a')", "-0.5")]
+
+
+@pytest.mark.parametrize("table, pair, value", BAD_ENTRIES)
+def test_constructors_refuse_negative_and_nan_entries(table, pair, value):
+    pts = ("a", "b")
+    profile = Profile(GRID, (1.0, 0.5, 0.25))
+    for build, what in (
+            (lambda: make_min_cap(table, pts, ScaleGrid((1.0, 2.0))), "rho"),
+            (lambda: make_ratio(table, pts), "p"),
+            (lambda: make_scaled_metric(table, profile, pts), "d")):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == (f"{what} entry at {pair} must be a "
+                                   f"nonnegative real or +inf, got {value}")
+
+
 def test_ratio_saturates_into_the_unit_interval():
     pts = ("a", "b")
     g = make_ratio({("a", "b"): 1.0, ("b", "a"): 3.0}, pts)

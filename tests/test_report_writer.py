@@ -5,9 +5,10 @@
 dict that `oracle_pair_maps` builds from the same distance rows.  It is
 checked on every report the CLI writes for documents built from the
 conftest corpora, on hand-built shapes, on lists of rows some of which are
-empty, on seeded random trees, and on the graph report's pair maps, laid
-out from the distance rows, for hostile vertex ids, also without json's C
-encoder; ids that would give two pairs one "x|y" key exit 2.
+empty, on seeded random trees, on hand-built row tables read as their lists
+of dicts, and on the graph report's pair maps, laid out from the distance
+rows, for hostile vertex ids, also without json's C encoder; ids that would
+give two pairs one "x|y" key exit 2.
 
 The module needs neither pytest nor hypothesis, so it also runs as a plain
 script on any interpreter the package supports:
@@ -23,10 +24,11 @@ import os
 import random
 import tempfile
 
-from quasimod import (INF, TConorm, distance_matrix, format_ext,
-                      gauge_to_json, graph_from_json, graph_to_json,
-                      quasi_pseudometric_check)
+from quasimod import (INF, HeineBorelReport, TConorm, distance_matrix,
+                      format_ext, gauge_to_json, graph_from_json,
+                      graph_to_json, quasi_pseudometric_check)
 from quasimod import cli
+from quasimod.completeness import HeineBorelRow
 
 from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
                       random_conorm_gauge, random_digraph,
@@ -141,9 +143,31 @@ def cli_reports(documents):
     return out
 
 
+def heine_borel_row_dict(row):
+    """A Heine-Borel row's report dict, written out field by field."""
+    return {"radius": row.radius_r, "scale": row.scale_t,
+            "split": row.split_s, "forward_size": row.forward_size,
+            "backward_size": row.backward_size,
+            "direct_size": row.direct_size,
+            "composed_size": row.composed_size,
+            "composed_ok": row.composed_ok, "witness": row.witness}
+
+
 def expanded(command, report, matrix):
     """The report with each pair map replaced by the dict `oracle_pair_maps`
-    builds from the distance rows handed to the writer beside it."""
+    builds from the distance rows handed to the writer beside it, and each
+    row table of a cover report by its list of row dicts, written out field
+    by field."""
+    if command == "cover":
+        hb = report["heine_borel"]
+        out = dict(report, heine_borel=dict(hb, rows=list(
+            map(heine_borel_row_dict, hb["rows"].rows))))
+        if "cauchy" in report:
+            out["cauchy"] = [{"radius": r, "scale": t, "kind": kind, "i0": i0,
+                              "forward_i0": f_i0, "backward_i0": b_i0}
+                             for r, t, kind, i0, f_i0, b_i0
+                             in report["cauchy"].rows]
+        return out
     if command == "graph":
         forward, backward = oracle_pair_maps(*matrix)
         return dict(report, forward=forward, backward=backward)
@@ -161,6 +185,21 @@ def test_cli_reports_match_json_dumps():
     for command, report, matrix, text in reports:
         assert text == reference(expanded(command, report, matrix)) + "\n", \
             command
+
+
+def test_cover_reports_hand_their_record_lists_over_as_row_tables():
+    reports = [r for r in cli_reports(corpus_documents()) if r[0] == "cover"]
+    assert any("cauchy" in report for _, report, _, _ in reports)
+    for _, report, _, _ in reports:
+        tables = [report["heine_borel"]["rows"], report.get("cauchy")]
+        assert all(isinstance(t, cli._RowTable) for t in tables if t), report
+        rows = tables[0].rows
+        assert all(isinstance(row, HeineBorelRow) for row in rows)
+        # the library's JSON forms still give the same dicts
+        assert HeineBorelReport(tuple(rows)).to_json()["rows"] == \
+            list(map(heine_borel_row_dict, rows))
+        # a row is a plain tuple of its fields, in field order
+        assert rows[0] == tuple(rows[0]) and rows[0][0] == rows[0].radius_r
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +297,14 @@ def test_bad_rows_raise_what_json_dumps_raises():
 
 
 def test_only_homogeneous_flat_rows_take_the_one_call_path():
-    assert cli._row_brackets([{"a": 1}, {"b": "}"}]) == "{}"
-    assert cli._row_brackets([[1], ("x", None)]) == "[]"
-    assert cli._row_brackets([{}, {"a": 1}]) == "{}"
-    assert cli._row_brackets([[1], []]) == "[]"
-    for rows in ([{"a": 1}, [1]], [[1], {"a": 1}], [{}, []], [[], {}],
-                 [{"a": [1]}], [[(1,)]], [1, [2]], [0]):
-        assert cli._row_brackets(rows) is None, rows
+    assert cli._flat_rows([[1], ("x", None)])
+    assert cli._flat_rows([[1], []])
+    # dict rows go the general way: cover's record lists, the one report
+    # part made of flat dicts, reach the writer as row tables
+    for rows in ([{"a": 1}, {"b": "}"}], [{}, {"a": 1}], [{"a": 1}, [1]],
+                 [[1], {"a": 1}], [{}, []], [[], {}], [{"a": [1]}], [[(1,)]],
+                 [1, [2]], [0]):
+        assert not cli._flat_rows(rows), rows
 
 
 # An empty row is written inline, as json.dumps writes it, also when it
@@ -278,23 +318,25 @@ EMPTY_ROWS = [
 
 def test_empty_rows_are_written_inline_on_the_one_call_path():
     for rows in EMPTY_ROWS:
-        assert cli._row_brackets(rows) is not None, rows
+        assert cli._flat_rows(rows) == all(
+            isinstance(row, (list, tuple)) for row in rows), rows
         # at depths 0, 1 and 2
         for obj in (rows, {"rows": rows, "more": [rows]}, [[rows], [1]]):
             assert same_as_reference(obj), obj
 
 
 def test_the_fallback_without_the_c_encoder():
-    # graph reports on hostile ids, +inf entries included, and luxemburg
-    # reports, one of them the error report
+    # graph reports on hostile ids, +inf entries included, luxemburg
+    # reports, one of them the error report, cover reports and the row tables
     documents = [("graph", doc, []) for doc in hostile_graphs()] + \
-        [doc for doc in corpus_documents() if doc[0] == "luxemburg"]
+        [doc for doc in corpus_documents() if doc[0] in ("luxemburg", "cover")]
     real = cli.c_make_encoder
     cli.c_make_encoder = None
     calls = cli._flat_encoder.cache_info()
     try:
         for obj in SHAPES[:12] + ROWS[:6]:
             assert same_as_reference(obj), obj
+        test_row_tables_match_json_dumps_of_their_dicts()
         reports = cli_reports(documents)
     finally:
         cli.c_make_encoder = real
@@ -304,6 +346,48 @@ def test_the_fallback_without_the_c_encoder():
     for command, report, matrix, text in reports:
         assert text == reference(expanded(command, report, matrix)) + "\n", \
             command
+
+
+# ---------------------------------------------------------------------------
+# hand-built row tables
+
+
+ROW_TABLES = [
+    cli._RowTable(("a", "b"), []),
+    cli._RowTable(("radius",), [(0.5,)]),
+    cli._RowTable(("z", "a", "m", "B"), [(1, 2, 3, 4), (5, 6, 7, 8)]),
+    # values that compare equal but print apart share no text
+    cli._RowTable(("x", "y"), [(0.0, 1), (-0.0, 1), (0.0, -0.0), (-0.0, 0)]),
+    cli._RowTable(("v",), [(True,), (1,), (1.0,), (False,), (0,), (0.0,),
+                           (-0.0,), (True,), (1,), (None,)]),
+    # two number types in a column: bool and int, int and float
+    cli._RowTable(("b", "f"), [(True, 1), (1, 1.0), (False, 2.0), (0, 2),
+                               (1, 1.0), (True, 2)]),
+    cli._RowTable(("n", "f"), [(None, math.inf), (None, -math.inf),
+                               (1, math.nan), (None, math.nan),
+                               (2 ** 70, float("nan"))]),
+    cli._RowTable(("s", "\"quoted\" key", "ключ"), [
+        ('say "hi"', "100%", "a|b"), ("é", "☃ \U0001F600", "|"),
+        ("back\\slash", "line\nbreak", ""), ('say "hi"', "100%", "a|b")]),
+    cli._RowTable(("a", "b"), [("}", "]"), ("{", "["), (BOUNDARY, ",\n  ")]),
+    # no keys: each row is an empty dict
+    cli._RowTable((), [(), ()]),
+]
+
+
+def row_table_dicts(table):
+    return [dict(zip(table.keys, row)) for row in table.rows]
+
+
+def test_row_tables_match_json_dumps_of_their_dicts():
+    for table in ROW_TABLES:
+        dicts = row_table_dicts(table)
+        # alone, in a dict and in a list beside other values
+        for obj, old in ((table, dicts), ({"t": table, "ok": True},
+                                          {"t": dicts, "ok": True}),
+                         ([[table], {"b": table}], [[dicts], {"b": dicts}])):
+            assert cli._json_text(obj) == reference(old), table
+    assert cli._json_text(ROW_TABLES[0]) == "[]"
 
 
 # ---------------------------------------------------------------------------

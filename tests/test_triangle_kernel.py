@@ -129,16 +129,25 @@ def test_min_cap_reports_the_first_violation_of_the_loop():
         if len(set(points)) < len(points):
             continue  # a gauge needs distinct points
         want = oracle_violations(d, points)
+        # a NaN entry off the diagonal passes both axioms; a table with no
+        # violation is refused on its first one
+        nan = next(((x, y) for x in points for y in points
+                    if math.isnan(d.get((x, y), 0.0))), None)
         try:
             make_min_cap(d, points)
         except ValueError as exc:
+            if not want:
+                x, y = nan
+                assert str(exc) == (f"rho entry at ({x!r}, {y!r}) must be a "
+                                    f"nonnegative real or +inf, got nan")
+                continue
             axiom, witness, lhs, rhs = want[0]
             detail = f"{lhs} > {rhs}" if axiom == "triangle" else \
                 f"got {lhs}, expected {rhs}"
             assert str(exc) == \
                 f"rho violates the {axiom} axiom at {witness}: {detail}"
         else:
-            assert not want
+            assert not want and nan is None
 
 
 # ---------------------------------------------------------------------------
