@@ -104,11 +104,6 @@ class CoverResult:
     sample: tuple
     verified: bool
 
-    def to_json(self) -> dict:
-        return {"centers": list(self.centers), "radius": self.radius_r,
-                "scale": self.scale_t, "side": self.side,
-                "verified": self.verified}
-
 
 def greedy_net(points, g: GaugeSpec, r: float, t: float,
                side: str = "forward") -> CoverResult:
@@ -300,12 +295,6 @@ class LpTailReport:
     verdict: bool
     witness: tuple | None  # (member index, n, tail sum) when verdict is false
 
-    def to_json(self) -> dict:
-        return {"pointwise_bounded": self.pointwise_bounded,
-                "sup_vector": list(self.sup_vector),
-                "tail_index": self.tail_index, "verdict": self.verdict,
-                "witness": list(self.witness) if self.witness else None}
-
 
 def lp_tail_criterion(fam: TruncatedSequenceFamily, eps: float,
                       n_max: int | None = None) -> LpTailReport:
@@ -373,7 +362,8 @@ def lp_family_net(fam: TruncatedSequenceFamily, eps: float,
     return LpNet(tuple(centers), 2.0 * eps, worst, worst < 2.0 * eps)
 
 
-# the report key of each HeineBorelRow field, in field order
+# the report key of each HeineBorelRow field, in field order: `cover` writes
+# the rows under these keys
 _HB_KEYS = ("radius", "scale", "split", "forward_size", "backward_size",
             "direct_size", "composed_size", "composed_ok", "witness")
 
@@ -389,9 +379,6 @@ class HeineBorelRow(NamedTuple):
     composed_ok: bool
     witness: str | None
 
-    def to_json(self) -> dict:
-        return dict(zip(_HB_KEYS, self))
-
 
 @dataclass(frozen=True)
 class HeineBorelReport:
@@ -400,10 +387,6 @@ class HeineBorelReport:
     @property
     def all_composed_ok(self) -> bool:
         return all(row.composed_ok for row in self.rows)
-
-    def to_json(self) -> dict:
-        return {"rows": [row.to_json() for row in self.rows],
-                "all_composed_ok": self.all_composed_ok}
 
 
 def heine_borel_report(g: GaugeSpec, points=None,

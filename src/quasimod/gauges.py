@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 
 from .conorms import TConorm, conorm_from_name
 from .extreal import (INF, decode_ids, ensure_ext, ext_mul, format_ext, is_ext,
-                      number, pair_map, parse_ext)
+                      number, pair_map)
 from .profiles import Profile, ScaleGrid
 
 EPS_BELOW_ONE = 1.0 - 2.0 ** -52
@@ -46,7 +46,6 @@ class GaugeSpec:
     claims_symmetric: bool = False
     claims_convex: bool = False
     name: str = "gauge"
-    warnings: tuple[str, ...] = ()
     fn: Callable[[object, object, float], float] | None = field(default=None, repr=False)
     table: dict | None = field(default=None, repr=False)
 
@@ -66,29 +65,29 @@ class GaugeSpec:
             if self.grid is None:
                 raise ValueError("tabulated gauge needs a grid")
             table = {}
-            m = len(self.grid)
-            for x in points:
-                for y in points:
-                    row = self.table.get((x, y))
-                    if row is None:
-                        if x != y:
-                            raise ValueError(f"table is missing the pair ({x!r}, {y!r})")
-                        row = (0.0,) * m
-                    if not all(map(is_ext, row)):  # name the pair on failure only
-                        for v in row:
-                            ensure_ext(v, f"table value for ({x!r}, {y!r})")
-                    row = tuple(map(float, row))
-                    if len(row) != m:
-                        raise ValueError(f"table row for ({x!r}, {y!r}) needs "
-                                         f"{m} values, got {len(row)}")
-                    if self.regime is Regime.CONORM and any(v > 1.0 for v in row):
-                        raise ValueError(f"conorm-regime values must stay within "
-                                         f"[0, 1], got {max(row)!r} for ({x!r}, {y!r})")
-                    table[(x, y)] = row
+            m, n = len(self.grid), len(points)
+            for x, y in product(points, points):
+                row = self.table.get((x, y))
+                if row is None:
+                    if x != y:
+                        raise ValueError(f"table is missing the pair ({x!r}, {y!r})")
+                    row = (0.0,) * m
+                if not all(map(is_ext, row)):  # name the pair on failure only
+                    for v in row:
+                        ensure_ext(v, f"table value for ({x!r}, {y!r})")
+                row = tuple(map(float, row))
+                if len(row) != m:
+                    raise ValueError(f"table row for ({x!r}, {y!r}) needs "
+                                     f"{m} values, got {len(row)}")
+                if self.regime is Regime.CONORM and any(v > 1.0 for v in row):
+                    raise ValueError(f"conorm-regime values must stay within "
+                                     f"[0, 1], got {max(row)!r} for ({x!r}, {y!r})")
+                table[(x, y)] = row
             object.__setattr__(self, "table", table)
+            # one transpose of the rows, in (x, y) order, cut into n rows
             object.__setattr__(self, "_columns", tuple(
-                tuple(tuple(table[(x, y)][k] for y in points) for x in points)
-                for k in range(m)))
+                tuple(col[i:i + n] for i in range(0, n * n, n))
+                for col in zip(*table.values())))
 
     def index(self, x) -> int:
         """Position of x in `points`."""
@@ -261,14 +260,11 @@ def make_ratio(p: Mapping, points=None, name: str = "ratio") -> GaugeSpec:
     """Saturating transform of a quasi-pseudometric: w = p / (t + p).
 
     Lands in [0, 1) with conorm Max.  Pairs with p = +inf would need the
-    excluded value 1 and are clamped just below it, with a recorded warning.
+    excluded value 1 and are clamped just below it, to 1 - 2**-52.
     """
     points = tuple(points) if points is not None else _infer_points(p)
     rows = _require_quasi_pseudometric(p, points, "p")
     vals = _pair_values(rows, points)
-    warnings = ()
-    if any(v == INF for v in vals.values()):
-        warnings = ("infinite distances clamp to 1 - 2**-52",)
 
     def fn(x, y, t):
         v = vals[(x, y)]
@@ -276,8 +272,7 @@ def make_ratio(p: Mapping, points=None, name: str = "ratio") -> GaugeSpec:
 
     return GaugeSpec(
         regime=Regime.CONORM, points=points, conorm=TConorm.MAX, name=name,
-        claims_symmetric=_rows_symmetric(rows),
-        warnings=warnings, fn=fn)
+        claims_symmetric=_rows_symmetric(rows), fn=fn)
 
 
 def make_scaled_metric(d: Mapping, g: Profile, points=None,
@@ -294,13 +289,11 @@ def make_scaled_metric(d: Mapping, g: Profile, points=None,
                          f"< g({t1}) = {v1}")
     points = tuple(points) if points is not None else _infer_points(d)
     rows = _require_quasi_pseudometric(d, points, "d")
-    symmetric = _rows_symmetric(rows)
-    warnings = () if symmetric else ("distance table is asymmetric",)
     scaled = [ext_mul(t, g.value_at(t)) for t in g.grid]
     convex = all(a >= b for a, b in zip(scaled, scaled[1:]))
     return GaugeSpec(
         regime=Regime.ADDITIVE, points=points, grid=g.grid, name=name,
-        claims_symmetric=symmetric, claims_convex=convex, warnings=warnings,
+        claims_symmetric=_rows_symmetric(rows), claims_convex=convex,
         table={(x, y): tuple(ext_mul(v, d_xy) for v in g.values)
                for x, row in zip(points, rows) for y, d_xy in zip(points, row)})
 
@@ -309,36 +302,31 @@ def make_classical_modular(rho: Callable[[object], float], points,
                            name: str = "classical_modular") -> GaugeSpec:
     """Gauge from a functional on vector differences: w(x, y, t) = rho((x-y)/t).
 
-    Points are vectors (scalars or tuples).  rho(0) = 0 is required; convexity
-    and monotonicity of rho along the sampled difference rays set the convexity
-    claim and are otherwise only recorded as warnings.
+    Points are vectors (scalars or tuples).  rho(0) = 0 is required.  The
+    convexity claim holds iff rho neither decreases nor breaks midpoint
+    convexity at the samples of any difference ray.
     """
     points = tuple(points)
     zero = _vzero(points[0])
     if float(rho(zero)) != 0.0:
         raise ValueError(f"rho(0) must be 0, got {rho(zero)!r}")
-    warnings = []
     convex = True
     for x in points:
         for y in points:
             v = _vsub(x, y)
             if v == zero:
                 continue
-            samples = [(a, float(rho(_vscale(v, a)))) for a in (0.25, 0.5, 0.75, 1.0)]
-            for (a, ra), (b, rb) in zip(samples, samples[1:]):
-                if ra > rb:
-                    convex = False
-                    warnings.append(f"rho decreases along the ray through {v!r}")
-            for (a, ra), (b, rb), (c, rc) in zip(samples, samples[1:], samples[2:]):
-                # uniform spacing makes rb the midpoint value of ra and rc
-                if rb > (ra + rc) / 2.0 + 1e-12:
-                    convex = False
-                    warnings.append(f"rho is not midpoint convex along {v!r}")
+            ray = [float(rho(_vscale(v, a))) for a in (0.25, 0.5, 0.75, 1.0)]
+            # uniform spacing makes rb the midpoint value of ra and rc
+            if any(ra > rb for ra, rb in zip(ray, ray[1:])) or any(
+                    rb > (ra + rc) / 2.0 + 1e-12
+                    for ra, rb, rc in zip(ray, ray[1:], ray[2:])):
+                convex = False
     return GaugeSpec(
         regime=Regime.ADDITIVE, points=points, name=name,
         claims_symmetric=all(rho(_vsub(x, y)) == rho(_vsub(y, x))
                              for x in points for y in points),
-        claims_convex=convex, warnings=tuple(dict.fromkeys(warnings)),
+        claims_convex=convex,
         fn=lambda x, y, t: ensure_ext(float(rho(_vscale(_vsub(x, y), 1.0 / t)))))
 
 
@@ -432,9 +420,9 @@ def gauge_from_json(doc: Mapping, name: str = "gauge") -> GaugeSpec:
     points = tuple(doc["points"])
     grid = ScaleGrid(tuple(number(t, "grid") for t in doc["grid"]))
     table = pair_map(doc["table"], points, "table",
-                     lambda row, what: tuple(parse_ext(v, what) for v in row))
-    # a missing diagonal row is zeros on both sides; a missing pair raises
-    # in GaugeSpec
+                     lambda row, what: tuple(number(v, what) for v in row))
+    # a missing diagonal row is zeros on both sides; a missing pair and a
+    # value off the extended ray raise in GaugeSpec
     symmetric = all(table.get((x, y)) == table.get((y, x))
                     for x in points for y in points)
     return GaugeSpec(regime=regime, points=points, conorm=conorm, grid=grid,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
 from operator import and_
 
 from .axioms import AxiomReport, Violation
@@ -345,23 +344,24 @@ def quasi_uniformity_report(g: GaugeSpec, points=None,
     """
     if g.regime is not Regime.CONORM:
         raise ValueError("quasi_uniformity_report applies to conorm-regime gauges")
-    points, grid, stack = g.sample(points, grid)
-    thresholds = critical_thresholds(g, points, grid)
-    violations: list[Violation] = []
-    for r in thresholds.radii:
-        violations.extend(Violation("diagonal", (x, r, t), mat[i][i], r)
-                          for t, mat in zip(grid, stack)
-                          for i, x in enumerate(points) if not mat[i][i] < r)
+    balls = _BallRows(g, points)
+    thresholds = critical_thresholds(g, balls.points, grid)
+    points, grid = balls.points, thresholds.scales
+    span = range(len(points))
+    fwds = {r: [balls.rows(r, t)[1] for t in grid] for r in thresholds.radii}
+    violations = [Violation("diagonal", (points[i], r, t),
+                            balls.value(i, i, t), r)
+                  for r, rows in fwds.items() for t, fwd in zip(grid, rows)
+                  for i in span if not fwd[i] >> i & 1]
     # refinement in the radius is immediate from r <= r'; only the scale
     # direction can fail, and only through a monotonicity defect: a pair in
     # the entourage at one grid scale and outside it at the next
-    for r in thresholds.radii:
-        for k, (small, big) in enumerate(zip(stack, stack[1:])):
+    for r, rows in fwds.items():
+        for t, t_big, small, big in zip(grid, grid[1:], rows, rows[1:]):
             violations.extend(
-                Violation("refinement", (x, y, r, grid[k], grid[k + 1]),
-                          big[i][j], r)
-                for (i, x), (j, y) in product(enumerate(points), repeat=2)
-                if small[i][j] < r and not big[i][j] < r)
+                Violation("refinement", (points[i], points[j], r, t, t_big),
+                          balls.value(i, j, t_big), r)
+                for i in span for j in span if (small[i] & ~big[i]) >> j & 1)
     composite = small_composite_check(g, points, thresholds=thresholds)
     violations.extend(composite.violations)
     return AxiomReport(("diagonal", "refinement", "small-composite"),

@@ -326,6 +326,26 @@ def test_envelope_distances_outside_the_extended_ray_exit_2(tmp_path, capsys,
     assert "bad envelope document: distance[x|a] must be" in err
 
 
+# json.dumps writes these as the literals -1.0, NaN and -Infinity, which the
+# wire reader takes as numbers; the gauge refuses them, naming the pair
+@pytest.mark.parametrize("value, literal", [(-1.0, "-1.0"), (math.nan, "NaN"),
+                                            (-math.inf, "-Infinity")],
+                         ids=["negative", "nan", "minus-infinity"])
+@pytest.mark.parametrize("command", ["check-axioms", "cover"])
+def test_gauge_table_values_outside_the_extended_ray_exit_2(
+        tmp_path, capsys, command, value, literal):
+    doc = copy.deepcopy(ADDITIVE_DOC)
+    doc["table"]["a|b"][1] = value
+    src = write_doc(tmp_path, "in.json", doc)
+    assert f"[4.0, {literal}, 1.0]" in (tmp_path / "in.json").read_text()
+    assert main([command, "--input", src]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and _single_error_line(err)
+    assert err == ("quasimod: error: bad gauge document: table value for "
+                   f"('a', 'b') must be a nonnegative real or +inf, got "
+                   f"{value!r}\n")
+
+
 @pytest.mark.parametrize("key, value", [("x|z", 1.0), ("x|a|x", 1.0)])
 def test_envelope_distance_keys_name_two_points(tmp_path, capsys, key, value):
     doc = json.loads(json.dumps(ENVELOPE_DOC))

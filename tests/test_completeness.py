@@ -32,6 +32,7 @@ from quasimod import (
     two_sided_cover_from_onesided,
 )
 from quasimod.cli import main
+from quasimod.completeness import _HB_KEYS, HeineBorelRow
 
 from conftest import (ADDITIVE_BUILDERS, random_conorm_gauge,
                       random_min_cap_gauge, rng_for)
@@ -177,8 +178,8 @@ def test_greedy_net_covers_and_is_not_far_from_optimal():
 def test_greedy_net_json_shape():
     g = skew_gauge()
     net = greedy_net(("a", "b"), g, 3.0, 1.0)
-    assert net.to_json() == {"centers": ["a"], "radius": 3.0, "scale": 1.0,
-                             "side": "forward", "verified": True}
+    assert (net.centers, net.radius_r, net.scale_t, net.side, net.verified) \
+        == (("a",), 3.0, 1.0, "forward", True)
 
 
 def test_two_sided_cover_composes_on_symmetric_corpora():
@@ -361,10 +362,11 @@ def test_heine_borel_report_composes_on_symmetric_corpora():
                                 TConorm.PROBABILISTIC_SUM, symmetric=True)
         report = heine_borel_report(g)
         assert report.rows
-        assert report.all_composed_ok
-        doc = report.to_json()
-        assert doc["all_composed_ok"] is True
-        assert {"radius", "scale", "split", "composed_ok"} <= set(doc["rows"][0])
+        assert report.all_composed_ok is True
+        # `cover` writes each row under these keys, one per field
+        keys = dict(zip(_HB_KEYS, report.rows[0]))
+        assert {"radius", "scale", "split", "composed_ok"} <= set(keys)
+        assert len(_HB_KEYS) == len(HeineBorelRow._fields)
 
 
 def test_heine_borel_report_records_cell_escapes_per_row():

@@ -185,7 +185,8 @@ def test_report_matches_the_replaced_loop(name, oracle):
             thresholds = critical_thresholds(g, points, g.grid)
             got = heine_borel_report(g, points, thresholds=thresholds)
             want = loop_report(g, points, thresholds, net, compose)
-            assert got.to_json() == want.to_json(), (g.name, points)
+            assert got.rows == want.rows, (g.name, points)
+            assert got.all_composed_ok == want.all_composed_ok
 
 
 @pytest.mark.parametrize("oracle", sorted(ORACLES))

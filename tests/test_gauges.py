@@ -2,6 +2,7 @@
 
 import pytest
 
+from quasimod import extreal, gauges
 from quasimod import (
     INF,
     GaugeSpec,
@@ -24,6 +25,7 @@ from quasimod import (
 )
 
 from conftest import (
+    ADDITIVE_BUILDERS,
     points_named,
     random_conorm_gauge,
     random_quasi_pseudometric,
@@ -167,11 +169,9 @@ def test_ratio_saturates_into_the_unit_interval():
     assert g.value("a", "b", 1.0) == 0.5
     assert g.value("b", "a", 1.0) == 0.75
     assert g.value("a", "b", 3.0) == 0.25
-    assert not g.warnings
     h = make_ratio({("a", "b"): INF}, pts)
     v = h.value("a", "b", 10.0)
     assert 0.999 < v < 1.0
-    assert h.warnings
 
 
 def test_scaled_metric_and_convexity_claim():
@@ -193,7 +193,6 @@ def test_classical_modular_detects_ray_shape():
     bump = lambda v: 0.0 if v == 0 else 1.0 / abs(v)
     h = make_classical_modular(bump, (0.0, 1.0))
     assert not h.claims_convex
-    assert any("decreases" in w for w in h.warnings)
     with pytest.raises(ValueError, match=r"rho\(0\)"):
         make_classical_modular(lambda v: 1.0, (0.0, 1.0))
 
@@ -285,3 +284,61 @@ def test_json_rejects_malformed_documents():
     with pytest.raises(ValueError, match="avoid"):
         gauge_to_json(make_min_cap({("a|b", "c"): 1.0, ("c", "a|b"): 1.0},
                                    ("a|b", "c"), grid=ScaleGrid((1.0,))))
+
+
+# ---------------------------------------------------------------------------
+# reading a table: one range check per value, one transpose into columns
+
+
+def corpus_tables():
+    """(gauge, table) over the conftest builders: each tabulated gauge's own
+    table, the table without its diagonal rows, and the table with -0.0 and
+    the regime's top value (inf, or 1 for a conorm) written in."""
+    built = [build(rng_for(930 + k), n).tabulated()
+             for k, build in enumerate(ADDITIVE_BUILDERS) for n in (1, 2, 5)]
+    built += [random_conorm_gauge(rng_for(940 + n), n, conorm)
+              for conorm in TConorm for n in (1, 3, 4)]
+    for g in built:
+        top = INF if g.regime is Regime.ADDITIVE else 1.0
+        edited = dict(g.table)
+        for x, y in edited:
+            row = list(edited[x, y])
+            row[-1 if x == y else 0] = -0.0 if x == y else top
+            edited[x, y] = tuple(row)
+        yield from ((g, g.table),
+                    (g, {(x, y): r for (x, y), r in g.table.items() if x != y}),
+                    (g, edited))
+
+
+def test_the_columns_are_the_pair_lookup_layout_bit_for_bit():
+    for g, table in corpus_tables():
+        read = GaugeSpec(regime=g.regime, points=g.points, conorm=g.conorm,
+                         grid=g.grid, table=table)
+        want = tuple(tuple(tuple(read.table[(x, y)][k] for y in g.points)
+                           for x in g.points) for k in range(len(g.grid)))
+        got = read._columns
+        assert all(type(row) is tuple for col in got for row in col)
+        assert [[[v.hex() for v in row] for row in col] for col in got] == \
+            [[[v.hex() for v in row] for row in col] for col in want], g.name
+    values = {v.hex() for _, table in corpus_tables()
+              for row in table.values() for v in row}
+    assert {"-0x0.0p+0", "inf"} <= values
+
+
+def test_reading_a_gauge_document_checks_each_table_value_once(monkeypatch):
+    calls, is_ext = [], extreal.is_ext
+
+    def counted(value):
+        calls.append(value)
+        return is_ext(value)
+
+    monkeypatch.setattr(extreal, "is_ext", counted)
+    monkeypatch.setattr(gauges, "is_ext", counted)
+    for g, table in corpus_tables():
+        doc = gauge_to_json(GaugeSpec(regime=g.regime, points=g.points,
+                                      conorm=g.conorm, grid=g.grid,
+                                      table=table))
+        calls.clear()
+        gauge_from_json(doc)
+        assert len(calls) == len(g.points) ** 2 * len(g.grid), g.name
+
