@@ -255,13 +255,19 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_topology(args) -> int:
+    now = time.perf_counter()
     g = _gauge_from_doc(_load_json(args.input), args)
-    if len(g.points) > MAX_TOPOLOGY_POINTS:
+    n = len(g.points)
+    if n > MAX_TOPOLOGY_POINTS:
         raise InputError(f"topology handles at most {MAX_TOPOLOGY_POINTS} "
-                         f"points, got {len(g.points)}")
+                         f"points, got {n}")
+    now = _phase_done("topology", "read", now, n)
     report = verify_join_equality(g)
+    now = _phase_done("topology", "topologies", now, n)
     doc = {"command": "topology"} | report.to_json()
+    now = _phase_done("topology", "listing", now, n)
     _emit(doc, args.output)
+    _phase_done("topology", "write", now, n)
     return 0 if report.equal else 1
 
 

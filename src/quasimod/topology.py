@@ -2,8 +2,10 @@
 
 Point sets are finite and small, and subsets and relations are bitmasks, so
 every statement here is decided exactly.  A finite topology is stored as the
-smallest open set around each point, one bitmask per point; its open sets,
-up to 2**n of them, are listed only on request, and only for n <= 16.
+smallest open set around each point p, one bitmask per point: in a ball
+topology, the y whose column w(x, y, t) lies at or below p's, entry by
+entry, wherever p lies in a ball.  Its open sets, up to 2**n of them, are
+listed only on request, only for n <= 16, by size, then by positions.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import and_
+from functools import reduce
+from itertools import chain, compress
+from operator import and_, le, or_
 
 from .axioms import AxiomReport, Violation
 from .extreal import INF
@@ -19,6 +23,7 @@ from .gauges import GaugeSpec, Regime
 from .profiles import ScaleGrid
 
 MAX_TOPOLOGY_POINTS = 16
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as bytes 0 and 1
 
 _SIDES = ("forward", "backward", "two_sided")
 
@@ -38,14 +43,9 @@ def compose(a: tuple, b: tuple) -> tuple[int, ...]:
     if len(b) != n:
         raise ValueError(f"relations on different point sets: {n} rows "
                          f"and {len(b)} rows")
-    out = []
-    for row in a:
-        acc = 0
-        for j in range(n):
-            if row & (1 << j):
-                acc |= b[j]
-        out.append(acc)
-    return tuple(out)
+    fmt = f"0{n}b"  # row x's bits, reversed: a 0/1 selector over b's rows
+    return tuple(reduce(or_, compress(b, format(row, fmt)[::-1].encode()
+                                      .translate(_BITS)), 0) for row in a)
 
 
 def _check_radius(g: GaugeSpec, r: float) -> None:
@@ -196,19 +196,22 @@ class FiniteTopology:
     points: tuple
     hoods: tuple[int, ...]
 
-    @property
-    def opens(self) -> frozenset[int]:
-        """Every open set, as bitmasks: the unions of the neighbourhoods.
-        There can be 2**n of them, so only up to the point cap."""
+    def _unions(self, hoods) -> set[int]:
+        """Every union of `hoods`: up to 2**n sets, so only up to the cap."""
         if len(self.points) > MAX_TOPOLOGY_POINTS:
             raise ValueError(
                 f"listing open sets is exponential in the point count; "
                 f"{len(self.points)} points exceeds the "
                 f"{MAX_TOPOLOGY_POINTS}-point cap")
         opens = {0}
-        for hood in self.hoods:
+        for hood in set(hoods):
             opens |= {o | hood for o in opens}
-        return frozenset(opens)
+        return opens
+
+    @property
+    def opens(self) -> frozenset[int]:
+        """Every open set, as bitmasks: the unions of the neighbourhoods."""
+        return frozenset(self._unions(self.hoods))
 
     def is_open(self, subset) -> bool:
         mask = _mask(self.points, subset)
@@ -217,14 +220,17 @@ class FiniteTopology:
 
     def open_sets(self) -> list[tuple]:
         """Every open set as points, by size, then by point positions."""
-        span = range(len(self.points))
-        sets = sorted(([i for i in span if mask >> i & 1]
-                       for mask in self.opens),
-                      key=lambda bits: (len(bits), bits))
-        return [tuple(map(self.points.__getitem__, bits)) for bits in sets]
+        return list(map(tuple, self.to_json()))
 
     def to_json(self) -> list[list]:
-        return [list(s) for s in self.open_sets()]
+        """The open sets in `open_sets` order, as lists: with point i as bit
+        n - 1 - i, descending masks of one size ascend in positions, and a
+        stable sort by size keeps that order."""
+        fmt = f"0{len(self.points)}b"
+        rev = self._unions(int(format(h, fmt)[::-1], 2) for h in self.hoods)
+        masks = sorted(sorted(rev, reverse=True), key=int.bit_count)
+        return [list(compress(self.points, format(m, fmt).encode()
+                              .translate(_BITS))) for m in masks]
 
 
 def _mask(points: tuple, subset) -> int:
@@ -236,20 +242,14 @@ def _mask(points: tuple, subset) -> int:
     return mask
 
 
-def _from_subbase(points: tuple, masks) -> FiniteTopology:
-    """Topology with subbase `masks`: a point's smallest open set is the
-    intersection of the subbase sets that contain it."""
-    hoods = [(1 << len(points)) - 1] * len(points)
-    for mask in masks:
-        hoods = [h & mask if mask & (1 << i) else h for i, h in enumerate(hoods)]
-    return FiniteTopology(points, tuple(hoods))
-
-
 def generate_topology(base, points) -> FiniteTopology:
     """Least topology in which every base set is open: the unions of finite
     intersections of base sets, with the empty set and the whole space."""
     points = tuple(points)
-    return _from_subbase(points, [_mask(points, subset) for subset in base])
+    hoods = [(1 << len(points)) - 1] * len(points)
+    for mask in [_mask(points, subset) for subset in base]:
+        hoods = [h & mask if mask & (1 << i) else h for i, h in enumerate(hoods)]
+    return FiniteTopology(points, tuple(hoods))
 
 
 def join_topologies(t1: FiniteTopology, t2: FiniteTopology) -> FiniteTopology:
@@ -257,8 +257,7 @@ def join_topologies(t1: FiniteTopology, t2: FiniteTopology) -> FiniteTopology:
     intersection of its two smallest open sets."""
     if t1.points != t2.points:
         raise ValueError("topologies live on different point sets")
-    return FiniteTopology(t1.points,
-                          tuple(a & b for a, b in zip(t1.hoods, t2.hoods)))
+    return FiniteTopology(t1.points, tuple(map(and_, t1.hoods, t2.hoods)))
 
 
 @dataclass(frozen=True)
@@ -270,36 +269,42 @@ class JoinReport:
     equal: bool
 
     def to_json(self) -> dict:
-        return {"tau_plus": self.tau_plus.to_json(),
-                "tau_minus": self.tau_minus.to_json(),
-                "join": self.join.to_json(),
-                "tau_sym": self.tau_sym.to_json(),
-                "join_equals_sym": self.equal}
+        """The four listings; equal topologies share one list."""
+        doc, lists = {}, {}
+        for key in ("tau_plus", "tau_minus", "join", "tau_sym"):
+            topo = getattr(self, key)
+            if topo not in lists:
+                lists[topo] = topo.to_json()
+            doc[key] = lists[topo]
+        doc["join_equals_sym"] = self.equal
+        return doc
 
 
-def _balls(stack) -> set[int]:
-    """Every nonempty strict ball {y : w(x, y, t) < r}, r > 0, of the rows
-    of the matrices in `stack`: a ball holding y holds each y' with
-    w(x, y', t) <= w(x, y, t), so the balls are the row's sublevel sets at
-    its values.  The one at a value no radius exceeds (inf, or 1 for a
-    conorm) is the whole space, which is open anyway."""
-    return {sum(1 << j for j, w in enumerate(row) if w <= v)
-            for m in stack for row in m for v in set(row)}
+def _hoods(cols, cap: float) -> tuple[int, ...]:
+    """Each point p's smallest open set under the strict balls, from its
+    column w(x, p, t) over every row x and scale t: the y whose columns lie
+    at or below p's entry by entry.  NaN and the cap (inf, or 1 for a
+    conorm) lie in no ball and bound nothing, so both read as the cap."""
+    cols = [[v if v < cap else cap for v in col] for col in cols]
+    return tuple(sum(1 << j for j, c in enumerate(cols) if all(map(le, c, col)))
+                 for col in cols)
 
 
 def verify_join_equality(g: GaugeSpec, points=None,
                          grid: ScaleGrid | None = None) -> JoinReport:
     """Forward and backward ball topologies, their join, and the topology of
     the symmetrized gauge, compared by their smallest open neighbourhoods.
-    Backward balls are rows of the transposes; the symmetrized gauge is
-    symmetric, so its two-sided balls are its forward ones."""
+    A point's column under forward balls is its column in each matrix, under
+    backward balls its row; the symmetrized gauge's balls are forward ones."""
     points, _, mats = g.sample(points, grid)
     opps = [tuple(zip(*m)) for m in mats]
-    # the symmetrized gauge's matrices: what `symmetrize` evaluates
-    syms = [[list(map(g.sym_law, row, col)) for row, col in zip(m, opp)]
-            for m, opp in zip(mats, opps)]
+    # the symmetrized gauge's matrix rows: what `symmetrize` evaluates
+    syms = [list(map(g.sym_law, row, col))
+            for m, opp in zip(mats, opps) for row, col in zip(m, opp)]
+    cap = 1.0 if g.regime is Regime.CONORM else INF
     tau_plus, tau_minus, tau_sym = (
-        _from_subbase(points, _balls(ms)) for ms in (mats, opps, syms))
+        FiniteTopology(points, _hoods(zip(*rows), cap)) for rows in
+        (chain.from_iterable(mats), chain.from_iterable(opps), syms))
     joined = join_topologies(tau_plus, tau_minus)
     return JoinReport(tau_plus, tau_minus, joined, tau_sym,
                       joined.hoods == tau_sym.hoods)
@@ -314,9 +319,15 @@ def small_composite_check(g: GaugeSpec, points=None,
     to the critical ones."""
     if g.regime is not Regime.CONORM:
         raise ValueError("small_composite_check applies to conorm-regime gauges")
-    balls, violations = _BallRows(g, points), []
+    balls = _BallRows(g, points)
     thresholds = thresholds or critical_thresholds(g, balls.points, grid)
-    splits = {r: g.split_radius(r) for r in thresholds.radii}
+    return AxiomReport(("small-composite",), tuple(_composite_violations(
+        balls, thresholds)), (f"{len(thresholds.pairs())} thresholds checked",))
+
+
+def _composite_violations(balls: _BallRows, thresholds: ThresholdSet):
+    """The small-composite violations, read from the rows `balls` holds."""
+    splits = {r: balls.g.split_radius(r) for r in thresholds.radii}
     for r, t in thresholds.pairs():
         rp = splits[r]
         (_, *small), (_, *big) = balls.rows(rp, t), balls.rows(r, t)
@@ -328,10 +339,8 @@ def small_composite_check(g: GaugeSpec, points=None,
                     escaped &= escaped - 1
                     lhs = balls.value(i, k, t) if side == "forward" \
                         else balls.value(k, i, t)
-                    violations.append(Violation("small-composite", (
-                        side, balls.points[i], balls.points[k], r, rp, t), lhs, r))
-    return AxiomReport(("small-composite",), tuple(violations),
-                       (f"{len(thresholds.pairs())} thresholds checked",))
+                    yield Violation("small-composite", (
+                        side, balls.points[i], balls.points[k], r, rp, t), lhs, r)
 
 
 def quasi_uniformity_report(g: GaugeSpec, points=None,
@@ -362,8 +371,7 @@ def quasi_uniformity_report(g: GaugeSpec, points=None,
                 Violation("refinement", (points[i], points[j], r, t, t_big),
                           balls.value(i, j, t_big), r)
                 for i in span for j in span if (small[i] & ~big[i]) >> j & 1)
-    composite = small_composite_check(g, points, thresholds=thresholds)
-    violations.extend(composite.violations)
+    violations.extend(_composite_violations(balls, thresholds))
     return AxiomReport(("diagonal", "refinement", "small-composite"),
                        tuple(violations),
                        ("upward closure holds by representation",))

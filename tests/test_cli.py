@@ -553,6 +553,31 @@ def test_cover_debug_logging_goes_to_stderr_only(tmp_path, sequence):
                                        "cauchy", "write"], lines
 
 
+def test_topology_debug_logging_goes_to_stderr_only(tmp_path):
+    src = write_doc(tmp_path, "g.json", ADDITIVE_DOC)
+    quiet = {k: v for k, v in os.environ.items() if k != "QUASIMOD_LOG"}
+    for output in (None, "r.json"):
+        runs = []
+        for env in (quiet, dict(quiet, QUASIMOD_LOG="DEBUG")):
+            argv = [sys.executable, "-m", "quasimod.cli", "topology",
+                    "--input", src]
+            if output:
+                argv += ["--output", str(tmp_path / output)]
+            proc = subprocess.run(argv, capture_output=True, env=env)
+            written = (tmp_path / output).read_bytes() if output else None
+            runs.append((proc, written))
+        (plain, plain_out), (logged, logged_out) = runs
+        assert logged.returncode == plain.returncode == 0
+        assert (logged.stdout, logged_out) == (plain.stdout, plain_out)
+        assert json.loads(plain_out or plain.stdout)["join_equals_sym"]
+        assert plain.stderr == b""
+        lines = logged.stderr.decode().splitlines()
+        assert [re.fullmatch(r"DEBUG:quasimod\.cli:topology ([a-z-]+): "
+                             r"[0-9]+\.[0-9]{6} s, n=2", line).group(1)
+                for line in lines] == ["read", "topologies", "listing",
+                                       "write"], lines
+
+
 @pytest.mark.parametrize("flags", [[], ["--grid", "1,2"]])
 def test_graph_debug_logging_reaches_a_configured_root_logger(
         tmp_path, monkeypatch, flags):
