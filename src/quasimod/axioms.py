@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 
 from .extreal import ext_mul, format_ext
-from .gauges import GaugeSpec, Regime, triangle_violations
+from .gauges import GaugeSpec, Regime, _rows_symmetric, triangle_violations
 from .profiles import Profile, ScaleGrid, profile_convolve
 
 
@@ -75,22 +75,12 @@ def check_axioms(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> Ax
                 violations.append(Violation("zero-self", (x, grid[k]), v, 0.0))
 
     if conorm is not None:
-        clamped = False
-        for i, x in enumerate(points):
-            for j, y in enumerate(points):
-                for k, row in enumerate(s[i] for s in stack):
-                    v = row[j]
-                    if x != y and v == 0.0:
-                        violations.append(
-                            Violation("separation", (x, y, grid[k]), 0.0, 0.0))
-                    if v >= 1.0:
-                        violations.append(
-                            Violation("bounded", (x, y, grid[k]), v, 1.0))
-                        if v > 1.0:
-                            row[j] = 1.0
-                            clamped = True
-        if clamped:
-            notes.append("values above 1 were clamped to 1 for the triangle sweep")
+        for (x, y), row in _pair_series(points, stack):
+            for t, v in zip(grid, row):
+                if x != y and v == 0.0:
+                    violations.append(Violation("separation", (x, y, t), 0.0, 0.0))
+                if v >= 1.0:
+                    violations.append(Violation("bounded", (x, y, t), v, 1.0))
 
     for (x, y), row in _pair_series(points, stack):
         for k in range(m - 1):
@@ -103,7 +93,6 @@ def check_axioms(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> Ax
     splits = [(i, j, u) for i in range(m) for j in range(m)
               for u in [grid.ceil_index(grid[i] + grid[j])] if u is not None]
     if splits:
-        # list == compares by identity first, as the per-pair rows did
         if all(s == stack[0] for s in stack):
             splits = splits[:1]  # every split reads the same values
         # witnesses are listed in x, z, y, split order
@@ -118,8 +107,7 @@ def check_axioms(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> Ax
     else:
         notes.append("no grid pair sums land on the grid; triangle not checkable")
 
-    # list == again, so one nan object equals itself (not `_rows_symmetric`)
-    symmetric = all(list(map(list, zip(*s))) == s for s in stack)
+    symmetric = all(map(_rows_symmetric, stack))
     if symmetric != g.claims_symmetric:
         notes.append(f"claims_symmetric={g.claims_symmetric} refuted: table is "
                      f"{'symmetric' if symmetric else 'asymmetric'}")

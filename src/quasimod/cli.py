@@ -248,9 +248,14 @@ def _gauge_from_doc(doc, args) -> object:
 
 
 def cmd_check_axioms(args) -> int:
+    now = time.perf_counter()
     g = _gauge_from_doc(_load_json(args.input), args)
+    n = len(g.points)
+    now = _phase_done("check-axioms", "read", now, n)
     report = check_axioms(g)
+    now = _phase_done("check-axioms", "axioms", now, n)
     _emit({"command": "check-axioms", "axioms": report.to_json()}, args.output)
+    _phase_done("check-axioms", "write", now, n)
     return 0 if report.ok else 1
 
 
@@ -316,20 +321,26 @@ def cmd_cover(args) -> int:
 
 
 def cmd_luxemburg(args) -> int:
+    now = time.perf_counter()
     g = _gauge_from_doc(_load_json(args.input), args)
     if g.regime is not Regime.ADDITIVE:
         raise InputError("luxemburg distances need an additive-regime gauge")
+    n = len(g.points)
+    now = _phase_done("luxemburg", "read", now, n)
     try:
         rows = [[luxemburg_distance(g, x, y, tol=args.tol).value
                  for y in g.points] for x in g.points]
     except NonmonotoneGaugeError as exc:
         _emit({"command": "luxemburg", "error": str(exc)}, args.output)
         return 1
+    now = _phase_done("luxemburg", "distances", now, n)
     sym = [list(map(max, row, col)) for row, col in zip(rows, zip(*rows))]
     distances, symmetrized = _pair_maps(g.points, *_value_texts(rows, sym))
     doc = {"command": "luxemburg", "tol": args.tol,
            "distances": distances, "symmetrized": symmetrized}
+    now = _phase_done("luxemburg", "layout", now, n)
     _emit(doc, args.output, matrix=(g.points, rows))
+    _phase_done("luxemburg", "write", now, n)
     return 0
 
 
@@ -405,6 +416,7 @@ def _bracketed(norm: float, what: str) -> None:
 
 
 def cmd_orlicz(args) -> int:
+    now = time.perf_counter()
     raw = _load_json(args.input)
     doc = {"command": "orlicz", "tol": args.tol}
     ok = True
@@ -414,6 +426,8 @@ def cmd_orlicz(args) -> int:
         functions = {fid: parse_function(values, space)
                      for fid, values in raw.get("functions", {}).items()}
         decode_ids(functions, "function")
+        n = len(space.points)
+        now = _phase_done("orlicz", "read", now, n)
         if "phi" in raw:
             phi = orlicz_from_json(raw["phi"], space)
             out = {}
@@ -425,6 +439,7 @@ def cmd_orlicz(args) -> int:
                             "unit_ball": ub.to_json()}
                 ok = ok and ub.ok
             doc["phi"] = out
+            now = _phase_done("orlicz", "phi", now, n)
         if "psi1" in raw and "psi2" in raw:
             pair = OneSidedPair(orlicz_from_json(raw["psi1"], space),
                                 orlicz_from_json(raw["psi2"], space))
@@ -441,23 +456,31 @@ def cmd_orlicz(args) -> int:
                            f"function {fa!r} to {fb!r}")
                 dists[f"{fa}|{fb}"] = {"plus": dp, "minus": dm}
             doc["one_sided"] = {"norms": sides, "distances": dists}
+            now = _phase_done("orlicz", "one-sided", now, n)
     except _DOC_ERRORS as exc:
         raise InputError(f"bad orlicz document: {exc}") from None
     _emit(doc, args.output)
+    _phase_done("orlicz", "write", now, n)
     return 0 if ok else 1
 
 
 def cmd_envelope(args) -> int:
+    now = time.perf_counter()
     points, d, f = _read("envelope document", envelope_from_json,
                          _load_json(args.input))
+    n = len(points)
+    now = _phase_done("envelope", "read", now, n)
     metric_report = quasi_pseudometric_check(d, points)
+    now = _phase_done("envelope", "distance-check", now, n)
     doc = {"command": "envelope",
            "distance_check": metric_report.to_json(),
            "upper": {str(x): format_ext(v)
                      for x, v in upper_envelope(f, d, points).items()},
            "lower": {str(x): format_ext(v)
                      for x, v in lower_envelope(f, d, points).items()}}
+    now = _phase_done("envelope", "envelopes", now, n)
     _emit(doc, args.output)
+    _phase_done("envelope", "write", now, n)
     return 0 if metric_report.ok else 1
 
 

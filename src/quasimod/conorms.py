@@ -24,20 +24,15 @@ class TConorm(enum.Enum):
     BOUNDED_SUM = "bounded_sum"
 
     def apply(self, a: float, b: float) -> float:
+        """`law` after a range check of both arguments."""
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise ValueError(f"conorm arguments must lie in [0, 1], got {a!r}, {b!r}")
-        if self is TConorm.MAX:
-            return max(a, b)
-        if self is TConorm.PROBABILISTIC_SUM:
-            return _prob_sum(a, b)
-        return min(1.0, a + b)
+        return self.law(a, b)
 
-    def combine(self, values) -> float:
-        """Fold apply over an iterable; empty input gives the unit 0."""
-        acc = 0.0
-        for v in values:
-            acc = self.apply(acc, v)
-        return acc
+    @property
+    def law(self):
+        """`apply` without the range check, for values already in range."""
+        return _LAWS[self]
 
     @property
     def wire_name(self) -> str:
@@ -53,7 +48,7 @@ class TConorm(enum.Enum):
         if not 0.0 < r <= 1.0:
             raise ValueError(f"radius must lie in (0, 1], got {r!r}")
         h = r / 2.0
-        return h if self.apply(h, h) < r else r / 4.0
+        return h if self.law(h, h) < r else r / 4.0
 
 
 def _prob_sum(a: float, b: float) -> float:
@@ -74,6 +69,9 @@ def _prob_sum(a: float, b: float) -> float:
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     return fsum((a, b, -p, -err))
 
+
+_LAWS = {TConorm.MAX: max, TConorm.PROBABILISTIC_SUM: _prob_sum,
+         TConorm.BOUNDED_SUM: lambda a, b: min(1.0, a + b)}
 
 _WIRE_NAMES = {
     TConorm.MAX: "max",

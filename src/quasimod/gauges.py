@@ -4,10 +4,13 @@ A gauge assigns a value w(x, y, t) to an ordered point pair at a scale t > 0.
 Two regimes are supported:
 
 * additive: values in [0, inf], triangle combined with +;
-* conorm: values in [0, 1), triangle combined with a t-conorm.
+* conorm: values in [0, 1], triangle combined with a t-conorm (the axioms
+  ask for values below 1; a 1 is a `bounded` violation, not a range error).
 
 `GaugeSpec.oplus` is that combination; it, `split_radius` and `sym_law` are
-the regimes' laws, and no other module decides between them.
+the regimes' laws, and no other module decides between them, nor the range:
+a table is checked when built, a closed form where `matrix` or `value` reads
+it, and a value off the range raises there, naming its pair and scale.
 
 Gauges are immutable.  They are either closed-form (a function of x, y, t)
 or tabulated (one value per ordered pair per grid scale, read with the
@@ -30,6 +33,7 @@ from .extreal import (INF, decode_ids, ensure_ext, ext_mul, format_ext, is_ext,
 from .profiles import Profile, ScaleGrid
 
 EPS_BELOW_ONE = 1.0 - 2.0 ** -52
+_NONNEGATIVE = (0.0).__le__  # false for a negative and for NaN
 
 
 class Regime(enum.Enum):
@@ -104,8 +108,19 @@ class GaugeSpec:
         if self.table is not None:
             k = self.grid.ceil_index(t)
             return self._columns[-1 if k is None else k]
-        return tuple(tuple(float(self.fn(x, y, t)) for y in self.points)
-                     for x in self.points)
+        return tuple(self._read(x, self.points, t) for x in self.points)
+
+    def _read(self, x, ys, t: float) -> tuple[float, ...]:
+        """The closed form's w(x, y, t) for each y in ys, range-checked by
+        C-level passes over the row; the first value off [0, inf] (or
+        [0, 1] under a conorm) raises, naming its pair and scale."""
+        row = tuple(float(self.fn(x, y, t)) for y in ys)
+        cap = 1.0 if self.regime is Regime.CONORM else INF
+        if all(map(_NONNEGATIVE, row)) and max(row) <= cap:
+            return row
+        v, y = next((v, y) for v, y in zip(row, ys) if not 0.0 <= v <= cap)
+        raise ValueError(f"gauge value for ({x!r}, {y!r}) at scale {t!r} "
+                         f"must lie in [0, {cap:g}], got {v!r}")
 
     def sample(self, points=None, grid: ScaleGrid | None = None):
         """(points, grid, stack) with stack[k][i][j] = w(points[i],
@@ -126,19 +141,19 @@ class GaugeSpec:
         i, j = self.index(x), self.index(y)
         if self.table is not None:
             return self.matrix(t)[i][j]
-        return float(self.fn(x, y, t))
+        return self._read(x, (y,), t)[0]
 
     @property
     def oplus(self) -> Callable[[float, float], float]:
         """The regime's triangle law: + for an additive gauge, the conorm's
-        `apply` otherwise."""
-        return add if self.regime is Regime.ADDITIVE else self.conorm.apply
+        unchecked `law` otherwise, since every value read is in range."""
+        return add if self.regime is Regime.ADDITIVE else self.conorm.law
 
     @property
     def sym_law(self) -> Callable[[float, float], float]:
         """How w(x, y, t) and w(y, x, t) make the symmetrized gauge's value:
-        max under +, the conorm's `apply` otherwise."""
-        return max if self.regime is Regime.ADDITIVE else self.conorm.apply
+        max under +, the conorm's `law` otherwise."""
+        return max if self.regime is Regime.ADDITIVE else self.conorm.law
 
     def split_radius(self, r: float) -> float:
         """The radius s that a cover or composite shrinks r to, with
@@ -327,7 +342,7 @@ def make_classical_modular(rho: Callable[[object], float], points,
         claims_symmetric=all(rho(_vsub(x, y)) == rho(_vsub(y, x))
                              for x in points for y in points),
         claims_convex=convex,
-        fn=lambda x, y, t: ensure_ext(float(rho(_vscale(_vsub(x, y), 1.0 / t)))))
+        fn=lambda x, y, t: rho(_vscale(_vsub(x, y), 1.0 / t)))
 
 
 def make_sublinear(p: Callable[[object], float], points,

@@ -96,15 +96,15 @@ def profile_convolve(phi: Profile, psi: Profile, conorm: TConorm) -> Profile:
     for v in phi.values + psi.values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"convolution needs values in [0, 1], got {v!r}")
-    out = []
+    law, out = conorm.law, []
     for u in scales:
-        best = conorm.apply(phi.values[0], psi.values[0])
+        best = law(phi.values[0], psi.values[0])
         for i, ti in enumerate(scales):
             if ti + scales[0] > u:
                 break
             for j, tj in enumerate(scales):
                 if ti + tj > u:
                     break
-                best = min(best, conorm.apply(phi.values[i], psi.values[j]))
+                best = min(best, law(phi.values[i], psi.values[j]))
         out.append(best)
     return Profile(phi.grid, tuple(out))

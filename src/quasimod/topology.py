@@ -4,8 +4,9 @@ Point sets are finite and small, and subsets and relations are bitmasks, so
 every statement here is decided exactly.  A finite topology is stored as the
 smallest open set around each point p, one bitmask per point: in a ball
 topology, the y whose column w(x, y, t) lies at or below p's, entry by
-entry, wherever p lies in a ball.  Its open sets, up to 2**n of them, are
-listed only on request, only for n <= 16, by size, then by positions.
+entry (`GaugeSpec` hands out no NaN and nothing above the cap, inf or 1).
+Its open sets, up to 2**n of them, are listed only on request, only for
+n <= 16, by size, then by positions.
 """
 
 from __future__ import annotations
@@ -68,15 +69,13 @@ def entourage(g: GaugeSpec, r: float, t: float, side: str = "forward",
 class _Sweep:
     """One matrix's entries over a point list, sorted once by value: the
     relation {(i, j) : mat[i][j] < r} is the first `bisect_left(values, r)`
-    of them, whatever r.  A NaN entry is below no radius, so it is left
-    out.  Rows are built per cut on demand, each from the nearest cut built
-    below it."""
+    of them, whatever r, since `GaugeSpec` hands out no NaN.  Rows are
+    built per cut on demand, each from the nearest cut built below it."""
 
     def __init__(self, mat, idx: list[int]):
         flat = [row[j] for row in map(mat.__getitem__, idx) for j in idx]
         self.mat, self.n = mat, len(idx)  # holding mat keeps its id valid
-        self.order = sorted((p for p, v in enumerate(flat) if v == v),
-                            key=flat.__getitem__)
+        self.order = sorted(range(len(flat)), key=flat.__getitem__)
         self.values = list(map(flat.__getitem__, self.order))
         self.cuts = [0]  # the cuts built, ascending
         self.built = {0: ((0,) * self.n, (0,) * self.n)}
@@ -280,12 +279,11 @@ class JoinReport:
         return doc
 
 
-def _hoods(cols, cap: float) -> tuple[int, ...]:
+def _hoods(cols) -> tuple[int, ...]:
     """Each point p's smallest open set under the strict balls, from its
     column w(x, p, t) over every row x and scale t: the y whose columns lie
-    at or below p's entry by entry.  NaN and the cap (inf, or 1 for a
-    conorm) lie in no ball and bound nothing, so both read as the cap."""
-    cols = [[v if v < cap else cap for v in col] for col in cols]
+    at or below p's entry by entry.  An entry at the cap (inf, or 1 for a
+    conorm) lies in no ball and bounds nothing, as no value exceeds it."""
     return tuple(sum(1 << j for j, c in enumerate(cols) if all(map(le, c, col)))
                  for col in cols)
 
@@ -301,9 +299,8 @@ def verify_join_equality(g: GaugeSpec, points=None,
     # the symmetrized gauge's matrix rows: what `symmetrize` evaluates
     syms = [list(map(g.sym_law, row, col))
             for m, opp in zip(mats, opps) for row, col in zip(m, opp)]
-    cap = 1.0 if g.regime is Regime.CONORM else INF
     tau_plus, tau_minus, tau_sym = (
-        FiniteTopology(points, _hoods(zip(*rows), cap)) for rows in
+        FiniteTopology(points, _hoods(list(zip(*rows)))) for rows in
         (chain.from_iterable(mats), chain.from_iterable(opps), syms))
     joined = join_topologies(tau_plus, tau_minus)
     return JoinReport(tau_plus, tau_minus, joined, tau_sym,

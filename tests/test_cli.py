@@ -488,21 +488,49 @@ def test_console_entry_point_round_trip(tmp_path):
     assert json.loads(proc.stdout)["axioms"]["violations"] == []
 
 
-@pytest.mark.parametrize("flags", [[], ["--grid", "1,2"]])
-def test_graph_debug_logging_goes_to_stderr_only(tmp_path, flags):
-    # b is unreachable from a, so --grid also makes the command exit 1
-    doc = {"vertices": ["a", "b", "c"],
-           "edges": [{"from": "a", "to": "c", "cost": 1.0},
-                     {"from": "b", "to": "a", "cost": 2.0},
-                     {"from": "c", "to": "a", "cost": 0.5}]}
-    src = write_doc(tmp_path, "g.json", doc)
+# b is unreachable from a, so graph --grid exits 1
+LOG_GRAPH = {"vertices": ["a", "b", "c"],
+             "edges": [{"from": "a", "to": "c", "cost": 1.0},
+                       {"from": "b", "to": "a", "cost": 2.0},
+                       {"from": "c", "to": "a", "cost": 0.5}]}
+# w(a, b) = 0 and w(b, a) = 9 escape a cell, so cover exits 1
+LOG_COVER = {"regime": "additive", "points": ["a", "b", "c"],
+             "grid": [1.0, 2.0],
+             "table": {"a|b": [0, 0], "b|a": [9.0, 9.0], "a|c": [1, 1],
+                       "c|a": [1, 1], "b|c": [9.0, 9.0], "c|b": [1, 1]}}
+LOGGED = [
+    pytest.param("graph", LOG_GRAPH, [], 0, 3, "read all-pairs layout write",
+                 id="graph"),
+    pytest.param("graph", LOG_GRAPH, ["--grid", "1,2"], 1, 3,
+                 "read all-pairs layout axioms write", id="graph-grid"),
+    pytest.param("cover", LOG_COVER, [], 1, 3,
+                 "read thresholds heine-borel cauchy write", id="cover"),
+    pytest.param("cover", {"space": LOG_COVER, "sequence": ["a", "b", "a"]},
+                 [], 1, 3, "read thresholds heine-borel cauchy write",
+                 id="cover-sequence"),
+    pytest.param("topology", ADDITIVE_DOC, [], 0, 2,
+                 "read topologies listing write", id="topology"),
+    pytest.param("check-axioms", ADDITIVE_DOC, [], 0, 2, "read axioms write",
+                 id="check-axioms"),
+    pytest.param("luxemburg", ADDITIVE_DOC, [], 0, 2,
+                 "read distances layout write", id="luxemburg"),
+    pytest.param("orlicz", ORLICZ_DOC, [], 0, 2, "read phi one-sided write",
+                 id="orlicz"),
+    pytest.param("envelope", ENVELOPE_DOC, [], 0, 2,
+                 "read distance-check envelopes write", id="envelope"),
+]
+
+
+@pytest.mark.parametrize("command, doc, flags, code, n, phases", LOGGED)
+def test_debug_logging_goes_to_stderr_only(tmp_path, command, doc, flags,
+                                           code, n, phases):
+    src = write_doc(tmp_path, "in.json", doc)
     quiet = {k: v for k, v in os.environ.items() if k != "QUASIMOD_LOG"}
-    phases = ["read", "all-pairs", "layout", *(["axioms"] if flags else []),
-              "write"]
-    for output in (None, "r.json", "r.csv"):
+    tables = ["r.csv"] if command in ("graph", "luxemburg") else []
+    for output in (None, "r.json", *tables):
         runs = []
         for env in (quiet, dict(quiet, QUASIMOD_LOG="DEBUG")):
-            argv = [sys.executable, "-m", "quasimod.cli", "graph",
+            argv = [sys.executable, "-m", "quasimod.cli", command,
                     "--input", src, *flags]
             if output:
                 argv += ["--output", str(tmp_path / output)]
@@ -510,72 +538,21 @@ def test_graph_debug_logging_goes_to_stderr_only(tmp_path, flags):
             written = (tmp_path / output).read_bytes() if output else None
             runs.append((proc, written))
         (plain, plain_out), (logged, logged_out) = runs
-        assert logged.returncode == plain.returncode == (1 if flags else 0)
+        assert logged.returncode == plain.returncode == code
         assert (logged.stdout, logged_out) == (plain.stdout, plain_out)
         assert (plain.stdout == b"") == bool(output)
         assert plain.stderr == b""
+        if output != "r.csv":
+            report = json.loads(plain_out or plain.stdout)
+            assert report["command"] == command
+            if command == "cover":
+                assert ("cauchy" in report) == ("sequence" in doc)
+            if command == "topology":
+                assert report["join_equals_sym"]
         lines = logged.stderr.decode().splitlines()
-        assert [re.fullmatch(r"DEBUG:quasimod\.cli:graph ([a-z-]+): "
-                             r"[0-9]+\.[0-9]{6} s, n=3", line).group(1)
-                for line in lines] == phases, lines
-
-
-@pytest.mark.parametrize("sequence", [None, ["a", "b", "a"]])
-def test_cover_debug_logging_goes_to_stderr_only(tmp_path, sequence):
-    # w(a, b) = 0 and w(b, a) = 9 escape a cell, so the command exits 1
-    gauge = {"regime": "additive", "points": ["a", "b", "c"],
-             "grid": [1.0, 2.0],
-             "table": {"a|b": [0, 0], "b|a": [9.0, 9.0], "a|c": [1, 1],
-                       "c|a": [1, 1], "b|c": [9.0, 9.0], "c|b": [1, 1]}}
-    doc = gauge if sequence is None else {"space": gauge, "sequence": sequence}
-    src = write_doc(tmp_path, "g.json", doc)
-    quiet = {k: v for k, v in os.environ.items() if k != "QUASIMOD_LOG"}
-    for output in (None, "r.json"):
-        runs = []
-        for env in (quiet, dict(quiet, QUASIMOD_LOG="DEBUG")):
-            argv = [sys.executable, "-m", "quasimod.cli", "cover",
-                    "--input", src]
-            if output:
-                argv += ["--output", str(tmp_path / output)]
-            proc = subprocess.run(argv, capture_output=True, env=env)
-            written = (tmp_path / output).read_bytes() if output else None
-            runs.append((proc, written))
-        (plain, plain_out), (logged, logged_out) = runs
-        assert logged.returncode == plain.returncode == 1
-        assert (logged.stdout, logged_out) == (plain.stdout, plain_out)
-        report = json.loads(plain_out or plain.stdout)
-        assert ("cauchy" in report) == bool(sequence)
-        assert plain.stderr == b""
-        lines = logged.stderr.decode().splitlines()
-        assert [re.fullmatch(r"DEBUG:quasimod\.cli:cover ([a-z-]+): "
-                             r"[0-9]+\.[0-9]{6} s, n=3", line).group(1)
-                for line in lines] == ["read", "thresholds", "heine-borel",
-                                       "cauchy", "write"], lines
-
-
-def test_topology_debug_logging_goes_to_stderr_only(tmp_path):
-    src = write_doc(tmp_path, "g.json", ADDITIVE_DOC)
-    quiet = {k: v for k, v in os.environ.items() if k != "QUASIMOD_LOG"}
-    for output in (None, "r.json"):
-        runs = []
-        for env in (quiet, dict(quiet, QUASIMOD_LOG="DEBUG")):
-            argv = [sys.executable, "-m", "quasimod.cli", "topology",
-                    "--input", src]
-            if output:
-                argv += ["--output", str(tmp_path / output)]
-            proc = subprocess.run(argv, capture_output=True, env=env)
-            written = (tmp_path / output).read_bytes() if output else None
-            runs.append((proc, written))
-        (plain, plain_out), (logged, logged_out) = runs
-        assert logged.returncode == plain.returncode == 0
-        assert (logged.stdout, logged_out) == (plain.stdout, plain_out)
-        assert json.loads(plain_out or plain.stdout)["join_equals_sym"]
-        assert plain.stderr == b""
-        lines = logged.stderr.decode().splitlines()
-        assert [re.fullmatch(r"DEBUG:quasimod\.cli:topology ([a-z-]+): "
-                             r"[0-9]+\.[0-9]{6} s, n=2", line).group(1)
-                for line in lines] == ["read", "topologies", "listing",
-                                       "write"], lines
+        assert [re.fullmatch(rf"DEBUG:quasimod\.cli:{command} ([a-z-]+): "
+                             rf"[0-9]+\.[0-9]{{6}} s, n={n}", line).group(1)
+                for line in lines] == phases.split(), lines
 
 
 @pytest.mark.parametrize("flags", [[], ["--grid", "1,2"]])
@@ -583,11 +560,7 @@ def test_graph_debug_logging_reaches_a_configured_root_logger(
         tmp_path, monkeypatch, flags):
     # a root handler makes logging.basicConfig a no-op, so the level must
     # reach the package logger on its own; repeated calls add no handler
-    doc = {"vertices": ["a", "b", "c"],
-           "edges": [{"from": "a", "to": "c", "cost": 1.0},
-                     {"from": "b", "to": "a", "cost": 2.0},
-                     {"from": "c", "to": "a", "cost": 0.5}]}
-    src = write_doc(tmp_path, "g.json", doc)
+    src = write_doc(tmp_path, "g.json", LOG_GRAPH)
     phases = ["read", "all-pairs", "layout", *(["axioms"] if flags else []),
               "write"]
     root = logging.getLogger()

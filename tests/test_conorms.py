@@ -1,6 +1,7 @@
 """The three t-conorms and their shared algebra."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 from operator import add
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quasimod import GaugeSpec, Regime, ScaleGrid, TConorm, conorm_from_name
+from quasimod import (GaugeSpec, Regime, ScaleGrid, TConorm, check_axioms,
+                      conorm_from_name, enriched_triangle_check,
+                      heine_borel_report, quasi_uniformity_report,
+                      small_composite_check, symmetrize,
+                      verify_join_equality)
+
+from conftest import corrupt_one_entry, random_conorm_gauge, rng_for
+from test_topology import random_raw_table
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 conorms = st.sampled_from(list(TConorm))
@@ -58,17 +66,41 @@ def test_associative_on_dyadics(c, i, j, k):
 
 
 def test_apply_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "conorm arguments must lie in [0, 1], got 1.5, 0.2")):
         TConorm.MAX.apply(1.5, 0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "conorm arguments must lie in [0, 1], got 0.2, -0.1")):
         TConorm.BOUNDED_SUM.apply(0.2, -0.1)
+    with pytest.raises(ValueError, match="got nan, 0.5"):
+        TConorm.PROBABILISTIC_SUM.apply(math.nan, 0.5)
 
 
-def test_combine_folds_with_unit():
-    assert TConorm.MAX.combine([]) == 0.0
-    assert TConorm.MAX.combine([0.2, 0.7, 0.4]) == 0.7
-    assert TConorm.BOUNDED_SUM.combine([0.5, 0.75]) == 1.0
-    assert TConorm.PROBABILISTIC_SUM.combine([0.5, 0.5]) == 0.75
+def test_gauge_sweeps_never_call_the_checked_conorm(monkeypatch):
+    # a gauge hands out only values in range, so its sweeps, balls and
+    # symmetrization combine them with the unchecked law
+    gauges = []
+    for k, conorm in enumerate(TConorm):
+        rng = rng_for(60 + k)
+        g = random_conorm_gauge(rng, rng.randrange(3, 6), conorm)
+        gauges += [g, corrupt_one_entry(g, rng)[0],
+                   random_raw_table(rng, rng.randrange(2, 6), conorm)]
+
+    def reports(g):
+        return (check_axioms(g).to_json(), verify_join_equality(g).to_json(),
+                heine_borel_report(g).rows, small_composite_check(g).to_json(),
+                quasi_uniformity_report(g).to_json(),
+                enriched_triangle_check(g).to_json(), symmetrize(g).table)
+
+    want = [reports(g) for g in gauges]
+
+    def refuse(self, a, b):
+        raise AssertionError(f"TConorm.apply({a!r}, {b!r}) called")
+
+    monkeypatch.setattr(TConorm, "apply", refuse)
+    assert [reports(g) for g in gauges] == want
+    assert any(v["axiom"] == "bounded" for r in want
+               for v in r[0]["violations"])
 
 
 @given(conorms, st.floats(min_value=1e-6, max_value=1.0, allow_nan=False))
@@ -112,7 +144,7 @@ def radii_down_to_the_smallest_normal():
 @pytest.mark.parametrize("conorm", [None, *TConorm])
 def test_split_radius_is_one_law_per_regime(conorm):
     g = one_point_gauge(conorm)
-    assert g.oplus is add if conorm is None else g.oplus == conorm.apply
+    assert g.oplus is add if conorm is None else g.oplus == conorm.law
     kept, changed = 0, []
     for r in radii_down_to_the_smallest_normal():
         s = g.split_radius(r)

@@ -28,7 +28,7 @@ from quasimod import topology
 from quasimod.completeness import HeineBorelRow
 
 from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
-                      random_conorm_gauge, random_quasi_pseudometric, rng_for)
+                      random_conorm_gauge, rng_for)
 from test_dense import (CORPORA, oracle_cauchy, oracle_greedy_net,
                         oracle_two_sided, split_radius)
 from test_topology import random_raw_table
@@ -134,27 +134,7 @@ def raw_gauges():
         yield dataclasses.replace(g, grid=ScaleGrid((1.0, 3.0, 4.0)))
 
 
-def nan_gauges():
-    """Closed forms with NaN for one pair, then for several: below no
-    radius, and left out of the thresholds and of the ranked values.  Each
-    NaN is a fresh object, so a set keeps every one of them."""
-    for k in range(8):
-        rng = rng_for(960 + k)
-        points = points_named(rng.randrange(3, 7))
-        d = random_quasi_pseudometric(rng, points)
-        pairs = [(x, y) for x in points for y in points if x != y]
-        bad = set(rng.sample(pairs, 1 if k < 4 else len(pairs) // 3))
-
-        def fn(x, y, t, d=d, bad=bad):
-            return float("nan") if (x, y) in bad else d[(x, y)] * 2.0 / t
-
-        yield GaugeSpec(regime=Regime.ADDITIVE, points=points,
-                        grid=ScaleGrid((0.5, 1.0, 3.0)), fn=fn,
-                        name=f"nan_{k}")
-
-
-GAUGES = {**CORPORA, "raw": raw_gauges, "corrupted": corrupted_gauges,
-          "nan": nan_gauges}
+GAUGES = {**CORPORA, "raw": raw_gauges, "corrupted": corrupted_gauges}
 
 
 def samples(g):
@@ -200,7 +180,7 @@ def test_cauchy_scan_matches_the_replaced_loop(name, oracle):
                 loop_cauchy(pts, g, thresholds, classify), (g.name, pts)
 
 
-def test_corpora_exercise_escapes_off_grid_halves_and_nan():
+def test_corpora_exercise_escapes_and_off_grid_halves():
     # the comparisons above are only as strong as the rows they meet
     escapes = off_grid = 0
     for g in corrupted_gauges():
@@ -210,9 +190,6 @@ def test_corpora_exercise_escapes_off_grid_halves_and_nan():
         off_grid += any(t / 2.0 not in g.grid.scales and t / 2.0 > g.grid[0]
                         for t in g.grid)
     assert escapes > 0 and off_grid > 0
-    for g in nan_gauges():
-        assert any(math.isnan(v) for t in g.grid for row in g.matrix(t)
-                   for v in row)
     # and the ball rows below meet repeated points and a scale whose half
     # reads its own column
     assert all(len(set(samples(g)[2])) < len(samples(g)[2])

@@ -1,4 +1,8 @@
-"""Gauge construction, evaluation semantics, and the JSON wire format."""
+"""Gauge construction, evaluation semantics, the range rule, and the JSON
+wire format."""
+
+import math
+import re
 
 import pytest
 
@@ -11,8 +15,13 @@ from quasimod import (
     ScaleGrid,
     TConorm,
     Violation,
+    check_axioms,
+    classify_cauchy,
+    entourage,
     gauge_from_json,
     gauge_to_json,
+    heine_borel_report,
+    luxemburg_distance,
     make_classical_modular,
     make_min_cap,
     make_one_sided_integral,
@@ -21,7 +30,9 @@ from quasimod import (
     make_sublinear,
     opposite,
     quasi_pseudometric_check,
+    quasi_uniformity_report,
     symmetrize,
+    verify_join_equality,
 )
 
 from conftest import (
@@ -342,3 +353,49 @@ def test_reading_a_gauge_document_checks_each_table_value_once(monkeypatch):
         gauge_from_json(doc)
         assert len(calls) == len(g.points) ** 2 * len(g.grid), g.name
 
+
+# ---------------------------------------------------------------------------
+# one range rule: a closed-form value off the regime's range raises where it
+# is read, naming its pair and scale, whichever entry point reads it
+
+RANGE_READS = {
+    "check_axioms": check_axioms,
+    "verify_join_equality": verify_join_equality,
+    "heine_borel_report": heine_borel_report,
+    "quasi_uniformity_report": quasi_uniformity_report,
+    "classify_cauchy": lambda g: classify_cauchy(g.points, g, 0.5, 1.0),
+    "entourage": lambda g: entourage(g, 0.5, 1.0),
+    "luxemburg_distance": lambda g: luxemburg_distance(g, "b", "c"),
+    "tabulated": lambda g: g.tabulated(),
+    "opposite": lambda g: opposite(g).matrix(1.0),
+    "symmetrize": lambda g: symmetrize(g).matrix(1.0),
+}
+OFF_RANGE = [(None, math.nan), (None, -0.5), (TConorm.MAX, math.nan),
+             (TConorm.MAX, -0.5), (TConorm.MAX, 1.5)]
+# each entry point in each regime it takes
+RANGE_CASES = [
+    pytest.param(read, conorm, bad,
+                 id=f"{read}-{conorm.wire_name if conorm else 'additive'}-{bad}")
+    for read in sorted(RANGE_READS) for conorm, bad in OFF_RANGE
+    if read != ("luxemburg_distance" if conorm else "quasi_uniformity_report")]
+
+
+def off_range_closed_form(conorm, bad):
+    """w(b, c, t) = bad at every scale, and values in range elsewhere."""
+    def fn(x, y, t):
+        return bad if (x, y) == ("b", "c") else 0.0 if x == y else 0.25
+
+    return GaugeSpec(regime=Regime.CONORM if conorm else Regime.ADDITIVE,
+                     points=("a", "b", "c"), conorm=conorm,
+                     grid=ScaleGrid((0.5, 1.0, 2.0)), fn=fn)
+
+
+@pytest.mark.parametrize("read, conorm, bad", RANGE_CASES)
+def test_a_closed_form_value_off_its_range_raises_where_it_is_read(
+        read, conorm, bad):
+    with pytest.raises(ValueError) as err:
+        RANGE_READS[read](off_range_closed_form(conorm, bad))
+    assert re.fullmatch(
+        r"gauge value for \('b', 'c'\) at scale [0-9.e+-]+ must lie in "
+        + re.escape(f"[0, {'1' if conorm else 'inf'}], got {bad!r}"),
+        str(err.value)), str(err.value)

@@ -8,6 +8,8 @@ effect the paper fixes, so no copy of an older implementation is needed:
   the two-sided entourage and swaps the sides of the small-composite
   witnesses;
 - composition reverses under transposition: (R o S)^T = S^T o R^T;
+- the opposite gauge's axiom witnesses are the gauge's, each pair swapped
+  and each triangle (x, y, z) at split (t, s) read as (z, y, x) at (s, t);
 - the opposite gauge's Luxemburg distance d(x, y) is the gauge's d(y, x);
 - `graph` on the transposed graph swaps the forward and backward maps and
   keeps the asymmetry index;
@@ -26,12 +28,14 @@ effect the paper fixes, so no copy of an older implementation is needed:
 import contextlib
 import io
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from quasimod import (INF, NonmonotoneGaugeError, Profile, Regime,
-                      ScaleGrid, TConorm, ball, compose, converges_to,
+                      ScaleGrid, TConorm, ball, check_axioms, compose,
+                      converges_to,
                       critical_thresholds, distance_matrix, entourage,
                       format_ext, graph_from_json, graph_to_json,
                       greedy_net, luxemburg_distance, make_scaled_metric,
@@ -44,6 +48,7 @@ from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
                       random_quasi_pseudometric,
                       random_strongly_connected_graph, rng_for, transpose)
 from test_graph_report import BIG, relabel
+from test_topology import random_raw_table
 
 CONORMS = (TConorm.MAX, TConorm.PROBABILISTIC_SUM, TConorm.BOUNDED_SUM)
 
@@ -104,6 +109,51 @@ def test_the_opposite_gauge_swaps_the_small_composite_witnesses():
                         if v.witness[0] == swap[side]], g.name
             found += len(mine.violations)
     assert found > 0
+
+
+def opposite_witness(axiom, witness):
+    """The witness an axiom violation of g has as one of opposite(g)."""
+    if axiom == "zero-self":
+        return witness
+    if axiom == "triangle":
+        x, y, z, t, s, u = witness
+        return (z, y, x, s, t, u)
+    return (witness[1], witness[0], *witness[2:])
+
+
+def axiom_gauges(seed):
+    """`gauges`, corrupted copies of the additive ones, and tables under no
+    axiom in both regimes, whose triangles break at unequal splits."""
+    yield from gauges(seed)
+    rng = rng_for(1600 + seed)
+    for build in ADDITIVE_BUILDERS:
+        yield corrupt_one_entry(build(rng, rng.randrange(2, 6)), rng,
+                                bump=8.0)[0]
+    for conorm in (None, *CONORMS):
+        yield random_raw_table(rng, rng.randrange(2, 6), conorm)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_opposite_gauge_reverses_every_axiom_witness(seed):
+    found = Counter()
+    for g in axiom_gauges(seed):
+        mine, theirs = check_axioms(g), check_axioms(opposite(g))
+        assert (theirs.checked, theirs.notes) == (mine.checked, mine.notes)
+        assert Counter((v.axiom, v.witness, v.lhs, v.rhs)
+                       for v in theirs.violations) == \
+            Counter((v.axiom, opposite_witness(v.axiom, v.witness), v.lhs,
+                     v.rhs) for v in mine.violations), g.name
+        # and each report lists its triangles in x, z, y, split order
+        pos = {**{p: k for k, p in enumerate(g.points)},
+               **{t: k for k, t in enumerate(g.grid)}}
+        for report in (mine, theirs):
+            keys = [tuple(pos[w[k]] for k in (0, 2, 1, 3, 4))
+                    for w in (v.witness for v in report.by_axiom("triangle"))]
+            assert keys == sorted(keys), g.name
+        found.update(v.axiom for v in mine.violations)
+    assert set(found) == {"zero-self", "separation", "bounded", "triangle",
+                          "scale-monotone"}
+    assert found["triangle"] > 1
 
 
 @pytest.mark.parametrize("seed", range(8))

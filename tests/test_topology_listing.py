@@ -1,8 +1,6 @@
 """Ball topologies from column dominance, and their open-set listing, against
 brute-force oracles."""
 
-import math
-
 from quasimod import (INF, GaugeSpec, Regime, ScaleGrid, TConorm,
                       critical_thresholds, entourage, generate_topology,
                       quasi_uniformity_report, small_composite_check,
@@ -10,10 +8,8 @@ from quasimod import (INF, GaugeSpec, Regime, ScaleGrid, TConorm,
 from quasimod import topology
 from quasimod.topology import FiniteTopology, JoinReport
 
-from conftest import points_named, random_conorm_gauge, rng_for
+from conftest import random_conorm_gauge, rng_for
 from test_topology import closure_oracle, hoods_oracle, members, random_raw_table
-
-NAN = math.nan
 
 
 def brute_listing(points, masks):
@@ -68,21 +64,8 @@ def test_topologies_with_equal_hoods_share_one_listing():
     assert seen == {True, False}
 
 
-def nan_closure(rng, n):
-    """An additive closed form under no axiom, read on its grid only, with
-    NaN for about one value in five, diagonal included, and finite values
-    elsewhere.  (A conorm refuses NaN, so no conorm gauge symmetrizes one.)"""
-    pts = points_named(n)
-    grid = ScaleGrid((0.5, 1.0, 2.0))
-    vals = {(x, y, t): rng.choice((NAN, 0.0, 1.0, 2.0, 3.0))
-            for x in pts for y in pts for t in grid}
-    return GaugeSpec(regime=Regime.ADDITIVE, points=pts, grid=grid,
-                     fn=lambda x, y, t: vals[(x, y, t)], name=f"nan_{n}")
-
-
 def entourage_rows(g, side):
-    """The entourage rows on one side at every critical threshold, read
-    from the closed form itself: its sweeps leave every NaN out."""
+    """The entourage rows on one side at every critical threshold."""
     return [row for r, t in critical_thresholds(g).pairs()
             for row in entourage(g, r, t, side)]
 
@@ -98,21 +81,10 @@ def assert_hoods_match_the_entourages(g):
     return report
 
 
-def test_nan_values_lie_in_no_ball_and_bound_no_hood():
-    nans = 0
-    for seed in range(30):
-        rng = rng_for(2500 + seed)
-        g = nan_closure(rng, rng.randrange(2, 7))
-        nans += sum(v != v for m in g.sample()[2] for row in m for v in row)
-        report = assert_hoods_match_the_entourages(g)
-        assert all(h >> i & 1 for i, h in enumerate(report.tau_plus.hoods))
-    assert nans
-
-
-def test_nan_beside_the_cap_bounds_no_hood():
-    # w(a, b) = inf puts b in no ball around a, so w(a, c) = NaN keeps c
+def test_values_at_the_cap_bound_no_hood():
+    # w(a, b) = inf puts b in no ball around a, so w(a, c) = inf keeps c
     # out of no hood of b: b's smallest open set is {b, c}
-    w = {("a", "a"): 0.0, ("a", "b"): INF, ("a", "c"): NAN,
+    w = {("a", "a"): 0.0, ("a", "b"): INF, ("a", "c"): INF,
          ("b", "a"): 1.0, ("b", "b"): 0.0, ("b", "c"): 0.0,
          ("c", "a"): 1.0, ("c", "b"): 1.0, ("c", "c"): 0.0}
     g = GaugeSpec(regime=Regime.ADDITIVE, points=("a", "b", "c"),
