@@ -10,22 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
+from typing import NamedTuple
 
-from .extreal import ext_mul, format_ext
+from .extreal import ext_mul
 from .gauges import GaugeSpec, Regime, _rows_symmetric, triangle_violations
 from .profiles import Profile, ScaleGrid, profile_convolve
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
+    """A failed axiom: its witness (points, then scales) and both sides."""
     axiom: str
     witness: tuple
     lhs: float
     rhs: float
-
-    def to_json(self) -> dict:
-        return {"axiom": self.axiom, "witness": list(self.witness),
-                "lhs": format_ext(self.lhs), "rhs": format_ext(self.rhs)}
 
 
 @dataclass(frozen=True)
@@ -40,11 +37,6 @@ class AxiomReport:
 
     def by_axiom(self, axiom: str) -> list[Violation]:
         return [v for v in self.violations if v.axiom == axiom]
-
-    def to_json(self) -> dict:
-        return {"checked": list(self.checked),
-                "violations": [v.to_json() for v in self.violations],
-                "notes": list(self.notes)}
 
 
 def _pair_series(points: tuple, stack):

@@ -24,7 +24,7 @@ from math import copysign
 from operator import add, itemgetter
 from typing import NamedTuple
 
-from .axioms import check_axioms
+from .axioms import Violation, check_axioms
 from .completeness import (_HB_KEYS, classify_cauchy_thresholds,
                            heine_borel_report)
 from .conorms import conorm_from_name
@@ -120,15 +120,17 @@ class _PairMap(NamedTuple):
 
 
 class _RowTable(NamedTuple):
-    """A list of flat dicts as a key per field and rows of scalar tuples."""
+    """A list of dicts as a key per field and a tuple of values per row."""
 
     keys: tuple
     rows: list
 
 
-def _column_texts(column, head: str) -> list[str]:
-    """head + each value's text, one per distinct value: values that compare
-    equal but print apart (True, 1 and 1.0; -0.0 and 0.0) get keys apart."""
+def _column_texts(column, head: str, depth: int) -> list[str]:
+    """head + each value's text at `depth`: one per container, one per
+    distinct scalar, with keys apart for True, 1, 1.0 and for -0.0, 0.0."""
+    if any(map(isinstance, column, repeat(_CONTAINERS))):
+        return [head + _json_text(v, depth) for v in column]
     numbers = [c for c in set(map(type, column))
                if issubclass(c, (int, float))]
     keys, memo = column, dict(zip(column, column))
@@ -176,7 +178,7 @@ def _json_text(obj, depth: int = 0) -> str:
         if not (obj.keys and obj.rows):
             return _json_text([{} for _ in obj.rows], depth)
         row_inner = inner + "  "
-        cells = [_column_texts(column, _key_text(key) + ": ") for key, column
+        cells = [_column_texts(c, _key_text(k) + ": ", depth + 2) for k, c
                  in sorted(zip(obj.keys, zip(*obj.rows)), key=itemgetter(0))]
         text = (inner + "}," + inner + "{" + row_inner).join(
             map(("," + row_inner).join, zip(*cells)))
@@ -247,6 +249,14 @@ def _gauge_from_doc(doc, args) -> object:
     return g
 
 
+def _axioms_doc(report) -> dict:
+    """An axiom report's document, its violations laid out by columns."""
+    return {"checked": list(report.checked), "notes": list(report.notes),
+            "violations": _RowTable(Violation._fields, [
+                (axiom, witness, format_ext(lhs), format_ext(rhs))
+                for axiom, witness, lhs, rhs in report.violations])}
+
+
 def cmd_check_axioms(args) -> int:
     now = time.perf_counter()
     g = _gauge_from_doc(_load_json(args.input), args)
@@ -254,7 +264,7 @@ def cmd_check_axioms(args) -> int:
     now = _phase_done("check-axioms", "read", now, n)
     report = check_axioms(g)
     now = _phase_done("check-axioms", "axioms", now, n)
-    _emit({"command": "check-axioms", "axioms": report.to_json()}, args.output)
+    _emit({"command": "check-axioms", "axioms": _axioms_doc(report)}, args.output)
     _phase_done("check-axioms", "write", now, n)
     return 0 if report.ok else 1
 
@@ -399,7 +409,7 @@ def cmd_graph(args) -> int:
         # axiom sweep is the only triangle check
         report = check_axioms(_min_cap_rows(rows, g.vertices, grid,
                                             "graph_gauge"))
-        doc["axioms"] = report.to_json()
+        doc["axioms"] = _axioms_doc(report)
         ok = report.ok
         t = _phase_done("graph", "axioms", t, n)
     _emit(doc, args.output, matrix=(g.vertices, rows))
@@ -473,7 +483,7 @@ def cmd_envelope(args) -> int:
     metric_report = quasi_pseudometric_check(d, points)
     now = _phase_done("envelope", "distance-check", now, n)
     doc = {"command": "envelope",
-           "distance_check": metric_report.to_json(),
+           "distance_check": _axioms_doc(metric_report),
            "upper": {str(x): format_ext(v)
                      for x, v in upper_envelope(f, d, points).items()},
            "lower": {str(x): format_ext(v)

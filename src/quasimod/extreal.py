@@ -64,7 +64,11 @@ def format_ext(value: float) -> object:
 def decode_ids(ids, what: str) -> dict:
     """{str(id): id} for ids that name the sides of "x|y" pair keys; raises
     ValueError unless the strings are unique and none holds "|", so that
-    every key names exactly one ordered pair."""
+    every key names exactly one ordered pair, and on a float id that is not
+    finite, which no report may write (and NaN equals no id, not even itself)."""
+    for i in ids:
+        if isinstance(i, float) and not math.isfinite(i):
+            raise ValueError(f"{what} id {i!r} is not a finite number")
     by_str = {str(i): i for i in ids}
     if len(by_str) != len(ids) or any("|" in s for s in by_str):
         raise ValueError(f"{what} ids must stringify uniquely and avoid '|'")

@@ -225,9 +225,7 @@ def quasi_pseudometric_check(d: Mapping, points) -> AxiomReport:
     """
     points = tuple(points)
     rows = _table_rows(d, points)
-    violations = tuple(Violation(axiom, witness, lhs, rhs)
-                       for axiom, witness, lhs, rhs
-                       in _row_violations(rows, points))
+    violations = tuple(map(Violation._make, _row_violations(rows, points)))
     note = "table is symmetric" if _rows_symmetric(rows) \
         else "table is asymmetric"
     return AxiomReport(("zero-self", "triangle"), violations, (note,))

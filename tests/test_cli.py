@@ -639,10 +639,21 @@ SEVENTEEN_POINTS = [f"p{i}" for i in range(17)]
                             for x in SEVENTEEN_POINTS
                             for y in SEVENTEEN_POINTS}},
      "at most 16 points"),
+    # the JSON literals NaN, Infinity and -Infinity read as float ids
+    ("check-axioms", {"regime": "additive", "points": [math.inf, "b"],
+                      "grid": [1.0], "table": {"inf|b": [1.0], "b|inf": [1.0]}},
+     "bad gauge document: point id inf is not a finite number"),
+    ("graph", {"vertices": [-math.inf, "b"],
+               "edges": [{"from": "b", "to": -math.inf, "cost": 1.0}]},
+     "bad graph document: vertex id -inf is not a finite number"),
+    ("envelope", {"points": [math.nan, 1], "distance": {"nan|1": 1, "1|nan": 3},
+                  "domain": [1], "values": {"1": 0.5}, "lipschitz": 1},
+     "bad envelope document: point id nan is not a finite number"),
 ], ids=["gauge-table-list", "envelope-distance-list",
         "envelope-unhashable-point", "cover-sequence-number",
         "orlicz-exponent-overflow", "cover-unsplittable-radius",
-        "cover-scale-halving-to-zero", "topology-17-points"])
+        "cover-scale-halving-to-zero", "topology-17-points",
+        "gauge-infinite-point", "graph-infinite-vertex", "envelope-nan-point"])
 def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys,
                                                         command, doc,
                                                         message):

@@ -485,7 +485,7 @@ def test_convexity_check_matches_the_per_pair_loops():
     for g, points, grid in sweep_cases(convex_gauges(),
                                        ScaleGrid((0.25, 0.75, 3.0))):
         want = oracle_convexity_check(g, points, grid)
-        assert convexity_check(g, points, grid).to_json() == want.to_json(), \
+        assert convexity_check(g, points, grid) == want, \
             (g.name, points, grid)
         found += len(want.violations)
     assert found > 0
@@ -496,8 +496,8 @@ def test_enriched_triangle_check_matches_the_per_pair_loops():
     for g, points, grid in sweep_cases(conorm_gauges(),
                                        ScaleGrid((0.25, 0.5, 1.5, 3.0))):
         want = oracle_enriched_triangle_check(g, points, grid)
-        assert enriched_triangle_check(g, points, grid).to_json() == \
-            want.to_json(), (g.name, points, grid)
+        assert enriched_triangle_check(g, points, grid) == want, \
+            (g.name, points, grid)
         found += len(want.violations)
     assert found > 0
 
@@ -581,12 +581,13 @@ def test_small_composite_check_matches_the_entourage_loops():
     for g, points, grid in sweep_cases(uniformity_gauges(),
                                        ScaleGrid((0.25, 0.5, 1.5, 3.0))):
         want = oracle_small_composite_check(g, points, grid)
-        assert small_composite_check(g, points, grid).to_json() == \
-            want.to_json(), (g.name, points, grid)
+        assert small_composite_check(g, points, grid) == want, \
+            (g.name, points, grid)
         # handed the thresholds it would compute, it reports the same
         thresholds = critical_thresholds(g, points, grid)
-        assert small_composite_check(g, iter(points), thresholds=thresholds) \
-            .to_json() == want.to_json(), (g.name, points, grid)
+        assert small_composite_check(g, iter(points),
+                                     thresholds=thresholds) == want, \
+            (g.name, points, grid)
         found += len(want.violations)
     assert found > 0
 
@@ -597,7 +598,7 @@ def test_threshold_readers_sample_nothing_when_handed_thresholds(monkeypatch):
     g = next(g for g in closed_form_corpus() if g.regime is Regime.CONORM)
     thresholds = ThresholdSet((0.25, 0.5), ScaleGrid((0.5, 1.0)))
     want_hb = heine_borel_report(g, thresholds=thresholds)
-    want_sc = small_composite_check(g, thresholds=thresholds).to_json()
+    want_sc = small_composite_check(g, thresholds=thresholds)
     calls = []
     sample = GaugeSpec.sample
     monkeypatch.setattr(GaugeSpec, "sample",
@@ -607,8 +608,7 @@ def test_threshold_readers_sample_nothing_when_handed_thresholds(monkeypatch):
     got_hb = heine_borel_report(bare, thresholds=thresholds)
     assert got_hb.rows == want_hb.rows
     assert got_hb.all_composed_ok == want_hb.all_composed_ok
-    assert small_composite_check(bare, thresholds=thresholds).to_json() == \
-        want_sc
+    assert small_composite_check(bare, thresholds=thresholds) == want_sc
     assert calls == []
     quasi_uniformity_report(g)
     # its critical thresholds only: diagonal and refinement read ball rows
@@ -620,8 +620,8 @@ def test_quasi_uniformity_report_matches_the_entourage_loops():
     for g, points, grid in sweep_cases(uniformity_gauges(),
                                        ScaleGrid((0.25, 0.5, 1.5, 3.0))):
         want = oracle_quasi_uniformity_report(g, points, grid)
-        assert quasi_uniformity_report(g, points, grid).to_json() == \
-            want.to_json(), (g.name, points, grid)
+        assert quasi_uniformity_report(g, points, grid) == want, \
+            (g.name, points, grid)
         seen.update(v.axiom for v in want.violations)
     assert {"diagonal", "refinement"} <= seen
 
@@ -639,4 +639,4 @@ def test_a_repeated_point_reports_every_cell_of_the_gauge():
     assert [(v.witness[:2], v.lhs) for v in report.by_axiom("bounded")] == [
         (("a", "b"), 1.0), (("b", "a"), 1.0),
         (("b", "a"), 1.0), (("a", "b"), 1.0)]
-    assert report.to_json() == oracle_check_axioms(g, points).to_json()
+    assert report == oracle_check_axioms(g, points)

@@ -62,6 +62,15 @@ def oracle_asymmetry_index(d, points):
     return sum(1 for x, y in pairs if d[(x, y)] != d[(y, x)]) / len(pairs)
 
 
+def axiom_report_dict(report):
+    """An axiom report's dict, each violation written out field by field."""
+    return {"checked": list(report.checked),
+            "violations": [{"axiom": v.axiom, "witness": list(v.witness),
+                            "lhs": format_ext(v.lhs), "rhs": format_ext(v.rhs)}
+                           for v in report.violations],
+            "notes": list(report.notes)}
+
+
 def oracle_graph(doc, grid, csv_out):
     """(report bytes, exit code) of `quasimod graph` before the row lists."""
     g = graph_from_json(doc)
@@ -76,7 +85,7 @@ def oracle_graph(doc, grid, csv_out):
     if grid is not None:
         axioms = check_axioms(make_min_cap(
             fwd, g.vertices, ScaleGrid(tuple(grid)), name="graph_gauge"))
-        report["axioms"] = axioms.to_json()
+        report["axioms"] = axiom_report_dict(axioms)
         ok = axioms.ok
     if csv_out:
         buf = io.StringIO()

@@ -11,6 +11,9 @@ effect the paper fixes, so no copy of an older implementation is needed:
 - the opposite gauge's axiom witnesses are the gauge's, each pair swapped
   and each triangle (x, y, z) at split (t, s) read as (z, y, x) at (s, t);
 - the opposite gauge's Luxemburg distance d(x, y) is the gauge's d(y, x);
+- a table read on its grid scaled by 2^k, exactly in floats, keeps every
+  axiom violation, Heine-Borel row and smallest open set, with each
+  witness and row scale multiplied by 2^k;
 - `graph` on the transposed graph swaps the forward and backward maps and
   keeps the asymmetry index;
 - renaming every point in an order-preserving way, here by a common
@@ -38,7 +41,8 @@ from quasimod import (INF, NonmonotoneGaugeError, Profile, Regime,
                       converges_to,
                       critical_thresholds, distance_matrix, entourage,
                       format_ext, graph_from_json, graph_to_json,
-                      greedy_net, luxemburg_distance, make_scaled_metric,
+                      greedy_net, heine_borel_report, luxemburg_distance,
+                      make_scaled_metric,
                       opposite, small_composite_check, symmetrize,
                       symmetrized_luxemburg, verify_join_equality)
 from quasimod.cli import main
@@ -104,7 +108,7 @@ def test_the_opposite_gauge_swaps_the_small_composite_witnesses():
             assert theirs.notes == mine.notes
             for side in swap:
                 assert [v for v in theirs.violations if v.witness[0] == side] \
-                    == [replace(v, witness=(side, *v.witness[1:]))
+                    == [v._replace(witness=(side, *v.witness[1:]))
                         for v in mine.violations
                         if v.witness[0] == swap[side]], g.name
             found += len(mine.violations)
@@ -154,6 +158,51 @@ def test_the_opposite_gauge_reverses_every_axiom_witness(seed):
     assert set(found) == {"zero-self", "separation", "bounded", "triangle",
                           "scale-monotone"}
     assert found["triangle"] > 1
+
+
+# how many points each axiom's witness names before its scales
+WITNESS_POINTS = {"zero-self": 1, "separation": 2, "bounded": 2,
+                  "scale-monotone": 2, "triangle": 3}
+
+
+def with_scaled_witness(v, f):
+    """Violation v with each scale of its witness multiplied by f."""
+    n = WITNESS_POINTS[v.axiom]
+    return v._replace(witness=(*v.witness[:n], *(f * t for t in v.witness[n:])))
+
+
+def on_scaled_grid(g, k):
+    """g's table on its grid with every scale multiplied by 2^k."""
+    tab = g.tabulated()
+    return replace(tab, grid=ScaleGrid(tuple(t * 2.0 ** k for t in tab.grid)))
+
+
+def topology_hoods(g):
+    """The smallest open sets of the forward, backward and symmetrized ball
+    topologies."""
+    report = verify_join_equality(g)
+    return report.tau_plus.hoods, report.tau_minus.hoods, report.tau_sym.hoods
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scaling_the_grid_scales_only_the_witness_scales(seed):
+    found = Counter()
+    for g in (*axiom_gauges(seed), *scaled_metric_gauges(seed)):
+        mine, rows = check_axioms(g), heine_borel_report(g).rows
+        hoods = topology_hoods(g)
+        for k in (-3, -1, 2, 5):
+            f, scaled = 2.0 ** k, on_scaled_grid(g, k)
+            theirs = check_axioms(scaled)
+            assert (theirs.checked, theirs.notes) == (mine.checked, mine.notes)
+            assert theirs.violations == tuple(
+                with_scaled_witness(v, f) for v in mine.violations), (g.name, k)
+            assert heine_borel_report(scaled).rows == tuple(
+                row._replace(scale_t=f * row.scale_t) for row in rows), \
+                (g.name, k)
+            assert topology_hoods(scaled) == hoods, (g.name, k)
+        found.update(v.axiom for v in mine.violations)
+        found["heine-borel rows"] += len(rows)
+    assert set(found) == {*WITNESS_POINTS, "heine-borel rows"}, found
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -6,9 +6,10 @@ dict that `oracle_pair_maps` builds from the same distance rows.  It is
 checked on every report the CLI writes for documents built from the
 conftest corpora, on hand-built shapes, on lists of rows some of which are
 empty, on seeded random trees, on hand-built row tables read as their lists
-of dicts, and on the graph report's pair maps, laid out from the distance
-rows, for hostile vertex ids, also without json's C encoder; ids that would
-give two pairs one "x|y" key exit 2.
+of dicts, violation tables among them, whose witness column holds tuples,
+and on the graph report's pair maps, laid out from the distance rows, for
+hostile vertex ids, also without json's C encoder; ids that would give two
+pairs one "x|y" key exit 2.
 
 The module needs neither pytest nor hypothesis, so it also runs as a plain
 script on any interpreter the package supports:
@@ -24,7 +25,7 @@ import os
 import random
 import tempfile
 
-from quasimod import (INF, TConorm, distance_matrix, format_ext,
+from quasimod import (INF, TConorm, Violation, distance_matrix, format_ext,
                       gauge_to_json, graph_from_json, graph_to_json,
                       quasi_pseudometric_check)
 from quasimod import cli
@@ -153,11 +154,27 @@ def heine_borel_row_dict(row):
             "composed_ok": row.composed_ok, "witness": row.witness}
 
 
+def violation_dicts(table):
+    """A violation row table's list of dicts, written out field by field."""
+    return [{"axiom": axiom, "witness": list(witness), "lhs": lhs, "rhs": rhs}
+            for axiom, witness, lhs, rhs in table.rows]
+
+
+# where each command's report keeps its axiom report
+AXIOM_DOCS = {"check-axioms": "axioms", "graph": "axioms",
+              "envelope": "distance_check"}
+
+
 def expanded(command, report, matrix):
     """The report with each pair map replaced by the dict `oracle_pair_maps`
     builds from the distance rows handed to the writer beside it, and each
-    row table of a cover report by its list of row dicts, written out field
-    by field."""
+    row table of a cover report or of an axiom report's violations by its
+    list of row dicts, written out field by field."""
+    key = AXIOM_DOCS.get(command)
+    if key in report:
+        axioms = report[key]
+        report = dict(report, **{key: dict(
+            axioms, violations=violation_dicts(axioms["violations"]))})
     if command == "cover":
         hb = report["heine_borel"]
         out = dict(report, heine_borel=dict(hb, rows=list(
@@ -185,6 +202,21 @@ def test_cli_reports_match_json_dumps():
     for command, report, matrix, text in reports:
         assert text == reference(expanded(command, report, matrix)) + "\n", \
             command
+
+
+def test_axiom_reports_hand_their_violations_over_as_row_tables():
+    reports = [(command, report) for command, report, _, _
+               in cli_reports(corpus_documents())
+               if AXIOM_DOCS.get(command) in report]
+    assert {command for command, _ in reports} == set(AXIOM_DOCS)
+    found = 0
+    for command, report in reports:
+        table = report[AXIOM_DOCS[command]]["violations"]
+        assert isinstance(table, cli._RowTable), command
+        assert table.keys == Violation._fields, command
+        assert all(isinstance(row[1], tuple) for row in table.rows), command
+        found += len(table.rows)
+    assert found > 0
 
 
 def test_cover_reports_hand_their_record_lists_over_as_row_tables():
@@ -326,7 +358,8 @@ def test_the_fallback_without_the_c_encoder():
     # graph reports on hostile ids, +inf entries included, luxemburg
     # reports, one of them the error report, cover reports and the row tables
     documents = [("graph", doc, []) for doc in hostile_graphs()] + \
-        [doc for doc in corpus_documents() if doc[0] in ("luxemburg", "cover")]
+        [doc for doc in corpus_documents()
+         if doc[0] in ("luxemburg", "cover", "check-axioms", "envelope")]
     real = cli.c_make_encoder
     cli.c_make_encoder = None
     calls = cli._flat_encoder.cache_info()
@@ -334,6 +367,7 @@ def test_the_fallback_without_the_c_encoder():
         for obj in SHAPES[:12] + ROWS[:6]:
             assert same_as_reference(obj), obj
         test_row_tables_match_json_dumps_of_their_dicts()
+        test_violation_tables_match_json_dumps_of_their_dicts()
         reports = cli_reports(documents)
     finally:
         cli.c_make_encoder = real
@@ -385,6 +419,53 @@ def test_row_tables_match_json_dumps_of_their_dicts():
                          ([[table], {"b": table}], [[dicts], {"b": dicts}])):
             assert cli._json_text(obj) == reference(old), table
     assert cli._json_text(ROW_TABLES[0]) == "[]"
+
+
+# The witness column holds tuples, each written as a nested list at the
+# row's value depth; tuples that compare equal can print apart.
+VIOLATION_TABLES = [
+    # points of three types beside float scales
+    cli._RowTable(Violation._fields, [
+        ("triangle", (0, "b", 2.5, 1.0, 2.0), 1.5, 1.0),
+        ("zero-self", ("b", 0.5), 0.25, 0.0),
+        ("scale-monotone", (2.5, 0, 1.0, 4.0), 1.0, 0.5),
+        ("triangle", (0, "b", 2.5, 1.0, 2.0), 1.5, 1.0)]),
+    # "inf" on the left, -0.0 and 0.0 in one rhs column
+    cli._RowTable(Violation._fields, [
+        ("scale-monotone", ("a", "b", 1.0, 2.0), "inf", -0.0),
+        ("scale-monotone", ("a", "c", 1.0, 2.0), 1.0, 0.0),
+        ("triangle", ("a", "b", "c", 1.0, 1.0), "inf", 2.0),
+        ("scale-monotone", ("b", "c", 1.0, 2.0), 0.5, -0.0)]),
+    # witnesses equal as tuples that print apart
+    cli._RowTable(Violation._fields, [
+        ("zero-self", (0.0,), 1.0, 0.0), ("zero-self", (-0.0,), 1.0, 0.0),
+        ("zero-self", (1,), 1, 0.0), ("zero-self", (1.0,), 1.0, 0.0),
+        ("zero-self", (True, 1), True, 0.0), ("zero-self", (1, True), 1, 0)]),
+    # strings that hold brackets, separators and escapes
+    cli._RowTable(Violation._fields, [
+        ("triangle", ("]", "[", BOUNDARY, "line\nbreak", "é"), 2.0, 1.0),
+        ("triangle", ("},\n", '"', "\\", "☃", ""), "inf", 1.0)]),
+    # empty witnesses, alone, first, last and between
+    cli._RowTable(Violation._fields, [("a", (), 1.0, 0.0)]),
+    cli._RowTable(Violation._fields, [
+        ("a", (), 1.0, 0.0), ("b", ("x", 1.0), 2.0, 1.0), ("c", (), 0.5, 0.0),
+        ("d", ("y",), 1.0, 0.5), ("e", (), "inf", 0.0)]),
+    # an empty violation list
+    cli._RowTable(Violation._fields, []),
+]
+
+
+def test_violation_tables_match_json_dumps_of_their_dicts():
+    for table in VIOLATION_TABLES:
+        dicts = violation_dicts(table)
+        # alone, in an axiom report, and deeper in lists and dicts
+        for obj, old in ((table, dicts),
+                         ({"checked": ["triangle"], "violations": table},
+                          {"checked": ["triangle"], "violations": dicts}),
+                         ([[table], {"b": {"c": table}}],
+                          [[dicts], {"b": {"c": dicts}}])):
+            assert cli._json_text(obj) == reference(old), table
+    assert cli._json_text(VIOLATION_TABLES[-1]) == "[]"
 
 
 # ---------------------------------------------------------------------------
