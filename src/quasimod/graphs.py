@@ -200,8 +200,14 @@ class DynamicCostSchedule:
         if any(a >= b for a, b in zip(times, times[1:])):
             raise ValueError("schedule times must be strictly increasing")
         object.__setattr__(self, "times", times)
-        costs = {(float(t), int(k)): float(c)
-                 for (t, k), c in dict(self.costs).items()}
+        costs = {}
+        for (t, k), c in dict(self.costs).items():
+            # 0.7 or True read as an int names the wrong edge, and no
+            # snapshot reads a negative index
+            if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+                raise ValueError(f"schedule cost key ({t!r}, {k!r}) needs a "
+                                 f"non-negative integer edge index")
+            costs[(float(t), k)] = float(c)
         for (t, k), c in costs.items():
             if t not in times:
                 raise ValueError(f"cost listed at unscheduled time {t!r}")

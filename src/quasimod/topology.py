@@ -142,6 +142,8 @@ def ball(g: GaugeSpec, x, r: float, t: float, side: str = "forward",
     """Strict ball {y : w(x, y, t) < r}, one-sided or two-sided: row x of
     the entourage on the same side."""
     points = g.points if points is None else tuple(points)
+    if x not in points:
+        raise ValueError(f"unknown point {x!r}")
     row = entourage(g, r, t, side, points)[points.index(x)]
     return tuple(p for j, p in enumerate(points) if row & (1 << j))
 

@@ -9,6 +9,7 @@ No tolerance fudging is needed anywhere in the suite.
 """
 
 import dataclasses
+import json
 import random
 
 from quasimod import (
@@ -18,13 +19,21 @@ from quasimod import (
     Edge,
     GaugeSpec,
     MusielakOrlicz,
+    Profile,
     Regime,
     ScaleGrid,
     TConorm,
+    gauge_to_json,
+    graph_to_json,
     make_min_cap,
     make_one_sided_integral,
+    make_ratio,
+    make_scaled_metric,
     make_sublinear,
 )
+from quasimod.cli import main
+
+CONORMS = tuple(TConorm)
 
 
 def points_named(n, prefix="p"):
@@ -33,6 +42,15 @@ def points_named(n, prefix="p"):
 
 def rng_for(seed):
     return random.Random(seed)
+
+
+def members(points, mask):
+    return [p for i, p in enumerate(points) if mask & (1 << i)]
+
+
+def probe_scales(grid):
+    """Grid scales, their halves, and one scale past the top."""
+    return sorted({s for t in grid for s in (t, t / 2.0)} | {2.0 * grid[-1]})
 
 
 def transpose(rows):
@@ -50,18 +68,15 @@ def min_plus_closure(points, d):
     """Floyd-Warshall to a fixpoint.  At the fixpoint every triangle
     d(x,z) <= d(x,y) + d(y,z) holds as an exact float comparison."""
     d = dict(d)
-    for y in points:
-        for x in points:
-            for z in points:
-                cand = d[(x, y)] + d[(y, z)]
-                if cand < d[(x, z)]:
-                    d[(x, z)] = cand
     while True:
         changed = False
         for y in points:
             for x in points:
+                d_xy = d[(x, y)]  # no z lowers it while d(y, y) >= 0
+                if d_xy == INF:
+                    continue
                 for z in points:
-                    cand = d[(x, y)] + d[(y, z)]
+                    cand = d_xy + d[(y, z)]
                     if cand < d[(x, z)]:
                         d[(x, z)] = cand
                         changed = True
@@ -69,12 +84,16 @@ def min_plus_closure(points, d):
             return d
 
 
-def random_quasi_pseudometric(rng, points):
-    """Asymmetric distance table with entries in [0.5, 3.0] on a 1/16 grid."""
+def random_quasi_pseudometric(rng, points, holes=0.0):
+    """Asymmetric distance table with entries in [0.5, 3.0] on a 1/16 grid.
+    With holes > 0 that share of the raw off-diagonal entries starts at
+    +inf; the closure may keep some of them infinite."""
     d = {}
     for x in points:
         for y in points:
-            d[(x, y)] = 0.0 if x == y else rng.randrange(8, 49) / 16
+            d[(x, y)] = 0.0 if x == y else \
+                INF if holes and rng.random() < holes else \
+                rng.randrange(8, 49) / 16
     return min_plus_closure(points, d)
 
 
@@ -360,3 +379,206 @@ def random_total_function(rng, space, lo=-16, hi=17):
     if all(v == 0.0 for v in f.values()):
         f[space.points[0]] = 1.0
     return f
+
+
+# ---------------------------------------------------------------------------
+# tables under no axiom, and the dense layer's corpora
+
+
+def random_raw_table(rng, n, conorm=None):
+    """Table under no axiom: each value drawn per pair and scale from a few
+    levels with zero and the top (inf, or 1 for a conorm), so that balls
+    and smallest open sets differ across points and scales."""
+    levels = (0.0, 0.0, 0.0, 0.5, 1.0) if conorm else (0.0, 0.0, 0.0, 1.0, INF)
+    pts = tuple(f"p{i}" for i in range(n))
+    grid = ScaleGrid((0.5, 1.0, 2.0))
+    table = {(x, y): tuple(rng.choice(levels) for _ in grid)
+             for x in pts for y in pts}
+    return GaugeSpec(regime=Regime.CONORM if conorm else Regime.ADDITIVE,
+                     points=pts, conorm=conorm, grid=grid, table=table,
+                     name=f"raw_{conorm.wire_name if conorm else 'additive'}")
+
+
+def skew_gauge():
+    # w(a, b) = 0 puts b in a's forward cell, but the way back costs 9
+    return GaugeSpec(regime=Regime.ADDITIVE, points=("a", "b", "c"),
+                     grid=ScaleGrid((1.0, 2.0)),
+                     table={("a", "b"): (0.0, 0.0), ("b", "a"): (9.0, 9.0),
+                            ("a", "c"): (5.0, 5.0), ("c", "a"): (5.0, 5.0),
+                            ("b", "c"): (5.0, 5.0), ("c", "b"): (5.0, 5.0)})
+
+
+def additive_corpus():
+    for k in range(6):
+        rng = rng_for(700 + k)
+        yield ADDITIVE_BUILDERS[k % 4](rng, rng.randrange(2, 6)).tabulated()
+
+
+def conorm_corpus():
+    for k in range(6):
+        rng = rng_for(720 + k)
+        yield random_conorm_gauge(rng, rng.randrange(2, 6), CONORMS[k % 3])
+
+
+def closed_form_corpus():
+    for k in range(4):
+        rng = rng_for(740 + k)
+        yield ADDITIVE_BUILDERS[k % 4](rng, rng.randrange(2, 6))
+    for k in range(2):
+        rng = rng_for(760 + k)
+        points = points_named(rng.randrange(2, 6))
+        ratio = make_ratio(random_quasi_pseudometric(rng, points), points)
+        yield GaugeSpec(regime=ratio.regime, points=ratio.points,
+                        conorm=ratio.conorm, grid=CONORM_GRID,
+                        name=ratio.name, fn=ratio.fn)
+
+
+CORPORA = {"additive": additive_corpus, "conorm": conorm_corpus,
+           "closed_form": closed_form_corpus}
+
+
+def corpus(name):
+    return list(CORPORA[name]())
+
+
+def _materialize(g, points, grid):
+    """One row of values along the grid per distinct ordered pair, as the
+    sweeps read them before `GaugeSpec.sample`."""
+    idx = [(x, g.index(x)) for x in points]
+    columns = [g.matrix(t) for t in grid]
+    return {(x, y): [col[i][j] for col in columns]
+            for x, i in idx for y, j in idx}
+
+
+def corrupted_gauges():
+    for k in range(8):
+        rng = rng_for(900 + k)
+        yield corrupt_one_entry(ADDITIVE_BUILDERS[k % 4](
+            rng, rng.randrange(3, 6)), rng, bump=8.0)[0]
+    for k in range(3):
+        rng = rng_for(920 + k)
+        yield corrupt_one_entry(random_conorm_gauge(
+            rng, rng.randrange(3, 6), TConorm.MAX), rng)[0]
+    yield skew_gauge()
+
+
+def raw_gauges():
+    """Tables under no axiom, on their own grid and on one where t/2 of
+    the middle scale falls between grid scales."""
+    for k, conorm in enumerate((None, *CONORMS, None)):
+        rng = rng_for(940 + k)
+        g = random_raw_table(rng, rng.randrange(2, 7), conorm)
+        yield g
+        yield dataclasses.replace(g, grid=ScaleGrid((1.0, 3.0, 4.0)))
+
+
+# the cover corpora: escapes, off-grid halves and repeated columns
+GAUGES = {**CORPORA, "raw": raw_gauges, "corrupted": corrupted_gauges}
+
+
+# ---------------------------------------------------------------------------
+# scale-dependent additive tables: w = g(t) * d
+
+
+def scaled_metric_data(seed, holes=0.0):
+    """(d, g, points) on dyadic data: d from `random_quasi_pseudometric`,
+    with that share of +inf holes, and g a nonincreasing profile, so no
+    pair raises NonmonotoneGaugeError and many pairs have different
+    distances in the two directions."""
+    rng = rng_for(1800 + seed)
+    for _ in range(3):
+        points = points_named(rng.randrange(2, 6))
+        exponents = sorted(rng.sample(range(-3, 5), rng.randrange(2, 6)))
+        values = sorted((rng.randrange(0, 33) / 8 for _ in exponents),
+                        reverse=True)
+        profile = Profile(ScaleGrid(tuple(2.0 ** k for k in exponents)),
+                          tuple(values))
+        yield random_quasi_pseudometric(rng, points, holes), profile, points
+
+
+def scaled_metric_gauges(seed, holes=0.0):
+    """w = g(t) * d over `scaled_metric_data`."""
+    for d, profile, points in scaled_metric_data(seed, holes):
+        yield make_scaled_metric(d, profile, points)
+
+
+# ---------------------------------------------------------------------------
+# documents
+
+
+def to_doc(g):
+    return {"vertices": list(g.vertices),
+            "edges": [{"from": e.u, "to": e.v, "mu": e.mu, "cost": e.cost}
+                      for e in g.edges]}
+
+
+def relabel(doc, names):
+    """The same graph with vertex i renamed names[i]."""
+    new = dict(zip(doc["vertices"], names))
+    return {"vertices": list(names),
+            "edges": [dict(e, **{"from": new[e["from"]], "to": new[e["to"]]})
+                      for e in doc["edges"]]}
+
+
+# Benchmark-size graphs: names such as v1, v10 and v2 stop sorting in
+# vertex order, and every map has up to 8,100 keys.
+BIG = {"strongly_connected": lambda rng, n: to_doc(
+           random_strongly_connected_graph(rng, n)),
+       "unreachable": lambda rng, n: to_doc(
+           random_digraph(rng, n, p=2.5 / n))}
+
+
+def valid_documents():
+    """One seeded valid document per command."""
+    rng = rng_for(900)
+    conorm = gauge_to_json(random_conorm_gauge(rng, 3, TConorm.MAX))
+    additive = gauge_to_json(random_min_cap_gauge(rng, 3))
+    space = random_measure_space(rng, 3)
+    functions = {f"f{i}": {str(p): v for p, v in
+                           random_total_function(rng, space).items()}
+                 for i in range(2)}
+    points = points_named(3)
+    rho = random_quasi_pseudometric(rng, points)
+    return {
+        "check-axioms": conorm,
+        "topology": conorm,
+        "cover": {"space": additive, "sequence": list(additive["points"]) * 2},
+        "luxemburg": additive,
+        "graph": graph_to_json(random_strongly_connected_graph(rng, 4)),
+        "orlicz": {"space": space.to_json(), "functions": functions,
+                   "phi": random_orlicz_family(rng, space).to_json(),
+                   "psi1": random_orlicz_family(rng, space).to_json(),
+                   "psi2": random_orlicz_family(rng, space).to_json()},
+        "envelope": {"points": list(points),
+                     "distance": {f"{x}|{y}": v for (x, y), v in rho.items()},
+                     "domain": list(points[:2]),
+                     "values": {points[0]: 0.0, points[1]: 0.5},
+                     "lipschitz": 1.0},
+    }
+
+
+# ---------------------------------------------------------------------------
+# the command line
+
+
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+def strict_json(text):
+    """The report parsed as JSON proper: NaN, Infinity and -Infinity raise."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def write_doc(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def run(tmp_path, command, doc, *extra):
+    """(exit code, parsed report) of `quasimod <command>` on `doc`."""
+    src = write_doc(tmp_path, "in.json", doc)
+    out = tmp_path / "out.json"
+    code = main([command, "--input", src, "--output", str(out), *extra])
+    return code, strict_json(out.read_text(encoding="utf-8"))

@@ -1,0 +1,459 @@
+"""Mutation harness: each listed mutant of `src/quasimod` must fail the
+tests listed beside it.
+
+    python tests/mutants.py
+
+An entry names a module, an anchor that must occur exactly once in it, the
+text that replaces the anchor, and the tests that must kill the result.
+For every entry the script copies `src/` and `tests/` into a temporary
+directory, patches the copy and runs the named tests there with pytest:
+PYTHONPATH at the copy, a temporary working directory, and no bytecode or
+cache written, so the checkout is left as it was.  The unpatched copy must
+pass every named test first.  The outcome goes to stdout as JSON, one
+record per mutant, and the exit code is 1 when an anchor is stale, the
+unpatched copy fails, or a mutant survives.  It needs pytest and
+hypothesis, which the tests import, and runs two copies at a time.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKERS = 2
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # a file of src/quasimod
+    anchor: str
+    replacement: str
+    tests: tuple  # pytest node ids under tests/
+
+
+REF = "test_reference.py::test_reports_match_the_reference"
+AXIOM_LOOPS = "test_triangle_kernel.py::test_check_axioms_matches_the_replaced_loops"
+OPPOSITE_WITNESSES = ("test_metamorphic.py::"
+                      "test_the_opposite_gauge_reverses_every_axiom_witness[0]")
+SCALED_GRID = ("test_metamorphic.py::"
+               "test_scaling_the_grid_scales_only_the_witness_scales[0]")
+OPPOSITE_SIDES = ("test_metamorphic.py::"
+                  "test_the_opposite_gauge_swaps_forward_and_backward[0]")
+BALL_ROWS = "test_cover_rows.py::test_ball_rows_match_brute_force"
+ROW_BUILDS = "test_cover_rows.py::test_row_builds_stay_within_the_distinct_keys"
+COVER_ROWS = "test_cover_rows.py::test_report_matches_the_reference"
+CAUCHY_ROWS = "test_cover_rows.py::test_cauchy_scan_matches_the_reference"
+ESCAPES = "test_dense.py::test_planted_cell_escapes_carry_the_oracle_witness"
+JOIN = "test_topology.py::test_join_report_matches_the_closure_oracle_on_corpora"
+PAIR_MAPS = ("test_report_writer.py::"
+             "test_pair_maps_match_json_dumps_of_the_row_updates")
+GUARD = ("test_bisection_guard.py::"
+         "test_guard_matches_the_rescanning_guard_on_seeded_maps")
+GUARD_WORK = "test_bisection_guard.py::test_guard_work_is_linear_in_the_probes"
+
+MUTANTS = (
+    # check_axioms: witness order, splits and the triangle law
+    Mutant("triangle points reversed", "axioms.py",
+           'Violation("triangle", (points[x], points[y], points[z],',
+           'Violation("triangle", (points[z], points[y], points[x],',
+           (AXIOM_LOOPS, OPPOSITE_WITNESSES)),
+    Mutant("each witness tuple reversed", "axioms.py",
+           "return AxiomReport(checked, tuple(violations), tuple(notes))",
+           "return AxiomReport(checked, tuple(v._replace(witness=v.witness"
+           "[::-1]) for v in violations), tuple(notes))",
+           (AXIOM_LOOPS, OPPOSITE_WITNESSES)),
+    Mutant("triangle hits reversed", "axioms.py",
+           "for x, z, y, n, lhs, rhs in hits)",
+           "for x, z, y, n, lhs, rhs in hits[::-1])",
+           (AXIOM_LOOPS, OPPOSITE_WITNESSES)),
+    Mutant("whole violation list reversed", "axioms.py",
+           "return AxiomReport(checked, tuple(violations), tuple(notes))",
+           "return AxiomReport(checked, tuple(violations[::-1]), tuple(notes))",
+           (AXIOM_LOOPS, OPPOSITE_WITNESSES)),
+    Mutant("triangle hits in x, y, z order", "axioms.py",
+           "for x, z, y, n, lhs, rhs in hits)",
+           "for x, z, y, n, lhs, rhs in sorted(\n"
+           "                hits, key=lambda h: (h[0], h[2], h[1], h[3])))",
+           (AXIOM_LOOPS,)),
+    Mutant("no first-split restriction", "axioms.py",
+           "splits = splits[:1]  # every split reads the same values",
+           "splits = splits  # every split reads the same values",
+           (AXIOM_LOOPS,)),
+    Mutant("split scale floored at 1", "axioms.py",
+           "[grid.ceil_index(grid[i] + grid[j])]",
+           "[grid.ceil_index(max(grid[i] + grid[j], 1.0))]",
+           (SCALED_GRID,)),
+    Mutant("add at the check_axioms call", "axioms.py",
+           "stack[u], stack[i], stack[j], g.oplus))",
+           "stack[u], stack[i], stack[j]))",
+           (AXIOM_LOOPS,)),
+    Mutant("add as the conorm law", "gauges.py",
+           "return add if self.regime is Regime.ADDITIVE else self.conorm.law",
+           "return add",
+           (AXIOM_LOOPS,)),
+    Mutant(">= in triangle_violations", "gauges.py",
+           "                    if v > rhs:",
+           "                    if v >= rhs:",
+           ("test_triangle_kernel.py::test_kernel_lists_index_triples_in_order",)),
+    Mutant("symmetry by list ==", "gauges.py",
+           "    return all(map(eq, chain.from_iterable(rows),\n"
+           "                   chain.from_iterable(zip(*rows))))",
+           "    return [list(r) for r in rows] == [list(c) for c in zip(*rows)]",
+           ("test_triangle_kernel.py::"
+            "test_kernel_matches_the_triple_loop_on_seeded_tables",)),
+    Mutant("matrix reads the column below", "gauges.py",
+           "return self._columns[-1 if k is None else k]",
+           "return self._columns[-1 if k is None else max(k - 1, 0)]",
+           ("test_dense.py::test_matrix_matches_value_on_and_off_the_grid",)),
+    Mutant("zero values kept as radii", "topology.py",
+           "if 0 < v < cap})",
+           "if 0 <= v < cap})",
+           ("test_dense.py::"
+            "test_critical_thresholds_on_a_subset_match_the_oracle",)),
+    # ball rows, covers and Cauchy scans
+    Mutant("bisect_right in _BallRows.rows", "topology.py",
+           "cut = bisect_left(sweep.values, r)",
+           'cut = __import__("bisect").bisect_right(sweep.values, r)',
+           (BALL_ROWS,)),
+    Mutant("backward _Sweep rows built from matrix rows", "topology.py",
+           "bwd[j] |= 1 << i",
+           "bwd[i] |= 1 << j",
+           (BALL_ROWS, OPPOSITE_SIDES)),
+    Mutant("_side_rows returns forward rows for backward", "topology.py",
+           'return fwd if side == "forward" else bwd',
+           "return fwd",
+           (OPPOSITE_SIDES,)),
+    Mutant("compose reads a for b", "topology.py",
+           "compress(b, format(row, fmt)",
+           "compress(a, format(row, fmt)",
+           ("test_topology.py::test_compose_matches_set_oracle",
+            "test_metamorphic.py::"
+            "test_composition_reverses_under_transposition[0]")),
+    Mutant("rows extended from a cut above", "topology.py",
+           "below = self.cuts[k - 1]",
+           "below = self.cuts[min(k, len(self.cuts) - 1)]",
+           (BALL_ROWS,)),
+    Mutant("a row source that rebuilds every call", "topology.py",
+           "fwd, bwd = sweep.built.get(cut) or sweep.build(cut)",
+           "fwd, bwd = sweep.build(cut)",
+           (ROW_BUILDS,)),
+    Mutant("one sort per scale instead of per matrix", "topology.py",
+           "sweep = self._sweeps.get(id(mat))",
+           "sweep = None",
+           (ROW_BUILDS,)),
+    Mutant("Heine-Borel memo key without the rank", "completeness.py",
+           "        out = outcomes.get((near_key, key))\n"
+           "        if out is None:\n"
+           "            out = outcomes[near_key, key] = ",
+           "        out = outcomes.get((near_key[0], key[0]))\n"
+           "        if out is None:\n"
+           "            out = outcomes[near_key[0], key[0]] = ",
+           (COVER_ROWS, f"{REF}[cover-conorm0]")),
+    Mutant("Cauchy memo key without the rank", "completeness.py",
+           "        if key not in memo:\n"
+           "            memo[key] = _classify(fwd, bwd)\n"
+           "        out.append((r, t, memo[key]))",
+           "        if key[0] not in memo:\n"
+           "            memo[key[0]] = _classify(fwd, bwd)\n"
+           "        out.append((r, t, memo[key[0]]))",
+           (CAUCHY_ROWS,)),
+    Mutant("escape witness read at t/2", "completeness.py",
+           "witness = escape and str(_escape_error(balls, escape, r, t))",
+           "witness = escape and str(_escape_error(balls, escape, r, t / 2.0))",
+           (COVER_ROWS,)),
+    Mutant("cover half scale floored at 1/4", "completeness.py",
+           "near_key, near, far = balls.rows(s, t / 2.0)",
+           "near_key, near, far = balls.rows(s, max(t / 2.0, 0.25))",
+           (SCALED_GRID,)),
+    Mutant("last escaping point as the witness", "completeness.py",
+           "return None, False, (i, j, z, _first(escaped))",
+           "return None, False, (i, j, z, escaped.bit_length() - 1)",
+           (ESCAPES,)),
+    Mutant("escape values read the wrong way round", "completeness.py",
+           "balls.value(iz, iu, t),\n"
+           "                              balls.value(iu, iz, t), r)",
+           "balls.value(iu, iz, t),\n"
+           "                              balls.value(iz, iu, t), r)",
+           (ESCAPES,)),
+    # the three topologies
+    Mutant("tau- built from mats in place of opps", "topology.py",
+           "(chain.from_iterable(mats), chain.from_iterable(opps), syms))",
+           "(chain.from_iterable(mats), chain.from_iterable(mats), syms))",
+           (JOIN, f"{REF}[topology-raw0]")),
+    Mutant("tau_sym from each row and the row again", "topology.py",
+           "for m, opp in zip(mats, opps) for row, col in zip(m, opp)]",
+           "for m, opp in zip(mats, opps) for row, col in zip(m, m)]",
+           ("test_metamorphic.py::"
+            "test_the_symmetrized_gauge_has_one_topology_the_symmetrized_one",)),
+    Mutant("the join reads the gauge's own grid", "topology.py",
+           "points, _, mats = g.sample(points, grid)",
+           "points, _, mats = g.sample(points)",
+           (JOIN,)),
+    Mutant("the join ignores the point subset", "topology.py",
+           "points, _, mats = g.sample(points, grid)",
+           "points, _, mats = g.sample(None, grid)",
+           (JOIN,)),
+    Mutant("the join skips the transpose", "topology.py",
+           "opps = [tuple(zip(*m)) for m in mats]",
+           "opps = mats",
+           (JOIN,)),
+    Mutant("min for max in the symmetrization law", "gauges.py",
+           "return max if self.regime is Regime.ADDITIVE else self.conorm.law",
+           "return min if self.regime is Regime.ADDITIVE else self.conorm.law",
+           (JOIN,)),
+    Mutant("symmetrize reads one direction twice", "gauges.py",
+           "tuple(map(law, g.table[(x, y)], g.table[(y, x)]))",
+           "tuple(map(law, g.table[(x, y)], g.table[(x, y)]))",
+           ("test_metamorphic.py::"
+            "test_the_symmetrized_gauge_has_the_symmetrized_luxemburg_distance",)),
+    # the graph report and the writer
+    Mutant("_pair_maps builds the backward map from rows", "cli.py",
+           "_pair_maps(g.vertices, table, list(zip(*table)))",
+           "_pair_maps(g.vertices, table, table)",
+           ("test_metamorphic.py::"
+            "test_the_transposed_graph_swaps_forward_and_backward[0]",
+            f"{REF}[graph-strongly_connected-none-0]")),
+    Mutant("+inf written without format_ext", "cli.py",
+           "    text[INF] = '\"inf\"'",
+           "    text[INF] = repr(INF)",
+           (f"{REF}[graph-unreachable-none-0]",)),
+    Mutant("pair-map rows in reversed key order", "cli.py",
+           "xs = sorted(range(len(names)), key=heads.__getitem__)",
+           "xs = sorted(range(len(names)), key=heads.__getitem__, reverse=True)",
+           (PAIR_MAPS,)),
+    Mutant("pair-map keys sorted as (x, y) pairs", "cli.py",
+           "xs = sorted(range(len(names)), key=heads.__getitem__)",
+           "xs = sorted(range(len(names)), key=names.__getitem__)",
+           (PAIR_MAPS,)),
+    Mutant("pair-map columns in row order", "cli.py",
+           "ys = sorted(range(len(names)), key=names.__getitem__)",
+           "ys = xs",
+           (PAIR_MAPS,)),
+    Mutant("pair-map branch skipped", "cli.py",
+           "    if isinstance(obj, _PairMap):",
+           "    if False:",
+           (f"{REF}[graph-strongly_connected-none-0]",)),
+    Mutant("pair-map row start dropped", "cli.py",
+           "text = sep.join([pre + (sep + pre).join(",
+           "text = sep.join([(sep + pre).join(",
+           (PAIR_MAPS,)),
+    Mutant("raw unescaped pair-map row start", "cli.py",
+           "pre = [encode_basestring_ascii(heads[i])[:-1] for i in xs]",
+           "pre = ['\"' + heads[i] for i in xs]",
+           (PAIR_MAPS,)),
+    Mutant("a pair map laid out one level deep", "cli.py",
+           '        sep = "," + inner\n',
+           '        inner, outer = inner + "  ", outer + "  "\n'
+           '        sep = "," + inner\n',
+           (PAIR_MAPS,)),
+    Mutant("the C-encoder path taken without the encoder", "cli.py",
+           "c_encoder = c_make_encoder is not None",
+           "c_encoder = True",
+           ("test_report_writer.py::test_the_fallback_without_the_c_encoder",)),
+    Mutant("report text without its final newline", "cli.py",
+           'text = _json_text(report) + "\\n"',
+           "text = _json_text(report)",
+           (f"{REF}[valid-check-axioms]",)),
+    Mutant("symmetrized Luxemburg map from the distances", "cli.py",
+           "_value_texts(rows, sym)",
+           "_value_texts(rows, rows)",
+           (f"{REF}[luxemburg-scaled1_0]",)),
+    Mutant("the min-cap gauge claims no symmetry", "gauges.py",
+           "claims_symmetric=_rows_symmetric(rows),\n"
+           "        fn=lambda x, y, t: min(vals[(x, y)], t))",
+           "claims_symmetric=False,\n"
+           "        fn=lambda x, y, t: min(vals[(x, y)], t))",
+           (f"{REF}[graph-two_way-above-0]",)),
+    Mutant("asymmetry over n^2 pairs", "graphs.py",
+           "/ (n * n - n)",
+           "/ (n * n)",
+           ("test_graphs.py::test_asymmetry_index_pinned",)),
+    Mutant("Dijkstra starts from -0.0", "graphs.py",
+           "    dist[src] = 0.0",
+           "    dist[src] = -0.0",
+           (PAIR_MAPS,)),
+    Mutant("witness texts memoized by value", "cli.py",
+           "return [head + _json_text(v, depth) for v in column]",
+           "return list(map({v: head + _json_text(v, depth) for v in column}"
+           ".__getitem__, column))",
+           ("test_report_writer.py::"
+            "test_violation_tables_match_json_dumps_of_their_dicts",)),
+    Mutant("nested dicts left unsorted", "cli.py",
+           "for k, v in sorted(obj.items())]",
+           "for k, v in obj.items()]",
+           ("test_report_writer.py::test_hand_built_shapes_match_json_dumps",)),
+    Mutant("non-str keys through str()", "cli.py",
+           "return encode_basestring_ascii(_json_text(key))",
+           "return encode_basestring_ascii(str(key))",
+           ("test_report_writer.py::test_hand_built_shapes_match_json_dumps",)),
+    Mutant("empty rows laid out like the others", "cli.py",
+           "return text if all(obj) else text.replace(",
+           "return text if True else text.replace(",
+           ("test_report_writer.py::"
+            "test_empty_rows_are_written_inline_on_the_one_call_path",)),
+    Mutant("a row boundary without the item separator", "cli.py",
+           '"]," + row_inner + "[", inner',
+           '"]," + inner + "[", inner',
+           ("test_report_writer.py::test_row_lists_match_json_dumps",)),
+    Mutant("column texts through the C encoder without it", "cli.py",
+           "if c_make_encoder is None else",
+           "if False else",
+           ("test_report_writer.py::test_the_fallback_without_the_c_encoder",)),
+    Mutant("mixed row kinds take the one-call path", "cli.py",
+           "return all(map(isinstance, rows, repeat((list, tuple)))) and",
+           "return any(map(isinstance, rows, repeat((list, tuple)))) and",
+           ("test_report_writer.py::test_row_lists_match_json_dumps",)),
+    Mutant("rows holding containers take the one-call path", "cli.py",
+           "repeat((list, tuple)))) and not any(",
+           "repeat((list, tuple)))) or not any(",
+           ("test_report_writer.py::test_row_lists_match_json_dumps",)),
+    Mutant("phase log removed", "cli.py",
+           'log.debug("%s %s: %.6f s, n=%d", command, phase, now - start, n)',
+           "None",
+           ("test_cli.py::test_debug_logging_goes_to_stderr_only[cover]",)),
+    # conorms
+    Mutant("no r/4 fallback in half_radius", "conorms.py",
+           "return h if self.law(h, h) < r else r / 4.0",
+           "return h",
+           ("test_conorms.py::test_half_radius_table",)),
+    Mutant("the step-by-step probabilistic sum", "conorms.py",
+           "return fsum((a, b, -p, -err))",
+           "return a + b - a * b",
+           ("test_conorms.py::test_prob_sum_is_the_exact_value_rounded_once",)),
+    Mutant("no rational fallback", "conorms.py",
+           "if a and b and p < _SPLIT_MIN:",
+           "if False:",
+           ("test_conorms.py::test_prob_sum_is_the_exact_value_rounded_once",)),
+    # the Luxemburg search's guard
+    Mutant("guard drops `or right > bound`", "luxemburg.py",
+           "if v > left or right > bound:",
+           "if v > left:",
+           (GUARD,)),
+    Mutant("guard drops `v > left`", "luxemburg.py",
+           "if v > left or right > bound:",
+           "if right > bound:",
+           (GUARD,)),
+    Mutant("guard keeps no left bound", "luxemburg.py",
+           "left = min(left, last_bound)",
+           "left = left",
+           (GUARD,)),
+    Mutant("guard keeps no right bound", "luxemburg.py",
+           "right = max(right, v0)",
+           "right = right",
+           (GUARD,)),
+    # these two rescan more often than they need to, which only the work
+    # count sees
+    Mutant("left bound without slack", "luxemburg.py",
+           "        last_bound = bound\n",
+           "        last_bound = v\n",
+           (GUARD_WORK,)),
+    Mutant("right test without slack", "luxemburg.py",
+           "if v > left or right > bound:",
+           "if v > left or right > v:",
+           (GUARD_WORK,)),
+    Mutant("guard sides swapped", "luxemburg.py",
+           "            if lam0 < lam:",
+           "            if lam0 > lam:",
+           (GUARD,)),
+    Mutant("rescan newest first", "luxemburg.py",
+           "    for lam0, v0 in probes:",
+           "    for lam0, v0 in reversed(probes):",
+           (GUARD,)),
+    Mutant("guard that always rescans", "luxemburg.py",
+           "if v > left or right > bound:",
+           "if True:",
+           (GUARD_WORK,)),
+    # one-sided Orlicz norms
+    Mutant("negative part read as the positive part", "orlicz.py",
+           "_modular(space, pair.psi2, f, part=_negative))",
+           "_modular(space, pair.psi2, f, part=_positive))",
+           ("test_orlicz.py::"
+            "test_one_sided_modulars_are_the_modulars_of_the_parts",)),
+    Mutant("psi1 for the minus norm", "orlicz.py",
+           "norm_minus = _norm(space, pair.psi2, f, tol, part=_negative)",
+           "norm_minus = _norm(space, pair.psi1, f, tol, part=_negative)",
+           ("test_orlicz.py::test_one_sided_norms_are_the_norms_of_the_parts",)),
+    Mutant("abs in the one-sided gauge", "orlicz.py",
+           "return _modular(space, psi1, diff, t, _positive)",
+           "return _modular(space, psi1, diff, t, abs)",
+           ("test_orlicz.py::"
+            "test_one_sided_gauge_is_the_modular_of_the_scaled_positive_part",)),
+)
+
+
+def source(mutant: Mutant) -> str:
+    return (ROOT / "src" / "quasimod" / mutant.module).read_text(
+        encoding="utf-8")
+
+
+def run(tests, mutant=None):
+    """(pytest's exit code, the tail of its output) on `tests` in a fresh
+    copy of the tree, patched by `mutant` when one is given."""
+    with tempfile.TemporaryDirectory(prefix="quasimod-mutant-") as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        if mutant is not None:
+            path = tree / "src" / "quasimod" / mutant.module
+            path.write_text(source(mutant).replace(mutant.anchor,
+                                                   mutant.replacement),
+                            encoding="utf-8")
+        work = tree / "work"
+        work.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        env.pop("QUASIMOD_LOG", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", "--rootdir", str(tree),
+             *(str(tree / "tests" / t) for t in tests)],
+            cwd=work, env=env, capture_output=True, text=True, timeout=600)
+        return done.returncode, (done.stdout + done.stderr)[-1500:]
+
+
+def outcome(mutant: Mutant) -> dict:
+    start = time.perf_counter()
+    code, tail = run(mutant.tests, mutant)
+    # pytest exits 1 when a test fails; 0 means every test passed, and any
+    # other code (a collection error, say) shows no test killing it
+    status = {0: "survived", 1: "killed"}.get(code, "error")
+    record = {"name": mutant.name, "module": mutant.module, "status": status,
+              "tests": list(mutant.tests),
+              "seconds": round(time.perf_counter() - start, 2)}
+    if status == "error":
+        record["output"] = tail
+    return record
+
+
+def main() -> int:
+    stale = [m for m in MUTANTS if source(m).count(m.anchor) != 1]
+    live = [m for m in MUTANTS if m not in stale]
+    tests = list(dict.fromkeys(t for m in live for t in m.tests))
+    start = time.perf_counter()
+    code, tail = run(tests)
+    baseline = {"status": "passed" if code == 0 else "failed",
+                "tests": len(tests),
+                "seconds": round(time.perf_counter() - start, 2)}
+    records = [{"name": m.name, "module": m.module, "status": "stale",
+                "anchor_count": source(m).count(m.anchor)} for m in stale]
+    if code != 0:
+        baseline["output"] = tail
+    else:
+        with ThreadPoolExecutor(WORKERS) as pool:
+            records += pool.map(outcome, live)
+    killed = sum(r["status"] == "killed" for r in records)
+    print(json.dumps({"baseline": baseline, "killed": killed,
+                      "total": len(MUTANTS), "mutants": records}, indent=2))
+    return 0 if code == 0 and killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,18 +16,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quasimod import (DynamicCostSchedule, TConorm, conorm_from_name,
-                      gauge_from_json, gauge_to_json, graph_to_json,
+                      gauge_from_json, gauge_to_json,
                       quasi_uniformity_report, schedule_from_json,
                       schedule_to_json)
 from quasimod import cli
 from quasimod.cli import main
 from quasimod.extreal import point_resolver
 
-from conftest import (points_named, random_conorm_gauge, random_measure_space,
-                      random_min_cap_gauge, random_orlicz_family,
-                      random_quasi_pseudometric,
-                      random_strongly_connected_graph, random_total_function,
-                      rng_for)
+from conftest import (random_conorm_gauge, rng_for, run, strict_json,
+                      valid_documents, write_doc)
 
 ADDITIVE_DOC = {
     "regime": "additive",
@@ -49,33 +46,6 @@ PROBSUM_ONLY_DOC = {
               "b|c": [0.5, 0.5], "c|b": [0.5, 0.5],
               "a|c": [0.7, 0.7], "c|a": [0.7, 0.7]},
 }
-
-
-def _refuse_constant(name):
-    raise ValueError(f"report holds {name}, which is not JSON")
-
-
-def strict_json(text):
-    """The report parsed as JSON proper: NaN, Infinity and -Infinity raise."""
-    return json.loads(text, parse_constant=_refuse_constant)
-
-
-def write_doc(tmp_path, name, doc):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return str(path)
-
-
-def read_report(path):
-    with open(path, encoding="utf-8") as fh:
-        return strict_json(fh.read())
-
-
-def run(tmp_path, command, doc, *extra):
-    src = write_doc(tmp_path, "in.json", doc)
-    out = tmp_path / "out.json"
-    code = main([command, "--input", src, "--output", str(out), *extra])
-    return code, read_report(out)
 
 
 def test_check_axioms_clean_and_broken(tmp_path):
@@ -173,7 +143,7 @@ def test_luxemburg_distances_and_csv(tmp_path):
     src = write_doc(tmp_path, "g.json", ADDITIVE_DOC)
     out = tmp_path / "lux.json"
     assert main(["luxemburg", "--input", src, "--output", str(out)]) == 0
-    doc = read_report(out)
+    doc = strict_json(out.read_text(encoding="utf-8"))
     assert abs(doc["distances"]["a|b"] - 2.0) <= 1e-6
     assert doc["distances"]["a|a"] == 0.0
     assert abs(doc["symmetrized"]["a|b"] - 2.0) <= 1e-6
@@ -942,35 +912,7 @@ def test_repeated_object_keys_exit_2(tmp_path, capsys, command, doc, key,
 # hostile ones, and the file cut short
 
 
-def _valid_documents():
-    rng = rng_for(900)
-    conorm = gauge_to_json(random_conorm_gauge(rng, 3, TConorm.MAX))
-    additive = gauge_to_json(random_min_cap_gauge(rng, 3))
-    space = random_measure_space(rng, 3)
-    functions = {f"f{i}": {str(p): v for p, v in
-                           random_total_function(rng, space).items()}
-                 for i in range(2)}
-    points = points_named(3)
-    rho = random_quasi_pseudometric(rng, points)
-    return {
-        "check-axioms": conorm,
-        "topology": conorm,
-        "cover": {"space": additive, "sequence": list(additive["points"]) * 2},
-        "luxemburg": additive,
-        "graph": graph_to_json(random_strongly_connected_graph(rng, 4)),
-        "orlicz": {"space": space.to_json(), "functions": functions,
-                   "phi": random_orlicz_family(rng, space).to_json(),
-                   "psi1": random_orlicz_family(rng, space).to_json(),
-                   "psi2": random_orlicz_family(rng, space).to_json()},
-        "envelope": {"points": list(points),
-                     "distance": {f"{x}|{y}": v for (x, y), v in rho.items()},
-                     "domain": list(points[:2]),
-                     "values": {points[0]: 0.0, points[1]: 0.5},
-                     "lipschitz": 1.0},
-    }
-
-
-VALID_DOCUMENTS = _valid_documents()
+VALID_DOCUMENTS = valid_documents()
 HOSTILE_VALUES = (None, [], {}, "x", math.nan, math.inf, 1e308, HUGE)
 
 

@@ -239,6 +239,8 @@ def _error_cases():
                              "radius must be positive"),
         "ball-radius": (lambda: ball(g, "a", -1.0, 1.0),
                         "radius must be positive"),
+        "ball-centre": (lambda: ball(g, "zz", 1.0, 1.0),
+                        "unknown point 'zz'"),
         "empty-classify": (lambda: classify_cauchy((), g, 1.0, 1.0), EMPTY),
         "empty-scan": (lambda: classify_cauchy_thresholds(
             [], g, critical_thresholds(g)), EMPTY),

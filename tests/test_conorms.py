@@ -16,8 +16,8 @@ from quasimod import (GaugeSpec, Regime, ScaleGrid, TConorm, check_axioms,
                       small_composite_check, symmetrize,
                       verify_join_equality)
 
-from conftest import corrupt_one_entry, random_conorm_gauge, rng_for
-from test_topology import random_raw_table
+from conftest import (corrupt_one_entry, random_conorm_gauge,
+                      random_raw_table, rng_for)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 conorms = st.sampled_from(list(TConorm))

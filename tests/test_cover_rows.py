@@ -3,138 +3,30 @@
 `heine_borel_report` and `classify_cauchy_thresholds` read their ball rows
 from one source per call, which builds each relation once per (grid
 column, radius rank), and reuse a row's outcome wherever its relations
-repeat.  The oracles are the loops those two replaced: the report loop of
-three greedy nets and one composition per threshold pair, and the cover
-command's loop of one `classify_cauchy` per pair.  Each loop runs on the
-per-pair oracles of test_dense, which read table rows rather than
-`matrix`, and again on the public one-shot functions.  The ball rows
-themselves are compared with brute force `mat[i][j] < r`, and their work
-is counted: one sort per distinct matrix, one snapshot per rank read.
+repeat.  The oracle, `reference`, builds every row by definition: three
+greedy nets and one composition per threshold pair, and one Cauchy scan
+per pair, each reading table rows one pair at a time rather than
+`matrix`.  The ball rows themselves are compared with the reference's
+strict balls, and their work is counted: one sort per distinct matrix, one
+snapshot per rank read.
 """
 
-import dataclasses
 import math
 from bisect import bisect_left
 
 import pytest
 
-from quasimod import (CauchyClassification, CellInclusionError, GaugeSpec,
-                      HeineBorelReport, Regime, ScaleGrid,
-                      TConorm, classify_cauchy, classify_cauchy_thresholds,
-                      critical_thresholds, entourage, greedy_net,
-                      heine_borel_report,
-                      two_sided_cover_from_onesided)
+from quasimod import (GaugeSpec, Regime, ScaleGrid, classify_cauchy_thresholds,
+                      critical_thresholds, entourage, heine_borel_report)
 from quasimod import topology
-from quasimod.completeness import HeineBorelRow
 
-from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
-                      random_conorm_gauge, rng_for)
-from test_dense import (CORPORA, oracle_cauchy, oracle_greedy_net,
-                        oracle_two_sided, split_radius)
-from test_topology import random_raw_table
-
-CONORMS = (TConorm.MAX, TConorm.PROBABILISTIC_SUM, TConorm.BOUNDED_SUM)
+from conftest import (GAUGES, corrupted_gauges, points_named, probe_scales,
+                      raw_gauges, rng_for)
+from reference import cauchy_rows, heine_borel_rows, in_ball, split
 
 
 # ---------------------------------------------------------------------------
-# oracles: the replaced loops, over per-pair or public steps
-
-
-def loop_report(g, points, thresholds, net, compose):
-    rows = []
-    for r, t in thresholds.pairs():
-        s = split_radius(g, r)
-        fwd = net(points, g, s, t / 2.0, "forward")
-        bwd = net(points, g, s, t / 2.0, "backward")
-        direct = net(points, g, r, t, "two_sided")
-        composed_size, ok, witness = None, fwd.verified and bwd.verified, None
-        if ok:
-            try:
-                composed = compose(g, fwd, bwd, r, t)
-                composed_size, ok = len(composed.centers), composed.verified
-            except CellInclusionError as exc:
-                ok, witness = False, str(exc)
-        rows.append(HeineBorelRow(r, t, s, len(fwd.centers), len(bwd.centers),
-                                  len(direct.centers), composed_size, ok,
-                                  witness))
-    return HeineBorelReport(tuple(rows))
-
-
-def loop_cauchy(seq, g, thresholds, classify):
-    rows = []
-    for r, t in thresholds.pairs():
-        c = classify(seq, g, r, t)
-        rows.append({"radius": r, "scale": t, "kind": c.kind,
-                     "i0": c.i0, "forward_i0": c.forward_i0,
-                     "backward_i0": c.backward_i0})
-    return rows
-
-
-def pair_compose(g, fwd, bwd, r, t):
-    out = oracle_two_sided(g, fwd, bwd, r, t)
-    if isinstance(out, tuple):
-        raise CellInclusionError(*out)
-    return out
-
-
-def pair_classify(seq, g, r, t):
-    f, b = oracle_cauchy(seq, g, r, t)
-    if f and b:
-        return CauchyClassification("bi", max(f, b), f, b)
-    if f:
-        return CauchyClassification("forward", f, f, None)
-    if b:
-        return CauchyClassification("backward", b, None, b)
-    return CauchyClassification("neither", None, None, None)
-
-
-ORACLES = {"per_pair": (oracle_greedy_net, pair_compose, pair_classify),
-           "public": (greedy_net, two_sided_cover_from_onesided,
-                      classify_cauchy)}
-
-
-def scan_rows(seq, g, thresholds):
-    return [{"radius": r, "scale": t, "kind": c.kind, "i0": c.i0,
-             "forward_i0": c.forward_i0, "backward_i0": c.backward_i0}
-            for r, t, c in classify_cauchy_thresholds(seq, g, thresholds)]
-
-
-# ---------------------------------------------------------------------------
-# gauges
-
-
-def skew_gauge():
-    # w(a, b) = 0 puts b in a's forward cell, but the way back costs 9
-    return GaugeSpec(regime=Regime.ADDITIVE, points=("a", "b", "c"),
-                     grid=ScaleGrid((1.0, 2.0)),
-                     table={("a", "b"): (0.0, 0.0), ("b", "a"): (9.0, 9.0),
-                            ("a", "c"): (5.0, 5.0), ("c", "a"): (5.0, 5.0),
-                            ("b", "c"): (5.0, 5.0), ("c", "b"): (5.0, 5.0)})
-
-
-def corrupted_gauges():
-    for k in range(8):
-        rng = rng_for(900 + k)
-        yield corrupt_one_entry(ADDITIVE_BUILDERS[k % 4](
-            rng, rng.randrange(3, 6)), rng, bump=8.0)[0]
-    for k in range(3):
-        rng = rng_for(920 + k)
-        yield corrupt_one_entry(random_conorm_gauge(
-            rng, rng.randrange(3, 6), TConorm.MAX), rng)[0]
-    yield skew_gauge()
-
-
-def raw_gauges():
-    """Tables under no axiom, on their own grid and on one where t/2 of
-    the middle scale falls between grid scales."""
-    for k, conorm in enumerate((None, *CONORMS, None)):
-        rng = rng_for(940 + k)
-        g = random_raw_table(rng, rng.randrange(2, 7), conorm)
-        yield g
-        yield dataclasses.replace(g, grid=ScaleGrid((1.0, 3.0, 4.0)))
-
-
-GAUGES = {**CORPORA, "raw": raw_gauges, "corrupted": corrupted_gauges}
+# gauges: conftest's `GAUGES`, each read on these point lists
 
 
 def samples(g):
@@ -156,28 +48,26 @@ def sequences(g, seed):
 # differential tests
 
 
-@pytest.mark.parametrize("oracle", sorted(ORACLES))
 @pytest.mark.parametrize("name", sorted(GAUGES))
-def test_report_matches_the_replaced_loop(name, oracle):
-    net, compose, _ = ORACLES[oracle]
+def test_report_matches_the_reference(name):
     for g in GAUGES[name]():
         for points in samples(g):
             thresholds = critical_thresholds(g, points, g.grid)
             got = heine_borel_report(g, points, thresholds=thresholds)
-            want = loop_report(g, points, thresholds, net, compose)
-            assert got.rows == want.rows, (g.name, points)
-            assert got.all_composed_ok == want.all_composed_ok
+            want = heine_borel_rows(g, points, thresholds.pairs())
+            assert got.rows == want, (g.name, points)
+            assert got.all_composed_ok == all(row.composed_ok for row in want)
 
 
-@pytest.mark.parametrize("oracle", sorted(ORACLES))
 @pytest.mark.parametrize("name", sorted(GAUGES))
-def test_cauchy_scan_matches_the_replaced_loop(name, oracle):
-    classify = ORACLES[oracle][2]
+def test_cauchy_scan_matches_the_reference(name):
     for k, g in enumerate(GAUGES[name]()):
         thresholds = critical_thresholds(g)
         for pts in sequences(g, 980 + k):
-            assert scan_rows(pts, g, thresholds) == \
-                loop_cauchy(pts, g, thresholds, classify), (g.name, pts)
+            got = [(r, t, c.kind, c.i0, c.forward_i0, c.backward_i0) for r, t, c
+                   in classify_cauchy_thresholds(pts, g, thresholds)]
+            assert got == cauchy_rows(pts, g, thresholds.pairs()), \
+                (g.name, pts)
 
 
 def test_corpora_exercise_escapes_and_off_grid_halves():
@@ -202,14 +92,11 @@ def test_corpora_exercise_escapes_and_off_grid_halves():
 
 
 def brute_rows(g, points, r, t):
-    """Forward and backward rows of {(i, j) : mat[i][j] < r} over
-    `points`, one pair at a time."""
-    mat, idx = g.matrix(t), [g.index(p) for p in points]
-    fwd = tuple(sum(1 << b for b, j in enumerate(idx) if mat[i][j] < r)
-                for i in idx)
-    bwd = tuple(sum(1 << b for b, j in enumerate(idx) if mat[j][i] < r)
-                for i in idx)
-    return fwd, bwd
+    """Forward and backward rows of the strict balls over `points`, one
+    pair at a time."""
+    return tuple(tuple(sum(1 << j for j, y in enumerate(points)
+                           if in_ball(g, x, y, r, t, side)) for x in points)
+                 for side in ("forward", "backward"))
 
 
 def probe_radii(g, points, t):
@@ -224,18 +111,12 @@ def probe_radii(g, points, t):
     return sorted(radii)
 
 
-def probe_scales(g):
-    """Grid scales, their halves, and one past the top."""
-    return sorted({s for t in g.grid for s in (t, t / 2.0)}
-                  | {2.0 * g.grid[-1]})
-
-
 @pytest.mark.parametrize("name", sorted(GAUGES))
 def test_ball_rows_match_brute_force(name):
     for k, g in enumerate(GAUGES[name]()):
         point_lists = (*samples(g), *sequences(g, 1000 + k))
         for points in point_lists:
-            queries = [(r, t) for t in probe_scales(g)
+            queries = [(r, t) for t in probe_scales(g.grid)
                        for r in probe_radii(g, points, t)]
             rng = rng_for(1100 + k)
             shuffled = rng.sample(queries, len(queries))
@@ -323,7 +204,7 @@ def test_row_builds_stay_within_the_distinct_keys(sweeps):
         for points in samples(g):
             thresholds = critical_thresholds(g, points, g.grid)
             pairs = thresholds.pairs()
-            halves = [(split_radius(g, r), t / 2.0) for r, t in pairs]
+            halves = [(split(g, r), t / 2.0) for r, t in pairs]
             run(lambda: heine_borel_report(g, points, thresholds=thresholds),
                 g, pairs + halves, [t for _, t in pairs + halves])
         points, thresholds = g.points[::-1] + g.points, critical_thresholds(g)

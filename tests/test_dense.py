@@ -2,10 +2,10 @@
 
 The sweeps read whole rows from `GaugeSpec.matrix(t)`, grid sweeps read
 them stacked by `GaugeSpec.sample`, and balls come from entourage rows.
-The oracle below decides everything one ordered pair at a time, with a
-ball predicate per pair.  Its value lookup reads the table row itself
-rather than `matrix`, so a wrong column in the dense layer cannot hide on
-both sides of a comparison.  `convexity_check` and
+The oracle, `reference`, decides everything one ordered pair at a time,
+with a ball predicate per pair.  Its value lookup reads the table row
+itself rather than `matrix`, so a wrong column in the dense layer cannot
+hide on both sides of a comparison.  `convexity_check` and
 `enriched_triangle_check` are compared against the per-pair loops they
 ran before `sample`, over the per-pair rows of `_materialize`, and
 `quasi_uniformity_report` and `small_composite_check` against their
@@ -25,168 +25,26 @@ from quasimod import (INF, CellInclusionError, GaugeSpec, Profile, Regime,
                       profile_convolve, quasi_uniformity_report,
                       small_composite_check, two_sided_cover_from_onesided)
 from quasimod.axioms import AxiomReport, Violation
-from quasimod.completeness import CoverResult
 from quasimod.extreal import ext_mul
 
-from conftest import (ADDITIVE_BUILDERS, CONORM_GRID, corrupt_one_entry,
+from conftest import (ADDITIVE_BUILDERS, CONORMS, CORPORA, _materialize,
+                      closed_form_corpus, conorm_corpus, corpus,
+                      corrupt_one_entry, points_named, probe_scales,
                       random_conorm_gauge, random_quasi_pseudometric,
-                      points_named, rng_for, transpose)
-
-CONORMS = (TConorm.MAX, TConorm.PROBABILISTIC_SUM, TConorm.BOUNDED_SUM)
-
-
-# ---------------------------------------------------------------------------
-# brute-force per-pair oracle
-
-
-def value(g, x, y, t):
-    """w(x, y, t) read pair by pair: the table entry at the smallest grid
-    scale >= t (the last one past the grid), or the closed form."""
-    if g.table is None:
-        return float(g.fn(x, y, t))
-    row = g.table[(x, y)]
-    for k, s in enumerate(g.grid):
-        if s >= t:
-            return row[k]
-    return row[-1]
-
-
-def in_ball(g, center, y, r, t, side):
-    fwd = value(g, center, y, t) < r
-    bwd = value(g, y, center, t) < r
-    if side == "forward":
-        return fwd
-    if side == "backward":
-        return bwd
-    return fwd and bwd
-
-
-def oracle_radii(g, points, grid):
-    cap = 1.0 if g.regime is Regime.CONORM else float("inf")
-    values = sorted({v for x in points for y in points for t in grid
-                     for v in [value(g, x, y, t)] if 0 < v < cap})
-    if not values:
-        return (0.5 if g.regime is Regime.CONORM else 1.0,)
-    radii = set(values)
-    radii.update((a + b) / 2.0 for a, b in zip(values, values[1:]))
-    top = values[-1]
-    radii.add((top + 1.0) / 2.0 if g.regime is Regime.CONORM else top + 1.0)
-    return tuple(sorted(radii))
-
-
-def oracle_greedy_net(points, g, r, t, side):
-    sample = tuple(points)
-    centers = []
-    covered = [False] * len(sample)
-    for i, p in enumerate(sample):
-        if covered[i]:
-            continue
-        centers.append(p)
-        for j, q in enumerate(sample):
-            if not covered[j] and in_ball(g, p, q, r, t, side):
-                covered[j] = True
-    verified = all(any(in_ball(g, c, q, r, t, side) for c in centers)
-                   for q in sample)
-    return CoverResult(tuple(centers), r, t, side, sample, verified)
-
-
-def oracle_two_sided(g, forward, backward, r, t):
-    """Returns the cover, or the CellInclusionError fields as a tuple."""
-    s, t_half, sample = forward.radius_r, t / 2.0, forward.sample
-    centers = []
-    for x_i in forward.centers:
-        for y_j in backward.centers:
-            cell = [u for u in sample if value(g, x_i, u, t_half) < s
-                    and value(g, u, y_j, t_half) < s]
-            if not cell:
-                continue
-            z = cell[0]
-            for u in cell:
-                out, back = value(g, z, u, t), value(g, u, z, t)
-                if not (out < r and back < r):
-                    return ((x_i, y_j), z, u, out, back, r)
-            if z not in centers:
-                centers.append(z)
-    verified = all(any(value(g, c, u, t) < r and value(g, u, c, t) < r
-                       for c in centers) for u in sample)
-    return CoverResult(tuple(centers), r, t, "two_sided", sample, verified)
-
-
-def oracle_tail_start(n, good):
-    worst = 0
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if not good(i, j):
-                worst = max(worst, i)
-    return None if worst == n else worst + 1
-
-
-def oracle_cauchy(pts, g, r, t):
-    f = oracle_tail_start(len(pts), lambda i, j:
-                          value(g, pts[i - 1], pts[j - 1], t) < r)
-    b = oracle_tail_start(len(pts), lambda i, j:
-                          value(g, pts[j - 1], pts[i - 1], t) < r)
-    return f, b
-
-
-def oracle_converges_to(pts, g, x, r, t, side):
-    return in_ball(g, x, pts[-1], r, t, side) and any(
-        all(in_ball(g, x, y, r, t, side) for y in pts[i0:])
-        for i0 in range(len(pts)))
-
-
-# ---------------------------------------------------------------------------
-# corpora: tabulated additive, tabulated conorm, closed form
-
-
-def additive_corpus():
-    for k in range(6):
-        rng = rng_for(700 + k)
-        yield ADDITIVE_BUILDERS[k % 4](rng, rng.randrange(2, 6)).tabulated()
-
-
-def conorm_corpus():
-    for k in range(6):
-        rng = rng_for(720 + k)
-        yield random_conorm_gauge(rng, rng.randrange(2, 6), CONORMS[k % 3])
-
-
-def closed_form_corpus():
-    for k in range(4):
-        rng = rng_for(740 + k)
-        yield ADDITIVE_BUILDERS[k % 4](rng, rng.randrange(2, 6))
-    for k in range(2):
-        rng = rng_for(760 + k)
-        points = points_named(rng.randrange(2, 6))
-        ratio = make_ratio(random_quasi_pseudometric(rng, points), points)
-        yield GaugeSpec(regime=ratio.regime, points=ratio.points,
-                        conorm=ratio.conorm, grid=CONORM_GRID,
-                        name=ratio.name, fn=ratio.fn)
-
-
-CORPORA = {"additive": additive_corpus, "conorm": conorm_corpus,
-           "closed_form": closed_form_corpus}
-
-
-def corpus(name):
-    return list(CORPORA[name]())
-
-
-def sample_scales(grid):
-    """Grid scales, off-grid halves, and one scale past the top."""
-    return sorted({t for s in grid for t in (s, s / 2.0)} | {2 * grid[-1]})
+                      random_raw_table, rng_for, skew_gauge, transpose)
+import reference as ref
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_matrix_matches_value_on_and_off_the_grid(name):
     for g in corpus(name):
-        for t in sample_scales(g.grid):
+        for t in probe_scales(g.grid):
             mat = g.matrix(t)
             assert len(mat) == len(g.points)
             for i, x in enumerate(g.points):
                 assert g.index(x) == i
                 for j, y in enumerate(g.points):
-                    assert mat[i][j] == value(g, x, y, t) == g.value(x, y, t)
+                    assert mat[i][j] == ref.value(g, x, y, t) == g.value(x, y, t)
 
 
 def test_matrix_and_index_keep_the_value_errors():
@@ -206,7 +64,7 @@ def test_critical_thresholds_on_a_subset_match_the_oracle(name):
         subset = g.points[::2] if len(g.points) > 2 else g.points[:1]
         for points in (g.points, subset):
             got = critical_thresholds(g, points, g.grid)
-            assert got.radii == oracle_radii(g, points, g.grid)
+            assert got.radii == ref.radii(g, points, g.grid)
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
@@ -217,7 +75,7 @@ def test_greedy_net_matches_the_oracle_on_every_side(name):
             for side in ("forward", "backward", "two_sided"):
                 for sample in (g.points, order):
                     assert greedy_net(sample, g, r, t, side) == \
-                        oracle_greedy_net(sample, g, r, t, side)
+                        ref.greedy_net(sample, g, r, t, side)
 
 
 def two_sided_outcome(g, fwd, bwd, r, t):
@@ -227,20 +85,16 @@ def two_sided_outcome(g, fwd, bwd, r, t):
         return (exc.cell, exc.z, exc.u, exc.lhs_out, exc.lhs_back, exc.r)
 
 
-def split_radius(g, r):
-    return g.conorm.half_radius(r) if g.regime is Regime.CONORM else r / 4.0
-
-
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_two_sided_cover_matches_the_oracle(name):
     for g in corpus(name):
         for r, t in critical_thresholds(g).pairs():
-            s = split_radius(g, r)
+            s = ref.split(g, r)
             fwd = greedy_net(g.points, g, s, t / 2.0, "forward")
             bwd = greedy_net(g.points, g, s, t / 2.0, "backward")
             if fwd.verified and bwd.verified:
                 assert two_sided_outcome(g, fwd, bwd, r, t) == \
-                    oracle_two_sided(g, fwd, bwd, r, t)
+                    ref.two_sided(g, fwd, bwd, r, t)
 
 
 def test_planted_cell_escapes_carry_the_oracle_witness():
@@ -255,17 +109,12 @@ def test_planted_cell_escapes_carry_the_oracle_witness():
             if not (fwd.verified and bwd.verified):
                 continue
             got = two_sided_outcome(g, fwd, bwd, r, t)
-            assert got == oracle_two_sided(g, fwd, bwd, r, t)
+            assert got == ref.two_sided(g, fwd, bwd, r, t)
             escapes += isinstance(got, tuple)
-    # w(a, b) = 0 puts b in a's forward cell, but the way back costs 9
-    skew = GaugeSpec(regime=Regime.ADDITIVE, points=("a", "b", "c"),
-                     grid=ScaleGrid((1.0, 2.0)),
-                     table={("a", "b"): (0.0, 0.0), ("b", "a"): (9.0, 9.0),
-                            ("a", "c"): (5.0, 5.0), ("c", "a"): (5.0, 5.0),
-                            ("b", "c"): (5.0, 5.0), ("c", "b"): (5.0, 5.0)})
+    skew = skew_gauge()
     fwd = greedy_net(skew.points, skew, 0.25, 1.0, "forward")
     bwd = greedy_net(skew.points, skew, 0.25, 1.0, "backward")
-    planted = oracle_two_sided(skew, fwd, bwd, 1.0, 2.0)
+    planted = ref.two_sided(skew, fwd, bwd, 1.0, 2.0)
     assert planted == (("a", "b"), "a", "b", 0.0, 9.0, 1.0)
     assert two_sided_outcome(skew, fwd, bwd, 1.0, 2.0) == planted
     assert escapes > 0
@@ -282,7 +131,7 @@ def test_classify_cauchy_matches_the_oracle_on_repeating_sequences(name):
             for pts in seqs:
                 res = classify_cauchy(pts, g, r, t)
                 assert (res.forward_i0, res.backward_i0) == \
-                    oracle_cauchy(pts, g, r, t)
+                    ref.cauchy(pts, g, r, t)
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
@@ -294,7 +143,7 @@ def test_converges_to_matches_the_oracle(name):
             for x in g.points[:2]:
                 for side in ("forward", "backward", "two_sided"):
                     assert converges_to(pts, g, x, r, t, side) == \
-                        oracle_converges_to(pts, g, x, r, t, side)
+                        ref.converges_to(pts, g, x, r, t, side)
 
 
 def test_greedy_net_takes_conorm_radii_above_one():
@@ -307,7 +156,7 @@ def test_greedy_net_takes_conorm_radii_above_one():
             net = greedy_net(g.points, g, 1.5, 1.0, side)
             assert net.verified
             assert net.centers == g.points[:1]
-            assert net == oracle_greedy_net(g.points, g, 1.5, 1.0, side)
+            assert net == ref.greedy_net(g.points, g, 1.5, 1.0, side)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +164,7 @@ def test_greedy_net_takes_conorm_radii_above_one():
 
 
 def oracle_stack(g, points, grid):
-    return [[[value(g, x, y, t) for y in points] for x in points]
+    return [[[ref.value(g, x, y, t) for y in points] for x in points]
             for t in grid]
 
 
@@ -368,15 +217,6 @@ def test_sample_errors():
 
 # ---------------------------------------------------------------------------
 # convexity_check and enriched_triangle_check against their per-pair loops
-
-
-def _materialize(g, points, grid):
-    """One row of values along the grid per distinct ordered pair, as the
-    sweeps read them before `GaugeSpec.sample`."""
-    idx = [(x, g.index(x)) for x in points]
-    columns = [g.matrix(t) for t in grid]
-    return {(x, y): [col[i][j] for col in columns]
-            for x, i in idx for y, j in idx}
 
 
 _REL_SLACK = 1e-12
@@ -567,8 +407,6 @@ def oracle_small_composite_check(g, points=None, grid=None):
 def uniformity_gauges():
     """The conorm corpora and raw conorm tables, which break monotonicity
     and the composite law."""
-    from test_topology import random_raw_table
-
     yield from conorm_gauges()
     for seed in range(4):
         rng = rng_for(880 + seed)
@@ -629,8 +467,6 @@ def test_quasi_uniformity_report_matches_the_entourage_loops():
 def test_a_repeated_point_reports_every_cell_of_the_gauge():
     # the per-pair rows shared one list per distinct pair; the stack reports
     # the gauge's own value, 1.0 and so bounded, at every cell of a repeat
-    from test_triangle_kernel import oracle_check_axioms
-
     g = GaugeSpec(regime=Regime.CONORM, points=("a", "b"),
                   conorm=TConorm.MAX, grid=ScaleGrid((1.0,)),
                   table={("a", "b"): (1.0,), ("b", "a"): (1.0,)})
@@ -639,4 +475,4 @@ def test_a_repeated_point_reports_every_cell_of_the_gauge():
     assert [(v.witness[:2], v.lhs) for v in report.by_axiom("bounded")] == [
         (("a", "b"), 1.0), (("b", "a"), 1.0),
         (("b", "a"), 1.0), (("a", "b"), 1.0)]
-    assert report == oracle_check_axioms(g, points)
+    assert report == ref.axioms(g, points)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -269,6 +270,12 @@ def test_schedule_validation():
         DynamicCostSchedule((0.0,), {(0.5, 0): 1.0})
     with pytest.raises(ValueError, match="costs must be positive"):
         DynamicCostSchedule((0.0,), {(0.0, 0): 0.0})
+    # read as ints, 0.7 would overwrite the listed (0.0, 0) and True name 1
+    for k in (0.7, True, -1, 1.0, "0"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"schedule cost key (0.0, {k!r}) needs a non-negative "
+                f"integer edge index")):
+            DynamicCostSchedule((0.0,), {(0.0, 0): 3.0, (0.0, k): 5.0})
 
 
 def test_schedule_snapshot_clamps_and_floors():

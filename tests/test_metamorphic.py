@@ -28,33 +28,23 @@ effect the paper fixes, so no copy of an older implementation is needed:
   so is its symmetrization.
 """
 
-import contextlib
-import io
-import json
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from quasimod import (INF, NonmonotoneGaugeError, Profile, Regime,
-                      ScaleGrid, TConorm, ball, check_axioms, compose,
-                      converges_to,
+from quasimod import (NonmonotoneGaugeError, Regime, ScaleGrid, ball,
+                      check_axioms, compose, converges_to,
                       critical_thresholds, distance_matrix, entourage,
                       format_ext, graph_from_json, graph_to_json,
                       greedy_net, heine_borel_report, luxemburg_distance,
-                      make_scaled_metric,
                       opposite, small_composite_check, symmetrize,
                       symmetrized_luxemburg, verify_join_equality)
-from quasimod.cli import main
-
-from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
-                      random_conorm_gauge, random_digraph,
-                      random_quasi_pseudometric,
-                      random_strongly_connected_graph, rng_for, transpose)
-from test_graph_report import BIG, relabel
-from test_topology import random_raw_table
-
-CONORMS = (TConorm.MAX, TConorm.PROBABILISTIC_SUM, TConorm.BOUNDED_SUM)
+from conftest import (ADDITIVE_BUILDERS, BIG, CONORMS, corrupt_one_entry,
+                      random_conorm_gauge, random_digraph, random_raw_table,
+                      random_strongly_connected_graph, relabel, rng_for,
+                      run, scaled_metric_gauges, transpose)
+from reference import luxemburg_infimum as exact_infimum
 
 
 def gauges(seed):
@@ -236,15 +226,6 @@ def test_the_opposite_gauge_reverses_luxemburg_distances(seed):
                     luxemburg_outcome(g, y, x), (g.name, x, y)
 
 
-def cli_report(tmp_path, command, doc):
-    src = tmp_path / "in.json"
-    src.write_text(json.dumps(doc), encoding="utf-8")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main([command, "--input", str(src)])
-    return code, json.loads(out.getvalue())
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_the_transposed_graph_swaps_forward_and_backward(tmp_path, seed):
     rng = rng_for(1600 + seed)
@@ -254,8 +235,8 @@ def test_the_transposed_graph_swaps_forward_and_backward(tmp_path, seed):
     doc = graph_to_json(g)
     flipped = dict(doc, edges=[dict(e, **{"from": e["to"], "to": e["from"]})
                                for e in doc["edges"]])
-    code, mine = cli_report(tmp_path, "graph", doc)
-    code_t, theirs = cli_report(tmp_path, "graph", flipped)
+    code, mine = run(tmp_path, "graph", doc)
+    code_t, theirs = run(tmp_path, "graph", flipped)
     assert code == code_t == 0
     assert mine["forward"] != mine["backward"]  # the identity has teeth
     assert theirs["forward"] == mine["backward"]
@@ -274,7 +255,7 @@ def path_gauge_doc(graph_doc):
                       for y, d in zip(g.vertices, row)}}
 
 
-# the seeded benchmark-size graphs of test_graph_report, whose names v1,
+# the seeded benchmark-size graphs of conftest, whose names v1,
 # v10, v2 sort differently as rows ("v10|" < "v1|") and as columns
 @pytest.mark.parametrize("corpus, n", [(corpus, n) for corpus in sorted(BIG)
                                        for n in (12, 40, 90)])
@@ -285,8 +266,8 @@ def test_renaming_points_in_order_renames_graph_and_luxemburg_keys(
     for command, maps, build in (
             ("graph", ("forward", "backward"), dict),
             ("luxemburg", ("distances", "symmetrized"), path_gauge_doc)):
-        code, mine = cli_report(tmp_path, command, build(doc))
-        code_r, theirs = cli_report(tmp_path, command, build(renamed))
+        code, mine = run(tmp_path, command, build(doc))
+        code_r, theirs = run(tmp_path, command, build(renamed))
         assert code == code_r == 0
         # unreachable pairs, where the corpus has them
         assert ("inf" in mine[maps[0]].values()) == (corpus == "unreachable")
@@ -315,36 +296,6 @@ def test_the_symmetrized_gauge_has_one_topology_the_symmetrized_one():
             asymmetric += mine.tau_plus.hoods != mine.tau_minus.hoods
     assert cases == 280
     assert asymmetric > 20  # the identity has teeth
-
-
-def scaled_metric_data(seed):
-    """(d, g, points) on dyadic data: d from `random_quasi_pseudometric`
-    and g a nonincreasing profile, so no pair raises NonmonotoneGaugeError
-    and many pairs have different distances in the two directions."""
-    rng = rng_for(1800 + seed)
-    for _ in range(3):
-        points = points_named(rng.randrange(2, 6))
-        exponents = sorted(rng.sample(range(-3, 5), rng.randrange(2, 6)))
-        values = sorted((rng.randrange(0, 33) / 8 for _ in exponents),
-                        reverse=True)
-        profile = Profile(ScaleGrid(tuple(2.0 ** k for k in exponents)),
-                          tuple(values))
-        yield random_quasi_pseudometric(rng, points), profile, points
-
-
-def scaled_metric_gauges(seed):
-    """w = g(t) * d over `scaled_metric_data`."""
-    for d, profile, points in scaled_metric_data(seed):
-        yield make_scaled_metric(d, profile, points)
-
-
-def exact_infimum(g, x, y):
-    """inf{t > 0 : w(x, y, t) <= 1} for a gauge that is a step function of
-    the scale on its grid (ceil convention): 0.0, a grid scale or inf."""
-    grid = g.grid.scales
-    k = next((k for k, t in enumerate(grid) if g.value(x, y, t) <= 1.0),
-             None)
-    return INF if k is None else 0.0 if k == 0 else grid[k - 1]
 
 
 def test_the_symmetrized_gauge_has_the_symmetrized_luxemburg_distance():

@@ -7,16 +7,14 @@ are read from its rows, so the `luxemburg` command calls the kernel not at
 all.
 """
 
-import json
 import statistics
 
 from quasimod import (Profile, ScaleGrid, gauge_to_json, luxemburg,
                       make_scaled_metric, orlicz)
-from quasimod.cli import main
 
 from conftest import (points_named, random_measure_space,
                       random_orlicz_family, random_quasi_pseudometric,
-                      random_total_function, rng_for)
+                      random_total_function, rng_for, run)
 
 
 def counting(monkeypatch, module):
@@ -31,13 +29,6 @@ def counting(monkeypatch, module):
 
     monkeypatch.setattr(module, "luxemburg_infimum", counted)
     return probes
-
-
-def run(tmp_path, command, doc):
-    src = tmp_path / "in.json"
-    src.write_text(json.dumps(doc), encoding="utf-8")
-    return main([command, "--input", str(src),
-                 "--output", str(tmp_path / "out.json")])
 
 
 def orlicz_doc(seed):
@@ -55,7 +46,7 @@ def test_orlicz_norms_take_a_median_of_at_most_12_probes(tmp_path,
                                                          monkeypatch):
     probes = counting(monkeypatch, orlicz)
     for seed in range(40):
-        assert run(tmp_path, "orlicz", orlicz_doc(seed)) in (0, 1)
+        assert run(tmp_path, "orlicz", orlicz_doc(seed))[0] in (0, 1)
     # per document: 3 norms, 6 one-sided norms and 12 one-sided distances
     assert len(probes) == 40 * 21
     assert statistics.median(probes) <= 12, sorted(probes)
@@ -73,5 +64,5 @@ def test_table_distances_take_no_probes(tmp_path, monkeypatch):
             v /= rng.choice((1, 2, 2, 4))
         g = make_scaled_metric(random_quasi_pseudometric(rng, points),
                                Profile(grid, tuple(values)), points)
-        assert run(tmp_path, "luxemburg", gauge_to_json(g)) == 0
+        assert run(tmp_path, "luxemburg", gauge_to_json(g))[0] == 0
     assert probes == []

@@ -1,15 +1,15 @@
 """Differential tests for the report writer.
 
-`quasimod.cli._json_text` must give exactly the text of
-`json.dumps(obj, sort_keys=True, indent=2)`, a pair map written as the
-dict that `oracle_pair_maps` builds from the same distance rows.  It is
-checked on every report the CLI writes for documents built from the
-conftest corpora, on hand-built shapes, on lists of rows some of which are
-empty, on seeded random trees, on hand-built row tables read as their lists
-of dicts, violation tables among them, whose witness column holds tuples,
-and on the graph report's pair maps, laid out from the distance rows, for
-hostile vertex ids, also without json's C encoder; ids that would give two
-pairs one "x|y" key exit 2.
+`quasimod.cli._json_text` must give exactly the text of `json.dumps(obj,
+sort_keys=True, indent=2)`, a pair map written as the dict that `row_maps`
+builds from the same distance rows. It is checked on every report the CLI
+writes for documents built from the conftest corpora, read as
+`reference.report` gives it, on hand-built shapes, on lists of rows some of
+which are empty, on seeded random trees, on hand-built row tables read as
+their lists of dicts, violation tables among them, whose witness column
+holds tuples, and on the graph report's pair maps, laid out from the
+distance rows, for hostile vertex ids, also without json's C encoder; ids
+that would give two pairs one "x|y" key exit 2.
 
 The module needs neither pytest nor hypothesis, so it also runs as a plain
 script on any interpreter the package supports:
@@ -25,9 +25,8 @@ import os
 import random
 import tempfile
 
-from quasimod import (INF, TConorm, Violation, distance_matrix, format_ext,
-                      gauge_to_json, graph_from_json, graph_to_json,
-                      quasi_pseudometric_check)
+from quasimod import (TConorm, Violation, distance_matrix, gauge_to_json,
+                      graph_from_json, graph_to_json, quasi_pseudometric_check)
 from quasimod import cli
 from quasimod.completeness import HeineBorelRow
 
@@ -37,6 +36,7 @@ from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
                       random_quasi_pseudometric,
                       random_strongly_connected_graph, random_total_function,
                       rng_for)
+from reference import pair_map, report as reference_report
 
 
 def reference(obj):
@@ -144,64 +144,26 @@ def cli_reports(documents):
     return out
 
 
-def heine_borel_row_dict(row):
-    """A Heine-Borel row's report dict, written out field by field."""
-    return {"radius": row.radius_r, "scale": row.scale_t,
-            "split": row.split_s, "forward_size": row.forward_size,
-            "backward_size": row.backward_size,
-            "direct_size": row.direct_size,
-            "composed_size": row.composed_size,
-            "composed_ok": row.composed_ok, "witness": row.witness}
-
-
-def violation_dicts(table):
-    """A violation row table's list of dicts, written out field by field."""
-    return [{"axiom": axiom, "witness": list(witness), "lhs": lhs, "rhs": rhs}
-            for axiom, witness, lhs, rhs in table.rows]
-
-
 # where each command's report keeps its axiom report
 AXIOM_DOCS = {"check-axioms": "axioms", "graph": "axioms",
               "envelope": "distance_check"}
 
 
-def expanded(command, report, matrix):
-    """The report with each pair map replaced by the dict `oracle_pair_maps`
-    builds from the distance rows handed to the writer beside it, and each
-    row table of a cover report or of an axiom report's violations by its
-    list of row dicts, written out field by field."""
-    key = AXIOM_DOCS.get(command)
-    if key in report:
-        axioms = report[key]
-        report = dict(report, **{key: dict(
-            axioms, violations=violation_dicts(axioms["violations"]))})
-    if command == "cover":
-        hb = report["heine_borel"]
-        out = dict(report, heine_borel=dict(hb, rows=list(
-            map(heine_borel_row_dict, hb["rows"].rows))))
-        if "cauchy" in report:
-            out["cauchy"] = [{"radius": r, "scale": t, "kind": kind, "i0": i0,
-                              "forward_i0": f_i0, "backward_i0": b_i0}
-                             for r, t, kind, i0, f_i0, b_i0
-                             in report["cauchy"].rows]
-        return out
-    if command == "graph":
-        forward, backward = oracle_pair_maps(*matrix)
-        return dict(report, forward=forward, backward=backward)
-    if command == "luxemburg" and "distances" in report:
-        points, rows = matrix
-        sym = [list(map(max, row, col)) for row, col in zip(rows, zip(*rows))]
-        return dict(report, distances=oracle_pair_maps(points, rows)[0],
-                    symmetrized=oracle_pair_maps(points, sym)[0])
-    return report
+def definition(command, doc, flags, report):
+    """What a report must read as: `reference.report` on its document, or,
+    for orlicz, whose norms are searched, not read, the plain dicts the
+    command hands the writer."""
+    return report if command == "orlicz" else \
+        reference_report(command, doc, flags)[0]
 
 
 def test_cli_reports_match_json_dumps():
-    reports = cli_reports(corpus_documents())
+    documents = list(corpus_documents())
+    reports = cli_reports(documents)
     assert {command for command, _, _, _ in reports} == set(cli._COMMANDS)
-    for command, report, matrix, text in reports:
-        assert text == reference(expanded(command, report, matrix)) + "\n", \
-            command
+    for (command, doc, flags), (_, report, _, text) in zip(documents, reports):
+        assert text == reference(definition(command, doc, flags, report)) \
+            + "\n", command
 
 
 def test_axiom_reports_hand_their_violations_over_as_row_tables():
@@ -374,9 +336,14 @@ def test_the_fallback_without_the_c_encoder():
     hits, misses = cli._flat_encoder.cache_info()[:2]
     assert (hits, misses) == (calls.hits, calls.misses)  # no C encoder call
     assert any('"inf"' in text for _, _, _, text in reports)
-    for command, report, matrix, text in reports:
-        assert text == reference(expanded(command, report, matrix)) + "\n", \
-            command
+    for (command, doc, flags), (_, report, matrix, text) in zip(documents,
+                                                                reports):
+        # hostile costs (-0.0, 0.1, 1e300) are no sums to redo: the maps
+        # are the row updates of the rows handed to the writer
+        want = dict(report, **dict(zip(("forward", "backward"),
+                                       row_maps(*matrix)))) \
+            if command == "graph" else definition(command, doc, flags, report)
+        assert text == reference(want) + "\n", command
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +424,7 @@ VIOLATION_TABLES = [
 
 def test_violation_tables_match_json_dumps_of_their_dicts():
     for table in VIOLATION_TABLES:
-        dicts = violation_dicts(table)
+        dicts = row_table_dicts(table)
         # alone, in an axiom report, and deeper in lists and dicts
         for obj, old in ((table, dicts),
                          ({"checked": ["triangle"], "violations": table},
@@ -472,19 +439,12 @@ def test_violation_tables_match_json_dumps_of_their_dicts():
 # the graph report's pair maps on hostile vertex ids
 
 
-def oracle_pair_map(keys, rows):
-    """The map writer the graph command used before its maps were laid out
-    from one key order: one dict update per row."""
-    out = {}
-    for key_row, row in zip(keys, rows):
-        out.update(zip(key_row, map(format_ext, row) if INF in row else row))
-    return out
-
-
-def oracle_pair_maps(vertices, rows):
-    names = [f"{y}" for y in vertices]
-    keys = [list(map(f"{x}|".__add__, names)) for x in vertices]
-    return oracle_pair_map(keys, rows), oracle_pair_map(keys, zip(*rows))
+def row_maps(vertices, rows):
+    """The forward and backward {"x|y": distance} maps of distance rows in
+    vertex order, as `reference.pair_map` writes them."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    return (pair_map(vertices, lambda x, y: rows[pos[x]][pos[y]]),
+            pair_map(vertices, lambda x, y: rows[pos[y]][pos[x]]))
 
 
 VERTEX_IDS = [
@@ -525,7 +485,7 @@ def test_pair_maps_match_json_dumps_of_the_row_updates():
         table, = cli._value_texts(rows)
         forward, backward = cli._pair_maps(g.vertices, table,
                                            list(zip(*table)))
-        want = oracle_pair_maps(g.vertices, rows)
+        want = row_maps(g.vertices, rows)
         for got, old in zip((forward, backward), want):
             text = cli._json_text(got)
             assert text == reference(old), doc

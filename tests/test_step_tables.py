@@ -27,8 +27,8 @@ from quasimod import (INF, CellInclusionError, GaugeSpec,
 from quasimod.luxemburg import DEFAULT_TOL
 
 from conftest import (corrupt_one_entry, min_plus_closure, points_named,
-                      random_conorm_gauge, rng_for)
-from test_metamorphic import scaled_metric_data
+                      random_conorm_gauge, rng_for, scaled_metric_data)
+from reference import luxemburg_infimum
 
 
 def infinite_and_zero_data(seed):
@@ -74,14 +74,10 @@ def bits(mat):
 
 def exact_infimum(g, x, y):
     """The grid infimum of a nonincreasing step row at c = 1, with its
-    bracket: read at the grid scales through `value`."""
-    grid = g.grid.scales
-    k = next((k for k, t in enumerate(grid) if g.value(x, y, t) <= 1.0), None)
-    if k is None:
-        return INF, (1e12, INF)
-    if k == 0:
-        return 0.0, (0.0, grid[0])
-    return grid[k - 1], (grid[k - 1], grid[k])
+    bracket."""
+    grid, v = g.grid.scales, luxemburg_infimum(g, x, y)
+    return v, ((1e12, INF) if v == INF else (0.0, grid[0]) if v == 0.0
+               else (v, grid[grid.index(v) + 1]))
 
 
 def test_the_corpus_meets_infinite_distances_and_zero_profiles():

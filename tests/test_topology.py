@@ -18,32 +18,17 @@ from quasimod import (
     join_topologies,
     quasi_uniformity_report,
     small_composite_check,
-    symmetrize,
     verify_join_equality,
 )
 
-from conftest import (ADDITIVE_BUILDERS, random_conorm_gauge,
-                      random_graph_gauge, rng_for, transpose)
-
-
-def closure_oracle(n, masks):
-    """Brute-force generated topology: close the masks, the empty set and
-    the whole space under pairwise intersection and union."""
-    family = {0, (1 << n) - 1} | set(masks)
-    while True:
-        grown = family | {a & b for a in family for b in family} \
-            | {a | b for a in family for b in family}
-        if grown == family:
-            return family
-        family = grown
+from conftest import (ADDITIVE_BUILDERS, members, random_conorm_gauge,
+                      random_graph_gauge, random_raw_table, rng_for,
+                      transpose)
+from reference import closure, topologies
 
 
 def random_subbase(rng, n):
     return [rng.randrange(0, 1 << n) for _ in range(rng.randrange(0, 2 * n))]
-
-
-def members(points, mask):
-    return [p for i, p in enumerate(points) if mask & (1 << i)]
 
 
 def random_relation(rng, n):
@@ -167,33 +152,19 @@ def test_generate_and_join_match_the_closure_oracle():
         base1, base2 = random_subbase(rng, n), random_subbase(rng, n)
         t1 = generate_topology([members(pts, m) for m in base1], pts)
         t2 = generate_topology([members(pts, m) for m in base2], pts)
-        assert t1.opens == closure_oracle(n, base1), (seed, base1)
-        assert t2.opens == closure_oracle(n, base2), (seed, base2)
-        assert join_topologies(t1, t2).opens == closure_oracle(
-            n, closure_oracle(n, base1) | closure_oracle(n, base2)), seed
+        assert t1.opens == closure(n, base1), (seed, base1)
+        assert t2.opens == closure(n, base2), (seed, base2)
+        assert join_topologies(t1, t2).opens == closure(
+            n, closure(n, base1) | closure(n, base2)), seed
         for mask in range(1 << n):
             assert t1.is_open(members(pts, mask)) == (mask in t1.opens)
 
 
-def random_raw_table(rng, n, conorm=None):
-    """Table under no axiom: each value drawn per pair and scale from a few
-    levels with zero and the top (inf, or 1 for a conorm), so that balls
-    and smallest open sets differ across points and scales."""
-    levels = (0.0, 0.0, 0.0, 0.5, 1.0) if conorm else (0.0, 0.0, 0.0, 1.0, INF)
-    pts = tuple(f"p{i}" for i in range(n))
-    grid = ScaleGrid((0.5, 1.0, 2.0))
-    table = {(x, y): tuple(rng.choice(levels) for _ in grid)
-             for x in pts for y in pts}
-    return GaugeSpec(regime=Regime.CONORM if conorm else Regime.ADDITIVE,
-                     points=pts, conorm=conorm, grid=grid, table=table,
-                     name=f"raw_{conorm.wire_name if conorm else 'additive'}")
-
-
 def test_join_report_matches_the_closure_oracle_on_corpora():
     # the oracle is the threshold definition: strict balls at every critical
-    # radius, decided one pair at a time through g.value; each gauge is also
-    # read on a proper subset of its points and on a grid with one scale
-    # between two of its own and one past its top
+    # radius, decided one pair at a time; each gauge is also read on a
+    # proper subset of its points and on a grid with one scale between two
+    # of its own and one past its top
     gauges = []
     for seed in range(4):
         rng = rng_for(seed)
@@ -204,57 +175,18 @@ def test_join_report_matches_the_closure_oracle_on_corpora():
         gauges += [random_raw_table(rng, rng.randrange(2, 6), conorm)
                    for conorm in (None, *TConorm)]
     for g in gauges:
-        combine = g.conorm.apply if g.regime is Regime.CONORM else max
-        sym = symmetrize(g)
         s = g.grid.scales
         subset = tuple(p for k, p in enumerate(g.points)
                        if k != len(g.points) // 2)
         wide = ScaleGrid(((s[0] + s[1]) / 2, 2 * s[-1]))
-
-        def w_sym(x, y, t):
-            return combine(g.value(x, y, t), g.value(y, x, t))
-
         for pts, grid in ((g.points, g.grid), (subset, wide)):
-            n = len(pts)
-
-            def mask(keep):
-                return sum(1 << j for j, y in enumerate(pts) if keep(y))
-
-            pairs = critical_thresholds(g, pts, grid).pairs()
-            plus = [mask(lambda y: g.value(x, y, t) < r)
-                    for x in pts for r, t in pairs]
-            minus = [mask(lambda y: g.value(y, x, t) < r)
-                     for x in pts for r, t in pairs]
-            two_sided = [
-                mask(lambda y: w_sym(x, y, t) < r and w_sym(y, x, t) < r)
-                for x in pts
-                for r, t in critical_thresholds(sym, pts, grid).pairs()]
             report = verify_join_equality(g, pts, grid)
-            where = (g.name, pts, grid.scales)
-            assert report.tau_plus.opens == closure_oracle(n, plus), where
-            assert report.tau_minus.opens == closure_oracle(n, minus), where
-            assert report.join.opens == closure_oracle(n, plus + minus), where
-            assert report.tau_sym.opens == closure_oracle(n, two_sided), where
+            got = (report.tau_plus, report.tau_minus, report.join,
+                   report.tau_sym)
+            assert [topo.opens for topo in got] == [
+                closure(len(pts), hoods)
+                for hoods in topologies(g, pts, grid)], (g.name, pts, grid)
             assert report.equal == (report.join.opens == report.tau_sym.opens)
-
-
-def hoods_oracle(n, rows):
-    """Smallest open set around each point of the topology whose subbase
-    is `rows`: the AND of the rows that hold the point."""
-    hoods = [(1 << n) - 1] * n
-    for row in set(rows):
-        for i in range(n):
-            if row >> i & 1:
-                hoods[i] &= row
-    return tuple(hoods)
-
-
-def oracle_rows(g, side):
-    """The entourage rows on one side at every critical threshold, read
-    from the gauge tabulated on its grid, so closed forms run once."""
-    tab = g.tabulated()
-    return [row for r, t in critical_thresholds(tab).pairs()
-            for row in entourage(tab, r, t, side)]
 
 
 def corpus_builders():
@@ -266,20 +198,16 @@ def corpus_builders():
         yield lambda rng, n, c=conorm: random_raw_table(rng, n, c)
 
 
-def test_topologies_above_the_listing_cap_match_the_entourage_oracle():
-    # past 16 points the hoods are decided as below it; the oracle reads
-    # each side's entourage rows at every critical threshold
+def test_topologies_above_the_listing_cap_match_the_reference():
+    # past 16 points the hoods are decided as below it; the reference ANDs
+    # the strict balls at every critical threshold around each point
     for k, build in enumerate(corpus_builders()):
         rng = rng_for(1700 + k)
         g = build(rng, 17 + k % 8)
-        n, sym = len(g.points), symmetrize(g)
-        plus, minus = oracle_rows(g, "forward"), oracle_rows(g, "backward")
         report = verify_join_equality(g)
-        assert report.tau_plus.hoods == hoods_oracle(n, plus), g.name
-        assert report.tau_minus.hoods == hoods_oracle(n, minus), g.name
-        assert report.join.hoods == hoods_oracle(n, plus + minus), g.name
-        assert report.tau_sym.hoods == \
-            hoods_oracle(n, oracle_rows(sym, "forward")), g.name
+        assert (report.tau_plus.hoods, report.tau_minus.hoods,
+                report.join.hoods, report.tau_sym.hoods) == topologies(g), \
+            g.name
         assert report.equal == (report.join.hoods == report.tau_sym.hoods)
         for listing in (lambda: report.join.opens, report.join.open_sets,
                         report.to_json):

@@ -2,21 +2,13 @@
 brute-force oracles."""
 
 from quasimod import (INF, GaugeSpec, Regime, ScaleGrid, TConorm,
-                      critical_thresholds, entourage, generate_topology,
-                      quasi_uniformity_report, small_composite_check,
-                      symmetrize, verify_join_equality)
+                      generate_topology, quasi_uniformity_report,
+                      small_composite_check, verify_join_equality)
 from quasimod import topology
 from quasimod.topology import FiniteTopology, JoinReport
 
-from conftest import random_conorm_gauge, rng_for
-from test_topology import closure_oracle, hoods_oracle, members, random_raw_table
-
-
-def brute_listing(points, masks):
-    """The open sets as point lists, by size, then by point positions."""
-    bits = sorted(([i for i in range(len(points)) if m >> i & 1]
-                   for m in masks), key=lambda b: (len(b), b))
-    return [[points[i] for i in b] for b in bits]
+from conftest import members, random_conorm_gauge, random_raw_table, rng_for
+from reference import closure, listing, topologies
 
 
 def test_listing_matches_the_sorted_closure_oracle():
@@ -29,7 +21,7 @@ def test_listing_matches_the_sorted_closure_oracle():
         count = rng.randrange(2 * n + 1) if n <= 5 else rng.randrange(4)
         base = [rng.randrange(1 << n) for _ in range(count)]
         topo = generate_topology([members(pts, m) for m in base], pts)
-        want = brute_listing(pts, closure_oracle(n, base))
+        want = listing(pts, closure(n, base))
         assert topo.to_json() == want, (n, base)
         assert topo.open_sets() == [tuple(s) for s in want], (n, base)
 
@@ -64,23 +56,6 @@ def test_topologies_with_equal_hoods_share_one_listing():
     assert seen == {True, False}
 
 
-def entourage_rows(g, side):
-    """The entourage rows on one side at every critical threshold."""
-    return [row for r, t in critical_thresholds(g).pairs()
-            for row in entourage(g, r, t, side)]
-
-
-def assert_hoods_match_the_entourages(g):
-    n, sym = len(g.points), symmetrize(g)
-    report = verify_join_equality(g)
-    plus, minus = entourage_rows(g, "forward"), entourage_rows(g, "backward")
-    assert report.tau_plus.hoods == hoods_oracle(n, plus), g.name
-    assert report.tau_minus.hoods == hoods_oracle(n, minus), g.name
-    assert report.tau_sym.hoods == \
-        hoods_oracle(n, entourage_rows(sym, "forward")), g.name
-    return report
-
-
 def test_values_at_the_cap_bound_no_hood():
     # w(a, b) = inf puts b in no ball around a, so w(a, c) = inf keeps c
     # out of no hood of b: b's smallest open set is {b, c}
@@ -89,7 +64,9 @@ def test_values_at_the_cap_bound_no_hood():
          ("c", "a"): 1.0, ("c", "b"): 1.0, ("c", "c"): 0.0}
     g = GaugeSpec(regime=Regime.ADDITIVE, points=("a", "b", "c"),
                   grid=ScaleGrid((1.0,)), fn=lambda x, y, t: w[(x, y)])
-    report = assert_hoods_match_the_entourages(g)
+    report = verify_join_equality(g)
+    assert (report.tau_plus.hoods, report.tau_minus.hoods,
+            report.join.hoods, report.tau_sym.hoods) == topologies(g)
     assert report.tau_plus.hoods[1] == 0b110
 
 

@@ -1,12 +1,11 @@
 """Differential tests for the triangle kernel.
 
 `triangle_violations` decides each (x, y) with one pass over two rows and
-scans z only on a hit.  The oracles below are the triple loops it replaced:
-the (x, y, z) loop of the quasi-pseudometric check, with its own
-per-pair lookup, the (x, z, y) loop of the scale-constant additive branch
-of `check_axioms`, and the two loops of `check_axioms` for every regime,
-the scale-constant one over the first grid split and the per-triple one
-over every split.  Witnesses, sides and order must match exactly.
+scans z only on a hit.  The oracle is `reference`: the quasi-pseudometric
+check's (x, y, z) loop with its own per-pair lookup, and `check_axioms`
+by definition for every regime, over every split, or over the first one
+where the gauge is constant in the scale.  Witnesses, sides and order
+must match exactly.
 """
 
 import dataclasses
@@ -14,42 +13,16 @@ import math
 
 from quasimod import (INF, GaugeSpec, Regime, ScaleGrid, TConorm,
                       check_axioms, make_min_cap, quasi_pseudometric_check)
-from quasimod.axioms import AxiomReport, Violation
 from quasimod.gauges import triangle_violations
 
-from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
-                      random_conorm_gauge, random_quasi_pseudometric, rng_for)
-from test_dense import _materialize, closed_form_corpus
-from test_topology import random_raw_table
+from conftest import (ADDITIVE_BUILDERS, _materialize, closed_form_corpus,
+                      corrupt_one_entry, points_named, random_conorm_gauge,
+                      random_quasi_pseudometric, random_raw_table, rng_for)
+from reference import axioms, quasi_pseudometric
 
 
 # ---------------------------------------------------------------------------
 # quasi_pseudometric_check
-
-
-def oracle_violations(d, points):
-    points = tuple(points)
-    out = []
-    get = lambda a, b: float(d.get((a, b), 0.0 if a == b else INF))  # noqa: E731
-    for x in points:
-        v = get(x, x)
-        if v != 0.0:
-            out.append(("zero-self", (x,), v, 0.0))
-    for x in points:
-        for y in points:
-            dxy = get(x, y)
-            for z in points:
-                lhs = get(x, z)
-                rhs = dxy + get(y, z)
-                if lhs > rhs:
-                    out.append(("triangle", (x, y, z), lhs, rhs))
-    return out
-
-
-def oracle_symmetric(d, points):
-    return all(d.get((x, y), 0.0 if x == y else INF)
-               == d.get((y, x), 0.0 if x == y else INF)
-               for x in points for y in points)
 
 
 def random_table(rng, points):
@@ -101,14 +74,11 @@ def table_cases():
 def test_kernel_matches_the_triple_loop_on_seeded_tables():
     kinds = set()
     for d, points in table_cases():
-        want = oracle_violations(d, points)
-        kinds.update(v[0] for v in want)
-        report = quasi_pseudometric_check(d, points)
-        assert repr([(v.axiom, v.witness, v.lhs, v.rhs)
-                     for v in report.violations]) == repr(want), (d, points)
-        note = "table is symmetric" if oracle_symmetric(d, points) \
-            else "table is asymmetric"
-        assert report.notes == (note,)
+        want = quasi_pseudometric(d, points)
+        kinds.update(v.axiom for v in want.violations)
+        # repr, since a nan entry equals no other
+        assert repr(quasi_pseudometric_check(d, points)) == repr(want), \
+            (d, points)
     assert kinds == {"zero-self", "triangle"}
 
 
@@ -128,7 +98,7 @@ def test_min_cap_reports_the_first_violation_of_the_loop():
     for d, points in table_cases():
         if len(set(points)) < len(points):
             continue  # a gauge needs distinct points
-        want = oracle_violations(d, points)
+        want = quasi_pseudometric(d, points).violations
         # a NaN entry off the diagonal passes both axioms; a table with no
         # violation is refused on its first one
         nan = next(((x, y) for x in points for y in points
@@ -152,28 +122,6 @@ def test_min_cap_reports_the_first_violation_of_the_loop():
 
 # ---------------------------------------------------------------------------
 # the scale-constant additive branch of check_axioms
-
-
-def oracle_scale_constant_triangles(g, points):
-    grid = g.grid
-    m = len(grid)
-    proj = [[grid.ceil_index(grid[i] + grid[j]) for j in range(m)]
-            for i in range(m)]
-    i0, j0 = next((i, j) for i in range(m) for j in range(m)
-                  if proj[i][j] is not None)
-    u0 = grid[proj[i0][j0]]
-    t = grid[0]
-    out = []
-    for x in points:
-        for z in points:
-            lhs = g.value(x, z, t)
-            for y in points:
-                rhs = g.value(x, y, t) + g.value(y, z, t)
-                if lhs > rhs:
-                    out.append(Violation(
-                        "triangle", (x, y, z, grid[i0], grid[j0], u0),
-                        lhs, rhs))
-    return out
 
 
 def constant_copy(g, rng):
@@ -211,7 +159,7 @@ def test_scale_constant_branch_matches_its_loop():
         subsets = (g.points, tuple(rng.sample(g.points, len(g.points) // 2 + 1)))
         for points in subsets:
             got = check_axioms(g, points).by_axiom("triangle")
-            want = oracle_scale_constant_triangles(g, points)
+            want = axioms(g, points).by_axiom("triangle")
             assert got == want, (g.name, points)
             caught += bool(want)
     assert caught >= 20
@@ -224,8 +172,7 @@ def test_scale_constant_branch_on_a_closed_form_gauge():
                   fn=lambda x, y, t: 0.0 if x == y else
                   (3.0 if (x, y) == ("a", "c") else 1.0))
     report = check_axioms(g)
-    assert report.by_axiom("triangle") == oracle_scale_constant_triangles(
-        g, g.points)
+    assert report == axioms(g)
     assert [v.witness for v in report.by_axiom("triangle")] == \
         [("a", "b", "c", 1.0, 1.0, 2.0)]
 
@@ -244,101 +191,6 @@ def test_kernel_takes_three_matrices_and_a_law():
 
 # ---------------------------------------------------------------------------
 # check_axioms: one kernel call per checkable grid split
-
-
-def _projection_table(grid):
-    m = len(grid)
-    return [[grid.ceil_index(grid[i] + grid[j]) for j in range(m)]
-            for i in range(m)]
-
-
-def oracle_check_axioms(g, points=None, grid=None):
-    """check_axioms with the two triple loops the kernel calls replaced,
-    each combining with + or the gauge's conorm."""
-    points = tuple(points) if points is not None else g.points
-    grid = grid or g.grid
-    if grid is None:
-        raise ValueError("check_axioms needs a scale grid")
-    conorm = g.conorm if g.regime is Regime.CONORM else None
-    rows = _materialize(g, points, grid)
-    m = len(grid)
-    violations: list[Violation] = []
-    notes: list[str] = []
-
-    for x in points:
-        row = rows[(x, x)]
-        for k in range(m):
-            if row[k] != 0.0:
-                violations.append(Violation("zero-self", (x, grid[k]), row[k], 0.0))
-
-    if conorm is not None:
-        for x in points:
-            for y in points:
-                row = rows[(x, y)]
-                for k in range(m):
-                    v = row[k]
-                    if x != y and v == 0.0:
-                        violations.append(
-                            Violation("separation", (x, y, grid[k]), 0.0, 0.0))
-                    if v >= 1.0:
-                        violations.append(
-                            Violation("bounded", (x, y, grid[k]), v, 1.0))
-
-    for x in points:
-        for y in points:
-            row = rows[(x, y)]
-            for k in range(m - 1):
-                if row[k] < row[k + 1]:
-                    violations.append(Violation(
-                        "scale-monotone", (x, y, grid[k], grid[k + 1]),
-                        row[k + 1], row[k]))
-
-    proj = _projection_table(grid)
-    checkable = [(i, j) for i in range(m) for j in range(m)
-                 if proj[i][j] is not None]
-    scale_constant = all(len(set(row)) == 1 for row in rows.values())
-    if checkable:
-        if scale_constant:
-            i0, j0 = checkable[0]
-            u0 = grid[proj[i0][j0]]
-            for x in points:
-                for z in points:
-                    lhs = rows[(x, z)][0]
-                    for y in points:
-                        a, b = rows[(x, y)][0], rows[(y, z)][0]
-                        rhs = conorm.apply(a, b) if conorm else a + b
-                        if lhs > rhs:
-                            violations.append(Violation(
-                                "triangle", (x, y, z, grid[i0], grid[j0], u0),
-                                lhs, rhs))
-        else:
-            for x in points:
-                for z in points:
-                    row_xz = rows[(x, z)]
-                    for y in points:
-                        row_xy, row_yz = rows[(x, y)], rows[(y, z)]
-                        for i, j in checkable:
-                            lhs = row_xz[proj[i][j]]
-                            a, b = row_xy[i], row_yz[j]
-                            rhs = conorm.apply(a, b) if conorm else a + b
-                            if lhs > rhs:
-                                violations.append(Violation(
-                                    "triangle",
-                                    (x, y, z, grid[i], grid[j], grid[proj[i][j]]),
-                                    lhs, rhs))
-    else:
-        notes.append("no grid pair sums land on the grid; triangle not checkable")
-
-    symmetric = all(rows[(x, y)] == rows[(y, x)] for x in points for y in points)
-    if symmetric != g.claims_symmetric:
-        notes.append(f"claims_symmetric={g.claims_symmetric} refuted: table is "
-                     f"{'symmetric' if symmetric else 'asymmetric'}")
-    else:
-        notes.append(f"claims_symmetric={g.claims_symmetric} confirmed")
-
-    checked = ("zero-self", "separation", "bounded", "triangle", "scale-monotone") \
-        if conorm else ("zero-self", "triangle", "scale-monotone")
-    return AxiomReport(checked, tuple(violations), tuple(notes))
 
 
 def constant_conorm_gauge(rng, n, conorm):
@@ -392,7 +244,7 @@ def axiom_cases():
 def test_check_axioms_matches_the_replaced_loops():
     seen = set()
     for g, points, grid in axiom_cases():
-        want = oracle_check_axioms(g, points, grid)
+        want = axioms(g, points, grid)
         assert check_axioms(g, points, grid) == want, \
             (g.name, points, grid)
         rows = _materialize(g, points, grid)
@@ -401,7 +253,7 @@ def test_check_axioms_matches_the_replaced_loops():
         seen.add((g.regime, constant, len(bad) > 1, len(grid) > 2))
         if "no grid pair sums" in " ".join(want.notes):
             seen.add("uncheckable")
-    # both loops found several witnesses in both regimes
+    # several witnesses in both regimes, constant in the scale or not
     assert {(r, c, True, True) for r in Regime for c in (True, False)} <= seen
     assert "uncheckable" in seen
 
