@@ -8,7 +8,6 @@ left side and manufacture violations that say nothing about the gauge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product
 from typing import NamedTuple
 
@@ -25,8 +24,7 @@ class Violation(NamedTuple):
     rhs: float
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     checked: tuple[str, ...]
     violations: tuple[Violation, ...]
     notes: tuple[str, ...] = ()

@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
 from itertools import chain, permutations, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import copysign
@@ -245,7 +244,7 @@ def _gauge_from_doc(doc, args) -> object:
     if grid is not None:
         g = g.tabulated(grid)
     if getattr(args, "conorm", None) and g.regime is Regime.CONORM:
-        g = replace(g, conorm=conorm_from_name(args.conorm))
+        g = g._replace(conorm=conorm_from_name(args.conorm))
     return g
 
 

@@ -8,18 +8,17 @@ membership, and sequence families are truncations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import and_
 from typing import NamedTuple
 
 from .gauges import GaugeSpec
 from .profiles import ScaleGrid
+from .records import Frozen
 from .topology import (ThresholdSet, _BallRows, _normalize_side, _side_rows,
                        critical_thresholds)
 
 
-@dataclass(frozen=True)
-class CauchyClassification:
+class CauchyClassification(NamedTuple):
     kind: str  # bi | neither
     i0: int | None
     forward_i0: int | None
@@ -95,8 +94,7 @@ def converges_to(points, g: GaugeSpec, x, r: float, t: float,
     return bool(rows[0] & 2)
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(NamedTuple):
     centers: tuple
     radius_r: float
     scale_t: float
@@ -214,8 +212,7 @@ def _escape_error(balls: _BallRows, escape, r, t) -> CellInclusionError:
                               balls.value(iu, iz, t), r)
 
 
-@dataclass(frozen=True)
-class TransportResult:
+class TransportResult(NamedTuple):
     verified: bool
     source_centers: tuple
     image_centers: tuple
@@ -259,24 +256,22 @@ def transport_total_boundedness(source_points, image_points, source_metric,
     return TransportResult(verified, src_centers, img_centers)
 
 
-@dataclass(frozen=True)
-class TruncatedSequenceFamily:
+class TruncatedSequenceFamily(Frozen):
     """Finite real sequences padded to a common length, with an exponent."""
 
-    members: tuple[tuple[float, ...], ...]
-    p: float
+    __slots__ = _fields = ("members", "p")
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members: tuple[tuple[float, ...], ...], p: float):
+        if not members:
             raise ValueError("family must be nonempty")
-        if not self.p >= 1:
-            raise ValueError(f"exponent must be >= 1, got {self.p!r}")
-        length = max(len(m) for m in self.members)
+        if not p >= 1:
+            raise ValueError(f"exponent must be >= 1, got {p!r}")
+        length = max(len(m) for m in members)
         if length < 1:
             raise ValueError("members must have at least one coordinate")
         padded = tuple(tuple(float(v) for v in m) + (0.0,) * (length - len(m))
-                       for m in self.members)
-        object.__setattr__(self, "members", padded)
+                       for m in members)
+        self._set(padded, p)
 
     @property
     def length(self) -> int:
@@ -287,8 +282,7 @@ def lp_distance(a, b, p: float) -> float:
     return sum(abs(x - y) ** p for x, y in zip(a, b)) ** (1.0 / p)
 
 
-@dataclass(frozen=True)
-class LpTailReport:
+class LpTailReport(NamedTuple):
     pointwise_bounded: bool
     sup_vector: tuple[float, ...]
     tail_index: int | None
@@ -325,8 +319,7 @@ def lp_tail_criterion(fam: TruncatedSequenceFamily, eps: float,
                         (worst, n_max, tails[worst][n_max]))
 
 
-@dataclass(frozen=True)
-class LpNet:
+class LpNet(NamedTuple):
     centers: tuple[tuple[float, ...], ...]
     radius: float
     worst_distance: float
@@ -380,8 +373,7 @@ class HeineBorelRow(NamedTuple):
     witness: str | None
 
 
-@dataclass(frozen=True)
-class HeineBorelReport:
+class HeineBorelReport(NamedTuple):
     rows: tuple[HeineBorelRow, ...]
 
     @property

@@ -9,28 +9,26 @@ data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 from .extreal import INF, ext_mul, number, pair_map, parse_ext, point_resolver
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class PartialFunction:
-    domain: tuple
-    values: Mapping
-    lipschitz_L: float
+class PartialFunction(Frozen):
+    __slots__ = _fields = ("domain", "values", "lipschitz_L")
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(self.domain))
-        if not self.domain:
+    def __init__(self, domain: tuple, values: Mapping, lipschitz_L: float):
+        domain = tuple(domain)
+        if not domain:
             raise ValueError("domain must be nonempty")
-        if not self.lipschitz_L >= 0:
+        if not lipschitz_L >= 0:
             raise ValueError(f"Lipschitz constant must be nonnegative, "
-                             f"got {self.lipschitz_L!r}")
-        missing = [a for a in self.domain if a not in self.values]
+                             f"got {lipschitz_L!r}")
+        missing = [a for a in domain if a not in values]
         if missing:
             raise ValueError(f"no values for domain points {missing!r}")
+        self._set(domain, values, lipschitz_L)
 
 
 def _dist(d: Mapping, x, y) -> float:

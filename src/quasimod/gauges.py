@@ -22,7 +22,6 @@ grid sweeps read `sample`, those matrices stacked along a grid.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
 from itertools import chain, product, repeat
 from operator import add, eq, gt
 from typing import Callable, Mapping
@@ -31,6 +30,7 @@ from .conorms import TConorm, conorm_from_name
 from .extreal import (INF, decode_ids, ensure_ext, ext_mul, format_ext, is_ext,
                       number, pair_map)
 from .profiles import Profile, ScaleGrid
+from .records import Frozen
 
 EPS_BELOW_ONE = 1.0 - 2.0 ** -52
 _NONNEGATIVE = (0.0).__le__  # false for a negative and for NaN
@@ -41,37 +41,38 @@ class Regime(enum.Enum):
     CONORM = "conorm"
 
 
-@dataclass(frozen=True, eq=False)
-class GaugeSpec:
-    regime: Regime
-    points: tuple
-    conorm: TConorm | None = None
-    grid: ScaleGrid | None = None
-    claims_symmetric: bool = False
-    claims_convex: bool = False
-    name: str = "gauge"
-    fn: Callable[[object, object, float], float] | None = field(default=None, repr=False)
-    table: dict | None = field(default=None, repr=False)
+class GaugeSpec(Frozen):
+    """Compared and hashed by identity; the repr leaves out fn and table."""
 
-    def __post_init__(self):
-        points = tuple(self.points)
+    _fields = ("regime", "points", "conorm", "grid", "claims_symmetric",
+               "claims_convex", "name", "fn", "table")
+    __slots__ = _fields + ("_index", "_columns")
+    _shown = -2
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, regime: Regime, points: tuple,
+                 conorm: TConorm | None = None, grid: ScaleGrid | None = None,
+                 claims_symmetric: bool = False, claims_convex: bool = False,
+                 name: str = "gauge",
+                 fn: Callable[[object, object, float], float] | None = None,
+                 table: dict | None = None):
+        points = tuple(points)
         if not points:
             raise ValueError("gauge needs a nonempty point set")
         if len(set(points)) != len(points):
             raise ValueError("gauge points must be distinct")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
-        if self.regime is Regime.CONORM and self.conorm is None:
+        if regime is Regime.CONORM and conorm is None:
             raise ValueError("conorm-regime gauge needs a TConorm")
-        if (self.fn is None) == (self.table is None):
+        if (fn is None) == (table is None):
             raise ValueError("gauge needs exactly one of fn or table")
-        if self.table is not None:
-            if self.grid is None:
+        columns = None
+        if table is not None:
+            if grid is None:
                 raise ValueError("tabulated gauge needs a grid")
-            table = {}
-            m, n = len(self.grid), len(points)
+            rows = {}
+            m, n = len(grid), len(points)
             for x, y in product(points, points):
-                row = self.table.get((x, y))
+                row = table.get((x, y))
                 if row is None:
                     if x != y:
                         raise ValueError(f"table is missing the pair ({x!r}, {y!r})")
@@ -83,15 +84,17 @@ class GaugeSpec:
                 if len(row) != m:
                     raise ValueError(f"table row for ({x!r}, {y!r}) needs "
                                      f"{m} values, got {len(row)}")
-                if self.regime is Regime.CONORM and any(v > 1.0 for v in row):
+                if regime is Regime.CONORM and any(v > 1.0 for v in row):
                     raise ValueError(f"conorm-regime values must stay within "
                                      f"[0, 1], got {max(row)!r} for ({x!r}, {y!r})")
-                table[(x, y)] = row
-            object.__setattr__(self, "table", table)
+                rows[(x, y)] = row
+            table = rows
             # one transpose of the rows, in (x, y) order, cut into n rows
-            object.__setattr__(self, "_columns", tuple(
-                tuple(col[i:i + n] for i in range(0, n * n, n))
-                for col in zip(*table.values())))
+            columns = tuple(tuple(col[i:i + n] for i in range(0, n * n, n))
+                            for col in zip(*table.values()))
+        self._set(regime, points, conorm, grid, claims_symmetric,
+                  claims_convex, name, fn, table,
+                  {p: i for i, p in enumerate(points)}, columns)
 
     def index(self, x) -> int:
         """Position of x in `points`."""
@@ -177,7 +180,7 @@ class GaugeSpec:
         table = {(x, y): tuple(c[i][j] for c in columns)
                  for i, x in enumerate(self.points)
                  for j, y in enumerate(self.points)}
-        return replace(self, grid=grid, fn=None, table=table)
+        return self._replace(grid=grid, fn=None, table=table)
 
 
 def triangle_violations(lhs, left=None, right=None, oplus=add) -> list[tuple]:
@@ -398,8 +401,8 @@ def opposite(g: GaugeSpec) -> GaugeSpec:
     name = f"opposite({g.name})"
     if g.table is not None:
         table = {(x, y): g.table[(y, x)] for x in g.points for y in g.points}
-        return replace(g, name=name, table=table)
-    return replace(g, name=name, fn=lambda x, y, t: g.value(y, x, t))
+        return g._replace(name=name, table=table)
+    return g._replace(name=name, fn=lambda x, y, t: g.value(y, x, t))
 
 
 def symmetrize(g: GaugeSpec) -> GaugeSpec:
@@ -409,9 +412,9 @@ def symmetrize(g: GaugeSpec) -> GaugeSpec:
     if g.table is not None:
         table = {(x, y): tuple(map(law, g.table[(x, y)], g.table[(y, x)]))
                  for x in g.points for y in g.points}
-        return replace(g, claims_symmetric=True, name=name, table=table)
-    return replace(g, claims_symmetric=True, name=name,
-                   fn=lambda x, y, t: law(g.value(x, y, t), g.value(y, x, t)))
+        return g._replace(claims_symmetric=True, name=name, table=table)
+    return g._replace(claims_symmetric=True, name=name,
+                      fn=lambda x, y, t: law(g.value(x, y, t), g.value(y, x, t)))
 
 
 def gauge_to_json(g: GaugeSpec, grid: ScaleGrid | None = None) -> dict:

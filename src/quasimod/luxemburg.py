@@ -13,8 +13,7 @@ the range but fails at the top, raise NonmonotoneGaugeError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .axioms import AxiomReport, Violation
 from .extreal import INF
@@ -30,8 +29,7 @@ class NonmonotoneGaugeError(ValueError):
     of the Luxemburg gauge does not apply."""
 
 
-@dataclass(frozen=True)
-class LuxemburgResult:
+class LuxemburgResult(NamedTuple):
     """An infimum and the bracket (lo, hi) that certifies it: value(hi) <= c
     < value(lo), with lo = 0.0 where the infimum is 0.0 and hi = inf where
     it is inf.  A search reports hi, within tol of lo; a table row reports

@@ -9,36 +9,33 @@ lambda -> modular(f / lambda).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .extreal import format_ext, keyed_numbers, number
 from .gauges import GaugeSpec, Regime
 from .luxemburg import DEFAULT_LAMBDA_MAX, DEFAULT_TOL, luxemburg_infimum
 from .profiles import ScaleGrid
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class DiscreteMeasureSpace:
-    points: tuple
-    mu: Mapping
+class DiscreteMeasureSpace(Frozen):
+    __slots__ = _fields = ("points", "mu")
 
-    def __post_init__(self):
-        points = tuple(self.points)
+    def __init__(self, points: tuple, mu: Mapping):
+        points = tuple(points)
         if not points:
             raise ValueError("measure space needs at least one point")
         if len(set(points)) != len(points):
             raise ValueError("points must be distinct")
-        object.__setattr__(self, "points", points)
-        if not self.mu:
+        if not mu:
             raise ValueError("measure space needs masses")
-        masses = dict(self.mu)
+        masses = dict(mu)
         mu = {p: float(masses[p]) for p in points}
         for p, m in mu.items():
             if not (m > 0 and math.isfinite(m)):
                 raise ValueError(f"mass at {p!r} must be positive and finite, "
                                  f"got {m!r}")
-        object.__setattr__(self, "mu", mu)
+        self._set(points, mu)
 
     def to_json(self) -> dict:
         return {"points": list(self.points),
@@ -50,52 +47,49 @@ class DiscreteMeasureSpace:
         return cls(points, keyed_numbers(doc["mu"], points, "mu"))
 
 
-@dataclass(frozen=True)
-class MusielakOrlicz:
+class MusielakOrlicz(Frozen):
     """Point-indexed growth functions phi_p(t), convex and nondecreasing
-    with phi_p(0) = 0, in one of three fixed shapes."""
+    with phi_p(0) = 0, in one of three fixed shapes: "variable_exponent"
+    reads `exponents` (point -> p_i), "double_phase" reads p < q and `a`
+    (point -> a_i >= 0), and "weighted" reads `weights` (point -> w_i > 0)
+    over a `base` family."""
 
-    kind: str
-    exponents: Mapping | None = None      # variable_exponent: point -> p_i
-    p: float | None = None                # double_phase
-    q: float | None = None
-    a: Mapping | None = None              # double_phase: point -> a_i >= 0
-    weights: Mapping | None = None        # weighted: point -> w_i > 0
-    base: "MusielakOrlicz | None" = None  # weighted
+    __slots__ = _fields = ("kind", "exponents", "p", "q", "a", "weights",
+                           "base")
 
-    def __post_init__(self):
-        if self.kind == "variable_exponent":
-            exponents = dict(self.exponents or {})
+    def __init__(self, kind: str, exponents: Mapping | None = None,
+                 p: float | None = None, q: float | None = None,
+                 a: Mapping | None = None, weights: Mapping | None = None,
+                 base: "MusielakOrlicz | None" = None):
+        if kind == "variable_exponent":
+            exponents = dict(exponents or {})
             if not exponents:
                 raise ValueError("variable exponent needs per-point exponents")
-            for pt, p in exponents.items():
-                if not (1.0 <= float(p) < math.inf):
+            for pt, e in exponents.items():
+                if not (1.0 <= float(e) < math.inf):
                     raise ValueError(f"exponent at {pt!r} must lie in "
-                                     f"[1, inf), got {p!r}")
-            object.__setattr__(self, "exponents",
-                               {pt: float(p) for pt, p in exponents.items()})
-        elif self.kind == "double_phase":
-            if self.p is None or self.q is None \
-                    or not 1.0 <= self.p < self.q < math.inf:
+                                     f"[1, inf), got {e!r}")
+            exponents = {pt: float(e) for pt, e in exponents.items()}
+        elif kind == "double_phase":
+            if p is None or q is None or not 1.0 <= p < q < math.inf:
                 raise ValueError(f"double phase needs 1 <= p < q < inf, got "
-                                 f"p={self.p!r}, q={self.q!r}")
-            a = {pt: float(c) for pt, c in (self.a or {}).items()}
+                                 f"p={p!r}, q={q!r}")
+            a = {pt: float(c) for pt, c in (a or {}).items()}
             for pt, c in a.items():
                 if not 0.0 <= c < math.inf:
                     raise ValueError(f"double-phase coefficient a at {pt!r} "
                                      f"must be >= 0 and finite, got {c!r}")
-            object.__setattr__(self, "a", a)
-        elif self.kind == "weighted":
-            if self.base is None:
+        elif kind == "weighted":
+            if base is None:
                 raise ValueError("weighted family needs a base family")
-            weights = {pt: float(w) for pt, w in (self.weights or {}).items()}
+            weights = {pt: float(w) for pt, w in (weights or {}).items()}
             for pt, w in weights.items():
                 if not 0.0 < w < math.inf:
                     raise ValueError(f"weights must be positive and finite: "
                                      f"w at {pt!r} is {w!r}")
-            object.__setattr__(self, "weights", weights)
         else:
-            raise ValueError(f"unknown Musielak-Orlicz kind {self.kind!r}")
+            raise ValueError(f"unknown Musielak-Orlicz kind {kind!r}")
+        self._set(kind, exponents, p, q, a, weights, base)
 
     @classmethod
     def variable_exponent(cls, exponents: Mapping) -> "MusielakOrlicz":
@@ -206,8 +200,7 @@ def luxemburg_norm(space: DiscreteMeasureSpace, phi: MusielakOrlicz,
     return _norm(space, phi, f, tol, lambda_max)
 
 
-@dataclass(frozen=True)
-class UnitBallReport:
+class UnitBallReport(NamedTuple):
     norm: float
     modular_value: float
     equivalence_ok: bool
@@ -240,8 +233,7 @@ def unit_ball_check(space: DiscreteMeasureSpace, phi: MusielakOrlicz,
     return UnitBallReport(norm, rho, equivalence_ok, lower_ok, upper_ok)
 
 
-@dataclass(frozen=True)
-class OneSidedPair:
+class OneSidedPair(NamedTuple):
     psi1: MusielakOrlicz
     psi2: MusielakOrlicz
 

@@ -9,26 +9,25 @@ and the last entry once t runs past the grid.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 from .conorms import TConorm
-from .extreal import ensure_ext
+from .extreal import INF, ensure_ext
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class ScaleGrid:
-    scales: tuple[float, ...]
+class ScaleGrid(Frozen):
+    __slots__ = _fields = ("scales",)
 
-    def __post_init__(self):
-        scales = tuple(float(t) for t in self.scales)
+    def __init__(self, scales: tuple[float, ...]):
+        scales = tuple(map(float, scales))
         if not scales:
             raise ValueError("scale grid must be nonempty")
         for t in scales:
-            if not (t > 0.0 and t != float("inf")):
+            if not (t > 0.0 and t != INF):
                 raise ValueError(f"scales must be positive finite reals, got {t!r}")
         if any(a >= b for a, b in zip(scales, scales[1:])):
             raise ValueError("scales must be strictly increasing")
-        object.__setattr__(self, "scales", scales)
+        self._set(scales)
 
     def __len__(self) -> int:
         return len(self.scales)
@@ -47,16 +46,14 @@ class ScaleGrid:
         return i if i < len(self.scales) else None
 
 
-@dataclass(frozen=True)
-class Profile:
-    grid: ScaleGrid
-    values: tuple[float, ...]
+class Profile(Frozen):
+    __slots__ = _fields = ("grid", "values")
 
-    def __post_init__(self):
-        values = tuple(ensure_ext(v, "profile value") for v in self.values)
-        if len(values) != len(self.grid):
+    def __init__(self, grid: ScaleGrid, values: tuple[float, ...]):
+        values = tuple(ensure_ext(v, "profile value") for v in values)
+        if len(values) != len(grid):
             raise ValueError("profile needs exactly one value per grid scale")
-        object.__setattr__(self, "values", values)
+        self._set(grid, values)
 
     def value_at(self, t: float) -> float:
         i = self.grid.ceil_index(t)

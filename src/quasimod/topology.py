@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
 from operator import and_, le, or_
+from typing import NamedTuple
 
 from .axioms import AxiomReport, Violation
 from .extreal import INF
@@ -148,8 +148,7 @@ def ball(g: GaugeSpec, x, r: float, t: float, side: str = "forward",
     return tuple(p for j, p in enumerate(points) if row & (1 << j))
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
+class ThresholdSet(NamedTuple):
     """Radii and scales that realize every distinct ball of a tabulated gauge."""
 
     radii: tuple[float, ...]
@@ -189,8 +188,7 @@ def critical_thresholds(g: GaugeSpec, points=None,
     return ThresholdSet(tuple(sorted(radii)), grid)
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(NamedTuple):
     """Topology on a finite point set, stored as its smallest open
     neighbourhoods: hoods[i] is the least open set containing points[i]."""
 
@@ -261,8 +259,7 @@ def join_topologies(t1: FiniteTopology, t2: FiniteTopology) -> FiniteTopology:
     return FiniteTopology(t1.points, tuple(map(and_, t1.hoods, t2.hoods)))
 
 
-@dataclass(frozen=True)
-class JoinReport:
+class JoinReport(NamedTuple):
     tau_plus: FiniteTopology
     tau_minus: FiniteTopology
     join: FiniteTopology

@@ -8,7 +8,6 @@ monotonicity guarantees that exact arithmetic turns into bit-level ones.
 No tolerance fudging is needed anywhere in the suite.
 """
 
-import dataclasses
 import json
 import random
 
@@ -122,7 +121,7 @@ def cap_inactive_grid(values):
 def with_cap_inactive_grid(g):
     probe = 2.0 ** 40
     vals = [g.value(x, y, probe) for x in g.points for y in g.points]
-    return dataclasses.replace(g, grid=cap_inactive_grid(vals))
+    return g._replace(grid=cap_inactive_grid(vals))
 
 
 def random_min_cap_gauge(rng, n):
@@ -469,7 +468,7 @@ def raw_gauges():
         rng = rng_for(940 + k)
         g = random_raw_table(rng, rng.randrange(2, 7), conorm)
         yield g
-        yield dataclasses.replace(g, grid=ScaleGrid((1.0, 3.0, 4.0)))
+        yield g._replace(grid=ScaleGrid((1.0, 3.0, 4.0)))
 
 
 # the cover corpora: escapes, off-grid halves and repeated columns

@@ -117,6 +117,25 @@ MUTANTS = (
            "if 0 <= v < cap})",
            ("test_dense.py::"
             "test_critical_thresholds_on_a_subset_match_the_oracle",)),
+    # records: copies go through the checks, gauges compare by identity,
+    # schedules read by the number rule
+    Mutant("_replace skips the checks", "records.py",
+           "return type(self)(**dict(zip(self._fields, self._values()), "
+           "**changes))",
+           "copy = object.__new__(type(self))\n"
+           "        copy._set(*dict(zip(self._fields, self._values()), "
+           "**changes).values())\n"
+           "        return copy",
+           ("test_records.py::test_replace_goes_through_the_checks",)),
+    Mutant("gauges compare by value", "gauges.py",
+           "    __eq__, __hash__ = object.__eq__, object.__hash__\n",
+           "",
+           ("test_records.py::test_gauges_compare_by_identity",)),
+    Mutant("schedule times read by float", "graphs.py",
+           'times = tuple(number(t, "times") for t in times)',
+           "times = tuple(float(t) for t in times)",
+           ("test_graphs.py::"
+            "test_schedule_reads_times_and_costs_by_the_number_rule",)),
     # ball rows, covers and Cauchy scans
     Mutant("bisect_right in _BallRows.rows", "topology.py",
            "cut = bisect_left(sweep.values, r)",

@@ -18,7 +18,6 @@ searched, not read.  Needs neither pytest nor hypothesis.
 
 import functools
 import math
-from dataclasses import replace
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -236,7 +235,7 @@ def heine_borel_rows(g, points, pairs):
         size, ok, witness = None, fwd.verified and bwd.verified, None
         if ok:
             out = two_sided(g, fwd, bwd, r, t)
-            if isinstance(out, tuple):
+            if not isinstance(out, CoverResult):  # an escape's fields
                 ok, witness = False, str(CellInclusionError(*out))
             else:
                 size, ok = len(out.centers), out.verified
@@ -480,11 +479,11 @@ def report(command, doc, flags=()):
     space = doc["space"] if command == "cover" and "space" in doc else doc
     g = gauge_from_json(space)
     if grid:
-        g = replace(g, grid=grid, table={
+        g = g._replace(grid=grid, table={
             (x, y): tuple(value(g, x, y, t) for t in grid)
             for x in g.points for y in g.points})
     if "--conorm" in opts and law(g):
-        g = replace(g, conorm=conorm_from_name(opts["--conorm"]))
+        g = g._replace(conorm=conorm_from_name(opts["--conorm"]))
     sequence = [point_resolver(g.points)(i)
                 for i in (space is not doc and doc.get("sequence")) or ()]
     return _gauge_report(command, g, opts, sequence)

@@ -1,6 +1,5 @@
 """Cauchy classification, greedy nets, two-sided covers, and lp tails."""
 
-import dataclasses
 import itertools
 import json
 
@@ -224,7 +223,7 @@ def _error_cases():
     one = generate_topology([], ("a",))
     return {
         "unverified-cover": (lambda: two_sided_cover_from_onesided(
-            g, dataclasses.replace(fwd, verified=False), bwd, 1.0, 2.0),
+            g, fwd._replace(verified=False), bwd, 1.0, 2.0),
             "both one-sided covers must be verified"),
         "different-samples": (lambda: two_sided_cover_from_onesided(
             g, fwd, greedy_net(("a",), g, 0.2, 1.0, "backward"), 1.0, 2.0),

@@ -278,6 +278,29 @@ def test_schedule_validation():
             DynamicCostSchedule((0.0,), {(0.0, 0): 3.0, (0.0, k): 5.0})
 
 
+def test_schedule_reads_times_and_costs_by_the_number_rule():
+    # float() would read True and "1" as the time 1.0
+    with pytest.raises(ValueError, match=re.escape(
+            'times must be a number or "inf", got True')):
+        DynamicCostSchedule((True, 2.0), {("1", 0): 3.0, (2.0, 0): 4.0})
+    with pytest.raises(ValueError, match=re.escape(
+            'schedule cost time must be a number or "inf", got \'1\'')):
+        DynamicCostSchedule((1.0, 2.0), {("1", 0): 3.0, (2.0, 0): 4.0})
+    with pytest.raises(ValueError, match=re.escape(
+            'schedule cost must be a number or "inf", got True')):
+        DynamicCostSchedule((1.0,), {(1.0, 0): True})
+    s = DynamicCostSchedule((1, 2.0), {(1, 0): 3, (2.0, 0): "inf"})
+    assert s.times == (1.0, 2.0) and s.costs == {(1.0, 0): 3.0, (2.0, 0): INF}
+    # the wire reader names the field as before
+    doc = {"times": [True, 2.0], "costs": {"2.0|0": 4.0}}
+    with pytest.raises(ValueError, match=re.escape(
+            'times must be a number or "inf", got True')):
+        schedule_from_json(doc)
+    doc = {"times": [1.0, 2.0], "costs": {"true|0": 3.0}}
+    with pytest.raises(ValueError, match="bad schedule key 'true|0'"):
+        schedule_from_json(doc)
+
+
 def test_schedule_snapshot_clamps_and_floors():
     g = DirectedGraph(("a", "b"), (Edge("a", "b", 1.0, 1.0),))
     s = DynamicCostSchedule((0.0, 1.0, 2.0),

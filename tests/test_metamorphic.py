@@ -29,7 +29,6 @@ effect the paper fixes, so no copy of an older implementation is needed:
 """
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -164,7 +163,7 @@ def with_scaled_witness(v, f):
 def on_scaled_grid(g, k):
     """g's table on its grid with every scale multiplied by 2^k."""
     tab = g.tabulated()
-    return replace(tab, grid=ScaleGrid(tuple(t * 2.0 ** k for t in tab.grid)))
+    return tab._replace(grid=ScaleGrid(tuple(t * 2.0 ** k for t in tab.grid)))
 
 
 def topology_hoods(g):

@@ -1,0 +1,200 @@
+"""The package's records: immutable, compared by value (a gauge by
+identity), built and copied through their checks, and imported without
+the `dataclasses` machinery."""
+
+import copy
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from quasimod import (AxiomReport, CauchyClassification, CoverResult,
+                      DirectedGraph, DiscreteMeasureSpace, DynamicCostSchedule,
+                      Edge, FiniteTopology, GaugeSpec, JoinReport, LpNet,
+                      LpTailReport, LuxemburgResult, MusielakOrlicz,
+                      OneSidedPair, PartialFunction, Profile, Regime,
+                      ScaleGrid, TransportResult, TruncatedSequenceFamily,
+                      UnitBallReport, check_axioms, critical_thresholds,
+                      heine_borel_report, make_min_cap, verify_join_equality)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+GRID = ScaleGrid((1.0, 2.0))
+TABLE = {("a", "b"): (2.0, 1.0), ("b", "a"): (1.0, 0.5)}
+
+
+def table_gauge(table=TABLE):
+    return GaugeSpec(Regime.ADDITIVE, ("a", "b"), grid=GRID, table=table)
+
+
+PHI = MusielakOrlicz.variable_exponent({"x": 2.0})
+TOPOLOGY = FiniteTopology(("a", "b"), (1, 3))
+
+# one instance of every record class, by class name
+RECORDS = {
+    "AxiomReport": lambda: check_axioms(table_gauge()),
+    "CauchyClassification": lambda: CauchyClassification("bi", 1, 1, 1),
+    "CoverResult": lambda: CoverResult(("a",), 1.0, 1.0, "forward",
+                                       ("a", "b"), True),
+    "TransportResult": lambda: TransportResult(True, ("a",), ("b",)),
+    "LpTailReport": lambda: LpTailReport(True, (1.0,), 1, True, None),
+    "LpNet": lambda: LpNet(((0.0,),), 2.0, 0.5, True),
+    "HeineBorelReport": lambda: heine_borel_report(table_gauge()),
+    "LuxemburgResult": lambda: LuxemburgResult(1.0, (0.5, 1.0), 3),
+    "UnitBallReport": lambda: UnitBallReport(1.0, 1.0, True, True, True),
+    "OneSidedPair": lambda: OneSidedPair(PHI, PHI),
+    "ThresholdSet": lambda: critical_thresholds(table_gauge()),
+    "FiniteTopology": lambda: TOPOLOGY,
+    "JoinReport": lambda: verify_join_equality(table_gauge()),
+    "GaugeSpec": table_gauge,
+    "ScaleGrid": lambda: GRID,
+    "Profile": lambda: Profile(GRID, (2.0, 1.0)),
+    "Edge": lambda: Edge("a", "b", 1.0, 2.0),
+    "DirectedGraph": lambda: DirectedGraph(("a", "b"),
+                                           (Edge("a", "b", 1.0, 2.0),)),
+    "DynamicCostSchedule": lambda: DynamicCostSchedule((0.0,), {(0.0, 0): 1.0}),
+    "DiscreteMeasureSpace": lambda: DiscreteMeasureSpace(("x",), {"x": 1.0}),
+    "MusielakOrlicz": lambda: PHI,
+    "PartialFunction": lambda: PartialFunction(("a",), {"a": 0.0}, 1.0),
+    "TruncatedSequenceFamily": lambda: TruncatedSequenceFamily(((1.0,),), 2.0),
+}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, quasimod.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == [], \
+        f"import quasimod.cli loaded {done.stdout.strip()}"
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_assigning_to_a_record_raises_attribute_error(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_copy_is_an_equal_record(name):
+    record = RECORDS[name]()
+    twin = copy.copy(record)
+    assert type(twin) is type(record) and repr(twin) == repr(record)
+    # a gauge is equal only to itself
+    assert (twin == record) is (name != "GaugeSpec")
+
+
+def test_records_compare_and_hash_by_value():
+    assert ScaleGrid((1, 2)) == GRID and hash(ScaleGrid((1, 2))) == hash(GRID)
+    assert ScaleGrid((1.0, 3.0)) != GRID
+    # a slotted record equals only its class
+    assert GRID != ((1.0, 2.0),)
+    assert Edge("a", "b", 1.0, 2.0) != ("a", "b", 1.0, 2.0)
+    assert Edge("a", "b", 1.0, 2) == Edge("a", "b", 1.0, 2.0)
+    assert len({Edge("a", "b", 1.0, 2.0), Edge("a", "b", 1.0, 2)}) == 1
+    # a named tuple equals the plain tuple of its values
+    assert LuxemburgResult(1.0, (0.5, 1.0), 3) == (1.0, (0.5, 1.0), 3)
+    assert DirectedGraph(("a",), ()) == DirectedGraph(["a"], [], {"a": 1.0})
+
+
+def test_a_table_on_an_equal_grid_is_its_own_tabulation():
+    tab = table_gauge()
+    assert tab.tabulated(ScaleGrid((1, 2))) is tab
+    assert tab.tabulated(ScaleGrid((1.0, 3.0))) is not tab
+
+
+def test_equal_topologies_share_one_listing():
+    twin = FiniteTopology(("a", "b"), (1, 3))
+    other = FiniteTopology(("a", "b"), (3, 2))
+    assert twin == TOPOLOGY and twin is not TOPOLOGY
+    doc = JoinReport(TOPOLOGY, twin, other, other, False).to_json()
+    assert doc["tau_plus"] is doc["tau_minus"]
+    assert doc["join"] is doc["tau_sym"]
+    assert doc["tau_plus"] is not doc["join"]
+
+
+def test_gauges_compare_by_identity():
+    g = table_gauge()
+    twin = g._replace()
+    assert g == g and twin != g
+    assert hash(g) == object.__hash__(g)
+    assert len({g, twin}) == 2
+
+
+def test_reprs_name_the_fields():
+    assert repr(GRID) == "ScaleGrid(scales=(1.0, 2.0))"
+    assert repr(Edge("a", "b", 1.0, 2)) == "Edge(u='a', v='b', mu=1.0, cost=2.0)"
+    # fn and table stay out of a gauge's repr
+    assert repr(table_gauge()) == (
+        "GaugeSpec(regime=<Regime.ADDITIVE: 'additive'>, points=('a', 'b'), "
+        "conorm=None, grid=ScaleGrid(scales=(1.0, 2.0)), "
+        "claims_symmetric=False, claims_convex=False, name='gauge')")
+
+
+def test_constructor_errors_are_unchanged():
+    with pytest.raises(ValueError, match=re.escape(
+            "edge measure must be positive, got 0.0")):
+        Edge("a", "b", 0.0, 1.0)
+    with pytest.raises(ValueError, match="scales must be strictly increasing"):
+        ScaleGrid((2.0, 1.0))
+    with pytest.raises(ValueError, match="one value per grid scale"):
+        Profile(GRID, (1.0,))
+    with pytest.raises(ValueError, match="exactly one of fn or table"):
+        GaugeSpec(Regime.ADDITIVE, ("a",))
+
+
+def test_replace_goes_through_the_checks():
+    with pytest.raises(ValueError, match="edge measure must be positive"):
+        Edge("a", "b", 1.0, 2.0)._replace(mu=-1.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        GRID._replace(scales=(2.0, 1.0))
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        TruncatedSequenceFamily(((1.0,),), 2.0)._replace(p=0.5)
+    # a copy that changes a checked field is normalized like a new one
+    assert Edge("a", "b", 1.0, 2.0)._replace(cost=3).cost == 3.0
+    assert repr(PartialFunction(("a",), {"a": 0.0}, 1.0)._replace(
+        domain=["a"])) == repr(PartialFunction(("a",), {"a": 0.0}, 1.0))
+
+
+def test_replacing_a_table_value_raises_what_building_it_raises():
+    bad = dict(TABLE)
+    bad["a", "b"] = (-1, 1.0)
+    with pytest.raises(ValueError) as built:
+        table_gauge(bad)
+    with pytest.raises(ValueError) as replaced:
+        table_gauge()._replace(table=bad)
+    assert str(replaced.value) == str(built.value)
+    assert str(built.value).startswith("table value for ('a', 'b')")
+
+
+def test_replace_rebuilds_the_point_index_and_the_columns():
+    g = table_gauge()
+    flipped = g._replace(points=("b", "a"))
+    assert [flipped.index(p) for p in ("a", "b")] == [1, 0]
+    assert flipped.matrix(1.0) == ((0.0, 1.0), (2.0, 0.0))
+    halved = g._replace(table={k: tuple(v / 2 for v in row)
+                               for k, row in TABLE.items()})
+    assert halved.matrix(1.0) == ((0.0, 1.0), (0.5, 0.0))
+    assert g.matrix(1.0) == ((0.0, 2.0), (1.0, 0.0))
+    closed = make_min_cap({("a", "b"): 1.0, ("b", "a"): 2.0}, grid=GRID)
+    assert closed._replace(name="renamed").matrix(1.5) == closed.matrix(1.5)
+
+
+def test_traced_methods_live_in_their_own_class():
+    assert isinstance(vars(DiscreteMeasureSpace)["from_json"], classmethod)
+    assert callable(vars(FiniteTopology)["to_json"])
+    assert callable(vars(GaugeSpec)["value"])
+
+
+def test_axiom_report_keeps_its_default_notes():
+    report = AxiomReport(("zero-self",), ())
+    assert report.notes == () and report.ok

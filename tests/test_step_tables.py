@@ -14,8 +14,6 @@ from the matrix the ball sweep already holds, never through
 `GaugeSpec.value`: on a closed form they still equal `g.value`.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from quasimod import (INF, CellInclusionError, GaugeSpec,
@@ -57,8 +55,8 @@ def corpus():
 def closed_form(d, profile, points):
     """The closure `make_scaled_metric` returned before it tabulated."""
     g = make_scaled_metric(d, profile, points)
-    return replace(g, table=None,
-                   fn=lambda x, y, t: ext_mul(profile.value_at(t), d[x, y]))
+    return g._replace(table=None,
+                      fn=lambda x, y, t: ext_mul(profile.value_at(t), d[x, y]))
 
 
 def scales(grid):
@@ -132,8 +130,8 @@ def test_symmetrize_keeps_a_conorm_table_and_a_closure_apart():
     for conorm in (TConorm.MAX, TConorm.PROBABILISTIC_SUM,
                    TConorm.BOUNDED_SUM):
         g = random_conorm_gauge(rng, 4, conorm)
-        closure = replace(g, table=None,
-                          fn=lambda x, y, t, g=g: g.value(x, y, t))
+        closure = g._replace(table=None,
+                             fn=lambda x, y, t, g=g: g.value(x, y, t))
         sym, sym_closure = symmetrize(g), symmetrize(closure)
         assert sym.table is not None and sym_closure.table is None
         assert sym.name == sym_closure.name == f"sym({g.name})"
@@ -178,7 +176,7 @@ def count_value_calls(monkeypatch):
 
 def closure_of(table):
     """The table as a closed form that reads its matrices, not `value`."""
-    return replace(table, table=None, fn=lambda x, y, t: table.matrix(t)[
+    return table._replace(table=None, fn=lambda x, y, t: table.matrix(t)[
         table.index(x)][table.index(y)])
 
 

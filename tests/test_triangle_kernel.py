@@ -8,7 +8,6 @@ where the gauge is constant in the scale.  Witnesses, sides and order
 must match exactly.
 """
 
-import dataclasses
 import math
 
 from quasimod import (INF, GaugeSpec, Regime, ScaleGrid, TConorm,
@@ -138,7 +137,7 @@ def constant_copy(g, rng):
                          if g.regime is Regime.ADDITIVE else
                          ((v + 1.0) / 2, 0.0, 1.0, v / 2))
         table[(x, z)] = (new,) * m
-    return dataclasses.replace(tab, name=f"{tab.name}_corrupt", table=table)
+    return tab._replace(name=f"{tab.name}_corrupt", table=table)
 
 
 def additive_gauges():
@@ -196,15 +195,15 @@ def test_kernel_takes_three_matrices_and_a_law():
 def constant_conorm_gauge(rng, n, conorm):
     """A closed one-scale conorm table repeated on three scales."""
     g = random_conorm_gauge(rng, n, conorm, grid=ScaleGrid((1.0,)))
-    return dataclasses.replace(
-        g, grid=ScaleGrid((1.0, 2.0, 4.0)),
+    return g._replace(
+        grid=ScaleGrid((1.0, 2.0, 4.0)),
         table={pair: row * 3 for pair, row in g.table.items()})
 
 
 def under_every_conorm(g):
     """The conorm gauge read with each conorm, as `--conorm` does: max is
     the strictest law, so a table closed for a sum fails under it."""
-    return [dataclasses.replace(g, conorm=c) for c in TConorm]
+    return [g._replace(conorm=c) for c in TConorm]
 
 
 def axiom_gauges():
