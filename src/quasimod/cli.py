@@ -256,37 +256,45 @@ def _axioms_doc(report) -> dict:
                 for axiom, witness, lhs, rhs in report.violations])}
 
 
-def cmd_check_axioms(args) -> int:
-    now = time.perf_counter()
+class _PhaseClock:
+    """One command's phase clock: `phase(name)` logs at DEBUG the seconds
+    since the last phase ended and the count `phase("read", n)` gave."""
+
+    def __init__(self, command: str):
+        self.command, self.n, self.last = command, 0, time.perf_counter()
+
+    def __call__(self, phase: str, n: int | None = None) -> None:
+        now = time.perf_counter()
+        self.n = self.n if n is None else n
+        log.debug("%s %s: %.6f s, n=%d", self.command, phase,
+                  now - self.last, self.n)
+        self.last = now
+
+
+def cmd_check_axioms(args, phase):
     g = _gauge_from_doc(_load_json(args.input), args)
-    n = len(g.points)
-    now = _phase_done("check-axioms", "read", now, n)
+    phase("read", len(g.points))
     report = check_axioms(g)
-    now = _phase_done("check-axioms", "axioms", now, n)
-    _emit({"command": "check-axioms", "axioms": _axioms_doc(report)}, args.output)
-    _phase_done("check-axioms", "write", now, n)
-    return 0 if report.ok else 1
+    phase("axioms")
+    doc = {"command": "check-axioms", "axioms": _axioms_doc(report)}
+    return doc, report.ok
 
 
-def cmd_topology(args) -> int:
-    now = time.perf_counter()
+def cmd_topology(args, phase):
     g = _gauge_from_doc(_load_json(args.input), args)
     n = len(g.points)
     if n > MAX_TOPOLOGY_POINTS:
         raise InputError(f"topology handles at most {MAX_TOPOLOGY_POINTS} "
                          f"points, got {n}")
-    now = _phase_done("topology", "read", now, n)
+    phase("read", n)
     report = verify_join_equality(g)
-    now = _phase_done("topology", "topologies", now, n)
+    phase("topologies")
     doc = {"command": "topology"} | report.to_json()
-    now = _phase_done("topology", "listing", now, n)
-    _emit(doc, args.output)
-    _phase_done("topology", "write", now, n)
-    return 0 if report.equal else 1
+    phase("listing")
+    return doc, report.equal
 
 
-def cmd_cover(args) -> int:
-    now = time.perf_counter()
+def cmd_cover(args, phase):
     raw = _load_json(args.input)
     if isinstance(raw, dict) and "space" in raw:
         g = _gauge_from_doc(raw["space"], args)
@@ -299,8 +307,7 @@ def cmd_cover(args) -> int:
     else:
         g = _gauge_from_doc(raw, args)
         sequence = []
-    n = len(g.points)
-    now = _phase_done("cover", "read", now, n)
+    phase("read", len(g.points))
     thresholds = critical_thresholds(g)
     # a radius no positive float splits or a least scale that halves to 0
     # (near 5e-324) leaves the cover undefined: an input error, not a violation
@@ -312,45 +319,38 @@ def cmd_cover(args) -> int:
     if not thresholds.scales[0] / 2.0 > 0:
         raise InputError(f"cover cannot halve its scales: scale "
                          f"{thresholds.scales[0]!r} halves to 0.0")
-    now = _phase_done("cover", "thresholds", now, n)
+    phase("thresholds")
     hb = heine_borel_report(g, thresholds=thresholds)
     doc = {"command": "cover",
            "heine_borel": {"rows": _RowTable(_HB_KEYS, hb.rows),
                            "all_composed_ok": hb.all_composed_ok}}
-    now = _phase_done("cover", "heine-borel", now, n)
+    phase("heine-borel")
     if sequence:
         doc["cauchy"] = _RowTable(
             ("radius", "scale", "kind", "i0", "forward_i0", "backward_i0"),
             [(r, t, c.kind, c.i0, c.forward_i0, c.backward_i0) for r, t, c
              in classify_cauchy_thresholds(sequence, g, thresholds)])
-    now = _phase_done("cover", "cauchy", now, n)
-    _emit(doc, args.output)
-    _phase_done("cover", "write", now, n)
-    return 0 if hb.all_composed_ok else 1
+    phase("cauchy")
+    return doc, hb.all_composed_ok
 
 
-def cmd_luxemburg(args) -> int:
-    now = time.perf_counter()
+def cmd_luxemburg(args, phase):
     g = _gauge_from_doc(_load_json(args.input), args)
     if g.regime is not Regime.ADDITIVE:
         raise InputError("luxemburg distances need an additive-regime gauge")
-    n = len(g.points)
-    now = _phase_done("luxemburg", "read", now, n)
+    phase("read", len(g.points))
     try:
         rows = [[luxemburg_distance(g, x, y, tol=args.tol).value
                  for y in g.points] for x in g.points]
     except NonmonotoneGaugeError as exc:
-        _emit({"command": "luxemburg", "error": str(exc)}, args.output)
-        return 1
-    now = _phase_done("luxemburg", "distances", now, n)
+        return {"command": "luxemburg", "error": str(exc)}, False
+    phase("distances")
     sym = [list(map(max, row, col)) for row, col in zip(rows, zip(*rows))]
     distances, symmetrized = _pair_maps(g.points, *_value_texts(rows, sym))
     doc = {"command": "luxemburg", "tol": args.tol,
            "distances": distances, "symmetrized": symmetrized}
-    now = _phase_done("luxemburg", "layout", now, n)
-    _emit(doc, args.output, matrix=(g.points, rows))
-    _phase_done("luxemburg", "write", now, n)
-    return 0
+    phase("layout")
+    return doc, True, (g.points, rows)
 
 
 def _value_texts(*tables) -> list[list[list[str]]]:
@@ -381,39 +381,25 @@ def _pair_maps(vertices, *tables) -> list[_PairMap]:
             for t in tables]
 
 
-def _phase_done(command: str, phase: str, start: float, n: int) -> float:
-    """Log a DEBUG line with the seconds `command` spent in `phase` on n
-    points since `start`, and return the time now."""
-    now = time.perf_counter()
-    log.debug("%s %s: %.6f s, n=%d", command, phase, now - start, n)
-    return now
-
-
-def cmd_graph(args) -> int:
-    t = time.perf_counter()
+def cmd_graph(args, phase):
     g = _read("graph document", graph_from_json, _load_json(args.input))
-    n = len(g.vertices)
-    t = _phase_done("graph", "read", t, n)
+    phase("read", len(g.vertices))
     rows = distance_matrix(g)
-    t = _phase_done("graph", "all-pairs", t, n)
+    phase("all-pairs")
     table, = _value_texts(rows)
     forward, backward = _pair_maps(g.vertices, table, list(zip(*table)))
     doc = {"command": "graph", "forward": forward, "backward": backward,
            "asymmetry_index": asymmetry_index(rows)}
-    t = _phase_done("graph", "layout", t, n)
-    ok = True
+    phase("layout")
     grid = _parse_grid(args.grid)
-    if grid is not None:
-        # the gauge graph_gauge builds, from the rows already in hand; its
-        # axiom sweep is the only triangle check
-        report = check_axioms(_min_cap_rows(rows, g.vertices, grid,
-                                            "graph_gauge"))
-        doc["axioms"] = _axioms_doc(report)
-        ok = report.ok
-        t = _phase_done("graph", "axioms", t, n)
-    _emit(doc, args.output, matrix=(g.vertices, rows))
-    _phase_done("graph", "write", t, n)
-    return 0 if ok else 1
+    if grid is None:
+        return doc, True, (g.vertices, rows)
+    # the gauge graph_gauge builds, from the rows already in hand; its
+    # axiom sweep is the only triangle check
+    report = check_axioms(_min_cap_rows(rows, g.vertices, grid, "graph_gauge"))
+    doc["axioms"] = _axioms_doc(report)
+    phase("axioms")
+    return doc, report.ok, (g.vertices, rows)
 
 
 def _bracketed(norm: float, what: str) -> None:
@@ -424,8 +410,7 @@ def _bracketed(norm: float, what: str) -> None:
                          f"{DEFAULT_LAMBDA_MAX:g}")
 
 
-def cmd_orlicz(args) -> int:
-    now = time.perf_counter()
+def cmd_orlicz(args, phase):
     raw = _load_json(args.input)
     doc = {"command": "orlicz", "tol": args.tol}
     ok = True
@@ -435,8 +420,7 @@ def cmd_orlicz(args) -> int:
         functions = {fid: parse_function(values, space)
                      for fid, values in raw.get("functions", {}).items()}
         decode_ids(functions, "function")
-        n = len(space.points)
-        now = _phase_done("orlicz", "read", now, n)
+        phase("read", len(space.points))
         if "phi" in raw:
             phi = orlicz_from_json(raw["phi"], space)
             out = {}
@@ -448,7 +432,7 @@ def cmd_orlicz(args) -> int:
                             "unit_ball": ub.to_json()}
                 ok = ok and ub.ok
             doc["phi"] = out
-            now = _phase_done("orlicz", "phi", now, n)
+            phase("phi")
         if "psi1" in raw and "psi2" in raw:
             pair = OneSidedPair(orlicz_from_json(raw["psi1"], space),
                                 orlicz_from_json(raw["psi2"], space))
@@ -465,32 +449,26 @@ def cmd_orlicz(args) -> int:
                            f"function {fa!r} to {fb!r}")
                 dists[f"{fa}|{fb}"] = {"plus": dp, "minus": dm}
             doc["one_sided"] = {"norms": sides, "distances": dists}
-            now = _phase_done("orlicz", "one-sided", now, n)
+            phase("one-sided")
     except _DOC_ERRORS as exc:
         raise InputError(f"bad orlicz document: {exc}") from None
-    _emit(doc, args.output)
-    _phase_done("orlicz", "write", now, n)
-    return 0 if ok else 1
+    return doc, ok
 
 
-def cmd_envelope(args) -> int:
-    now = time.perf_counter()
+def cmd_envelope(args, phase):
     points, d, f = _read("envelope document", envelope_from_json,
                          _load_json(args.input))
-    n = len(points)
-    now = _phase_done("envelope", "read", now, n)
+    phase("read", len(points))
     metric_report = quasi_pseudometric_check(d, points)
-    now = _phase_done("envelope", "distance-check", now, n)
+    phase("distance-check")
     doc = {"command": "envelope",
            "distance_check": _axioms_doc(metric_report),
            "upper": {str(x): format_ext(v)
                      for x, v in upper_envelope(f, d, points).items()},
            "lower": {str(x): format_ext(v)
                      for x, v in lower_envelope(f, d, points).items()}}
-    now = _phase_done("envelope", "envelopes", now, n)
-    _emit(doc, args.output)
-    _phase_done("envelope", "write", now, n)
-    return 0 if metric_report.ok else 1
+    phase("envelopes")
+    return doc, metric_report.ok
 
 
 _COMMANDS = {
@@ -521,33 +499,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("QUASIMOD_LOG")
-    if level:
-        # the level goes on the package logger, which a root logger that
-        # already has handlers leaves alone; the stderr handler is added
-        # only where the root logger has none
+    name = os.environ.get("QUASIMOD_LOG")
+    if name:
+        # the level, INFO unless the value names one, goes on the package
+        # logger, which a root logger with handlers leaves alone; the stderr
+        # handler is added only where the root logger has none
+        level = logging.getLevelName(name.upper())
         logging.basicConfig()
         logging.getLogger("quasimod").setLevel(
-            getattr(logging, level.upper(), logging.INFO))
+            level if isinstance(level, int) else logging.INFO)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if not args.tol > 0:
+            parser.error("--tol must be positive")
+        if args.tol >= DEFAULT_LAMBDA_MAX:
+            parser.error(f"--tol must be below the largest searched scale "
+                         f"{DEFAULT_LAMBDA_MAX:g}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not args.tol > 0:
-        parser.print_usage(sys.stderr)
-        sys.stderr.write("quasimod: error: --tol must be positive\n")
-        return 2
-    if args.tol >= DEFAULT_LAMBDA_MAX:
-        parser.print_usage(sys.stderr)
-        sys.stderr.write(f"quasimod: error: --tol must be below the largest "
-                         f"searched scale {DEFAULT_LAMBDA_MAX:g}\n")
-        return 2
+    # a command returns its report, its verdict and, for a .csv output,
+    # its matrix; only here are they written, logged and made an exit code
+    phase = _PhaseClock(args.command)
     try:
-        return _COMMANDS[args.command](args)
+        report, ok, *matrix = _COMMANDS[args.command](args, phase)
+        _emit(report, args.output, *matrix)
     except InputError as exc:
         sys.stderr.write(f"quasimod: error: {exc}\n")
         return 2
+    phase("write")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 from operator import and_
 from typing import NamedTuple
 
+from .extreal import number
 from .gauges import GaugeSpec
 from .profiles import ScaleGrid
 from .records import Frozen
@@ -264,13 +265,14 @@ class TruncatedSequenceFamily(Frozen):
     def __init__(self, members: tuple[tuple[float, ...], ...], p: float):
         if not members:
             raise ValueError("family must be nonempty")
+        p = number(p, "exponent")
         if not p >= 1:
             raise ValueError(f"exponent must be >= 1, got {p!r}")
         length = max(len(m) for m in members)
         if length < 1:
             raise ValueError("members must have at least one coordinate")
-        padded = tuple(tuple(float(v) for v in m) + (0.0,) * (length - len(m))
-                       for m in members)
+        padded = tuple(tuple(number(v, "member value") for v in m)
+                       + (0.0,) * (length - len(m)) for m in members)
         self._set(padded, p)
 
     @property

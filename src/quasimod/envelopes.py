@@ -19,6 +19,7 @@ class PartialFunction(Frozen):
     __slots__ = _fields = ("domain", "values", "lipschitz_L")
 
     def __init__(self, domain: tuple, values: Mapping, lipschitz_L: float):
+        lipschitz_L = number(lipschitz_L, "lipschitz")
         domain = tuple(domain)
         if not domain:
             raise ValueError("domain must be nonempty")
@@ -63,5 +64,4 @@ def envelope_from_json(doc: Mapping) -> tuple[list, dict, PartialFunction]:
     for a, v in values.items():
         if not math.isfinite(v):
             raise ValueError(f"value at {a!r} must be finite, got {v!r}")
-    return points, d, PartialFunction(
-        tuple(domain), values, number(doc["lipschitz"], "lipschitz"))
+    return points, d, PartialFunction(tuple(domain), values, doc["lipschitz"])

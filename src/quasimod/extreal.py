@@ -19,7 +19,10 @@ def is_ext(value: object) -> bool:
     """True if value is a nonnegative, non-NaN int or float (inf allowed)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer past the float range
+        return False
     return not math.isnan(v) and v >= 0.0
 
 

@@ -436,7 +436,7 @@ def gauge_from_json(doc: Mapping, name: str = "gauge") -> GaugeSpec:
     if regime is Regime.CONORM:
         conorm = conorm_from_name(doc.get("conorm", "max"))
     points = tuple(doc["points"])
-    grid = ScaleGrid(tuple(number(t, "grid") for t in doc["grid"]))
+    grid = ScaleGrid(doc["grid"])
     table = pair_map(doc["table"], points, "table",
                      lambda row, what: tuple(number(v, what) for v in row))
     # a missing diagonal row is zeros on both sides; a missing pair and a

@@ -36,6 +36,7 @@ class Edge(Frozen):
     __slots__ = _fields = ("u", "v", "mu", "cost")
 
     def __init__(self, u, v, mu: float, cost: float):
+        mu = number(mu, "edge mu")
         if not mu > 0:
             raise ValueError(f"edge measure must be positive, got {mu!r}")
         # the one check of a cost, whether read from JSON or passed in; the
@@ -69,13 +70,13 @@ class DirectedGraph(Frozen):
             if e.u not in index or e.v not in index:
                 raise ValueError(f"edge {e.u!r} -> {e.v!r} uses unknown vertices")
         masses = {v: 1.0 for v in vertices}
-        if measure is not None:
-            masses.update(measure)
-        for v, m in masses.items():
+        for v, m in (measure or {}).items():
             if v not in index:
                 raise ValueError(f"measure for unknown vertex {v!r}")
+            m = number(m, f"measure at {v!r}")
             if not m > 0:
                 raise ValueError(f"vertex measure must be positive, got {m!r}")
+            masses[v] = m
         fwd = [[] for _ in vertices]
         for k, e in enumerate(edges):
             fwd[index[e.u]].append((index[e.v], k))
@@ -257,8 +258,8 @@ def graph_to_json(g: DirectedGraph) -> dict:
 def graph_from_json(doc: Mapping) -> DirectedGraph:
     vertices = tuple(doc["vertices"])
     decode_ids(vertices, "vertex")
-    edges = tuple(Edge(e["from"], e["to"], number(e.get("mu", 1.0), "edge mu"),
-                       e.get("cost", 1.0)) for e in doc["edges"])
+    edges = tuple(Edge(e["from"], e["to"], e.get("mu", 1.0), e.get("cost", 1.0))
+                  for e in doc["edges"])
     measure = None
     if "measure" in doc:
         measure = keyed_numbers(doc["measure"], vertices, "measure", "vertex")

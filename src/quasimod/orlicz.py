@@ -30,7 +30,7 @@ class DiscreteMeasureSpace(Frozen):
         if not mu:
             raise ValueError("measure space needs masses")
         masses = dict(mu)
-        mu = {p: float(masses[p]) for p in points}
+        mu = {p: number(masses[p], f"mass at {p!r}") for p in points}
         for p, m in mu.items():
             if not (m > 0 and math.isfinite(m)):
                 raise ValueError(f"mass at {p!r} must be positive and finite, "
@@ -62,19 +62,20 @@ class MusielakOrlicz(Frozen):
                  a: Mapping | None = None, weights: Mapping | None = None,
                  base: "MusielakOrlicz | None" = None):
         if kind == "variable_exponent":
-            exponents = dict(exponents or {})
+            exponents = {pt: number(e, f"exponent at {pt!r}")
+                         for pt, e in (exponents or {}).items()}
             if not exponents:
                 raise ValueError("variable exponent needs per-point exponents")
             for pt, e in exponents.items():
-                if not (1.0 <= float(e) < math.inf):
+                if not 1.0 <= e < math.inf:
                     raise ValueError(f"exponent at {pt!r} must lie in "
                                      f"[1, inf), got {e!r}")
-            exponents = {pt: float(e) for pt, e in exponents.items()}
         elif kind == "double_phase":
-            if p is None or q is None or not 1.0 <= p < q < math.inf:
+            p, q = number(p, "p"), number(q, "q")
+            if not 1.0 <= p < q < math.inf:
                 raise ValueError(f"double phase needs 1 <= p < q < inf, got "
                                  f"p={p!r}, q={q!r}")
-            a = {pt: float(c) for pt, c in (a or {}).items()}
+            a = {pt: number(c, f"a at {pt!r}") for pt, c in (a or {}).items()}
             for pt, c in a.items():
                 if not 0.0 <= c < math.inf:
                     raise ValueError(f"double-phase coefficient a at {pt!r} "
@@ -82,7 +83,8 @@ class MusielakOrlicz(Frozen):
         elif kind == "weighted":
             if base is None:
                 raise ValueError("weighted family needs a base family")
-            weights = {pt: float(w) for pt, w in (weights or {}).items()}
+            weights = {pt: number(w, f"w at {pt!r}")
+                       for pt, w in (weights or {}).items()}
             for pt, w in weights.items():
                 if not 0.0 < w < math.inf:
                     raise ValueError(f"weights must be positive and finite: "

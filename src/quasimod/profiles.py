@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 
 from .conorms import TConorm
-from .extreal import INF, ensure_ext
+from .extreal import INF, ensure_ext, number
 from .records import Frozen
 
 
@@ -19,7 +19,7 @@ class ScaleGrid(Frozen):
     __slots__ = _fields = ("scales",)
 
     def __init__(self, scales: tuple[float, ...]):
-        scales = tuple(map(float, scales))
+        scales = tuple(number(t, "grid") for t in scales)
         if not scales:
             raise ValueError("scale grid must be nonempty")
         for t in scales:

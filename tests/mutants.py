@@ -334,9 +334,21 @@ MUTANTS = (
            "repeat((list, tuple)))) or not any(",
            ("test_report_writer.py::test_row_lists_match_json_dumps",)),
     Mutant("phase log removed", "cli.py",
-           'log.debug("%s %s: %.6f s, n=%d", command, phase, now - start, n)',
+           'log.debug("%s %s: %.6f s, n=%d", self.command, phase,\n'
+           "                  now - self.last, self.n)",
            "None",
            ("test_cli.py::test_debug_logging_goes_to_stderr_only[cover]",)),
+    # main alone writes, logs the write phase and picks the exit code
+    Mutant("every verdict exits 0", "cli.py",
+           "    return 0 if ok else 1",
+           "    return 0",
+           (f"{REF}[check-axioms-corrupted0]", f"{REF}[luxemburg-corrupted0]")),
+    Mutant("write phase not logged", "cli.py",
+           '    phase("write")\n',
+           "",
+           ("test_cli.py::test_debug_logging_goes_to_stderr_only[check-axioms]",
+            "test_cli.py::test_debug_logging_goes_to_stderr_only"
+            "[luxemburg-error]")),
     # conorms
     Mutant("no r/4 fallback in half_radius", "conorms.py",
            "return h if self.law(h, h) < r else r / 4.0",

@@ -154,11 +154,14 @@ def test_luxemburg_distances_and_csv(tmp_path):
     assert lines[1].startswith("a,0.0,")
 
 
-def test_luxemburg_rejects_nonmonotone_and_conorm_gauges(tmp_path):
-    rising = {"regime": "additive", "points": ["a", "b"], "grid": [1.0, 2.0],
+# a table whose rows rise with the scale: luxemburg writes an error report
+RISING_DOC = {"regime": "additive", "points": ["a", "b"], "grid": [1.0, 2.0],
               "table": {"a|a": [0, 0], "b|b": [0, 0],
                         "a|b": [1.0, 2.0], "b|a": [1.0, 2.0]}}
-    code, doc = run(tmp_path, "luxemburg", rising)
+
+
+def test_luxemburg_rejects_nonmonotone_and_conorm_gauges(tmp_path):
+    code, doc = run(tmp_path, "luxemburg", RISING_DOC)
     assert code == 1
     assert "error" in doc
     src = write_doc(tmp_path, "c.json", PROBSUM_ONLY_DOC)
@@ -484,6 +487,8 @@ LOGGED = [
                  id="check-axioms"),
     pytest.param("luxemburg", ADDITIVE_DOC, [], 0, 2,
                  "read distances layout write", id="luxemburg"),
+    pytest.param("luxemburg", RISING_DOC, [], 1, 2, "read write",
+                 id="luxemburg-error"),
     pytest.param("orlicz", ORLICZ_DOC, [], 0, 2, "read phi one-sided write",
                  id="orlicz"),
     pytest.param("envelope", ENVELOPE_DOC, [], 0, 2,
@@ -523,6 +528,21 @@ def test_debug_logging_goes_to_stderr_only(tmp_path, command, doc, flags,
         assert [re.fullmatch(rf"DEBUG:quasimod\.cli:{command} ([a-z-]+): "
                              rf"[0-9]+\.[0-9]{{6}} s, n={n}", line).group(1)
                 for line in lines] == phases.split(), lines
+
+
+# logging.BASIC_FORMAT is a str and logging._STYLES a dict: upper-case
+# names in the logging module that are not levels, so each logs at INFO
+@pytest.mark.parametrize("value", ["basic_format", "_styles"])
+def test_a_log_value_that_names_no_level_logs_at_info(tmp_path, value):
+    src = write_doc(tmp_path, "in.json", ADDITIVE_DOC)
+    quiet = {k: v for k, v in os.environ.items() if k != "QUASIMOD_LOG"}
+    argv = [sys.executable, "-m", "quasimod.cli", "check-axioms", "--input",
+            src]
+    plain, logged = (subprocess.run(argv, capture_output=True, env=env)
+                     for env in (quiet, dict(quiet, QUASIMOD_LOG=value)))
+    assert logged.returncode == plain.returncode == 0
+    assert logged.stdout == plain.stdout
+    assert logged.stderr == plain.stderr == b""
 
 
 @pytest.mark.parametrize("flags", [[], ["--grid", "1,2"]])

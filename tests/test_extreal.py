@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasimod import INF, ensure_ext, ext_mul, format_ext, is_ext, parse_ext
+from quasimod import (INF, Profile, ScaleGrid, ensure_ext, ext_mul,
+                      format_ext, is_ext, parse_ext)
 
 nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=True)
 
@@ -19,6 +20,12 @@ def test_is_ext_accepts_the_ray():
     assert not is_ext(float("nan"))
     assert not is_ext(True)  # bools are ints but not quantities
     assert not is_ext("3")
+    assert not is_ext(10 ** 400)  # past the float range
+
+
+def test_a_profile_refuses_an_integer_past_the_float_range():
+    with pytest.raises(ValueError, match="profile value must be"):
+        Profile(ScaleGrid((1.0,)), (10 ** 400,))
 
 
 def test_ensure_ext_error_names_the_field():

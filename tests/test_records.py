@@ -152,6 +152,44 @@ def test_constructor_errors_are_unchanged():
         GaugeSpec(Regime.ADDITIVE, ("a",))
 
 
+# each number a constructor reads, by the number rule of the JSON readers:
+# float() read True as 1.0, and "2" and 10 ** 400 got through or raised
+# something else; each row is (build from the value, the field's name)
+NUMBER_FIELDS = {
+    "grid": (lambda v: ScaleGrid((v, 2.0)), "grid"),
+    "edge-mu": (lambda v: Edge("a", "b", v, 1.0), "edge mu"),
+    "vertex-measure": (lambda v: DirectedGraph(("a",), (), {"a": v}),
+                       "measure at 'a'"),
+    "mass": (lambda v: DiscreteMeasureSpace(("x",), {"x": v}), "mass at 'x'"),
+    "exponent": (lambda v: MusielakOrlicz.variable_exponent({"x": v}),
+                 "exponent at 'x'"),
+    "double-phase-p": (lambda v: MusielakOrlicz.double_phase(v, 3.0, {}), "p"),
+    "double-phase-q": (lambda v: MusielakOrlicz.double_phase(1.0, v, {}), "q"),
+    "double-phase-a": (lambda v: MusielakOrlicz.double_phase(
+        1.0, 2.0, {"x": v}), "a at 'x'"),
+    "weight": (lambda v: MusielakOrlicz.weighted(PHI, {"x": v}), "w at 'x'"),
+    "lipschitz": (lambda v: PartialFunction(("a",), {"a": 1.0}, v),
+                  "lipschitz"),
+    "member": (lambda v: TruncatedSequenceFamily(((v, 2),), 2),
+               "member value"),
+    "sequence-exponent": (lambda v: TruncatedSequenceFamily(((1.0,),), v),
+                          "exponent"),
+}
+
+
+@pytest.mark.parametrize("value", [True, "2", 10 ** 400],
+                         ids=["bool", "string", "huge"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_constructors_read_numbers_by_the_number_rule(field, value):
+    build, name = NUMBER_FIELDS[field]
+    with pytest.raises(ValueError) as refused:
+        build(value)
+    assert str(refused.value) == (
+        f"{name} is too large for a float: an integer of 1329 bits"
+        if value == 10 ** 400 else
+        f'{name} must be a number or "inf", got {value!r}')
+
+
 def test_replace_goes_through_the_checks():
     with pytest.raises(ValueError, match="edge measure must be positive"):
         Edge("a", "b", 1.0, 2.0)._replace(mu=-1.0)
