@@ -410,19 +410,29 @@ def _bracketed(norm: float, what: str) -> None:
                          f"{DEFAULT_LAMBDA_MAX:g}")
 
 
+def _orlicz_doc(raw) -> tuple:
+    """(space, functions, phi or None, psi pair or None) of a document."""
+    space = DiscreteMeasureSpace.from_json(raw["space"])
+    functions = {fid: parse_function(values, space)
+                 for fid, values in raw.get("functions", {}).items()}
+    decode_ids(functions, "function")
+    phi = orlicz_from_json(raw["phi"], space) if "phi" in raw else None
+    pair = OneSidedPair(orlicz_from_json(raw["psi1"], space),
+                        orlicz_from_json(raw["psi2"], space)) \
+        if "psi1" in raw and "psi2" in raw else None
+    return space, functions, phi, pair
+
+
 def cmd_orlicz(args, phase):
-    raw = _load_json(args.input)
+    space, functions, phi, pair = _read("orlicz document", _orlicz_doc,
+                                        _load_json(args.input))
+    phase("read", len(space.points))
     doc = {"command": "orlicz", "tol": args.tol}
     ok = True
-    # reading and computing share one block: a phi can overflow (exit 2)
+    # the families' own refusals are input errors too: a phi that overflows
+    # and a point with no exponent
     try:
-        space = DiscreteMeasureSpace.from_json(raw["space"])
-        functions = {fid: parse_function(values, space)
-                     for fid, values in raw.get("functions", {}).items()}
-        decode_ids(functions, "function")
-        phase("read", len(space.points))
-        if "phi" in raw:
-            phi = orlicz_from_json(raw["phi"], space)
+        if phi is not None:
             out = {}
             for fid in sorted(functions):
                 ub = unit_ball_check(space, phi, functions[fid], args.tol)
@@ -433,9 +443,7 @@ def cmd_orlicz(args, phase):
                 ok = ok and ub.ok
             doc["phi"] = out
             phase("phi")
-        if "psi1" in raw and "psi2" in raw:
-            pair = OneSidedPair(orlicz_from_json(raw["psi1"], space),
-                                orlicz_from_json(raw["psi2"], space))
+        if pair is not None:
             sides, dists = {}, {}
             for fid in sorted(functions):
                 np_, nm, ns = one_sided_gauges(space, pair, functions[fid],
@@ -450,7 +458,7 @@ def cmd_orlicz(args, phase):
                 dists[f"{fa}|{fb}"] = {"plus": dp, "minus": dm}
             doc["one_sided"] = {"norms": sides, "distances": dists}
             phase("one-sided")
-    except _DOC_ERRORS as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise InputError(f"bad orlicz document: {exc}") from None
     return doc, ok
 

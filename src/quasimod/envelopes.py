@@ -19,16 +19,20 @@ class PartialFunction(Frozen):
     __slots__ = _fields = ("domain", "values", "lipschitz_L")
 
     def __init__(self, domain: tuple, values: Mapping, lipschitz_L: float):
-        lipschitz_L = number(lipschitz_L, "lipschitz")
         domain = tuple(domain)
+        missing = [a for a in domain if a not in values]
+        if missing:
+            raise ValueError(f"no values for domain points {missing!r}")
+        values = {a: number(values[a], f"value at {a!r}") for a in domain}
+        for a, v in values.items():
+            if not math.isfinite(v):
+                raise ValueError(f"value at {a!r} must be finite, got {v!r}")
+        lipschitz_L = number(lipschitz_L, "lipschitz")
         if not domain:
             raise ValueError("domain must be nonempty")
         if not lipschitz_L >= 0:
             raise ValueError(f"Lipschitz constant must be nonnegative, "
                              f"got {lipschitz_L!r}")
-        missing = [a for a in domain if a not in values]
-        if missing:
-            raise ValueError(f"no values for domain points {missing!r}")
         self._set(domain, values, lipschitz_L)
 
 
@@ -59,9 +63,5 @@ def envelope_from_json(doc: Mapping) -> tuple[list, dict, PartialFunction]:
     points = list(doc["points"])
     d = pair_map(doc["distance"], points, "distance", parse_ext)
     domain = list(map(point_resolver(points), doc["domain"]))
-    values = {a: number(doc["values"][str(a)], f"value at {a!r}")
-              for a in domain}
-    for a, v in values.items():
-        if not math.isfinite(v):
-            raise ValueError(f"value at {a!r} must be finite, got {v!r}")
+    values = {a: doc["values"][str(a)] for a in domain}
     return points, d, PartialFunction(tuple(domain), values, doc["lipschitz"])

@@ -67,32 +67,31 @@ def format_ext(value: float) -> object:
 def decode_ids(ids, what: str) -> dict:
     """{str(id): id} for ids that name the sides of "x|y" pair keys; raises
     ValueError unless the strings are unique and none holds "|", so that
-    every key names exactly one ordered pair, and on a float id that is not
-    finite, which no report may write (and NaN equals no id, not even itself)."""
+    every key names one ordered pair, on ids one dict key would merge (1,
+    1.0 and True), and on a float id that is not finite, which no report may
+    write.  An unhashable id raises TypeError."""
     for i in ids:
         if isinstance(i, float) and not math.isfinite(i):
             raise ValueError(f"{what} id {i!r} is not a finite number")
     by_str = {str(i): i for i in ids}
     if len(by_str) != len(ids) or any("|" in s for s in by_str):
         raise ValueError(f"{what} ids must stringify uniquely and avoid '|'")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{what} ids must be distinct as values: 1, 1.0 "
+                         f"and true are one id")
     return by_str
 
 
 def point_resolver(points):
-    """Map an id to its point: an exact match first, then a match on str(id).
-    Unknown ids raise ValueError; an unhashable point raises TypeError."""
-    exact = set(points)
-    by_str = {str(p): p for p in points}
+    """Map an id to the point with its string form: "1" names 1 and True
+    does not.  The points must pass `decode_ids`; unknown ids raise
+    ValueError."""
+    by_str = decode_ids(points, "point")
 
     def resolve(i):
-        try:
-            hit = i in exact
-        except TypeError:
-            hit = False  # an unhashable id equals no point
-        key = i if hit else by_str.get(str(i))
-        if key is None:
+        if str(i) not in by_str:
             raise ValueError(f"unknown point id {i!r}")
-        return key
+        return by_str[str(i)]
 
     return resolve
 

@@ -57,6 +57,7 @@ PAIR_MAPS = ("test_report_writer.py::"
 GUARD = ("test_bisection_guard.py::"
          "test_guard_matches_the_rescanning_guard_on_seeded_maps")
 GUARD_WORK = "test_bisection_guard.py::test_guard_work_is_linear_in_the_probes"
+VALUE_EQUAL = "test_cli.py::test_ambiguous_ids_and_non_list_sequences_exit_2"
 
 MUTANTS = (
     # check_axioms: witness order, splits and the triangle law
@@ -349,6 +350,35 @@ MUTANTS = (
            ("test_cli.py::test_debug_logging_goes_to_stderr_only[check-axioms]",
             "test_cli.py::test_debug_logging_goes_to_stderr_only"
             "[luxemburg-error]")),
+    # the orlicz computation maps only the families' refusals to exit 2
+    Mutant("orlicz computation catches document errors", "cli.py",
+           "    except (ArithmeticError, ValueError) as exc:\n"
+           '        raise InputError(f"bad orlicz document: {exc}")',
+           "    except _DOC_ERRORS as exc:\n"
+           '        raise InputError(f"bad orlicz document: {exc}")',
+           ("test_cli.py::"
+            "test_a_fault_in_the_orlicz_computation_is_not_an_input_error",)),
+    # one id rule
+    Mutant("decode_ids without the value check", "extreal.py",
+           "    if len(set(ids)) != len(ids):",
+           "    if len(set(ids)) != len(ids) and False:",
+           (f"{VALUE_EQUAL}[envelope-int-float]",
+            f"{VALUE_EQUAL}[envelope-bool-int]")),
+    Mutant("point_resolver matching by equality first", "extreal.py",
+           "        if str(i) not in by_str:",
+           "        if i in by_str.values():\n"
+           "            return next(p for p in by_str.values() if p == i)\n"
+           "        if str(i) not in by_str:",
+           (f"{VALUE_EQUAL}[cover-bool-sequence]",
+            f"{VALUE_EQUAL}[cover-float-sequence]",
+            "test_cli.py::test_point_ids_resolve_like_the_per_id_scan")),
+    Mutant("PartialFunction keeps its values unread", "envelopes.py",
+           'values = {a: number(values[a], f"value at {a!r}") for a in domain}',
+           "values = {a: values[a] for a in domain}",
+           ("test_envelopes.py::"
+            "test_partial_function_reads_its_values_by_the_number_rule[bool]",
+            "test_cli.py::"
+            "test_every_numeric_field_refuses_non_numbers[envelope-value-true]")),
     # conorms
     Mutant("no r/4 fallback in half_radius", "conorms.py",
            "return h if self.law(h, h) < r else r / 4.0",

@@ -192,6 +192,33 @@ def test_orlicz_overflow_keeps_its_error_line(tmp_path, capsys):
         "of range')\n")
 
 
+def test_a_fault_in_the_orlicz_computation_is_not_an_input_error(
+        tmp_path, monkeypatch):
+    # exit 2 is for usage and input errors; a program fault stays a fault
+    def broken(*args):
+        raise TypeError("planted fault")
+
+    monkeypatch.setattr(cli, "unit_ball_check", broken)
+    src = write_doc(tmp_path, "in.json", ORLICZ_DOC)
+    with pytest.raises(TypeError, match="planted fault"):
+        main(["orlicz", "--input", src])
+
+
+def test_an_orlicz_document_is_read_whole_before_any_norm(tmp_path, capsys):
+    # the overflowing phi would stop the computation, but the malformed
+    # psi2 is found first, in the read
+    doc = {"space": {"points": ["a"], "mu": {"a": 1.0}},
+           "functions": {"f": {"a": 2.0}},
+           "phi": {"kind": "variable_exponent", "p": {"a": 1e308}},
+           "psi1": {"kind": "variable_exponent", "p": {"a": 2.0}},
+           "psi2": {"kind": "no-such-kind"}}
+    assert main(["orlicz", "--input", write_doc(tmp_path, "in.json", doc)]) \
+        == 2
+    assert capsys.readouterr().err == (
+        "quasimod: error: bad orlicz document: unknown Musielak-Orlicz kind "
+        "'no-such-kind'\n")
+
+
 def test_graph_command_reports_both_directions(tmp_path):
     doc = {"vertices": ["a", "b"],
            "edges": [{"from": "a", "to": "b", "cost": 1.0},
@@ -377,36 +404,39 @@ def test_orlicz_norm_past_the_search_cutoff_exits_2(tmp_path, capsys):
 
 
 def test_point_ids_resolve_like_the_per_id_scan():
-    """The lookup built once per document resolves like the scan it
-    replaced: the id itself on an exact match, else the point whose str is
-    str(id), else "unknown point id"."""
+    """The lookup built once per document resolves like a scan for the
+    point whose str is str(id), else "unknown point id": the string form
+    alone names a point, so "1" names the point 1, and True and 1.0 name
+    no point 1.  The point sets pass `decode_ids`."""
 
-    def scan(ids, points):
-        by_str = {str(p): p for p in points}
-        out = []
+    def scan(i, points):
+        for p in points:
+            if str(p) == str(i):
+                return p
+        raise ValueError(f"unknown point id {i!r}")
+
+    ids = [1, "1", True, "True", 1.0, "1.0", False, 0, "0", 2.5, "2.5", "b",
+           [3], "[3]", {"k": 1}, "x", None, "None", 7, (1,), "(1,)", [1]]
+    for points in ([1, 2.5, "b", "[3]", None, (1,)], [True, 0, "x"],
+                   [1.0, False, "None"], ["1", "0", "[1]"]):
+        resolve = point_resolver(points)
         for i in ids:
-            key = i if i in points else by_str.get(str(i))
-            if key is None:
-                raise ValueError(f"unknown point id {i!r}")
-            out.append(key)
-        return out
-
-    points = [1, "1", 2.5, "b", "[3]", None, (1,)]
-    ids = [1, "1", True, 1.0, "2.5", 2.5, "b", [3], "[3]", {"k": 1}, "x",
-           [4], None, "None", 7, (1,), "(1,)", [1]]
-    resolve = point_resolver(points)
-    for i in ids:
-        try:
-            want = ("ok", repr(scan([i], points)[0]))
-        except ValueError as exc:
-            want = ("error", str(exc))
-        try:
-            got = ("ok", repr(resolve(i)))
-        except ValueError as exc:
-            got = ("error", str(exc))
-        assert got == want, i
+            try:
+                want = ("ok", repr(scan(i, points)))
+            except ValueError as exc:
+                want = ("error", str(exc))
+            try:
+                got = ("ok", repr(resolve(i)))
+            except ValueError as exc:
+                got = ("error", str(exc))
+            assert got == want, (points, i)
+    assert point_resolver([1, "b"])("1") == 1
+    with pytest.raises(ValueError, match="unknown point id True"):
+        point_resolver([1, "b"])(True)
     with pytest.raises(TypeError, match="unhashable"):
         point_resolver(["a", [1]])
+    with pytest.raises(ValueError, match="distinct as values"):
+        point_resolver([1, 1.0])
 
 
 def test_usage_and_input_errors(tmp_path, capsys):
@@ -863,6 +893,10 @@ def test_schedule_keys_round_trip():
 # ids that end up in "x|y" keys must stringify uniquely and hold no "|":
 # ("a|b", "c") and ("a", "b|c") would share the key "a|b|c"
 BARRED = ["a|b", "c", "a", "b|c"]
+VALUE_EQUAL = "ids must be distinct as values: 1, 1.0 and true are one id"
+COVER_01 = {"regime": "additive", "points": [0, 1], "grid": [1.0, 2.0],
+            "table": {"0|0": [0, 0], "0|1": [2.0, 1.0], "1|0": [1.0, 0.5],
+                      "1|1": [0, 0]}}
 
 
 @pytest.mark.parametrize("command, doc, message", [
@@ -886,15 +920,47 @@ BARRED = ["a|b", "c", "a", "b|c"]
      "bad cover sequence: expected a JSON list, not str"),
     ("cover", {"space": ADDITIVE_DOC, "sequence": {"a": 1}},
      "bad cover sequence: expected a JSON list, not dict"),
+    # ids must also be distinct as values, which one dict key would merge,
+    # and a sequence id names only the point of its string form
+    ("envelope", {"points": [1, 1.0, "x"],
+                  "distance": {"1|x": 1.0, "x|1": 2.0, "1.0|x": 5.0,
+                               "x|1.0": 1.0},
+                  "domain": [1], "values": {"1": 0.0}, "lipschitz": 1.0},
+     f"bad envelope document: point {VALUE_EQUAL}"),
+    ("envelope", {"points": [True, 1, "x"],
+                  "distance": {"True|x": 1.0, "x|True": 1.0, "1|x": 1.0,
+                               "x|1": 1.0},
+                  "domain": ["x"], "values": {"x": 0.0}, "lipschitz": 1.0},
+     f"bad envelope document: point {VALUE_EQUAL}"),
+    ("check-axioms", dict(ADDITIVE_DOC, points=[1, 1.0], grid=[1.0],
+                          table={"1|1": [0], "1|1.0": [1], "1.0|1": [1],
+                                 "1.0|1.0": [0]}),
+     f"bad gauge document: point {VALUE_EQUAL}"),
+    ("graph", {"vertices": [1, True], "edges": []},
+     f"bad graph document: vertex {VALUE_EQUAL}"),
+    ("cover", {"space": COVER_01, "sequence": [True, False]},
+     "bad cover sequence: unknown point id True"),
+    ("cover", {"space": dict(COVER_01, points=[1, 0]), "sequence": [1.0]},
+     "bad cover sequence: unknown point id 1.0"),
 ], ids=["graph-vertices", "orlicz-function-ids", "envelope-str-collision",
         "envelope-duplicate-points", "gauge-point", "cover-sequence-string",
-        "cover-sequence-object"])
+        "cover-sequence-object", "envelope-int-float", "envelope-bool-int",
+        "gauge-int-float", "graph-int-bool", "cover-bool-sequence",
+        "cover-float-sequence"])
 def test_ambiguous_ids_and_non_list_sequences_exit_2(tmp_path, capsys,
                                                      command, doc, message):
     src = write_doc(tmp_path, "in.json", doc)
     assert main([command, "--input", src]) == 2
     out, err = capsys.readouterr()
     assert out == "" and _single_error_line(err) and message in err
+
+
+def test_a_sequence_id_names_the_point_of_its_string_form(tmp_path):
+    by_string = run(tmp_path, "cover", {"space": COVER_01,
+                                        "sequence": ["1", "0", 1]})
+    assert by_string == run(tmp_path, "cover", {"space": COVER_01,
+                                                "sequence": [1, 0, 1]})
+    assert by_string[0] == 0 and by_string[1]["cauchy"]
 
 
 # json.load alone keeps the last of repeated keys, so each document below

@@ -20,6 +20,18 @@ def test_partial_function_validation():
         PartialFunction(("a", "b"), {"a": 1.0}, 1.0)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("1", 'value at \'a\' must be a number or "inf", got \'1\''),
+    (True, 'value at \'a\' must be a number or "inf", got True'),
+    (INF, "value at 'a' must be finite, got inf"),
+], ids=["string", "bool", "inf"])
+def test_partial_function_reads_its_values_by_the_number_rule(value,
+                                                              message):
+    with pytest.raises(ValueError) as refused:
+        PartialFunction(("a",), {"a": value}, 1.0)
+    assert str(refused.value) == message
+
+
 def test_single_anchor_closed_form():
     d = {("x", "a"): 2.0, ("a", "x"): 0.5}
     f = PartialFunction(("a",), {"a": 1.0}, 3.0)

@@ -35,6 +35,24 @@ from reference import path_distances, report
 # gauge documents
 
 
+# hand-written documents, each with what its report must hold
+SMALL = {"regime": "additive", "points": ["a", "b"], "grid": [1, 2],
+         "table": {"a|a": [0, 0], "a|b": [2, 1], "b|a": [1, 0.5],
+                   "b|b": [0, 0]}}
+# w(a, b, 1) = 1 is a bounded violation, not a range error, and its balls
+# still give one topology
+PROBSUM = {"regime": "conorm", "conorm": "prob_sum", "points": ["a", "b"],
+           "grid": [1, 2], "table": {"a|a": [0, 0], "a|b": [1, 0.5],
+                                     "b|a": [0.5, 0.25], "b|b": [0, 0]}}
+# violations laid out by columns, each witness a nested list: points of
+# three types, -0.0 beside 0.0 and "inf"
+VIOLATIONS = {"regime": "additive", "points": [0, "b", 2.5], "grid": [1, 2, 4],
+              "table": {"0|0": [0.5, 0, 0], "0|b": [-0.0, 1, 0],
+                        "b|0": [0, 0, 0], "0|2.5": [1, 1, 1],
+                        "2.5|0": [1, 1, 1], "b|2.5": [0, 0, 0],
+                        "2.5|b": [1, "inf", 1]}}
+
+
 def gauges():
     """The dense and cover corpora, and scaled metrics with +inf holes."""
     for name in sorted(GAUGES):
@@ -61,6 +79,12 @@ def gauge_cases():
             yield f"valid-{command}", command, doc, []
     yield "valid-graph-grid", "graph", valid_documents()["graph"], \
         ["--grid", "8,16"]
+    yield "small-cover", "cover", {"space": SMALL,
+                                   "sequence": ["a", "b", "a"]}, []
+    yield "small-topology", "topology", SMALL, []
+    yield "probsum-check-axioms", "check-axioms", PROBSUM, []
+    yield "probsum-topology", "topology", PROBSUM, []
+    yield "violations-check-axioms", "check-axioms", VIOLATIONS, []
 
 
 def test_scaled_metrics_meet_infinite_distances():
@@ -234,3 +258,31 @@ def test_reports_match_the_reference(tmp_path, case):
             (code, "", "")
         assert (tmp_path / "out.csv").read_bytes() == \
             distance_csv(points, cells).encode("utf-8")
+
+
+def test_hand_written_documents_hold_what_they_were_written_for(tmp_path):
+    def text(command, doc):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(doc), encoding="utf-8")
+        return run_main([command, "--input", str(src)])
+
+    code, out, _ = text("cover", {"space": SMALL, "sequence": ["a", "b", "a"]})
+    cover = json.loads(out)
+    assert code == 0 and cover["cauchy"] and cover["heine_borel"]["rows"]
+    code, out, _ = text("topology", SMALL)
+    topology = json.loads(out)
+    assert code == 0 and topology["join_equals_sym"]
+    assert topology["tau_sym"] == topology["join"]
+    code, out, _ = text("check-axioms", PROBSUM)
+    assert code == 1 and [v["axiom"] for v in
+                          json.loads(out)["axioms"]["violations"]] == \
+        ["bounded"]
+    assert text("topology", PROBSUM)[0] == 0
+    code, out, _ = text("check-axioms", VIOLATIONS)
+    found = [(v["axiom"], v["lhs"], v["rhs"])
+             for v in json.loads(out)["axioms"]["violations"]]
+    assert code == 1 and len(found) == 10
+    assert found[:3] == [("zero-self", 0.5, 0.0), ("scale-monotone", 1.0, -0.0),
+                         ("scale-monotone", "inf", 1.0)]
+    assert [a for a, _, _ in found[3:]] == ["triangle"] * 7
+    assert '"rhs": -0.0' in out
