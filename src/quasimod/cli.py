@@ -343,7 +343,8 @@ def cmd_luxemburg(args, phase):
         rows = [[luxemburg_distance(g, x, y, tol=args.tol).value
                  for y in g.points] for x in g.points]
     except NonmonotoneGaugeError as exc:
-        return {"command": "luxemburg", "error": str(exc)}, False
+        raise InputError(f"luxemburg distances need a gauge nonincreasing "
+                         f"in the scale: {exc}") from None
     phase("distances")
     sym = [list(map(max, row, col)) for row, col in zip(rows, zip(*rows))]
     distances, symmetrized = _pair_maps(g.points, *_value_texts(rows, sym))

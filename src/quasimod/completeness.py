@@ -15,8 +15,8 @@ from .extreal import number
 from .gauges import GaugeSpec
 from .profiles import ScaleGrid
 from .records import Frozen
-from .topology import (ThresholdSet, _BallRows, _normalize_side, _side_rows,
-                       critical_thresholds)
+from .topology import (ThresholdSet, _BallRows, _check_radius,
+                       _normalize_side, critical_thresholds, entourage)
 
 
 class CauchyClassification(NamedTuple):
@@ -36,11 +36,6 @@ def _minimal_tail_start(rows) -> int | None:
     return None if worst == len(rows) else worst + 1
 
 
-def _check_positive(r: float) -> None:
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r!r}")
-
-
 def _sequence(points) -> tuple:
     """The sampled points as a tuple, refused when empty."""
     seq = tuple(points)
@@ -57,7 +52,7 @@ def classify_cauchy(points, g: GaugeSpec, r: float,
     tail always qualifies when either does, so the kind is "bi" or
     "neither"; asymmetry shows in `forward_i0` and `backward_i0`."""
     seq = _sequence(points)
-    _check_positive(r)
+    _check_radius(r)
     _, fwd, bwd = _BallRows(g, seq).rows(r, t)
     return _classify(fwd, bwd)
 
@@ -68,7 +63,7 @@ def classify_cauchy_thresholds(points, g: GaugeSpec,
     each distinct ball relation on the sequence classified once."""
     balls, memo, out = _BallRows(g, _sequence(points)), {}, []
     for r, t in thresholds.pairs():
-        _check_positive(r)
+        _check_radius(r)
         key, fwd, bwd = balls.rows(r, t)
         if key not in memo:
             memo[key] = _classify(fwd, bwd)
@@ -89,10 +84,7 @@ def converges_to(points, g: GaugeSpec, x, r: float, t: float,
     The one-point tail is a candidate, so this is membership of the last
     point."""
     last = _sequence(points)[-1]
-    side = _normalize_side(side)
-    _check_positive(r)
-    rows = _side_rows(_BallRows(g, (x, last)), r, t, side)
-    return bool(rows[0] & 2)
+    return bool(entourage(g, r, t, side, (x, last))[0] & 2)
 
 
 class CoverResult(NamedTuple):
@@ -109,9 +101,8 @@ def greedy_net(points, g: GaugeSpec, r: float, t: float,
     """First-uncovered greedy cover: scan the sample in input order, promote
     each uncovered point to a center, and re-verify membership at the end."""
     side = _normalize_side(side)
-    _check_positive(r)
     sample = tuple(points)
-    centers, verified = _greedy(_side_rows(_BallRows(g, sample), r, t, side))
+    centers, verified = _greedy(entourage(g, r, t, side, sample))
     return CoverResult(tuple(sample[i] for i in centers), r, t, side, sample,
                        verified)
 

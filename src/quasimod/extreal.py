@@ -65,11 +65,11 @@ def format_ext(value: float) -> object:
 
 
 def decode_ids(ids, what: str) -> dict:
-    """{str(id): id} for ids that name the sides of "x|y" pair keys; raises
+    """{str(id): id} under the one rule for every document id: raises
     ValueError unless the strings are unique and none holds "|", so that
-    every key names one ordered pair, on ids one dict key would merge (1,
-    1.0 and True), and on a float id that is not finite, which no report may
-    write.  An unhashable id raises TypeError."""
+    every "x|y" key names one ordered pair, on ids one dict key would merge
+    (1, 1.0 and True), and on a float id that is not finite, which no report
+    may write.  An unhashable id raises TypeError."""
     for i in ids:
         if isinstance(i, float) and not math.isfinite(i):
             raise ValueError(f"{what} id {i!r} is not a finite number")
@@ -97,11 +97,9 @@ def point_resolver(points):
 
 
 def keyed_numbers(raw, ids, what: str, noun: str = "point") -> dict:
-    """{id: number} from a JSON object keyed by the ids' strings, which must
-    be unique; unlike `decode_ids`, an id here may hold "|"."""
-    by_str = {str(i): i for i in ids}
-    if len(by_str) != len(ids):
-        raise ValueError(f"{noun} ids must stringify uniquely")
+    """{id: number} from a JSON object keyed by the ids' strings; the ids
+    must pass `decode_ids`."""
+    by_str = decode_ids(ids, noun)
     out = {}
     for key, v in raw.items():
         if key not in by_str:

@@ -49,11 +49,11 @@ def compose(a: tuple, b: tuple) -> tuple[int, ...]:
                                       .translate(_BITS)), 0) for row in a)
 
 
-def _check_radius(g: GaugeSpec, r: float) -> None:
+def _check_radius(r: float) -> None:
+    """Every ball reader's radius rule: any r > 0, conorm radii of 1 and
+    more too, as a quasi-uniformity is upward closed."""
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r!r}")
-    if g.regime is Regime.CONORM and not r < 1:
-        raise ValueError(f"conorm-regime radius must lie in (0, 1), got {r!r}")
 
 
 def entourage(g: GaugeSpec, r: float, t: float, side: str = "forward",
@@ -62,8 +62,11 @@ def entourage(g: GaugeSpec, r: float, t: float, side: str = "forward",
     default): bit j of row i holds (points[i], points[j]).  Backward swaps
     the arguments; two-sided keeps the pairs of both."""
     side = _normalize_side(side)
-    _check_radius(g, r)
-    return _side_rows(_BallRows(g, points), r, t, side)
+    _check_radius(r)
+    _, fwd, bwd = _BallRows(g, points).rows(r, t)
+    if side == "two_sided":
+        return tuple(map(and_, fwd, bwd))
+    return fwd if side == "forward" else bwd
 
 
 class _Sweep:
@@ -127,14 +130,6 @@ class _BallRows:
     def value(self, i: int, j: int, t: float) -> float:
         """w(points[i], points[j], t), from the matrix `rows` read at t."""
         return self._scales[t].mat[self.idx[i]][self.idx[j]]
-
-
-def _side_rows(balls: _BallRows, r: float, t: float, side: str):
-    """The entourage rows of one normalized side at (r, t), unchecked."""
-    _, fwd, bwd = balls.rows(r, t)
-    if side == "two_sided":
-        return tuple(map(and_, fwd, bwd))
-    return fwd if side == "forward" else bwd
 
 
 def ball(g: GaugeSpec, x, r: float, t: float, side: str = "forward",

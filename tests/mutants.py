@@ -138,6 +138,15 @@ MUTANTS = (
            ("test_graphs.py::"
             "test_schedule_reads_times_and_costs_by_the_number_rule",)),
     # ball rows, covers and Cauchy scans
+    Mutant("entourage refusing conorm radii of 1 and more again",
+           "topology.py",
+           "    _check_radius(r)\n    _, fwd, bwd = _BallRows(g, points)",
+           "    _check_radius(r)\n"
+           "    if g.regime is Regime.CONORM and not r < 1:\n"
+           '        raise ValueError(f"conorm-regime radius must lie in (0, 1)")\n'
+           "    _, fwd, bwd = _BallRows(g, points)",
+           ("test_topology.py::test_entourage_sides_are_transposes",
+            "test_dense.py::test_greedy_net_takes_conorm_radii_above_one")),
     Mutant("bisect_right in _BallRows.rows", "topology.py",
            "cut = bisect_left(sweep.values, r)",
            'cut = __import__("bisect").bisect_right(sweep.values, r)',
@@ -146,7 +155,7 @@ MUTANTS = (
            "bwd[j] |= 1 << i",
            "bwd[i] |= 1 << j",
            (BALL_ROWS, OPPOSITE_SIDES)),
-    Mutant("_side_rows returns forward rows for backward", "topology.py",
+    Mutant("entourage returns forward rows for backward", "topology.py",
            'return fwd if side == "forward" else bwd',
            "return fwd",
            (OPPOSITE_SIDES,)),
@@ -343,13 +352,24 @@ MUTANTS = (
     Mutant("every verdict exits 0", "cli.py",
            "    return 0 if ok else 1",
            "    return 0",
-           (f"{REF}[check-axioms-corrupted0]", f"{REF}[luxemburg-corrupted0]")),
+           (f"{REF}[check-axioms-corrupted0]",
+            f"{REF}[graph-unreachable-above-0]")),
     Mutant("write phase not logged", "cli.py",
            '    phase("write")\n',
            "",
-           ("test_cli.py::test_debug_logging_goes_to_stderr_only[check-axioms]",
+           ("test_cli.py::test_debug_logging_goes_to_stderr_only"
+            "[check-axioms]",)),
+    # a refusal is an input error: exit 2, one line, no report
+    Mutant("cmd_luxemburg returning the error report", "cli.py",
+           '        raise InputError(f"luxemburg distances need a gauge '
+           'nonincreasing "\n'
+           '                         f"in the scale: {exc}") from None',
+           '        return {"command": "luxemburg", "error": str(exc)}, False',
+           ("test_cli.py::test_luxemburg_rejects_nonmonotone_and_conorm_gauges",
+            "test_cli.py::"
+            "test_luxemburg_exits_2_on_a_row_that_rises_past_its_infimum",
             "test_cli.py::test_debug_logging_goes_to_stderr_only"
-            "[luxemburg-error]")),
+            "[luxemburg-error]", f"{REF}[luxemburg-corrupted0]")),
     # the orlicz computation maps only the families' refusals to exit 2
     Mutant("orlicz computation catches document errors", "cli.py",
            "    except (ArithmeticError, ValueError) as exc:\n"
@@ -364,6 +384,14 @@ MUTANTS = (
            "    if len(set(ids)) != len(ids) and False:",
            (f"{VALUE_EQUAL}[envelope-int-float]",
             f"{VALUE_EQUAL}[envelope-bool-int]")),
+    Mutant("keyed_numbers with its own id map", "extreal.py",
+           "    by_str = decode_ids(ids, noun)\n    out = {}",
+           "    by_str = {str(i): i for i in ids}\n"
+           "    if len(by_str) != len(ids):\n"
+           '        raise ValueError(f"{noun} ids must stringify uniquely")\n'
+           "    out = {}",
+           (f"{VALUE_EQUAL}[orlicz-int-float]", f"{VALUE_EQUAL}[orlicz-bool-int]",
+            f"{VALUE_EQUAL}[orlicz-str-collision]", f"{VALUE_EQUAL}[orlicz-bar]")),
     Mutant("point_resolver matching by equality first", "extreal.py",
            "        if str(i) not in by_str:",
            "        if i in by_str.values():\n"

@@ -431,7 +431,8 @@ def _gauge_report(command, g, opts, sequence):
         d = {(x, y): luxemburg_infimum(g, x, y)
              for x in g.points for y in g.points}
     except ValueError as exc:
-        return {"command": command, "error": str(exc)}, 1
+        return (f"quasimod: error: luxemburg distances need a gauge "
+                f"nonincreasing in the scale: {exc}\n"), 2
     return {"command": command, "tol": float(opts.get("--tol", 1e-9)),
             "distances": pair_map(g.points, lambda x, y: d[x, y]),
             "symmetrized": pair_map(g.points, lambda x, y:
@@ -440,7 +441,8 @@ def _gauge_report(command, g, opts, sequence):
 
 def report(command, doc, flags=()):
     """(report dict, exit code) of `quasimod <command>` with `flags` on a
-    valid document."""
+    valid document, or (its stderr text, 2) where the command refuses it:
+    `luxemburg` on a table whose row rises."""
     opts = dict(zip(flags[::2], flags[1::2]))
     grid = opts.get("--grid") and ScaleGrid(
         tuple(map(float, opts["--grid"].split(","))))

@@ -154,31 +154,41 @@ def test_luxemburg_distances_and_csv(tmp_path):
     assert lines[1].startswith("a,0.0,")
 
 
-# a table whose rows rise with the scale: luxemburg writes an error report
+# a table whose rows rise with the scale: luxemburg refuses it with exit 2
 RISING_DOC = {"regime": "additive", "points": ["a", "b"], "grid": [1.0, 2.0],
               "table": {"a|a": [0, 0], "b|b": [0, 0],
                         "a|b": [1.0, 2.0], "b|a": [1.0, 2.0]}}
+RISING = ("quasimod: error: luxemburg distances need a gauge nonincreasing "
+          "in the scale: value increases with the scale: ")
 
 
-def test_luxemburg_rejects_nonmonotone_and_conorm_gauges(tmp_path):
-    code, doc = run(tmp_path, "luxemburg", RISING_DOC)
-    assert code == 1
-    assert "error" in doc
-    src = write_doc(tmp_path, "c.json", PROBSUM_ONLY_DOC)
-    assert main(["luxemburg", "--input", src]) == 2
+def refusal(tmp_path, capsys, command, doc):
+    """(exit code, stdout, stderr) of `quasimod <command>` on `doc` with an
+    --output, which must not be written."""
+    src, out = write_doc(tmp_path, "in.json", doc), tmp_path / "out.json"
+    code = main([command, "--input", src, "--output", str(out)])
+    assert not out.exists()
+    return (code, *capsys.readouterr())
 
 
-def test_luxemburg_exits_1_on_a_row_that_rises_past_its_infimum(tmp_path):
+def test_luxemburg_rejects_nonmonotone_and_conorm_gauges(tmp_path, capsys):
+    assert refusal(tmp_path, capsys, "luxemburg", RISING_DOC) == (
+        2, "", RISING + "1.0 at 1.0 but 2.0 at 2.0\n")
+    assert refusal(tmp_path, capsys, "luxemburg", PROBSUM_ONLY_DOC) == (
+        2, "", "quasimod: error: luxemburg distances need an additive-regime "
+        "gauge\n")
+
+
+def test_luxemburg_exits_2_on_a_row_that_rises_past_its_infimum(tmp_path,
+                                                                capsys):
     # rows are checked whole: the rise from 0.5 to 0.75 lies past the
     # column the infimum of a|b sits in, which a search never probed
     doc = {"regime": "additive", "points": ["a", "b"],
            "grid": [1.0, 2.0, 4.0, 8.0],
            "table": {"a|a": [0] * 4, "b|b": [0] * 4,
                      "a|b": [2.0, 0.5, 0.75, 0.25], "b|a": [1.0] * 4}}
-    code, report = run(tmp_path, "luxemburg", doc)
-    assert code == 1
-    assert report["error"] == ("value increases with the scale: 0.5 at 2.0 "
-                               "but 0.75 at 4.0")
+    assert refusal(tmp_path, capsys, "luxemburg", doc) == (
+        2, "", RISING + "0.5 at 2.0 but 0.75 at 4.0\n")
 
 
 def test_orlicz_overflow_keeps_its_error_line(tmp_path, capsys):
@@ -517,7 +527,7 @@ LOGGED = [
                  id="check-axioms"),
     pytest.param("luxemburg", ADDITIVE_DOC, [], 0, 2,
                  "read distances layout write", id="luxemburg"),
-    pytest.param("luxemburg", RISING_DOC, [], 1, 2, "read write",
+    pytest.param("luxemburg", RISING_DOC, [], 2, 2, "read",
                  id="luxemburg-error"),
     pytest.param("orlicz", ORLICZ_DOC, [], 0, 2, "read phi one-sided write",
                  id="orlicz"),
@@ -540,21 +550,27 @@ def test_debug_logging_goes_to_stderr_only(tmp_path, command, doc, flags,
             if output:
                 argv += ["--output", str(tmp_path / output)]
             proc = subprocess.run(argv, capture_output=True, env=env)
-            written = (tmp_path / output).read_bytes() if output else None
-            runs.append((proc, written))
+            written = output and tmp_path / output
+            runs.append((proc, written.read_bytes()
+                         if written and written.exists() else None))
         (plain, plain_out), (logged, logged_out) = runs
         assert logged.returncode == plain.returncode == code
         assert (logged.stdout, logged_out) == (plain.stdout, plain_out)
-        assert (plain.stdout == b"") == bool(output)
-        assert plain.stderr == b""
-        if output != "r.csv":
+        lines = logged.stderr.decode().splitlines()
+        if code == 2:  # a refusal: one error line and no report
+            assert (plain.stdout, plain_out) == (b"", None)
+            assert _single_error_line(plain.stderr.decode())
+            assert lines.pop() + "\n" == plain.stderr.decode()
+        else:
+            assert (plain.stdout == b"") == bool(output)
+            assert plain.stderr == b""
+        if output != "r.csv" and code != 2:
             report = json.loads(plain_out or plain.stdout)
             assert report["command"] == command
             if command == "cover":
                 assert ("cauchy" in report) == ("sequence" in doc)
             if command == "topology":
                 assert report["join_equals_sym"]
-        lines = logged.stderr.decode().splitlines()
         assert [re.fullmatch(rf"DEBUG:quasimod\.cli:{command} ([a-z-]+): "
                              rf"[0-9]+\.[0-9]{{6}} s, n={n}", line).group(1)
                 for line in lines] == phases.split(), lines
@@ -899,6 +915,17 @@ COVER_01 = {"regime": "additive", "points": [0, 1], "grid": [1.0, 2.0],
                       "1|1": [0, 0]}}
 
 
+def orlicz_on(points):
+    """An orlicz document whose masses, function and phi read each point
+    by its string form."""
+    def each(v):
+        return {str(p): v for p in points}
+
+    return {"space": {"points": points, "mu": each(1.0)},
+            "functions": {"f": each(1.0)},
+            "phi": {"kind": "variable_exponent", "p": each(2.0)}}
+
+
 @pytest.mark.parametrize("command, doc, message", [
     ("graph", {"vertices": BARRED, "edges": [{"from": "a|b", "to": "c"},
                                              {"from": "c", "to": "a"},
@@ -942,11 +969,22 @@ COVER_01 = {"regime": "additive", "points": [0, 1], "grid": [1.0, 2.0],
      "bad cover sequence: unknown point id True"),
     ("cover", {"space": dict(COVER_01, points=[1, 0]), "sequence": [1.0]},
      "bad cover sequence: unknown point id 1.0"),
+    # measure-space points follow the same rule, though no pair key holds
+    # them
+    ("orlicz", orlicz_on([1, 1.0]),
+     f"bad orlicz document: point {VALUE_EQUAL}"),
+    ("orlicz", orlicz_on([True, 1]),
+     f"bad orlicz document: point {VALUE_EQUAL}"),
+    ("orlicz", orlicz_on([1, "1"]),
+     "bad orlicz document: point ids must stringify uniquely and avoid '|'"),
+    ("orlicz", orlicz_on(["a|b", "c"]),
+     "bad orlicz document: point ids must stringify uniquely and avoid '|'"),
 ], ids=["graph-vertices", "orlicz-function-ids", "envelope-str-collision",
         "envelope-duplicate-points", "gauge-point", "cover-sequence-string",
         "cover-sequence-object", "envelope-int-float", "envelope-bool-int",
         "gauge-int-float", "graph-int-bool", "cover-bool-sequence",
-        "cover-float-sequence"])
+        "cover-float-sequence", "orlicz-int-float", "orlicz-bool-int",
+        "orlicz-str-collision", "orlicz-bar"])
 def test_ambiguous_ids_and_non_list_sequences_exit_2(tmp_path, capsys,
                                                      command, doc, message):
     src = write_doc(tmp_path, "in.json", doc)

@@ -12,6 +12,7 @@ from quasimod import (
     Regime,
     ScaleGrid,
     TConorm,
+    ThresholdSet,
     TruncatedSequenceFamily,
     ball,
     classify_cauchy,
@@ -240,6 +241,15 @@ def _error_cases():
                         "radius must be positive"),
         "ball-centre": (lambda: ball(g, "zz", 1.0, 1.0),
                         "unknown point 'zz'"),
+        "net-radius": (lambda: greedy_net(("a", "b"), g, 0.0, 1.0),
+                       "radius must be positive"),
+        "converges-radius": (lambda: converges_to(("a",), g, "a", -1.0, 1.0),
+                             "radius must be positive"),
+        "classify-radius": (lambda: classify_cauchy(("a",), g, 0.0, 1.0),
+                            "radius must be positive"),
+        "scan-radius": (lambda: classify_cauchy_thresholds(
+            ("a",), g, ThresholdSet((-1.0,), g.grid)),
+            "radius must be positive"),
         "empty-classify": (lambda: classify_cauchy((), g, 1.0, 1.0), EMPTY),
         "empty-scan": (lambda: classify_cauchy_thresholds(
             [], g, critical_thresholds(g)), EMPTY),

@@ -17,7 +17,7 @@ from itertools import product
 import pytest
 
 from quasimod import (INF, CellInclusionError, CoverResult, GaugeSpec,
-                      Profile, Regime, ScaleGrid, TConorm, ThresholdSet,
+                      Profile, Regime, ScaleGrid, TConorm, ThresholdSet, ball,
                       check_axioms, classify_cauchy, compose,
                       convexity_check, converges_to, critical_thresholds,
                       enriched_triangle_check, entourage, greedy_net,
@@ -147,16 +147,27 @@ def test_converges_to_matches_the_oracle(name):
 
 
 def test_greedy_net_takes_conorm_radii_above_one():
-    # entourage keeps conorm radii in (0, 1); the covers accept any r > 0,
-    # and at r = 1.5 every value lies inside every ball
+    # every ball reader takes any r > 0, conorm radii of 1 and more too: a
+    # quasi-uniformity is upward closed, and at r = 1.5 every value lies
+    # inside every ball
     for g in conorm_corpus():
-        with pytest.raises(ValueError, match="must lie in"):
-            entourage(g, 1.5, 1.0)
-        for side in ("forward", "backward", "two_sided"):
-            net = greedy_net(g.points, g, 1.5, 1.0, side)
-            assert net.verified
-            assert net.centers == g.points[:1]
-            assert net == ref.greedy_net(g.points, g, 1.5, 1.0, side)
+        pts = g.points[::-1]
+        for r, side in product((1.0, 1.5), ("forward", "backward",
+                                            "two_sided")):
+            rows = entourage(g, r, 1.0, side)
+            assert rows == tuple(
+                sum(1 << j for j, y in enumerate(g.points)
+                    if ref.in_ball(g, x, y, r, 1.0, side)) for x in g.points)
+            for x in g.points:
+                assert ball(g, x, r, 1.0, side) == tuple(
+                    y for y in g.points if ref.in_ball(g, x, y, r, 1.0, side))
+                assert converges_to(pts, g, x, r, 1.0, side) == \
+                    ref.converges_to(pts, g, x, r, 1.0, side)
+            net = greedy_net(g.points, g, r, 1.0, side)
+            assert net == ref.greedy_net(g.points, g, r, 1.0, side)
+            if r == 1.5:
+                assert rows == (2 ** len(g.points) - 1,) * len(g.points)
+                assert net.verified and net.centers == g.points[:1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ strongly connected, with unreachable pairs, zero costs, one vertex, int ids,
 shared keys and two-way edges, on grids above, below and between their
 distances, and benchmark-size ones.  Costs are dyadic, so every path sum
 is exact.  A graph whose vertex names hold "|" must exit 2 instead: two of
-its pairs could write one "x|y" key.
+its pairs could write one "x|y" key.  So must a `luxemburg` table whose row
+rises, with the reference's error line and no report written.
 """
 
 import contextlib
@@ -246,12 +247,16 @@ def test_reports_match_the_reference(tmp_path, case):
         assert not dst.exists()
         return
     want, code = report(command, doc, flags)
+    if code == 2:  # a refusal: its one error line, and no report
+        assert run_main(argv + ["--output", str(dst)]) == (2, "", want)
+        assert not dst.exists()
+        return
     text = json.dumps(want, sort_keys=True, indent=2) + "\n"
     assert run_main(argv + ["--output", str(dst)]) == (code, "", "")
     assert dst.read_text(encoding="utf-8") == text
     assert json.loads(text) == want
     assert run_main(argv, c_encoder=False) == (code, text, "")
-    if command in ("graph", "luxemburg") and "error" not in want:
+    if command in ("graph", "luxemburg"):
         points = doc["vertices"] if command == "graph" else doc["points"]
         cells = want["forward" if command == "graph" else "distances"]
         assert run_main(argv + ["--output", str(tmp_path / "out.csv")]) == \

@@ -60,6 +60,11 @@ def same_as_reference(obj):
 # every report the CLI writes for the conftest corpora
 
 
+# a row that rises with the scale: luxemburg refuses the table with exit 2
+RISING_DOC = {"regime": "additive", "points": ["a", "b"], "grid": [1.0, 2.0],
+              "table": {"a|b": [1.0, 3.0], "b|a": [2.0, 2.0]}}
+
+
 def corpus_documents():
     """(command, document, flags) for every command, from the conftest
     builders: clean and corrupted gauges of both regimes, graphs with
@@ -85,9 +90,7 @@ def corpus_documents():
         yield "topology", doc, []
         yield "cover", doc, []
         yield "check-axioms", gauge_to_json(corrupt_one_entry(g, rng)[0]), []
-    rising = {"regime": "additive", "points": ["a", "b"], "grid": [1.0, 2.0],
-              "table": {"a|b": [1.0, 3.0], "b|a": [2.0, 2.0]}}
-    yield "luxemburg", rising, []
+    yield "luxemburg", RISING_DOC, []
     for graph in (random_strongly_connected_graph(rng, 6),
                   random_digraph(rng, 6)):
         doc = graph_to_json(graph)
@@ -117,7 +120,8 @@ def corpus_documents():
 def cli_reports(documents):
     """Run each (command, document, flags) through the CLI and return, per
     command, the report object and the matrix handed to the writer and
-    the bytes written."""
+    the bytes written; a document the CLI refuses, as `reference.report`
+    does, with exit 2 and its error line, writes nothing and gives Nones."""
     handed = []
     real = cli._emit
 
@@ -129,13 +133,21 @@ def cli_reports(documents):
     out = []
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            src, dst = os.path.join(tmp, "in.json"), os.path.join(tmp, "out.json")
-            for command, doc, flags in documents:
+            src = os.path.join(tmp, "in.json")
+            for k, (command, doc, flags) in enumerate(documents):
+                dst = os.path.join(tmp, f"out{k}.json")
                 with open(src, "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
-                with contextlib.redirect_stderr(io.StringIO()):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
                     code = cli.main([command, "--input", src, "--output", dst,
                                      *flags])
+                if code == 2:
+                    assert (err.getvalue(), 2) == \
+                        reference_report(command, doc, flags)
+                    assert not os.path.exists(dst)
+                    out.append((command, None, None, None))
+                    continue
                 assert code in (0, 1), (command, doc, flags)
                 with open(dst, encoding="utf-8") as fh:
                     out.append((command, *handed.pop(), fh.read()))
@@ -161,15 +173,18 @@ def test_cli_reports_match_json_dumps():
     documents = list(corpus_documents())
     reports = cli_reports(documents)
     assert {command for command, _, _, _ in reports} == set(cli._COMMANDS)
+    assert [d for d, (_, report, _, _) in zip(documents, reports)
+            if report is None] == [("luxemburg", RISING_DOC, [])]
     for (command, doc, flags), (_, report, _, text) in zip(documents, reports):
-        assert text == reference(definition(command, doc, flags, report)) \
-            + "\n", command
+        if report is not None:
+            assert text == reference(definition(command, doc, flags, report)) \
+                + "\n", command
 
 
 def test_axiom_reports_hand_their_violations_over_as_row_tables():
     reports = [(command, report) for command, report, _, _
                in cli_reports(corpus_documents())
-               if AXIOM_DOCS.get(command) in report]
+               if report and AXIOM_DOCS.get(command) in report]
     assert {command for command, _ in reports} == set(AXIOM_DOCS)
     found = 0
     for command, report in reports:
@@ -318,7 +333,7 @@ def test_empty_rows_are_written_inline_on_the_one_call_path():
 
 def test_the_fallback_without_the_c_encoder():
     # graph reports on hostile ids, +inf entries included, luxemburg
-    # reports, one of them the error report, cover reports and the row tables
+    # reports and one refusal, cover reports and the row tables
     documents = [("graph", doc, []) for doc in hostile_graphs()] + \
         [doc for doc in corpus_documents()
          if doc[0] in ("luxemburg", "cover", "check-axioms", "envelope")]
@@ -338,6 +353,8 @@ def test_the_fallback_without_the_c_encoder():
     assert any('"inf"' in text for _, _, _, text in reports)
     for (command, doc, flags), (_, report, matrix, text) in zip(documents,
                                                                 reports):
+        if report is None:
+            continue
         # hostile costs (-0.0, 0.1, 1e300) are no sums to redo: the maps
         # are the row updates of the rows handed to the writer
         want = dict(report, **dict(zip(("forward", "backward"),

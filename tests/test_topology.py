@@ -24,7 +24,7 @@ from quasimod import (
 from conftest import (ADDITIVE_BUILDERS, members, random_conorm_gauge,
                       random_graph_gauge, random_raw_table, rng_for,
                       transpose)
-from reference import closure, topologies
+from reference import closure, in_ball, topologies
 
 
 def random_subbase(rng, n):
@@ -65,8 +65,11 @@ def test_entourage_sides_are_transposes():
     assert all(row & (1 << i) for i, row in enumerate(fwd))  # the diagonal
     with pytest.raises(ValueError, match="side must be one of"):
         entourage(g, 0.5, 1.0, "sideways")
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        entourage(g, 1.0, 1.0)  # conorm radii live strictly below 1
+    # a conorm radius of 1 or more is a radius too: the pairs below it
+    for side in ("forward", "backward", "two_sided"):
+        assert entourage(g, 1.5, 1.0, side) == tuple(
+            sum(1 << j for j, y in enumerate(g.points)
+                if in_ball(g, x, y, 1.5, 1.0, side)) for x in g.points)
 
 
 def test_ball_is_strict_and_one_sided():
