@@ -6,8 +6,9 @@ scale map is nonincreasing.  A table (step data included) is a step
 function under the ceil convention, read exactly from its row: 0.0, a grid
 scale, or inf.  Every other scale map is searched by an Anderson-Bjorck
 secant on log(value / c) against log(lambda), safeguarded by bisection
-steps.  Values that rise with the scale, or a predicate that holds low in
-the range but fails at the top, raise NonmonotoneGaugeError.
+steps.  A table row that rises at all, a searched value that rises by more
+than its float slack over an earlier probe, or a search whose predicate
+holds low in the range but fails at the top, raises NonmonotoneGaugeError.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def _increase(v0: float, lam0: float, v: float,
 
 
 def _raise_first_increase(probes, lam: float, v: float) -> None:
-    """Raise for the earliest probe that the probe (lam, v) contradicts."""
+    """Raise for the earliest probe that the probe (lam, v) contradicts by
+    more than the slack, which absorbs a closed form's float noise."""
     for lam0, v0 in probes:
         if lam0 < lam and v > v0 + _slack(v0):
             raise _increase(v0, lam0, v, lam)
@@ -91,26 +93,11 @@ def luxemburg_infimum(value_at: Callable[[float], float], c: float = 1.0,
     _check_search(c, tol, lambda_max)
 
     probes: list[tuple[float, float]] = []
-    # Every probe lands strictly between the probes at or below lo and those
-    # at or above hi, so two running bounds decide the guard: the least
-    # v0 + slack(v0) to the left and the greatest v0 to the right.  The last
-    # probe joins a side once the next one shows where it lies.
-    left, right, last_bound = INF, -INF, INF
 
     def ev(lam: float) -> float:
-        nonlocal left, right, last_bound
-        if probes:
-            lam0, v0 = probes[-1]
-            if lam0 < lam:
-                left = min(left, last_bound)
-            else:
-                right = max(right, v0)
         v = float(value_at(lam))
-        bound = v + _slack(v)
-        if v > left or right > bound:
-            _raise_first_increase(probes, lam, v)
+        _raise_first_increase(probes, lam, v)
         probes.append((lam, v))
-        last_bound = bound
         return v
 
     v_lo = ev(tol)
@@ -169,19 +156,16 @@ def luxemburg_infimum(value_at: Callable[[float], float], c: float = 1.0,
 def _row_infimum(row, grid, c: float, lambda_max: float) -> LuxemburgResult:
     """The infimum on a ceil-convention table row, read in one scan: 0.0
     when the first column holds, grid[k - 1] when column k is the first
-    that does, inf when no column up to the one read at lambda_max does."""
+    that does, inf when no column up to the one read at lambda_max does.
+    A row that rises at all raises, as `check_axioms` reports it."""
     scales = grid.scales
     for k in range(len(row) - 1):
-        if row[k + 1] > row[k] + _slack(row[k]):
+        if row[k] < row[k + 1]:
             raise _increase(row[k], scales[k], row[k + 1], scales[k + 1])
     top = grid.ceil_index(lambda_max)
     top = len(row) - 1 if top is None else top
     first = next((k for k in range(top + 1) if row[k] <= c), None)
-    if row[top] > c:
-        if first is not None:
-            raise NonmonotoneGaugeError(
-                f"predicate holds at scale {scales[first]} but fails at "
-                f"{lambda_max}: the predicate set is not an upper set")
+    if first is None:
         return LuxemburgResult(INF, (lambda_max, INF), 0)
     if first == 0:
         return LuxemburgResult(0.0, (0.0, scales[0]), 0)

@@ -40,7 +40,7 @@ class ScaleGrid(Frozen):
 
     def ceil_index(self, t: float) -> int | None:
         """Index of the smallest grid scale >= t, or None past the grid."""
-        if t <= 0:
+        if not t > 0:
             raise ValueError(f"scale must be positive, got {t!r}")
         i = bisect.bisect_left(self.scales, t)
         return i if i < len(self.scales) else None

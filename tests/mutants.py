@@ -56,7 +56,6 @@ PAIR_MAPS = ("test_report_writer.py::"
              "test_pair_maps_match_json_dumps_of_the_row_updates")
 GUARD = ("test_bisection_guard.py::"
          "test_guard_matches_the_rescanning_guard_on_seeded_maps")
-GUARD_WORK = "test_bisection_guard.py::test_guard_work_is_linear_in_the_probes"
 VALUE_EQUAL = "test_cli.py::test_ambiguous_ids_and_non_list_sequences_exit_2"
 
 MUTANTS = (
@@ -420,45 +419,30 @@ MUTANTS = (
            "if a and b and p < _SPLIT_MIN:",
            "if False:",
            ("test_conorms.py::test_prob_sum_is_the_exact_value_rounded_once",)),
-    # the Luxemburg search's guard
-    Mutant("guard drops `or right > bound`", "luxemburg.py",
-           "if v > left or right > bound:",
-           "if v > left:",
+    # the Luxemburg search's guard and the table rule
+    Mutant("rescan without the left slack", "luxemburg.py",
+           "if lam0 < lam and v > v0 + _slack(v0):",
+           "if lam0 < lam and v > v0:",
            (GUARD,)),
-    Mutant("guard drops `v > left`", "luxemburg.py",
-           "if v > left or right > bound:",
-           "if right > bound:",
-           (GUARD,)),
-    Mutant("guard keeps no left bound", "luxemburg.py",
-           "left = min(left, last_bound)",
-           "left = left",
-           (GUARD,)),
-    Mutant("guard keeps no right bound", "luxemburg.py",
-           "right = max(right, v0)",
-           "right = right",
-           (GUARD,)),
-    # these two rescan more often than they need to, which only the work
-    # count sees
-    Mutant("left bound without slack", "luxemburg.py",
-           "        last_bound = bound\n",
-           "        last_bound = v\n",
-           (GUARD_WORK,)),
-    Mutant("right test without slack", "luxemburg.py",
-           "if v > left or right > bound:",
-           "if v > left or right > v:",
-           (GUARD_WORK,)),
-    Mutant("guard sides swapped", "luxemburg.py",
-           "            if lam0 < lam:",
-           "            if lam0 > lam:",
+    Mutant("rescan without its right-side clause", "luxemburg.py",
+           "        if lam0 > lam and v0 > v + _slack(v):\n"
+           "            raise _increase(v, lam, v0, lam0)\n",
+           "",
            (GUARD,)),
     Mutant("rescan newest first", "luxemburg.py",
            "    for lam0, v0 in probes:",
            "    for lam0, v0 in reversed(probes):",
            (GUARD,)),
-    Mutant("guard that always rescans", "luxemburg.py",
-           "if v > left or right > bound:",
-           "if True:",
-           (GUARD_WORK,)),
+    Mutant("table rise decided with the slack again", "luxemburg.py",
+           "if row[k] < row[k + 1]:",
+           "if row[k + 1] > row[k] + _slack(row[k]):",
+           ("test_luxemburg.py::test_table_rows_are_checked_whole",
+            "test_reference.py::test_luxemburg_refuses_exactly_the_tables_"
+            "check_axioms_finds_rising[own-grid]")),
+    Mutant("ceil_index letting nan through", "profiles.py",
+           "if not t > 0:",
+           "if t <= 0:",
+           ("test_profiles.py::test_ceil_index_and_projection",)),
     # one-sided Orlicz norms
     Mutant("negative part read as the positive part", "orlicz.py",
            "_modular(space, pair.psi2, f, part=_negative))",

@@ -167,9 +167,11 @@ def test_table_rows_are_checked_whole():
                        match=r"^value increases with the scale: 0.5 at 2.0 "
                              r"but 0.75 at 4.0$"):
         luxemburg_distance(table_gauge([2.0, 0.5, 0.75, 0.25]), "a", "b")
-    # a rise within the slack is no rise, but a predicate that then fails
-    # at the top is not an upper set
-    with pytest.raises(NonmonotoneGaugeError, match="not an upper set"):
+    # a table is read exactly: a rise within a search's float slack is a
+    # rise, as the scale-monotone axiom reads it
+    with pytest.raises(NonmonotoneGaugeError,
+                       match=r"^value increases with the scale: 1.0 at 2.0 "
+                             r"but 1.0000000005 at 4.0$"):
         luxemburg_distance(table_gauge([2.0, 1.0, 1.0 + 5e-10, 1.0 + 5e-10]),
                            "a", "b")
     g = table_gauge([2.0, 1.0, 1.0, 1.0])

@@ -1,5 +1,7 @@
 """Scale grids, right-continuous profiles, and scale convolution."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +51,11 @@ def test_ceil_index_and_projection():
     assert grid.ceil_index(2.1) is None
     with pytest.raises(ValueError):
         grid.ceil_index(0.0)
+    # one positive-scale rule: nan is no scale, as GaugeSpec.matrix says
+    for t in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=f"^scale must be positive, "
+                                             f"got {t}$"):
+            grid.ceil_index(t)
     # the grid scale a sum of two scales projects to
     assert grid[grid.ceil_index(0.5 + 0.5)] == 1.0
     assert grid[grid.ceil_index(0.5 + 1.0)] == 2.0
@@ -68,6 +75,8 @@ def test_profile_validation_and_lookup():
     assert p.value_at(1.5) == 1.0
     assert p.value_at(4.0) == 0.5
     assert p.value_at(100.0) == 0.5  # past the grid: last entry
+    with pytest.raises(ValueError, match="scale must be positive"):
+        p.value_at(math.nan)
 
 
 def test_nonincreasing_violations_pinpoint_the_step():

@@ -12,7 +12,9 @@ shared keys and two-way edges, on grids above, below and between their
 distances, and benchmark-size ones.  Costs are dyadic, so every path sum
 is exact.  A graph whose vertex names hold "|" must exit 2 instead: two of
 its pairs could write one "x|y" key.  So must a `luxemburg` table whose row
-rises, with the reference's error line and no report written.
+rises, with the reference's error line and no report written: on every
+additive gauge document, exactly where `check-axioms` lists a
+scale-monotone violation.
 """
 
 import contextlib
@@ -52,6 +54,14 @@ VIOLATIONS = {"regime": "additive", "points": [0, "b", 2.5], "grid": [1, 2, 4],
                         "b|0": [0, 0, 0], "0|2.5": [1, 1, 1],
                         "2.5|0": [1, 1, 1], "b|2.5": [0, 0, 0],
                         "2.5|b": [1, "inf", 1]}}
+# rows that rise by less than a search's float slack, below the threshold 1
+# and across it: a table is read exactly, so `luxemburg` refuses both, as
+# `check-axioms` flags both
+CREEP = {"regime": "additive", "points": ["a", "b"], "grid": [1, 2, 4],
+         "table": {"a|b": [0.5, 0.5000000000001, 0.25], "b|a": [2, 1, 0.5]}}
+CREEP_PAST_C = {"regime": "additive", "points": ["a", "b"], "grid": [1, 2, 4],
+                "table": {"a|b": [0.5, 0.5, 0.25],
+                          "b|a": [2.0, 1.0, 1.0000000001]}}
 
 
 def gauges():
@@ -86,6 +96,8 @@ def gauge_cases():
     yield "probsum-check-axioms", "check-axioms", PROBSUM, []
     yield "probsum-topology", "topology", PROBSUM, []
     yield "violations-check-axioms", "check-axioms", VIOLATIONS, []
+    yield "luxemburg-creep", "luxemburg", CREEP, []
+    yield "luxemburg-creep-past-c", "luxemburg", CREEP_PAST_C, []
 
 
 def test_scaled_metrics_meet_infinite_distances():
@@ -263,6 +275,41 @@ def test_reports_match_the_reference(tmp_path, case):
             (code, "", "")
         assert (tmp_path / "out.csv").read_bytes() == \
             distance_csv(points, cells).encode("utf-8")
+
+
+def additive_gauge_documents():
+    """Each additive gauge document of the gauge cases, once."""
+    docs = {}
+    for command, doc, _ in CASES.values():
+        doc = doc["space"] if command == "cover" else doc
+        if command != "graph" and doc.get("regime") == "additive":
+            docs.setdefault(json.dumps(doc, sort_keys=True), doc)
+    return list(docs.values())
+
+
+@pytest.mark.parametrize("regrid", [False, True], ids=["own-grid", "--grid"])
+def test_luxemburg_refuses_exactly_the_tables_check_axioms_finds_rising(
+        tmp_path, regrid):
+    """`luxemburg` exits 2 on a rise exactly where `check-axioms` lists a
+    scale-monotone violation: on each document's own grid, and tabulated on
+    every other of its scales and one past them."""
+    src = tmp_path / "in.json"
+    outcomes = set()
+    for doc in additive_gauge_documents():
+        scales = [float(t) for t in doc["grid"]]
+        flags = ["--grid", ",".join(map(repr, scales[1::2] +
+                                        [2 * scales[-1]]))] if regrid else []
+        src.write_text(json.dumps(doc), encoding="utf-8")
+        _, out, _ = run_main(["check-axioms", "--input", str(src), *flags])
+        rises = any(v["axiom"] == "scale-monotone"
+                    for v in json.loads(out)["axioms"]["violations"])
+        code, out, err = run_main(["luxemburg", "--input", str(src), *flags])
+        refused = code == 2 and out == "" and err.startswith(
+            "quasimod: error: luxemburg distances need a gauge nonincreasing "
+            "in the scale: value increases with the scale: ")
+        assert refused == rises and (refused or code == 0), (doc, flags, err)
+        outcomes.add(rises)
+    assert outcomes == {False, True}
 
 
 def test_hand_written_documents_hold_what_they_were_written_for(tmp_path):
