@@ -30,7 +30,7 @@ from .conorms import conorm_from_name
 from .extreal import INF, decode_ids, format_ext, point_resolver
 from .gauges import Regime, _min_cap_rows, gauge_from_json
 from .graphs import asymmetry_index, distance_matrix, graph_from_json
-from .luxemburg import (DEFAULT_LAMBDA_MAX, NonmonotoneGaugeError,
+from .luxemburg import (DEFAULT_LAMBDA_MAX, DEFAULT_TOL, NonmonotoneGaugeError,
                         luxemburg_distance, quasi_pseudometric_check)
 from .orlicz import (DiscreteMeasureSpace, OneSidedPair, one_sided_gauges,
                      orlicz_from_json, parse_function,
@@ -240,10 +240,11 @@ def _parse_grid(raw: str | None) -> ScaleGrid | None:
 
 def _gauge_from_doc(doc, args) -> object:
     g = _read("gauge document", gauge_from_json, doc)
-    grid = _parse_grid(args.grid)
-    if grid is not None:
-        g = g.tabulated(grid)
-    if getattr(args, "conorm", None) and g.regime is Regime.CONORM:
+    if args.grid is not None:
+        g = g.tabulated(args.grid)
+    if args.conorm:
+        if g.regime is not Regime.CONORM:
+            raise InputError("--conorm needs a conorm-regime gauge")
         g = g._replace(conorm=conorm_from_name(args.conorm))
     return g
 
@@ -340,7 +341,7 @@ def cmd_luxemburg(args, phase):
         raise InputError("luxemburg distances need an additive-regime gauge")
     phase("read", len(g.points))
     try:
-        rows = [[luxemburg_distance(g, x, y, tol=args.tol).value
+        rows = [[luxemburg_distance(g, x, y).value
                  for y in g.points] for x in g.points]
     except NonmonotoneGaugeError as exc:
         raise InputError(f"luxemburg distances need a gauge nonincreasing "
@@ -348,7 +349,7 @@ def cmd_luxemburg(args, phase):
     phase("distances")
     sym = [list(map(max, row, col)) for row, col in zip(rows, zip(*rows))]
     distances, symmetrized = _pair_maps(g.points, *_value_texts(rows, sym))
-    doc = {"command": "luxemburg", "tol": args.tol,
+    doc = {"command": "luxemburg", "tol": DEFAULT_TOL,
            "distances": distances, "symmetrized": symmetrized}
     phase("layout")
     return doc, True, (g.points, rows)
@@ -392,12 +393,12 @@ def cmd_graph(args, phase):
     doc = {"command": "graph", "forward": forward, "backward": backward,
            "asymmetry_index": asymmetry_index(rows)}
     phase("layout")
-    grid = _parse_grid(args.grid)
-    if grid is None:
+    if args.grid is None:
         return doc, True, (g.vertices, rows)
     # the gauge graph_gauge builds, from the rows already in hand; its
     # axiom sweep is the only triangle check
-    report = check_axioms(_min_cap_rows(rows, g.vertices, grid, "graph_gauge"))
+    report = check_axioms(_min_cap_rows(rows, g.vertices, args.grid,
+                                        "graph_gauge"))
     doc["axioms"] = _axioms_doc(report)
     phase("axioms")
     return doc, report.ok, (g.vertices, rows)
@@ -480,14 +481,15 @@ def cmd_envelope(args, phase):
     return doc, metric_report.ok
 
 
+# each command's function and the flags it reads besides --input and --output
 _COMMANDS = {
-    "check-axioms": cmd_check_axioms,
-    "topology": cmd_topology,
-    "cover": cmd_cover,
-    "luxemburg": cmd_luxemburg,
-    "graph": cmd_graph,
-    "orlicz": cmd_orlicz,
-    "envelope": cmd_envelope,
+    "check-axioms": (cmd_check_axioms, ("grid", "conorm")),
+    "topology": (cmd_topology, ("grid", "conorm")),
+    "cover": (cmd_cover, ("grid", "conorm")),
+    "luxemburg": (cmd_luxemburg, ("grid",)),
+    "graph": (cmd_graph, ("grid",)),
+    "orlicz": (cmd_orlicz, ("tol",)),
+    "envelope": (cmd_envelope, ()),
 }
 
 
@@ -498,12 +500,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--input", required=True, help="input JSON file")
     parser.add_argument("--output", help="report file (.json or .csv)")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="tolerance of searched scale infima "
-                             "(default 1e-9)")
-    parser.add_argument("--grid", help="comma-separated scales, e.g. 0.5,1,2")
+    parser.add_argument("--tol", type=float, help="orlicz: tolerance of "
+                        "searched norms (default 1e-9)")
+    parser.add_argument("--grid", help="check-axioms, topology, cover, "
+                        "luxemburg, graph: comma-separated scales, e.g. 0.5,1,2")
     parser.add_argument("--conorm", choices=["max", "prob_sum", "bounded_sum"],
-                        help="override the gauge's conorm")
+                        help="check-axioms, topology, cover: override the "
+                             "conorm of a conorm-regime gauge")
     return parser
 
 
@@ -520,9 +523,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if not args.tol > 0:
+        run, flags = _COMMANDS[args.command]
+        for flag in ("tol", "grid", "conorm"):
+            if vars(args)[flag] is not None and flag not in flags:
+                parser.error(f"{args.command} takes no --{flag}")
+        if args.tol is None:
+            args.tol = DEFAULT_TOL
+        elif not args.tol > 0:
             parser.error("--tol must be positive")
-        if args.tol >= DEFAULT_LAMBDA_MAX:
+        elif args.tol >= DEFAULT_LAMBDA_MAX:
             parser.error(f"--tol must be below the largest searched scale "
                          f"{DEFAULT_LAMBDA_MAX:g}")
     except SystemExit as exc:
@@ -531,7 +540,8 @@ def main(argv=None) -> int:
     # its matrix; only here are they written, logged and made an exit code
     phase = _PhaseClock(args.command)
     try:
-        report, ok, *matrix = _COMMANDS[args.command](args, phase)
+        args.grid = _parse_grid(args.grid)
+        report, ok, *matrix = run(args, phase)
         _emit(report, args.output, *matrix)
     except InputError as exc:
         sys.stderr.write(f"quasimod: error: {exc}\n")

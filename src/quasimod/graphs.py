@@ -186,7 +186,7 @@ class DynamicCostSchedule(Frozen):
     """Piecewise-constant edge costs: cost of edge k at time t is the value
     listed for the greatest schedule time <= t, with t clamped into the
     schedule range.  `costs` maps (time, edge index) to a positive cost;
-    times and costs are read by the wire's number rule."""
+    times, costs and query times are read by the wire's number rule."""
 
     __slots__ = _fields = ("times", "costs")
 
@@ -213,11 +213,10 @@ class DynamicCostSchedule(Frozen):
 
     def snapshot(self, g: DirectedGraph, t: float) -> tuple[float, tuple[float, ...]]:
         """Effective time and the frozen cost vector at that time."""
-        t_eff = min(max(float(t), self.times[0]), self.times[-1])
-        for listed in reversed(self.times):
-            if listed <= t_eff:
-                t_eff = listed
-                break
+        t = number(t, "query time")
+        if t != t:
+            raise ValueError("query time must not be nan")
+        t_eff = max((s for s in self.times if s <= t), default=self.times[0])
         if t_eff != t:
             log.debug("query time %s clamped to schedule time %s", t, t_eff)
         missing = [k for k in range(len(g.edges))

@@ -57,6 +57,7 @@ PAIR_MAPS = ("test_report_writer.py::"
 GUARD = ("test_bisection_guard.py::"
          "test_guard_matches_the_rescanning_guard_on_seeded_maps")
 VALUE_EQUAL = "test_cli.py::test_ambiguous_ids_and_non_list_sequences_exit_2"
+FLAGS = "test_reference.py::test_each_command_refuses_the_flags_it_does_not_read"
 
 MUTANTS = (
     # check_axioms: witness order, splits and the triangle law
@@ -136,6 +137,10 @@ MUTANTS = (
            "times = tuple(float(t) for t in times)",
            ("test_graphs.py::"
             "test_schedule_reads_times_and_costs_by_the_number_rule",)),
+    Mutant("snapshot query time read by float", "graphs.py",
+           't = number(t, "query time")',
+           "t = float(t)",
+           ("test_graphs.py::test_schedule_snapshot_clamps_and_floors",)),
     # ball rows, covers and Cauchy scans
     Mutant("entourage refusing conorm radii of 1 and more again",
            "topology.py",
@@ -377,6 +382,18 @@ MUTANTS = (
            '        raise InputError(f"bad orlicz document: {exc}")',
            ("test_cli.py::"
             "test_a_fault_in_the_orlicz_computation_is_not_an_input_error",)),
+    # each command takes only the flags it reads
+    Mutant("an unread flag accepted: --grid on every command", "cli.py",
+           "if vars(args)[flag] is not None and flag not in flags:",
+           'if vars(args)[flag] is not None and flag not in flags + ("grid",):',
+           (f"{FLAGS}[envelope]", f"{FLAGS}[orlicz]")),
+    Mutant("--conorm on an additive gauge ignored", "cli.py",
+           "    if args.conorm:\n"
+           "        if g.regime is not Regime.CONORM:\n"
+           '            raise InputError("--conorm needs a conorm-regime '
+           'gauge")\n',
+           "    if args.conorm and g.regime is Regime.CONORM:\n",
+           (f"{FLAGS}[cover]", f"{FLAGS}[check-axioms]")),
     # one id rule
     Mutant("decode_ids without the value check", "extreal.py",
            "    if len(set(ids)) != len(ids):",

@@ -13,7 +13,9 @@ point subsets and foreign grids, and `report(command, doc, flags)` builds
 the complete report dict and exit code of `check-axioms`, `cover`,
 `topology`, `graph` (with or without `--grid`), `luxemburg` and
 `envelope` on a valid document.  `orlicz` is left out: its norms are
-searched, not read.  Needs neither pytest nor hypothesis.
+searched, not read; but every command, `orlicz` too, refuses a flag it does
+not read, and a command that reads `--conorm` refuses it on an
+additive-regime gauge.  Needs neither pytest nor hypothesis.
 """
 
 import functools
@@ -430,17 +432,29 @@ def _gauge_report(command, g, opts, sequence):
     except ValueError as exc:
         return (f"quasimod: error: luxemburg distances need a gauge "
                 f"nonincreasing in the scale: {exc}\n"), 2
-    return {"command": command, "tol": float(opts.get("--tol", 1e-9)),
+    return {"command": command, "tol": 1e-9,
             "distances": pair_map(g.points, lambda x, y: d[x, y]),
             "symmetrized": pair_map(g.points, lambda x, y:
                                     max(d[x, y], d[y, x]))}, 0
 
 
+# the flags each command reads besides --input and --output
+READS = {"check-axioms": ("--grid", "--conorm"),
+         "topology": ("--grid", "--conorm"), "cover": ("--grid", "--conorm"),
+         "luxemburg": ("--grid",), "graph": ("--grid",), "orlicz": ("--tol",),
+         "envelope": ()}
+
+
 def report(command, doc, flags=()):
     """(report dict, exit code) of `quasimod <command>` with `flags` on a
     valid document, or (its stderr text, 2) where the command refuses it:
-    `luxemburg` on a table whose row rises."""
+    `luxemburg` on a table whose row rises and `--conorm` on an
+    additive-regime gauge.  A flag the command does not read gives
+    (its `quasimod: error:` line, 2): argparse writes the usage above it."""
     opts = dict(zip(flags[::2], flags[1::2]))
+    for flag in ("--tol", "--grid", "--conorm"):
+        if flag in opts and flag not in READS[command]:
+            return f"quasimod: error: {command} takes no {flag}\n", 2
     grid = opts.get("--grid") and ScaleGrid(
         tuple(map(float, opts["--grid"].split(","))))
     if command == "graph":
@@ -481,7 +495,9 @@ def report(command, doc, flags=()):
         g = g._replace(grid=grid, table={
             (x, y): tuple(value(g, x, y, t) for t in grid)
             for x in g.points for y in g.points})
-    if "--conorm" in opts and law(g):
+    if "--conorm" in opts:
+        if not law(g):
+            return "quasimod: error: --conorm needs a conorm-regime gauge\n", 2
         g = g._replace(conorm=conorm_from_name(opts["--conorm"]))
     sequence = [point_resolver(g.points)(i)
                 for i in (space is not doc and doc.get("sequence")) or ()]

@@ -454,6 +454,10 @@ def test_usage_and_input_errors(tmp_path, capsys):
     assert main(["no-such-command", "--input", src]) == 2
     assert main(["check-axioms"]) == 2
     assert main(["check-axioms", "--input", src, "--tol", "0"]) == 2
+    assert "quasimod: error: check-axioms takes no --tol\n" in \
+        capsys.readouterr().err
+    o_src = write_doc(tmp_path, "o.json", ORLICZ_DOC)
+    assert main(["orlicz", "--input", o_src, "--tol", "0"]) == 2
     assert "--tol must be positive" in capsys.readouterr().err
     assert main(["check-axioms", "--input", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err
@@ -463,6 +467,15 @@ def test_usage_and_input_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "malformed JSON" in err and "line 1" in err
     assert main(["--help"]) == 0
+    # each flag's help names the commands that read it
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, metavar in (("tol", "TOL"), ("grid", "GRID"),
+                          ("conorm", "{max,prob_sum,bounded_sum}")):
+        readers = re.search(rf"--{flag} {re.escape(metavar)} ([a-z, -]+): ",
+                            text).group(1)
+        assert readers.split(", ") == [c for c, (_, flags)
+                                       in cli._COMMANDS.items()
+                                       if flag in flags], flag
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -472,9 +485,9 @@ def test_usage_and_input_errors(tmp_path, capsys):
 ])
 def test_hostile_flags_exit_2_without_a_traceback(tmp_path, capsys, flags,
                                                   message):
-    src = write_doc(tmp_path, "g.json", ADDITIVE_DOC)
+    src = write_doc(tmp_path, "o.json", ORLICZ_DOC)
     flags = [f.format(tmp=tmp_path) for f in flags]
-    assert main(["luxemburg", "--input", src] + flags) == 2
+    assert main(["orlicz", "--input", src] + flags) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
 
@@ -516,6 +529,9 @@ LOGGED = [
                  id="graph"),
     pytest.param("graph", LOG_GRAPH, ["--grid", "1,2"], 1, 3,
                  "read all-pairs layout axioms write", id="graph-grid"),
+    # the grid is read before the input, so its refusal logs no phase
+    pytest.param("graph", LOG_GRAPH, ["--grid", "0"], 2, 3, "",
+                 id="graph-bad-grid"),
     pytest.param("cover", LOG_COVER, [], 1, 3,
                  "read thresholds heine-borel cauchy write", id="cover"),
     pytest.param("cover", {"space": LOG_COVER, "sequence": ["a", "b", "a"]},
@@ -1109,7 +1125,9 @@ def test_fuzzed_documents_never_end_in_a_traceback(tmp_path, command):
 
 # ---------------------------------------------------------------------------
 # fuzzing the flags: hostile --grid, --tol and --conorm values on every
-# command's seeded document
+# command's seeded document.  A command refuses the flags it does not read;
+# check-axioms and topology read a conorm-regime gauge, so their --conorm
+# runs go through the override
 
 HOSTILE_GRIDS = ("0", "-1", "nan", "inf", "1,1", "2,1", "", ",", "1e400",
                  "5e-324", "1e308,1.7e308")
@@ -1121,15 +1139,11 @@ HOSTILE_FLAGS = ([["--grid", v] for v in HOSTILE_GRIDS]
 # two hostile values at once, from two different flags
 HOSTILE_FLAG_PAIRS = [a + b for i, a in enumerate(HOSTILE_FLAGS)
                       for b in HOSTILE_FLAGS[i + 1:] if a[0] != b[0]]
-# the --conorm runs read an additive gauge: the override leaves it be
-ADDITIVE_INPUT = {"check-axioms": "luxemburg", "topology": "luxemburg"}
 
 
 def run_hostile_flags(tmp_path, command, flag_lists):
+    src = write_doc(tmp_path, "in.json", VALID_DOCUMENTS[command])
     for flags in flag_lists:
-        source = ADDITIVE_INPUT.get(command, command) \
-            if "--conorm" in flags else command
-        src = write_doc(tmp_path, "in.json", VALID_DOCUMENTS[source])
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):

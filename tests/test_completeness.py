@@ -315,6 +315,8 @@ def test_family_padding_and_validation():
         TruncatedSequenceFamily((), p=2.0)
     with pytest.raises(ValueError, match="exponent"):
         TruncatedSequenceFamily(((1.0,),), p=0.5)
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        TruncatedSequenceFamily(((), ()), p=2.0)
 
 
 def test_lp_distance_pinned():
@@ -364,6 +366,10 @@ def test_family_net_rejects_an_unsafe_cut():
     fam = TruncatedSequenceFamily(((0.0, 0.0, 2.0),), p=2.0)
     with pytest.raises(ValueError, match="tail sum"):
         lp_family_net(fam, eps=0.5, n=1)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        lp_family_net(fam, eps=0.0, n=1)
+    with pytest.raises(ValueError, match=r"n must lie in \[0, 3\]"):
+        lp_family_net(fam, eps=0.5, n=4)
 
 
 def test_heine_borel_report_composes_on_symmetric_corpora():

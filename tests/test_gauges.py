@@ -108,6 +108,8 @@ def test_tabulated_materializes_closed_forms():
     assert tab.table[("a", "b")] == (1.0, 2.0, 3.0)
     assert tab.tabulated() is tab  # same grid: no copy
     assert tab.tabulated(ScaleGrid((8.0,))).table[("a", "b")] == (3.0,)
+    with pytest.raises(ValueError, match="no grid to tabulate on"):
+        g._replace(grid=None).tabulated()
 
 
 def test_quasi_pseudometric_violations_witnesses():
@@ -140,12 +142,18 @@ def test_min_cap_caps_at_the_scale():
     # a missing pair counts as infinitely far: the cap always binds
     h = make_min_cap({("a", "b"): 1.0}, pts)
     assert h.value("b", "a", 7.0) == 7.0
+    # points inferred from the table: sorted, or in first-seen order where
+    # they do not sort
+    assert make_min_cap({("b", "a"): 1.0}).points == ("a", "b")
+    assert make_min_cap({("b", 1): 1.0, (1, "b"): 2.0}).points == ("b", 1)
 
 
 def test_min_cap_rejects_broken_tables():
     pts = ("a", "b", "c")
     with pytest.raises(ValueError, match="zero-self"):
         make_min_cap({("a", "a"): 1.0}, pts)
+    with pytest.raises(ValueError, match="cannot infer points"):
+        make_min_cap({})
     with pytest.raises(ValueError, match="triangle"):
         make_min_cap({("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 5.0,
                       ("b", "a"): 1.0, ("c", "b"): 1.0, ("c", "a"): 1.0}, pts)
@@ -206,6 +214,11 @@ def test_classical_modular_detects_ray_shape():
     assert not h.claims_convex
     with pytest.raises(ValueError, match=r"rho\(0\)"):
         make_classical_modular(lambda v: 1.0, (0.0, 1.0))
+    # vector points: rho of the difference (x - y) / t, coordinate-wise
+    vec = make_classical_modular(lambda v: v[0] * v[0] + abs(v[1]),
+                                 ((0.0, 0.0), (2.0, -4.0)))
+    assert vec.value((2.0, -4.0), (0.0, 0.0), 2.0) == 3.0
+    assert vec.claims_symmetric and vec.claims_convex
 
 
 def test_sublinear_requires_subadditivity():
@@ -217,6 +230,11 @@ def test_sublinear_requires_subadditivity():
         make_sublinear(lambda v: v * v, pts)
     with pytest.raises(ValueError, match=r"p\(0\)"):
         make_sublinear(lambda v: v + 1.0, pts)
+    # vector points: rho(x, y) = p(y - x), coordinate-wise
+    vec = make_sublinear(lambda v: max(v[0], 0.0) + max(v[1], 0.0),
+                         ((0.0, 0.0), (1.0, -2.0)))
+    assert vec.value((0.0, 0.0), (1.0, -2.0), 100.0) == 1.0
+    assert vec.value((1.0, -2.0), (0.0, 0.0), 100.0) == 2.0
 
 
 def test_one_sided_integral_accepts_linear_integrands_only():

@@ -310,6 +310,14 @@ def test_schedule_snapshot_clamps_and_floors():
     assert s.snapshot(g, 1.0) == (1.0, (2.0,))
     assert s.snapshot(g, 1.75) == (1.0, (2.0,))
     assert s.snapshot(g, 99.0) == (2.0, (8.0,))
+    # the query time is read by the number rule, and nan is its own refusal
+    with pytest.raises(ValueError, match="query time must be a number or "
+                                         "\"inf\", got True"):
+        s.snapshot(g, True)
+    with pytest.raises(ValueError, match="got '0.5'"):
+        s.snapshot(g, "0.5")
+    with pytest.raises(ValueError, match="query time must not be nan"):
+        s.snapshot(g, math.nan)
     two_edges = DirectedGraph(("a", "b"), (Edge("a", "b", 1.0, 1.0),
                                            Edge("b", "a", 1.0, 1.0)))
     with pytest.raises(ValueError, match=r"misses edges \[1\]"):

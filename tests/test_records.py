@@ -82,6 +82,8 @@ def test_assigning_to_a_record_raises_attribute_error(name):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.not_a_field = 1
+    with pytest.raises(AttributeError):
+        delattr(record, field)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

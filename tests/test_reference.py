@@ -338,3 +338,46 @@ def test_hand_written_documents_hold_what_they_were_written_for(tmp_path):
                          ("scale-monotone", "inf", 1.0)]
     assert [a for a, _, _ in found[3:]] == ["triangle"] * 7
     assert '"rhs": -0.0' in out
+
+
+# ---------------------------------------------------------------------------
+# the flags each command reads
+
+
+def flag_runs(command):
+    """(document, flags) of each flag on the command's seeded document, and
+    --conorm on an additive-regime gauge."""
+    docs = valid_documents()
+    runs = [(docs[command], flags) for flags in (
+        ["--tol", "1e-6"], ["--grid", "1,2"], ["--conorm", "max"])]
+    if command in ("check-axioms", "topology"):
+        runs.append((docs["luxemburg"], ["--conorm", "prob_sum"]))
+    return runs
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_each_command_refuses_the_flags_it_does_not_read(tmp_path, command):
+    """The exit code and `quasimod: error:` line of the reference; a refused
+    run writes no report, and an accepted one the reference's report (an
+    `orlicz` run, which the reference does not build, exits 0 or 1)."""
+    src, dst = tmp_path / "in.json", tmp_path / "out.json"
+    for doc, flags in flag_runs(command):
+        src.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_main([command, "--input", str(src),
+                                   "--output", str(dst), *flags])
+        errors = [line + "\n" for line in err.splitlines()
+                  if line.startswith("quasimod: error: ")]
+        if command == "orlicz" and code != 2:
+            assert (flags[0], code in (0, 1), out, err) == \
+                ("--tol", True, "", "")
+            dst.unlink()
+            continue
+        want, want_code = report(command, doc, flags)
+        assert code == want_code, flags
+        if code == 2:
+            assert (out, errors, dst.exists()) == ("", [want], False), flags
+        else:
+            assert (out, err) == ("", ""), flags
+            assert dst.read_text(encoding="utf-8") == \
+                json.dumps(want, sort_keys=True, indent=2) + "\n"
+            dst.unlink()
