@@ -9,11 +9,11 @@ left side and manufacture violations that say nothing about the gauge.
 from __future__ import annotations
 
 from itertools import chain, product
-from typing import NamedTuple
 
 from .extreal import ext_mul
 from .gauges import GaugeSpec, Regime, _rows_symmetric, triangle_violations
 from .profiles import Profile, ScaleGrid, profile_convolve
+from .records import NamedTuple
 
 
 class Violation(NamedTuple):

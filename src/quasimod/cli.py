@@ -9,11 +9,9 @@ variable (a logging level name such as DEBUG).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
-import logging
 import os
 import sys
 import time
@@ -21,7 +19,6 @@ from itertools import chain, permutations, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import copysign
 from operator import add, itemgetter
-from typing import NamedTuple
 
 from .axioms import Violation, check_axioms
 from .completeness import (_HB_KEYS, classify_cauchy_thresholds,
@@ -37,10 +34,9 @@ from .orlicz import (DiscreteMeasureSpace, OneSidedPair, one_sided_gauges,
                      quasi_metric_from_gauges, unit_ball_check)
 from .envelopes import envelope_from_json, lower_envelope, upper_envelope
 from .profiles import ScaleGrid
+from .records import NamedTuple
 from .topology import (MAX_TOPOLOGY_POINTS, critical_thresholds,
                        verify_join_equality)
-
-log = logging.getLogger("quasimod.cli")
 
 
 class InputError(Exception):
@@ -210,6 +206,7 @@ def _json_text(obj, depth: int = 0) -> str:
 
 def _emit(report: dict, output: str | None, matrix=None) -> None:
     if output and output.endswith(".csv") and matrix is not None:
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf)
         points, rows = matrix
@@ -259,7 +256,9 @@ def _axioms_doc(report) -> dict:
 
 class _PhaseClock:
     """One command's phase clock: `phase(name)` logs at DEBUG the seconds
-    since the last phase ended and the count `phase("read", n)` gave."""
+    since the last phase ended and the count `phase("read", n)` gave.  It
+    logs only once `logging` is imported, by `main` under QUASIMOD_LOG or by
+    the host program: before that no handler exists to take the line."""
 
     def __init__(self, command: str):
         self.command, self.n, self.last = command, 0, time.perf_counter()
@@ -267,8 +266,11 @@ class _PhaseClock:
     def __call__(self, phase: str, n: int | None = None) -> None:
         now = time.perf_counter()
         self.n = self.n if n is None else n
-        log.debug("%s %s: %.6f s, n=%d", self.command, phase,
-                  now - self.last, self.n)
+        logging = sys.modules.get("logging")
+        if logging is not None:
+            logging.getLogger("quasimod.cli").debug(
+                "%s %s: %.6f s, n=%d", self.command, phase, now - self.last,
+                self.n)
         self.last = now
 
 
@@ -513,6 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     name = os.environ.get("QUASIMOD_LOG")
     if name:
+        import logging
         # the level, INFO unless the value names one, goes on the package
         # logger, which a root logger with handlers leaves alone; the stderr
         # handler is added only where the root logger has none

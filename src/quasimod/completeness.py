@@ -9,12 +9,11 @@ membership, and sequence families are truncations.
 from __future__ import annotations
 
 from operator import and_
-from typing import NamedTuple
 
 from .extreal import number
 from .gauges import GaugeSpec
 from .profiles import ScaleGrid
-from .records import Frozen
+from .records import Frozen, NamedTuple
 from .topology import (ThresholdSet, _BallRows, _check_radius,
                        _normalize_side, critical_thresholds, entourage)
 

@@ -9,7 +9,7 @@ data.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
 from .extreal import INF, ext_mul, number, pair_map, parse_ext, point_resolver
 from .records import Frozen

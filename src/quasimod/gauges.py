@@ -22,9 +22,9 @@ grid sweeps read `sample`, those matrices stacked along a grid.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Mapping
 from itertools import chain, product, repeat
 from operator import add, eq, gt
-from typing import Callable, Mapping
 
 from .conorms import TConorm, conorm_from_name
 from .extreal import (INF, decode_ids, ensure_ext, ext_mul, format_ext, is_ext,

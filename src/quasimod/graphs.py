@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import heapq
 import json
-import logging
 import re
+from collections.abc import Mapping
 from itertools import chain
 from operator import ne
-from typing import Mapping
 
 from .extreal import (INF, decode_ids, format_ext, keyed_numbers, number,
                       parse_ext)
@@ -28,8 +27,6 @@ from .luxemburg import DEFAULT_TOL
 from .orlicz import DiscreteMeasureSpace, MusielakOrlicz, _modular, _norm
 from .profiles import ScaleGrid
 from .records import Frozen
-
-log = logging.getLogger("quasimod.graphs")
 
 
 class Edge(Frozen):
@@ -194,6 +191,9 @@ class DynamicCostSchedule(Frozen):
         times = tuple(number(t, "times") for t in times)
         if not times:
             raise ValueError("schedule needs at least one time")
+        # nan compares False both ways, so the order check alone passes it
+        if any(t != t for t in times):
+            raise ValueError("schedule times must not be nan")
         if any(a >= b for a, b in zip(times, times[1:])):
             raise ValueError("schedule times must be strictly increasing")
         read = {}
@@ -218,7 +218,9 @@ class DynamicCostSchedule(Frozen):
             raise ValueError("query time must not be nan")
         t_eff = max((s for s in self.times if s <= t), default=self.times[0])
         if t_eff != t:
-            log.debug("query time %s clamped to schedule time %s", t, t_eff)
+            import logging
+            logging.getLogger("quasimod.graphs").debug(
+                "query time %s clamped to schedule time %s", t, t_eff)
         missing = [k for k in range(len(g.edges))
                    if (t_eff, k) not in self.costs]
         if missing:
@@ -272,16 +274,17 @@ def schedule_to_json(s: DynamicCostSchedule) -> dict:
 
 
 # a cost key "time|edge": the time spelled as a JSON number or "inf", the
-# spellings `number` reads, and the edge as a JSON non-negative integer
-_SCHEDULE_KEY = re.compile(r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
-                           r"|inf)\|(0|[1-9][0-9]*)")
+# spellings `number` reads, and the edge as a JSON non-negative integer;
+# `re` compiles it on first use, not at import
+_SCHEDULE_KEY = (r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+                 r"|inf)\|(0|[1-9][0-9]*)")
 
 
 def schedule_from_json(doc: Mapping) -> DynamicCostSchedule:
     times = tuple(number(t, "times") for t in doc["times"])
     costs = {}
     for key, c in doc["costs"].items():
-        match = _SCHEDULE_KEY.fullmatch(key)
+        match = re.fullmatch(_SCHEDULE_KEY, key)
         if not match:
             raise ValueError(f"bad schedule key {key!r}; expected 'time|edge' "
                              f"with a JSON number and a non-negative integer")

@@ -14,12 +14,13 @@ holds low in the range but fails at the top, raises NonmonotoneGaugeError.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, NamedTuple
+from collections.abc import Callable, Mapping
 
 from .axioms import AxiomReport, Violation
 from .extreal import INF
 from .gauges import (GaugeSpec, Regime, _row_violations, _rows_symmetric,
                      _table_rows)
+from .records import NamedTuple
 
 DEFAULT_TOL = 1e-9
 DEFAULT_LAMBDA_MAX = 1e12

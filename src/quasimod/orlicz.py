@@ -9,13 +9,13 @@ lambda -> modular(f / lambda).
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple
+from collections.abc import Mapping
 
 from .extreal import format_ext, keyed_numbers, number
 from .gauges import GaugeSpec, Regime
 from .luxemburg import DEFAULT_LAMBDA_MAX, DEFAULT_TOL, luxemburg_infimum
 from .profiles import ScaleGrid
-from .records import Frozen
+from .records import Frozen, NamedTuple
 
 
 class DiscreteMeasureSpace(Frozen):

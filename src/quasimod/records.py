@@ -1,10 +1,41 @@
 """Immutable records that check their fields when built.
 
-A record that only holds its fields is a `typing.NamedTuple`.  One that
-checks them, or caches what it derives from them, subclasses `Frozen`, a
-slotted class whose `__init__` does the checks.  A copy made by `_replace`
-goes through them too, and assignment raises AttributeError.
+A record that only holds its fields subclasses `NamedTuple`: its class body
+reads as one of `typing.NamedTuple`'s, annotated fields with any defaults
+last, and the class it makes is a `collections.namedtuple` carrying the
+body's docstring, methods and properties.  So the package imports neither
+`typing` nor, for its records, `dataclasses`.  One that checks its fields,
+or caches what it derives from them, subclasses `Frozen`, a slotted class
+whose `__init__` does the checks.  A copy made by `_replace` goes through
+them too, and assignment raises AttributeError.
 """
+
+from collections import namedtuple
+
+
+class _NamedTupleType(type):
+    def __new__(mcls, name, bases, ns):
+        if not bases:  # the base itself
+            return super().__new__(mcls, name, bases, ns)
+        # the fields are the body's annotations, strings under
+        # `from __future__ import annotations`, which every record module has
+        fields = tuple(ns.get("__annotations__", ()))
+        defaults = [ns[f] for f in fields if f in ns]
+        if any(f not in ns for f in fields[len(fields) - len(defaults):]):
+            raise TypeError(f"record {name} has a field without a default "
+                            f"after one with a default")
+        cls = namedtuple(name, fields, defaults=defaults,
+                         module=ns["__module__"])
+        for key, value in ns.items():
+            if key not in fields and key != "__module__":
+                setattr(cls, key, value)
+        return cls
+
+
+class NamedTuple(metaclass=_NamedTupleType):
+    """Base of a record that only holds its fields: a subclass is made a
+    `collections.namedtuple` of its annotated fields, with its defaults,
+    docstring, methods and properties, and is not a subclass of this."""
 
 
 class Frozen:

@@ -16,12 +16,12 @@ from bisect import bisect_left
 from functools import reduce
 from itertools import chain, compress
 from operator import and_, le, or_
-from typing import NamedTuple
 
 from .axioms import AxiomReport, Violation
 from .extreal import INF
 from .gauges import GaugeSpec, Regime
 from .profiles import ScaleGrid
+from .records import NamedTuple
 
 MAX_TOPOLOGY_POINTS = 16
 _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as bytes 0 and 1

@@ -128,6 +128,16 @@ MUTANTS = (
            "**changes).values())\n"
            "        return copy",
            ("test_records.py::test_replace_goes_through_the_checks",)),
+    Mutant("record docstrings dropped", "records.py",
+           'if key not in fields and key != "__module__":',
+           'if key not in fields and key not in ("__module__", "__doc__"):',
+           ("test_records.py::test_a_named_record_keeps_the_shape_its_class_"
+            "body_gives[luxemburg-LuxemburgResult]",)),
+    Mutant("record defaults dropped", "records.py",
+           "cls = namedtuple(name, fields, defaults=defaults,",
+           "cls = namedtuple(name, fields, defaults=None,",
+           ("test_records.py::test_a_named_record_keeps_the_shape_its_class_"
+            "body_gives[axioms-AxiomReport]",)),
     Mutant("gauges compare by value", "gauges.py",
            "    __eq__, __hash__ = object.__eq__, object.__hash__\n",
            "",
@@ -141,6 +151,10 @@ MUTANTS = (
            't = number(t, "query time")',
            "t = float(t)",
            ("test_graphs.py::test_schedule_snapshot_clamps_and_floors",)),
+    Mutant("nan schedule times let through", "graphs.py",
+           "if any(t != t for t in times):",
+           "if False:",
+           ("test_graphs.py::test_schedule_refuses_a_nan_time",)),
     # ball rows, covers and Cauchy scans
     Mutant("entourage refusing conorm radii of 1 and more again",
            "topology.py",
@@ -348,10 +362,20 @@ MUTANTS = (
            "repeat((list, tuple)))) or not any(",
            ("test_report_writer.py::test_row_lists_match_json_dumps",)),
     Mutant("phase log removed", "cli.py",
-           'log.debug("%s %s: %.6f s, n=%d", self.command, phase,\n'
-           "                  now - self.last, self.n)",
-           "None",
+           'logging.getLogger("quasimod.cli").debug(',
+           "(lambda *args: None)(",
            ("test_cli.py::test_debug_logging_goes_to_stderr_only[cover]",)),
+    Mutant("phase lines only under QUASIMOD_LOG", "cli.py",
+           'logging = sys.modules.get("logging")',
+           'logging = os.environ.get("QUASIMOD_LOG") and '
+           'sys.modules.get("logging")',
+           ("test_cli.py::"
+            "test_a_host_root_logger_at_debug_gets_the_phase_lines",)),
+    Mutant("import logging back at the top of graphs.py", "graphs.py",
+           "import json\nimport re\n",
+           "import json\nimport logging\nimport re\n",
+           ("test_records.py::"
+            "test_the_cli_imports_and_runs_without_typing_logging_or_csv",)),
     # main alone writes, logs the write phase and picks the exit code
     Mutant("every verdict exits 0", "cli.py",
            "    return 0 if ok else 1",

@@ -646,6 +646,34 @@ def test_graph_debug_logging_reaches_a_configured_root_logger(
         package.setLevel(logging.NOTSET)
 
 
+# a host program that logs at DEBUG gets the phase lines without
+# QUASIMOD_LOG, whether it imports logging before or after the CLI
+HOST_IMPORTS = {
+    "logging-first": "import logging\nfrom quasimod.cli import main",
+    "cli-first": "from quasimod.cli import main\nimport logging",
+}
+
+
+@pytest.mark.parametrize("order", HOST_IMPORTS)
+def test_a_host_root_logger_at_debug_gets_the_phase_lines(tmp_path, order):
+    src = write_doc(tmp_path, "in.json", ADDITIVE_DOC)
+    quiet = {k: v for k, v in os.environ.items() if k != "QUASIMOD_LOG"}
+    host = (f"{HOST_IMPORTS[order]}\n"
+            f"logging.basicConfig(level=logging.DEBUG)\n"
+            f"raise SystemExit(main(['check-axioms', '--input', {src!r}]))\n")
+    hosted = subprocess.run([sys.executable, "-c", host], capture_output=True,
+                            env=quiet)
+    plain = subprocess.run([sys.executable, "-m", "quasimod.cli",
+                            "check-axioms", "--input", src],
+                           capture_output=True, env=quiet)
+    assert hosted.returncode == plain.returncode == 0
+    assert hosted.stdout == plain.stdout and plain.stderr == b""
+    lines = hosted.stderr.decode().splitlines()
+    assert [re.fullmatch(r"DEBUG:quasimod\.cli:check-axioms ([a-z-]+): "
+                         r"[0-9]+\.[0-9]{6} s, n=2", line).group(1)
+            for line in lines] == ["read", "axioms", "write"], lines
+
+
 def test_luxemburg_and_graph_lay_out_only_the_maps_they_write(tmp_path,
                                                               monkeypatch):
     built = []

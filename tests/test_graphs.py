@@ -278,6 +278,17 @@ def test_schedule_validation():
             DynamicCostSchedule((0.0,), {(0.0, 0): 3.0, (0.0, k): 5.0})
 
 
+def test_schedule_refuses_a_nan_time():
+    # a nan time passes a >= b and would make snapshot read time 0.0 at 5.0
+    for times in ((0.0, math.nan), (math.nan,), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="schedule times must not be nan"):
+            DynamicCostSchedule(times, {(0.0, 0): 1.0} if 0.0 in times else {})
+    # a JSON NaN reaches it through the wire reader
+    doc = json.loads('{"times": [0.0, NaN], "costs": {"0.0|0": 1.0}}')
+    with pytest.raises(ValueError, match="schedule times must not be nan"):
+        schedule_from_json(doc)
+
+
 def test_schedule_reads_times_and_costs_by_the_number_rule():
     # float() would read True and "1" as the time 1.0
     with pytest.raises(ValueError, match=re.escape(

@@ -1,9 +1,14 @@
 """The package's records: immutable, compared by value (a gauge by
 identity), built and copied through their checks, and imported without
-the `dataclasses` machinery."""
+`dataclasses` or `typing`."""
 
+import ast
 import copy
+import importlib
+import inspect
+import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -63,14 +68,109 @@ RECORDS = {
 }
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = ("import sys, quasimod.cli; "
-            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def loaded(code: str, modules: set) -> list:
+    """The modules of `modules` that `code`, run under `python -S` with the
+    package on the path and QUASIMOD_LOG unset, leaves in sys.modules."""
+    env = {k: v for k, v in os.environ.items() if k != "QUASIMOD_LOG"}
+    env["PYTHONPATH"] = str(SRC)
+    code += f"; print(*sorted({modules!r} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == [], \
-        f"import quasimod.cli loaded {done.stdout.strip()}"
+    return done.stdout.split()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    found = loaded("import sys, quasimod.cli", {"dataclasses", "inspect"})
+    assert found == [], f"import quasimod.cli loaded {found}"
+
+
+def test_the_cli_imports_and_runs_without_typing_logging_or_csv(tmp_path):
+    # the records are collections.namedtuples, logging is imported under
+    # QUASIMOD_LOG only and csv for a .csv report only
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({"regime": "additive", "points": ["a", "b"],
+                               "grid": [1, 2], "table": {"a|b": [2, 1],
+                                                         "b|a": [1, 0.5]}}))
+    unread = {"typing", "logging", "csv"}
+    found = loaded("import sys, quasimod.cli", unread)
+    assert found == [], f"import quasimod.cli loaded {found}"
+    found = loaded("import sys, quasimod.cli; assert quasimod.cli.main(["
+                   f"'check-axioms', '--input', {str(src)!r}, '--output', "
+                   f"{str(tmp_path / 'r.json')!r}]) == 0", unread)
+    assert found == [], f"check-axioms loaded {found}"
+
+
+# every named-tuple record of the package, by module
+NAMED = {
+    "axioms": ("AxiomReport", "Violation"),
+    "cli": ("_PairMap", "_RowTable"),
+    "completeness": ("CauchyClassification", "CoverResult", "HeineBorelReport",
+                     "HeineBorelRow", "LpNet", "LpTailReport",
+                     "TransportResult"),
+    "luxemburg": ("LuxemburgResult",),
+    "orlicz": ("OneSidedPair", "UnitBallReport"),
+    "topology": ("FiniteTopology", "JoinReport", "ThresholdSet"),
+}
+
+
+def named_classes(module):
+    """The named-tuple classes `module` defines, by name."""
+    return {name: obj for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, tuple)
+            and hasattr(obj, "_fields") and obj.__module__ == module.__name__}
+
+
+def test_the_named_records_are_the_listed_ones():
+    found = {stem: tuple(sorted(named_classes(
+        importlib.import_module(f"quasimod.{stem}"))))
+        for stem in sorted(NAMED)}
+    assert found == NAMED
+    for path in sorted((SRC / "quasimod").glob("*.py")):
+        if path.stem not in NAMED:
+            assert not named_classes(importlib.import_module(
+                f"quasimod.{path.stem}")), path.stem
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m in sorted(NAMED)
+                                          for n in NAMED[m]])
+def test_a_named_record_keeps_the_shape_its_class_body_gives(module, name):
+    """Fields, defaults and docstring as the class body reads them; a record
+    is a tuple that pickles, copies and compares as one."""
+    cls = getattr(importlib.import_module(f"quasimod.{module}"), name)
+    body, = (node for node in ast.parse(
+        (SRC / "quasimod" / f"{module}.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and node.name == name)
+    fields = tuple(node.target.id for node in body.body
+                   if isinstance(node, ast.AnnAssign))
+    defaults = {node.target.id: ast.literal_eval(node.value)
+                for node in body.body
+                if isinstance(node, ast.AnnAssign) and node.value is not None}
+    assert cls.__name__ == cls.__qualname__ == name
+    assert cls._fields == fields and cls.__match_args__ == fields
+    assert cls._field_defaults == defaults
+    assert tuple(cls.__annotations__) == fields
+    # from 3.13 the compiler strips a docstring's indentation
+    assert inspect.cleandoc(cls.__doc__) == (
+        ast.get_docstring(body) or f"{name}({', '.join(fields)}"
+                                   f"{',' if len(fields) == 1 else ''})")
+    assert cls.__mro__[1:] == (tuple, object)
+    values = tuple(range(len(fields)))
+    record = cls(*values)
+    assert type(record).__name__ == name
+    assert record == values and hash(record) == hash(values)
+    assert cls._make(values) == record and record._asdict() == dict(
+        zip(fields, values))
+    assert record._replace(**{fields[0]: "x"}) == ("x", *values[1:])
+    assert len(cls(*values[:len(fields) - len(defaults)])) == len(fields)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twin = pickle.loads(pickle.dumps(record, protocol))
+        assert type(twin) is cls and twin == record
+    for twin in (copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is cls and twin == record
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], 1)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
