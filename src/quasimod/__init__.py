@@ -20,7 +20,7 @@ from .completeness import (CauchyClassification, CellInclusionError,
                            two_sided_cover_from_onesided)
 from .conorms import TConorm, conorm_from_name
 from .envelopes import PartialFunction, lower_envelope, upper_envelope
-from .extreal import INF, ensure_ext, ext_mul, format_ext, is_ext, parse_ext
+from .extreal import INF, ext_mul, format_ext, parse_ext
 from .gauges import (GaugeSpec, Regime, gauge_from_json, gauge_to_json,
                      make_classical_modular, make_min_cap,
                      make_one_sided_integral, make_ratio, make_scaled_metric,

@@ -205,7 +205,7 @@ def _json_text(obj, depth: int = 0) -> str:
 
 
 def _emit(report: dict, output: str | None, matrix=None) -> None:
-    if output and output.endswith(".csv") and matrix is not None:
+    if output and output.endswith(".csv"):
         import csv
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -483,13 +483,13 @@ def cmd_envelope(args, phase):
     return doc, metric_report.ok
 
 
-# each command's function and the flags it reads besides --input and --output
+# each command's function, the flags it reads and "csv" if it writes .csv
 _COMMANDS = {
     "check-axioms": (cmd_check_axioms, ("grid", "conorm")),
     "topology": (cmd_topology, ("grid", "conorm")),
     "cover": (cmd_cover, ("grid", "conorm")),
-    "luxemburg": (cmd_luxemburg, ("grid",)),
-    "graph": (cmd_graph, ("grid",)),
+    "luxemburg": (cmd_luxemburg, ("grid", "csv")),
+    "graph": (cmd_graph, ("grid", "csv")),
     "orlicz": (cmd_orlicz, ("tol",)),
     "envelope": (cmd_envelope, ()),
 }
@@ -501,7 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quasi-modular gauge analyses over finite data")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--input", required=True, help="input JSON file")
-    parser.add_argument("--output", help="report file (.json or .csv)")
+    parser.add_argument("--output", help="report file (.json, or .csv for "
+                        "luxemburg and graph)")
     parser.add_argument("--tol", type=float, help="orlicz: tolerance of "
                         "searched norms (default 1e-9)")
     parser.add_argument("--grid", help="check-axioms, topology, cover, "
@@ -530,6 +531,8 @@ def main(argv=None) -> int:
         for flag in ("tol", "grid", "conorm"):
             if vars(args)[flag] is not None and flag not in flags:
                 parser.error(f"{args.command} takes no --{flag}")
+        if (args.output or "").endswith(".csv") and "csv" not in flags:
+            parser.error(f"{args.command} takes no .csv --output")
         if args.tol is None:
             args.tol = DEFAULT_TOL
         elif not args.tol > 0:

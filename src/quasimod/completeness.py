@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import and_
 
-from .extreal import number
+from .extreal import number, numbers
 from .gauges import GaugeSpec
 from .profiles import ScaleGrid
 from .records import Frozen, NamedTuple
@@ -261,8 +261,8 @@ class TruncatedSequenceFamily(Frozen):
         length = max(len(m) for m in members)
         if length < 1:
             raise ValueError("members must have at least one coordinate")
-        padded = tuple(tuple(number(v, "member value") for v in m)
-                       + (0.0,) * (length - len(m)) for m in members)
+        padded = tuple(numbers(m, "member value") + (0.0,) * (length - len(m))
+                       for m in members)
         self._set(padded, p)
 
     @property

@@ -1,11 +1,12 @@
 """Helpers for nonnegative extended-real values ([0, +inf]), and the wire.
 
 Plain Python floats already model the extended ray: ``float("inf")`` absorbs
-addition and compares correctly under ``min``/``max``.  What the rest of the
-package needs on top of that is validation (no negatives, no NaN), the
-measure-theoretic product convention ``0 * inf == 0``, and a JSON spelling
-for infinity.  Every document reader reads numbers, ids and keyed maps with
-the functions below; range checks stay with the models.
+addition and compares correctly under ``min``/``max``.  On top of that the
+package needs the product convention ``0 * inf == 0``, a JSON spelling for
+infinity, and one number rule, which every constructor and document reader
+reads its numbers by: `number` reads one value, `parse_ext` one value of the
+ray (no negative, no NaN) and `numbers` a row.  Other range checks stay with
+the models.
 """
 
 from __future__ import annotations
@@ -13,23 +14,6 @@ from __future__ import annotations
 import math
 
 INF = float("inf")
-
-
-def is_ext(value: object) -> bool:
-    """True if value is a nonnegative, non-NaN int or float (inf allowed)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        v = float(value)
-    except OverflowError:  # an integer past the float range
-        return False
-    return not math.isnan(v) and v >= 0.0
-
-
-def ensure_ext(value: float, what: str = "value") -> float:
-    if not is_ext(value):
-        raise ValueError(f"{what} must be a nonnegative real or +inf, got {value!r}")
-    return float(value)
 
 
 def ext_mul(a: float, b: float) -> float:
@@ -55,7 +39,22 @@ def number(raw: object, what: str = "value") -> float:
 
 def parse_ext(raw: object, what: str = "value") -> float:
     """A number of the extended ray [0, +inf]."""
-    return ensure_ext(number(raw, what), what)
+    v = number(raw, what)
+    if not v >= 0.0:  # a negative or NaN
+        raise ValueError(f"{what} must be a nonnegative real or +inf, got {v!r}")
+    return v
+
+
+def numbers(row, what: str = "value") -> tuple[float, ...]:
+    """`number` of each value of row: two C-level passes over plain ints and
+    floats, and a `number` call per value only on any other row."""
+    row = tuple(row)
+    if set(map(type, row)) <= {int, float}:  # not bool, which float() reads
+        try:
+            return tuple(map(float, row))
+        except OverflowError:  # an integer past the float range
+            pass
+    return tuple(number(v, what) for v in row)
 
 
 def format_ext(value: float) -> object:

@@ -27,8 +27,8 @@ from itertools import chain, product, repeat
 from operator import add, eq, gt
 
 from .conorms import TConorm, conorm_from_name
-from .extreal import (INF, decode_ids, ensure_ext, ext_mul, format_ext, is_ext,
-                      number, pair_map)
+from .extreal import (INF, decode_ids, ext_mul, format_ext, numbers,
+                      pair_map, parse_ext)
 from .profiles import Profile, ScaleGrid
 from .records import Frozen
 
@@ -77,10 +77,11 @@ class GaugeSpec(Frozen):
                     if x != y:
                         raise ValueError(f"table is missing the pair ({x!r}, {y!r})")
                     row = (0.0,) * m
-                if not all(map(is_ext, row)):  # name the pair on failure only
+                what = f"table value for ({x!r}, {y!r})"
+                row = numbers(row, what)
+                if not all(map(_NONNEGATIVE, row)):  # name a negative or NaN
                     for v in row:
-                        ensure_ext(v, f"table value for ({x!r}, {y!r})")
-                row = tuple(map(float, row))
+                        parse_ext(v, what)
                 if len(row) != m:
                     raise ValueError(f"table row for ({x!r}, {y!r}) needs "
                                      f"{m} values, got {len(row)}")
@@ -363,9 +364,7 @@ def make_sublinear(p: Callable[[object], float], points,
     rho = {}
     for x in points:
         for y in points:
-            v = float(p(_vsub(y, x)))
-            ensure_ext(v, f"p({_vsub(y, x)!r})")
-            rho[(x, y)] = v
+            rho[(x, y)] = parse_ext(p(_vsub(y, x)), f"p({_vsub(y, x)!r})")
     return make_min_cap(rho, points, grid, name=name)
 
 
@@ -437,8 +436,7 @@ def gauge_from_json(doc: Mapping, name: str = "gauge") -> GaugeSpec:
         conorm = conorm_from_name(doc.get("conorm", "max"))
     points = tuple(doc["points"])
     grid = ScaleGrid(doc["grid"])
-    table = pair_map(doc["table"], points, "table",
-                     lambda row, what: tuple(number(v, what) for v in row))
+    table = pair_map(doc["table"], points, "table", numbers)
     # a missing diagonal row is zeros on both sides; a missing pair and a
     # value off the extended ray raise in GaugeSpec
     symmetric = all(table.get((x, y)) == table.get((y, x))

@@ -21,7 +21,7 @@ from itertools import chain
 from operator import ne
 
 from .extreal import (INF, decode_ids, format_ext, keyed_numbers, number,
-                      parse_ext)
+                      numbers, parse_ext)
 from .gauges import GaugeSpec, _min_cap_rows
 from .luxemburg import DEFAULT_TOL
 from .orlicz import DiscreteMeasureSpace, MusielakOrlicz, _modular, _norm
@@ -188,7 +188,7 @@ class DynamicCostSchedule(Frozen):
     __slots__ = _fields = ("times", "costs")
 
     def __init__(self, times: tuple[float, ...], costs: Mapping):
-        times = tuple(number(t, "times") for t in times)
+        times = numbers(times, "times")
         if not times:
             raise ValueError("schedule needs at least one time")
         # nan compares False both ways, so the order check alone passes it
@@ -281,7 +281,6 @@ _SCHEDULE_KEY = (r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 
 
 def schedule_from_json(doc: Mapping) -> DynamicCostSchedule:
-    times = tuple(number(t, "times") for t in doc["times"])
     costs = {}
     for key, c in doc["costs"].items():
         match = re.fullmatch(_SCHEDULE_KEY, key)
@@ -291,4 +290,4 @@ def schedule_from_json(doc: Mapping) -> DynamicCostSchedule:
         st, sk = match.groups()
         t = number(st if st == "inf" else json.loads(st), f"time of {key!r}")
         costs[(t, int(sk))] = parse_ext(c, f"costs[{key}]")
-    return DynamicCostSchedule(times, costs)
+    return DynamicCostSchedule(doc["times"], costs)

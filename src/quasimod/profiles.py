@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 
 from .conorms import TConorm
-from .extreal import INF, ensure_ext, number
+from .extreal import INF, numbers, parse_ext
 from .records import Frozen
 
 
@@ -19,7 +19,7 @@ class ScaleGrid(Frozen):
     __slots__ = _fields = ("scales",)
 
     def __init__(self, scales: tuple[float, ...]):
-        scales = tuple(number(t, "grid") for t in scales)
+        scales = numbers(scales, "grid")
         if not scales:
             raise ValueError("scale grid must be nonempty")
         for t in scales:
@@ -50,7 +50,7 @@ class Profile(Frozen):
     __slots__ = _fields = ("grid", "values")
 
     def __init__(self, grid: ScaleGrid, values: tuple[float, ...]):
-        values = tuple(ensure_ext(v, "profile value") for v in values)
+        values = tuple(parse_ext(v, "profile value") for v in values)
         if len(values) != len(grid):
             raise ValueError("profile needs exactly one value per grid scale")
         self._set(grid, values)

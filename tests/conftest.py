@@ -29,6 +29,7 @@ from quasimod import (
     make_ratio,
     make_scaled_metric,
     make_sublinear,
+    one_sided_modular_gauge,
 )
 from quasimod.cli import main
 
@@ -432,8 +433,17 @@ def closed_form_corpus():
                         name=ratio.name, fn=ratio.fn)
 
 
+def scale_dependent_corpus():
+    """Additive gauges whose values move with the scale: w = g(t) * d
+    tables and linear one-sided modulars, closed forms on their grids."""
+    for seed in range(2):
+        yield from scaled_metric_gauges(seed)
+        yield from one_sided_modular_gauges(seed)
+
+
 CORPORA = {"additive": additive_corpus, "conorm": conorm_corpus,
-           "closed_form": closed_form_corpus}
+           "closed_form": closed_form_corpus,
+           "scale_dependent": scale_dependent_corpus}
 
 
 def corpus(name):
@@ -499,6 +509,23 @@ def scaled_metric_gauges(seed, holes=0.0):
     """w = g(t) * d over `scaled_metric_data`."""
     for d, profile, points in scaled_metric_data(seed, holes):
         yield make_scaled_metric(d, profile, points)
+
+
+def one_sided_modular_gauges(seed):
+    """w(F, G, t) = sum_p mu_p * (F_p - G_p)_+ / t, the one-sided modular
+    gauge of the linear psi (exponent 1 at every point), over dyadic
+    functions and masses on power-of-two scales: every value is exact."""
+    rng = rng_for(1900 + seed)
+    for _ in range(2):
+        space = random_measure_space(rng, rng.randrange(1, 4))
+        linear = MusielakOrlicz.variable_exponent(
+            {p: 1.0 for p in space.points})
+        functions = {f"f{i}": random_total_function(rng, space)
+                     for i in range(rng.randrange(2, 6))}
+        exponents = sorted(rng.sample(range(-3, 5), rng.randrange(2, 6)))
+        yield one_sided_modular_gauge(
+            space, linear, functions,
+            ScaleGrid(tuple(2.0 ** k for k in exponents)))
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ MUTANTS = (
            "",
            ("test_records.py::test_gauges_compare_by_identity",)),
     Mutant("schedule times read by float", "graphs.py",
-           'times = tuple(number(t, "times") for t in times)',
+           'times = numbers(times, "times")',
            "times = tuple(float(t) for t in times)",
            ("test_graphs.py::"
             "test_schedule_reads_times_and_costs_by_the_number_rule",)),
@@ -155,6 +155,25 @@ MUTANTS = (
            "if any(t != t for t in times):",
            "if False:",
            ("test_graphs.py::test_schedule_refuses_a_nan_time",)),
+    # the number rule's row reader, the table range pass, .csv outputs
+    Mutant("numbers admitting bool in its fast path", "extreal.py",
+           "if set(map(type, row)) <= {int, float}:",
+           "if set(map(type, row)) <= {int, float, bool}:",
+           ("test_extreal.py::"
+            "test_numbers_reads_a_row_as_number_reads_each_value[bool]",
+            "test_records.py::test_constructors_read_numbers_by_the_number_"
+            "rule[grid-bool]")),
+    Mutant("GaugeSpec without its range pass", "gauges.py",
+           "if not all(map(_NONNEGATIVE, row)):  # name a negative or NaN",
+           "if False:",
+           ("test_records.py::"
+            "test_profiles_and_table_rows_read_inf_and_keep_the_ray",
+            "test_cli.py::test_gauge_table_values_outside_the_extended_ray_"
+            "exit_2[check-axioms-negative]")),
+    Mutant("check-axioms accepting a .csv output", "cli.py",
+           '"check-axioms": (cmd_check_axioms, ("grid", "conorm")),',
+           '"check-axioms": (cmd_check_axioms, ("grid", "conorm", "csv")),',
+           (f"{FLAGS}[check-axioms]",)),
     # ball rows, covers and Cauchy scans
     Mutant("entourage refusing conorm radii of 1 and more again",
            "topology.py",

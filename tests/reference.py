@@ -438,23 +438,29 @@ def _gauge_report(command, g, opts, sequence):
                                     max(d[x, y], d[y, x]))}, 0
 
 
-# the flags each command reads besides --input and --output
+# the flags each command reads besides --input and --output, and the
+# commands that write a .csv --output, as their distance matrix
 READS = {"check-axioms": ("--grid", "--conorm"),
          "topology": ("--grid", "--conorm"), "cover": ("--grid", "--conorm"),
          "luxemburg": ("--grid",), "graph": ("--grid",), "orlicz": ("--tol",),
          "envelope": ()}
+WRITES_CSV = ("graph", "luxemburg")
 
 
 def report(command, doc, flags=()):
     """(report dict, exit code) of `quasimod <command>` with `flags` on a
     valid document, or (its stderr text, 2) where the command refuses it:
     `luxemburg` on a table whose row rises and `--conorm` on an
-    additive-regime gauge.  A flag the command does not read gives
-    (its `quasimod: error:` line, 2): argparse writes the usage above it."""
+    additive-regime gauge.  A flag the command does not read, and a .csv
+    `--output` of a command that writes no CSV, give (its `quasimod:
+    error:` line, 2): argparse writes the usage above it."""
     opts = dict(zip(flags[::2], flags[1::2]))
     for flag in ("--tol", "--grid", "--conorm"):
         if flag in opts and flag not in READS[command]:
             return f"quasimod: error: {command} takes no {flag}\n", 2
+    if opts.get("--output", "").endswith(".csv") and \
+            command not in WRITES_CSV:
+        return f"quasimod: error: {command} takes no .csv --output\n", 2
     grid = opts.get("--grid") and ScaleGrid(
         tuple(map(float, opts["--grid"].split(","))))
     if command == "graph":

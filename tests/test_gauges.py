@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from quasimod import extreal, gauges
+from quasimod import extreal
 from quasimod import (
     INF,
     GaugeSpec,
@@ -355,21 +355,33 @@ def test_the_columns_are_the_pair_lookup_layout_bit_for_bit():
 
 
 def test_reading_a_gauge_document_checks_each_table_value_once(monkeypatch):
-    calls, is_ext = [], extreal.is_ext
+    """`gauge_from_json` reads a table value by `number` at most once, and
+    only in a row that holds "inf"; `GaugeSpec` reads a row of plain ints
+    and floats with no `number` call at all."""
+    calls, number = [], extreal.number
 
-    def counted(value):
+    def counted(value, what="value"):
         calls.append(value)
-        return is_ext(value)
+        return number(value, what)
 
-    monkeypatch.setattr(extreal, "is_ext", counted)
-    monkeypatch.setattr(gauges, "is_ext", counted)
+    monkeypatch.setattr(extreal, "number", counted)
+    spelled = 0
     for g, table in corpus_tables():
         doc = gauge_to_json(GaugeSpec(regime=g.regime, points=g.points,
                                       conorm=g.conorm, grid=g.grid,
                                       table=table))
         calls.clear()
         gauge_from_json(doc)
-        assert len(calls) == len(g.points) ** 2 * len(g.grid), g.name
+        assert calls == [v for row in doc["table"].values() if "inf" in row
+                         for v in row], g.name
+        spelled += bool(calls)
+        plain = {k: tuple(int(v) if v.is_integer() else v for v in row)
+                 for k, row in table.items()}
+        calls.clear()
+        GaugeSpec(regime=g.regime, points=g.points, conorm=g.conorm,
+                  grid=g.grid, table=plain)
+        assert calls == [], g.name
+    assert spelled  # some rows spell +inf as "inf"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from quasimod import extreal
+from quasimod import graphs
 from quasimod import (INF, DirectedGraph, DynamicCostSchedule, Edge,
                       MusielakOrlicz, ScaleGrid, asymmetry_index,
                       check_axioms, distance_matrix, dynamic_distance,
@@ -30,19 +30,20 @@ def test_edge_validation():
 
 def test_each_edge_cost_is_checked_once_and_stored_as_a_float(monkeypatch):
     checked = []
-    real = extreal.ensure_ext
+    real = graphs.parse_ext
 
     def counting(value, what="value"):
         checked.append(value)
         return real(value, what)
 
-    monkeypatch.setattr(extreal, "ensure_ext", counting)
+    monkeypatch.setattr(graphs, "parse_ext", counting)
     doc = {"vertices": ["a", "b", "c"],
            "edges": [{"from": "a", "to": "b", "cost": 3},
                      {"from": "b", "to": "c", "cost": 0.5},
                      {"from": "c", "to": "a"}]}
     g = graph_from_json(doc)
-    assert checked == [3.0, 0.5, 1.0]
+    assert [(type(v), v) for v in checked] == \
+        [(int, 3), (float, 0.5), (float, 1.0)]
     assert [type(e.cost) for e in g.edges] == [float] * 3
     assert json.dumps(graph_to_json(g)["edges"][0]["cost"]) == "3.0"
     assert type(Edge("a", "b", 1.0, 2).cost) is float

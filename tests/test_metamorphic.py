@@ -18,7 +18,9 @@ effect the paper fixes, so no copy of an older implementation is needed:
   keeps the asymmetry index;
 - renaming every point in an order-preserving way, here by a common
   prefix, renames the keys of every `graph` and `luxemburg` report and
-  changes nothing else, key order included;
+  changes nothing else, key order included; renaming every id so renames
+  the `check-axioms`, `topology`, `cover`, `orlicz` and `envelope` reports
+  and changes nothing else, byte for byte;
 - symmetrizing the gauge first leaves the symmetrized topology alone: the
   forward, backward, join and symmetrized topologies of `symmetrize(g)` are
   all the symmetrized topology of g;
@@ -28,6 +30,7 @@ effect the paper fixes, so no copy of an older implementation is needed:
   so is its symmetrization.
 """
 
+import json
 from collections import Counter
 
 import pytest
@@ -35,14 +38,17 @@ import pytest
 from quasimod import (NonmonotoneGaugeError, Regime, ScaleGrid, ball,
                       check_axioms, compose, converges_to,
                       critical_thresholds, distance_matrix, entourage,
-                      format_ext, graph_from_json, graph_to_json,
-                      greedy_net, heine_borel_report, luxemburg_distance,
-                      opposite, small_composite_check, symmetrize,
-                      symmetrized_luxemburg, verify_join_equality)
-from conftest import (ADDITIVE_BUILDERS, BIG, CONORMS, corrupt_one_entry,
-                      random_conorm_gauge, random_digraph, random_raw_table,
-                      random_strongly_connected_graph, relabel, rng_for,
-                      run, scaled_metric_gauges, transpose)
+                      format_ext, gauge_to_json, graph_from_json,
+                      graph_to_json, greedy_net, heine_borel_report,
+                      luxemburg_distance, opposite, small_composite_check,
+                      symmetrize, symmetrized_luxemburg, verify_join_equality)
+from conftest import (ADDITIVE_BUILDERS, BIG, CONORMS, GAUGES,
+                      corrupt_one_entry, main, points_named,
+                      random_conorm_gauge, random_digraph,
+                      random_measure_space, random_orlicz_family,
+                      random_quasi_pseudometric, random_raw_table,
+                      random_strongly_connected_graph, random_total_function,
+                      relabel, rng_for, run, scaled_metric_gauges, transpose)
 from reference import luxemburg_infimum as exact_infimum
 
 
@@ -275,6 +281,76 @@ def test_renaming_points_in_order_renames_graph_and_luxemburg_keys(
                 [("p" + k.replace("|", "|p"), v) for k, v in mine[key].items()]
             del mine[key], theirs[key]
         assert theirs == mine, command
+
+
+def renamed(text: str, new: dict) -> str:
+    """JSON text with each id of `new` renamed wherever it stands: as a
+    string, either side of an "x|y" key, or as its repr inside a string,
+    where a cover's escape witness names its points."""
+    for old, name in new.items():
+        for form in ('"{}"', '"{}|', '|{}"', "'{}'"):
+            text = text.replace(form.format(old), form.format(name))
+    return text
+
+
+def renaming_documents(command):
+    """(document, its ids) on the dyadic corpora: every gauge of conftest's
+    `GAUGES` whose points are strings, and seeded `orlicz` and `envelope`
+    documents with +inf distances."""
+    if command in ("check-axioms", "topology", "cover"):
+        for name in sorted(GAUGES):
+            for g in GAUGES[name]():
+                if all(isinstance(p, str) for p in g.points):
+                    doc = gauge_to_json(g)
+                    yield ({"space": doc, "sequence": list(g.points[::-1])
+                            + list(g.points)} if command == "cover" else doc,
+                           g.points)
+        return
+    for seed in range(6):
+        rng = rng_for(2000 + seed)
+        if command == "orlicz":
+            space = random_measure_space(rng, rng.randrange(1, 5))
+            functions = {f"f{i}": random_total_function(rng, space)
+                         for i in range(rng.randrange(1, 4))}
+            yield ({"space": space.to_json(), "functions": functions,
+                    "phi": random_orlicz_family(rng, space).to_json(),
+                    "psi1": random_orlicz_family(rng, space).to_json(),
+                    "psi2": random_orlicz_family(rng, space).to_json()},
+                   space.points + tuple(functions))
+        else:
+            points = points_named(rng.randrange(1, 6))
+            d = random_quasi_pseudometric(rng, points, holes=0.3)
+            if seed % 2:  # a zero-self violation: the check's exit 1
+                d[points[0], points[0]] = 0.5
+            yield ({"points": list(points),
+                    "distance": {f"{x}|{y}": format_ext(v)
+                                 for (x, y), v in d.items()},
+                    "domain": list(points[::2]),
+                    "values": {x: rng.randrange(-16, 17) / 8
+                               for x in points[::2]},
+                    "lipschitz": rng.randrange(0, 9) / 4}, points)
+
+
+@pytest.mark.parametrize("command", ["check-axioms", "topology", "cover",
+                                     "orlicz", "envelope"])
+def test_renaming_points_in_order_renames_every_other_report(tmp_path,
+                                                             command):
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    texts = []
+    for doc, ids in renaming_documents(command):
+        new = {i: f"r{i}" for i in ids}
+        for text in (json.dumps(doc), renamed(json.dumps(doc), new)):
+            src.write_text(text, encoding="utf-8")
+            code = main([command, "--input", str(src), "--output", str(out)])
+            texts.append((code, out.read_text(encoding="utf-8")))
+        (code, mine), (code_r, theirs) = texts[-2:]
+        assert code == code_r
+        assert theirs == renamed(mine, new)
+    assert len(texts) >= 12
+    # both verdicts are reached, but for orlicz, whose unit-ball checks
+    # hold on these documents
+    assert {code for code, _ in texts} == ({0} if command == "orlicz"
+                                           else {0, 1})
 
 
 def test_the_symmetrized_gauge_has_one_topology_the_symmetrized_one():

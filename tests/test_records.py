@@ -7,6 +7,7 @@ import copy
 import importlib
 import inspect
 import json
+import math
 import os
 import pickle
 import re
@@ -16,14 +17,15 @@ from pathlib import Path
 
 import pytest
 
-from quasimod import (AxiomReport, CauchyClassification, CoverResult,
+from quasimod import (INF, AxiomReport, CauchyClassification, CoverResult,
                       DirectedGraph, DiscreteMeasureSpace, DynamicCostSchedule,
                       Edge, FiniteTopology, GaugeSpec, JoinReport, LpNet,
                       LpTailReport, LuxemburgResult, MusielakOrlicz,
                       OneSidedPair, PartialFunction, Profile, Regime,
                       ScaleGrid, TransportResult, TruncatedSequenceFamily,
                       UnitBallReport, check_axioms, critical_thresholds,
-                      heine_borel_report, make_min_cap, verify_join_equality)
+                      heine_borel_report, make_min_cap, make_sublinear,
+                      verify_join_equality)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -276,6 +278,11 @@ NUMBER_FIELDS = {
                "member value"),
     "sequence-exponent": (lambda v: TruncatedSequenceFamily(((1.0,),), v),
                           "exponent"),
+    "profile-value": (lambda v: Profile(GRID, (v, 0.0)), "profile value"),
+    "table-value": (lambda v: table_gauge({**TABLE, ("a", "b"): (v, 0.0)}),
+                    "table value for ('a', 'b')"),
+    "sublinear": (lambda v: make_sublinear(lambda d: v if d else 0.0,
+                                           (0.0, 1.0)), "p(1.0)"),
 }
 
 
@@ -290,6 +297,23 @@ def test_constructors_read_numbers_by_the_number_rule(field, value):
         f"{name} is too large for a float: an integer of 1329 bits"
         if value == 10 ** 400 else
         f'{name} must be a number or "inf", got {value!r}')
+
+
+def test_profiles_and_table_rows_read_inf_and_keep_the_ray():
+    """"inf" is +inf in a profile and a table row, as in a document; a
+    negative or NaN value keeps the range message."""
+    assert Profile(GRID, ("inf", 0.0)).values == (INF, 0.0)
+    assert table_gauge({**TABLE, ("a", "b"): ("inf", 0)}).table["a", "b"] \
+        == (INF, 0.0)
+    for bad in (-1, math.nan):
+        with pytest.raises(ValueError, match=re.escape(
+                f"profile value must be a nonnegative real or +inf, "
+                f"got {float(bad)!r}")):
+            Profile(GRID, (1.0, bad))
+        with pytest.raises(ValueError, match=re.escape(
+                f"table value for ('a', 'b') must be a nonnegative real or "
+                f"+inf, got {float(bad)!r}")):
+            table_gauge({**TABLE, ("a", "b"): (1, bad)})
 
 
 def test_replace_goes_through_the_checks():

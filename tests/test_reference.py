@@ -21,6 +21,7 @@ import contextlib
 import csv
 import io
 import json
+from itertools import chain
 
 import pytest
 
@@ -31,7 +32,7 @@ from quasimod import cli
 from conftest import (BIG, GAUGES, random_digraph,
                       random_strongly_connected_graph, relabel, rng_for,
                       scaled_metric_gauges, to_doc, valid_documents)
-from reference import path_distances, report
+from reference import WRITES_CSV, path_distances, report
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +346,17 @@ def test_hand_written_documents_hold_what_they_were_written_for(tmp_path):
 
 
 def flag_runs(command):
-    """(document, flags) of each flag on the command's seeded document, and
-    --conorm on an additive-regime gauge."""
+    """(document, flags) of each flag on the command's seeded document,
+    --conorm on an additive-regime gauge, and a .csv --output where the
+    command writes no CSV; --output names a file in the test's directory,
+    out.json unless the flags name another."""
     docs = valid_documents()
     runs = [(docs[command], flags) for flags in (
         ["--tol", "1e-6"], ["--grid", "1,2"], ["--conorm", "max"])]
     if command in ("check-axioms", "topology"):
         runs.append((docs["luxemburg"], ["--conorm", "prob_sum"]))
+    if command not in WRITES_CSV:
+        runs.append((docs[command], ["--output", "out.csv"]))
     return runs
 
 
@@ -360,11 +365,13 @@ def test_each_command_refuses_the_flags_it_does_not_read(tmp_path, command):
     """The exit code and `quasimod: error:` line of the reference; a refused
     run writes no report, and an accepted one the reference's report (an
     `orlicz` run, which the reference does not build, exits 0 or 1)."""
-    src, dst = tmp_path / "in.json", tmp_path / "out.json"
+    src = tmp_path / "in.json"
     for doc, flags in flag_runs(command):
+        opts = dict(zip(flags[::2], flags[1::2]))
+        dst = tmp_path / opts.pop("--output", "out.json")
         src.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = run_main([command, "--input", str(src),
-                                   "--output", str(dst), *flags])
+        code, out, err = run_main([command, "--input", str(src), "--output",
+                                   str(dst), *chain.from_iterable(opts.items())])
         errors = [line + "\n" for line in err.splitlines()
                   if line.startswith("quasimod: error: ")]
         if command == "orlicz" and code != 2:
