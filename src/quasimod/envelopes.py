@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-from .extreal import INF, ext_mul, number, pair_map, parse_ext, point_resolver
+from .extreal import ext_mul, number, pair_map, parse_ext, point_resolver
+from .gauges import _table_rows
 from .records import Frozen
 
 
@@ -36,25 +37,24 @@ class PartialFunction(Frozen):
         self._set(domain, values, lipschitz_L)
 
 
-def _dist(d: Mapping, x, y) -> float:
-    if x == y:
-        return d.get((x, y), 0.0)
-    v = d.get((x, y))
-    return INF if v is None else v
-
-
 def upper_envelope(f: PartialFunction, d: Mapping, points) -> dict:
-    """phi_bar(x) = min over a in A of phi(a) + L * d(x, a)."""
-    return {x: min(f.values[a] + ext_mul(f.lipschitz_L, _dist(d, x, a))
-                   for a in f.domain)
-            for x in points}
+    """phi_bar(x) = min over a in A of phi(a) + L * d(x, a).  A pair left
+    out of d is at distance 0 on the diagonal and +inf elsewhere."""
+    points = tuple(points)
+    rows = _table_rows(d, points, f.domain, "distance")
+    return {x: min(f.values[a] + ext_mul(f.lipschitz_L, v)
+                   for a, v in zip(f.domain, row))
+            for x, row in zip(points, rows)}
 
 
 def lower_envelope(f: PartialFunction, d: Mapping, points) -> dict:
-    """phi_under(x) = max over a in A of phi(a) - L * d(a, x)."""
-    return {x: max(f.values[a] - ext_mul(f.lipschitz_L, _dist(d, a, x))
-                   for a in f.domain)
-            for x in points}
+    """phi_under(x) = max over a in A of phi(a) - L * d(a, x).  A pair left
+    out of d is at distance 0 on the diagonal and +inf elsewhere."""
+    points = tuple(points)
+    columns = zip(*_table_rows(d, f.domain, points, "distance"))
+    return {x: max(f.values[a] - ext_mul(f.lipschitz_L, v)
+                   for a, v in zip(f.domain, column))
+            for x, column in zip(points, columns)}
 
 
 def envelope_from_json(doc: Mapping) -> tuple[list, dict, PartialFunction]:

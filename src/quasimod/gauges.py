@@ -27,8 +27,8 @@ from itertools import chain, product, repeat
 from operator import add, eq, gt
 
 from .conorms import TConorm, conorm_from_name
-from .extreal import (INF, decode_ids, ext_mul, format_ext, numbers,
-                      pair_map, parse_ext)
+from .extreal import (INF, decode_ids, ext_mul, format_ext, number,
+                      numbers, pair_map, parse_ext)
 from .profiles import Profile, ScaleGrid
 from .records import Frozen
 
@@ -206,12 +206,13 @@ def triangle_violations(lhs, left=None, right=None, oplus=add) -> list[tuple]:
     return out
 
 
-def _table_rows(d: Mapping, points: tuple) -> list[list[float]]:
-    """Row lists of a distance table over points; a missing entry is 0 on
-    the diagonal and +inf elsewhere."""
+def _table_rows(d: Mapping, xs, ys, what: str) -> list[tuple[float, ...]]:
+    """Rows d(x, y) of a distance table, x over xs and y over ys, each row
+    read by the number rule: the one reader of a distance table.  A pair
+    left out is 0 on the diagonal and +inf elsewhere."""
     get = d.get
-    return [[float(get((x, y), 0.0 if x == y else INF)) for y in points]
-            for x in points]
+    return [numbers([get((x, y), 0.0 if x == y else INF) for y in ys],
+                    f"{what} row for {x!r}") for x in xs]
 
 
 def _rows_symmetric(rows) -> bool:
@@ -229,10 +230,10 @@ def _row_violations(rows, points: tuple) -> list[tuple]:
 
 
 def _require_quasi_pseudometric(d: Mapping, points: tuple,
-                                what: str) -> list[list[float]]:
+                                what: str) -> list[tuple[float, ...]]:
     """The table's rows; raises with the first violation's witness, else on
     a negative or NaN entry (off the diagonal one passes both axioms)."""
-    rows = _table_rows(d, points)
+    rows = _table_rows(d, points, points, what)
     bad = _row_violations(rows, points)
     if bad:
         axiom, witness, lhs, rhs = bad[0]
@@ -242,14 +243,8 @@ def _require_quasi_pseudometric(d: Mapping, points: tuple,
                          f"got {lhs}, expected {rhs}")
     for (x, y), v in zip(product(points, points), chain.from_iterable(rows)):
         if not v >= 0.0:
-            raise ValueError(f"{what} entry at ({x!r}, {y!r}) must be a "
-                             f"nonnegative real or +inf, got {v!r}")
+            parse_ext(v, f"{what} entry at ({x!r}, {y!r})")
     return rows
-
-
-def _pair_values(rows, points: tuple) -> dict:
-    return {(x, y): v for x, row in zip(points, rows)
-            for y, v in zip(points, row)}
 
 
 def make_min_cap(rho: Mapping, points=None, grid: ScaleGrid | None = None,
@@ -267,12 +262,12 @@ def make_min_cap(rho: Mapping, points=None, grid: ScaleGrid | None = None,
 
 def _min_cap_rows(rows, points: tuple, grid: ScaleGrid | None,
                   name: str) -> GaugeSpec:
-    """`make_min_cap` on row lists in point order, with no validation."""
-    vals = _pair_values(rows, points)
+    """`make_min_cap` on rows in point order, with no validation."""
+    at = {p: i for i, p in enumerate(points)}
     return GaugeSpec(
         regime=Regime.ADDITIVE, points=points, grid=grid, name=name,
         claims_symmetric=_rows_symmetric(rows),
-        fn=lambda x, y, t: min(vals[(x, y)], t))
+        fn=lambda x, y, t: min(rows[at[x]][at[y]], t))
 
 
 def make_ratio(p: Mapping, points=None, name: str = "ratio") -> GaugeSpec:
@@ -283,10 +278,10 @@ def make_ratio(p: Mapping, points=None, name: str = "ratio") -> GaugeSpec:
     """
     points = tuple(points) if points is not None else _infer_points(p)
     rows = _require_quasi_pseudometric(p, points, "p")
-    vals = _pair_values(rows, points)
+    at = {q: i for i, q in enumerate(points)}
 
     def fn(x, y, t):
-        v = vals[(x, y)]
+        v = rows[at[x]][at[y]]
         return EPS_BELOW_ONE if v == INF else v / (t + v)
 
     return GaugeSpec(
@@ -361,10 +356,8 @@ def make_sublinear(p: Callable[[object], float], points,
     points = tuple(points)
     if float(p(_vzero(points[0]))) != 0.0:
         raise ValueError(f"p(0) must be 0, got {p(_vzero(points[0]))!r}")
-    rho = {}
-    for x in points:
-        for y in points:
-            rho[(x, y)] = parse_ext(p(_vsub(y, x)), f"p({_vsub(y, x)!r})")
+    rho = {(x, y): parse_ext(p(_vsub(y, x)), f"p({_vsub(y, x)!r})")
+           for x in points for y in points}
     return make_min_cap(rho, points, grid, name=name)
 
 
@@ -374,25 +367,31 @@ def make_one_sided_integral(masses, Phi: Callable[[float], float], functions,
     """Capped gauge on functions from a one-sided integral distance.
 
     rho(f, g) = sum_i mu_i * Phi(max(f_i - g_i, 0)), capped at the scale.
-    masses maps sample ids to positive weights; functions maps function ids
-    to value dicts over the same sample ids.  The induced rho is validated
-    as a quasi-pseudometric, so a Phi that breaks subadditivity (any strictly
+    masses maps sample ids to positive finite weights; functions maps
+    function ids to finite value dicts over the same sample ids; both are
+    read by the number rule.  The induced rho is validated as a
+    quasi-pseudometric, so a Phi that breaks subadditivity (any strictly
     convex Phi does, on suitable inputs) raises with a witness.
     """
-    masses = dict(masses)
-    if any(not mu > 0 for mu in masses.values()):
-        raise ValueError("masses must be positive")
+    masses = {i: number(m, f"mass at {i!r}") for i, m in dict(masses).items()}
+    for i, mu in masses.items():
+        if not 0.0 < mu < INF:
+            raise ValueError(f"mass at {i!r} must be positive and finite, "
+                             f"got {mu!r}")
     if float(Phi(0.0)) != 0.0:
         raise ValueError(f"Phi(0) must be 0, got {Phi(0.0)!r}")
-    functions = {fid: dict(f) for fid, f in functions.items()}
-    ids = tuple(functions)
-    rho = {}
-    for a in ids:
-        for b in ids:
-            fa, fb = functions[a], functions[b]
-            rho[(a, b)] = sum(mu * float(Phi(max(fa[i] - fb[i], 0.0)))
-                              for i, mu in masses.items())
-    return make_min_cap(rho, ids, grid, name=name)
+    functions = {fid: {i: number(v, f"value of {fid!r} at {i!r}")
+                       for i, v in dict(f).items()}
+                 for fid, f in functions.items()}
+    for fid, f in functions.items():
+        for i, v in f.items():
+            if not -INF < v < INF:
+                raise ValueError(f"value of {fid!r} at {i!r} must be finite, "
+                                 f"got {v!r}")
+    rho = {(a, b): sum(mu * float(Phi(max(fa[i] - fb[i], 0.0)))
+                       for i, mu in masses.items())
+           for a, fa in functions.items() for b, fb in functions.items()}
+    return make_min_cap(rho, tuple(functions), grid, name=name)
 
 
 def opposite(g: GaugeSpec) -> GaugeSpec:

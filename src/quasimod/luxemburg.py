@@ -207,7 +207,7 @@ def quasi_pseudometric_check(d: Mapping, points) -> AxiomReport:
     Symmetry is reported as a note, never as a violation.
     """
     points = tuple(points)
-    rows = _table_rows(d, points)
+    rows = _table_rows(d, points, points, "distance")
     violations = tuple(map(Violation._make, _row_violations(rows, points)))
     note = "table is symmetric" if _rows_symmetric(rows) \
         else "table is asymmetric"

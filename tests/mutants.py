@@ -58,6 +58,8 @@ GUARD = ("test_bisection_guard.py::"
          "test_guard_matches_the_rescanning_guard_on_seeded_maps")
 VALUE_EQUAL = "test_cli.py::test_ambiguous_ids_and_non_list_sequences_exit_2"
 FLAGS = "test_reference.py::test_each_command_refuses_the_flags_it_does_not_read"
+NUMBER_TABLES = ("test_records.py::"
+                 "test_distance_tables_read_numbers_by_the_number_rule")
 
 MUTANTS = (
     # check_axioms: witness order, splits and the triangle law
@@ -170,6 +172,22 @@ MUTANTS = (
             "test_profiles_and_table_rows_read_inf_and_keep_the_ray",
             "test_cli.py::test_gauge_table_values_outside_the_extended_ray_"
             "exit_2[check-axioms-negative]")),
+    # the one reader of a distance table, and the one-sided integral's masses
+    Mutant("distance table read by float()", "gauges.py",
+           "numbers([get((x, y), 0.0 if x == y else INF) for y in ys],\n"
+           '                    f"{what} row for {x!r}")',
+           "[float(get((x, y), 0.0 if x == y else INF)) for y in ys]",
+           (f"{NUMBER_TABLES}[min-cap-bool]", f"{NUMBER_TABLES}[check-string]")),
+    Mutant("envelopes read distances raw", "envelopes.py",
+           '    rows = _table_rows(d, points, f.domain, "distance")',
+           "    rows = [[d.get((x, a), 0.0 if x == a else float('inf'))\n"
+           "             for a in f.domain] for x in points]",
+           (f"{NUMBER_TABLES}[upper-bool]",)),
+    Mutant("one-sided integral masses read raw", "gauges.py",
+           'masses = {i: number(m, f"mass at {i!r}") '
+           'for i, m in dict(masses).items()}',
+           "masses = dict(masses)",
+           (f"{NUMBER_TABLES}[mass-bool]",)),
     Mutant("check-axioms accepting a .csv output", "cli.py",
            '"check-axioms": (cmd_check_axioms, ("grid", "conorm")),',
            '"check-axioms": (cmd_check_axioms, ("grid", "conorm", "csv")),',
@@ -333,9 +351,9 @@ MUTANTS = (
            (f"{REF}[luxemburg-scaled1_0]",)),
     Mutant("the min-cap gauge claims no symmetry", "gauges.py",
            "claims_symmetric=_rows_symmetric(rows),\n"
-           "        fn=lambda x, y, t: min(vals[(x, y)], t))",
+           "        fn=lambda x, y, t: min(rows[at[x]][at[y]], t))",
            "claims_symmetric=False,\n"
-           "        fn=lambda x, y, t: min(vals[(x, y)], t))",
+           "        fn=lambda x, y, t: min(rows[at[x]][at[y]], t))",
            (f"{REF}[graph-two_way-above-0]",)),
     Mutant("asymmetry over n^2 pairs", "graphs.py",
            "/ (n * n - n)",

@@ -13,6 +13,8 @@ import pickle
 import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,8 +26,10 @@ from quasimod import (INF, AxiomReport, CauchyClassification, CoverResult,
                       OneSidedPair, PartialFunction, Profile, Regime,
                       ScaleGrid, TransportResult, TruncatedSequenceFamily,
                       UnitBallReport, check_axioms, critical_thresholds,
-                      heine_borel_report, make_min_cap, make_sublinear,
-                      verify_join_equality)
+                      heine_borel_report, lower_envelope, make_min_cap,
+                      make_one_sided_integral, make_ratio, make_scaled_metric,
+                      make_sublinear, quasi_pseudometric_check,
+                      upper_envelope, verify_join_equality)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -314,6 +318,63 @@ def test_profiles_and_table_rows_read_inf_and_keep_the_ray():
                 f"table value for ('a', 'b') must be a nonnegative real or "
                 f"+inf, got {float(bad)!r}")):
             table_gauge({**TABLE, ("a", "b"): (1, bad)})
+
+
+DATUM = PartialFunction(("a",), {"a": 1.0}, 1.0)
+
+
+def integral(masses, values):
+    return make_one_sided_integral(masses, lambda t: t,
+                                   {"f": values, "g": {0: 0.0}})
+
+
+# each reader of a distance table, then make_one_sided_integral's masses and
+# function values: (build from the value, the name in number's message, what
+# "inf" builds or the message that refuses it); float() read True, "2" got
+# through or ended in a TypeError, and 10 ** 400 in an OverflowError
+TABLE_READERS = {
+    "min-cap": (lambda v: make_min_cap({("a", "b"): v}).value("a", "b", 1e300),
+                "rho row for 'a'", 1e300),
+    "ratio": (lambda v: make_ratio({("a", "b"): v}).value("a", "b", 1.0),
+              "p row for 'a'", 1.0 - 2.0 ** -52),
+    "scaled-metric": (lambda v: make_scaled_metric(
+        {("a", "b"): v}, Profile(GRID, (1.0, 0.5))).table["a", "b"],
+        "d row for 'a'", (INF, INF)),
+    # a left-out pair is +inf, so a -> c breaks the triangle unless a -> b
+    # is +inf too
+    "check": (lambda v: quasi_pseudometric_check(
+        {("a", "b"): v, ("b", "c"): 1.0}, "abc").violations,
+        "distance row for 'a'", ()),
+    "upper": (lambda v: upper_envelope(DATUM, {("b", "a"): v}, iter("ab")),
+              "distance row for 'b'", {"a": 1.0, "b": INF}),
+    "lower": (lambda v: lower_envelope(DATUM, {("a", "b"): v},
+                                       (p for p in "ab")),
+              "distance row for 'a'", {"a": 1.0, "b": -INF}),
+    "mass": (lambda v: integral({0: v}, {0: 1.0}), "mass at 0",
+             "mass at 0 must be positive and finite, got inf"),
+    "function-value": (lambda v: integral({0: 1.0}, {0: v}),
+                       "value of 'f' at 0",
+                       "value of 'f' at 0 must be finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("value", [True, "2", Fraction(1, 2), Decimal("1"),
+                                   10 ** 400, "inf"],
+                         ids=["bool", "string", "fraction", "decimal", "huge",
+                              "inf"])
+@pytest.mark.parametrize("reader", TABLE_READERS)
+def test_distance_tables_read_numbers_by_the_number_rule(reader, value):
+    build, name, on_inf = TABLE_READERS[reader]
+    if value == "inf" and not isinstance(on_inf, str):
+        assert build(value) == on_inf
+        return
+    with pytest.raises(ValueError) as refused:
+        build(value)
+    assert str(refused.value) == (
+        on_inf if value == "inf" else
+        f"{name} is too large for a float: an integer of 1329 bits"
+        if value == 10 ** 400 else
+        f'{name} must be a number or "inf", got {value!r}')
 
 
 def test_replace_goes_through_the_checks():
