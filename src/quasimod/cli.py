@@ -230,7 +230,10 @@ def _parse_grid(raw: str | None) -> ScaleGrid | None:
     if raw is None:
         return None
     try:
-        return ScaleGrid(tuple(float(s) for s in raw.split(",")))
+        return ScaleGrid(tuple(map(json.loads, raw.split(","))))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad --grid value {raw!r}: {exc.doc!r} is not a "
+                         f"JSON number") from None
     except ValueError as exc:
         raise InputError(f"bad --grid value {raw!r}: {exc}") from None
 

@@ -218,32 +218,30 @@ def transport_total_boundedness(source_points, image_points, source_metric,
     every ordered sample pair first; a violating pair is an error, since the
     pull-back argument is unsound without it.
     """
-    source = tuple(source_points)
-    image = tuple(image_points)
+    source, image = tuple(source_points), tuple(image_points)
     if len(source) != len(image):
         raise ValueError("source and image samples must be paired lists")
     if not (eps > 0 and delta > 0):
         raise ValueError("eps and delta must be positive")
-    n = len(source)
     balls = []  # bit k of row i: image[k] lies within delta of image[i]
-    for i in range(n):
+    for i, (x, u) in enumerate(zip(source, image)):
         row = 0
-        for k in range(n):
-            d_image = image_metric(image[i], image[k])
+        for k, (y, v) in enumerate(zip(source, image)):
+            d_image = number(image_metric(u, v), "image_metric value")
             if d_image < delta:
-                d_source = source_metric(source[i], source[k])
+                d_source = number(source_metric(x, y), "source_metric value")
                 if i != k and not d_source < eps:
                     raise ValueError(
-                        f"modulus condition fails on pair ({source[i]!r}, "
-                        f"{source[k]!r}): image distance {d_image} < {delta} "
-                        f"but source distance {d_source} >= {eps}")
+                        f"modulus condition fails on pair ({x!r}, {y!r}): "
+                        f"image distance {d_image} < {delta} but source "
+                        f"distance {d_source} >= {eps}")
                 row |= 1 << k
         balls.append(row)
     centers = _greedy(balls)[0]
     src_centers = tuple(source[i] for i in centers)
     img_centers = tuple(image[i] for i in centers)
-    verified = all(any(source_metric(c, x) < eps for c in src_centers)
-                   for x in source)
+    verified = all(any(number(source_metric(c, x), "source_metric value") < eps
+                       for c in src_centers) for x in source)
     return TransportResult(verified, src_centers, img_centers)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Mapping
 from itertools import chain, product, repeat
-from operator import add, eq, gt
+from operator import add, eq, gt, mul
 
 from .conorms import TConorm, conorm_from_name
 from .extreal import (INF, decode_ids, ext_mul, format_ext, number,
@@ -115,10 +115,11 @@ class GaugeSpec(Frozen):
         return tuple(self._read(x, self.points, t) for x in self.points)
 
     def _read(self, x, ys, t: float) -> tuple[float, ...]:
-        """The closed form's w(x, y, t) for each y in ys, range-checked by
-        C-level passes over the row; the first value off [0, inf] (or
-        [0, 1] under a conorm) raises, naming its pair and scale."""
-        row = tuple(float(self.fn(x, y, t)) for y in ys)
+        """w(x, y, t) for each y in ys by the number rule (a plain float as
+        it is, `number` any other value), range-checked by C-level passes;
+        the first value off its range raises, naming its pair and scale."""
+        row = tuple([v if type(v) is float else number(v, "gauge value")
+                     for y in ys for v in [self.fn(x, y, t)]])
         cap = 1.0 if self.regime is Regime.CONORM else INF
         if all(map(_NONNEGATIVE, row)) and max(row) <= cap:
             return row
@@ -322,25 +323,25 @@ def make_classical_modular(rho: Callable[[object], float], points,
     """
     points = tuple(points)
     zero = _vzero(points[0])
-    if float(rho(zero)) != 0.0:
+    if number(rho(zero), "rho(0)") != 0.0:
         raise ValueError(f"rho(0) must be 0, got {rho(zero)!r}")
+    rows = [numbers([rho(_vsub(x, y)) for y in points], "rho value")
+            for x in points]
     convex = True
-    for x in points:
-        for y in points:
-            v = _vsub(x, y)
-            if v == zero:
-                continue
-            ray = [float(rho(_vscale(v, a))) for a in (0.25, 0.5, 0.75, 1.0)]
-            # uniform spacing makes rb the midpoint value of ra and rc
-            if any(ra > rb for ra, rb in zip(ray, ray[1:])) or any(
-                    rb > (ra + rc) / 2.0 + 1e-12
-                    for ra, rb, rc in zip(ray, ray[1:], ray[2:])):
-                convex = False
+    for x, y in product(points, points):
+        v = _vsub(x, y)
+        if v == zero:
+            continue
+        ray = numbers([rho(_vscale(v, a)) for a in (0.25, 0.5, 0.75, 1.0)],
+                      "rho value")
+        # uniform spacing makes rb the midpoint value of ra and rc
+        if any(ra > rb for ra, rb in zip(ray, ray[1:])) or any(
+                rb > (ra + rc) / 2.0 + 1e-12
+                for ra, rb, rc in zip(ray, ray[1:], ray[2:])):
+            convex = False
     return GaugeSpec(
         regime=Regime.ADDITIVE, points=points, name=name,
-        claims_symmetric=all(rho(_vsub(x, y)) == rho(_vsub(y, x))
-                             for x in points for y in points),
-        claims_convex=convex,
+        claims_symmetric=_rows_symmetric(rows), claims_convex=convex,
         fn=lambda x, y, t: rho(_vscale(_vsub(x, y), 1.0 / t)))
 
 
@@ -354,7 +355,7 @@ def make_sublinear(p: Callable[[object], float], points,
     not subadditive on the sampled differences raises with a witness.
     """
     points = tuple(points)
-    if float(p(_vzero(points[0]))) != 0.0:
+    if number(p(_vzero(points[0])), "p(0)") != 0.0:
         raise ValueError(f"p(0) must be 0, got {p(_vzero(points[0]))!r}")
     rho = {(x, y): parse_ext(p(_vsub(y, x)), f"p({_vsub(y, x)!r})")
            for x in points for y in points}
@@ -378,18 +379,23 @@ def make_one_sided_integral(masses, Phi: Callable[[float], float], functions,
         if not 0.0 < mu < INF:
             raise ValueError(f"mass at {i!r} must be positive and finite, "
                              f"got {mu!r}")
-    if float(Phi(0.0)) != 0.0:
+    if number(Phi(0.0), "Phi(0)") != 0.0:
         raise ValueError(f"Phi(0) must be 0, got {Phi(0.0)!r}")
     functions = {fid: {i: number(v, f"value of {fid!r} at {i!r}")
                        for i, v in dict(f).items()}
                  for fid, f in functions.items()}
     for fid, f in functions.items():
+        missing = [i for i in masses if i not in f]
+        if missing:
+            raise ValueError(f"function {fid!r} misses sample ids {missing!r}")
         for i, v in f.items():
+            if i not in masses:
+                raise ValueError(f"value of {fid!r} for unknown sample id {i!r}")
             if not -INF < v < INF:
                 raise ValueError(f"value of {fid!r} at {i!r} must be finite, "
                                  f"got {v!r}")
-    rho = {(a, b): sum(mu * float(Phi(max(fa[i] - fb[i], 0.0)))
-                       for i, mu in masses.items())
+    rho = {(a, b): sum(map(mul, masses.values(), numbers(
+               [Phi(max(fa[i] - fb[i], 0.0)) for i in masses], "Phi value")))
            for a, fa in functions.items() for b, fb in functions.items()}
     return make_min_cap(rho, tuple(functions), grid, name=name)
 

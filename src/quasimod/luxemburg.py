@@ -17,7 +17,7 @@ import math
 from collections.abc import Callable, Mapping
 
 from .axioms import AxiomReport, Violation
-from .extreal import INF
+from .extreal import INF, number
 from .gauges import (GaugeSpec, Regime, _row_violations, _rows_symmetric,
                      _table_rows)
 from .records import NamedTuple
@@ -96,7 +96,7 @@ def luxemburg_infimum(value_at: Callable[[float], float], c: float = 1.0,
     probes: list[tuple[float, float]] = []
 
     def ev(lam: float) -> float:
-        v = float(value_at(lam))
+        v = number(value_at(lam), "value_at value")
         _raise_first_increase(probes, lam, v)
         probes.append((lam, v))
         return v

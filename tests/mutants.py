@@ -60,6 +60,10 @@ VALUE_EQUAL = "test_cli.py::test_ambiguous_ids_and_non_list_sequences_exit_2"
 FLAGS = "test_reference.py::test_each_command_refuses_the_flags_it_does_not_read"
 NUMBER_TABLES = ("test_records.py::"
                  "test_distance_tables_read_numbers_by_the_number_rule")
+NUMBER_FUNCTIONS = ("test_records.py::"
+                    "test_function_values_read_numbers_by_the_number_rule")
+SAMPLE_IDS = ("test_records.py::"
+              "test_one_sided_integral_functions_name_exactly_the_sample_ids")
 
 MUTANTS = (
     # check_axioms: witness order, splits and the triangle law
@@ -188,6 +192,31 @@ MUTANTS = (
            'for i, m in dict(masses).items()}',
            "masses = dict(masses)",
            (f"{NUMBER_TABLES}[mass-bool]",)),
+    # what a caller's function returns, and the one-sided integral's ids
+    Mutant("closed form read by float()", "gauges.py",
+           'v if type(v) is float else number(v, "gauge value")',
+           "float(v)",
+           (f"{NUMBER_FUNCTIONS}[closed-form-value-bool]",
+            f"{NUMBER_FUNCTIONS}[closed-form-matrix-string]")),
+    Mutant("scale map read by float()", "luxemburg.py",
+           'v = number(value_at(lam), "value_at value")',
+           "v = float(value_at(lam))",
+           (f"{NUMBER_FUNCTIONS}[scale-map-bool]",)),
+    Mutant("transport metric read raw", "completeness.py",
+           'd_image = number(image_metric(u, v), "image_metric value")',
+           "d_image = image_metric(u, v)",
+           (f"{NUMBER_FUNCTIONS}[image-metric-bool]",)),
+    Mutant("one-sided integral skips the sample-id check", "gauges.py",
+           "        missing = [i for i in masses if i not in f]\n"
+           "        if missing:\n"
+           '            raise ValueError(f"function {fid!r} misses sample '
+           'ids {missing!r}")\n'
+           "        for i, v in f.items():\n"
+           "            if i not in masses:\n"
+           '                raise ValueError(f"value of {fid!r} for unknown '
+           'sample id {i!r}")\n',
+           "        for i, v in f.items():\n",
+           (f"{SAMPLE_IDS}[missing]", f"{SAMPLE_IDS}[unknown]")),
     Mutant("check-axioms accepting a .csv output", "cli.py",
            '"check-axioms": (cmd_check_axioms, ("grid", "conorm")),',
            '"check-axioms": (cmd_check_axioms, ("grid", "conorm", "csv")),',

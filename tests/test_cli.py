@@ -356,6 +356,22 @@ def test_gauge_table_values_outside_the_extended_ray_exit_2(
                    f"{value!r}\n")
 
 
+def test_grid_scales_are_json_numbers(tmp_path, capsys):
+    """Each --grid item is a JSON number, whitespace around it allowed;
+    float() read "1_0" as 10 and "+1" as 1."""
+    src = write_doc(tmp_path, "in.json", ADDITIVE_DOC)
+    assert main(["check-axioms", "--input", src, "--grid", " 1 ,2\t"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["check-axioms", "--input", src, "--grid", "1,2"]) == 0
+    assert capsys.readouterr().out == spaced
+    for raw, item in (("1_0,2_0", "1_0"), ("+1", "+1"), ("0.5,1.", "1.")):
+        assert main(["check-axioms", "--input", src, "--grid", raw]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"quasimod: error: bad --grid value "
+                                     f"{raw!r}: {item!r} is not a JSON "
+                                     f"number\n")
+
+
 @pytest.mark.parametrize("key, value", [("x|z", 1.0), ("x|a|x", 1.0)])
 def test_envelope_distance_keys_name_two_points(tmp_path, capsys, key, value):
     doc = json.loads(json.dumps(ENVELOPE_DOC))

@@ -26,10 +26,12 @@ from quasimod import (INF, AxiomReport, CauchyClassification, CoverResult,
                       OneSidedPair, PartialFunction, Profile, Regime,
                       ScaleGrid, TransportResult, TruncatedSequenceFamily,
                       UnitBallReport, check_axioms, critical_thresholds,
-                      heine_borel_report, lower_envelope, make_min_cap,
+                      heine_borel_report, lower_envelope,
+                      luxemburg_infimum, make_classical_modular, make_min_cap,
                       make_one_sided_integral, make_ratio, make_scaled_metric,
                       make_sublinear, quasi_pseudometric_check,
-                      upper_envelope, verify_join_equality)
+                      transport_total_boundedness, upper_envelope,
+                      verify_join_equality)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -375,6 +377,75 @@ def test_distance_tables_read_numbers_by_the_number_rule(reader, value):
         f"{name} is too large for a float: an integer of 1329 bits"
         if value == 10 ** 400 else
         f'{name} must be a number or "inf", got {value!r}')
+
+
+def closed_form(v):
+    return GaugeSpec(Regime.ADDITIVE, ("a", "b"),
+                     fn=lambda x, y, t: v if x != y else 0)
+
+
+def near(x, y):
+    return 0.0
+
+
+# each reader of what a caller's function returns: (build from the value
+# the function returns, the name in number's message); float() read True,
+# "2", Fraction(1, 2) and Decimal("1"), or they were compared raw, and
+# 10 ** 400 ended in an OverflowError
+FUNCTION_READERS = {
+    "closed-form-matrix": (lambda v: closed_form(v).matrix(1.0),
+                           "gauge value"),
+    "closed-form-value": (lambda v: closed_form(v).value("a", "b", 1.0),
+                          "gauge value"),
+    "rho-zero": (lambda v: make_classical_modular(lambda d: v, (0.0, 1.0)),
+                 "rho(0)"),
+    # rho(1) and rho(-1), which the symmetry claim compares
+    "rho-symmetry": (lambda v: make_classical_modular(
+        lambda d: v if d else 0, (0.0, 1.0)), "rho value"),
+    # rho(0.25), on the convexity ray only
+    "rho-ray": (lambda v: make_classical_modular(
+        lambda d: v if abs(d) == 0.25 else abs(d), (0.0, 1.0)), "rho value"),
+    "p-zero": (lambda v: make_sublinear(lambda d: v, (0.0, 1.0)), "p(0)"),
+    "phi-zero": (lambda v: make_one_sided_integral(
+        {0: 1.0}, lambda t: v, {"f": {0: 1.0}}), "Phi(0)"),
+    "phi-sum": (lambda v: make_one_sided_integral(
+        {0: 1.0}, lambda t: v if t else 0, {"f": {0: 1.0}, "g": {0: 0.0}}),
+        "Phi value"),
+    "scale-map": (lambda v: luxemburg_infimum(lambda lam: v),
+                  "value_at value"),
+    "image-metric": (lambda v: transport_total_boundedness(
+        "ab", "ab", near, lambda x, y: v, 1.0, 1.0), "image_metric value"),
+    "source-metric": (lambda v: transport_total_boundedness(
+        "ab", "ab", lambda x, y: v, near, 1.0, 1.0), "source_metric value"),
+}
+
+
+@pytest.mark.parametrize("value", [True, "2", Fraction(1, 2), Decimal("1"),
+                                   10 ** 400],
+                         ids=["bool", "string", "fraction", "decimal",
+                              "huge"])
+@pytest.mark.parametrize("reader", FUNCTION_READERS)
+def test_function_values_read_numbers_by_the_number_rule(reader, value):
+    build, name = FUNCTION_READERS[reader]
+    with pytest.raises(ValueError) as refused:
+        build(value)
+    assert str(refused.value) == (
+        f"{name} is too large for a float: an integer of 1329 bits"
+        if value == 10 ** 400 else
+        f'{name} must be a number or "inf", got {value!r}')
+
+
+@pytest.mark.parametrize("masses, values, message", [
+    ({0: 1.0, 1: 1.0}, {0: 1.0}, "function 'f' misses sample ids [1]"),
+    ({0: 1.0}, {0: 1.0, 5: 3.0}, "value of 'f' for unknown sample id 5"),
+], ids=["missing", "unknown"])
+def test_one_sided_integral_functions_name_exactly_the_sample_ids(
+        masses, values, message):
+    """A raw KeyError, or a value at an id with no mass silently left out."""
+    with pytest.raises(ValueError) as refused:
+        make_one_sided_integral(masses, lambda t: t,
+                                {"f": values, "g": dict.fromkeys(masses, 0.0)})
+    assert str(refused.value) == message
 
 
 def test_replace_goes_through_the_checks():
