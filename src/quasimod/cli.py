@@ -8,23 +8,24 @@ variable (a logging level name such as DEBUG).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import json
 import os
+import re
 import sys
 import time
 from itertools import chain, permutations, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import copysign
 from operator import add, itemgetter
+from types import SimpleNamespace
 
 from .axioms import Violation, check_axioms
 from .completeness import (_HB_KEYS, classify_cauchy_thresholds,
                            heine_borel_report)
 from .conorms import conorm_from_name
-from .extreal import INF, decode_ids, format_ext, point_resolver
+from .extreal import INF, decode_ids, format_ext, number, point_resolver
 from .gauges import Regime, _min_cap_rows, gauge_from_json
 from .graphs import asymmetry_index, distance_matrix, graph_from_json
 from .luxemburg import (DEFAULT_LAMBDA_MAX, DEFAULT_TOL, NonmonotoneGaugeError,
@@ -226,16 +227,21 @@ def _emit(report: dict, output: str | None, matrix=None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_grid(raw: str | None) -> ScaleGrid | None:
-    if raw is None:
-        return None
+def _flag_value(flag: str, raw: str, read):
+    """read(raw), where read takes JSON numbers by the number rule: a
+    refusal is one bad --flag value error."""
     try:
-        return ScaleGrid(tuple(map(json.loads, raw.split(","))))
+        return read(raw)
     except json.JSONDecodeError as exc:
-        raise InputError(f"bad --grid value {raw!r}: {exc.doc!r} is not a "
+        raise InputError(f"bad --{flag} value {raw!r}: {exc.doc!r} is not a "
                          f"JSON number") from None
     except ValueError as exc:
-        raise InputError(f"bad --grid value {raw!r}: {exc}") from None
+        raise InputError(f"bad --{flag} value {raw!r}: {exc}") from None
+
+
+def _parse_grid(raw: str | None) -> ScaleGrid | None:
+    return None if raw is None else _flag_value("grid", raw, lambda raw: (
+        ScaleGrid(tuple(map(json.loads, raw.split(","))))))
 
 
 def _gauge_from_doc(doc, args) -> object:
@@ -496,24 +502,109 @@ _COMMANDS = {
     "orlicz": (cmd_orlicz, ("tol",)),
     "envelope": (cmd_envelope, ()),
 }
+_CONORMS = ("max", "prob_sum", "bounded_sum")
+# each flag's metavar and help; --help names the commands that read it
+_FLAGS = {"input": ("INPUT", "input JSON file"),
+          "output": ("OUTPUT", "report file (.json, or .csv for luxemburg and "
+                     "graph)"),
+          "tol": ("TOL", "tolerance of searched norms (default 1e-9)"),
+          "grid": ("GRID", "comma-separated scales, e.g. 0.5,1,2"),
+          "conorm": ("{" + ",".join(_CONORMS) + "}",
+                     "override the conorm of a conorm-regime gauge")}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quasimod",
-        description="Quasi-modular gauge analyses over finite data")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--input", required=True, help="input JSON file")
-    parser.add_argument("--output", help="report file (.json, or .csv for "
-                        "luxemburg and graph)")
-    parser.add_argument("--tol", type=float, help="orlicz: tolerance of "
-                        "searched norms (default 1e-9)")
-    parser.add_argument("--grid", help="check-axioms, topology, cover, "
-                        "luxemburg, graph: comma-separated scales, e.g. 0.5,1,2")
-    parser.add_argument("--conorm", choices=["max", "prob_sum", "bounded_sum"],
-                        help="check-axioms, topology, cover: override the "
-                             "conorm of a conorm-regime gauge")
-    return parser
+def _usage() -> str:
+    flags = " ".join(f"--{f} {m}" if f == "input" else f"[--{f} {m}]"
+                     for f, (m, _) in _FLAGS.items())
+    return f"usage: quasimod [-h] {{{','.join(_COMMANDS)}}} {flags}\n"
+
+
+def _help() -> str:
+    lines = [_usage(), "Quasi-modular gauge analyses over finite data\n"]
+    for flag, (metavar, text) in _FLAGS.items():
+        readers = [c for c, (_, reads) in _COMMANDS.items() if flag in reads]
+        lines += [f"  --{flag} {metavar}",
+                  f"      {', '.join(readers) or 'every command'}: {text}"]
+    return "\n".join(lines) + "\n"
+
+
+def _option(token: str):
+    """How argparse read a token before the first "--": (option, the value
+    glued to it or None) for an option, a long one by any unique prefix,
+    ("", None) for an unknown one, or None for a value."""
+    name, eq, value = token.partition("=")
+    if token[:2] == "--":
+        names = [o for o in (f"--{f}" for f in ("help", *_FLAGS))
+                 if o.startswith(name)]
+        if len(names) > 1:
+            raise InputError(f"ambiguous option: {token}")
+        if names:
+            return names[0], value if eq else None
+    elif token[:2] == "-h":  # -h with more h's glued on is -h again
+        return "--help", None if re.fullmatch("-h(=?h+)?", token) else token
+    # a negative number and a token with a space are values
+    if token[:1] != "-" or token == "-" or " " in token or \
+            re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None
+    return "", None
+
+
+def _read_argv(argv):
+    """The command and flag values of a command line, or None for --help.
+    Flags go before or after the command, the last of a repeated flag wins
+    and every token after the first "--" is a value.  Each refusal raises
+    InputError, in argparse's order: a token it could not read at once,
+    then a missing flag or command, an unknown token and each command's
+    own flag checks."""
+    tokens = list(argv)
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    options = [*map(_option, tokens[:cut]), *[None] * (len(tokens) - cut)]
+    values, command, extras, i = dict.fromkeys(_FLAGS), None, [], 0
+    while i < len(tokens):
+        token, option = tokens[i], options[i]
+        i += 1
+        if option is None and command is None:
+            if i - 1 == cut:  # argparse gave the command a "--" beside it
+                continue
+            if token not in _COMMANDS:
+                raise InputError(f"invalid command {token!r}")
+            command, i = token, i + (i == cut)
+        elif option is None or not option[0]:
+            extras.append(token)
+        elif option[0] == "--help":
+            if option[1] is None:
+                return None
+            raise InputError(f"--help takes no value: {option[1]!r}")
+        else:
+            name, value = option
+            if value is None:
+                if i in (len(tokens), cut) or options[i] is not None:
+                    raise InputError(f"argument {name}: expected one argument")
+                value, i = tokens[i], i + 1
+            if name == "--tol":
+                value = _flag_value("tol", value, lambda raw: number(
+                    json.loads(raw), "--tol"))
+            elif name == "--conorm" and value not in _CONORMS:
+                raise InputError(f"invalid --conorm {value!r}")
+            values[name[2:]] = value
+    if command is None or values["input"] is None:
+        raise InputError("the command and --input are required")
+    if extras:
+        raise InputError(f"unrecognized arguments: {' '.join(extras)}")
+    reads = _COMMANDS[command][1]
+    for flag in ("tol", "grid", "conorm"):
+        if values[flag] is not None and flag not in reads:
+            raise InputError(f"{command} takes no --{flag}")
+    if (values["output"] or "").endswith(".csv") and "csv" not in reads:
+        raise InputError(f"{command} takes no .csv --output")
+    if values["tol"] is None:
+        values["tol"] = DEFAULT_TOL
+    elif not values["tol"] > 0:
+        raise InputError("--tol must be positive")
+    elif values["tol"] >= DEFAULT_LAMBDA_MAX:
+        raise InputError(f"--tol must be below the largest searched scale "
+                         f"{DEFAULT_LAMBDA_MAX:g}")
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
@@ -527,30 +618,20 @@ def main(argv=None) -> int:
         logging.basicConfig()
         logging.getLogger("quasimod").setLevel(
             level if isinstance(level, int) else logging.INFO)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        run, flags = _COMMANDS[args.command]
-        for flag in ("tol", "grid", "conorm"):
-            if vars(args)[flag] is not None and flag not in flags:
-                parser.error(f"{args.command} takes no --{flag}")
-        if (args.output or "").endswith(".csv") and "csv" not in flags:
-            parser.error(f"{args.command} takes no .csv --output")
-        if args.tol is None:
-            args.tol = DEFAULT_TOL
-        elif not args.tol > 0:
-            parser.error("--tol must be positive")
-        elif args.tol >= DEFAULT_LAMBDA_MAX:
-            parser.error(f"--tol must be below the largest searched scale "
-                         f"{DEFAULT_LAMBDA_MAX:g}")
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+    except InputError as exc:
+        sys.stderr.write(f"{_usage()}quasimod: error: {exc}\n")
+        return 2
+    if args is None:
+        sys.stdout.write(_help())
+        return 0
     # a command returns its report, its verdict and, for a .csv output,
     # its matrix; only here are they written, logged and made an exit code
     phase = _PhaseClock(args.command)
     try:
         args.grid = _parse_grid(args.grid)
-        report, ok, *matrix = run(args, phase)
+        report, ok, *matrix = _COMMANDS[args.command][0](args, phase)
         _emit(report, args.output, *matrix)
     except InputError as exc:
         sys.stderr.write(f"quasimod: error: {exc}\n")

@@ -62,6 +62,8 @@ NUMBER_TABLES = ("test_records.py::"
                  "test_distance_tables_read_numbers_by_the_number_rule")
 NUMBER_FUNCTIONS = ("test_records.py::"
                     "test_function_values_read_numbers_by_the_number_rule")
+ARGV = "test_argv.py::test_the_reader_reads_each_line_as_the_replaced_parser"
+PINNED_ARGV = "test_argv.py::test_pinned_lines"
 SAMPLE_IDS = ("test_records.py::"
               "test_one_sided_integral_functions_name_exactly_the_sample_ids")
 
@@ -474,9 +476,34 @@ MUTANTS = (
             "test_a_fault_in_the_orlicz_computation_is_not_an_input_error",)),
     # each command takes only the flags it reads
     Mutant("an unread flag accepted: --grid on every command", "cli.py",
-           "if vars(args)[flag] is not None and flag not in flags:",
-           'if vars(args)[flag] is not None and flag not in flags + ("grid",):',
+           "if values[flag] is not None and flag not in reads:",
+           'if values[flag] is not None and flag not in reads + ("grid",):',
            (f"{FLAGS}[envelope]", f"{FLAGS}[orlicz]")),
+    # the command-line reader reads each line as argparse did
+    Mutant("--input not required", "cli.py",
+           '    if command is None or values["input"] is None:',
+           "    if command is None:",
+           (ARGV,)),
+    Mutant("an unknown long prefix accepted", "cli.py",
+           "if o.startswith(name)]",
+           "if o.startswith(name[:3])]",
+           (ARGV,)),
+    Mutant("an unknown option read as a value", "cli.py",
+           '        return None\n    return "", None',
+           "        return None\n    return None",
+           (ARGV,)),
+    Mutant("an ambiguous prefix read as its first match", "cli.py",
+           "        if len(names) > 1:",
+           "        if len(names) > 6:",
+           (ARGV, f"{PINNED_ARGV}[help-then-ambiguous]")),
+    Mutant("the value after = dropped", "cli.py",
+           "return names[0], value if eq else None",
+           "return names[0], None",
+           (ARGV,)),
+    Mutant("--help exiting 2", "cli.py",
+           "        sys.stdout.write(_help())\n        return 0",
+           "        sys.stdout.write(_help())\n        return 2",
+           (ARGV,)),
     Mutant("--conorm on an additive gauge ignored", "cli.py",
            "    if args.conorm:\n"
            "        if g.regime is not Regime.CONORM:\n"

@@ -453,7 +453,7 @@ def report(command, doc, flags=()):
     `luxemburg` on a table whose row rises and `--conorm` on an
     additive-regime gauge.  A flag the command does not read, and a .csv
     `--output` of a command that writes no CSV, give (its `quasimod:
-    error:` line, 2): argparse writes the usage above it."""
+    error:` line, 2): the command-line reader writes the usage above it."""
     opts = dict(zip(flags[::2], flags[1::2]))
     for flag in ("--tol", "--grid", "--conorm"):
         if flag in opts and flag not in READS[command]:

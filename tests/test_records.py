@@ -94,12 +94,13 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 def test_the_cli_imports_and_runs_without_typing_logging_or_csv(tmp_path):
     # the records are collections.namedtuples, logging is imported under
-    # QUASIMOD_LOG only and csv for a .csv report only
+    # QUASIMOD_LOG only, csv for a .csv report only, and the command line is
+    # read without argparse, which imports gettext
     src = tmp_path / "in.json"
     src.write_text(json.dumps({"regime": "additive", "points": ["a", "b"],
                                "grid": [1, 2], "table": {"a|b": [2, 1],
                                                          "b|a": [1, 0.5]}}))
-    unread = {"typing", "logging", "csv"}
+    unread = {"typing", "logging", "csv", "argparse", "gettext"}
     found = loaded("import sys, quasimod.cli", unread)
     assert found == [], f"import quasimod.cli loaded {found}"
     found = loaded("import sys, quasimod.cli; assert quasimod.cli.main(["
