@@ -123,12 +123,19 @@ class _RowTable(NamedTuple):
 
 
 def _column_texts(column, head: str, depth: int) -> list[str]:
-    """head + each value's text at `depth`: one per container, one per
-    distinct scalar, with keys apart for True, 1, 1.0 and for -0.0, 0.0."""
-    if any(map(isinstance, column, repeat(_CONTAINERS))):
-        return [head + _json_text(v, depth) for v in column]
-    numbers = [c for c in set(map(type, column))
-               if issubclass(c, (int, float))]
+    """head + each value's text at `depth`: flat rows in one encoder call,
+    split as `_json_text` splits them, other containers one by one, and each
+    distinct scalar once (True, 1, 1.0 and -0.0, 0.0 apart)."""
+    types = set(map(type, column))
+    if any(issubclass(c, _CONTAINERS) for c in types):
+        if c_make_encoder is None or not _flat_rows(column):
+            return [head + _json_text(v, depth) for v in column]
+        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        rows = "".join(_flat_encoder(depth)(column, 0))[2:-2].split(
+            "]," + inner + "[")
+        return [head + "[" + inner + row + outer + "]" if row else head + "[]"
+                for row in rows]
+    numbers = [c for c in types if issubclass(c, (int, float))]
     keys, memo = column, dict(zip(column, column))
     if len(numbers) > 1 or float in numbers and 0.0 in memo:
         keys = [(c, v, copysign(1.0, v)) if c is float else (c, v)
@@ -173,11 +180,13 @@ def _json_text(obj, depth: int = 0) -> str:
     if isinstance(obj, _RowTable):
         if not (obj.keys and obj.rows):
             return _json_text([{} for _ in obj.rows], depth)
+        # each cell starts with its separator: one join, less the first
         row_inner = inner + "  "
-        cells = [_column_texts(c, _key_text(k) + ": ", depth + 2) for k, c
-                 in sorted(zip(obj.keys, zip(*obj.rows)), key=itemgetter(0))]
-        text = (inner + "}," + inner + "{" + row_inner).join(
-            map(("," + row_inner).join, zip(*cells)))
+        seps = [inner + "}," + inner + "{" + row_inner, "," + row_inner]
+        cells = [_column_texts(c, seps[n > 0] + _key_text(k) + ": ", depth + 2)
+                 for n, (k, c) in enumerate(sorted(zip(obj.keys, zip(*obj.rows)),
+                                                   key=itemgetter(0)))]
+        text = "".join(chain.from_iterable(zip(*cells)))[len(seps[0]):]
         return "[" + inner + "{" + row_inner + text + inner + "}" + outer + "]"
     values = obj.values() if is_dict else obj
     if c_encoder and not any(map(isinstance, values, repeat(_CONTAINERS))):
@@ -198,9 +207,13 @@ def _json_text(obj, depth: int = 0) -> str:
         return text if all(obj) else text.replace(
             "[" + row_inner + inner + "]", "[]")
     if is_dict:
-        parts = [_key_text(k) + ": " + _json_text(v, depth + 1)
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+        # texts by id: the dict keeps its values alive, all at one depth
+        texts, parts = {}, []
+        for k, v in sorted(obj.items()):
+            if id(v) not in texts:
+                texts[id(v)] = _json_text(v, depth + 1)
+            parts += _key_text(k), ": ", texts[id(v)], "," + inner
+        return "{" + inner + "".join(parts[:-1]) + outer + "}"
     parts = [_json_text(v, depth + 1) for v in obj]
     return "[" + inner + ("," + inner).join(parts) + outer + "]"
 
@@ -340,7 +353,7 @@ def cmd_cover(args, phase):
     if sequence:
         doc["cauchy"] = _RowTable(
             ("radius", "scale", "kind", "i0", "forward_i0", "backward_i0"),
-            [(r, t, c.kind, c.i0, c.forward_i0, c.backward_i0) for r, t, c
+            [(r, t, *c) for r, t, c
              in classify_cauchy_thresholds(sequence, g, thresholds)])
     phase("cauchy")
     return doc, hb.all_composed_ok

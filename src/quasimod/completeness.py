@@ -4,11 +4,21 @@ Everything here works on finite samples, so each statement is the finite
 shadow of its limit-space counterpart: Cauchy conditions are checked for
 indices up to the sample's length, covers are verified by exhaustive
 membership, and sequence families are truncations.
+
+Heine-Borel rows run by scale: along the sorted radii, the cut of r in the
+sorted matrix at t and of its split radius at t/2 only grow, so one scale on
+n points has at most 2n^2 + 1 distinct (near cut, cut) pairs, each decided
+once.  A Cauchy tail from i0 holds at (r, t) iff S_i0 < r, S_i the largest
+w(x_k, x_j, t) over i <= k <= j (backward: w(x_j, x_k, t)); S never rises
+with i, so the worst i is #{i : S_i >= r}.
 """
 
 from __future__ import annotations
 
-from operator import and_
+from bisect import bisect_left
+from functools import reduce
+from itertools import accumulate, chain, compress, repeat
+from operator import add, and_, or_
 
 from .extreal import number, numbers
 from .gauges import GaugeSpec
@@ -23,16 +33,6 @@ class CauchyClassification(NamedTuple):
     i0: int | None
     forward_i0: int | None
     backward_i0: int | None
-
-
-def _minimal_tail_start(rows) -> int | None:
-    """Least 1-based i0 such that row i holds every j >= i, for all
-    i >= i0.  A missing pair (i, j) blocks every i0 <= i, so the answer is
-    one past the largest such i."""
-    full = (1 << len(rows)) - 1  # full >> i << i: positions i and up
-    worst = max((i + 1 for i, row in enumerate(rows) if full >> i << i & ~row),
-                default=0)
-    return None if worst == len(rows) else worst + 1
 
 
 def _sequence(points) -> tuple:
@@ -52,29 +52,37 @@ def classify_cauchy(points, g: GaugeSpec, r: float,
     "neither"; asymmetry shows in `forward_i0` and `backward_i0`."""
     seq = _sequence(points)
     _check_radius(r)
-    _, fwd, bwd = _BallRows(g, seq).rows(r, t)
-    return _classify(fwd, bwd)
+    return _tails(_BallRows(g, seq), t, (r,))[0]
 
 
 def classify_cauchy_thresholds(points, g: GaugeSpec,
                                thresholds: ThresholdSet) -> list[tuple]:
     """(r, t, classify_cauchy(points, g, r, t)) for every threshold pair,
-    each distinct ball relation on the sequence classified once."""
-    balls, memo, out = _BallRows(g, _sequence(points)), {}, []
-    for r, t in thresholds.pairs():
+    read scale by scale from the suffix maxima."""
+    balls, radii = _BallRows(g, _sequence(points)), thresholds.radii
+    for r in radii[:1]:  # as row by row: the first radius before any matrix
         _check_radius(r)
-        key, fwd, bwd = balls.rows(r, t)
-        if key not in memo:
-            memo[key] = _classify(fwd, bwd)
-        out.append((r, t, memo[key]))
-    return out
+    columns = [_tails(balls, t, radii) for t in thresholds.scales if radii]
+    for r in radii:
+        _check_radius(r)
+    return list(map(add, thresholds.pairs(),  # (r, t) + (c,) per pair
+                    zip(chain.from_iterable(zip(*columns)))))
 
 
-def _classify(fwd, bwd) -> CauchyClassification:
-    f_i0, b_i0 = _minimal_tail_start(fwd), _minimal_tail_start(bwd)
-    if f_i0 and b_i0:
-        return CauchyClassification("bi", max(f_i0, b_i0), f_i0, b_i0)
-    return CauchyClassification("neither", None, None, None)
+def _tails(balls: _BallRows, t: float, radii) -> list:
+    """The classification at each radius by the suffix maxima S, last first."""
+    mat, idx = balls.sweep(t).mat, balls.idx
+    fwd = [list(map(mat[a].__getitem__, idx)) for a in idx]
+    ranks = list(zip(*[map(bisect_left, repeat(list(accumulate(
+        [max(side[i][i:]) for i in reversed(range(len(idx)))], max))), radii)
+        for side in (fwd, list(zip(*fwd)))]))
+    starts, kinds = [None, *range(len(idx), 0, -1)], {}
+    for f_rank, b_rank in dict.fromkeys(ranks):
+        f_i0, b_i0 = starts[f_rank], starts[b_rank]
+        kinds[f_rank, b_rank] = CauchyClassification(*(
+            ("bi", max(f_i0, b_i0), f_i0, b_i0) if f_i0 and b_i0
+            else ("neither", None, None, None)))
+    return list(map(kinds.__getitem__, ranks))
 
 
 def converges_to(points, g: GaugeSpec, x, r: float, t: float,
@@ -166,33 +174,31 @@ def two_sided_cover_from_onesided(g: GaugeSpec, forward: CoverResult,
     balls = _BallRows(g, sample)
     _, near, far = balls.rows(s, t_half)
     two = tuple(map(and_, *balls.rows(r, t)[1:]))
-    centers, verified, escape = _compose(
-        near, far, two, [sample.index(x) for x in forward.centers],
-        [sample.index(y) for y in backward.centers])
+    centers, verified, escape = _compose(*_cells(
+        near, far, [sample.index(x) for x in forward.centers],
+        [sample.index(y) for y in backward.centers]), two)
     if escape:
         raise _escape_error(balls, escape, r, t)
     return CoverResult(tuple(sample[z] for z in centers), r, t, "two_sided",
                        sample, verified)
 
 
-def _compose(near, far, two, fwd_centers, bwd_centers):
-    """One cell near[i] & far[j] per centre pair, represented by its first
-    point z.  Returns the representatives and whether their two-sided balls
-    cover, or the first escape (i, j, z, u): u in the cell, outside z's
-    two-sided ball."""
-    centers, union = [], 0
-    for i in fwd_centers:
-        for j in bwd_centers:
-            cell = near[i] & far[j]
-            if not cell:
-                continue
-            z = _first(cell)
-            escaped = cell & ~two[z]
-            if escaped:
-                return None, False, (i, j, z, _first(escaped))
-            if z not in centers:
-                centers.append(z)
-                union |= two[z]
+def _cells(near, far, fwd_centers, bwd_centers) -> tuple[list, list]:
+    """Each nonempty cell near[i] & far[j] of a centre pair as (i, j, cell,
+    z), z its first point, and the distinct z in order."""
+    cells = [(i, j, cell, _first(cell)) for i in fwd_centers
+             for j in bwd_centers for cell in (near[i] & far[j],) if cell]
+    return cells, list(dict.fromkeys(z for *_, z in cells))
+
+
+def _compose(cells, centers, two):
+    """The representatives and whether their two-sided balls cover, or the
+    first escape (i, j, z, u): u in the cell, outside z's two-sided ball."""
+    for i, j, cell, z in cells:
+        escaped = cell & ~two[z]
+        if escaped:
+            return None, False, (i, j, z, _first(escaped))
+    union = reduce(or_, map(two.__getitem__, centers), 0)
     return centers, union == (1 << len(two)) - 1, None
 
 
@@ -379,31 +385,43 @@ def heine_borel_report(g: GaugeSpec, points=None,
     a direct two-sided net for comparison.  Composition failures are reported per row
     rather than raised, since they diagnose the gauge, not the caller;
     `thresholds` defaults to the critical ones."""
-    balls, outcomes, rows = _BallRows(g, points), {}, []
+    balls, nets, directs, outcomes = _BallRows(g, points), {}, {}, {}
     thresholds = thresholds or critical_thresholds(g, balls.points, grid)
-    splits = {r: g.split_radius(r) for r in thresholds.radii}
-    for r, t in thresholds.pairs():
-        s = splits[r]
-        near_key, near, far = balls.rows(s, t / 2.0)
-        key, fwd, bwd = balls.rows(r, t)
-        out = outcomes.get((near_key, key))
-        if out is None:
-            out = outcomes[near_key, key] = _heine_borel_outcome(
-                near, far, tuple(map(and_, fwd, bwd)))
-        sizes, composed_size, ok, escape = out
-        witness = escape and str(_escape_error(balls, escape, r, t))
-        rows.append(HeineBorelRow(r, t, s, *sizes, composed_size, ok, witness))
-    return HeineBorelReport(tuple(rows))
+    radii, columns = thresholds.radii, []
+    splits = list(map(g.split_radius, radii))
+    for t in thresholds.scales if radii else ():
+        half, whole = balls.sweep(t / 2.0), balls.sweep(t)
+        pairs = list(zip(map(bisect_left, repeat(half.values), splits),
+                         map(bisect_left, repeat(whole.values), radii)))
+        decided = outcomes.setdefault((half, whole), {})
+        for near, cut in dict.fromkeys(pairs):
+            if (near, cut) not in decided:
+                decided[near, cut] = _outcome(nets, directs, (half, near),
+                                              (whole, cut))
+        *fields, witnesses = map(list, zip(*map(decided.__getitem__, pairs)))
+        texts = {}  # per escape, its message with the radius left empty
+        for k, w in compress(enumerate(witnesses), witnesses):
+            if w not in texts:
+                texts[w] = str(_escape_error(balls, w, "", t))
+            witnesses[k] = texts[w] + f"{radii[k]}"
+        columns.append(list(map(HeineBorelRow, radii, repeat(t), splits,
+                                *fields, witnesses)))
+    return HeineBorelReport(tuple(chain.from_iterable(zip(*columns))))
 
 
-def _heine_borel_outcome(near, far, two) -> tuple:
-    """Net sizes (forward, backward, direct) and the composed cover's size,
-    verdict and escape; no composition unless both one-sided nets cover."""
-    (fwd, fwd_ok), (bwd, bwd_ok) = _greedy(near), _greedy(far)
-    sizes = (len(fwd), len(bwd), len(_greedy(two)[0]))
-    if not (fwd_ok and bwd_ok):
-        return sizes, None, False, None
-    centers, verified, escape = _compose(near, far, two, fwd, bwd)
-    if escape:
-        return sizes, None, False, escape
-    return sizes, len(centers), verified, None
+def _outcome(nets, directs, near_key, key) -> tuple:
+    """Net sizes (forward, backward, direct), the composed size, verdict and
+    escape at a (sweep, near cut) and a (sweep, cut): one-sided nets once per
+    near cut, the direct net once per cut, composed if both nets cover."""
+    if near_key not in nets:
+        near, far = near_key[0].rows(near_key[1])
+        (fwd, fwd_ok), (bwd, bwd_ok) = _greedy(near), _greedy(far)
+        nets[near_key] = (len(fwd), len(bwd), _cells(near, far, fwd, bwd)
+                          if fwd_ok and bwd_ok else None)
+    if key not in directs:
+        two = tuple(map(and_, *key[0].rows(key[1])))
+        directs[key] = two, len(_greedy(two)[0])
+    (fwd_size, bwd_size, cells), (two, direct_size) = nets[near_key], directs[key]
+    centers, ok, escape = _compose(*cells, two) if cells else (None, False, None)
+    return (fwd_size, bwd_size, direct_size,
+            None if centers is None else len(centers), ok, escape)

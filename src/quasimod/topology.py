@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain, compress, product
 from operator import and_, le, or_
 
 from .axioms import AxiomReport, Violation
@@ -83,6 +83,10 @@ class _Sweep:
         self.cuts = [0]  # the cuts built, ascending
         self.built = {0: ((0,) * self.n, (0,) * self.n)}
 
+    def rows(self, cut: int):
+        """(forward rows, backward rows) of the first `cut` entries."""
+        return self.built.get(cut) or self.build(cut)
+
     def build(self, cut: int):
         """(forward rows, backward rows) of the first `cut` entries, from
         the nearest cut built below it; `built` holds them from then on."""
@@ -113,9 +117,8 @@ class _BallRows:
         self._scales = {}  # t -> the sweep of g.matrix(t)
         self._sweeps = {}  # id of a matrix -> its sweep
 
-    def rows(self, r: float, t: float):
-        """(key, forward rows, backward rows) at (r, t); backward row i
-        holds the y with w(y, x_i, t) < r."""
+    def sweep(self, t: float) -> _Sweep:
+        """The sweep of `g.matrix(t)`, one per distinct matrix."""
         sweep = self._scales.get(t)
         if sweep is None:
             mat = self.g.matrix(t)
@@ -123,8 +126,14 @@ class _BallRows:
             if sweep is None:
                 sweep = self._sweeps[id(mat)] = _Sweep(mat, self.idx)
             self._scales[t] = sweep
+        return sweep
+
+    def rows(self, r: float, t: float):
+        """(key, forward rows, backward rows) at (r, t); backward row i
+        holds the y with w(y, x_i, t) < r."""
+        sweep = self.sweep(t)
         cut = bisect_left(sweep.values, r)
-        fwd, bwd = sweep.built.get(cut) or sweep.build(cut)
+        fwd, bwd = sweep.rows(cut)
         return (id(sweep.mat), cut), fwd, bwd
 
     def value(self, i: int, j: int, t: float) -> float:
@@ -150,7 +159,7 @@ class ThresholdSet(NamedTuple):
     scales: ScaleGrid
 
     def pairs(self):
-        return [(r, t) for r in self.radii for t in self.scales]
+        return list(product(self.radii, self.scales))
 
 
 def critical_thresholds(g: GaugeSpec, points=None,

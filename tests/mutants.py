@@ -256,36 +256,38 @@ MUTANTS = (
            "below = self.cuts[min(k, len(self.cuts) - 1)]",
            (BALL_ROWS,)),
     Mutant("a row source that rebuilds every call", "topology.py",
-           "fwd, bwd = sweep.built.get(cut) or sweep.build(cut)",
-           "fwd, bwd = sweep.build(cut)",
+           "return self.built.get(cut) or self.build(cut)",
+           "return self.build(cut)",
            (ROW_BUILDS,)),
     Mutant("one sort per scale instead of per matrix", "topology.py",
            "sweep = self._sweeps.get(id(mat))",
            "sweep = None",
            (ROW_BUILDS,)),
+    # the memo of a scale's (near cut, cut) outcomes keyed by its two
+    # sweeps alone, so that every pair of a scale gets the first outcome
     Mutant("Heine-Borel memo key without the rank", "completeness.py",
-           "        out = outcomes.get((near_key, key))\n"
-           "        if out is None:\n"
-           "            out = outcomes[near_key, key] = ",
-           "        out = outcomes.get((near_key[0], key[0]))\n"
-           "        if out is None:\n"
-           "            out = outcomes[near_key[0], key[0]] = ",
+           "                decided[near, cut] = _outcome(nets, directs, (half, near),\n"
+           "                                              (whole, cut))",
+           "                decided[near, cut] = decided.setdefault((), _outcome(\n"
+           "                    nets, directs, (half, near), (whole, cut)))",
            (COVER_ROWS, f"{REF}[cover-conorm0]")),
+    # the classification memo keyed by the scale alone, without the ranks
     Mutant("Cauchy memo key without the rank", "completeness.py",
-           "        if key not in memo:\n"
-           "            memo[key] = _classify(fwd, bwd)\n"
-           "        out.append((r, t, memo[key]))",
-           "        if key[0] not in memo:\n"
-           "            memo[key[0]] = _classify(fwd, bwd)\n"
-           "        out.append((r, t, memo[key[0]]))",
+           "    return list(map(kinds.__getitem__, ranks))",
+           "    return [kinds[ranks[0]] for _ in ranks]",
            (CAUCHY_ROWS,)),
+    Mutant("Cauchy tail with bisect_right", "completeness.py",
+           "ranks = list(zip(*[map(bisect_left, repeat(",
+           'ranks = list(zip(*[map(__import__("bisect").bisect_right, repeat(',
+           (CAUCHY_ROWS, "test_cover_rows.py::"
+            "test_a_last_point_outside_its_own_ball_starts_no_tail")),
     Mutant("escape witness read at t/2", "completeness.py",
-           "witness = escape and str(_escape_error(balls, escape, r, t))",
-           "witness = escape and str(_escape_error(balls, escape, r, t / 2.0))",
+           'texts[w] = str(_escape_error(balls, w, "", t))',
+           'texts[w] = str(_escape_error(balls, w, "", t / 2.0))',
            (COVER_ROWS,)),
     Mutant("cover half scale floored at 1/4", "completeness.py",
-           "near_key, near, far = balls.rows(s, t / 2.0)",
-           "near_key, near, far = balls.rows(s, max(t / 2.0, 0.25))",
+           "half, whole = balls.sweep(t / 2.0), balls.sweep(t)",
+           "half, whole = balls.sweep(max(t / 2.0, 0.25)), balls.sweep(t)",
            (SCALED_GRID,)),
     Mutant("last escaping point as the witness", "completeness.py",
            "return None, False, (i, j, z, _first(escaped))",
@@ -395,14 +397,21 @@ MUTANTS = (
            "    dist[src] = -0.0",
            (PAIR_MAPS,)),
     Mutant("witness texts memoized by value", "cli.py",
-           "return [head + _json_text(v, depth) for v in column]",
-           "return list(map({v: head + _json_text(v, depth) for v in column}"
-           ".__getitem__, column))",
+           "        if c_make_encoder is None or not _flat_rows(column):\n"
+           "            return [head + _json_text(v, depth) for v in column]",
+           "        if True:\n"
+           "            return list(map({v: head + _json_text(v, depth) for v"
+           " in column}.__getitem__, column))",
            ("test_report_writer.py::"
             "test_violation_tables_match_json_dumps_of_their_dicts",)),
+    Mutant("writer reuse keyed across dicts", "cli.py",
+           "        texts, parts = {}, []\n",
+           '        texts, parts = _json_text.__dict__.setdefault("texts", {}), []\n',
+           ("test_report_writer.py::"
+            "test_a_value_under_several_keys_matches_json_dumps",)),
     Mutant("nested dicts left unsorted", "cli.py",
-           "for k, v in sorted(obj.items())]",
-           "for k, v in obj.items()]",
+           "for k, v in sorted(obj.items()):",
+           "for k, v in obj.items():",
            ("test_report_writer.py::test_hand_built_shapes_match_json_dumps",)),
     Mutant("non-str keys through str()", "cli.py",
            "return encode_basestring_ascii(_json_text(key))",

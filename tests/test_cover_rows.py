@@ -1,12 +1,16 @@
-"""Differential tests for the memoized cover steps.
+"""Differential tests for the cover steps, which run scale by scale.
 
-`heine_borel_report` and `classify_cauchy_thresholds` read their ball rows
-from one source per call, which builds each relation once per (grid
-column, radius rank), and reuse a row's outcome wherever its relations
-repeat.  The oracle, `reference`, builds every row by definition: three
-greedy nets and one composition per threshold pair, and one Cauchy scan
-per pair, each reading table rows one pair at a time rather than
-`matrix`.  The ball rows themselves are compared with the reference's
+`heine_borel_report` reads its ball rows from one source per call, which
+builds each relation once per (grid column, radius rank), and decides each
+distinct (near cut, cut) pair of a scale once.  `classify_cauchy_thresholds`
+reads each scale's tail starts from the suffix maxima of the sequence's
+rows, one bisection per radius and direction.  The oracle, `reference`,
+builds every row by definition: three greedy nets and one composition per
+threshold pair, and one Cauchy scan per pair, each reading table rows one
+pair at a time rather than `matrix`.  Both are compared on every corpus,
+on hand-built threshold sets with unsorted and repeated radii on scales on
+and off the grid, on sequences with repeats, and on a last point outside
+its own ball.  The ball rows themselves are compared with the reference's
 strict balls, and their work is counted: one sort per distinct matrix, one
 snapshot per rank read.
 """
@@ -16,7 +20,8 @@ from bisect import bisect_left
 
 import pytest
 
-from quasimod import (GaugeSpec, Regime, ScaleGrid, classify_cauchy_thresholds,
+from quasimod import (GaugeSpec, Regime, ScaleGrid, ThresholdSet,
+                      classify_cauchy, classify_cauchy_thresholds,
                       critical_thresholds, entourage, heine_borel_report)
 from quasimod import topology
 
@@ -68,6 +73,63 @@ def test_cauchy_scan_matches_the_reference(name):
                    in classify_cauchy_thresholds(pts, g, thresholds)]
             assert got == cauchy_rows(pts, g, thresholds.pairs()), \
                 (g.name, pts)
+
+
+def cauchy_table(points, g, thresholds):
+    return [(r, t, *c) for r, t, c
+            in classify_cauchy_thresholds(points, g, thresholds)]
+
+
+def hand_built_thresholds(g, seed):
+    """The critical radii shuffled, with repeats and radii between them,
+    on the grid and on a grid that reaches below and past it."""
+    rng = rng_for(seed)
+    radii = list(critical_thresholds(g).radii)
+    radii += rng.sample(radii, min(3, len(radii)))
+    radii += [(a + b) / 3.0 for a, b in zip(radii[:3], radii[1:4])]
+    rng.shuffle(radii)
+    wide = ScaleGrid((g.grid[0] / 3.0, *g.grid, g.grid[-1] * 1.5))
+    return [ThresholdSet(tuple(radii), grid) for grid in (g.grid, wide)]
+
+
+@pytest.mark.parametrize("name", sorted(GAUGES))
+def test_hand_built_thresholds_match_the_reference(name):
+    met = set()
+    for k, g in enumerate(list(GAUGES[name]())[:4]):
+        for thresholds in hand_built_thresholds(g, 1300 + k):
+            radii = thresholds.radii
+            met |= {"unsorted"} if list(radii) != sorted(radii) else set()
+            met |= {"repeated"} if len(set(radii)) < len(radii) else set()
+            got = heine_borel_report(g, thresholds=thresholds)
+            assert got.rows == heine_borel_rows(g, g.points,
+                                                thresholds.pairs()), g.name
+            for pts in sequences(g, 1400 + k):
+                assert cauchy_table(pts, g, thresholds) == cauchy_rows(
+                    pts, g, thresholds.pairs()), (g.name, pts)
+    assert met == {"unsorted", "repeated"}
+
+
+def test_a_last_point_outside_its_own_ball_starts_no_tail():
+    # w(b, b) = 0.5: no tail holds at a radius up to 0.5 on either side,
+    # since the one-point tail at b fails; at 0.5 exactly, S_i = r for the
+    # last i, which the tail must count as outside
+    g = GaugeSpec(regime=Regime.ADDITIVE, points=("a", "b"),
+                  grid=ScaleGrid((1.0, 2.0)),
+                  table={("a", "b"): (1.0, 0.5), ("b", "a"): (2.0, 1.0),
+                         ("b", "b"): (0.5, 0.5)})
+    thresholds = critical_thresholds(g)
+    for pts in (("b",), ("a", "b"), ("b", "a", "a", "b"), ("a", "b") * 3):
+        got = cauchy_table(pts, g, thresholds)
+        assert got == cauchy_rows(pts, g, thresholds.pairs()), pts
+        assert {row[2:] for row in got if row[0] <= 0.5} == {
+            ("neither", None, None, None)}, pts
+        assert any(row[2] == "bi" for row in got), pts
+        for r, t, *kind in got:
+            assert tuple(classify_cauchy(pts, g, r, t)) == tuple(kind)
+    # a repeat of b before the end changes nothing; one a after it starts
+    # the forward tail at that a, which w(a, a) = 0 lets through
+    assert cauchy_table(("b", "b", "a"), g, thresholds)[0][2:] == (
+        "bi", 3, 3, 3)
 
 
 def test_corpora_exercise_escapes_and_off_grid_halves():

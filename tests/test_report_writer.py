@@ -4,10 +4,11 @@
 sort_keys=True, indent=2)`, a pair map written as the dict that `row_maps`
 builds from the same distance rows. It is checked on every report the CLI
 writes for documents built from the conftest corpora, read as
-`reference.report` gives it, on hand-built shapes, on lists of rows some of
-which are empty, on seeded random trees, on hand-built row tables read as
-their lists of dicts, violation tables among them, whose witness column
-holds tuples, and on the graph report's pair maps, laid out from the
+`reference.report` gives it, on hand-built shapes, on dicts that hold one
+value under several keys, on lists of rows some of which are empty, on
+seeded random trees, on hand-built row tables read as their lists of dicts,
+violation tables among them, whose witness column holds tuples, and on the
+graph report's pair maps, laid out from the
 distance rows, for hostile vertex ids, also without json's C encoder; ids
 that would give two pairs one "x|y" key exit 2.
 
@@ -245,6 +246,24 @@ def test_hand_built_shapes_match_json_dumps():
         assert same_as_reference(obj), obj
 
 
+# One value held under several keys of a dict is written once for that
+# dict, and again for a dict one level deeper, at that dict's depth, as
+# `JoinReport.to_json` hands equal topologies one list.
+SHARED = [[1, 2.5], ["x"], {"k": None}]
+FLAT = [1, "]", 2.5]
+SHARED_DICTS = [
+    {"a": SHARED, "b": SHARED, "c": {"d": SHARED, "e": [SHARED]}},
+    {"a": {"d": SHARED}, "b": SHARED, "c": SHARED},
+    {"a": FLAT, "b": FLAT, "c": {"d": FLAT, "e": {"f": FLAT, "g": FLAT}}},
+    [{"a": FLAT, "b": FLAT}, {"c": [FLAT], "d": FLAT}],
+]
+
+
+def test_a_value_under_several_keys_matches_json_dumps():
+    for obj in SHARED_DICTS:
+        assert same_as_reference(obj), obj
+
+
 # Lists of flat rows are written in one encoder call and split at the row
 # boundaries, close + item separator + open.  Only a boundary reads that
 # way: no encoded scalar begins or ends with a bracket, and no encoded
@@ -343,6 +362,7 @@ def test_the_fallback_without_the_c_encoder():
     try:
         for obj in SHAPES[:12] + ROWS[:6]:
             assert same_as_reference(obj), obj
+        test_a_value_under_several_keys_matches_json_dumps()
         test_row_tables_match_json_dumps_of_their_dicts()
         test_violation_tables_match_json_dumps_of_their_dicts()
         reports = cli_reports(documents)
@@ -387,6 +407,16 @@ ROW_TABLES = [
     cli._RowTable(("a", "b"), [("}", "]"), ("{", "["), (BOUNDARY, ",\n  ")]),
     # no keys: each row is an empty dict
     cli._RowTable((), [(), ()]),
+    # witness-style columns, written in one encoder call when every value
+    # is a flat list or tuple: lists beside tuples, every scalar kind, a
+    # string that reads like a row boundary, and empty witnesses
+    cli._RowTable(("w", "k"), [
+        ([1, 2.5], "a"), ((True, None, math.inf, -0.0), "b"),
+        (("],\n      [", BOUNDARY, "é"), "c"), ((), "d"), ([], "e"),
+        ((10 ** 30, math.nan, "x"), "f")]),
+    cli._RowTable(("w",), [((),), ([],), ((),)]),
+    # a witness that holds a container is no flat row
+    cli._RowTable(("w", "k"), [((1, (2,)), 0), ((3,), 1), ([[]], 2)]),
 ]
 
 
