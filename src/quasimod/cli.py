@@ -9,7 +9,6 @@ variable (a logging level name such as DEBUG).
 from __future__ import annotations
 
 import functools
-import io
 import json
 import os
 import re
@@ -85,6 +84,9 @@ def _load_json(path: str) -> object:
 
 
 _CONTAINERS = (list, tuple, dict)
+# rows of a row table per chunk: no report is held whole, and a small one
+# is one chunk per container of scalars
+_ROWS = 512
 
 
 @functools.cache
@@ -116,20 +118,20 @@ class _PairMap(NamedTuple):
 
 
 class _RowTable(NamedTuple):
-    """A list of dicts as a key per field and a tuple of values per row."""
+    """A list of dicts as a key per field and a column of values per field."""
 
     keys: tuple
-    rows: list
+    columns: list
 
 
 def _column_texts(column, head: str, depth: int) -> list[str]:
     """head + each value's text at `depth`: flat rows in one encoder call,
-    split as `_json_text` splits them, other containers one by one, and each
-    distinct scalar once (True, 1, 1.0 and -0.0, 0.0 apart)."""
+    split as `_json_chunks` splits them, other containers one by one, and
+    each distinct scalar once (True, 1, 1.0 and -0.0, 0.0 apart)."""
     types = set(map(type, column))
     if any(issubclass(c, _CONTAINERS) for c in types):
         if c_make_encoder is None or not _flat_rows(column):
-            return [head + _json_text(v, depth) for v in column]
+            return [head + "".join(_json_chunks(v, depth)) for v in column]
         inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
         rows = "".join(_flat_encoder(depth)(column, 0))[2:-2].split(
             "]," + inner + "[")
@@ -152,47 +154,49 @@ def _key_text(key) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
     if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii(_json_text(key))
+        return encode_basestring_ascii("".join(_json_chunks(key)))
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {key.__class__.__name__}")
 
 
-def _json_text(obj, depth: int = 0) -> str:
+def _json_chunks(obj, depth: int = 0):
     """The text of json.dumps(obj, sort_keys=True, indent=2), a pair map
-    read as its dict and a row table as its list of dicts: containers that
-    hold containers, pair maps and row tables are laid out here, and every
-    other value goes to json's C encoder in one call (without that
-    encoder, each scalar to json.dumps)."""
+    read as its dict and a row table as its list of dicts, in chunks: a pair
+    map's rows one each, a row table's _ROWS at a time, a few per item of a
+    container of containers, and one for any other value (a container of
+    scalars from one call of json's C encoder, where there is one)."""
     c_encoder = c_make_encoder is not None
     is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     if not (is_dict or isinstance(obj, (list, tuple))):
-        return "".join(_flat_encoder(0)(obj, 0)) if c_encoder \
-            else json.dumps(obj)
-    if not obj:
-        return "{}" if is_dict else "[]"
-    inner = "\n" + "  " * (depth + 1)
-    outer = "\n" + "  " * depth
-    if isinstance(obj, _PairMap):
-        sep = "," + inner
-        text = sep.join([pre + (sep + pre).join(map(add, obj.post, row))
-                         for pre, row in zip(obj.pre, obj.rows)])
-        return "{" + inner + text + outer + "}"
-    if isinstance(obj, _RowTable):
-        if not (obj.keys and obj.rows):
-            return _json_text([{} for _ in obj.rows], depth)
-        # each cell starts with its separator: one join, less the first
+        yield json.dumps(obj)
+    elif not obj or isinstance(obj, _RowTable) and not any(obj.columns[:1]):
+        yield "{}" if is_dict else "[]"
+    elif isinstance(obj, _PairMap):
+        sep, head = "," + inner, "{" + inner
+        for pre, row in zip(obj.pre, obj.rows):
+            yield head + pre + (sep + pre).join(map(add, obj.post, row))
+            head = sep
+        yield outer + "}"
+    elif isinstance(obj, _RowTable):
+        # each cell starts with its separator: one join per block
         row_inner = inner + "  "
         seps = [inner + "}," + inner + "{" + row_inner, "," + row_inner]
-        cells = [_column_texts(c, seps[n > 0] + _key_text(k) + ": ", depth + 2)
-                 for n, (k, c) in enumerate(sorted(zip(obj.keys, zip(*obj.rows)),
-                                                   key=itemgetter(0)))]
-        text = "".join(chain.from_iterable(zip(*cells)))[len(seps[0]):]
-        return "[" + inner + "{" + row_inner + text + inner + "}" + outer + "]"
-    values = obj.values() if is_dict else obj
-    if c_encoder and not any(map(isinstance, values, repeat(_CONTAINERS))):
+        heads = [(seps[n > 0] + _key_text(k) + ": ", c) for n, (k, c) in
+                 enumerate(sorted(zip(obj.keys, obj.columns),
+                                  key=itemgetter(0)))]
+        yield "[" + inner + "{" + row_inner
+        for a in range(0, len(obj.columns[0]), _ROWS):
+            text = "".join(chain.from_iterable(zip(*[
+                _column_texts(c[a:a + _ROWS], head, depth + 2)
+                for head, c in heads])))
+            yield text if a else text[len(seps[0]):]  # no row before the first
+        yield inner + "}" + outer + "]"
+    elif c_encoder and not any(map(isinstance, values, repeat(_CONTAINERS))):
         text = "".join(_flat_encoder(depth)(obj, 0))
-        return text[0] + inner + text[1:-1] + outer + text[-1]
-    if not is_dict and c_encoder and _flat_rows(obj):
+        yield text[0] + inner + text[1:-1] + outer + text[-1]
+    elif not is_dict and c_encoder and _flat_rows(obj):
         # one call writes every row, with each row's item separator between
         # the rows too; only a row boundary reads "]," + separator + "[",
         # since no encoded scalar begins or ends with a bracket and no
@@ -204,40 +208,55 @@ def _json_text(obj, depth: int = 0) -> str:
         # that lays an empty row out as "[", two line breaks with only
         # spaces between them, "]": no other text reads so, since no
         # encoded scalar is empty or holds a raw newline
-        return text if all(obj) else text.replace(
+        yield text if all(obj) else text.replace(
             "[" + row_inner + inner + "]", "[]")
-    if is_dict:
-        # texts by id: the dict keeps its values alive, all at one depth
-        texts, parts = {}, []
-        for k, v in sorted(obj.items()):
-            if id(v) not in texts:
-                texts[id(v)] = _json_text(v, depth + 1)
-            parts += _key_text(k), ": ", texts[id(v)], "," + inner
-        return "{" + inner + "".join(parts[:-1]) + outer + "}"
-    parts = [_json_text(v, depth + 1) for v in obj]
-    return "[" + inner + ("," + inner).join(parts) + outer + "]"
-
-
-def _emit(report: dict, output: str | None, matrix=None) -> None:
-    if output and output.endswith(".csv"):
-        import csv
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        points, rows = matrix
-        writer.writerow([""] + [str(p) for p in points])
-        for p, row in zip(points, rows):
-            writer.writerow([str(p)] + [format_ext(v) for v in row])
-        text = buf.getvalue()
     else:
-        text = _json_text(report) + "\n"
-    if output:
+        # a value held twice is laid out once, by id: the container keeps
+        # it alive and holds all its values at one depth; the rest stream
+        seen = set()
+        texts = dict.fromkeys(i for i in map(id, values)
+                              if i in seen or seen.add(i))
+        head = ("{" if is_dict else "[") + inner
+        for k, v in sorted(obj.items()) if is_dict else zip(obj, obj):
+            yield head + _key_text(k) + ": " if is_dict else head
+            if id(v) in texts:
+                texts[id(v)] = texts[id(v)] or [*_json_chunks(v, depth + 1)]
+            yield from texts.get(id(v)) or _json_chunks(v, depth + 1)
+            head = "," + inner
+        yield outer + ("}" if is_dict else "]")
+
+
+def _emit(report, output: str | None, matrix=None) -> None:
+    """Write `report`'s chunks (the help text, a str, as it is) as they come,
+    or a .csv matrix by csv.writer, to `output` or standard output, flushed:
+    a failed open, write or flush exits 2 here, not at interpreter exit."""
+    chunks = [report] if isinstance(report, str) else \
+        chain(_json_chunks(report), "\n")
+    try:
+        fh = open(output, "w", encoding="utf-8") if output else sys.stdout
         try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {output}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+            if output and output.endswith(".csv"):
+                import csv
+                writer = csv.writer(fh)
+                writer.writerow(["", *map(str, matrix[0])])
+                writer.writerows([str(p), *map(format_ext, row)]
+                                 for p, row in zip(*matrix))
+            else:
+                fh.writelines(chunks)
+            fh.flush()
+        finally:
+            if output:
+                fh.close()
+    except OSError as exc:
+        if not output:  # what stays buffered would fail again at exit (120)
+            try:
+                fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+            except (OSError, ValueError):  # a stream with no descriptor
+                pass
+        raise InputError(f"cannot write {output or 'standard output'}: "
+                         f"{exc.strerror}") from None
 
 
 def _flag_value(flag: str, raw: str, read):
@@ -270,10 +289,10 @@ def _gauge_from_doc(doc, args) -> object:
 
 def _axioms_doc(report) -> dict:
     """An axiom report's document, its violations laid out by columns."""
+    fields = [map(itemgetter(i), report.violations) for i in range(4)]
+    columns = [*map(list, fields[:2])] + [[*map(format_ext, f)] for f in fields[2:]]
     return {"checked": list(report.checked), "notes": list(report.notes),
-            "violations": _RowTable(Violation._fields, [
-                (axiom, witness, format_ext(lhs), format_ext(rhs))
-                for axiom, witness, lhs, rhs in report.violations])}
+            "violations": _RowTable(Violation._fields, columns)}
 
 
 class _PhaseClock:
@@ -336,25 +355,24 @@ def cmd_cover(args, phase):
     thresholds = critical_thresholds(g)
     # a radius no positive float splits or a least scale that halves to 0
     # (near 5e-324) leaves the cover undefined: an input error, not a violation
-    for r in thresholds.radii:
-        try:
-            g.split_radius(r)
-        except ValueError as exc:
-            raise InputError(f"cover cannot shrink its radii: {exc}") from None
+    try:
+        splits = list(map(g.split_radius, thresholds.radii))
+    except ValueError as exc:
+        raise InputError(f"cover cannot shrink its radii: {exc}") from None
     if not thresholds.scales[0] / 2.0 > 0:
         raise InputError(f"cover cannot halve its scales: scale "
                          f"{thresholds.scales[0]!r} halves to 0.0")
     phase("thresholds")
-    hb = heine_borel_report(g, thresholds=thresholds)
+    hb = heine_borel_report(g, thresholds=thresholds, splits=splits)
     doc = {"command": "cover",
-           "heine_borel": {"rows": _RowTable(_HB_KEYS, hb.rows),
+           "heine_borel": {"rows": _RowTable(_HB_KEYS, list(zip(*hb.rows))),
                            "all_composed_ok": hb.all_composed_ok}}
     phase("heine-borel")
     if sequence:
         doc["cauchy"] = _RowTable(
             ("radius", "scale", "kind", "i0", "forward_i0", "backward_i0"),
-            [(r, t, *c) for r, t, c
-             in classify_cauchy_thresholds(sequence, g, thresholds)])
+            list(zip(*[(r, t, *c) for r, t, c
+                       in classify_cauchy_thresholds(sequence, g, thresholds)])))
     phase("cauchy")
     return doc, hb.all_composed_ok
 
@@ -379,13 +397,18 @@ def cmd_luxemburg(args, phase):
     return doc, True, (g.points, rows)
 
 
+class _Reprs(dict):
+    """Each distance's repr, stored on its first read: one hash per entry."""
+    def __missing__(self, v):
+        return self.setdefault(v, repr(v))
+
+
 def _value_texts(*tables) -> list[list[list[str]]]:
     """Each distance table, given as rows in vertex order, as rows of value
     texts: one text per distinct distance, its repr, or "inf" for +inf."""
     # no entry is -0.0 (path sums start at +0.0; Luxemburg infima are 0.0,
     # a positive scale, or inf), so equal entries have equal reprs
-    text = {v: repr(v) for t in tables for v in set(chain.from_iterable(t))}
-    text[INF] = '"inf"'
+    text = _Reprs({INF: '"inf"'})
     return [[list(map(text.__getitem__, row)) for row in t] for t in tables]
 
 
@@ -636,13 +659,13 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"{_usage()}quasimod: error: {exc}\n")
         return 2
-    if args is None:
-        sys.stdout.write(_help())
-        return 0
     # a command returns its report, its verdict and, for a .csv output,
     # its matrix; only here are they written, logged and made an exit code
-    phase = _PhaseClock(args.command)
     try:
+        if args is None:
+            _emit(_help(), None)
+            return 0
+        phase = _PhaseClock(args.command)
         args.grid = _parse_grid(args.grid)
         report, ok, *matrix = _COMMANDS[args.command][0](args, phase)
         _emit(report, args.output, *matrix)

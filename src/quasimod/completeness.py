@@ -379,16 +379,18 @@ class HeineBorelReport(NamedTuple):
 
 def heine_borel_report(g: GaugeSpec, points=None,
                        grid: ScaleGrid | None = None,
-                       thresholds: ThresholdSet | None = None) -> HeineBorelReport:
+                       thresholds: ThresholdSet | None = None, *,
+                       splits: list | None = None) -> HeineBorelReport:
     """For each critical (r, t): build one-sided nets at (s, t/2) with
     s = `g.split_radius(r)`, compose them into a two-sided cover, and build
     a direct two-sided net for comparison.  Composition failures are reported per row
     rather than raised, since they diagnose the gauge, not the caller;
-    `thresholds` defaults to the critical ones."""
+    `thresholds` defaults to the critical ones; `splits`, for a caller that
+    has them, must be [g.split_radius(r) for r in thresholds.radii]."""
     balls, nets, directs, outcomes = _BallRows(g, points), {}, {}, {}
     thresholds = thresholds or critical_thresholds(g, balls.points, grid)
     radii, columns = thresholds.radii, []
-    splits = list(map(g.split_radius, radii))
+    splits = list(map(g.split_radius, radii)) if splits is None else splits
     for t in thresholds.scales if radii else ():
         half, whole = balls.sweep(t / 2.0), balls.sweep(t)
         pairs = list(zip(map(bisect_left, repeat(half.values), splits),

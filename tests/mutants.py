@@ -338,8 +338,8 @@ MUTANTS = (
             "test_the_transposed_graph_swaps_forward_and_backward[0]",
             f"{REF}[graph-strongly_connected-none-0]")),
     Mutant("+inf written without format_ext", "cli.py",
-           "    text[INF] = '\"inf\"'",
-           "    text[INF] = repr(INF)",
+           "    text = _Reprs({INF: '\"inf\"'})",
+           "    text = _Reprs({INF: repr(INF)})",
            (f"{REF}[graph-unreachable-none-0]",)),
     Mutant("pair-map rows in reversed key order", "cli.py",
            "xs = sorted(range(len(names)), key=heads.__getitem__)",
@@ -354,29 +354,29 @@ MUTANTS = (
            "ys = xs",
            (PAIR_MAPS,)),
     Mutant("pair-map branch skipped", "cli.py",
-           "    if isinstance(obj, _PairMap):",
-           "    if False:",
+           "    elif isinstance(obj, _PairMap):",
+           "    elif False:",
            (f"{REF}[graph-strongly_connected-none-0]",)),
     Mutant("pair-map row start dropped", "cli.py",
-           "text = sep.join([pre + (sep + pre).join(",
-           "text = sep.join([(sep + pre).join(",
+           "yield head + pre + (sep + pre).join(",
+           "yield head + (sep + pre).join(",
            (PAIR_MAPS,)),
     Mutant("raw unescaped pair-map row start", "cli.py",
            "pre = [encode_basestring_ascii(heads[i])[:-1] for i in xs]",
            "pre = ['\"' + heads[i] for i in xs]",
            (PAIR_MAPS,)),
     Mutant("a pair map laid out one level deep", "cli.py",
-           '        sep = "," + inner\n',
+           '        sep, head = "," + inner, "{" + inner\n',
            '        inner, outer = inner + "  ", outer + "  "\n'
-           '        sep = "," + inner\n',
+           '        sep, head = "," + inner, "{" + inner\n',
            (PAIR_MAPS,)),
     Mutant("the C-encoder path taken without the encoder", "cli.py",
            "c_encoder = c_make_encoder is not None",
            "c_encoder = True",
            ("test_report_writer.py::test_the_fallback_without_the_c_encoder",)),
     Mutant("report text without its final newline", "cli.py",
-           'text = _json_text(report) + "\\n"',
-           "text = _json_text(report)",
+           'chain(_json_chunks(report), "\\n")',
+           'chain(_json_chunks(report), "")',
            (f"{REF}[valid-check-axioms]",)),
     Mutant("symmetrized Luxemburg map from the distances", "cli.py",
            "_value_texts(rows, sym)",
@@ -398,28 +398,70 @@ MUTANTS = (
            (PAIR_MAPS,)),
     Mutant("witness texts memoized by value", "cli.py",
            "        if c_make_encoder is None or not _flat_rows(column):\n"
-           "            return [head + _json_text(v, depth) for v in column]",
+           '            return [head + "".join(_json_chunks(v, depth)) for v in'
+           ' column]',
            "        if True:\n"
-           "            return list(map({v: head + _json_text(v, depth) for v"
-           " in column}.__getitem__, column))",
+           '            return list(map({v: head + "".join(_json_chunks(v, depth))'
+           " for v in column}.__getitem__, column))",
            ("test_report_writer.py::"
             "test_violation_tables_match_json_dumps_of_their_dicts",)),
     Mutant("writer reuse keyed across dicts", "cli.py",
-           "        texts, parts = {}, []\n",
-           '        texts, parts = _json_text.__dict__.setdefault("texts", {}), []\n',
+           "        texts = dict.fromkeys(i for i in map(id, values)\n"
+           "                              if i in seen or seen.add(i))\n",
+           '        texts = _json_chunks.__dict__.setdefault("texts", {})\n'
+           "        texts.update((i, texts.get(i)) for i in map(id, values)\n"
+           "                     if i in seen or seen.add(i))\n",
            ("test_report_writer.py::"
             "test_a_value_under_several_keys_matches_json_dumps",)),
+    # the report goes out in chunks as they come, and a failed write to
+    # standard output is an input error that leaves nothing to fail at exit
+    Mutant("_emit joins the whole report before writing", "cli.py",
+           "                fh.writelines(chunks)",
+           '                fh.write("".join(chunks))',
+           ("test_report_writer.py::"
+            "test_a_large_pair_map_report_is_written_in_blocks",)),
+    Mutant("every row-table block without its leading separator", "cli.py",
+           "yield text if a else text[len(seps[0]):]",
+           "yield text[len(seps[0]):]",
+           ("test_report_writer.py::"
+            "test_row_tables_match_json_dumps_of_their_dicts",)),
+    Mutant("standard output errors left unmapped", "cli.py",
+           "    except OSError as exc:\n"
+           "        if not output:",
+           "    except (OSError if output else ()) as exc:\n"
+           "        if not output:",
+           ("test_cli.py::"
+            "test_a_full_standard_output_exits_2_with_one_error_line",)),
+    Mutant("standard output left unflushed", "cli.py",
+           "            fh.flush()\n",
+           "",
+           ("test_cli.py::test_a_full_standard_output_exits_2_with_one_error_"
+            "line[help-flush]",)),
+    Mutant("standard output kept after a failed write", "cli.py",
+           "                os.dup2(null, fd)\n",
+           "",
+           ("test_cli.py::test_dev_full_as_standard_output_exits_2_with_one_"
+            "error_line[buffered-envelope]",)),
+    Mutant("cover splits its radii twice", "cli.py",
+           "hb = heine_borel_report(g, thresholds=thresholds, splits=splits)",
+           "hb = heine_borel_report(g, thresholds=thresholds)",
+           ("test_cli.py::test_cover_splits_each_radius_once",)),
+    Mutant("violation lhs and rhs written raw", "cli.py",
+           "[[*map(format_ext, f)] for f in fields[2:]]",
+           "[[*f] for f in fields[2:]]",
+           ("test_cli.py::"
+            "test_an_infinite_violation_side_is_written_as_the_string_inf",)),
     Mutant("nested dicts left unsorted", "cli.py",
-           "for k, v in sorted(obj.items()):",
-           "for k, v in obj.items():",
+           "for k, v in sorted(obj.items()) if is_dict else zip(obj, obj):",
+           "for k, v in obj.items() if is_dict else zip(obj, obj):",
            ("test_report_writer.py::test_hand_built_shapes_match_json_dumps",)),
     Mutant("non-str keys through str()", "cli.py",
-           "return encode_basestring_ascii(_json_text(key))",
+           'return encode_basestring_ascii("".join(_json_chunks(key)))',
            "return encode_basestring_ascii(str(key))",
            ("test_report_writer.py::test_hand_built_shapes_match_json_dumps",)),
     Mutant("empty rows laid out like the others", "cli.py",
-           "return text if all(obj) else text.replace(",
-           "return text if True else text.replace(",
+           "yield text if all(obj) else text.replace(",
+           "yield text if True else text.replace(",
            ("test_report_writer.py::"
             "test_empty_rows_are_written_inline_on_the_one_call_path",)),
     Mutant("a row boundary without the item separator", "cli.py",
@@ -510,8 +552,8 @@ MUTANTS = (
            "return names[0], None",
            (ARGV,)),
     Mutant("--help exiting 2", "cli.py",
-           "        sys.stdout.write(_help())\n        return 0",
-           "        sys.stdout.write(_help())\n        return 2",
+           "            _emit(_help(), None)\n            return 0",
+           "            _emit(_help(), None)\n            return 2",
            (ARGV,)),
     Mutant("--conorm on an additive gauge ignored", "cli.py",
            "    if args.conorm:\n"

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import logging
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quasimod import (DynamicCostSchedule, TConorm, conorm_from_name,
-                      gauge_from_json, gauge_to_json,
+from quasimod import (DynamicCostSchedule, GaugeSpec, TConorm,
+                      conorm_from_name, gauge_from_json, gauge_to_json,
                       quasi_uniformity_report, schedule_from_json,
                       schedule_to_json)
 from quasimod import cli
@@ -128,6 +129,16 @@ def test_cover_classifies_a_supplied_sequence(tmp_path):
         assert row["kind"] in ("bi", "neither")
         assert set(row) == {"radius", "scale", "kind", "i0",
                             "forward_i0", "backward_i0"}
+
+
+def test_cover_splits_each_radius_once(tmp_path, monkeypatch):
+    calls, real = [], GaugeSpec.split_radius
+    monkeypatch.setattr(GaugeSpec, "split_radius",
+                        lambda g, r: calls.append(r) or real(g, r))
+    g = random_conorm_gauge(rng_for(33), 4, TConorm.PROBABILISTIC_SUM)
+    code, doc = run(tmp_path, "cover", gauge_to_json(g))
+    radii = sorted({row["radius"] for row in doc["heine_borel"]["rows"]})
+    assert code in (0, 1) and len(radii) > 1 and sorted(calls) == radii
 
 
 def test_cover_flags_an_escaping_ball(tmp_path):
@@ -254,6 +265,18 @@ def test_graph_gauge_with_unreachable_pairs_fails_the_axioms(tmp_path):
     csv_out = tmp_path / "g.csv"
     assert main(["graph", "--input", src, "--output", str(csv_out)]) == 0
     assert "inf" in csv_out.read_text(encoding="utf-8")
+
+
+def test_an_infinite_violation_side_is_written_as_the_string_inf(tmp_path):
+    # a|b jumps to +inf at the larger scale: the lhs of every violation
+    doc = {"regime": "additive", "points": ["a", "b"], "grid": [1.0, 2.0],
+           "table": {"a|a": [0, 0], "b|b": [0, 0], "a|b": [1.0, "inf"],
+                     "b|a": [1.0, 1.0]}}
+    code, report = run(tmp_path, "check-axioms", doc)
+    violations = report["axioms"]["violations"]
+    assert code == 1 and {v["axiom"] for v in violations} == {
+        "scale-monotone", "triangle"}
+    assert {(v["lhs"], v["rhs"]) for v in violations} == {("inf", 1.0)}
 
 
 def test_graph_grid_reports_a_rounded_path_sum_as_a_triangle_witness(
@@ -507,6 +530,66 @@ def test_hostile_flags_exit_2_without_a_traceback(tmp_path, capsys, flags,
     assert main(["orlicz", "--input", src] + flags) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+class FullStdout(io.StringIO):
+    """A standard output that refuses its writes or only its flush, as a
+    full device does."""
+
+    def __init__(self, refuses):
+        super().__init__()
+        self.refuses = refuses
+
+    def write(self, text):
+        self.fail("write")
+        return super().write(text)
+
+    def flush(self):
+        self.fail("flush")
+
+    def fail(self, call):
+        if call == self.refuses:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+FULL_ARGV = [pytest.param(["envelope", "--input", "{src}"], id="envelope"),
+             pytest.param(["graph", "--input", "{graph}"], id="graph"),
+             pytest.param(["--help"], id="help")]
+
+
+@pytest.mark.parametrize("refuses", ["write", "flush"])
+@pytest.mark.parametrize("argv", FULL_ARGV)
+def test_a_full_standard_output_exits_2_with_one_error_line(
+        tmp_path, capsys, monkeypatch, argv, refuses):
+    paths = {"src": write_doc(tmp_path, "e.json", ENVELOPE_DOC),
+             "graph": write_doc(tmp_path, "g.json", LOG_GRAPH)}
+    monkeypatch.setattr(sys, "stdout", FullStdout(refuses))
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"quasimod: error: cannot write standard output: "
+        f"{os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", FULL_ARGV)
+@pytest.mark.parametrize("unbuffered", [None, "1"],
+                         ids=["buffered", "unbuffered"])
+def test_dev_full_as_standard_output_exits_2_with_one_error_line(
+        tmp_path, argv, unbuffered):
+    # a buffered standard output keeps the bytes a failed flush could not
+    # write and flushes them again at interpreter exit, which prints an
+    # ignored error and exits 120 unless main leaves nothing to fail there
+    paths = {"src": write_doc(tmp_path, "e.json", ENVELOPE_DOC),
+             "graph": write_doc(tmp_path, "g.json", LOG_GRAPH)}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "quasimod.cli",
+                               *(a.format(**paths) for a in argv)], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"quasimod: error: cannot write standard output: "
+           f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def test_reports_are_deterministic(tmp_path):

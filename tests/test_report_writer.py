@@ -1,8 +1,9 @@
 """Differential tests for the report writer.
 
-`quasimod.cli._json_text` must give exactly the text of `json.dumps(obj,
-sort_keys=True, indent=2)`, a pair map written as the dict that `row_maps`
-builds from the same distance rows. It is checked on every report the CLI
+The chunks of `quasimod.cli._json_chunks`, joined, must give exactly the
+text of `json.dumps(obj, sort_keys=True, indent=2)`, a pair map written as
+the dict that `row_maps` builds from the same distance rows. It is checked
+on every report the CLI
 writes for documents built from the conftest corpora, read as
 `reference.report` gives it, on hand-built shapes, on dicts that hold one
 value under several keys, on lists of rows some of which are empty, on
@@ -10,7 +11,10 @@ seeded random trees, on hand-built row tables read as their lists of dicts,
 violation tables among them, whose witness column holds tuples, and on the
 graph report's pair maps, laid out from the
 distance rows, for hostile vertex ids, also without json's C encoder; ids
-that would give two pairs one "x|y" key exit 2.
+that would give two pairs one "x|y" key exit 2.  Every command writes the
+same bytes to standard output as to `--output`, a pair map goes out one row
+per chunk and a row table one block of rows per chunk, and a large pair-map
+report is written without being held whole.
 
 The module needs neither pytest nor hypothesis, so it also runs as a plain
 script on any interpreter the package supports:
@@ -25,11 +29,12 @@ import math
 import os
 import random
 import tempfile
+import tracemalloc
 
 from quasimod import (TConorm, Violation, distance_matrix, gauge_to_json,
                       graph_from_json, graph_to_json, quasi_pseudometric_check)
 from quasimod import cli
-from quasimod.completeness import HeineBorelRow
+from quasimod.completeness import _HB_KEYS
 
 from conftest import (ADDITIVE_BUILDERS, corrupt_one_entry, points_named,
                       random_conorm_gauge, random_digraph,
@@ -44,6 +49,11 @@ def reference(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def written(obj):
+    """The writer's chunks of `obj`, joined: the text `cli._emit` writes."""
+    return "".join(cli._json_chunks(obj))
+
+
 def same_as_reference(obj):
     """Both texts, or both exceptions by type and message."""
     try:
@@ -51,7 +61,7 @@ def same_as_reference(obj):
     except (TypeError, ValueError) as exc:
         want = (type(exc), str(exc))
     try:
-        got = cli._json_text(obj)
+        got = written(obj)
     except (TypeError, ValueError) as exc:
         got = (type(exc), str(exc))
     return got == want
@@ -192,8 +202,11 @@ def test_axiom_reports_hand_their_violations_over_as_row_tables():
         table = report[AXIOM_DOCS[command]]["violations"]
         assert isinstance(table, cli._RowTable), command
         assert table.keys == Violation._fields, command
-        assert all(isinstance(row[1], tuple) for row in table.rows), command
-        found += len(table.rows)
+        # a column per field, lhs and rhs formatted: no tuple per violation
+        assert len(table.columns) == 4, command
+        assert all(isinstance(w, tuple) for w in table.columns[1]), command
+        assert not {"inf", "-inf"} & set(map(repr, table.columns[2])), command
+        found += len(table.columns[0])
     assert found > 0
 
 
@@ -203,10 +216,78 @@ def test_cover_reports_hand_their_record_lists_over_as_row_tables():
     for _, report, _, _ in reports:
         tables = [report["heine_borel"]["rows"], report.get("cauchy")]
         assert all(isinstance(t, cli._RowTable) for t in tables if t), report
-        rows = tables[0].rows
-        assert all(isinstance(row, HeineBorelRow) for row in rows)
-        # a row is a plain tuple of its fields, in field order
-        assert rows[0] == tuple(rows[0]) and rows[0][0] == rows[0].radius_r
+        assert tables[0].keys == _HB_KEYS
+        # a column per key, in key order, all of one length
+        for table in filter(None, tables):
+            assert len(table.columns) == len(table.keys), report
+            assert len(set(map(len, table.columns))) == 1, report
+        assert all(isinstance(r, float) for r in tables[0].columns[0])
+
+
+def test_stdout_and_output_carry_the_same_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = os.path.join(tmp, "in.json"), os.path.join(tmp, "out.json")
+        for command, doc, flags in corpus_documents():
+            with open(src, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            runs = []
+            for output in (["--output", dst], []):
+                buf, err = io.BytesIO(), io.StringIO()
+                out = io.TextIOWrapper(buf, encoding="utf-8")
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = cli.main([command, "--input", src, *output, *flags])
+                printed = buf.getvalue()
+                if output and os.path.exists(dst):
+                    assert printed == b"", command
+                    with open(dst, "rb") as fh:
+                        printed = fh.read()
+                    os.remove(dst)
+                runs.append((code, err.getvalue(), printed))
+            assert runs[0] == runs[1], (command, flags)
+
+
+def test_pair_maps_and_row_tables_go_out_by_rows():
+    rng = rng_for(4201)
+    g = graph_from_json(graph_to_json(random_strongly_connected_graph(rng, 7)))
+    table, = cli._value_texts(distance_matrix(g))
+    forward, = cli._pair_maps(g.vertices, table)
+    # one chunk per row, then the closing brace
+    assert len(list(cli._json_chunks(forward))) == 7 + 1
+    rows = [(i, (i, "w")) for i in range(2 * cli._ROWS + 1)]
+    # the opening, one chunk per block of rows, then the closing
+    assert len(list(cli._json_chunks(by_rows(("n", "w"), rows)))) == 1 + 3 + 1
+    # a small report is one chunk per container: none of its dicts streams
+    small = {"a": [1, 2], "b": {"c": [[1], []]}, "d": "x"}
+    assert len(list(cli._json_chunks(small["b"]))) == 1 + 1 + 1
+
+
+def test_a_large_pair_map_report_is_written_in_blocks():
+    peaks, real = [], cli._emit
+
+    def traced(report, output, matrix=None):
+        tracemalloc.start()
+        try:
+            real(report, output, matrix)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    doc = graph_to_json(random_strongly_connected_graph(rng_for(4202), 90))
+    cli._emit = traced
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            src, dst = os.path.join(tmp, "in.json"), \
+                os.path.join(tmp, "out.json")
+            with open(src, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            assert cli.main(["graph", "--input", src, "--output", dst]) == 0
+            size = os.path.getsize(dst)
+    finally:
+        cli._emit = real
+    # the report is never held whole: what the write allocates stays below
+    # a quarter of what it writes
+    assert size > 1 << 17 and peaks[0] < size / 4, (peaks, size)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +395,7 @@ def test_bad_rows_raise_what_json_dumps_raises():
         else:
             raise AssertionError(f"json.dumps accepted {obj!r}")
         try:
-            cli._json_text(obj)
+            written(obj)
         except TypeError as exc:
             assert str(exc) == want, obj
         else:
@@ -351,35 +432,38 @@ def test_empty_rows_are_written_inline_on_the_one_call_path():
 
 
 def test_the_fallback_without_the_c_encoder():
-    # graph reports on hostile ids, +inf entries included, luxemburg
-    # reports and one refusal, cover reports and the row tables
-    documents = [("graph", doc, []) for doc in hostile_graphs()] + \
-        [doc for doc in corpus_documents()
-         if doc[0] in ("luxemburg", "cover", "check-axioms", "envelope")]
+    # every case above and below: graph reports on hostile ids, +inf
+    # entries included, every corpus report and its refusals, the shapes,
+    # rows, trees, row tables and pair maps
+    hostile = [("graph", doc, []) for doc in hostile_graphs()]
+    documents = hostile + list(corpus_documents())
     real = cli.c_make_encoder
     cli.c_make_encoder = None
     calls = cli._flat_encoder.cache_info()
     try:
-        for obj in SHAPES[:12] + ROWS[:6]:
+        for obj in SHAPES + ROWS:
             assert same_as_reference(obj), obj
         test_a_value_under_several_keys_matches_json_dumps()
+        test_bad_rows_raise_what_json_dumps_raises()
         test_row_tables_match_json_dumps_of_their_dicts()
         test_violation_tables_match_json_dumps_of_their_dicts()
+        test_pair_maps_match_json_dumps_of_the_row_updates()
+        test_seeded_random_trees_match_json_dumps()
         reports = cli_reports(documents)
     finally:
         cli.c_make_encoder = real
     hits, misses = cli._flat_encoder.cache_info()[:2]
     assert (hits, misses) == (calls.hits, calls.misses)  # no C encoder call
     assert any('"inf"' in text for _, _, _, text in reports)
-    for (command, doc, flags), (_, report, matrix, text) in zip(documents,
-                                                                reports):
+    for k, ((command, doc, flags), (_, report, matrix, text)) in enumerate(
+            zip(documents, reports)):
         if report is None:
             continue
         # hostile costs (-0.0, 0.1, 1e300) are no sums to redo: the maps
         # are the row updates of the rows handed to the writer
         want = dict(report, **dict(zip(("forward", "backward"),
                                        row_maps(*matrix)))) \
-            if command == "graph" else definition(command, doc, flags, report)
+            if k < len(hostile) else definition(command, doc, flags, report)
         assert text == reference(want) + "\n", command
 
 
@@ -387,41 +471,47 @@ def test_the_fallback_without_the_c_encoder():
 # hand-built row tables
 
 
+def by_rows(keys, rows):
+    """A row table of hand-built rows, by columns as the CLI builds it."""
+    return cli._RowTable(keys, list(zip(*rows)))
+
+
 ROW_TABLES = [
-    cli._RowTable(("a", "b"), []),
-    cli._RowTable(("radius",), [(0.5,)]),
-    cli._RowTable(("z", "a", "m", "B"), [(1, 2, 3, 4), (5, 6, 7, 8)]),
+    by_rows(("a", "b"), []),
+    by_rows(("radius",), [(0.5,)]),
+    by_rows(("z", "a", "m", "B"), [(1, 2, 3, 4), (5, 6, 7, 8)]),
     # values that compare equal but print apart share no text
-    cli._RowTable(("x", "y"), [(0.0, 1), (-0.0, 1), (0.0, -0.0), (-0.0, 0)]),
-    cli._RowTable(("v",), [(True,), (1,), (1.0,), (False,), (0,), (0.0,),
+    by_rows(("x", "y"), [(0.0, 1), (-0.0, 1), (0.0, -0.0), (-0.0, 0)]),
+    by_rows(("v",), [(True,), (1,), (1.0,), (False,), (0,), (0.0,),
                            (-0.0,), (True,), (1,), (None,)]),
     # two number types in a column: bool and int, int and float
-    cli._RowTable(("b", "f"), [(True, 1), (1, 1.0), (False, 2.0), (0, 2),
+    by_rows(("b", "f"), [(True, 1), (1, 1.0), (False, 2.0), (0, 2),
                                (1, 1.0), (True, 2)]),
-    cli._RowTable(("n", "f"), [(None, math.inf), (None, -math.inf),
+    by_rows(("n", "f"), [(None, math.inf), (None, -math.inf),
                                (1, math.nan), (None, math.nan),
                                (2 ** 70, float("nan"))]),
-    cli._RowTable(("s", "\"quoted\" key", "ключ"), [
+    by_rows(("s", "\"quoted\" key", "ключ"), [
         ('say "hi"', "100%", "a|b"), ("é", "☃ \U0001F600", "|"),
         ("back\\slash", "line\nbreak", ""), ('say "hi"', "100%", "a|b")]),
-    cli._RowTable(("a", "b"), [("}", "]"), ("{", "["), (BOUNDARY, ",\n  ")]),
-    # no keys: each row is an empty dict
-    cli._RowTable((), [(), ()]),
+    by_rows(("a", "b"), [("}", "]"), ("{", "["), (BOUNDARY, ",\n  ")]),
     # witness-style columns, written in one encoder call when every value
     # is a flat list or tuple: lists beside tuples, every scalar kind, a
     # string that reads like a row boundary, and empty witnesses
-    cli._RowTable(("w", "k"), [
+    by_rows(("w", "k"), [
         ([1, 2.5], "a"), ((True, None, math.inf, -0.0), "b"),
         (("],\n      [", BOUNDARY, "é"), "c"), ((), "d"), ([], "e"),
         ((10 ** 30, math.nan, "x"), "f")]),
-    cli._RowTable(("w",), [((),), ([],), ((),)]),
+    by_rows(("w",), [((),), ([],), ((),)]),
     # a witness that holds a container is no flat row
-    cli._RowTable(("w", "k"), [((1, (2,)), 0), ((3,), 1), ([[]], 2)]),
+    by_rows(("w", "k"), [((1, (2,)), 0), ((3,), 1), ([[]], 2)]),
+    # more rows than one chunk holds: each block is laid out on its own
+    by_rows(("w", "i", "f"), [((i, "x") if i % 3 else (), i, i % 2 * 0.5)
+                              for i in range(2 * cli._ROWS + 3)]),
 ]
 
 
 def row_table_dicts(table):
-    return [dict(zip(table.keys, row)) for row in table.rows]
+    return [dict(zip(table.keys, row)) for row in zip(*table.columns)]
 
 
 def test_row_tables_match_json_dumps_of_their_dicts():
@@ -431,41 +521,41 @@ def test_row_tables_match_json_dumps_of_their_dicts():
         for obj, old in ((table, dicts), ({"t": table, "ok": True},
                                           {"t": dicts, "ok": True}),
                          ([[table], {"b": table}], [[dicts], {"b": dicts}])):
-            assert cli._json_text(obj) == reference(old), table
-    assert cli._json_text(ROW_TABLES[0]) == "[]"
+            assert written(obj) == reference(old), table
+    assert written(ROW_TABLES[0]) == "[]"
 
 
 # The witness column holds tuples, each written as a nested list at the
 # row's value depth; tuples that compare equal can print apart.
 VIOLATION_TABLES = [
     # points of three types beside float scales
-    cli._RowTable(Violation._fields, [
+    by_rows(Violation._fields, [
         ("triangle", (0, "b", 2.5, 1.0, 2.0), 1.5, 1.0),
         ("zero-self", ("b", 0.5), 0.25, 0.0),
         ("scale-monotone", (2.5, 0, 1.0, 4.0), 1.0, 0.5),
         ("triangle", (0, "b", 2.5, 1.0, 2.0), 1.5, 1.0)]),
     # "inf" on the left, -0.0 and 0.0 in one rhs column
-    cli._RowTable(Violation._fields, [
+    by_rows(Violation._fields, [
         ("scale-monotone", ("a", "b", 1.0, 2.0), "inf", -0.0),
         ("scale-monotone", ("a", "c", 1.0, 2.0), 1.0, 0.0),
         ("triangle", ("a", "b", "c", 1.0, 1.0), "inf", 2.0),
         ("scale-monotone", ("b", "c", 1.0, 2.0), 0.5, -0.0)]),
     # witnesses equal as tuples that print apart
-    cli._RowTable(Violation._fields, [
+    by_rows(Violation._fields, [
         ("zero-self", (0.0,), 1.0, 0.0), ("zero-self", (-0.0,), 1.0, 0.0),
         ("zero-self", (1,), 1, 0.0), ("zero-self", (1.0,), 1.0, 0.0),
         ("zero-self", (True, 1), True, 0.0), ("zero-self", (1, True), 1, 0)]),
     # strings that hold brackets, separators and escapes
-    cli._RowTable(Violation._fields, [
+    by_rows(Violation._fields, [
         ("triangle", ("]", "[", BOUNDARY, "line\nbreak", "é"), 2.0, 1.0),
         ("triangle", ("},\n", '"', "\\", "☃", ""), "inf", 1.0)]),
     # empty witnesses, alone, first, last and between
-    cli._RowTable(Violation._fields, [("a", (), 1.0, 0.0)]),
-    cli._RowTable(Violation._fields, [
+    by_rows(Violation._fields, [("a", (), 1.0, 0.0)]),
+    by_rows(Violation._fields, [
         ("a", (), 1.0, 0.0), ("b", ("x", 1.0), 2.0, 1.0), ("c", (), 0.5, 0.0),
         ("d", ("y",), 1.0, 0.5), ("e", (), "inf", 0.0)]),
     # an empty violation list
-    cli._RowTable(Violation._fields, []),
+    by_rows(Violation._fields, []),
 ]
 
 
@@ -478,8 +568,8 @@ def test_violation_tables_match_json_dumps_of_their_dicts():
                           {"checked": ["triangle"], "violations": dicts}),
                          ([[table], {"b": {"c": table}}],
                           [[dicts], {"b": {"c": dicts}}])):
-            assert cli._json_text(obj) == reference(old), table
-    assert cli._json_text(VIOLATION_TABLES[-1]) == "[]"
+            assert written(obj) == reference(old), table
+    assert written(VIOLATION_TABLES[-1]) == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +624,17 @@ def test_pair_maps_match_json_dumps_of_the_row_updates():
                                            list(zip(*table)))
         want = row_maps(g.vertices, rows)
         for got, old in zip((forward, backward), want):
-            text = cli._json_text(got)
+            text = written(got)
             assert text == reference(old), doc
             assert list(json.loads(text)) == sorted(old), doc
         report = {"forward": forward, "backward": backward}
         old = dict(zip(report, want))
-        assert cli._json_text(report) == reference(old)
+        assert written(report) == reference(old)
         # a pair map is laid out at whatever depth it sits
         for nested, old_nested in ((forward, want[0]), ([report], [old]),
                                    ({"a": [{"b": backward}]},
                                     {"a": [{"b": want[1]}]})):
-            assert cli._json_text(nested) == reference(old_nested), doc
+            assert written(nested) == reference(old_nested), doc
 
 
 def test_vertex_ids_that_share_a_pair_key_exit_2():
