@@ -52,26 +52,27 @@ def classify_cauchy(points, g: GaugeSpec, r: float,
     "neither"; asymmetry shows in `forward_i0` and `backward_i0`."""
     seq = _sequence(points)
     _check_radius(r)
-    return _tails(_BallRows(g, seq), t, (r,))[0]
+    return _tails(g, list(map(g.index, seq)), t, (r,))[0]
 
 
 def classify_cauchy_thresholds(points, g: GaugeSpec,
                                thresholds: ThresholdSet) -> list[tuple]:
     """(r, t, classify_cauchy(points, g, r, t)) for every threshold pair,
     read scale by scale from the suffix maxima."""
-    balls, radii = _BallRows(g, _sequence(points)), thresholds.radii
+    idx, radii = list(map(g.index, _sequence(points))), thresholds.radii
     for r in radii[:1]:  # as row by row: the first radius before any matrix
         _check_radius(r)
-    columns = [_tails(balls, t, radii) for t in thresholds.scales if radii]
+    columns = [_tails(g, idx, t, radii) for t in thresholds.scales if radii]
     for r in radii:
         _check_radius(r)
     return list(map(add, thresholds.pairs(),  # (r, t) + (c,) per pair
                     zip(chain.from_iterable(zip(*columns)))))
 
 
-def _tails(balls: _BallRows, t: float, radii) -> list:
-    """The classification at each radius by the suffix maxima S, last first."""
-    mat, idx = balls.sweep(t).mat, balls.idx
+def _tails(g: GaugeSpec, idx: list[int], t: float, radii) -> list:
+    """The classification at each radius by the suffix maxima S, last first,
+    read from g.matrix(t) at the sequence's indices: no sorted sweep."""
+    mat = g.matrix(t)
     fwd = [list(map(mat[a].__getitem__, idx)) for a in idx]
     ranks = list(zip(*[map(bisect_left, repeat(list(accumulate(
         [max(side[i][i:]) for i in reversed(range(len(idx)))], max))), radii)

@@ -56,16 +56,11 @@ PAIR_MAPS = ("test_report_writer.py::"
              "test_pair_maps_match_json_dumps_of_the_row_updates")
 GUARD = ("test_bisection_guard.py::"
          "test_guard_matches_the_rescanning_guard_on_seeded_maps")
-VALUE_EQUAL = "test_cli.py::test_ambiguous_ids_and_non_list_sequences_exit_2"
+ROWS = "test_contract.py::test_command_rows"
+READERS = "test_contract.py::test_reader_rows"
 FLAGS = "test_reference.py::test_each_command_refuses_the_flags_it_does_not_read"
-NUMBER_TABLES = ("test_records.py::"
-                 "test_distance_tables_read_numbers_by_the_number_rule")
-NUMBER_FUNCTIONS = ("test_records.py::"
-                    "test_function_values_read_numbers_by_the_number_rule")
 ARGV = "test_argv.py::test_the_reader_reads_each_line_as_the_replaced_parser"
 PINNED_ARGV = "test_argv.py::test_pinned_lines"
-SAMPLE_IDS = ("test_records.py::"
-              "test_one_sided_integral_functions_name_exactly_the_sample_ids")
 
 MUTANTS = (
     # check_axioms: witness order, splits and the triangle law
@@ -169,45 +164,41 @@ MUTANTS = (
            "if set(map(type, row)) <= {int, float, bool}:",
            ("test_extreal.py::"
             "test_numbers_reads_a_row_as_number_reads_each_value[bool]",
-            "test_records.py::test_constructors_read_numbers_by_the_number_"
-            "rule[grid-bool]")),
+            f"{READERS}[grid-bool]")),
     Mutant("GaugeSpec without its range pass", "gauges.py",
            "if not all(map(_NONNEGATIVE, row)):  # name a negative or NaN",
            "if False:",
-           ("test_records.py::"
-            "test_profiles_and_table_rows_read_inf_and_keep_the_ray",
-            "test_cli.py::test_gauge_table_values_outside_the_extended_ray_"
-            "exit_2[check-axioms-negative]")),
+           (f"{READERS}[table-value-negative]", f"{ROWS}[gauge-table-negative]")),
     # the one reader of a distance table, and the one-sided integral's masses
     Mutant("distance table read by float()", "gauges.py",
            "numbers([get((x, y), 0.0 if x == y else INF) for y in ys],\n"
            '                    f"{what} row for {x!r}")',
            "[float(get((x, y), 0.0 if x == y else INF)) for y in ys]",
-           (f"{NUMBER_TABLES}[min-cap-bool]", f"{NUMBER_TABLES}[check-string]")),
+           (f"{READERS}[min-cap-bool]", f"{READERS}[check-string]")),
     Mutant("envelopes read distances raw", "envelopes.py",
            '    rows = _table_rows(d, points, f.domain, "distance")',
            "    rows = [[d.get((x, a), 0.0 if x == a else float('inf'))\n"
            "             for a in f.domain] for x in points]",
-           (f"{NUMBER_TABLES}[upper-bool]",)),
+           (f"{READERS}[upper-bool]",)),
     Mutant("one-sided integral masses read raw", "gauges.py",
            'masses = {i: number(m, f"mass at {i!r}") '
            'for i, m in dict(masses).items()}',
            "masses = dict(masses)",
-           (f"{NUMBER_TABLES}[mass-bool]",)),
+           (f"{READERS}[integral-mass-bool]",)),
     # what a caller's function returns, and the one-sided integral's ids
     Mutant("closed form read by float()", "gauges.py",
            'v if type(v) is float else number(v, "gauge value")',
            "float(v)",
-           (f"{NUMBER_FUNCTIONS}[closed-form-value-bool]",
-            f"{NUMBER_FUNCTIONS}[closed-form-matrix-string]")),
+           (f"{READERS}[closed-form-value-bool]",
+            f"{READERS}[closed-form-matrix-string]")),
     Mutant("scale map read by float()", "luxemburg.py",
            'v = number(value_at(lam), "value_at value")',
            "v = float(value_at(lam))",
-           (f"{NUMBER_FUNCTIONS}[scale-map-bool]",)),
+           (f"{READERS}[scale-map-bool]",)),
     Mutant("transport metric read raw", "completeness.py",
            'd_image = number(image_metric(u, v), "image_metric value")',
            "d_image = image_metric(u, v)",
-           (f"{NUMBER_FUNCTIONS}[image-metric-bool]",)),
+           (f"{READERS}[image-metric-bool]",)),
     Mutant("one-sided integral skips the sample-id check", "gauges.py",
            "        missing = [i for i in masses if i not in f]\n"
            "        if missing:\n"
@@ -218,7 +209,7 @@ MUTANTS = (
            '                raise ValueError(f"value of {fid!r} for unknown '
            'sample id {i!r}")\n',
            "        for i, v in f.items():\n",
-           (f"{SAMPLE_IDS}[missing]", f"{SAMPLE_IDS}[unknown]")),
+           (f"{READERS}[sample-ids-missing]", f"{READERS}[sample-ids-unknown]")),
     Mutant("check-axioms accepting a .csv output", "cli.py",
            '"check-axioms": (cmd_check_axioms, ("grid", "conorm")),',
            '"check-axioms": (cmd_check_axioms, ("grid", "conorm", "csv")),',
@@ -258,6 +249,10 @@ MUTANTS = (
     Mutant("a row source that rebuilds every call", "topology.py",
            "return self.built.get(cut) or self.build(cut)",
            "return self.build(cut)",
+           (ROW_BUILDS,)),
+    Mutant("Cauchy scan sorting a sweep again", "completeness.py",
+           "    mat = g.matrix(t)\n",
+           "    mat = _BallRows(g).sweep(t).mat\n",
            (ROW_BUILDS,)),
     Mutant("one sort per scale instead of per matrix", "topology.py",
            "sweep = self._sweeps.get(id(mat))",
@@ -512,9 +507,7 @@ MUTANTS = (
            'nonincreasing "\n'
            '                         f"in the scale: {exc}") from None',
            '        return {"command": "luxemburg", "error": str(exc)}, False',
-           ("test_cli.py::test_luxemburg_rejects_nonmonotone_and_conorm_gauges",
-            "test_cli.py::"
-            "test_luxemburg_exits_2_on_a_row_that_rises_past_its_infimum",
+           (f"{ROWS}[luxemburg-rising]", f"{ROWS}[luxemburg-rise-past-infimum]",
             "test_cli.py::test_debug_logging_goes_to_stderr_only"
             "[luxemburg-error]", f"{REF}[luxemburg-corrupted0]")),
     # the orlicz computation maps only the families' refusals to exit 2
@@ -525,7 +518,11 @@ MUTANTS = (
            '        raise InputError(f"bad orlicz document: {exc}")',
            ("test_cli.py::"
             "test_a_fault_in_the_orlicz_computation_is_not_an_input_error",)),
-    # each command takes only the flags it reads
+    # each command takes only the flags it reads, and says so in its words
+    Mutant("refusal line reworded", "cli.py",
+           'raise InputError(f"{command} takes no --{flag}")',
+           'raise InputError(f"{command} does not take --{flag}")',
+           (f"{ROWS}[unread-tol]",)),
     Mutant("an unread flag accepted: --grid on every command", "cli.py",
            "if values[flag] is not None and flag not in reads:",
            'if values[flag] is not None and flag not in reads + ("grid",):',
@@ -566,31 +563,28 @@ MUTANTS = (
     Mutant("decode_ids without the value check", "extreal.py",
            "    if len(set(ids)) != len(ids):",
            "    if len(set(ids)) != len(ids) and False:",
-           (f"{VALUE_EQUAL}[envelope-int-float]",
-            f"{VALUE_EQUAL}[envelope-bool-int]")),
+           (f"{ROWS}[envelope-int-float]", f"{ROWS}[envelope-bool-int]")),
     Mutant("keyed_numbers with its own id map", "extreal.py",
            "    by_str = decode_ids(ids, noun)\n    out = {}",
            "    by_str = {str(i): i for i in ids}\n"
            "    if len(by_str) != len(ids):\n"
            '        raise ValueError(f"{noun} ids must stringify uniquely")\n'
            "    out = {}",
-           (f"{VALUE_EQUAL}[orlicz-int-float]", f"{VALUE_EQUAL}[orlicz-bool-int]",
-            f"{VALUE_EQUAL}[orlicz-str-collision]", f"{VALUE_EQUAL}[orlicz-bar]")),
+           (f"{ROWS}[orlicz-int-float]", f"{ROWS}[orlicz-bool-int]",
+            f"{ROWS}[orlicz-str-collision]", f"{ROWS}[orlicz-bar]")),
     Mutant("point_resolver matching by equality first", "extreal.py",
            "        if str(i) not in by_str:",
            "        if i in by_str.values():\n"
            "            return next(p for p in by_str.values() if p == i)\n"
            "        if str(i) not in by_str:",
-           (f"{VALUE_EQUAL}[cover-bool-sequence]",
-            f"{VALUE_EQUAL}[cover-float-sequence]",
+           (f"{ROWS}[cover-bool-sequence]", f"{ROWS}[cover-float-sequence]",
             "test_cli.py::test_point_ids_resolve_like_the_per_id_scan")),
     Mutant("PartialFunction keeps its values unread", "envelopes.py",
            'values = {a: number(values[a], f"value at {a!r}") for a in domain}',
            "values = {a: values[a] for a in domain}",
            ("test_envelopes.py::"
             "test_partial_function_reads_its_values_by_the_number_rule[bool]",
-            "test_cli.py::"
-            "test_every_numeric_field_refuses_non_numbers[envelope-value-true]")),
+            f"{ROWS}[envelope-value-true]")),
     # conorms
     Mutant("no r/4 fallback in half_radius", "conorms.py",
            "return h if self.law(h, h) < r else r / 4.0",

@@ -3,7 +3,8 @@
 The library quick start is executed and each `print` must write the text
 of the comments on its lines.  The command-line examples are run through
 `quasimod.cli.main` on the documents the README shows (or describes), and
-their reports and exit codes are compared with the README's.
+their reports and exit codes are compared with the README's.  Every
+`quasimod: error:` line the README quotes is a row of `tests/contract.py`.
 """
 
 import ast
@@ -16,6 +17,8 @@ import tokenize
 from pathlib import Path
 
 from quasimod.cli import main
+
+from contract import COMMAND_ROWS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
     encoding="utf-8")
@@ -129,3 +132,11 @@ def test_graph_grid_rounding_example(tmp_path, capsys):
     assert {"axiom": "triangle", "witness": json.loads(witness.group(1)),
             "lhs": float(witness.group(2)), "rhs": float(witness.group(3))} \
         in report["axioms"]["violations"]
+
+
+def test_every_quoted_error_line_is_a_contract_row():
+    quoted = [" ".join(span.split()) for span in
+              re.findall(r"`(quasimod: error: [^`]+)`", README)]
+    assert quoted
+    rows = {f"quasimod: error: {row.error}" for row in COMMAND_ROWS}
+    assert [line for line in quoted if line not in rows] == []

@@ -7,14 +7,10 @@ import copy
 import importlib
 import inspect
 import json
-import math
 import os
 import pickle
-import re
 import subprocess
 import sys
-from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,28 +18,17 @@ import pytest
 from quasimod import (INF, AxiomReport, CauchyClassification, CoverResult,
                       DirectedGraph, DiscreteMeasureSpace, DynamicCostSchedule,
                       Edge, FiniteTopology, GaugeSpec, JoinReport, LpNet,
-                      LpTailReport, LuxemburgResult, MusielakOrlicz,
-                      OneSidedPair, PartialFunction, Profile, Regime,
-                      ScaleGrid, TransportResult, TruncatedSequenceFamily,
-                      UnitBallReport, check_axioms, critical_thresholds,
-                      heine_borel_report, lower_envelope,
-                      luxemburg_infimum, make_classical_modular, make_min_cap,
-                      make_one_sided_integral, make_ratio, make_scaled_metric,
-                      make_sublinear, quasi_pseudometric_check,
-                      transport_total_boundedness, upper_envelope,
+                      LpTailReport, LuxemburgResult, OneSidedPair,
+                      PartialFunction, Profile, ScaleGrid, TransportResult,
+                      TruncatedSequenceFamily, UnitBallReport, check_axioms,
+                      critical_thresholds, heine_borel_report, make_min_cap,
                       verify_join_equality)
+
+from contract import (GRID, INF_READS, NUMBER_READERS, PHI, ROW, TABLE,
+                      broken, check, row_test, rows_test, table_gauge)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-GRID = ScaleGrid((1.0, 2.0))
-TABLE = {("a", "b"): (2.0, 1.0), ("b", "a"): (1.0, 0.5)}
-
-
-def table_gauge(table=TABLE):
-    return GaugeSpec(Regime.ADDITIVE, ("a", "b"), grid=GRID, table=table)
-
-
-PHI = MusielakOrlicz.variable_exponent({"x": 2.0})
 TOPOLOGY = FiniteTopology(("a", "b"), (1, 3))
 
 # one instance of every record class, by class name
@@ -251,202 +236,54 @@ def test_reprs_name_the_fields():
         "claims_symmetric=False, claims_convex=False, name='gauge')")
 
 
-def test_constructor_errors_are_unchanged():
-    with pytest.raises(ValueError, match=re.escape(
-            "edge measure must be positive, got 0.0")):
-        Edge("a", "b", 0.0, 1.0)
-    with pytest.raises(ValueError, match="scales must be strictly increasing"):
-        ScaleGrid((2.0, 1.0))
-    with pytest.raises(ValueError, match="one value per grid scale"):
-        Profile(GRID, (1.0,))
-    with pytest.raises(ValueError, match="exactly one of fn or table"):
-        GaugeSpec(Regime.ADDITIVE, ("a",))
-
-
-# each number a constructor reads, by the number rule of the JSON readers:
-# float() read True as 1.0, and "2" and 10 ** 400 got through or raised
-# something else; each row is (build from the value, the field's name)
-NUMBER_FIELDS = {
-    "grid": (lambda v: ScaleGrid((v, 2.0)), "grid"),
-    "edge-mu": (lambda v: Edge("a", "b", v, 1.0), "edge mu"),
-    "vertex-measure": (lambda v: DirectedGraph(("a",), (), {"a": v}),
-                       "measure at 'a'"),
-    "mass": (lambda v: DiscreteMeasureSpace(("x",), {"x": v}), "mass at 'x'"),
-    "exponent": (lambda v: MusielakOrlicz.variable_exponent({"x": v}),
-                 "exponent at 'x'"),
-    "double-phase-p": (lambda v: MusielakOrlicz.double_phase(v, 3.0, {}), "p"),
-    "double-phase-q": (lambda v: MusielakOrlicz.double_phase(1.0, v, {}), "q"),
-    "double-phase-a": (lambda v: MusielakOrlicz.double_phase(
-        1.0, 2.0, {"x": v}), "a at 'x'"),
-    "weight": (lambda v: MusielakOrlicz.weighted(PHI, {"x": v}), "w at 'x'"),
-    "lipschitz": (lambda v: PartialFunction(("a",), {"a": 1.0}, v),
-                  "lipschitz"),
-    "member": (lambda v: TruncatedSequenceFamily(((v, 2),), 2),
-               "member value"),
-    "sequence-exponent": (lambda v: TruncatedSequenceFamily(((1.0,),), v),
-                          "exponent"),
-    "profile-value": (lambda v: Profile(GRID, (v, 0.0)), "profile value"),
-    "table-value": (lambda v: table_gauge({**TABLE, ("a", "b"): (v, 0.0)}),
-                    "table value for ('a', 'b')"),
-    "sublinear": (lambda v: make_sublinear(lambda d: v if d else 0.0,
-                                           (0.0, 1.0)), "p(1.0)"),
-}
-
-
-@pytest.mark.parametrize("value", [True, "2", 10 ** 400],
-                         ids=["bool", "string", "huge"])
-@pytest.mark.parametrize("field", NUMBER_FIELDS)
-def test_constructors_read_numbers_by_the_number_rule(field, value):
-    build, name = NUMBER_FIELDS[field]
-    with pytest.raises(ValueError) as refused:
-        build(value)
-    assert str(refused.value) == (
-        f"{name} is too large for a float: an integer of 1329 bits"
-        if value == 10 ** 400 else
-        f'{name} must be a number or "inf", got {value!r}')
-
-
 def test_profiles_and_table_rows_read_inf_and_keep_the_ray():
     """"inf" is +inf in a profile and a table row, as in a document; a
     negative or NaN value keeps the range message."""
+    assert not broken("profile-value-negative", "profile-value-nan",
+                      "table-value-negative", "table-value-nan")
     assert Profile(GRID, ("inf", 0.0)).values == (INF, 0.0)
     assert table_gauge({**TABLE, ("a", "b"): ("inf", 0)}).table["a", "b"] \
         == (INF, 0.0)
-    for bad in (-1, math.nan):
-        with pytest.raises(ValueError, match=re.escape(
-                f"profile value must be a nonnegative real or +inf, "
-                f"got {float(bad)!r}")):
-            Profile(GRID, (1.0, bad))
-        with pytest.raises(ValueError, match=re.escape(
-                f"table value for ('a', 'b') must be a nonnegative real or "
-                f"+inf, got {float(bad)!r}")):
-            table_gauge({**TABLE, ("a", "b"): (1, bad)})
 
 
-DATUM = PartialFunction(("a",), {"a": 1.0}, 1.0)
+# ---------------------------------------------------------------------------
+# readers: the rows of tests/contract.py that each test below held before
+# the table, under the ids it had then
+
+test_constructor_errors_are_unchanged = row_test(
+    "edge-zero-mu", "grid-decreasing", "profile-short", "gauge-neither")
+test_one_sided_integral_functions_name_exactly_the_sample_ids = rows_test({
+    case: f"sample-ids-{case}" for case in ("missing", "unknown")})
+test_constructors_read_numbers_by_the_number_rule = rows_test([
+    f"{reader}-{value}" for reader in (
+        "grid", "edge-mu", "vertex-measure", "mass", "exponent",
+        "double-phase-p", "double-phase-q", "double-phase-a", "weight",
+        "lipschitz", "member", "sequence-exponent", "profile-value",
+        "table-value", "sublinear")
+    for value in ("bool", "string", "huge")])
+test_function_values_read_numbers_by_the_number_rule = rows_test([
+    f"{reader}-{value}" for reader in (
+        "closed-form-matrix", "closed-form-value", "rho-zero", "rho-symmetry",
+        "rho-ray", "p-zero", "phi-zero", "phi-sum", "scale-map",
+        "image-metric", "source-metric")
+    for value in ("bool", "string", "fraction", "decimal", "huge")])
 
 
-def integral(masses, values):
-    return make_one_sided_integral(masses, lambda t: t,
-                                   {"f": values, "g": {0: 0.0}})
+# the readers of a distance table, then make_one_sided_integral's masses
+# and function values, by the names they had
+TABLE_READERS = {**{r: r for r in INF_READS}, "mass": "integral-mass",
+                 "function-value": "function-value"}
 
 
-# each reader of a distance table, then make_one_sided_integral's masses and
-# function values: (build from the value, the name in number's message, what
-# "inf" builds or the message that refuses it); float() read True, "2" got
-# through or ended in a TypeError, and 10 ** 400 in an OverflowError
-TABLE_READERS = {
-    "min-cap": (lambda v: make_min_cap({("a", "b"): v}).value("a", "b", 1e300),
-                "rho row for 'a'", 1e300),
-    "ratio": (lambda v: make_ratio({("a", "b"): v}).value("a", "b", 1.0),
-              "p row for 'a'", 1.0 - 2.0 ** -52),
-    "scaled-metric": (lambda v: make_scaled_metric(
-        {("a", "b"): v}, Profile(GRID, (1.0, 0.5))).table["a", "b"],
-        "d row for 'a'", (INF, INF)),
-    # a left-out pair is +inf, so a -> c breaks the triangle unless a -> b
-    # is +inf too
-    "check": (lambda v: quasi_pseudometric_check(
-        {("a", "b"): v, ("b", "c"): 1.0}, "abc").violations,
-        "distance row for 'a'", ()),
-    "upper": (lambda v: upper_envelope(DATUM, {("b", "a"): v}, iter("ab")),
-              "distance row for 'b'", {"a": 1.0, "b": INF}),
-    "lower": (lambda v: lower_envelope(DATUM, {("a", "b"): v},
-                                       (p for p in "ab")),
-              "distance row for 'a'", {"a": 1.0, "b": -INF}),
-    "mass": (lambda v: integral({0: v}, {0: 1.0}), "mass at 0",
-             "mass at 0 must be positive and finite, got inf"),
-    "function-value": (lambda v: integral({0: 1.0}, {0: v}),
-                       "value of 'f' at 0",
-                       "value of 'f' at 0 must be finite, got inf"),
-}
-
-
-@pytest.mark.parametrize("value", [True, "2", Fraction(1, 2), Decimal("1"),
-                                   10 ** 400, "inf"],
-                         ids=["bool", "string", "fraction", "decimal", "huge",
-                              "inf"])
+@pytest.mark.parametrize("value", ["bool", "string", "fraction", "decimal",
+                                   "huge", "inf"])
 @pytest.mark.parametrize("reader", TABLE_READERS)
 def test_distance_tables_read_numbers_by_the_number_rule(reader, value):
-    build, name, on_inf = TABLE_READERS[reader]
-    if value == "inf" and not isinstance(on_inf, str):
-        assert build(value) == on_inf
-        return
-    with pytest.raises(ValueError) as refused:
-        build(value)
-    assert str(refused.value) == (
-        on_inf if value == "inf" else
-        f"{name} is too large for a float: an integer of 1329 bits"
-        if value == 10 ** 400 else
-        f'{name} must be a number or "inf", got {value!r}')
-
-
-def closed_form(v):
-    return GaugeSpec(Regime.ADDITIVE, ("a", "b"),
-                     fn=lambda x, y, t: v if x != y else 0)
-
-
-def near(x, y):
-    return 0.0
-
-
-# each reader of what a caller's function returns: (build from the value
-# the function returns, the name in number's message); float() read True,
-# "2", Fraction(1, 2) and Decimal("1"), or they were compared raw, and
-# 10 ** 400 ended in an OverflowError
-FUNCTION_READERS = {
-    "closed-form-matrix": (lambda v: closed_form(v).matrix(1.0),
-                           "gauge value"),
-    "closed-form-value": (lambda v: closed_form(v).value("a", "b", 1.0),
-                          "gauge value"),
-    "rho-zero": (lambda v: make_classical_modular(lambda d: v, (0.0, 1.0)),
-                 "rho(0)"),
-    # rho(1) and rho(-1), which the symmetry claim compares
-    "rho-symmetry": (lambda v: make_classical_modular(
-        lambda d: v if d else 0, (0.0, 1.0)), "rho value"),
-    # rho(0.25), on the convexity ray only
-    "rho-ray": (lambda v: make_classical_modular(
-        lambda d: v if abs(d) == 0.25 else abs(d), (0.0, 1.0)), "rho value"),
-    "p-zero": (lambda v: make_sublinear(lambda d: v, (0.0, 1.0)), "p(0)"),
-    "phi-zero": (lambda v: make_one_sided_integral(
-        {0: 1.0}, lambda t: v, {"f": {0: 1.0}}), "Phi(0)"),
-    "phi-sum": (lambda v: make_one_sided_integral(
-        {0: 1.0}, lambda t: v if t else 0, {"f": {0: 1.0}, "g": {0: 0.0}}),
-        "Phi value"),
-    "scale-map": (lambda v: luxemburg_infimum(lambda lam: v),
-                  "value_at value"),
-    "image-metric": (lambda v: transport_total_boundedness(
-        "ab", "ab", near, lambda x, y: v, 1.0, 1.0), "image_metric value"),
-    "source-metric": (lambda v: transport_total_boundedness(
-        "ab", "ab", lambda x, y: v, near, 1.0, 1.0), "source_metric value"),
-}
-
-
-@pytest.mark.parametrize("value", [True, "2", Fraction(1, 2), Decimal("1"),
-                                   10 ** 400],
-                         ids=["bool", "string", "fraction", "decimal",
-                              "huge"])
-@pytest.mark.parametrize("reader", FUNCTION_READERS)
-def test_function_values_read_numbers_by_the_number_rule(reader, value):
-    build, name = FUNCTION_READERS[reader]
-    with pytest.raises(ValueError) as refused:
-        build(value)
-    assert str(refused.value) == (
-        f"{name} is too large for a float: an integer of 1329 bits"
-        if value == 10 ** 400 else
-        f'{name} must be a number or "inf", got {value!r}')
-
-
-@pytest.mark.parametrize("masses, values, message", [
-    ({0: 1.0, 1: 1.0}, {0: 1.0}, "function 'f' misses sample ids [1]"),
-    ({0: 1.0}, {0: 1.0, 5: 3.0}, "value of 'f' for unknown sample id 5"),
-], ids=["missing", "unknown"])
-def test_one_sided_integral_functions_name_exactly_the_sample_ids(
-        masses, values, message):
-    """A raw KeyError, or a value at an id with no mass silently left out."""
-    with pytest.raises(ValueError) as refused:
-        make_one_sided_integral(masses, lambda t: t,
-                                {"f": values, "g": dict.fromkeys(masses, 0.0)})
-    assert str(refused.value) == message
+    name = TABLE_READERS[reader]
+    if value == "inf" and name in INF_READS:  # +inf, as in a document
+        assert NUMBER_READERS[name][0]("inf") == INF_READS[name]
+    else:
+        assert check(ROW[f"{name}-{value}"]) is None
 
 
 def test_replace_goes_through_the_checks():
