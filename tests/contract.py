@@ -4,16 +4,16 @@ library's readers.
 A command row is a name, a command line, the document it reads as
 `in.json` (or none), an exit code and the exact `quasimod: error:` line.
 A run keeps the row when it exits with that code, writes no standard
-output and no file, and writes that line to standard error (after one
-usage line where the command line itself is refused).  A reader row is a
-name, an entry point, the bad value it is called with and the exact
-message of the ValueError it raises.  `tests/test_contract.py` runs every
-row in process; `tests/test_readme.py` requires every error line the
-README quotes to be some command row's.
+output and no file, and writes to standard error that line alone, or the
+usage line and then that line where the command line itself is refused.
+A reader row is a name, an entry point, the bad value it is called with
+and the exact message of the ValueError it raises.  Tier-1 runs every row
+in process, each under one test id (see HELD); `tests/test_readme.py`
+requires every error line the README quotes to be some command row's.
 
     python tests/contract.py
 
-runs the command rows marked `ci` against the `quasimod` on PATH, each in
+runs the command rows named in CI against the `quasimod` on PATH, each in
 an empty temporary directory, prints what each failing row got, and exits
 1 if any row fails.
 """
@@ -126,17 +126,17 @@ class Row(NamedTuple):
     doc: object  # in.json: json.dumps of it, a str or bytes as it is, or none
     code: int
     error: str  # the line after "quasimod: error: "
-    ci: bool
+    usage: bool  # the usage line comes first: the command line is refused
 
 
 # the rows the installed console script runs too: an unread flag, a flag
 # value, the number rule of a document, and no argument at all, which only
 # the console script reads from sys.argv
-CI = {"no-argument", "unread-tol", "zero-tol", "grid-underscore",
-      "gauge-table-true", "envelope-distance-true"}
+CI = ("no-argument", "unread-tol", "zero-tol", "grid-underscore",
+      "gauge-table-true", "envelope-distance-true")
 
 
-def rows(specs):
+def rows(specs, usage=False):
     """Rows that exit 2 from (name, command line, document, error) specs.
     The line is split at spaces, and a line with a document but no --input
     reads in.json."""
@@ -145,7 +145,7 @@ def rows(specs):
         argv = tuple(line.split())
         if doc is not None and "--input" not in argv:
             argv = (argv[0], "--input", "in.json", *argv[1:])
-        out.append(Row(name, argv, doc, 2, error, name in CI))
+        out.append(Row(name, argv, doc, 2, error, usage))
     return out
 
 
@@ -171,9 +171,9 @@ REPEATS = {"gauge-table": ("check-axioms", ADDITIVE_DOC, "a|b", [9.0, 9.0, 9.0])
            "orlicz-function-ids": ("orlicz", ORLICZ_DOC, "f", {"a": 0.0, "b": 0.0}),
            "envelope-distance": ("envelope", ENVELOPE_DOC, "x|a", 9.0)}
 
+# the command line and its flags, refused before any input is read;
+# --tol is a JSON number, where float() read "1_0e-9" as 1e-8 and "+1" as 1
 COMMAND_ROWS = rows([
-    # the command line and its flags; --tol and each --grid item are JSON
-    # numbers, where float() read "1_0e-9" as 1e-8, "1_0" as 10, "+1" as 1
     ("no-argument", "", None, "the command and --input are required"),
     ("no-input", "check-axioms", None, "the command and --input are required"),
     ("unknown-command", "no-such-command", ADDITIVE_DOC, "invalid command 'no-such-command'"),
@@ -187,6 +187,8 @@ COMMAND_ROWS = rows([
       for raw in ("1_0e-9", "+1e-9", ".5e-9", "1e-9,", "inf")),
     ("tol-string", 'orlicz --tol "x"', ORLICZ_DOC,
      "bad --tol value '\"x\"': --tol must be a number or \"inf\", got 'x'"),
+], usage=True) + rows([
+    # each --grid item is a JSON number too, read with the input
     *((f"grid-{name}", f"check-axioms --grid {raw}", ADDITIVE_DOC,
        f"bad --grid value {raw!r}: {item!r} is not a JSON number")
       for name, raw, item in (("underscore", "1_0,2_0", "1_0"),
@@ -555,15 +557,11 @@ def write_input(row, directory) -> None:
             text if isinstance(text, bytes) else text.encode("utf-8"))
 
 
-def mismatch(row, code, out, err, files, usage="usage: quasimod "):
+def mismatch(row, code, out, err, files):
     """None when a run of `row` kept it, else what the run got.  `files`
-    lists the run's directory after it; a usage line starts with `usage`."""
-    line = f"quasimod: error: {row.error}\n"
-    head = err[:-len(line)] if err.endswith(line) else None
-    if (code == row.code and out == "" and head is not None
-            and (head == "" or head.startswith(usage)
-                 and head.count("\n") == 1 and head.endswith("\n"))
-            and files == ["in.json"] * (row.doc is not None)):
+    lists the run's directory after it."""
+    want = (cli._usage() if row.usage else "") + f"quasimod: error: {row.error}\n"
+    if (code, out, err, files) == (row.code, "", want, ["in.json"] * (row.doc is not None)):
         return None
     return f"exit {code}, stdout {out!r}, stderr {err!r}, files {files}"
 
@@ -587,38 +585,133 @@ def check(row):
         finally:
             os.chdir(cwd)
         return mismatch(row, code, out.getvalue(), err.getvalue(),
-                        sorted(os.listdir(tmp)), cli._usage())
+                        sorted(os.listdir(tmp)))
 
 
-def broken(*names):
-    """What each named row that does not hold got, by name."""
-    return {name: got for name in names if (got := check(ROW[name]))}
+# Tests that ran some rows before this table keep their ids, and each of
+# those rows runs under its older id alone: (module, test) -> the case ids
+# the test had, each naming its row, or the rows of a test without cases.
+# tests/test_contract.py runs every row no test here holds, and
+# tests/test_records.py runs the TABLE_READERS rows.
+def _same(names):
+    return {name: name for name in names}
 
 
-def rows_test(names):
-    """A test of the named rows, one case each: `names` lists row names,
-    or maps the ids that a test's cases had before this table to rows."""
-    import pytest  # only the test modules that build tests need it
-    pairs = names.items() if isinstance(names, dict) else [(n, n) for n in names]
+HELD = {
+    ("test_cli", "test_luxemburg_rejects_nonmonotone_and_conorm_gauges"):
+        ("luxemburg-rising", "luxemburg-conorm"),
+    ("test_cli", "test_luxemburg_exits_2_on_a_row_that_rises_past_its_infimum"):
+        ("luxemburg-rise-past-infimum",),
+    ("test_cli", "test_orlicz_overflow_keeps_its_error_line"): ("orlicz-exponent-overflow",),
+    ("test_cli", "test_an_orlicz_document_is_read_whole_before_any_norm"):
+        ("orlicz-read-whole",),
+    ("test_cli", "test_schedule_key_times_take_the_number_rule"): ("schedule-key-huge-time",),
+    ("test_cli", "test_envelope_distances_outside_the_extended_ray_exit_2"):
+        {k: f"envelope-distance-{k}" for k in ("negative", "nan", "minus-inf-string")},
+    ("test_cli", "test_gauge_table_values_outside_the_extended_ray_exit_2"):
+        {f"{command}-{k}": f"{field}-{k}"
+         for command, field in (("check-axioms", "gauge-table"), ("cover", "cover-table"))
+         for k in ("negative", "nan", "minus-infinity")},
+    ("test_cli", "test_envelope_distance_keys_name_two_points"):
+        {f"{k}-1.0": f"envelope-key-{k}" for k in ("x|z", "x|a|x")},
+    ("test_cli", "test_envelope_values_must_be_finite"):
+        {k: f"envelope-value-{k}" for k in ("nan", "inf", "inf-string")},
+    ("test_cli", "test_hostile_flags_exit_2_without_a_traceback"):
+        {"flags0---tol must be positive": "nan-tol",
+         "flags1---tol must be below": "tol-past-cutoff",
+         "flags2-cannot write": "unwritable-output"},
+    ("test_cli", "test_malformed_documents_exit_2_without_a_traceback"): {
+        "gauge-table-list": "gauge-table-as-list",
+        "envelope-distance-list": "envelope-distance-as-list", **_same((
+            "envelope-unhashable-point", "cover-sequence-number", "orlicz-exponent-overflow",
+            "cover-unsplittable-radius", "cover-scale-halving-to-zero", "topology-17-points",
+            "gauge-infinite-point", "graph-infinite-vertex", "envelope-nan-point"))},
+    ("test_cli", "test_unreadable_input_exits_2_with_one_error_line"): _same(
+        name for kind in ("directory", "utf16-bom", "5000-digit-integer", "deep-nesting")
+        for name in (f"{kind}-check-axioms", f"{kind}-graph") if name in ROW),
+    ("test_cli", "test_oversize_integers_exit_2_with_one_error_line"):
+        {"gauge-value": "gauge-table-huge", "grid-scale": "topology-grid-huge",
+         "graph-cost": "graph-cost-huge", "graph-mu": "graph-mu-huge",
+         "envelope-distance": "envelope-distance-huge", "orlicz-mass": "orlicz-mu-huge"},
+    ("test_cli", "test_every_bad_edge_cost_exits_2"):
+        {"-1": "graph-cost-negative-int", "-0.5": "graph-cost-negative",
+         "x": "graph-cost-x", "inf0": "graph-cost-inf-string",
+         "nan0": "graph-cost-nan-string", "True": "graph-cost-true",
+         "None": "graph-cost-null", "cost7": "graph-cost-empty-list",
+         "nan1": "graph-cost-nan", "inf1": "graph-cost-infinity"},
+    ("test_cli", "test_every_numeric_field_refuses_non_numbers"): _same(
+        f"{field}-{key}" for field in NUMERIC_FIELDS
+        for key in ("true", "false", "string", "null", "list")),
+    ("test_cli", "test_every_numeric_field_names_itself_past_the_float_range"):
+        {field: f"{field}-huge" for field in NUMERIC_FIELDS},
+    ("test_cli", "test_infinite_orlicz_coefficients_exit_2_naming_the_coefficient"):
+        {field: f"{field}-inf" for field in ("orlicz-q", "orlicz-a", "orlicz-w")},
+    ("test_cli", "test_schedule_times_refuse_non_numbers"):
+        {"true": "schedule-time-bool",
+         **{k: f"schedule-time-{k}" for k in ("false", "string", "null", "list")}},
+    ("test_cli", "test_schedule_keys_are_a_json_number_and_a_json_index"):
+        {k: f"schedule-key-{k}" for k in SCHEDULE_KEYS},
+    ("test_cli", "test_ambiguous_ids_and_non_list_sequences_exit_2"): _same((
+        "graph-vertices", "orlicz-function-ids", "envelope-str-collision",
+        "envelope-duplicate-points", "gauge-point", "cover-sequence-string",
+        "cover-sequence-object", "envelope-int-float", "envelope-bool-int",
+        "gauge-int-float", "graph-int-bool", "cover-bool-sequence",
+        "cover-float-sequence", "orlicz-int-float", "orlicz-bool-int",
+        "orlicz-str-collision", "orlicz-bar")),
+    ("test_records", "test_constructor_errors_are_unchanged"):
+        ("edge-zero-mu", "grid-decreasing", "profile-short", "gauge-neither"),
+    ("test_records", "test_one_sided_integral_functions_name_exactly_the_sample_ids"):
+        {case: f"sample-ids-{case}" for case in ("missing", "unknown")},
+    ("test_records", "test_constructors_read_numbers_by_the_number_rule"): _same(
+        f"{reader}-{value}" for reader in (
+            "grid", "edge-mu", "vertex-measure", "mass", "exponent", "double-phase-p",
+            "double-phase-q", "double-phase-a", "weight", "lipschitz", "member",
+            "sequence-exponent", "profile-value", "table-value", "sublinear")
+        for value in ("bool", "string", "huge")),
+    ("test_records", "test_function_values_read_numbers_by_the_number_rule"): _same(
+        f"{reader}-{value}" for reader in (
+            "closed-form-matrix", "closed-form-value", "rho-zero", "rho-symmetry",
+            "rho-ray", "p-zero", "phi-zero", "phi-sum", "scale-map", "image-metric",
+            "source-metric")
+        for value in ("bool", "string", "fraction", "decimal", "huge")),
+}
+# the readers of a distance table, then make_one_sided_integral's masses
+# and function values, by the case ids test_records gives them, and the
+# rows its test of them runs
+TABLE_READERS = {**{r: r for r in INF_READS}, "mass": "integral-mass",
+                 "function-value": "function-value"}
+TABLE_VALUES = ("bool", "string", "fraction", "decimal", "huge", "inf")
+TABLE_ROWS = {f"{name}-{value}" for name in TABLE_READERS.values() for value in TABLE_VALUES
+              if not (value == "inf" and name in INF_READS)}
+HELD_ROWS = TABLE_ROWS | {name for cases in HELD.values() for name in
+                          (cases.values() if isinstance(cases, dict) else cases)}
 
-    @pytest.mark.parametrize("row", [ROW[name] for _, name in pairs],
-                             ids=[case for case, _ in pairs])
+
+def row_cases(cases):
+    """A test with one case per (id, row name) of `cases`."""
+    import pytest  # only the test modules need it
+
+    @pytest.mark.parametrize("row", [ROW[name] for name in cases.values()], ids=list(cases))
     def test(row):
         assert check(row) is None, row.error
     return test
 
 
-def row_test(*names):
-    """A test of the named rows, one case for all of them."""
-    def test():
-        assert not broken(*names)
-    return test
+def held_tests(module):
+    """The tests of HELD in `module`, by name."""
+    def one_case(names):
+        def test():
+            for name in names:
+                assert check(ROW[name]) is None, name
+        return test
+    return {test: row_cases(cases) if isinstance(cases, dict) else one_case(cases)
+            for (where, test), cases in HELD.items() if where == module}
 
 
 def main() -> int:
     """Run the `ci` rows against the `quasimod` on PATH."""
     env = {k: v for k, v in os.environ.items() if k != "QUASIMOD_LOG"}
-    ci = [row for row in COMMAND_ROWS if row.ci]
+    ci = [ROW[name] for name in CI]
     failed = 0
     for row in ci:
         with tempfile.TemporaryDirectory() as tmp:

@@ -58,9 +58,16 @@ GUARD = ("test_bisection_guard.py::"
          "test_guard_matches_the_rescanning_guard_on_seeded_maps")
 ROWS = "test_contract.py::test_command_rows"
 READERS = "test_contract.py::test_reader_rows"
+VALUE_EQUAL = "test_cli.py::test_ambiguous_ids_and_non_list_sequences_exit_2"
 FLAGS = "test_reference.py::test_each_command_refuses_the_flags_it_does_not_read"
+NUMBER_TABLES = ("test_records.py::"
+                 "test_distance_tables_read_numbers_by_the_number_rule")
+NUMBER_FUNCTIONS = ("test_records.py::"
+                    "test_function_values_read_numbers_by_the_number_rule")
 ARGV = "test_argv.py::test_the_reader_reads_each_line_as_the_replaced_parser"
 PINNED_ARGV = "test_argv.py::test_pinned_lines"
+SAMPLE_IDS = ("test_records.py::"
+              "test_one_sided_integral_functions_name_exactly_the_sample_ids")
 
 MUTANTS = (
     # check_axioms: witness order, splits and the triangle law
@@ -164,41 +171,44 @@ MUTANTS = (
            "if set(map(type, row)) <= {int, float, bool}:",
            ("test_extreal.py::"
             "test_numbers_reads_a_row_as_number_reads_each_value[bool]",
-            f"{READERS}[grid-bool]")),
+            "test_records.py::test_constructors_read_numbers_by_the_number_"
+            "rule[grid-bool]")),
     Mutant("GaugeSpec without its range pass", "gauges.py",
            "if not all(map(_NONNEGATIVE, row)):  # name a negative or NaN",
            "if False:",
-           (f"{READERS}[table-value-negative]", f"{ROWS}[gauge-table-negative]")),
+           (f"{READERS}[table-value-negative]",
+            "test_cli.py::test_gauge_table_values_outside_the_extended_ray_"
+            "exit_2[check-axioms-negative]")),
     # the one reader of a distance table, and the one-sided integral's masses
     Mutant("distance table read by float()", "gauges.py",
            "numbers([get((x, y), 0.0 if x == y else INF) for y in ys],\n"
            '                    f"{what} row for {x!r}")',
            "[float(get((x, y), 0.0 if x == y else INF)) for y in ys]",
-           (f"{READERS}[min-cap-bool]", f"{READERS}[check-string]")),
+           (f"{NUMBER_TABLES}[min-cap-bool]", f"{NUMBER_TABLES}[check-string]")),
     Mutant("envelopes read distances raw", "envelopes.py",
            '    rows = _table_rows(d, points, f.domain, "distance")',
            "    rows = [[d.get((x, a), 0.0 if x == a else float('inf'))\n"
            "             for a in f.domain] for x in points]",
-           (f"{READERS}[upper-bool]",)),
+           (f"{NUMBER_TABLES}[upper-bool]",)),
     Mutant("one-sided integral masses read raw", "gauges.py",
            'masses = {i: number(m, f"mass at {i!r}") '
            'for i, m in dict(masses).items()}',
            "masses = dict(masses)",
-           (f"{READERS}[integral-mass-bool]",)),
+           (f"{NUMBER_TABLES}[mass-bool]",)),
     # what a caller's function returns, and the one-sided integral's ids
     Mutant("closed form read by float()", "gauges.py",
            'v if type(v) is float else number(v, "gauge value")',
            "float(v)",
-           (f"{READERS}[closed-form-value-bool]",
-            f"{READERS}[closed-form-matrix-string]")),
+           (f"{NUMBER_FUNCTIONS}[closed-form-value-bool]",
+            f"{NUMBER_FUNCTIONS}[closed-form-matrix-string]")),
     Mutant("scale map read by float()", "luxemburg.py",
            'v = number(value_at(lam), "value_at value")',
            "v = float(value_at(lam))",
-           (f"{READERS}[scale-map-bool]",)),
+           (f"{NUMBER_FUNCTIONS}[scale-map-bool]",)),
     Mutant("transport metric read raw", "completeness.py",
            'd_image = number(image_metric(u, v), "image_metric value")',
            "d_image = image_metric(u, v)",
-           (f"{READERS}[image-metric-bool]",)),
+           (f"{NUMBER_FUNCTIONS}[image-metric-bool]",)),
     Mutant("one-sided integral skips the sample-id check", "gauges.py",
            "        missing = [i for i in masses if i not in f]\n"
            "        if missing:\n"
@@ -209,7 +219,7 @@ MUTANTS = (
            '                raise ValueError(f"value of {fid!r} for unknown '
            'sample id {i!r}")\n',
            "        for i, v in f.items():\n",
-           (f"{READERS}[sample-ids-missing]", f"{READERS}[sample-ids-unknown]")),
+           (f"{SAMPLE_IDS}[missing]", f"{SAMPLE_IDS}[unknown]")),
     Mutant("check-axioms accepting a .csv output", "cli.py",
            '"check-axioms": (cmd_check_axioms, ("grid", "conorm")),',
            '"check-axioms": (cmd_check_axioms, ("grid", "conorm", "csv")),',
@@ -507,7 +517,9 @@ MUTANTS = (
            'nonincreasing "\n'
            '                         f"in the scale: {exc}") from None',
            '        return {"command": "luxemburg", "error": str(exc)}, False',
-           (f"{ROWS}[luxemburg-rising]", f"{ROWS}[luxemburg-rise-past-infimum]",
+           ("test_cli.py::test_luxemburg_rejects_nonmonotone_and_conorm_gauges",
+            "test_cli.py::"
+            "test_luxemburg_exits_2_on_a_row_that_rises_past_its_infimum",
             "test_cli.py::test_debug_logging_goes_to_stderr_only"
             "[luxemburg-error]", f"{REF}[luxemburg-corrupted0]")),
     # the orlicz computation maps only the families' refusals to exit 2
@@ -563,28 +575,31 @@ MUTANTS = (
     Mutant("decode_ids without the value check", "extreal.py",
            "    if len(set(ids)) != len(ids):",
            "    if len(set(ids)) != len(ids) and False:",
-           (f"{ROWS}[envelope-int-float]", f"{ROWS}[envelope-bool-int]")),
+           (f"{VALUE_EQUAL}[envelope-int-float]",
+            f"{VALUE_EQUAL}[envelope-bool-int]")),
     Mutant("keyed_numbers with its own id map", "extreal.py",
            "    by_str = decode_ids(ids, noun)\n    out = {}",
            "    by_str = {str(i): i for i in ids}\n"
            "    if len(by_str) != len(ids):\n"
            '        raise ValueError(f"{noun} ids must stringify uniquely")\n'
            "    out = {}",
-           (f"{ROWS}[orlicz-int-float]", f"{ROWS}[orlicz-bool-int]",
-            f"{ROWS}[orlicz-str-collision]", f"{ROWS}[orlicz-bar]")),
+           (f"{VALUE_EQUAL}[orlicz-int-float]", f"{VALUE_EQUAL}[orlicz-bool-int]",
+            f"{VALUE_EQUAL}[orlicz-str-collision]", f"{VALUE_EQUAL}[orlicz-bar]")),
     Mutant("point_resolver matching by equality first", "extreal.py",
            "        if str(i) not in by_str:",
            "        if i in by_str.values():\n"
            "            return next(p for p in by_str.values() if p == i)\n"
            "        if str(i) not in by_str:",
-           (f"{ROWS}[cover-bool-sequence]", f"{ROWS}[cover-float-sequence]",
+           (f"{VALUE_EQUAL}[cover-bool-sequence]",
+            f"{VALUE_EQUAL}[cover-float-sequence]",
             "test_cli.py::test_point_ids_resolve_like_the_per_id_scan")),
     Mutant("PartialFunction keeps its values unread", "envelopes.py",
            'values = {a: number(values[a], f"value at {a!r}") for a in domain}',
            "values = {a: values[a] for a in domain}",
            ("test_envelopes.py::"
             "test_partial_function_reads_its_values_by_the_number_rule[bool]",
-            f"{ROWS}[envelope-value-true]")),
+            "test_cli.py::"
+            "test_every_numeric_field_refuses_non_numbers[envelope-value-true]")),
     # conorms
     Mutant("no r/4 fallback in half_radius", "conorms.py",
            "return h if self.law(h, h) < r else r / 4.0",

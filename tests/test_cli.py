@@ -28,8 +28,7 @@ from conftest import (random_conorm_gauge, rng_for, run, strict_json,
                       valid_documents, write_doc)
 from contract import (ADDITIVE_DOC, COVER_01, ENVELOPE_DOC, HUGE,
                       NUMERIC_FIELDS, ONE_POINT, ORLICZ_DOC, PROBSUM_ONLY_DOC,
-                      REPEATS, RISING_DOC, ROW, SCHEDULE_KEYS, SQUARE, broken,
-                      check, row_test, rows_test)
+                      REPEATS, RISING_DOC, SQUARE, held_tests)
 
 
 def test_check_axioms_clean_and_broken(tmp_path):
@@ -226,7 +225,6 @@ def test_orlicz_command_reports_norms_and_distances(tmp_path):
     assert set(doc["one_sided"]["distances"]) == {"f|g", "g|f"}
     assert doc["one_sided"]["norms"]["f"]["sym"] >= \
         doc["one_sided"]["norms"]["f"]["plus"]
-    assert not broken("orlicz-unknown-exponent-point")
 
 
 def test_envelope_command_pins_the_closed_form(tmp_path):
@@ -239,13 +237,11 @@ def test_envelope_command_pins_the_closed_form(tmp_path):
     code, doc = run(tmp_path, "envelope", bad_diag)
     assert code == 1
     assert doc["distance_check"]["violations"]
-    assert not broken("envelope-key-without-bar")
 
 
 def test_grid_scales_are_json_numbers(tmp_path, capsys):
     """Each --grid item is a JSON number, whitespace around it allowed;
-    float() read "1_0" as 10 and "+1" as 1."""
-    assert not broken("grid-underscore", "grid-plus", "grid-trailing-dot")
+    float() read "1_0" as 10 and "+1" as 1: the grid-* contract rows."""
     src = write_doc(tmp_path, "in.json", ADDITIVE_DOC)
     assert main(["check-axioms", "--input", src, "--grid", " 1 ,2\t"]) == 0
     spaced = capsys.readouterr().out
@@ -264,10 +260,8 @@ def test_envelope_writes_unreachable_bounds_as_strings(tmp_path):
 
 
 def test_orlicz_norm_past_the_search_cutoff_exits_2(tmp_path):
-    assert not broken("orlicz-phi-norm-past-cutoff",
-                      "orlicz-one-sided-norm-past-cutoff",
-                      "orlicz-distance-past-cutoff")
-    # just under the cutoff the norm is read, and the unit ball holds
+    # past the cutoff: the orlicz-*-past-cutoff contract rows; just under
+    # it the norm is read, and the unit ball holds
     doc = dict(ONE_POINT, functions={"f": {"a": 9e11}}, phi=SQUARE)
     code, report = run(tmp_path, "orlicz", doc)
     assert code == 0 and report["phi"]["f"]["norm"] == pytest.approx(9e11)
@@ -310,8 +304,6 @@ def test_point_ids_resolve_like_the_per_id_scan():
 
 
 def test_usage_and_input_errors(capsys):
-    assert not broken("unknown-command", "no-input", "unread-tol", "zero-tol",
-                      "missing-input", "malformed-json")
     assert main(["--help"]) == 0
     # each flag's help names the commands that read it
     text = " ".join(capsys.readouterr().out.split())
@@ -613,84 +605,14 @@ def test_a_sequence_id_names_the_point_of_its_string_form(tmp_path):
     assert by_string[0] == 0 and by_string[1]["cauchy"]
 
 
-# ---------------------------------------------------------------------------
-# refusals: the rows of tests/contract.py that each test below held before
-# the table, under the ids it had then
-
-test_luxemburg_rejects_nonmonotone_and_conorm_gauges = row_test(
-    "luxemburg-rising", "luxemburg-conorm")
-test_luxemburg_exits_2_on_a_row_that_rises_past_its_infimum = row_test(
-    "luxemburg-rise-past-infimum")
-test_orlicz_overflow_keeps_its_error_line = row_test(
-    "orlicz-exponent-overflow")
-test_an_orlicz_document_is_read_whole_before_any_norm = row_test(
-    "orlicz-read-whole")
-test_schedule_key_times_take_the_number_rule = row_test(
-    "schedule-key-huge-time")
-test_envelope_distances_outside_the_extended_ray_exit_2 = rows_test({
-    k: f"envelope-distance-{k}"
-    for k in ("negative", "nan", "minus-inf-string")})
-test_gauge_table_values_outside_the_extended_ray_exit_2 = rows_test({
-    f"{command}-{k}": f"{field}-{k}" for command, field in (
-        ("check-axioms", "gauge-table"), ("cover", "cover-table"))
-    for k in ("negative", "nan", "minus-infinity")})
-test_envelope_distance_keys_name_two_points = rows_test({
-    f"{k}-1.0": f"envelope-key-{k}" for k in ("x|z", "x|a|x")})
-test_envelope_values_must_be_finite = rows_test({
-    k: f"envelope-value-{k}" for k in ("nan", "inf", "inf-string")})
-test_hostile_flags_exit_2_without_a_traceback = rows_test({
-    "flags0---tol must be positive": "nan-tol",
-    "flags1---tol must be below": "tol-past-cutoff",
-    "flags2-cannot write": "unwritable-output"})
-test_malformed_documents_exit_2_without_a_traceback = rows_test({
-    "gauge-table-list": "gauge-table-as-list",
-    "envelope-distance-list": "envelope-distance-as-list",
-    **{name: name for name in (
-        "envelope-unhashable-point", "cover-sequence-number",
-        "orlicz-exponent-overflow", "cover-unsplittable-radius",
-        "cover-scale-halving-to-zero", "topology-17-points",
-        "gauge-infinite-point", "graph-infinite-vertex",
-        "envelope-nan-point")}})
-test_unreadable_input_exits_2_with_one_error_line = rows_test([
-    name for kind in ("directory", "utf16-bom", "5000-digit-integer",
-                      "deep-nesting")
-    for name in (f"{kind}-check-axioms", f"{kind}-graph") if name in ROW])
-test_oversize_integers_exit_2_with_one_error_line = rows_test({
-    "gauge-value": "gauge-table-huge", "grid-scale": "topology-grid-huge",
-    "graph-cost": "graph-cost-huge", "graph-mu": "graph-mu-huge",
-    "envelope-distance": "envelope-distance-huge",
-    "orlicz-mass": "orlicz-mu-huge"})
-test_every_bad_edge_cost_exits_2 = rows_test({
-    "-1": "graph-cost-negative-int", "-0.5": "graph-cost-negative",
-    "x": "graph-cost-x", "inf0": "graph-cost-inf-string",
-    "nan0": "graph-cost-nan-string", "True": "graph-cost-true",
-    "None": "graph-cost-null", "cost7": "graph-cost-empty-list",
-    "nan1": "graph-cost-nan", "inf1": "graph-cost-infinity"})
-test_every_numeric_field_refuses_non_numbers = rows_test([
-    f"{field}-{key}" for field in NUMERIC_FIELDS
-    for key in ("true", "false", "string", "null", "list")])
-test_every_numeric_field_names_itself_past_the_float_range = rows_test({
-    field: f"{field}-huge" for field in NUMERIC_FIELDS})
-test_infinite_orlicz_coefficients_exit_2_naming_the_coefficient = rows_test({
-    field: f"{field}-inf" for field in ("orlicz-q", "orlicz-a", "orlicz-w")})
-test_schedule_times_refuse_non_numbers = rows_test({
-    "true": "schedule-time-bool",
-    **{k: f"schedule-time-{k}" for k in ("false", "string", "null", "list")}})
-test_schedule_keys_are_a_json_number_and_a_json_index = rows_test({
-    k: f"schedule-key-{k}" for k in SCHEDULE_KEYS})
-test_ambiguous_ids_and_non_list_sequences_exit_2 = rows_test([
-    "graph-vertices", "orlicz-function-ids", "envelope-str-collision",
-    "envelope-duplicate-points", "gauge-point", "cover-sequence-string",
-    "cover-sequence-object", "envelope-int-float", "envelope-bool-int",
-    "gauge-int-float", "graph-int-bool", "cover-bool-sequence",
-    "cover-float-sequence", "orlicz-int-float", "orlicz-bool-int",
-    "orlicz-str-collision", "orlicz-bar"])
+# refusals held under the ids these tests had before tests/contract.py
+globals().update(held_tests("test_cli"))
 
 
 @pytest.mark.parametrize("name", REPEATS)
 def test_repeated_object_keys_exit_2(tmp_path, name):
-    assert check(ROW[f"repeated-{name}"]) is None
-    # the same document without the repeat is read as before
+    # with the repeat: the repeated-* contract rows; without it the same
+    # document is read as before
     command, doc = REPEATS[name][:2]
     assert main([command, "--input", write_doc(tmp_path, "ok.json", doc)]) \
         in (0, 1)

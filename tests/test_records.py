@@ -25,7 +25,8 @@ from quasimod import (INF, AxiomReport, CauchyClassification, CoverResult,
                       verify_join_equality)
 
 from contract import (GRID, INF_READS, NUMBER_READERS, PHI, ROW, TABLE,
-                      broken, check, row_test, rows_test, table_gauge)
+                      TABLE_READERS, TABLE_VALUES, check, held_tests,
+                      table_gauge)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -238,45 +239,18 @@ def test_reprs_name_the_fields():
 
 def test_profiles_and_table_rows_read_inf_and_keep_the_ray():
     """"inf" is +inf in a profile and a table row, as in a document; a
-    negative or NaN value keeps the range message."""
-    assert not broken("profile-value-negative", "profile-value-nan",
-                      "table-value-negative", "table-value-nan")
+    negative or NaN value keeps the range message (the profile-value-* and
+    table-value-* contract rows)."""
     assert Profile(GRID, ("inf", 0.0)).values == (INF, 0.0)
     assert table_gauge({**TABLE, ("a", "b"): ("inf", 0)}).table["a", "b"] \
         == (INF, 0.0)
 
 
-# ---------------------------------------------------------------------------
-# readers: the rows of tests/contract.py that each test below held before
-# the table, under the ids it had then
-
-test_constructor_errors_are_unchanged = row_test(
-    "edge-zero-mu", "grid-decreasing", "profile-short", "gauge-neither")
-test_one_sided_integral_functions_name_exactly_the_sample_ids = rows_test({
-    case: f"sample-ids-{case}" for case in ("missing", "unknown")})
-test_constructors_read_numbers_by_the_number_rule = rows_test([
-    f"{reader}-{value}" for reader in (
-        "grid", "edge-mu", "vertex-measure", "mass", "exponent",
-        "double-phase-p", "double-phase-q", "double-phase-a", "weight",
-        "lipschitz", "member", "sequence-exponent", "profile-value",
-        "table-value", "sublinear")
-    for value in ("bool", "string", "huge")])
-test_function_values_read_numbers_by_the_number_rule = rows_test([
-    f"{reader}-{value}" for reader in (
-        "closed-form-matrix", "closed-form-value", "rho-zero", "rho-symmetry",
-        "rho-ray", "p-zero", "phi-zero", "phi-sum", "scale-map",
-        "image-metric", "source-metric")
-    for value in ("bool", "string", "fraction", "decimal", "huge")])
+# readers held under the ids these tests had before tests/contract.py
+globals().update(held_tests("test_records"))
 
 
-# the readers of a distance table, then make_one_sided_integral's masses
-# and function values, by the names they had
-TABLE_READERS = {**{r: r for r in INF_READS}, "mass": "integral-mass",
-                 "function-value": "function-value"}
-
-
-@pytest.mark.parametrize("value", ["bool", "string", "fraction", "decimal",
-                                   "huge", "inf"])
+@pytest.mark.parametrize("value", TABLE_VALUES)
 @pytest.mark.parametrize("reader", TABLE_READERS)
 def test_distance_tables_read_numbers_by_the_number_rule(reader, value):
     name = TABLE_READERS[reader]
