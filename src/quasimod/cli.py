@@ -9,14 +9,11 @@ variable (a logging level name such as DEBUG).
 from __future__ import annotations
 
 import functools
-import json
 import os
-import re
 import sys
 import time
 from itertools import chain, permutations, repeat
-from json.encoder import c_make_encoder, encode_basestring_ascii
-from math import copysign
+from math import copysign, inf, nan
 from operator import add, itemgetter
 from types import SimpleNamespace
 
@@ -38,6 +35,13 @@ from .records import NamedTuple
 from .topology import (MAX_TOPOLOGY_POINTS, critical_thresholds,
                        verify_join_equality)
 
+try:  # json's C scanner and encoder, without json and the re it imports
+    from _json import (encode_basestring_ascii, make_encoder as c_make_encoder,
+                       make_scanner)
+except ImportError:  # as json.encoder does: json's Python writer and reader
+    from json.encoder import c_make_encoder, encode_basestring_ascii
+    make_scanner = None
+
 
 class InputError(Exception):
     """Bad input file or document; maps to exit code 2."""
@@ -56,6 +60,36 @@ def _read(what: str, fn, *args):
         raise InputError(f"bad {what}: {exc}") from None
 
 
+# json's whitespace ("\f" is none) and its constants
+_SPACE = " \t\n\r"
+_CONSTANTS = {"NaN": nan, "Infinity": inf, "-Infinity": -inf}.__getitem__
+
+
+def _loads(text: str, hook=None) -> object:
+    """json.loads(text, object_pairs_hook=hook) by _json's C scanner; any
+    failure but the hook's InputError decodes again by json.loads, for json's
+    own error (3.10 and 3.11's scanner raises SystemError before json.decoder
+    is loaded)."""
+    try:
+        start = next((i for i, c in enumerate(text) if c not in _SPACE), 0)
+        obj, end = make_scanner(SimpleNamespace(
+            strict=True, object_hook=None, object_pairs_hook=hook,
+            parse_float=float, parse_int=int, parse_constant=_CONSTANTS))(text, start)
+        if not text[end:].strip(_SPACE):
+            return obj
+    except Exception as exc:
+        if isinstance(exc, InputError):
+            raise
+    import json
+    return json.loads(text, object_pairs_hook=hook)
+
+
+def _decode_error():
+    """json.JSONDecodeError, or no class before `_loads` imports json."""
+    json = sys.modules.get("json")
+    return json.JSONDecodeError if json else ()
+
+
 def _load_json(path: str) -> object:
     def unique_keys(pairs):  # json.load alone keeps the last of repeated keys
         obj = dict(pairs)
@@ -67,12 +101,12 @@ def _load_json(path: str) -> object:
 
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
+            return _loads(fh.read(), unique_keys)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}") from None
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except _decode_error() as exc:
         raise InputError(f"malformed JSON in {path}: line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from None
     except (UnicodeDecodeError, RecursionError) as exc:
@@ -94,9 +128,21 @@ def _flat_encoder(depth: int):
     """json's C encoder for a container at nesting depth `depth` whose items
     are all scalars: one call writes the items with the separators that
     indent=2 puts between them."""
-    return c_make_encoder(None, json.JSONEncoder().default,
-                          encode_basestring_ascii, None, ": ",
-                          ",\n" + "  " * (depth + 1), True, False, True)
+    return c_make_encoder(None, _unwritable, encode_basestring_ascii, None,
+                          ": ", ",\n" + "  " * (depth + 1), True, False, True)
+
+
+def _unwritable(obj):  # json's refusal of a value it has no text for
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON "
+                    f"serializable")
+
+
+def _scalar_text(obj) -> str:
+    """json.dumps(obj) of a scalar: one call of the C encoder, if any."""
+    if c_make_encoder is None:
+        import json
+        return json.dumps(obj)
+    return "".join(_flat_encoder(0)(obj, 0))
 
 
 def _flat_rows(rows) -> bool:
@@ -144,7 +190,7 @@ def _column_texts(column, head: str, depth: int) -> list[str]:
                 for c, v in zip(map(type, column), column)]
         memo = dict(zip(keys, column))
     # one encoder call, split at its item separator: no text holds a newline
-    texts = map(json.dumps, memo.values()) if c_make_encoder is None else \
+    texts = map(_scalar_text, memo.values()) if c_make_encoder is None else \
         "".join(_flat_encoder(0)(list(memo.values()), 0))[1:-1].split(",\n  ")
     memo = dict(zip(memo, map(head.__add__, texts)))
     return list(map(memo.__getitem__, keys))
@@ -154,7 +200,7 @@ def _key_text(key) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
     if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii("".join(_json_chunks(key)))
+        return encode_basestring_ascii(_scalar_text(key))
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {key.__class__.__name__}")
 
@@ -170,7 +216,7 @@ def _json_chunks(obj, depth: int = 0):
     values = obj.values() if is_dict else obj
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     if not (is_dict or isinstance(obj, (list, tuple))):
-        yield json.dumps(obj)
+        yield _scalar_text(obj)
     elif not obj or isinstance(obj, _RowTable) and not any(obj.columns[:1]):
         yield "{}" if is_dict else "[]"
     elif isinstance(obj, _PairMap):
@@ -219,10 +265,13 @@ def _json_chunks(obj, depth: int = 0):
         head = ("{" if is_dict else "[") + inner
         for k, v in sorted(obj.items()) if is_dict else zip(obj, obj):
             yield head + _key_text(k) + ": " if is_dict else head
+            head = "," + inner
+            if not isinstance(v, _CONTAINERS):  # a leaf: one call, no generator
+                yield _scalar_text(v)
+                continue
             if id(v) in texts:
                 texts[id(v)] = texts[id(v)] or [*_json_chunks(v, depth + 1)]
             yield from texts.get(id(v)) or _json_chunks(v, depth + 1)
-            head = "," + inner
         yield outer + ("}" if is_dict else "]")
 
 
@@ -264,7 +313,7 @@ def _flag_value(flag: str, raw: str, read):
     refusal is one bad --flag value error."""
     try:
         return read(raw)
-    except json.JSONDecodeError as exc:
+    except _decode_error() as exc:
         raise InputError(f"bad --{flag} value {raw!r}: {exc.doc!r} is not a "
                          f"JSON number") from None
     except ValueError as exc:
@@ -273,7 +322,7 @@ def _flag_value(flag: str, raw: str, read):
 
 def _parse_grid(raw: str | None) -> ScaleGrid | None:
     return None if raw is None else _flag_value("grid", raw, lambda raw: (
-        ScaleGrid(tuple(map(json.loads, raw.split(","))))))
+        ScaleGrid(tuple(map(_loads, raw.split(","))))))
 
 
 def _gauge_from_doc(doc, args) -> object:
@@ -577,12 +626,13 @@ def _option(token: str):
         if names:
             return names[0], value if eq else None
     elif token[:2] == "-h":  # -h with more h's glued on is -h again
+        import re
         return "--help", None if re.fullmatch("-h(=?h+)?", token) else token
     # a negative number and a token with a space are values
-    if token[:1] != "-" or token == "-" or " " in token or \
-            re.match(r"-\d+$|-\d*\.\d+$", token):
+    if token[:1] != "-" or token == "-" or " " in token:
         return None
-    return "", None
+    import re
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) else ("", None)
 
 
 def _read_argv(argv):
@@ -619,7 +669,7 @@ def _read_argv(argv):
                 value, i = tokens[i], i + 1
             if name == "--tol":
                 value = _flag_value("tol", value, lambda raw: number(
-                    json.loads(raw), "--tol"))
+                    _loads(raw), "--tol"))
             elif name == "--conorm" and value not in _CONORMS:
                 raise InputError(f"invalid --conorm {value!r}")
             values[name[2:]] = value

@@ -14,8 +14,6 @@ enters through per-edge functions, measures, or cost schedules.
 from __future__ import annotations
 
 import heapq
-import json
-import re
 from collections.abc import Mapping
 from itertools import chain
 from operator import ne
@@ -281,6 +279,8 @@ _SCHEDULE_KEY = (r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 
 
 def schedule_from_json(doc: Mapping) -> DynamicCostSchedule:
+    import json
+    import re  # only a schedule needs them, and no command reads one
     costs = {}
     for key, c in doc["costs"].items():
         match = re.fullmatch(_SCHEDULE_KEY, key)

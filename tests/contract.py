@@ -200,6 +200,15 @@ COMMAND_ROWS = rows([
     ("missing-input", "check-axioms --input nope.json", None, "input file not found: nope.json"),
     ("malformed-json", "check-axioms", '{"regime": ',
      "malformed JSON in in.json: line 1 column 12: Expecting value"),
+    # what the reader's C-scanner path hands to json.loads for its error
+    *((f"malformed-{name}", "check-axioms", doc, f"malformed JSON in in.json: {error}")
+      for name, doc, error in (
+          ("extra-data", '{"regime": "additive"} x', "line 1 column 24: Extra data"),
+          ("utf8-bom", b"\xef\xbb\xbf{}",
+           "line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+          ("form-feed", "\f{}", "line 1 column 1: Expecting value"),
+          ("unterminated-string", '{"regime',
+           "line 1 column 2: Unterminated string starting at"))),
     *(row for command in ("check-axioms", "graph") for row in (
         (f"directory-{command}", f"{command} --input .", None, "cannot read .: Is a directory"),
         (f"utf16-bom-{command}", command, b"\xff\xfe{}", f"cannot parse in.json: {NOT_UTF8}"),
@@ -328,7 +337,12 @@ COMMAND_ROWS = rows([
                                  ("bool-int", [True, 1], VALUE_EQUAL),
                                  ("str-collision", [1, "1"], UNIQUE),
                                  ("bar", ["a|b", "c"], UNIQUE))),
-])
+]) + [
+    # a --grid item is read as json.loads reads it: "\f" is no whitespace,
+    # and the command line is not split at spaces for it
+    Row("grid-form-feed", ("check-axioms", "--input", "in.json", "--grid", "1,\f2"),
+        ADDITIVE_DOC, 2, "bad --grid value '1,\\x0c2': '\\x0c2' is not a JSON number", False),
+]
 
 # one number rule for every numeric field of every document: a JSON number
 # or "inf", where bare float() once took true as 1.0 and "2" as 2.0.  Each

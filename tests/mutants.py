@@ -58,6 +58,8 @@ GUARD = ("test_bisection_guard.py::"
          "test_guard_matches_the_rescanning_guard_on_seeded_maps")
 ROWS = "test_contract.py::test_command_rows"
 READERS = "test_contract.py::test_reader_rows"
+READ_AS_JSON = ("test_json_reader.py::"
+                "test_the_reader_reads_each_text_as_json_loads")
 VALUE_EQUAL = "test_cli.py::test_ambiguous_ids_and_non_list_sequences_exit_2"
 FLAGS = "test_reference.py::test_each_command_refuses_the_flags_it_does_not_read"
 NUMBER_TABLES = ("test_records.py::"
@@ -461,7 +463,7 @@ MUTANTS = (
            "for k, v in obj.items() if is_dict else zip(obj, obj):",
            ("test_report_writer.py::test_hand_built_shapes_match_json_dumps",)),
     Mutant("non-str keys through str()", "cli.py",
-           'return encode_basestring_ascii("".join(_json_chunks(key)))',
+           "return encode_basestring_ascii(_scalar_text(key))",
            "return encode_basestring_ascii(str(key))",
            ("test_report_writer.py::test_hand_built_shapes_match_json_dumps",)),
     Mutant("empty rows laid out like the others", "cli.py",
@@ -496,10 +498,30 @@ MUTANTS = (
            ("test_cli.py::"
             "test_a_host_root_logger_at_debug_gets_the_phase_lines",)),
     Mutant("import logging back at the top of graphs.py", "graphs.py",
-           "import json\nimport re\n",
-           "import json\nimport logging\nimport re\n",
+           "import heapq\n",
+           "import heapq\nimport logging\n",
            ("test_records.py::"
             "test_the_cli_imports_and_runs_without_typing_logging_or_csv",)),
+    # json and re are imported only to report a malformed document, for a
+    # rare argv token or for a schedule; the reader is json.loads exactly
+    Mutant("import json back at the top of cli.py", "cli.py",
+           "import functools\nimport os\n",
+           "import functools\nimport json\nimport os\n",
+           ("test_records.py::"
+            "test_the_cli_imports_and_runs_without_typing_logging_or_csv",)),
+    Mutant("import re back at the top of cli.py", "cli.py",
+           "import os\nimport sys\n",
+           "import os\nimport re\nimport sys\n",
+           ("test_records.py::"
+            "test_the_cli_imports_and_runs_without_typing_logging_or_csv",)),
+    Mutant("the reader drops its trailing-data check", "cli.py",
+           "        if not text[end:].strip(_SPACE):\n",
+           "        if True:\n",
+           (READ_AS_JSON, "test_contract.py::test_command_rows[malformed-extra-data]")),
+    Mutant("the reader also skips a form feed", "cli.py",
+           '_SPACE = " \\t\\n\\r"',
+           '_SPACE = " \\t\\n\\r\\f"',
+           (READ_AS_JSON, "test_contract.py::test_command_rows[malformed-form-feed]")),
     # main alone writes, logs the write phase and picks the exit code
     Mutant("every verdict exits 0", "cli.py",
            "    return 0 if ok else 1",
@@ -549,8 +571,8 @@ MUTANTS = (
            "if o.startswith(name[:3])]",
            (ARGV,)),
     Mutant("an unknown option read as a value", "cli.py",
-           '        return None\n    return "", None',
-           "        return None\n    return None",
+           'token) else ("", None)',
+           "token) else None",
            (ARGV,)),
     Mutant("an ambiguous prefix read as its first match", "cli.py",
            "        if len(names) > 1:",

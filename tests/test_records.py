@@ -24,7 +24,8 @@ from quasimod import (INF, AxiomReport, CauchyClassification, CoverResult,
                       critical_thresholds, heine_borel_report, make_min_cap,
                       verify_join_equality)
 
-from contract import (GRID, INF_READS, NUMBER_READERS, PHI, ROW, TABLE,
+from contract import (ADDITIVE_DOC, ENVELOPE_DOC, GRAPH_DOC, GRID, INF_READS,
+                      NUMBER_READERS, ORLICZ_DOC, PHI, ROW, TABLE,
                       TABLE_READERS, TABLE_VALUES, check, held_tests,
                       table_gauge)
 
@@ -80,19 +81,46 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 def test_the_cli_imports_and_runs_without_typing_logging_or_csv(tmp_path):
     # the records are collections.namedtuples, logging is imported under
-    # QUASIMOD_LOG only, csv for a .csv report only, and the command line is
-    # read without argparse, which imports gettext
+    # QUASIMOD_LOG only, csv for a .csv report only, the command line is
+    # read without argparse, which imports gettext, and JSON is read and
+    # written by _json's C scanner and encoder: json is imported only to
+    # report a malformed document, re only for a rare argv token or a
+    # schedule
     src = tmp_path / "in.json"
     src.write_text(json.dumps({"regime": "additive", "points": ["a", "b"],
                                "grid": [1, 2], "table": {"a|b": [2, 1],
                                                          "b|a": [1, 0.5]}}))
-    unread = {"typing", "logging", "csv", "argparse", "gettext"}
+    unread = {"typing", "logging", "csv", "argparse", "gettext", "json", "re"}
     found = loaded("import sys, quasimod.cli", unread)
     assert found == [], f"import quasimod.cli loaded {found}"
     found = loaded("import sys, quasimod.cli; assert quasimod.cli.main(["
                    f"'check-axioms', '--input', {str(src)!r}, '--output', "
                    f"{str(tmp_path / 'r.json')!r}]) == 0", unread)
     assert found == [], f"check-axioms loaded {found}"
+
+
+# each command on a document it reads, with the flags that read JSON; a
+# .csv report imports csv, which imports re, so every report is .json
+RUNS = {"check-axioms": ("check-axioms", ADDITIVE_DOC, "--grid", "1,2"),
+        "topology": ("topology", ADDITIVE_DOC),
+        "cover": ("cover", {"space": ADDITIVE_DOC, "sequence": ["a", "b"]}),
+        "luxemburg": ("luxemburg", ADDITIVE_DOC),
+        "graph": ("graph", GRAPH_DOC),
+        "graph-grid": ("graph", GRAPH_DOC, "--grid", "1,2"),
+        "orlicz": ("orlicz", ORLICZ_DOC, "--tol", "1e-9"),
+        "envelope": ("envelope", ENVELOPE_DOC)}
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_each_command_runs_without_json_or_re(tmp_path, run):
+    command, doc, *flags = RUNS[run]
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, "--input", str(src), "--output",
+            str(tmp_path / "report.json"), *flags]
+    found = loaded(f"import sys, quasimod.cli; "
+                   f"assert quasimod.cli.main({argv!r}) in (0, 1)", {"json", "re"})
+    assert found == [], f"{run} loaded {found}"
 
 
 # every named-tuple record of the package, by module
