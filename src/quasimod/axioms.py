@@ -12,7 +12,7 @@ from itertools import chain, product
 
 from .extreal import ext_mul
 from .gauges import GaugeSpec, Regime, _rows_symmetric, triangle_violations
-from .profiles import Profile, ScaleGrid, profile_convolve
+from .profiles import ScaleGrid, _splits
 from .records import NamedTuple
 
 
@@ -79,9 +79,7 @@ def check_axioms(g: GaugeSpec, points=None, grid: ScaleGrid | None = None) -> Ax
                     "scale-monotone", (x, y, grid[k], grid[k + 1]),
                     row[k + 1], row[k]))
 
-    # (i, j, u) with grid[u] the least grid scale >= grid[i] + grid[j]
-    splits = [(i, j, u) for i in range(m) for j in range(m)
-              for u in [grid.ceil_index(grid[i] + grid[j])] if u is not None]
+    splits = [s for s in _splits(grid) if s[2] is not None]
     if splits:
         if all(s == stack[0] for s in stack):
             splits = splits[:1]  # every split reads the same values
@@ -153,23 +151,23 @@ def enriched_triangle_check(g: GaugeSpec, points=None,
     """Profile-level triangle check for conorm gauges.
 
     Verifies w(x, z, u) <= (W(x,y) convolved with W(y,z))(u) for every
-    ordered triple, at grid scales u >= 2 * t_1: below that no grid split
-    of u exists and the convolution falls back to the (t_1, t_1) pair,
-    which does not bound w(x, z, u) even for perfectly regular gauges.
+    ordered triple, at grid scales u some split reaches: below those the
+    convolution falls back to the (t_1, t_1) pair, which does not bound
+    w(x, z, u) even for perfectly regular gauges.  Each split at or below
+    u runs `triangle_violations` over the `sample` stack, and the least
+    right side, the first in split order on a tie, is the convolution.
     """
     if g.regime is not Regime.CONORM:
         raise ValueError("enriched_triangle_check applies to conorm-regime gauges")
     points, grid, stack = g.sample(points, grid)
-    n = len(points)
-    profiles = [Profile(grid, row) for _, row in _pair_series(points, stack)]
-    threshold = 2.0 * grid[0]
-    violations: list[Violation] = []
-    for (a, x), (b, y), (c, z) in product(enumerate(points), repeat=3):
-        conv = profile_convolve(profiles[a * n + b], profiles[b * n + c],
-                                g.conorm).values
-        lhs = profiles[a * n + c].values
-        for k, u in enumerate(grid):
-            if u >= threshold and lhs[k] > conv[k]:
-                violations.append(Violation(
-                    "convolution-triangle", (x, y, z, u), lhs[k], conv[k]))
-    return AxiomReport(("convolution-triangle",), tuple(violations))
+    sides = {}  # (x, y, z, u) by index -> its failing splits' right sides
+    for i, j, u in _splits(grid):
+        for k in range(len(grid) if u is None else u, len(grid)):
+            for a, b, c, _, rhs in triangle_violations(
+                    stack[k], stack[i], stack[j], g.oplus):
+                sides.setdefault((a, b, c, k), []).append(rhs)
+    return AxiomReport(("convolution-triangle",), tuple(
+        Violation("convolution-triangle",
+                  (points[a], points[b], points[c], grid[k]),
+                  stack[k][a][c], min(rights))
+        for (a, b, c, k), rights in sorted(sides.items())))

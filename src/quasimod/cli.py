@@ -418,10 +418,10 @@ def cmd_cover(args, phase):
                            "all_composed_ok": hb.all_composed_ok}}
     phase("heine-borel")
     if sequence:
-        doc["cauchy"] = _RowTable(
+        rows = classify_cauchy_thresholds(sequence, g, thresholds)
+        doc["cauchy"] = _RowTable(  # radius, scale, each classification field
             ("radius", "scale", "kind", "i0", "forward_i0", "backward_i0"),
-            list(zip(*[(r, t, *c) for r, t, c
-                       in classify_cauchy_thresholds(sequence, g, thresholds)])))
+            [*zip(*rows)][:2] + [*zip(*map(itemgetter(2), rows))])
     phase("cauchy")
     return doc, hb.all_composed_ok
 

@@ -46,7 +46,7 @@ class GaugeSpec(Frozen):
 
     _fields = ("regime", "points", "conorm", "grid", "claims_symmetric",
                "claims_convex", "name", "fn", "table")
-    __slots__ = _fields + ("_index", "_columns")
+    __slots__ = _fields + ("_index", "_columns", "_memo")
     _shown = -2
     __eq__, __hash__ = object.__eq__, object.__hash__
 
@@ -95,7 +95,7 @@ class GaugeSpec(Frozen):
                             for col in zip(*table.values()))
         self._set(regime, points, conorm, grid, claims_symmetric,
                   claims_convex, name, fn, table,
-                  {p: i for i, p in enumerate(points)}, columns)
+                  {p: i for i, p in enumerate(points)}, columns, {})
 
     def index(self, x) -> int:
         """Position of x in `points`."""
@@ -106,13 +106,18 @@ class GaugeSpec(Frozen):
 
     def matrix(self, t: float) -> tuple[tuple[float, ...], ...]:
         """Entry [i][j] is w(points[i], points[j], t), read like `value`:
-        the ceil grid column of a table, or the closed form at t itself."""
+        the ceil grid column of a table, or the closed form at t itself,
+        evaluated once per scale (and type of scale) and then memoized."""
         if not t > 0:
             raise ValueError(f"scale must be positive, got {t!r}")
         if self.table is not None:
             k = self.grid.ceil_index(t)
             return self._columns[-1 if k is None else k]
-        return tuple(self._read(x, self.points, t) for x in self.points)
+        key = type(t), t
+        if key not in self._memo:
+            self._memo[key] = tuple(self._read(x, self.points, t)
+                                    for x in self.points)
+        return self._memo[key]
 
     def _read(self, x, ys, t: float) -> tuple[float, ...]:
         """w(x, y, t) for each y in ys by the number rule (a plain float as

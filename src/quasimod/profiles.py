@@ -78,6 +78,14 @@ def right_regularize(p: Profile) -> Profile:
     return Profile(p.grid, tuple(out))
 
 
+def _splits(grid: ScaleGrid) -> list[tuple[int, int, int | None]]:
+    """(i, j, u) for every grid split, i-major, with grid[u] the least grid
+    scale >= the float sum grid[i] + grid[j], None past the top: the one
+    split rule of the triangle checks and of the convolution."""
+    return [(i, j, grid.ceil_index(s + t))
+            for i, s in enumerate(grid) for j, t in enumerate(grid)]
+
+
 def profile_convolve(phi: Profile, psi: Profile, conorm: TConorm) -> Profile:
     """Scale convolution of two [0,1]-valued profiles on a shared grid.
 
@@ -89,19 +97,12 @@ def profile_convolve(phi: Profile, psi: Profile, conorm: TConorm) -> Profile:
     """
     if phi.grid != psi.grid:
         raise ValueError("profiles must share a grid")
-    scales = phi.grid.scales
     for v in phi.values + psi.values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"convolution needs values in [0, 1], got {v!r}")
-    law, out = conorm.law, []
-    for u in scales:
-        best = law(phi.values[0], psi.values[0])
-        for i, ti in enumerate(scales):
-            if ti + scales[0] > u:
-                break
-            for j, tj in enumerate(scales):
-                if ti + tj > u:
-                    break
-                best = min(best, law(phi.values[i], psi.values[j]))
-        out.append(best)
-    return Profile(phi.grid, tuple(out))
+    law, p, q = conorm.law, phi.values, psi.values
+    # (u, value) for (t_1, t_1) as if it landed on t_1, then each split
+    pairs = [(0, law(p[0], q[0]))] + [(u, law(p[i], q[j])) for i, j, u
+                                      in _splits(phi.grid) if u is not None]
+    return Profile(phi.grid, tuple(min(c for u, c in pairs if u <= k)
+                                   for k in range(len(p))))

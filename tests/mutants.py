@@ -46,6 +46,10 @@ SCALED_GRID = ("test_metamorphic.py::"
                "test_scaling_the_grid_scales_only_the_witness_scales[0]")
 OPPOSITE_SIDES = ("test_metamorphic.py::"
                   "test_the_opposite_gauge_swaps_forward_and_backward[0]")
+ENRICHED = ("test_dense.py::"
+            "test_enriched_triangle_check_matches_the_per_pair_loops")
+CONVOLVE_FALLBACK = ("test_profiles.py::test_convolve_falls_back_to_the_"
+                     "finest_pair_and_keeps_signed_zeros")
 BALL_ROWS = "test_cover_rows.py::test_ball_rows_match_brute_force"
 ROW_BUILDS = "test_cover_rows.py::test_row_builds_stay_within_the_distinct_keys"
 COVER_ROWS = "test_cover_rows.py::test_report_matches_the_reference"
@@ -99,9 +103,9 @@ MUTANTS = (
            "splits = splits[:1]  # every split reads the same values",
            "splits = splits  # every split reads the same values",
            (AXIOM_LOOPS,)),
-    Mutant("split scale floored at 1", "axioms.py",
-           "[grid.ceil_index(grid[i] + grid[j])]",
-           "[grid.ceil_index(max(grid[i] + grid[j], 1.0))]",
+    Mutant("split scale floored at 1", "profiles.py",
+           "grid.ceil_index(s + t)",
+           "grid.ceil_index(max(s + t, 1.0))",
            (SCALED_GRID,)),
     Mutant("add at the check_axioms call", "axioms.py",
            "stack[u], stack[i], stack[j], g.oplus))",
@@ -655,6 +659,25 @@ MUTANTS = (
            ("test_luxemburg.py::test_table_rows_are_checked_whole",
             "test_reference.py::test_luxemburg_refuses_exactly_the_tables_"
             "check_axioms_finds_rising[own-grid]")),
+    # the enriched triangle check and the convolution over the shared
+    # split rule; on the corpora's grids each split lands on its scale, so
+    # admitting a split one scale later reads t_i + t_j < u
+    Mutant("admitted split read strictly (t_i + t_j < u)", "axioms.py",
+           "for k in range(len(grid) if u is None else u, len(grid)):",
+           "for k in range(len(grid) if u is None else u + 1, len(grid)):",
+           (ENRICHED,)),
+    Mutant("enriched right side from the first admitted split", "axioms.py",
+           "stack[k][a][c], min(rights))",
+           "stack[k][a][c], rights[0])",
+           (ENRICHED,)),
+    Mutant("convolution without the (t_1, t_1) pair", "profiles.py",
+           "pairs = [(0, law(p[0], q[0]))] + [",
+           "pairs = [",
+           (CONVOLVE_FALLBACK,)),
+    Mutant("stale memo entry", "gauges.py",
+           "return self._memo[key]",
+           "return next(iter(self._memo.values()))",
+           ("test_dense.py::test_matrix_matches_value_on_and_off_the_grid",)),
     Mutant("ceil_index letting nan through", "profiles.py",
            "if not t > 0:",
            "if t <= 0:",

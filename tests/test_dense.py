@@ -27,8 +27,8 @@ from quasimod import (INF, CellInclusionError, CoverResult, GaugeSpec,
 from quasimod.axioms import AxiomReport, Violation
 from quasimod.extreal import ext_mul
 
-from conftest import (ADDITIVE_BUILDERS, CONORMS, CORPORA, _materialize,
-                      closed_form_corpus, conorm_corpus, corpus,
+from conftest import (ADDITIVE_BUILDERS, CONORMS, CORPORA, GAUGES,
+                      _materialize, closed_form_corpus, conorm_corpus, corpus,
                       corrupt_one_entry, points_named, probe_scales,
                       random_conorm_gauge, random_quasi_pseudometric,
                       random_raw_table, rng_for, skew_gauge, transpose)
@@ -342,15 +342,57 @@ def test_convexity_check_matches_the_per_pair_loops():
     assert found > 0
 
 
+def signed_zero_tables():
+    """Conorm tables under no axiom whose zeros carry either sign, so that
+    failing splits tie at 0.0 and -0.0 on the right side."""
+    for k, conorm in enumerate(CONORMS * 2):
+        rng = rng_for(960 + k)
+        pts = points_named(rng.randrange(2, 6))
+        grid = ScaleGrid((0.5, 1.0, 1.5, 2.0))
+        yield GaugeSpec(
+            regime=Regime.CONORM, points=pts, conorm=conorm, grid=grid,
+            name=f"signed_zero_{conorm.wire_name}",
+            table={(x, y): tuple(rng.choice((0.0, -0.0, -0.0, 0.5, 0.75))
+                                 for _ in grid) for x in pts for y in pts})
+
+
+def enriched_gauges():
+    """Every corpus, additive ones included, seeded conorm gauges under each
+    conorm with a corrupted copy where the composite allows one, and the
+    signed-zero tables."""
+    for name in sorted(GAUGES):
+        yield from GAUGES[name]()
+    for seed in range(4):
+        rng = rng_for(970 + seed)
+        for c in CONORMS:
+            g = random_conorm_gauge(rng, rng.randrange(2, 6), c)
+            yield g
+            try:
+                yield corrupt_one_entry(g, rng)[0]
+            except ValueError:  # a composite too close to 1 to corrupt
+                pass
+    yield from signed_zero_tables()
+
+
+def outcome(check, *args):
+    """The repr of the check's report, which tells -0.0 from 0.0, or the
+    ValueError it raises."""
+    try:
+        return repr(check(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def test_enriched_triangle_check_matches_the_per_pair_loops():
-    found = 0
-    for g, points, grid in sweep_cases(conorm_gauges(),
+    found, ties = 0, 0
+    for g, points, grid in sweep_cases(enriched_gauges(),
                                        ScaleGrid((0.25, 0.5, 1.5, 3.0))):
-        want = oracle_enriched_triangle_check(g, points, grid)
-        assert enriched_triangle_check(g, points, grid) == want, \
+        want = outcome(oracle_enriched_triangle_check, g, points, grid)
+        assert outcome(enriched_triangle_check, g, points, grid) == want, \
             (g.name, points, grid)
-        found += len(want.violations)
-    assert found > 0
+        found += want.count("Violation(")
+        ties += want.count("rhs=-0.0)")
+    assert found > 0 and ties > 0
 
 
 def oracle_quasi_uniformity_report(g, points=None, grid=None):

@@ -13,6 +13,7 @@ from quasimod import (
     luxemburg_infimum,
     make_min_cap,
     make_scaled_metric,
+    opposite,
     quasi_pseudometric_check,
     symmetrized_luxemburg,
 )
@@ -44,6 +45,25 @@ def test_recovers_the_underlying_distance():
                     lo, hi = res.bracket
                     assert lo < res.value <= hi
                     assert hi - lo <= 1e-9
+
+
+def test_a_search_keeps_no_matrix_and_a_sweep_one_per_scale():
+    # a search probes off-grid scales through `value`, which reads a closed
+    # form per pair: neither g nor its opposite, which reads g.value, keeps
+    # a matrix; `matrix` keeps one per scale and hands it out again
+    rng = rng_for(31)
+    pts = points_named(4)
+    g = scaled_gauge(random_quasi_pseudometric(rng, pts), pts)
+    opp = opposite(g)
+    for gauge in (g, opp):
+        for x in pts:
+            for y in pts:
+                assert luxemburg_distance(gauge, x, y).iterations > 0
+    assert g._memo == {} and opp._memo == {}
+    mat = opp.matrix(0.5)
+    assert opp.matrix(0.5) is mat and len(opp._memo) == 1
+    assert mat == tuple(tuple(g.value(y, x, 0.5) for y in pts) for x in pts)
+    assert g._memo == {}
 
 
 def test_zero_distance_short_circuits():

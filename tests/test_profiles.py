@@ -14,8 +14,9 @@ from quasimod import (
     profile_convolve,
     right_regularize,
 )
+from quasimod.profiles import _splits
 
-from conftest import convolve_oracle
+from conftest import convolve_oracle, rng_for
 
 
 def grids(max_size=6):
@@ -126,3 +127,45 @@ def test_convolve_input_validation():
         profile_convolve(p1, Profile(g2, (0.5, 0.25)), TConorm.MAX)
     with pytest.raises(ValueError, match="values in"):
         profile_convolve(p1, Profile(g1, (2.0, 0.1)), TConorm.MAX)
+
+
+def test_convolve_falls_back_to_the_finest_pair_and_keeps_signed_zeros():
+    # on (1, 1.5, 2, 4) no split reaches 1 or 1.5, and on (1, 1.5) none
+    # reaches any scale: those entries are conorm(phi(t_1), psi(t_1)); the
+    # levels hold both zeros, so ties decide the sign, compared by repr
+    levels = (0.0, -0.0, 0.25, 0.5, 1.0)
+    for k in range(60):
+        rng = rng_for(1000 + k)
+        grid = ScaleGrid(((1.0, 1.5, 2.0, 4.0), (1.0, 1.5))[k % 2])
+        phi, psi = (Profile(grid, tuple(rng.choice(levels) for _ in grid))
+                    for _ in "ab")
+        for conorm in TConorm:
+            conv = profile_convolve(phi, psi, conorm).values
+            assert repr(conv) == repr(convolve_oracle(phi, psi, conorm))
+            assert repr(conv[:2]) == repr(
+                (conorm.law(phi.values[0], psi.values[0]),) * 2)
+
+
+def former_check_axioms_splits(grid):
+    """check_axioms' split list before the shared split rule."""
+    m = len(grid)
+    return [(i, j, u) for i in range(m) for j in range(m)
+            for u in [grid.ceil_index(grid[i] + grid[j])] if u is not None]
+
+
+def test_splits_are_check_axioms_former_split_list():
+    # decimal scales make float sums like 0.1 + 0.2 = 0.30000000000000004,
+    # which lands on 0.4 rather than on 0.3
+    grid = ScaleGrid((0.1, 0.2, 0.3, 0.4))
+    assert (0, 1, 3) in _splits(grid) and (1, 0, 3) in _splits(grid)
+    for k in range(200):
+        rng = rng_for(1100 + k)
+        denominator = rng.choice((4, 8, 10, 100))
+        grid = ScaleGrid(tuple(sorted(
+            n / denominator for n in rng.sample(range(1, 60),
+                                                rng.randrange(1, 7)))))
+        splits = _splits(grid)
+        assert [(i, j) for i, j, _ in splits] == [
+            (i, j) for i in range(len(grid)) for j in range(len(grid))]
+        assert [s for s in splits if s[2] is not None] == \
+            former_check_axioms_splits(grid)
