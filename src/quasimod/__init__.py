@@ -3,9 +3,10 @@
 The package models distance-like data that depends on a positive scale and
 need not be symmetric.  Additive-regime gauges aggregate with +, conorm-regime
 gauges take values in [0, 1] and aggregate with a t-conorm.  On finite point
-sets everything downstream is computed exactly: axiom sweeps, ball topologies
-and their join, covers and nets, Luxemburg-style norms, directed-graph
-energies, and discrete Musielak-Orlicz modulars.
+sets every sweep is exhaustive: axiom sweeps, ball topologies and their join,
+covers and nets, Luxemburg-style norms, directed-graph energies, and discrete
+Musielak-Orlicz modulars.  Triangle verdicts are exact in the rationals
+where the kernel's lane pass runs (integer and k/2**m data), else float ones.
 """
 
 from .axioms import (AxiomReport, Violation, check_axioms, convexity_check,

@@ -16,15 +16,17 @@ Gauges are immutable.  They are either closed-form (a function of x, y, t)
 or tabulated (one value per ordered pair per grid scale, read with the
 right-continuous ceil convention of Profile).  `matrix(t)` holds every
 value at one scale as rows in point order (one prebuilt per grid column);
-grid sweeps read `sample`, those matrices stacked along a grid.
+grid sweeps read `sample`, those matrices stacked along a grid.  The split
+triangle kernel, `triangle_violations`, decides pairs under + on packed
+integer lanes where every float sum is exact, and in floats elsewhere.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Mapping
-from itertools import chain, product, repeat
-from operator import add, eq, gt, mul
+from itertools import chain, compress, product, repeat
+from operator import add, and_, eq, gt, mul, ne, sub
 
 from .conorms import TConorm, conorm_from_name
 from .extreal import (INF, decode_ids, ext_mul, format_ext, number,
@@ -196,20 +198,57 @@ def triangle_violations(lhs, left=None, right=None, oplus=add) -> list[tuple]:
 
     The three are square lists of row lists over one point order; left and
     right default to lhs, and values may be +inf.  Each (i, j) is decided by
-    one C-level pass over lhs row i and right row j, and k is scanned only
-    where that pass finds a violation.
+    one C-level pass, on integer lanes where `_lane_codes` takes the three,
+    and k is scanned in floats only where that pass finds a violation.
     """
     left = lhs if left is None else left
     right = lhs if right is None else right
+    code = _lane_codes((lhs, left, right)) if oplus is add else None
+    hits = _lane_hits(lhs, left, right, code) if code else (
+        (i, j) for i, (row_i, left_i) in enumerate(zip(lhs, left))
+        for j, (d_ij, row_j) in enumerate(zip(left_i, right))
+        if any(map(gt, row_i, map(oplus, repeat(d_ij), row_j))))
     out = []
-    for i, (row_i, left_i) in enumerate(zip(lhs, left)):
-        for j, (d_ij, row_j) in enumerate(zip(left_i, right)):
-            if any(map(gt, row_i, map(oplus, repeat(d_ij), row_j))):
-                for k, (v, d_jk) in enumerate(zip(row_i, row_j)):
-                    rhs = oplus(d_ij, d_jk)
-                    if v > rhs:
-                        out.append((i, j, k, v, rhs))
+    for i, j in hits:
+        row_i, d_ij, row_j = lhs[i], left[i][j], right[j]
+        for k, (v, d_jk) in enumerate(zip(row_i, row_j)):
+            rhs = oplus(d_ij, d_jk)
+            if v > rhs:
+                out.append((i, j, k, v, rhs))
     return out
+
+
+def _lane_codes(mats) -> dict | None:
+    """{v: k} with v = k * 2**E for one E <= 0, and +inf as 2 * top + 1, if
+    every value is a float >= 0 or +inf and the top k has 2 * top < 2**53:
+    every float sum of two values is then exact.  Else None."""
+    seen = set().union(*chain.from_iterable(mats)) - {INF}
+    if set(map(type, seen)) - {float} or not all(map(_NONNEGATIVE, seen)):
+        return None
+    ratios = {v: v.as_integer_ratio() for v in seen}
+    unit = max([den for _, den in ratios.values()], default=1)  # 2**-E
+    code = {v: num * unit // den for v, (num, den) in ratios.items()}
+    top = max(code.values(), default=0)
+    code[INF] = 2 * top + 1
+    return None if 2 * top >= 1 << 53 else code
+
+
+def _lane_hits(lhs, left, right, code: dict):
+    """The failing (i, j) in order, rows packed into ints of byte lanes:
+    (right_j | guard) + left_ij * ones - lhs_i clears failing lanes' guards."""
+    n = len(lhs)
+    width = (code[INF].bit_length() + 9) // 8
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * n, "little")
+    guard = ones << 8 * width - 1
+    lane = {v: c.to_bytes(width, "little") for v, c in code.items()}
+    packed = [int.from_bytes(b"".join(map(lane.__getitem__, row)), "little")
+              for row in chain(right, lhs)]
+    sums = map(add, chain.from_iterable(repeat(packed[:n], n)), map(
+        mul, map(code.__getitem__, chain.from_iterable(left)), repeat(ones)))
+    lanes = map(sub, sums, chain.from_iterable(
+        repeat(row - guard, n) for row in packed[n:]))
+    return compress(product(range(n), repeat=2),
+                    map(ne, map(and_, lanes, repeat(guard)), repeat(guard)))
 
 
 def _table_rows(d: Mapping, xs, ys, what: str) -> list[tuple[float, ...]]:

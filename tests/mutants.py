@@ -40,6 +40,10 @@ class Mutant(NamedTuple):
 
 REF = "test_reference.py::test_reports_match_the_reference"
 AXIOM_LOOPS = "test_triangle_kernel.py::test_check_axioms_matches_the_replaced_loops"
+LANE_GUARD = "test_triangle_kernel.py::test_the_guard_takes_exact_lattices_only"
+LANE_EDGES = "test_triangle_kernel.py::test_edge_tables_match_the_float_loop"
+LANE_MATRICES = ("test_triangle_kernel.py::"
+                 "test_three_matrices_match_the_float_loop")
 OPPOSITE_WITNESSES = ("test_metamorphic.py::"
                       "test_the_opposite_gauge_reverses_every_axiom_witness[0]")
 SCALED_GRID = ("test_metamorphic.py::"
@@ -116,9 +120,32 @@ MUTANTS = (
            "return add",
            (AXIOM_LOOPS,)),
     Mutant(">= in triangle_violations", "gauges.py",
-           "                    if v > rhs:",
-           "                    if v >= rhs:",
+           "            if v > rhs:",
+           "            if v >= rhs:",
            ("test_triangle_kernel.py::test_kernel_lists_index_triples_in_order",)),
+    # the lane guard and lanes: a bound one past 2**53, an infinity no
+    # finite sum stays below, lanes without headroom, a nan or negative let
+    # through, and no table taken at all
+    Mutant("lane bound read as >", "gauges.py",
+           "return None if 2 * top >= 1 << 53 else code",
+           "return None if 2 * top > 1 << 53 else code",
+           (LANE_GUARD,)),
+    Mutant("lane sentinel at the largest code", "gauges.py",
+           "    code[INF] = 2 * top + 1",
+           "    code[INF] = top",
+           (LANE_EDGES,)),
+    Mutant("lanes one byte short", "gauges.py",
+           "width = (code[INF].bit_length() + 9) // 8",
+           "width = (code[INF].bit_length() + 1) // 8",
+           (LANE_MATRICES,)),
+    Mutant("lane guard lets a nan or a negative through", "gauges.py",
+           " or not all(map(_NONNEGATIVE, seen)):",
+           ":",
+           (LANE_EDGES,)),
+    Mutant("lane guard refuses every table", "gauges.py",
+           "return None if 2 * top >= 1 << 53 else code",
+           "return None",
+           (LANE_GUARD,)),
     Mutant("symmetry by list ==", "gauges.py",
            "    return all(map(eq, chain.from_iterable(rows),\n"
            "                   chain.from_iterable(zip(*rows))))",

@@ -1,23 +1,32 @@
 """Differential tests for the triangle kernel.
 
 `triangle_violations` decides each (x, y) with one pass over two rows and
-scans z only on a hit.  The oracle is `reference`: the quasi-pseudometric
-check's (x, y, z) loop with its own per-pair lookup, and `check_axioms`
-by definition for every regime, over every split, or over the first one
-where the gauge is constant in the scale.  Witnesses, sides and order
-must match exactly.
+scans z only on a hit.  Under + that pass runs on integer lanes where the
+guard `_lane_codes` takes the three matrices, and on floats elsewhere, so
+every seeded case runs twice: on its lattice values and on a copy with one
+entry set to 0.3, whose odd 53-bit numerator no lattice of the guard holds.
+The oracle is `reference`: the quasi-pseudometric check's (x, y, z) loop
+with its own per-pair lookup, and `check_axioms` by definition for every
+regime, over every split, or over the first one where the gauge is constant
+in the scale.  Witnesses, sides and order must match exactly.  On the edge
+tables the oracle is the float triple loop, and on every table the guard
+takes the triples must be the ones `fractions.Fraction` finds.
 """
 
 import math
+from fractions import Fraction
+from itertools import product
 
 from quasimod import (INF, GaugeSpec, Regime, ScaleGrid, TConorm,
                       check_axioms, make_min_cap, quasi_pseudometric_check)
-from quasimod.gauges import triangle_violations
+from quasimod.gauges import _lane_codes, triangle_violations
 
 from conftest import (ADDITIVE_BUILDERS, _materialize, closed_form_corpus,
                       corrupt_one_entry, points_named, random_conorm_gauge,
                       random_quasi_pseudometric, random_raw_table, rng_for)
 from reference import axioms, quasi_pseudometric
+
+OFF_LATTICE = 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -58,27 +67,37 @@ def perturbed_closure(rng, points):
 
 
 def table_cases():
+    """Each seeded table on the points, on a subset in shuffled order and
+    on a list with a repeated point, then each with one entry among those
+    points set off the lattice."""
     for seed in range(150):
         rng = rng_for(7000 + seed)
         points = points_named(rng.randrange(1, 9))
         d = random_table(rng, points) if seed % 2 else \
             perturbed_closure(rng, points)
-        yield d, points
-        # a subset in shuffled order, and a list with a repeated point
         subset = rng.sample(points, rng.randrange(1, len(points) + 1))
-        yield d, subset
-        yield d, subset + [subset[0]]
+        for pts in (points, subset, subset + [subset[0]]):
+            yield d, pts
+            yield {**d, (rng.choice(pts), rng.choice(pts)): OFF_LATTICE}, pts
+
+
+def distance_rows(d, points):
+    return [[d.get((x, y), 0.0 if x == y else INF) for y in points]
+            for x in points]
 
 
 def test_kernel_matches_the_triple_loop_on_seeded_tables():
-    kinds = set()
+    kinds, lanes = set(), []
     for d, points in table_cases():
         want = quasi_pseudometric(d, points)
         kinds.update(v.axiom for v in want.violations)
         # repr, since a nan entry equals no other
         assert repr(quasi_pseudometric_check(d, points)) == repr(want), \
             (d, points)
+        lanes.append(_lane_codes([distance_rows(d, points)]) is not None)
     assert kinds == {"zero-self", "triangle"}
+    # the lattice tables but those holding a nan take the lanes, and no copy
+    assert not any(lanes[1::2]) and sum(lanes[::2]) >= 300
 
 
 def test_kernel_lists_index_triples_in_order():
@@ -120,6 +139,144 @@ def test_min_cap_reports_the_first_violation_of_the_loop():
 
 
 # ---------------------------------------------------------------------------
+# the lane guard and its edges
+
+
+def float_triples(lhs, left, right):
+    """The kernel by definition: every (i, j, k) in order, decided in
+    floats."""
+    n = len(lhs)
+    return [(i, j, k, lhs[i][k], rhs)
+            for i, j, k in product(range(n), repeat=3)
+            for rhs in [left[i][j] + right[j][k]] if lhs[i][k] > rhs]
+
+
+def rational(v):
+    return v if v == INF else Fraction(v)
+
+
+def fraction_triples(lhs, left, right):
+    """(i, j, k) where lhs[i][k] exceeds left[i][j] + right[j][k] in the
+    rationals the floats denote (+inf absorbing)."""
+    n = len(lhs)
+    return [(i, j, k) for i, j, k in product(range(n), repeat=3)
+            if rational(lhs[i][k]) >
+            rational(left[i][j]) + rational(right[j][k])]
+
+
+def top_table(top):
+    """1 and top - 1 sum to top, a tie; w(c, a) = top exceeds 1 + 1."""
+    return [[0.0, 1.0, top], [1.0, 0.0, top - 1.0], [top, 1.0, 0.0]]
+
+
+# each table, and whether the guard takes it
+EDGE_TABLES = {
+    "negative zero": ([[-0.0, 0.5, 0.25], [-0.0, 0.0, -0.0],
+                       [0.75, -0.0, -0.0]], True),
+    # +inf on the left side, in a right row and as w(a, b), against the
+    # largest finite code
+    "inf": ([[0.0, 0.0, INF], [INF, 0.0, 2.0], [0.5, INF, 0.0]], True),
+    "all inf": ([[INF, INF], [INF, INF]], True),
+    "nan": ([[0.0, math.nan, 3.0], [1.0, 0.0, 1.0], [math.nan, 1.0, 0.0]],
+            False),
+    "negative": ([[0.0, -1.0, 3.0], [1.0, 0.0, 1.0], [0.5, -0.5, 0.0]],
+                 False),
+    "-inf": ([[0.0, -INF, 3.0], [1.0, 0.0, INF], [1.0, 1.0, 0.0]], False),
+    "int": ([[0, 1, 5], [1, 0, 1], [1, 2, 0]], False),
+    "5e-324": ([[0.0, 5e-324, 1e-323], [5e-324, 0.0, 5e-324],
+                [INF, 1e-323, 0.0]], True),
+    "2**51": (top_table(2.0 ** 51), True),
+    "2**52 - 1": (top_table(2.0 ** 52 - 1), True),
+    "2**52": (top_table(2.0 ** 52), False),
+    "2**53": (top_table(2.0 ** 53), False),
+    "1e-300 beside 1e300": ([[0.0, 1e-300, 1e300], [1e-300, 0.0, 1e300],
+                             [1e300, 2e-300, 0.0]], False),
+    # 1e308 + 1e308 rounds to inf, so the float pass finds no witness where
+    # the rationals have one: the guard keeps it off the lanes
+    "1e308 + 1e308": ([[0.0, 1e308, INF], [INF, 0.0, 1e308],
+                       [INF, INF, 0.0]], False),
+    "no points": ([], True),
+    "one point": ([[0.0]], True),
+    "one nonzero point": ([[0.5]], True),
+}
+
+
+def test_edge_tables_match_the_float_loop():
+    for name, (rows, lanes) in EDGE_TABLES.items():
+        assert (_lane_codes([rows]) is not None) == lanes, name
+        # repr keeps the sign of a zero and tells a nan from a nan
+        assert repr(triangle_violations(rows)) == \
+            repr(float_triples(rows, rows, rows)), name
+    assert repr(triangle_violations(EDGE_TABLES["negative zero"][0])) == \
+        "[(0, 2, 1, 0.5, 0.25), (2, 1, 0, 0.75, -0.0)]"
+
+
+def test_the_guard_takes_exact_lattices_only():
+    quarter = [[0.0, 0.25, INF], [1.75, -0.0, 0.5], [0.5, 2.0, 0.0]]
+    assert _lane_codes([quarter]) == {0.0: 0, 0.25: 1, 0.5: 2, 1.75: 7,
+                                      2.0: 8, INF: 17}
+    integer = [[0.0, 3.0, 7.0], [1.0, 0.0, 2.0], [INF, 5.0, 0.0]]
+    assert _lane_codes([integer]) == {0.0: 0, 1.0: 1, 2.0: 2, 3.0: 3,
+                                      5.0: 5, 7.0: 7, INF: 15}
+    # item 2: 0.1 + 0.2 rounds to 0.30000000000000004
+    sums = [[0.0, 0.1, 0.30000000000000004], [0.1, 0.0, 0.2],
+            [0.30000000000000004, 0.2, 0.0]]
+    assert _lane_codes([sums]) is None
+    # the bound, 2 * top < 2**53, is strict, and the three share one lattice
+    assert _lane_codes([[[1.0, 2.0 ** 52 - 1]]]) is not None
+    assert _lane_codes([[[1.0, 2.0 ** 52]]]) is None
+    assert _lane_codes([[[2.0 ** 51]], [[1.0]], [[1.0]]]) is not None
+    assert _lane_codes([[[2.0 ** 51]], [[0.5]], [[1.0]]]) is None
+
+
+def lattice_matrix(rng, n):
+    """Values from 0 to 2 on a lattice of 1, 1/4 or 1/16, a few +inf."""
+    step = rng.choice((1, 4, 16))
+    return [[INF if rng.random() < 0.1 else rng.randrange(0, 2 * step + 1)
+             / step for _ in range(n)] for _ in range(n)]
+
+
+def three_matrix_cases():
+    """Three distinct lattice matrices of 0 to 7 points, and a copy of each
+    with one entry off the lattice."""
+    for seed in range(120):
+        rng = rng_for(9000 + seed)
+        n = seed % 8
+        mats = [lattice_matrix(rng, n) for _ in range(3)]
+        yield mats
+        if n:
+            copy = [[row[:] for row in m] for m in mats]
+            copy[rng.randrange(3)][rng.randrange(n)][rng.randrange(n)] = \
+                OFF_LATTICE
+            yield copy
+
+
+def test_three_matrices_match_the_float_loop():
+    lanes = []
+    for lhs, left, right in three_matrix_cases():
+        assert triangle_violations(lhs, left, right) == \
+            float_triples(lhs, left, right), (lhs, left, right)
+        lanes.append(_lane_codes([lhs, left, right]) is not None)
+    assert all(lanes[:2]) and lanes.count(True) == 120
+
+
+def test_lane_verdicts_are_the_rational_ones():
+    """The certificate: on every table the guard takes, the kernel's
+    triples are exactly the Fraction triples."""
+    cases = [*three_matrix_cases(),
+             *([rows] * 3 for rows, _ in EDGE_TABLES.values()),
+             *([distance_rows(d, points)] * 3
+               for d, points in table_cases())]
+    taken = 0
+    for mats in cases:
+        if _lane_codes(mats) is not None:
+            taken += 1
+            assert [t[:3] for t in triangle_violations(*mats)] == \
+                fraction_triples(*mats), mats
+    assert taken >= 450
+
+
+# ---------------------------------------------------------------------------
 # the scale-constant additive branch of check_axioms
 
 
@@ -140,6 +297,15 @@ def constant_copy(g, rng):
     return tab._replace(name=f"{tab.name}_corrupt", table=table)
 
 
+def off_lattice_copy(g, rng):
+    """g tabulated with one pair's whole row set off the lattice, which
+    keeps it constant in the scale if it was."""
+    tab = g.tabulated()
+    pair = rng.choice(list(tab.table))
+    return tab._replace(name=f"{tab.name}_off_lattice", table={
+        **tab.table, pair: (OFF_LATTICE,) * len(tab.grid)})
+
+
 def additive_gauges():
     for seed in range(12):
         for builder in ADDITIVE_BUILDERS:
@@ -147,6 +313,7 @@ def additive_gauges():
             g = builder(rng, rng.randrange(2, 7))
             yield g
             yield constant_copy(g, rng)
+            yield off_lattice_copy(g, rng)
 
 
 def test_scale_constant_branch_matches_its_loop():
@@ -215,6 +382,7 @@ def axiom_gauges():
             yield g
             yield constant_copy(g, rng)
             yield corrupt_one_entry(g, rng, bump=2.0)[0]
+            yield off_lattice_copy(g, rng_for(8200 + seed))
         for c in TConorm:
             g = random_conorm_gauge(rng, rng.randrange(2, 6), c)
             yield from under_every_conorm(g)
@@ -241,11 +409,14 @@ def axiom_cases():
 
 
 def test_check_axioms_matches_the_replaced_loops():
-    seen = set()
+    seen, lanes = set(), {}
     for g, points, grid in axiom_cases():
         want = axioms(g, points, grid)
         assert check_axioms(g, points, grid) == want, \
             (g.name, points, grid)
+        if g.regime is Regime.ADDITIVE and points == g.points:
+            taken = _lane_codes(g.sample(points, grid)[2]) is not None
+            lanes[taken, g.name.endswith("_off_lattice")] = True
         rows = _materialize(g, points, grid)
         constant = all(len(set(row)) == 1 for row in rows.values())
         bad = want.by_axiom("triangle")
@@ -255,4 +426,7 @@ def test_check_axioms_matches_the_replaced_loops():
     # several witnesses in both regimes, constant in the scale or not
     assert {(r, c, True, True) for r in Regime for c in (True, False)} <= seen
     assert "uncheckable" in seen
+    # on all its points every additive gauge takes the lanes, and every
+    # off-lattice copy the float pass
+    assert set(lanes) == {(True, False), (False, True)}
 
