@@ -218,16 +218,22 @@ def triangle_violations(lhs, left=None, right=None, oplus=add) -> list[tuple]:
     return out
 
 
-def _lane_codes(mats) -> dict | None:
-    """{v: k} with v = k * 2**E for one E <= 0, and +inf as 2 * top + 1, if
-    every value is a float >= 0 or +inf and the top k has 2 * top < 2**53:
-    every float sum of two values is then exact.  Else None."""
-    seen = set().union(*chain.from_iterable(mats)) - {INF}
+def _lattice(seen) -> tuple:
+    """(2**-E, {v: k}) with v = k * 2**E for the one E <= 0 that holds every
+    value seen, if each is a float >= 0; else (None, None)."""
     if set(map(type, seen)) - {float} or not all(map(_NONNEGATIVE, seen)):
-        return None
+        return None, None
     ratios = {v: v.as_integer_ratio() for v in seen}
     unit = max([den for _, den in ratios.values()], default=1)  # 2**-E
-    code = {v: num * unit // den for v, (num, den) in ratios.items()}
+    return unit, {v: num * unit // den for v, (num, den) in ratios.items()}
+
+
+def _lane_codes(mats) -> dict | None:
+    """`_lattice`'s codes, with +inf's as 2 * top + 1, if 2 * top < 2**53:
+    every float sum of two values is then exact.  Else None."""
+    _, code = _lattice(set().union(*chain.from_iterable(mats)) - {INF})
+    if code is None:
+        return None
     top = max(code.values(), default=0)
     code[INF] = 2 * top + 1
     return None if 2 * top >= 1 << 53 else code

@@ -1,14 +1,16 @@
 """Directed graphs: path quasi-distances, capped gauges, and edge energies.
 
-Shortest paths use a heap-based label-setting method over nonnegative costs.
-Backward distances are forward distances on the transpose: d(y, x) read
-from the forward matrix.  An edge energy is the Musielak-Orlicz modular,
-and its Luxemburg norm the norm, of the gradient f(head) - f(tail) on the
-edge measure space: edge k at position k with mass mu(e), under any
-`MusielakOrlicz` indexed by edge position (per-edge exponents, double phase,
-weighted growth).  Both difference operators on an edge u -> v have the
-same magnitude, so one energy serves both directions; direction dependence
-enters through per-edge functions, measures, or cost schedules.
+All-pairs distances sweep whole rows on packed integer lanes where every
+path sum is exact, and run heap-based Dijkstra per source elsewhere or past
+`_PASSES` sweeps; both give the same floats.  Backward distances are
+forward distances on the transpose: d(y, x) read from the forward matrix.
+An edge energy is the Musielak-Orlicz modular, and its Luxemburg norm the
+norm, of the gradient f(head) - f(tail) on the edge measure space: edge k
+at position k with mass mu(e), under any `MusielakOrlicz` indexed by edge
+position (per-edge exponents, double phase, weighted growth).  Both
+difference operators on an edge u -> v have the same magnitude, so one
+energy serves both directions; direction dependence enters through per-edge
+functions, measures, or cost schedules.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping
 from itertools import chain
-from operator import ne
+from operator import itemgetter, ne
+from sys import byteorder
 
 from .extreal import (INF, decode_ids, format_ext, keyed_numbers, number,
                       numbers, parse_ext)
-from .gauges import GaugeSpec, _min_cap_rows
+from .gauges import GaugeSpec, _lattice, _min_cap_rows
 from .luxemburg import DEFAULT_TOL
 from .orlicz import DiscreteMeasureSpace, MusielakOrlicz, _modular, _norm
 from .profiles import ScaleGrid
@@ -124,6 +127,75 @@ def _dijkstra(adj, src: int) -> list[float]:
     return dist
 
 
+_PASSES = 24  # sweeps before `_lane_rows` leaves a graph to Dijkstra
+
+
+def _lane_rows(adj) -> list[list[float]] | None:
+    """`_dijkstra`'s rows, if every cost is k * 2**E on one `_lattice` with
+    sum k < 2**53, so that every simple-path sum is exact; else None.
+
+    Row s packs the code of d(s, v) in lane v, under a guard bit.  A sweep
+    sets row s to its lane-wise min with c(s, u) * ones + row u over its
+    out-edges, in the postorder of a cheapest-edge-first DFS reversed after
+    each sweep, and sweeps a row again only once a successor changed."""
+    unit, code = _lattice({c for out in adj for _, c in out})
+    if code is None:
+        return None
+    top = sum(code[c] for out in adj for _, c in out) + 1  # +inf's code
+    if top > 1 << 53:
+        return None
+    n = len(adj)
+    # a lane holds up to top + max k below its guard bit
+    width = next(w for w in (1, 2, 4, 8)
+                 if 8 * w > (top + max(code.values(), default=0)).bit_length())
+    shift = 8 * width - 1
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * n, "little")
+    guard = ones << shift
+    rows = [top * ones - (top << 8 * width * s) for s in range(n)]
+    out = [[(u, code[c] * ones) for u, c in sorted(edges, key=itemgetter(1))]
+           for edges in adj]
+    preds = [[] for _ in adj]
+    for s, edges in enumerate(adj):
+        for u, _ in edges:
+            preds[u].append(s)
+    order, seen = [], [False] * n
+    for root in range(n):
+        stack = [] if seen[root] else [(root, iter(out[root]))]
+        seen[root] = True
+        while stack:
+            u = next((u for u, _ in stack[-1][1] if not seen[u]), None)
+            if u is None:
+                order.append(stack.pop()[0])
+            else:
+                seen[u] = True
+                stack.append((u, iter(out[u])))
+    dirty = [True] * n
+    for _ in range(_PASSES):
+        for s in filter(dirty.__getitem__, order):
+            dirty[s] = False
+            row = old = rows[s]
+            for u, step in out[s]:
+                d = (row | guard) - step - rows[u]  # guard + row - sum
+                h = d & guard  # the guard bits of lanes where row >= sum
+                row -= d & (h - (h >> shift))  # those lanes drop to the sum
+            if row != old:
+                rows[s] = row
+                for p in preds[s]:
+                    dirty[p] = True
+        if not any(dirty):
+            break
+        order.reverse()
+    else:
+        return None
+    # a big-endian int lists its top lane first
+    lanes = [memoryview(row.to_bytes(n * width, byteorder))
+             .cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width]).tolist()
+             [::1 if byteorder == "little" else -1] for row in rows]
+    value = {k: INF if k >= top else k / unit
+             for k in set(chain.from_iterable(lanes))}
+    return [list(map(value.__getitem__, row)) for row in lanes]
+
+
 def forward_distance(g: DirectedGraph, x, y, costs=None) -> float:
     """Least total cost over directed paths x to y; +inf when unreachable."""
     adj = _adjacency(g, costs)
@@ -135,7 +207,7 @@ def distance_matrix(g: DirectedGraph, costs=None) -> list[list[float]]:
     is d(vertices[i], vertices[j]), +inf when unreachable.  Backward
     distances are the columns."""
     adj = _adjacency(g, costs)
-    return [_dijkstra(adj, i) for i in range(len(adj))]
+    return _lane_rows(adj) or [_dijkstra(adj, i) for i in range(len(adj))]
 
 
 def graph_gauge(g: DirectedGraph, costs=None, grid: ScaleGrid | None = None,

@@ -8,7 +8,9 @@ monotonicity guarantees that exact arithmetic turns into bit-level ones.
 No tolerance fudging is needed anywhere in the suite.
 """
 
+import itertools
 import json
+import math
 import random
 
 from quasimod import (
@@ -270,6 +272,70 @@ def random_digraph(rng, n, p=0.45):
                 edges.append(Edge(u, v, mu=rng.randrange(1, 9) / 4,
                                   cost=rng.randrange(8, 49) / 16))
     return DirectedGraph(vertices, tuple(edges))
+
+
+def lattice_cost(rng):
+    return rng.randrange(1, 49) / 16
+
+
+def path_digraph(rng, n, shuffled=False):
+    """A path run both ways, in vertex order or in a shuffled one, each
+    direction of a link costed apart."""
+    vertices = points_named(n, prefix="v")
+    order = rng.sample(vertices, n) if shuffled else vertices
+    return DirectedGraph(vertices, tuple(
+        Edge(u, v, 1.0, lattice_cost(rng))
+        for a, b in zip(order, order[1:]) for u, v in ((a, b), (b, a))))
+
+
+def cycle_digraph(rng, n, chords=False):
+    """A one-way cycle in vertex order; with chords, n random edges costed
+    above any cycle path and listed before the cycle's own."""
+    vertices = points_named(n, prefix="v")
+    heavy = [Edge(rng.choice(vertices), rng.choice(vertices), 1.0,
+                  64 + lattice_cost(rng)) for _ in range(n if chords else 0)]
+    return DirectedGraph(vertices, tuple(heavy) + tuple(
+        Edge(u, v, 1.0, lattice_cost(rng))
+        for u, v in zip(vertices, vertices[1:] + vertices[:1]) if u != v))
+
+
+def grid_digraph(rng, n):
+    """n vertices in rows of about sqrt(n), each grid link run both ways
+    and costed apart, edges in shuffled order."""
+    vertices = points_named(n, prefix="v")
+    w = math.isqrt(n)
+    links = [(i, i + 1) for i in range(n - 1) if (i + 1) % w] + \
+        [(i, i + w) for i in range(n - w)]
+    edges = [Edge(vertices[u], vertices[v], 1.0, lattice_cost(rng))
+             for i, j in links for u, v in ((i, j), (j, i))]
+    rng.shuffle(edges)
+    return DirectedGraph(vertices, tuple(edges))
+
+
+def geometric_digraph(rng, n):
+    """Random points of the unit square; each ordered pair closer than
+    sqrt(3 / n) is an edge with probability 0.8, costed 1/16 above its
+    length rounded to sixteenths."""
+    vertices = points_named(n, prefix="v")
+    at = [(rng.random(), rng.random()) for _ in vertices]
+    edges = []
+    for (u, p), (v, q) in itertools.permutations(zip(vertices, at), 2):
+        length = math.dist(p, q)
+        if length * length < 3 / n and rng.random() < 0.8:
+            edges.append(Edge(u, v, 1.0, (round(16 * length) + 1) / 16))
+    return DirectedGraph(vertices, tuple(edges))
+
+
+# asymmetric graphs whose shortest paths run long, against which the lane
+# sweep's order and pass count are tested
+STRUCTURED_DIGRAPHS = {
+    "path": path_digraph,
+    "shuffled path": lambda rng, n: path_digraph(rng, n, shuffled=True),
+    "cycle": cycle_digraph,
+    "chorded cycle": lambda rng, n: cycle_digraph(rng, n, chords=True),
+    "grid": grid_digraph,
+    "geometric": geometric_digraph,
+}
 
 
 def edge_power(g, p):

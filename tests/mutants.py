@@ -44,6 +44,8 @@ LANE_GUARD = "test_triangle_kernel.py::test_the_guard_takes_exact_lattices_only"
 LANE_EDGES = "test_triangle_kernel.py::test_edge_tables_match_the_float_loop"
 LANE_MATRICES = ("test_triangle_kernel.py::"
                  "test_three_matrices_match_the_float_loop")
+GRAPH_LANES = "test_graphs.py::test_lane_rows_match_dijkstra_on_seeded_graphs"
+GRAPH_LANE_EDGES = "test_graphs.py::test_edge_graphs_match_dijkstra"
 OPPOSITE_WITNESSES = ("test_metamorphic.py::"
                       "test_the_opposite_gauge_reverses_every_axiom_witness[0]")
 SCALED_GRID = ("test_metamorphic.py::"
@@ -434,6 +436,25 @@ MUTANTS = (
            "    dist[src] = 0.0",
            "    dist[src] = -0.0",
            (PAIR_MAPS,)),
+    # the graph lane sweep: a guard that lets inexact path sums through,
+    # lanes without headroom, rows left unswept after a successor changed,
+    # and +inf read as a finite code
+    Mutant("graph lane bound raised to 2**54", "graphs.py",
+           "if top > 1 << 53:",
+           "if top > 1 << 54:",
+           (GRAPH_LANE_EDGES,)),
+    Mutant("graph lanes one byte short", "graphs.py",
+           "if 8 * w > (top + max(code.values(), default=0)).bit_length())",
+           "if 8 * w + 8 > (top + max(code.values(), default=0)).bit_length())",
+           (GRAPH_LANES,)),
+    Mutant("predecessors not re-marked dirty", "graphs.py",
+           "                    dirty[p] = True",
+           "                    pass",
+           (GRAPH_LANES,)),
+    Mutant("graph lane sentinel decoded with >", "graphs.py",
+           "value = {k: INF if k >= top else k / unit",
+           "value = {k: INF if k > top else k / unit",
+           (GRAPH_LANES,)),
     Mutant("witness texts memoized by value", "cli.py",
            "        if c_make_encoder is None or not _flat_rows(column):\n"
            '            return [head + "".join(_json_chunks(v, depth)) for v in'

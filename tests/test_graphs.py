@@ -15,7 +15,8 @@ from quasimod import (INF, DirectedGraph, DynamicCostSchedule, Edge,
                       luxemburg_infimum, schedule_from_json,
                       schedule_to_json)
 
-from conftest import (brute_force_distance, edge_power, random_digraph,
+from conftest import (STRUCTURED_DIGRAPHS, brute_force_distance,
+                      cycle_digraph, edge_power, path_digraph, random_digraph,
                       random_graph_gauge, rng_for)
 
 
@@ -127,6 +128,116 @@ def test_dijkstra_matches_exhaustive_path_search(seed):
     for i, x in enumerate(g.vertices):
         for j, y in enumerate(g.vertices):
             assert d[i][j] == brute_force_distance(g, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the lane sweep against per-source Dijkstra
+
+
+def adjacency(g):
+    return graphs._adjacency(g, None)
+
+
+def dijkstra_rows(g):
+    adj = adjacency(g)
+    return [graphs._dijkstra(adj, s) for s in range(len(adj))]
+
+
+def off_lattice(g, rng):
+    """g with two edges' costs set to 0.3.  Its odd 53-bit numerator makes
+    its code at least 2**52 on every lattice, so the two codes sum past
+    the guard's 2**53."""
+    two = rng.sample(range(len(g.edges)), 2)
+    return DirectedGraph(g.vertices, tuple(
+        Edge(e.u, e.v, e.mu, 0.3 if i in two else e.cost)
+        for i, e in enumerate(g.edges)))
+
+
+def seeded_digraphs():
+    """conftest digraphs of 1 to 11 vertices, and each structured shape at
+    2 to 40 vertices with its transpose."""
+    for seed in range(60):
+        rng = rng_for(52000 + seed)
+        yield random_digraph(rng, rng.randrange(1, 12),
+                             p=rng.choice((0.15, 0.3, 0.6)))
+    for make in STRUCTURED_DIGRAPHS.values():
+        for n in (2, 3, 5, 9, 17, 40):
+            g = make(rng_for(n), n)
+            yield g
+            yield g.transpose()
+
+
+def path_graph(*costs):
+    """a -> b -> c ... with the given costs."""
+    names = "abcdefgh"[:len(costs) + 1]
+    return DirectedGraph(tuple(names), tuple(
+        Edge(u, v, 1.0, c) for u, v, c in zip(names, names[1:], costs)))
+
+
+# each graph, and whether the lane sweep takes it
+EDGE_GRAPHS = {
+    "one vertex": (DirectedGraph(("a",), ()), True),
+    "no edges": (DirectedGraph(("a", "b", "c"), ()), True),
+    "zeros": (DirectedGraph(("a", "b", "c"), (
+        Edge("a", "b", 1.0, 0.0), Edge("b", "c", 1.0, -0.0),
+        Edge("c", "a", 1.0, 0.5), Edge("b", "a", 1.0, -0.0))), True),
+    "unreachable": (DirectedGraph(("a", "b", "c", "d"), (
+        Edge("a", "b", 1.0, 1.0), Edge("d", "c", 1.0, 0.25))), True),
+    "loops and parallel edges": (DirectedGraph(("a", "b"), (
+        Edge("a", "a", 1.0, 1.0), Edge("a", "b", 1.0, 3.0),
+        Edge("a", "b", 1.0, 1.0), Edge("b", "b", 1.0, 0.0))), True),
+    "5e-324": (path_graph(5e-324, 5e-324, 1e-323), True),
+    "1e-300 beside 1e300": (path_graph(5e-324, 1e-300, 1e300), False),
+    # the sum of the codes is 2**53 - 1, and every path sum is exact
+    "2**52 and 2**52 - 1": (path_graph(2.0 ** 52, 2.0 ** 52 - 1), True),
+    # exact sums would give 2**53 + 2, where Dijkstra's floats read 2**53
+    "2**53, 1 and 1": (path_graph(2.0 ** 53, 1.0, 1.0), False),
+    # the README's graph: (0.1 + 0.2) + 0.3 rounds to 0.6000000000000001
+    "0.1, 0.2 and 0.3": (path_graph(0.1, 0.2, 0.3), False),
+}
+
+
+def test_lane_rows_match_dijkstra_on_seeded_graphs():
+    taken = 0
+    for g in seeded_digraphs():
+        cases = [g] if len(g.edges) < 2 else \
+            [g, off_lattice(g, rng_for(len(g.edges)))]
+        # every lattice graph takes the sweep, and no off-lattice copy
+        for h, lanes in zip(cases, (True, False)):
+            assert (graphs._lane_rows(adjacency(h)) is not None) == lanes, h
+            # repr keeps the sign of a zero
+            assert repr(distance_matrix(h)) == repr(dijkstra_rows(h)), h
+            taken += lanes
+    assert taken == 132
+
+
+def test_edge_graphs_match_dijkstra():
+    for name, (g, lanes) in EDGE_GRAPHS.items():
+        assert (graphs._lane_rows(adjacency(g)) is not None) == lanes, name
+        assert repr(distance_matrix(g)) == repr(dijkstra_rows(g)), name
+    d = distance_matrix(EDGE_GRAPHS["2**53, 1 and 1"][0])
+    assert d[0][3] == 2.0 ** 53
+    d = distance_matrix(EDGE_GRAPHS["2**52 and 2**52 - 1"][0])
+    assert d[0][2] == 2.0 ** 53 - 1
+    assert repr(distance_matrix(EDGE_GRAPHS["0.1, 0.2 and 0.3"][0])[0][3]) \
+        == "0.6000000000000001"
+    assert repr(distance_matrix(EDGE_GRAPHS["zeros"][0])) == \
+        "[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]]"
+    assert distance_matrix(EDGE_GRAPHS["unreachable"][0]) == [
+        [0.0, 1.0, INF, INF], [INF, 0.0, INF, INF], [INF, INF, 0.0, INF],
+        [INF, INF, 0.25, 0.0]]
+
+
+def test_past_the_pass_cap_a_graph_goes_to_dijkstra(monkeypatch):
+    cycle = cycle_digraph(rng_for(3), 12)
+    # postorder sweeps a one-way path's rows after their successors'
+    one_way = path_graph(0.5, 0.25, 1.0, 0.75)
+    assert graphs._lane_rows(adjacency(cycle)) is not None
+    monkeypatch.setattr(graphs, "_PASSES", 1)
+    assert graphs._lane_rows(adjacency(cycle)) is None
+    assert repr(distance_matrix(cycle)) == repr(dijkstra_rows(cycle))
+    assert graphs._lane_rows(adjacency(one_way)) == dijkstra_rows(one_way)
+    assert graphs._lane_rows(adjacency(path_digraph(rng_for(4), 5))) is None
 
 
 def test_graph_gauge_caps_the_path_distance():

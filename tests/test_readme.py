@@ -4,7 +4,8 @@ The library quick start is executed and each `print` must write the text
 of the comments on its lines.  The command-line examples are run through
 `quasimod.cli.main` on the documents the README shows (or describes), and
 their reports and exit codes are compared with the README's.  Every
-`quasimod: error:` line the README quotes is a row of `tests/contract.py`.
+`quasimod: error:` line the README quotes is a row of `tests/contract.py`,
+and the graph section names the lane sweep's pass cap.
 """
 
 import ast
@@ -16,6 +17,7 @@ import shlex
 import tokenize
 from pathlib import Path
 
+from quasimod import graphs
 from quasimod.cli import main
 
 from contract import COMMAND_ROWS
@@ -132,6 +134,10 @@ def test_graph_grid_rounding_example(tmp_path, capsys):
     assert {"axiom": "triangle", "witness": json.loads(witness.group(1)),
             "lhs": float(witness.group(2)), "rhs": float(witness.group(3))} \
         in report["axioms"]["violations"]
+
+
+def test_the_graph_section_names_the_sweep_cap():
+    assert f"Past {graphs._PASSES} sweeps" in " ".join(README.split())
 
 
 def test_every_quoted_error_line_is_a_contract_row():
